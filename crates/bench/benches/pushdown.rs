@@ -1,6 +1,5 @@
-//! B15: optimizer-driven predicate pushdown versus the legacy
-//! top-of-plan filter, plus the compile-once predicate evaluation path
-//! versus the deprecated per-tuple `Predicate::eval` entry point.
+//! B15: optimizer-driven predicate pushdown versus the unoptimized
+//! filter placement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -90,47 +89,5 @@ fn bench_root_eq_upgrade(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compile-once evaluation ([`relmerge_engine::CompiledPredicate`])
-/// versus the deprecated per-tuple [`Predicate::eval`], which re-resolved
-/// every attribute against the header on every tuple.
-fn bench_compile_vs_eval(c: &mut Criterion) {
-    let mut group = c.benchmark_group("predicate_eval_path");
-    group.sample_size(20);
-    let u = build_university(4_000);
-    let header = u
-        .schema
-        .scheme("TEACH")
-        .expect("TEACH scheme")
-        .attrs()
-        .to_vec();
-    let rows: Vec<_> = u
-        .state
-        .relation("TEACH")
-        .expect("TEACH relation")
-        .rows()
-        .to_vec();
-    let pred = Predicate::eq("T.F.SSN", 10_050_i64).and(Predicate::not_null("T.C.NR"));
-    group.bench_function(BenchmarkId::new("compiled_matches", rows.len()), |b| {
-        b.iter(|| {
-            let cp = pred.compile(&header).expect("compile");
-            rows.iter().filter(|t| cp.matches(t.values())).count()
-        })
-    });
-    #[allow(deprecated)]
-    group.bench_function(BenchmarkId::new("per_tuple_eval", rows.len()), |b| {
-        b.iter(|| {
-            rows.iter()
-                .filter(|t| pred.eval(&header, t).expect("eval"))
-                .count()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_selective_chain,
-    bench_root_eq_upgrade,
-    bench_compile_vs_eval
-);
+criterion_group!(benches, bench_selective_chain, bench_root_eq_upgrade);
 criterion_main!(benches);

@@ -1484,7 +1484,7 @@ pub struct TortureRow {
     /// Fired cells that surfaced a typed injected/panic error (never a
     /// process abort). For the contained pushdown site
     /// (`engine.query.pushdown`) this instead counts fired cells that
-    /// *succeeded* via the verified byte-identical legacy fallback — the
+    /// *succeeded* via the verified byte-identical fallback — the
     /// site's acceptance criterion is containment, not a surfaced error.
     pub typed_errors: u64,
     /// Fired cells whose post-abort [`Database::verify_integrity`] report
@@ -1508,7 +1508,7 @@ pub struct TortureRow {
 /// leaves an entry in the cache. A third leg tortures the predicate
 /// pushdown planner (`engine.query.pushdown`), whose contract inverts
 /// the others: a fault there must be *contained* — the executor falls
-/// back to the legacy top-of-plan filter and the query must still
+/// back to the unoptimized filter placement and the query must still
 /// succeed, byte-identical (result and stats) to a pushdown-off run.
 ///
 /// Callers that arm panic-mode cells outside the test harness should
@@ -1677,7 +1677,7 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Vec
 
     // The pushdown leg: the predicate-planning site fires before any
     // data is touched, so an injected error or panic must never surface.
-    // The executor falls back to the legacy top-of-plan filter; the
+    // The executor falls back to the unoptimized filter placement; the
     // query must succeed byte-identical (result and stats) to a
     // pushdown-off reference with the fallback counter bumped. Those
     // verified contained fallbacks are recorded as this leg's
@@ -2447,7 +2447,7 @@ pub fn wal_torture(
 
     // A pool of pre-tested batches for the write-side legs: each cell
     // needs a batch known to commit, so the armed fault is the only
-    // failure cause. An in-memory fork (`Database::clone`) is the tester.
+    // failure cause. An in-memory fork (`Database::fork`) is the tester.
     let mut spare_rng = StdRng::seed_from_u64(seed ^ 0xA11D);
     let spare_ops = university_ops(
         &MixSpec::write_only(),
@@ -2461,7 +2461,7 @@ pub fn wal_torture(
     let next_committing =
         |db: &Database, pool: &mut Vec<Vec<Statement>>| -> Result<Vec<Statement>> {
             while let Some(b) = pool.pop() {
-                let mut fork = db.clone();
+                let mut fork = db.fork();
                 if fork.apply_batch(&b).is_ok() {
                     return Ok(b);
                 }

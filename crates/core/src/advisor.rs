@@ -274,33 +274,6 @@ impl Advisor {
         )?;
         Ok((final_schema, pipeline))
     }
-
-    /// Evaluates every maximal merge set in `schema` against `config`.
-    #[deprecated(note = "use `Advisor::new(config).propose_static(schema)` instead")]
-    pub fn propose(
-        schema: &RelationalSchema,
-        config: &AdvisorConfig,
-    ) -> Result<Vec<MergeProposal>> {
-        Advisor::new(*config).propose_static(schema)
-    }
-
-    /// Greedy application with a composed pipeline.
-    #[deprecated(note = "use `Advisor::new(config).greedy_pipeline(schema)` instead")]
-    pub fn apply_greedy_pipeline(
-        schema: &RelationalSchema,
-        config: &AdvisorConfig,
-    ) -> Result<(RelationalSchema, crate::pipeline::MergePipeline)> {
-        Advisor::new(*config).greedy_pipeline(schema)
-    }
-
-    /// Greedy application, largest proposal first.
-    #[deprecated(note = "use `Advisor::new(config).greedy(schema)` instead")]
-    pub fn apply_greedy(
-        schema: &RelationalSchema,
-        config: &AdvisorConfig,
-    ) -> Result<(RelationalSchema, Vec<AppliedMerge>)> {
-        Advisor::new(*config).greedy(schema)
-    }
 }
 
 #[cfg(test)]
@@ -487,22 +460,5 @@ mod tests {
             .propose_from_profile(&obs::ProfileSnapshot::default(), &rs)
             .unwrap();
         assert_eq!(cold[0].members, ["X", "Y", "Z"]);
-    }
-
-    /// The deprecated statics must keep delegating to the instance API.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_statics_delegate() {
-        let rs = two_stars();
-        let config = AdvisorConfig::declarative_only();
-        let advisor = Advisor::new(config);
-        assert_eq!(
-            Advisor::propose(&rs, &config).unwrap(),
-            advisor.propose_static(&rs).unwrap()
-        );
-        let (old_schema, old_applied) = Advisor::apply_greedy(&rs, &config).unwrap();
-        let (new_schema, new_applied) = advisor.greedy(&rs).unwrap();
-        assert_eq!(old_schema, new_schema);
-        assert_eq!(old_applied.len(), new_applied.len());
     }
 }

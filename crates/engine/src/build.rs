@@ -316,10 +316,10 @@ struct CacheEntry {
 
 /// A per-database LRU cache of transient builds, capped in approximate
 /// bytes. A capacity of `0` disables caching entirely. Entries are
-/// [`Arc`]-shared, so a clone of the cache (for [`Database::clone`]) costs
+/// [`Arc`]-shared, so a clone of the cache (for [`Database::fork`]) costs
 /// one refcount per entry and evictions on either side are independent.
 ///
-/// [`Database::clone`]: crate::Database
+/// [`Database::fork`]: crate::Database::fork
 #[derive(Clone)]
 pub(crate) struct BuildCache {
     cap_bytes: u64,

@@ -228,20 +228,18 @@ pub(crate) struct DbMetrics {
     pub(crate) build_cache_evictions: Arc<Counter>,
     pub(crate) parallel_builds: Arc<Counter>,
     pub(crate) probe_saved_allocs: Arc<Counter>,
-    /// Predicate-pushdown counters: conjuncts placed below the residual
-    /// filter position, rows pruned by those placements (root prefilter,
-    /// probe filters, filtered hash builds), and queries where a failed
-    /// optimize/pushdown fell back to the legacy root-filter path.
+    /// Predicate-pushdown counters: conjuncts the optimizer placed below
+    /// the residual filter position, rows pruned by those placements
+    /// (root prefilter, probe filters, filtered hash builds), and queries
+    /// where a failed optimize/pushdown fell back to the unoptimized
+    /// placement.
     pub(crate) pushed_conjuncts: Arc<Counter>,
     pub(crate) pushdown_pruned_rows: Arc<Counter>,
     pub(crate) pushdown_fallbacks: Arc<Counter>,
-    /// Build-cache event counters under the `engine.build_cache.*`
-    /// namespace: hits and misses on `get`, inserts, and the entries /
-    /// bytes evicted by inserts and capacity changes.
-    pub(crate) cache_hit: Arc<Counter>,
-    pub(crate) cache_miss: Arc<Counter>,
+    /// Build-cache inserts and the bytes evicted by inserts and capacity
+    /// changes (hits, misses and evicted entries count under
+    /// `engine.query.build_cache.*`).
     pub(crate) cache_insert: Arc<Counter>,
-    pub(crate) cache_evict: Arc<Counter>,
     pub(crate) cache_evicted_bytes: Arc<obs::Gauge>,
     class_declarative: [Arc<Counter>; CHECK_CLASSES],
     class_procedural: [Arc<Counter>; CHECK_CLASSES],
@@ -261,7 +259,8 @@ pub(crate) struct DbMetrics {
     /// registry (`None`). Exactly-once because the fold runs in
     /// [`Drop::drop`] of the `DbMetrics` itself, which fires when the
     /// *last* `Arc<DbMetrics>` handle (database, session, or pinned
-    /// snapshot) goes away.
+    /// snapshot) goes away, and because a [`Database::fork`] starts a
+    /// fresh shard rather than copying this one's counts.
     flush_into: Option<Arc<Registry>>,
 }
 
@@ -269,10 +268,7 @@ impl Drop for DbMetrics {
     /// Flushes this shard so its counts survive the weak shard reference:
     /// into the owning store's registry for session shards (no lost or
     /// double-counted constraint/latency counters when sessions come and
-    /// go), into the process-global registry otherwise. Note that a
-    /// [`Database::fork`] copies the shard *with* its accumulated values,
-    /// so both copies flush them — consistent with how
-    /// [`obs::snapshot_all`] already sums live forked shards.
+    /// go), into the process-global registry otherwise.
     fn drop(&mut self) {
         match &self.flush_into {
             Some(target) => obs::flush_shard_into(&self.registry, target),
@@ -323,10 +319,7 @@ impl DbMetrics {
             pushed_conjuncts: registry.counter("engine.query.pushed_conjuncts"),
             pushdown_pruned_rows: registry.counter("engine.query.pushdown_pruned_rows"),
             pushdown_fallbacks: registry.counter("engine.query.pushdown.fallbacks"),
-            cache_hit: registry.counter("engine.build_cache.hit"),
-            cache_miss: registry.counter("engine.build_cache.miss"),
             cache_insert: registry.counter("engine.build_cache.insert"),
-            cache_evict: registry.counter("engine.build_cache.evict"),
             cache_evicted_bytes: registry.gauge("engine.build_cache.evicted_bytes"),
             class_declarative: per_class("declarative"),
             class_procedural: per_class("procedural"),
@@ -342,45 +335,6 @@ impl DbMetrics {
             registry,
             flush_into,
         }
-    }
-
-    /// A fresh shard carrying over the counter values (histograms start
-    /// empty — latency samples describe the instance that measured them).
-    fn fork(&self) -> DbMetrics {
-        let out = DbMetrics::new();
-        out.inserts.set(self.inserts.get());
-        out.deletes.set(self.deletes.get());
-        out.updates.set(self.updates.get());
-        out.rejected.set(self.rejected.get());
-        out.declarative.set(self.declarative.get());
-        out.procedural.set(self.procedural.get());
-        out.deferred.set(self.deferred.get());
-        out.index_probes.set(self.index_probes.get());
-        out.batch_commits.set(self.batch_commits.get());
-        out.batch_rollbacks.set(self.batch_rollbacks.get());
-        out.injected_aborts.set(self.injected_aborts.get());
-        out.panic_aborts.set(self.panic_aborts.get());
-        out.budget_aborts.set(self.budget_aborts.get());
-        out.build_cache_hits.set(self.build_cache_hits.get());
-        out.build_cache_misses.set(self.build_cache_misses.get());
-        out.build_cache_evictions
-            .set(self.build_cache_evictions.get());
-        out.parallel_builds.set(self.parallel_builds.get());
-        out.probe_saved_allocs.set(self.probe_saved_allocs.get());
-        out.pushed_conjuncts.set(self.pushed_conjuncts.get());
-        out.pushdown_pruned_rows
-            .set(self.pushdown_pruned_rows.get());
-        out.pushdown_fallbacks.set(self.pushdown_fallbacks.get());
-        out.cache_hit.set(self.cache_hit.get());
-        out.cache_miss.set(self.cache_miss.get());
-        out.cache_insert.set(self.cache_insert.get());
-        out.cache_evict.set(self.cache_evict.get());
-        out.cache_evicted_bytes.set(self.cache_evicted_bytes.get());
-        for i in 0..CHECK_CLASSES {
-            out.class_declarative[i].set(self.class_declarative[i].get());
-            out.class_procedural[i].set(self.class_procedural[i].get());
-        }
-        out
     }
 
     /// Records one finished check of `class` under `mechanism`, started at
@@ -542,20 +496,11 @@ pub struct Database {
     pub(crate) outgoing: Arc<BTreeMap<String, Vec<CompiledInd>>>,
     pub(crate) incoming: Arc<BTreeMap<String, Vec<CompiledInd>>>,
     pub(crate) metrics: Arc<DbMetrics>,
-    /// Worker threads the query executor may use (1 = serial execution).
-    parallelism: usize,
-    /// Left-input cardinality at which a join switches to the hash
-    /// strategy; `usize::MAX` disables hash joins entirely.
-    hash_join_threshold: usize,
-    /// Rows per executor morsel (always ≥ 1).
-    morsel_rows: usize,
-    /// Whether the predicate optimizer plans cross-operator pushdown for
-    /// query filters (`false` pins the legacy root-filter path).
-    predicate_pushdown: bool,
-    /// Build-side live-row count at which a transient hash build fans out
-    /// over the worker pool; `usize::MAX` pins builds to the serial path
-    /// (mirroring the INL sentinel of `hash_join_threshold`).
-    build_parallel_threshold: usize,
+    /// The tuning knobs in force. Its `durability` is always `None` (the
+    /// log lives in `wal`) and its cache capacity is never read (the
+    /// cache owns it), so cloning it for a snapshot handle allocates
+    /// nothing.
+    config: EngineConfig,
     /// The versioned build-side cache. Interior-mutable because queries
     /// run through `&self`; the lock is only ever held for map operations,
     /// never across a build or a fault site. Behind an `Arc` so a store's
@@ -566,11 +511,9 @@ pub struct Database {
     /// versions diverge, so shared keys could collide).
     build_cache: Arc<std::sync::Mutex<crate::build::BuildCache>>,
     /// The workload profiler every successful query execution folds into
-    /// (shape fingerprint → aggregated cost). Shared by clones — the
+    /// (shape fingerprint → aggregated cost). Shared by forks — the
     /// profile describes the workload, not one instance's storage.
     profiler: Arc<obs::Profiler>,
-    /// Resource limits for query execution (default unlimited).
-    budget: QueryBudget,
     /// Installed fault plan, if any (`None` in production configurations).
     /// Behind an `Arc` so sites can fire from `&self` contexts — validation
     /// and morsel worker threads included — and so callers keep a handle to
@@ -580,18 +523,6 @@ pub struct Database {
     /// (`EngineConfig::durability` set at construction or recovery).
     /// `None` means purely in-memory — the pre-durability behavior.
     wal: Option<crate::wal::Wal>,
-}
-
-/// **Deprecated semantics** — `clone` is ambiguous for a database: do you
-/// want an independent in-memory copy, or a second handle on the same
-/// store? `Database::clone` means the former and simply delegates to
-/// [`Database::fork`]; prefer calling `fork()` so the intent is explicit.
-/// For the latter — many clients sharing one database — build a
-/// [`crate::session::Store`] and hand out [`crate::session::Session`]s.
-impl Clone for Database {
-    fn clone(&self) -> Self {
-        self.fork()
-    }
 }
 
 /// Default left-cardinality at which the executor switches a join step to
@@ -706,10 +637,12 @@ pub(crate) fn compile_catalog(
 
 /// One `EngineConfig` consolidates every `Database` tuning knob: executor
 /// parallelism, join-strategy and parallel-build thresholds, morsel size,
-/// build-cache capacity, and the query budget. Build one with the
-/// fluent setters and hand it to [`Database::new_with_config`] or
-/// [`Database::configure`]; read the live values back with
-/// [`Database::config`], so a sweep can tweak a single knob:
+/// pushdown, build-cache capacity, the query budget, and durability. A
+/// `Database` stores one, and its knobs change only through a new one.
+/// Build one with the fluent setters and hand it to
+/// [`Database::new_with_config`] or [`Database::configure`]; read the live
+/// values back with [`Database::config`], so a sweep can tweak a single
+/// knob:
 ///
 /// ```ignore
 /// db.configure(db.config().parallelism(4));
@@ -786,12 +719,11 @@ impl EngineConfig {
     }
 
     /// Enables or disables optimizer-driven predicate pushdown (default
-    /// on). When off, a query's filter runs exactly where it is written:
-    /// compiled once against the joined header and evaluated at the
-    /// pipeline root (full-scan root conjunct prefiltering excepted, which
-    /// predates the optimizer). Results are byte-identical either way;
-    /// only the scan/probe/build work — and therefore `QueryStats` — can
-    /// shrink with pushdown on.
+    /// on). When off, the filter is placed without the optimizer: as a
+    /// whole, ahead of the joins when it compiles against the root header
+    /// of a full scan, otherwise on the joined rows. Results are
+    /// byte-identical either way; only the scan/probe/build work — and
+    /// therefore `QueryStats` — can shrink with pushdown on.
     #[must_use]
     pub fn predicate_pushdown(mut self, on: bool) -> Self {
         self.predicate_pushdown = on;
@@ -894,7 +826,7 @@ impl Database {
     pub fn new_with_config(
         schema: RelationalSchema,
         profile: DbmsProfile,
-        config: EngineConfig,
+        mut config: EngineConfig,
     ) -> Result<Self> {
         let Catalog {
             tables,
@@ -902,6 +834,7 @@ impl Database {
             outgoing,
             incoming,
         } = compile_catalog(&schema, &profile, "Database::new")?;
+        let durability = config.durability.take();
         let mut db = Database {
             schema: Arc::new(schema),
             profile,
@@ -910,20 +843,15 @@ impl Database {
             outgoing: Arc::new(outgoing),
             incoming: Arc::new(incoming),
             metrics: Arc::new(DbMetrics::new()),
-            parallelism: config.parallelism.max(1),
-            hash_join_threshold: config.hash_join_threshold,
-            morsel_rows: config.morsel_rows.max(1),
-            predicate_pushdown: config.predicate_pushdown,
-            build_parallel_threshold: config.build_parallel_threshold,
             build_cache: Arc::new(std::sync::Mutex::new(crate::build::BuildCache::new(
                 config.build_cache_capacity,
             ))),
+            config,
             profiler: Arc::new(obs::Profiler::new()),
-            budget: config.query_budget,
             fault: None,
             wal: None,
         };
-        if let Some(durability) = config.durability {
+        if let Some(durability) = durability {
             // Fresh data dir only: an already-initialized one holds state
             // this empty database would shadow — `Wal::initialize` rejects
             // it and points the caller at `Database::recover`.
@@ -932,8 +860,9 @@ impl Database {
         Ok(db)
     }
 
-    /// An independent in-memory copy: same schema, same rows, a forked
-    /// metrics shard carrying the counter values, and its **own** build
+    /// An independent in-memory copy: same schema, same rows and knobs, a
+    /// fresh metrics shard whose counters start at zero (so the original
+    /// and the fork never count one event twice), and its **own** build
     /// cache (a fork's relation versions diverge from the original's, so
     /// sharing the versioned cache could alias keys across the two
     /// histories). Storage is shared copy-on-write — the fork is O(number
@@ -941,29 +870,13 @@ impl Database {
     /// WAL: two writers appending to one log would interleave
     /// un-replayably, so a fork's mutations are deliberately not durable.
     ///
-    /// This is what `Database::clone` has always meant; `fork()` names it.
     /// To *share* one database across clients instead, build a
     /// [`crate::session::Store`].
     #[must_use]
     pub fn fork(&self) -> Database {
         Database {
-            schema: Arc::clone(&self.schema),
-            profile: self.profile.clone(),
-            tables: self.tables.clone(),
-            nulls: Arc::clone(&self.nulls),
-            outgoing: Arc::clone(&self.outgoing),
-            incoming: Arc::clone(&self.incoming),
-            metrics: Arc::new(self.metrics.fork()),
-            parallelism: self.parallelism,
-            hash_join_threshold: self.hash_join_threshold,
-            morsel_rows: self.morsel_rows,
-            predicate_pushdown: self.predicate_pushdown,
-            build_parallel_threshold: self.build_parallel_threshold,
             build_cache: Arc::new(std::sync::Mutex::new(self.build_cache_lock().clone())),
-            profiler: Arc::clone(&self.profiler),
-            budget: self.budget,
-            fault: self.fault.clone(),
-            wal: None,
+            ..self.snapshot_handle(Arc::new(DbMetrics::new()))
         }
     }
 
@@ -983,14 +896,9 @@ impl Database {
             outgoing: Arc::clone(&self.outgoing),
             incoming: Arc::clone(&self.incoming),
             metrics,
-            parallelism: self.parallelism,
-            hash_join_threshold: self.hash_join_threshold,
-            morsel_rows: self.morsel_rows,
-            predicate_pushdown: self.predicate_pushdown,
-            build_parallel_threshold: self.build_parallel_threshold,
+            config: self.config.clone(),
             build_cache: Arc::clone(&self.build_cache),
             profiler: Arc::clone(&self.profiler),
-            budget: self.budget,
             fault: self.fault.clone(),
             wal: None,
         }
@@ -1001,24 +909,22 @@ impl Database {
         Arc::clone(&self.metrics)
     }
 
-    /// The current values of every tuning knob, as an [`EngineConfig`].
-    /// Combined with the builder setters this makes single-knob tweaks
-    /// one-liners: `db.configure(db.config().morsel_rows(64))`.
+    /// The current values of every tuning knob, as an [`EngineConfig`]:
+    /// the stored knobs plus the live build-cache capacity and, for a
+    /// durable database, its log's durability knobs. Combined with the
+    /// builder setters this makes single-knob tweaks one-liners:
+    /// `db.configure(db.config().morsel_rows(64))`.
     #[must_use]
     pub fn config(&self) -> EngineConfig {
         EngineConfig {
-            parallelism: self.parallelism,
-            hash_join_threshold: self.hash_join_threshold,
-            morsel_rows: self.morsel_rows,
-            predicate_pushdown: self.predicate_pushdown,
-            build_parallel_threshold: self.build_parallel_threshold,
-            build_cache_capacity: self.build_cache_lock().capacity(),
-            query_budget: self.budget,
+            build_cache_capacity: self.build_cache_capacity(),
             durability: self.wal.as_ref().map(|w| w.config().clone()),
+            ..self.config.clone()
         }
     }
 
-    /// Applies every knob in `config` to the live database. Shrinking the
+    /// Applies every knob in `config` to the live database (except
+    /// durability, see [`EngineConfig::durability`]). Shrinking the
     /// build-cache capacity evicts least-recently-used entries down to the
     /// new cap (and counts them in the eviction metrics); results never
     /// depend on any of these knobs, and `QueryStats` depend only on the
@@ -1026,20 +932,17 @@ impl Database {
     /// the scan/probe/build counters), never on worker or morsel
     /// configuration.
     pub fn configure(&mut self, config: EngineConfig) {
-        self.parallelism = config.parallelism.max(1);
-        self.hash_join_threshold = config.hash_join_threshold;
-        self.morsel_rows = config.morsel_rows.max(1);
-        self.predicate_pushdown = config.predicate_pushdown;
-        self.build_parallel_threshold = config.build_parallel_threshold;
-        if config.build_cache_capacity != self.build_cache_lock().capacity() {
-            let (evicted, evicted_bytes) = self
-                .build_cache_lock()
-                .set_capacity(config.build_cache_capacity);
-            self.metrics.build_cache_evictions.add(evicted);
-            self.metrics.cache_evict.add(evicted);
-            self.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
-        }
-        self.budget = config.query_budget;
+        // A no-op when the capacity is unchanged: the cache never holds
+        // more than its cap.
+        let (evicted, evicted_bytes) = self
+            .build_cache_lock()
+            .set_capacity(config.build_cache_capacity);
+        self.metrics.build_cache_evictions.add(evicted);
+        self.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
+        self.config = EngineConfig {
+            durability: None,
+            ..config
+        };
     }
 
     /// Worker threads the query executor may use. Defaults to the
@@ -1047,13 +950,7 @@ impl Database {
     /// byte-identical to the parallel result by construction.
     #[must_use]
     pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Sets the executor's worker-thread budget (clamped to ≥ 1).
-    #[deprecated(note = "use `configure(db.config().parallelism(..))` instead")]
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.configure(self.config().parallelism(workers));
+        self.config.parallelism
     }
 
     /// Left-input cardinality at which a join step switches from
@@ -1062,66 +959,37 @@ impl Database {
     /// them wherever the left input is non-empty.
     #[must_use]
     pub fn hash_join_threshold(&self) -> usize {
-        self.hash_join_threshold
+        self.config.hash_join_threshold
     }
 
-    /// Sets the hash-join switchover threshold.
-    #[deprecated(note = "use `configure(db.config().hash_join_threshold(..))` instead")]
-    pub fn set_hash_join_threshold(&mut self, rows: usize) {
-        self.configure(self.config().hash_join_threshold(rows));
-    }
-
-    /// Root rows per executor morsel.
+    /// Root rows per executor morsel (always ≥ 1). Smaller morsels
+    /// exercise the reassembly path; the default suits large scans.
     #[must_use]
     pub fn morsel_rows(&self) -> usize {
-        self.morsel_rows
-    }
-
-    /// Sets the morsel size (clamped to ≥ 1). Smaller morsels exercise
-    /// the reassembly path; the default suits large scans.
-    #[deprecated(note = "use `configure(db.config().morsel_rows(..))` instead")]
-    pub fn set_morsel_rows(&mut self, rows: usize) {
-        self.configure(self.config().morsel_rows(rows));
+        self.config.morsel_rows
     }
 
     /// Whether optimizer-driven predicate pushdown is enabled (default
     /// on). See [`EngineConfig::predicate_pushdown`].
     #[must_use]
     pub fn predicate_pushdown(&self) -> bool {
-        self.predicate_pushdown
+        self.config.predicate_pushdown
     }
 
     /// Build-side live-row count at which a transient hash build fans out
     /// over the worker pool. `usize::MAX` pins every build to the serial
-    /// path (the same sentinel idiom as
-    /// [`hash_join_threshold`](Self::hash_join_threshold)).
+    /// path; `0` fans out any non-trivial build.
     #[must_use]
     pub fn build_parallel_threshold(&self) -> usize {
-        self.build_parallel_threshold
-    }
-
-    /// Sets the parallel-build switchover threshold. No clamping:
-    /// `usize::MAX` is the serial sentinel, `0` fans out any non-trivial
-    /// build.
-    #[deprecated(note = "use `configure(db.config().build_parallel_threshold(..))` instead")]
-    pub fn set_build_parallel_threshold(&mut self, rows: usize) {
-        self.configure(self.config().build_parallel_threshold(rows));
+        self.config.build_parallel_threshold
     }
 
     /// Byte capacity of the versioned build-side cache (`0` = caching
-    /// disabled).
+    /// disabled: every transient build is rebuilt cold, and only wall
+    /// time changes).
     #[must_use]
     pub fn build_cache_capacity(&self) -> u64 {
         self.build_cache_lock().capacity()
-    }
-
-    /// Sets the build-cache byte capacity, evicting least-recently-used
-    /// entries down to it. `0` disables caching: every transient build is
-    /// rebuilt cold (results and `QueryStats` are unaffected — only wall
-    /// time changes).
-    #[deprecated(note = "use `configure(db.config().build_cache_capacity(..))` instead")]
-    pub fn set_build_cache_capacity(&mut self, bytes: u64) {
-        self.configure(self.config().build_cache_capacity(bytes));
     }
 
     /// Drops every cached build (capacity is unchanged).
@@ -1163,7 +1031,7 @@ impl Database {
 
     /// The workload profiler this database folds every successful query
     /// execution into: per-fingerprint operator totals, intermediate-byte
-    /// accounting, and latency histograms. Clones share it (via `Arc`),
+    /// accounting, and latency histograms. Forks share it (via `Arc`),
     /// so a workload spread over forks still aggregates into one profile;
     /// use [`obs::Profiler::snapshot`] / [`obs::Profiler::take`] and
     /// [`relmerge_obs::report`] to read it.
@@ -1180,17 +1048,12 @@ impl Database {
     }
 
     /// The resource limits queries execute under (default unlimited).
+    /// Limits are checked cooperatively at morsel boundaries; a tripped
+    /// limit surfaces as [`Error::BudgetExceeded`] with the partial
+    /// progress in its detail.
     #[must_use]
     pub fn query_budget(&self) -> QueryBudget {
-        self.budget
-    }
-
-    /// Sets the query budget. Limits are checked cooperatively at morsel
-    /// boundaries; a tripped limit surfaces as
-    /// [`Error::BudgetExceeded`] with the partial progress in its detail.
-    #[deprecated(note = "use `configure(db.config().query_budget(..))` instead")]
-    pub fn set_query_budget(&mut self, budget: QueryBudget) {
-        self.configure(self.config().query_budget(budget));
+        self.config.query_budget
     }
 
     /// Installs `plan` as the active fault plan, replacing any previous
@@ -1598,11 +1461,9 @@ impl Database {
     /// the state arrives from disk — runs [`Database::verify_integrity`]
     /// over the result, failing with [`Error::StateMismatch`] if the
     /// loaded state violates any constraint or index invariant. The audit
-    /// is O(state size); callers that load a trusted (or transiently
-    /// inconsistent) state and verify at a coarser boundary should use
-    /// [`Database::load_state_unverified`]. Every touched relation's
-    /// version is also bumped strictly past any cached build of it, so
-    /// seeded or recovered data can never alias a stale build-cache entry.
+    /// is O(state size). Every touched relation's version is also bumped
+    /// strictly past any cached build of it, so seeded or recovered data
+    /// can never alias a stale build-cache entry.
     pub fn load_state(&mut self, state: &DatabaseState) -> Result<()> {
         self.load_state_unverified(state)?;
         let report = self.verify_integrity();
@@ -1620,7 +1481,7 @@ impl Database {
     /// recovery replays every logged migration through this path and runs
     /// [`Database::verify_integrity`] exactly once after the whole log
     /// suffix, rather than once per replayed record.
-    pub fn load_state_unverified(&mut self, state: &DatabaseState) -> Result<()> {
+    pub(crate) fn load_state_unverified(&mut self, state: &DatabaseState) -> Result<()> {
         for (name, relation) in state.iter() {
             let table = self
                 .tables
@@ -2200,11 +2061,15 @@ mod tests {
     fn cloned_database_has_isolated_counters() {
         let mut db = Database::new(emp_mgr_schema(), DbmsProfile::db2()).unwrap();
         db.insert("EMP", tup(&[1, 10])).unwrap();
-        let mut copy = db.clone();
-        assert_eq!(copy.stats(), db.stats(), "clone carries counts over");
-        copy.insert("EMP", tup(&[2, 20])).unwrap();
-        assert_eq!(copy.stats().inserts, 2);
-        assert_eq!(db.stats().inserts, 1, "original unaffected by the clone");
+        let mut fork = db.fork();
+        assert_eq!(fork.stats(), MaintenanceStats::default(), "fresh shard");
+        assert_eq!(fork.len("EMP"), 1, "rows are copied, counts are not");
+        fork.insert("EMP", tup(&[2, 20])).unwrap();
+        db.insert("EMP", tup(&[3, 30])).unwrap();
+        assert_eq!(fork.stats().inserts, 1);
+        assert_eq!(db.stats().inserts, 2, "original unaffected by the fork");
+        // Three inserts were made; the two shards count each exactly once.
+        assert_eq!(db.stats().inserts + fork.stats().inserts, 3);
     }
 
     #[test]
@@ -2272,25 +2137,6 @@ mod tests {
         assert_eq!(db.parallelism(), 1);
         assert_eq!(db.morsel_rows(), 1);
         assert_eq!(db.hash_join_threshold(), 7);
-    }
-
-    /// The deprecated one-knob setters must keep working as thin
-    /// wrappers over `configure`.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_apply() {
-        let mut db = Database::new(emp_mgr_schema(), DbmsProfile::db2()).unwrap();
-        db.set_parallelism(2);
-        db.set_hash_join_threshold(5);
-        db.set_morsel_rows(9);
-        db.set_build_parallel_threshold(17);
-        db.set_build_cache_capacity(0);
-        db.set_query_budget(QueryBudget::unlimited());
-        assert_eq!(db.parallelism(), 2);
-        assert_eq!(db.hash_join_threshold(), 5);
-        assert_eq!(db.morsel_rows(), 9);
-        assert_eq!(db.build_parallel_threshold(), 17);
-        assert_eq!(db.build_cache_capacity(), 0);
     }
 
     #[test]

@@ -56,9 +56,9 @@ pub mod site {
     /// Predicate optimization + pushdown planning (fires once per filtered
     /// query, before the root access path is chosen). A fire — error or
     /// panic — is *contained*: the executor abandons pushdown for that
-    /// query and falls back to the legacy root-filter path, returning a
-    /// byte-identical result (counted by
-    /// `engine.query.pushdown.fallbacks`).
+    /// query and takes the unoptimized filter placement (the one
+    /// pushdown-off queries use), returning a byte-identical result
+    /// (counted by `engine.query.pushdown.fallbacks`).
     pub const PUSHDOWN: &str = "engine.query.pushdown";
     /// The catalog-rewrite phase of an online migration
     /// ([`Database::migrate`]): fires once, after the pre-migration

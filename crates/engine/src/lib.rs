@@ -52,8 +52,6 @@ pub use fault::{
 pub use migrate::{AdvisedMigration, MigrationReport};
 pub use planner::{choose_join_strategy, fingerprint, plan, JoinStrategy, LogicalQuery};
 pub use predopt::{canonical_shape, conjoin, conjuncts, optimize, Optimized};
-#[allow(deprecated)]
-pub use query::{execute, execute_traced};
 pub use query::{
     Access, CompiledPredicate, JoinStep, OpKind, OpStats, OpTrace, Predicate, QueryPlan,
     QueryStats, QueryTrace,

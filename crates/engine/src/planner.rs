@@ -302,7 +302,7 @@ pub fn choose_join_strategy(
 /// deterministic.
 pub fn choose_build_parallelism(db: &Database, build_rows: usize) -> usize {
     let threshold = db.build_parallel_threshold();
-    let workers = if threshold == usize::MAX || db.parallelism() <= 1 || build_rows < threshold {
+    let workers = if db.parallelism() <= 1 || build_rows < threshold {
         1
     } else {
         match build_rows.checked_div(threshold) {

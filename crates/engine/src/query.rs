@@ -115,23 +115,11 @@ impl Predicate {
     pub fn compile(&self, header: &[Attribute]) -> Result<CompiledPredicate> {
         CompiledPredicate::compile(self, header)
     }
-
-    /// Evaluates against a tuple under `header`.
-    #[deprecated(
-        note = "compiles the predicate afresh on every call; compile once with \
-                `Predicate::compile` and reuse `CompiledPredicate::matches` per row"
-    )]
-    pub fn eval(&self, header: &[Attribute], t: &Tuple) -> Result<bool> {
-        Ok(self.compile(header)?.matches(t.values()))
-    }
 }
 
 /// A [`Predicate`] with attribute positions resolved against a header,
 /// so workers evaluate it on materialized value rows infallibly. Compile
-/// once, evaluate per row — the per-tuple entry point
-/// ([`Predicate::eval`]) re-resolved every attribute on every tuple and
-/// is deprecated in its favor (`benches/pushdown.rs` measures the saved
-/// work).
+/// once, evaluate per row.
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     node: CompiledNode,
@@ -543,29 +531,6 @@ impl Database {
     }
 }
 
-/// Free-function form of [`Database::execute`], kept for source
-/// compatibility.
-#[deprecated(
-    since = "0.1.0",
-    note = "call the inherent `Database::execute` instead"
-)]
-pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(Relation, QueryStats)> {
-    db.execute(plan)
-}
-
-/// Free-function form of [`Database::execute_traced`], kept for source
-/// compatibility.
-#[deprecated(
-    since = "0.1.0",
-    note = "call the inherent `Database::execute_traced` instead"
-)]
-pub fn execute_traced(
-    db: &Database,
-    plan: &QueryPlan,
-) -> Result<(Relation, QueryStats, QueryTrace)> {
-    db.execute_traced(plan)
-}
-
 /// How one compiled join step reaches its right-hand rows. Borrowed
 /// variants point straight into the database's storage; `HashOwned` shares
 /// a transient table built by scanning the right relation once (possibly
@@ -584,8 +549,9 @@ enum RightAccess<'a> {
     },
     /// Index-nested-loop fallback with no covering index: scan the whole
     /// right table for every left row (the pre-morsel executor's silent
-    /// worst case, reachable only when hash joins are disabled or the left
-    /// side is empty).
+    /// worst case). It scans only when hash joins are disabled: otherwise
+    /// the planner picks it just for a left side estimated at zero rows,
+    /// which is provably empty.
     ScanProbe {
         pos: Vec<usize>,
         rows: &'a [Option<Tuple>],
@@ -964,14 +930,12 @@ fn compile_join<'a>(
                 let owned = match cached {
                     Some(owned) => {
                         db.metrics.build_cache_hits.inc();
-                        db.metrics.cache_hit.inc();
                         cache_hits = 1;
                         build_note = Some("build: cached".to_owned());
                         owned
                     }
                     None => {
                         db.metrics.build_cache_misses.inc();
-                        db.metrics.cache_miss.inc();
                         cache_misses = 1;
                         let workers = choose_build_parallelism(db, table.live);
                         let owned = Arc::new(build_owned(
@@ -1003,7 +967,6 @@ fn compile_join<'a>(
                             db.build_cache_lock().insert(key, Arc::clone(&owned));
                         db.metrics.build_cache_evictions.add(evicted);
                         db.metrics.cache_insert.inc();
-                        db.metrics.cache_evict.add(evicted);
                         db.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
                         cache_evicted_bytes = evicted_bytes;
                         owned
@@ -1081,9 +1044,12 @@ fn compile_join<'a>(
 /// accesses match at most one row per left row; lookup and built hash
 /// accesses multiply by the index's average bucket size; a bare scan probe
 /// gives no fan-out information and carries the left estimate through.
-/// Outer joins never shrink the left side. Everything here reads
-/// pre-fan-out state only, keeping strategy choice deterministic across
-/// morsel sizes and worker counts.
+/// Outer joins never shrink the left side. The estimate is 0 only when
+/// the output is provably empty (an empty left side, or a pushed conjunct
+/// that keeps no right row), since rule 2 of
+/// [`crate::planner::choose_join_strategy`] trusts it. Everything here
+/// reads pre-fan-out state only, keeping strategy choice deterministic
+/// across morsel sizes and worker counts.
 fn estimate_join_output(join: &CompiledJoin<'_>, left: usize) -> usize {
     let avg_bucket = |keys: usize, slots: usize| {
         if keys == 0 {
@@ -1104,10 +1070,12 @@ fn estimate_join_output(join: &CompiledJoin<'_>, left: usize) -> usize {
     // A pushed conjunct shrinks the matched stream by its measured
     // selectivity, so downstream strategy choices see the post-pushdown
     // cardinality — a selective pushed filter can flip the next step from
-    // a hash build to index nested loops.
+    // a hash build to index nested loops. A nonzero product never floors
+    // to 0: that would claim an empty left side for the next step.
     if let Some((kept, live)) = join.sel {
-        if let Some(scaled) = estimate.saturating_mul(kept).checked_div(live) {
-            estimate = scaled;
+        let product = estimate.saturating_mul(kept);
+        if let Some(scaled) = product.checked_div(live) {
+            estimate = scaled.max(usize::from(product > 0));
         }
     }
     if join.outer {
@@ -1192,7 +1160,9 @@ fn prefilter_root<'a>(
 
 /// Where each conjunct of the query filter will run, decided once per
 /// query before any data is touched. Produced by [`plan_pushdown`] from
-/// the [`crate::predopt`] optimizer's canonical conjunct partition.
+/// the [`crate::predopt`] optimizer's canonical conjunct partition, or by
+/// [`PushdownPlan::unoptimized`] when pushdown is off or its planning
+/// failed.
 struct PushdownPlan {
     /// Conjunction of the root-only conjuncts, compiled against the root
     /// header; evaluated by [`prefilter_root`] right after root access.
@@ -1212,13 +1182,43 @@ struct PushdownPlan {
     /// How many conjuncts were placed somewhere cheaper than the
     /// post-join filter (the `engine.query.pushed_conjuncts` increment).
     pushed: u64,
+    /// Whether the optimizer made this placement. Only its placements
+    /// feed the pushdown counters.
+    optimized: bool,
+}
+
+impl PushdownPlan {
+    /// The placement without the optimizer: the whole filter becomes the
+    /// root prefilter when it compiles against the root header of a full
+    /// scan, and the residual otherwise — where an unknown attribute
+    /// surfaces as the query's error.
+    fn unoptimized(plan: &QueryPlan, root_header: &[Attribute]) -> PushdownPlan {
+        let root = match (&plan.access, &plan.filter) {
+            (Access::FullScan, Some(p)) => CompiledPredicate::compile(p, root_header).ok(),
+            _ => None,
+        };
+        let residual = if root.is_some() {
+            None
+        } else {
+            plan.filter.clone()
+        };
+        PushdownPlan {
+            root,
+            root_lookup: None,
+            per_join: vec![None; plan.joins.len()],
+            residual,
+            verdict: None,
+            pushed: 0,
+            optimized: false,
+        }
+    }
 }
 
 /// Partitions the optimized filter's conjuncts across the plan's
 /// relations. Returns `None` on *any* internal inconsistency — an
 /// attribute that resolves to no relation, a compile failure — so the
-/// caller falls back to the legacy root-filter path and surfaces exactly
-/// the errors it always did. Placement rules:
+/// caller falls back to [`PushdownPlan::unoptimized`] and surfaces
+/// exactly the errors it always did. Placement rules:
 ///
 /// - root-only conjunct → root prefilter (or an index point-lookup for
 ///   one `Eq` on an indexed attribute under a full scan), dropped from
@@ -1249,7 +1249,7 @@ fn plan_pushdown(
             .position(|h| h.iter().any(|a| a.name() == attr))
     };
     // Every attribute of the *original* predicate must resolve, otherwise
-    // the legacy path must surface its unknown-attribute error.
+    // the unoptimized placement must surface its unknown-attribute error.
     for attr in crate::predopt::attrs(filter) {
         source_of(&attr)?;
     }
@@ -1260,6 +1260,7 @@ fn plan_pushdown(
         residual: None,
         verdict: None,
         pushed: 0,
+        optimized: true,
     };
     let canonical = match crate::predopt::optimize(filter) {
         crate::predopt::Optimized::Always(b) => {
@@ -1361,35 +1362,23 @@ fn execute_core(
     // Pushdown planning runs before any data is touched, under the
     // `engine.query.pushdown` fault site: an injected error or panic —
     // like any internal planning failure — is contained here and drops
-    // the query onto the legacy root-filter path, byte-identical in
-    // results (the fallback counter records it).
-    let pushdown: Option<PushdownPlan> = match (&plan.filter, db.predicate_pushdown()) {
+    // the query onto the unoptimized placement, byte-identical in results
+    // (the fallback counter records it).
+    let pd = match (&plan.filter, db.predicate_pushdown()) {
         (Some(filter), true) => {
             let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Option<PushdownPlan>> {
                 db.fault_check(site::PUSHDOWN)?;
                 Ok(plan_pushdown(db, plan, filter, root_header))
             }));
             match attempt {
-                Ok(Ok(Some(p))) => Some(p),
+                Ok(Ok(Some(p))) => p,
                 Ok(Ok(None)) | Ok(Err(_)) | Err(_) => {
                     db.metrics.pushdown_fallbacks.inc();
-                    None
+                    PushdownPlan::unoptimized(plan, root_header)
                 }
             }
         }
-        _ => None,
-    };
-    let pushdown_active = pushdown.is_some();
-    let (pd_root, pd_lookup, pd_per_join, pd_residual, pd_verdict, pd_pushed) = match pushdown {
-        Some(p) => (
-            p.root,
-            p.root_lookup,
-            p.per_join,
-            p.residual,
-            p.verdict,
-            p.pushed,
-        ),
-        None => (None, None, vec![None; plan.joins.len()], None, None, 0),
+        _ => PushdownPlan::unoptimized(plan, root_header),
     };
 
     // Root access (serial, borrowed slots — nothing is cloned). A pushed
@@ -1397,7 +1386,7 @@ fn execute_core(
     // counted probe.
     let t_root = Instant::now();
     let mut root_rows: Vec<&Tuple> = Vec::new();
-    match (&plan.access, &pd_lookup) {
+    match (&plan.access, &pd.root_lookup) {
         (Access::FullScan, Some((attr, value))) => {
             db.probe_slots(
                 &plan.root,
@@ -1417,7 +1406,7 @@ fn execute_core(
         }
     }
     let root_op = traced.then(|| {
-        let (kind, label) = match (&plan.access, &pd_lookup) {
+        let (kind, label) = match (&plan.access, &pd.root_lookup) {
             (Access::FullScan, Some((attr, _))) => (
                 OpKind::Lookup,
                 format!("Lookup {} [{}] (pushed Eq)", plan.root, attr),
@@ -1443,30 +1432,10 @@ fn execute_core(
         }
     });
 
-    // Root-side filtering. With pushdown active, the optimizer's conjunct
-    // partition decides what runs here; otherwise (knob off, injected
-    // fault, or planning fallback) the legacy heuristic applies: a
-    // predicate compiling against the root header alone runs before the
-    // pipeline, anything else falls through to the post-join filter —
-    // where an unknown attribute still errors, exactly as it always did.
-    let (root_cp, residual_pred): (Option<CompiledPredicate>, Option<Predicate>) =
-        if pushdown_active {
-            (pd_root, pd_residual)
-        } else {
-            let legacy = match (&plan.access, &plan.filter) {
-                (Access::FullScan, Some(p)) => CompiledPredicate::compile(p, root_header).ok(),
-                _ => None,
-            };
-            let residual = if legacy.is_some() {
-                None
-            } else {
-                plan.filter.clone()
-            };
-            (legacy, residual)
-        };
+    // Root-side filtering, as the placement decided.
     let mut pruned_rows: u64 = 0;
     let mut pushed_op: Option<OpStats> = None;
-    if pd_verdict == Some(false) {
+    if pd.verdict == Some(false) {
         // The optimizer proved the filter constant-false: nothing can
         // survive, so the pipeline sees no rows at all.
         let t0 = Instant::now();
@@ -1479,13 +1448,11 @@ fn execute_core(
             wall_ns: obs::elapsed_ns(t0),
             ..OpStats::default()
         });
-    } else if let Some(cp) = &root_cp {
+    } else if let Some(cp) = &pd.root {
         let t0 = Instant::now();
         let rows_in = root_rows.len() as u64;
         root_rows = prefilter_root(db, root_rows, cp)?;
-        if pushdown_active {
-            pruned_rows += rows_in - root_rows.len() as u64;
-        }
+        pruned_rows += rows_in - root_rows.len() as u64;
         pushed_op = Some(OpStats {
             rows_in,
             rows_out: root_rows.len() as u64,
@@ -1510,7 +1477,7 @@ fn execute_core(
     };
     let mut left_estimate = root_rows.len();
     let mut joins: Vec<CompiledJoin<'_>> = Vec::with_capacity(plan.joins.len());
-    for (step, pushed) in plan.joins.iter().zip(&pd_per_join) {
+    for (step, pushed) in plan.joins.iter().zip(&pd.per_join) {
         stats.joins += 1;
         let compiled = compile_join(
             db,
@@ -1523,10 +1490,9 @@ fn execute_core(
         left_estimate = estimate_join_output(&compiled, left_estimate);
         joins.push(compiled);
     }
-    // Residual filter: what the pushdown partition left for the joined
-    // row (or, on the legacy path, the whole predicate when it was not
-    // pushed to the scan).
-    let filter = residual_pred
+    // Residual filter: what the placement left for the joined row.
+    let filter = pd
+        .residual
         .as_ref()
         .map(|p| CompiledPredicate::compile(p, &layout.header))
         .transpose()?;
@@ -1659,11 +1625,9 @@ fn execute_core(
         .max()
         .unwrap_or(0);
     db.metrics.probe_saved_allocs.add(saved_allocs);
-    if pushdown_active {
-        for j in &joins {
-            pruned_rows += j.build_pruned;
-        }
-        db.metrics.pushed_conjuncts.add(pd_pushed);
+    if pd.optimized {
+        pruned_rows += joins.iter().map(|j| j.build_pruned).sum::<u64>();
+        db.metrics.pushed_conjuncts.add(pd.pushed);
         db.metrics.pushdown_pruned_rows.add(pruned_rows);
     }
 
@@ -2042,7 +2006,7 @@ mod tests {
         assert_eq!(trace.totals(), stats);
         // The accounting is deterministic across worker counts and morsel
         // sizes.
-        let mut small = db.clone();
+        let mut small = db.fork();
         small.configure(small.config().parallelism(4));
         small.configure(small.config().morsel_rows(1));
         let (_, par_stats) = small.execute(&plan).unwrap();
@@ -2085,9 +2049,9 @@ mod tests {
             total.peak_intermediate_bytes
         );
         assert_eq!(prof.latency.count, 2);
-        // A clone shares the profiler; a different shape adds a
+        // A fork shares the profiler; a different shape adds a
         // fingerprint.
-        let fork = db.clone();
+        let fork = db.fork();
         fork.execute(&QueryPlan::scan("OFFER")).unwrap();
         assert_eq!(db.profiler().len(), 2);
         // The hot-join report attributes this workload's probe cost to
@@ -2127,20 +2091,6 @@ mod tests {
         let db = db();
         let plan = QueryPlan::scan("COURSE").join(JoinStep::inner("OFFER", &["NOPE"], &["O.K"]));
         assert!(db.execute(&plan).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_functions_still_work() {
-        let db = db();
-        let plan = QueryPlan::scan("COURSE");
-        let (via_fn, fn_stats) = execute(&db, &plan).unwrap();
-        let (via_method, method_stats) = db.execute(&plan).unwrap();
-        assert!(via_fn.set_eq_unordered(&via_method));
-        assert_eq!(fn_stats, method_stats);
-        let (_, traced_stats, trace) = execute_traced(&db, &plan).unwrap();
-        assert_eq!(traced_stats, method_stats);
-        assert_eq!(trace.totals(), traced_stats);
     }
 
     #[test]
@@ -2292,6 +2242,25 @@ mod tests {
             assert_eq!(parallel, serial, "pushdown byte-identical at {workers}");
             assert_eq!(parallel_stats, serial_stats);
         }
+        // Pushdown off takes the unoptimized placement: the root-only
+        // filter still runs ahead of the joins, with the same result and
+        // stats, but no optimizer placement feeds the pushdown counters.
+        let pushdown_counters = |db: &Database| {
+            let snap = db.metrics_registry().snapshot();
+            (
+                snap.counters["engine.query.pushed_conjuncts"],
+                snap.counters["engine.query.pushdown_pruned_rows"],
+            )
+        };
+        db.configure(db.config().predicate_pushdown(false));
+        let before = pushdown_counters(&db);
+        let (off, off_stats, off_trace) = db.execute_traced(&plan).unwrap();
+        assert_eq!(off, serial);
+        assert_eq!(off_stats, serial_stats);
+        assert_eq!(off_trace.ops[1].label, "Filter (pushed to scan)");
+        assert_eq!(off_trace.ops[1].stats.rows_out, 9);
+        assert_eq!(pushdown_counters(&db), before);
+        db.configure(db.config().predicate_pushdown(true));
         // A predicate needing join attributes still runs post-join.
         let plan = QueryPlan::scan("COURSE")
             .join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]))
@@ -2300,6 +2269,50 @@ mod tests {
         assert_eq!(result.len(), 5);
         assert_eq!(trace.ops[2].kind, OpKind::Filter);
         assert_eq!(trace.ops[2].label, "Filter");
+    }
+
+    /// L(50) ⋈ S on its key, with a pushed `Eq(S.W, 7)` keeping 10 of
+    /// 1,000 S rows, then ⋈ T on the non-indexed T.V. The estimate after
+    /// S is 50·10/1000, which must not floor to 0: a zero estimate sends
+    /// T to index-nested-loop, and without a covering index that scans
+    /// all of T once per surviving left row.
+    #[test]
+    fn floored_selectivity_estimate_keeps_the_hash_join() {
+        let mut rs = RelationalSchema::new();
+        rs.add_scheme(RelationScheme::new("L", vec![a("L.K"), a("L.S")], &["L.K"]).unwrap())
+            .unwrap();
+        rs.add_scheme(RelationScheme::new("S", vec![a("S.K"), a("S.W")], &["S.K"]).unwrap())
+            .unwrap();
+        rs.add_scheme(RelationScheme::new("T", vec![a("T.K"), a("T.V")], &["T.K"]).unwrap())
+            .unwrap();
+        let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
+        db.configure(db.config().parallelism(1));
+        for k in 0..50 {
+            db.insert("L", tup(&[k, k * 20])).unwrap();
+        }
+        for k in 0..1000 {
+            db.insert("S", tup(&[k, if k % 100 == 0 { 7 } else { 0 }]))
+                .unwrap();
+            db.insert("T", tup(&[k, k % 100])).unwrap();
+        }
+        let plan = QueryPlan::scan("L")
+            .join(JoinStep::inner("S", &["L.S"], &["S.K"]))
+            .join(JoinStep::inner("T", &["L.K"], &["T.V"]))
+            .filter(Predicate::eq("S.W", 7i64));
+        let (hashed, stats, trace) = db.execute_traced(&plan).unwrap();
+        assert_eq!(hashed.len(), 100, "10 surviving L rows × 10 T matches");
+        assert!(
+            trace.ops[2].label.starts_with("HashJoin T"),
+            "{}",
+            trace.ops[2].label
+        );
+        assert_eq!(stats.hash_builds, 1);
+        assert_eq!(stats.rows_scanned, 50 + 1000, "root scan + one build scan");
+        // The per-row scan stays reachable through the sentinel alone.
+        db.configure(db.config().hash_join_threshold(usize::MAX));
+        let (scanned, scan_stats) = db.execute(&plan).unwrap();
+        assert_eq!(scan_stats.rows_scanned, 50 + 10 * 1000);
+        assert_eq!(scanned, hashed);
     }
 
     #[test]

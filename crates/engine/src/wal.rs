@@ -853,7 +853,7 @@ struct WalInner {
 
 /// The write-ahead log of one durable [`Database`]. Interior-mutable
 /// (appends happen from `&self` inside the batch machinery); never cloned
-/// — a [`Database::clone`] is an in-memory fork and carries no log.
+/// — a [`Database::fork`] is an in-memory copy and carries no log.
 pub(crate) struct Wal {
     cfg: DurabilityConfig,
     inner: Mutex<WalInner>,
@@ -1861,7 +1861,7 @@ mod tests {
             Database::new_with_config(schema(), DbmsProfile::ideal(), durable_config(&dir))
                 .unwrap();
         db.insert("P", tup(&[1])).unwrap();
-        let mut fork = db.clone();
+        let mut fork = db.fork();
         assert!(fork.wal().is_none());
         fork.insert("P", tup(&[99])).unwrap(); // not logged
         drop(fork);

@@ -5,8 +5,8 @@
 //! results to pushdown off at every worker count while never *increasing*
 //! the scan/probe counters (strategies pinned); the plan fingerprint must
 //! be stable across logically equivalent predicate forms; and an injected
-//! fault at `engine.query.pushdown` must fall back to the legacy
-//! root-filter path with identical results and stats.
+//! fault at `engine.query.pushdown` must fall back to the unoptimized
+//! filter placement with identical results and stats.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
