@@ -1,12 +1,12 @@
 //! B8: the morsel-parallel executor versus serial execution on the large
-//! unmerged university chain, plus the cost-based hash join versus the
-//! forced index-nested-loop strategy.
+//! unmerged university chain. The no-covering-index composite join's
+//! build is timed by the `build_cache` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge_bench::experiments::{composite_no_index_query, unmerged_scan_query};
+use relmerge_bench::experiments::unmerged_scan_query;
 use relmerge_engine::{Database, DbmsProfile};
 use relmerge_workload::{generate_university, UniversitySpec};
 
@@ -48,64 +48,5 @@ fn bench_chain_scan_workers(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cost-based hash join vs forced index-nested-loop on the chain scan
-/// (serial, so the join strategy is the only variable).
-fn bench_join_strategy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("join_strategy_serial");
-    group.sample_size(20);
-    for &courses in &[1_000usize, 10_000] {
-        let mut db = build_db(courses);
-        db.configure(db.config().parallelism(1));
-        let plan = unmerged_scan_query();
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        group.bench_with_input(BenchmarkId::new("forced_inl", courses), &courses, |b, _| {
-            b.iter(|| db.execute(&plan).expect("query"))
-        });
-        db.configure(
-            db.config()
-                .hash_join_threshold(relmerge_engine::DEFAULT_HASH_JOIN_THRESHOLD),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("cost_based_hash", courses),
-            &courses,
-            |b, _| b.iter(|| db.execute(&plan).expect("query")),
-        );
-    }
-    group.finish();
-}
-
-/// The no-covering-index composite join: one transient hash build versus
-/// the quadratic per-row scan fallback (small scale — the fallback is
-/// O(|ASSIST| x |TEACH|)).
-fn bench_composite_join(c: &mut Criterion) {
-    let mut group = c.benchmark_group("composite_join_no_index");
-    group.sample_size(20);
-    let courses = 1_000usize;
-    let mut db = build_db(courses);
-    db.configure(db.config().parallelism(1));
-    let plan = composite_no_index_query();
-    db.configure(db.config().hash_join_threshold(usize::MAX));
-    group.bench_with_input(
-        BenchmarkId::new("per_row_scan", courses),
-        &courses,
-        |b, _| b.iter(|| db.execute(&plan).expect("query")),
-    );
-    db.configure(
-        db.config()
-            .hash_join_threshold(relmerge_engine::DEFAULT_HASH_JOIN_THRESHOLD),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("transient_hash_build", courses),
-        &courses,
-        |b, _| b.iter(|| db.execute(&plan).expect("query")),
-    );
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_chain_scan_workers,
-    bench_join_strategy,
-    bench_composite_join
-);
+criterion_group!(benches, bench_chain_scan_workers);
 criterion_main!(benches);

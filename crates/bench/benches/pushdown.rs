@@ -27,9 +27,8 @@ fn build_db(u: &University) -> Database {
 }
 
 /// The B15 selective chain: the pushed `Eq(T.F.SSN, ssn)` prunes the
-/// stream at the TEACH probe, before the composite non-indexed ASSIST
-/// join scans per surviving row (strategy pinned to index-nested-loop so
-/// filter placement is the only variable).
+/// stream at the TEACH probe, before it enters the composite non-indexed
+/// ASSIST join.
 fn bench_selective_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("pushdown_selective_chain");
     group.sample_size(20);
@@ -44,7 +43,6 @@ fn bench_selective_chain(c: &mut Criterion) {
     for &courses in &[1_000usize, 4_000] {
         let u = build_university(courses);
         let mut db = build_db(&u);
-        db.configure(db.config().hash_join_threshold(usize::MAX));
         db.configure(db.config().predicate_pushdown(false));
         group.bench_with_input(
             BenchmarkId::new("filter_at_top", courses),

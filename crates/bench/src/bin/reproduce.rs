@@ -1,331 +1,357 @@
 //! Regenerates every figure and proposition of the paper, plus the
-//! measured B1/B2/B4 tables recorded in `EXPERIMENTS.md`.
+//! measured B1–B15 experiments recorded in `EXPERIMENTS.md`.
 //!
-//! Usage:
-//! `reproduce [fig1|fig2|fig3|fig4|fig5|fig6|fig8|fig8matrix|props|b1|b2|b4|b6|b7|b8|b9|b10|b11|b12|b13|b14|b15|all]... [--trace] [--smoke]`
+//! Usage: `reproduce [<experiment>|all]... [--smoke] [--trace]`
 //!
-//! Several experiments may be named in one invocation (`reproduce b8 b10`
-//! runs both and writes one combined `BENCH_query.json`); no names means
-//! `all`.
-//!
-//! `--trace` additionally prints the [`Database::execute_traced`] operator
-//! tree for one representative query per query-running experiment;
-//! `--smoke` shrinks the B8/B9/B10/B11/B12/B13/B14/B15 instances so CI
-//! can run them in seconds.
+//! The experiments are the names in [`EXPERIMENTS`]; no name means `all`.
+//! Each prints its report and writes it to `BENCH_<name>.json`: at the
+//! repository root, or under `target/smoke/` with `--smoke`, which shrinks
+//! B8–B15 to a CI-sized scale. `--trace` adds the
+//! [`Database::execute_traced`] operator tree of one representative query
+//! per query-running experiment. Any other argument exits with status 2.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::path::PathBuf;
+use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use relmerge_bench::experiments;
-use relmerge_bench::table;
+use relmerge_bench::report::{Cell, Report, Row};
 use relmerge_core::{
     check_both, check_forward, is_key_relation_semantically, prop51_inds_key_based,
-    prop51_keys_non_null, prop52_nna_only, Merge,
+    prop51_keys_non_null, prop52_nna_only, Merge, Merged,
 };
 use relmerge_eer::{
     classify_generalization, classify_many_one_star, figures, repair, translate, translate_teorey,
     Amenability,
 };
-use relmerge_engine::{Database, QueryPlan};
+use relmerge_engine::{Database, JoinStep, Predicate, QueryPlan};
 use relmerge_obs as obs;
-use relmerge_relational::{DatabaseState, InclusionDep, Tuple, Value};
-use relmerge_workload::{consistent_state, star_schema, StarSpec, StateSpec};
+use relmerge_relational::{DatabaseState, InclusionDep, Result, Tuple, Value};
+use relmerge_workload::{consistent_state, star_schema, StarSpec, StateSpec, University};
 
-/// Set by `--trace`: query experiments print one representative
-/// operator tree.
-static TRACE: AtomicBool = AtomicBool::new(false);
-/// Set by `--smoke`: B8/B9/B10/B11/B12/B13/B14/B15 run at a CI-sized
-/// scale.
-static SMOKE: AtomicBool = AtomicBool::new(false);
-
-/// B8 rows stashed for `BENCH_query.json` (see [`write_query_json`]).
-static B8_ROWS: Mutex<Vec<experiments::ParallelQueryRow>> = Mutex::new(Vec::new());
-/// B10 rows stashed for `BENCH_query.json` (see [`write_query_json`]).
-static B10_ROWS: Mutex<Vec<experiments::BuildCacheRow>> = Mutex::new(Vec::new());
-/// B15 rows stashed for `BENCH_query.json` (see [`write_query_json`]).
-static B15_ROWS: Mutex<Vec<experiments::PushdownRow>> = Mutex::new(Vec::new());
-
-/// Writes `BENCH_query.json` from whatever B8/B10/B15 rows have been
-/// stashed so far, so `b8`, `b10`, `b15`, and `all` each leave a file
-/// carrying every section that ran this invocation.
-fn write_query_json() {
-    let b8 = B8_ROWS.lock().expect("b8 stash");
-    let b10 = B10_ROWS.lock().expect("b10 stash");
-    let b15 = B15_ROWS.lock().expect("b15 stash");
-    let path = std::path::Path::new("BENCH_query.json");
-    experiments::write_parallel_query_json(path, &b8, &b10, &b15).expect("write BENCH_query.json");
-    println!("wrote {}", path.display());
+/// The command-line options every experiment receives.
+#[derive(Debug, Clone, Copy, Default)]
+struct Scale {
+    /// `--smoke`: run at the CI-sized scale.
+    smoke: bool,
+    /// `--trace`: append representative operator trees to the report.
+    trace: bool,
 }
 
-fn trace_enabled() -> bool {
-    TRACE.load(Ordering::Relaxed)
-}
-
-/// Prints the traced operator tree of `plan` against `db` (no-op unless
-/// `--trace` was given).
-fn trace_query(db: &Database, label: &str, plan: &QueryPlan) {
-    if !trace_enabled() {
-        return;
-    }
-    match db.execute_traced(plan) {
-        Ok((_, _, trace)) => println!("\n-- trace: {label} --\n{trace}"),
-        Err(e) => println!("\n-- trace: {label} -- failed: {e}"),
-    }
-}
-
-fn main() {
-    let mut picked: Vec<String> = Vec::new();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--trace" => TRACE.store(true, Ordering::Relaxed),
-            "--smoke" => SMOKE.store(true, Ordering::Relaxed),
-            name => picked.push(name.to_owned()),
+impl Scale {
+    /// `smoke` under `--smoke`, `full` otherwise.
+    fn pick<T>(self, smoke: T, full: T) -> T {
+        if self.smoke {
+            smoke
+        } else {
+            full
         }
     }
-    let run = |name: &str| picked.is_empty() || picked.iter().any(|p| p == "all" || p == name);
-    let mut timings: Vec<(&'static str, u64)> = Vec::new();
-    let mut go = |label: &'static str, f: fn()| {
-        let t = obs::timer("reproduce.experiment").field("name", label);
-        f();
-        timings.push((label, t.stop()));
-    };
-    if run("fig1") {
-        go("fig1", fig1);
+}
+
+/// One runnable experiment.
+struct Experiment {
+    name: &'static str,
+    run: fn(Scale) -> Result<Report>,
+}
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig1",
+        run: fig1,
+    },
+    Experiment {
+        name: "fig2",
+        run: fig2,
+    },
+    Experiment {
+        name: "fig3",
+        run: fig3,
+    },
+    Experiment {
+        name: "fig4",
+        run: fig4,
+    },
+    Experiment {
+        name: "fig5",
+        run: fig5,
+    },
+    Experiment {
+        name: "fig6",
+        run: fig6,
+    },
+    Experiment {
+        name: "fig8",
+        run: fig8,
+    },
+    Experiment {
+        name: "fig8matrix",
+        run: fig8_matrix,
+    },
+    Experiment {
+        name: "props",
+        run: props,
+    },
+    Experiment {
+        name: "b1",
+        run: b1,
+    },
+    Experiment {
+        name: "b2",
+        run: b2,
+    },
+    Experiment {
+        name: "b4",
+        run: b4,
+    },
+    Experiment {
+        name: "b6",
+        run: b6,
+    },
+    Experiment {
+        name: "b7",
+        run: b7,
+    },
+    Experiment {
+        name: "b8",
+        run: b8,
+    },
+    Experiment {
+        name: "b9",
+        run: b9,
+    },
+    Experiment {
+        name: "b10",
+        run: b10,
+    },
+    Experiment {
+        name: "b11",
+        run: b11,
+    },
+    Experiment {
+        name: "b12",
+        run: b12,
+    },
+    Experiment {
+        name: "b13",
+        run: b13,
+    },
+    Experiment {
+        name: "b14",
+        run: b14,
+    },
+    Experiment {
+        name: "b15",
+        run: b15,
+    },
+];
+
+fn main() -> ExitCode {
+    let mut scale = Scale::default();
+    let mut picked: Vec<&str> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--smoke" => scale.smoke = true,
+            "--trace" => scale.trace = true,
+            "all" => picked.extend(EXPERIMENTS.iter().map(|e| e.name)),
+            name => match EXPERIMENTS.iter().find(|e| e.name == name) {
+                Some(e) => picked.push(e.name),
+                None => {
+                    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+                    eprintln!(
+                        "reproduce: unknown argument `{name}`\n\
+                         experiments: {} all\nflags: --smoke --trace",
+                        names.join(" ")
+                    );
+                    return ExitCode::from(2);
+                }
+            },
+        }
     }
-    if run("fig2") {
-        go("fig2", fig2);
+    let mut timings = Vec::new();
+    for exp in EXPERIMENTS
+        .iter()
+        .filter(|e| picked.is_empty() || picked.contains(&e.name))
+    {
+        let t = obs::timer("reproduce.experiment").field("name", exp.name);
+        match run(exp, scale) {
+            Ok(path) => println!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("reproduce: {} failed: {e}", exp.name);
+                return ExitCode::FAILURE;
+            }
+        }
+        let ms = t.stop() as f64 / 1e6;
+        timings.push(
+            Row::new()
+                .cell("experiment", exp.name)
+                .cell("wall_ms", Cell::Num(ms, 1)),
+        );
     }
-    if run("fig3") {
-        go("fig3", fig3);
-    }
-    if run("fig4") {
-        go("fig4", fig4);
-    }
-    if run("fig5") || run("fig6") {
-        go("fig5+fig6", fig5_and_6);
-    }
-    if run("fig8") {
-        go("fig8", fig8);
-    }
-    if run("fig8matrix") {
-        go("fig8matrix", fig8_matrix);
-    }
-    if run("props") {
-        go("props", props);
-    }
-    if run("b1") {
-        go("b1", b1);
-    }
-    if run("b2") {
-        go("b2", b2);
-    }
-    if run("b4") {
-        go("b4", b4);
-    }
-    if run("b6") {
-        go("b6", b6);
-    }
-    if run("b7") {
-        go("b7", b7);
-    }
-    if run("b8") {
-        go("b8", b8);
-    }
-    if run("b9") {
-        go("b9", b9);
-    }
-    if run("b10") {
-        go("b10", b10);
-    }
-    if run("b11") {
-        go("b11", b11);
-    }
-    if run("b12") {
-        go("b12", b12);
-    }
-    if run("b13") {
-        go("b13", b13);
-    }
-    if run("b14") {
-        go("b14", b14);
-    }
-    if run("b15") {
-        go("b15", b15);
-    }
-    summary(&timings);
+    print!("{}", summary(timings).render(scale.smoke));
+    ExitCode::SUCCESS
+}
+
+/// Runs `exp`, prints its report and writes its artifact.
+fn run(exp: &Experiment, scale: Scale) -> std::result::Result<PathBuf, String> {
+    let report = (exp.run)(scale).map_err(|e| e.to_string())?;
+    print!("{}", report.render(scale.smoke));
+    report
+        .emit(exp.name, scale.smoke)
+        .map_err(|e| format!("writing its artifact: {e}"))
 }
 
 /// The closing report: wall time per experiment and the totals of every
 /// counter the instrumented pipeline bumped along the way.
-fn summary(timings: &[(&'static str, u64)]) {
-    if timings.is_empty() {
-        eprintln!("reproduce: nothing ran (unknown experiment name?)");
-        return;
-    }
-    heading("Summary: per-experiment wall time");
-    let total: u64 = timings.iter().map(|(_, ns)| ns).sum();
-    let mut rows: Vec<Vec<String>> = timings
-        .iter()
-        .map(|(name, ns)| vec![(*name).to_owned(), format!("{:.1} ms", *ns as f64 / 1e6)])
+fn summary(mut timings: Vec<Row>) -> Report {
+    let total: f64 = timings.iter().map(|r| r.num("wall_ms")).sum();
+    timings.push(
+        Row::new()
+            .cell("experiment", "total")
+            .cell("wall_ms", Cell::Num(total, 1)),
+    );
+    let counters = obs::snapshot_all()
+        .counters
+        .into_iter()
+        .map(|(name, total)| Row::new().cell("counter", name).cell("total", total))
         .collect();
-    rows.push(vec![
-        "total".to_owned(),
-        format!("{:.1} ms", total as f64 / 1e6),
-    ]);
-    println!("{}", table::render(&["experiment", "wall time"], &rows));
-
-    let snap = obs::snapshot_all();
-    if !snap.counters.is_empty() {
-        heading("Summary: counters");
-        let rows: Vec<Vec<String>> = snap
-            .counters
-            .iter()
-            .map(|(name, v)| vec![name.clone(), v.to_string()])
-            .collect();
-        println!("{}", table::render(&["counter", "total"], &rows));
-    }
+    let mut report = Report::new("Summary");
+    report.tables = vec![("wall time", timings), ("counters", counters)];
+    report
 }
 
-fn heading(title: &str) {
-    println!("\n==== {title} ====\n");
+/// The 1,000-course university (seed 42) every `--trace` tree runs
+/// against: its merge plan and its unmerged and merged databases.
+fn trace_fixture() -> Result<(University, Merged, Database, Database)> {
+    let (u, m) = experiments::university_merge(1_000, 42)?;
+    let (unmerged, merged) = experiments::university_databases(&u, &m)?;
+    Ok((u, m, unmerged, merged))
+}
+
+/// Appends the traced operator tree of `plan` on `db` to `report`.
+fn trace(report: &mut Report, db: &Database, label: &str, plan: &QueryPlan) -> Result<()> {
+    let (_, _, tree) = db.execute_traced(plan)?;
+    report.text.push(format!("\n-- trace: {label} --\n{tree}"));
+    Ok(())
 }
 
 /// Figure 1: the modular (BCNF) translation vs. the Teorey baseline, and
 /// the semantic inconsistency the baseline admits.
-fn fig1() {
-    heading("Figure 1: ER schema, RS (modular) vs RS' (Teorey)");
+fn fig1(_: Scale) -> Result<Report> {
     let eer = figures::fig1_eer();
-    println!("{eer}");
-    let rs = translate(&eer).expect("modular translation");
-    println!("RS (modular, BCNF = {}):\n{rs}", rs.is_bcnf());
-    let t = translate_teorey(&eer).expect("teorey translation");
-    println!("RS' (Teorey):\n{}", t.schema);
-
+    let rs = translate(&eer)?;
+    let t = translate_teorey(&eer)?;
     // The paper's complaint: RS' accepts an employee with a non-null DATE
-    // and a null project NR.
-    let mut st = DatabaseState::empty_for(&t.schema).expect("empty state");
+    // and a null project NR; the paper's null constraint W.DATE E-> W.NR
+    // rejects it.
+    let mut st = DatabaseState::empty_for(&t.schema)?;
     st.insert(
         "WORKS",
         Tuple::new([Value::Int(1), Value::Null, Value::Date(100)]),
-    )
-    .expect("insert");
-    println!(
-        "RS' accepts (SSN=1, NR=null, DATE=d100): {}",
-        st.is_consistent(&t.schema).expect("check")
-    );
-    let repaired = repair(&t).expect("repair");
-    println!(
-        "After adding the paper's null constraint W.DATE E-> W.NR: {}",
-        st.is_consistent(&repaired).expect("check")
-    );
+    )?;
+    let mut r = Report::new("Figure 1: ER schema, RS (modular) vs RS' (Teorey)");
+    r.fields = Row::new()
+        .cell("modular_bcnf", rs.is_bcnf())
+        .cell("teorey_accepts_null_nr", st.is_consistent(&t.schema)?)
+        .cell("repaired_accepts_null_nr", st.is_consistent(&repair(&t)?)?);
+    r.text = vec![
+        eer.to_string(),
+        format!("RS (modular):\n{rs}"),
+        format!("RS' (Teorey):\n{}", t.schema),
+    ];
+    Ok(r)
 }
 
 /// Figure 2: Merge(OFFER, TEACH) → ASSIGN, with and without a member
 /// key-relation.
-fn fig2() {
-    heading("Figure 2: Merge {OFFER, TEACH} -> ASSIGN");
+fn fig2(_: Scale) -> Result<Report> {
     use relmerge_relational::{
         Attribute, Domain, NullConstraint, RelationScheme, RelationalSchema,
     };
     let mut rs = RelationalSchema::new();
-    rs.add_scheme(
-        RelationScheme::new(
-            "OFFER",
-            vec![
-                Attribute::new("O.CN", Domain::Int),
-                Attribute::new("O.DN", Domain::Int),
-            ],
-            &["O.CN"],
-        )
-        .expect("scheme"),
-    )
-    .expect("add");
-    rs.add_scheme(
-        RelationScheme::new(
-            "TEACH",
-            vec![
-                Attribute::new("T.CN", Domain::Int),
-                Attribute::new("T.FN", Domain::Int),
-            ],
-            &["T.CN"],
-        )
-        .expect("scheme"),
-    )
-    .expect("add");
-    rs.add_null_constraint(NullConstraint::nna("OFFER", &["O.CN", "O.DN"]))
-        .expect("nna");
-    rs.add_null_constraint(NullConstraint::nna("TEACH", &["T.CN", "T.FN"]))
-        .expect("nna");
-    println!("Input:\n{rs}");
-
-    let m =
-        Merge::plan_with_synthetic_key(&rs, &["OFFER", "TEACH"], "ASSIGN", &["CN"]).expect("merge");
-    println!(
-        "No key-relation in the set -> synthetic key CN.\nResult:\n{}",
-        m.schema()
-    );
-    println!("BCNF preserved: {}", m.schema().is_bcnf());
-
+    for (rel, key, other) in [("OFFER", "O.CN", "O.DN"), ("TEACH", "T.CN", "T.FN")] {
+        let header = vec![
+            Attribute::new(key, Domain::Int),
+            Attribute::new(other, Domain::Int),
+        ];
+        rs.add_scheme(RelationScheme::new(rel, header, &[key])?)?;
+        rs.add_null_constraint(NullConstraint::nna(rel, &[key, other]))?;
+    }
+    let m = Merge::plan_with_synthetic_key(&rs, &["OFFER", "TEACH"], "ASSIGN", &["CN"])?;
     let mut with_ind = rs.clone();
-    with_ind
-        .add_ind(InclusionDep::new("TEACH", &["T.CN"], "OFFER", &["O.CN"]))
-        .expect("ind");
-    let m2 = Merge::plan(&with_ind, &["OFFER", "TEACH"], "ASSIGN").expect("merge");
-    println!(
-        "With TEACH[T.CN] <= OFFER[O.CN], OFFER is the key-relation \
-         (Prop 3.1).\nResult:\n{}",
-        m2.schema()
-    );
+    with_ind.add_ind(InclusionDep::new("TEACH", &["T.CN"], "OFFER", &["O.CN"]))?;
+    let m2 = Merge::plan(&with_ind, &["OFFER", "TEACH"], "ASSIGN")?;
+    let mut r = Report::new("Figure 2: Merge {OFFER, TEACH} -> ASSIGN");
+    r.fields = Row::new()
+        .cell("synthetic_key_bcnf", m.schema().is_bcnf())
+        .cell("key_relation_bcnf", m2.schema().is_bcnf());
+    r.text = vec![
+        format!("Input:\n{rs}"),
+        format!(
+            "No key-relation in the set -> synthetic key CN:\n{}",
+            m.schema()
+        ),
+        format!(
+            "With TEACH[T.CN] <= OFFER[O.CN], OFFER is the key-relation (Prop 3.1):\n{}",
+            m2.schema()
+        ),
+    ];
+    Ok(r)
 }
 
 /// Figure 3: the translation of Figure 7.
-fn fig3() {
-    heading("Figure 3: relational translation of the Figure 7 EER schema");
+fn fig3(_: Scale) -> Result<Report> {
     let eer = figures::fig7_eer();
-    println!("{eer}");
-    let rs = translate(&eer).expect("translation");
-    println!("{rs}");
-    println!(
-        "BCNF: {}  key-based INDs only: {}  NNA-only constraints: {}",
-        rs.is_bcnf(),
-        rs.key_based_inds_only(),
-        rs.nna_only()
-    );
+    let rs = translate(&eer)?;
+    let mut r = Report::new("Figure 3: relational translation of the Figure 7 EER schema");
+    r.fields = Row::new()
+        .cell("bcnf", rs.is_bcnf())
+        .cell("key_based_inds_only", rs.key_based_inds_only())
+        .cell("nna_only", rs.nna_only());
+    r.text = vec![eer.to_string(), rs.to_string()];
+    Ok(r)
 }
 
 /// Figure 4: Merge(COURSE, OFFER, TEACH) on the Figure 3 schema.
-fn fig4() {
-    heading("Figure 4: Merge {COURSE, OFFER, TEACH} -> COURSE'");
-    let rs = translate(&figures::fig7_eer()).expect("fig 3 schema");
-    let m = Merge::plan(&rs, &["COURSE", "OFFER", "TEACH"], "COURSE'").expect("merge");
-    println!("{}", m.schema());
-    println!("BCNF preserved: {}", m.schema().is_bcnf());
-    println!(
-        "O.C.NR removable? {:?} (paper: no — ASSIST still references it)",
-        m.removable("OFFER").err().map(|e| e.to_string())
+fn fig4(_: Scale) -> Result<Report> {
+    let rs = translate(&figures::fig7_eer())?;
+    let m = Merge::plan(&rs, &["COURSE", "OFFER", "TEACH"], "COURSE'")?;
+    let mut r = Report::new("Figure 4: Merge {COURSE, OFFER, TEACH} -> COURSE'");
+    // Paper: O.C.NR is not removable — ASSIST still references it.
+    r.fields = Row::new().cell("bcnf", m.schema().is_bcnf()).cell(
+        "offer_removable_error",
+        m.removable("OFFER")
+            .err()
+            .map_or_else(String::new, |e| e.to_string()),
     );
+    r.text = vec![m.schema().to_string()];
+    Ok(r)
 }
 
-/// Figures 5 and 6: the four-way merge and the removal cascade.
-fn fig5_and_6() {
-    heading("Figure 5: Merge {COURSE, OFFER, TEACH, ASSIST} -> COURSE''");
-    let rs = translate(&figures::fig7_eer()).expect("fig 3 schema");
-    let mut m =
-        Merge::plan(&rs, &["COURSE", "OFFER", "TEACH", "ASSIST"], "COURSE''").expect("merge");
-    println!("{}", m.schema());
-    println!(
-        "Removable groups: {:?} (paper: O.C.NR, T.C.NR, A.C.NR)",
-        m.removable_groups()
-    );
-    heading("Figure 6: Remove O.C.NR, T.C.NR, A.C.NR from COURSE''");
-    m.remove_all_removable().expect("remove");
-    println!("{}", m.schema());
-    println!("BCNF preserved: {}", m.schema().is_bcnf());
+/// The Figure 5 merge of the whole COURSE chain.
+fn course_chain_merge() -> Result<Merged> {
+    let rs = translate(&figures::fig7_eer())?;
+    Merge::plan(&rs, &["COURSE", "OFFER", "TEACH", "ASSIST"], "COURSE''")
+}
 
-    // Round-trip sanity on a random university state.
+/// Figure 5: the four-way merge and its removable keys.
+fn fig5(_: Scale) -> Result<Report> {
+    let m = course_chain_merge()?;
+    let mut r = Report::new("Figure 5: Merge {COURSE, OFFER, TEACH, ASSIST} -> COURSE''");
+    // Paper: O.C.NR, T.C.NR, A.C.NR.
+    r.fields = Row::new().cell("removable_groups", Cell::list(m.removable_groups()));
+    r.text = vec![m.schema().to_string()];
+    Ok(r)
+}
+
+/// Figure 6: the removal cascade, then an information-capacity round trip
+/// on a random 100-course university state.
+fn fig6(_: Scale) -> Result<Report> {
+    let mut m = course_chain_merge()?;
+    m.remove_all_removable()?;
     let mut rng = StdRng::seed_from_u64(9);
     let u = relmerge_workload::generate_university(
         &relmerge_workload::UniversitySpec {
@@ -333,112 +359,99 @@ fn fig5_and_6() {
             ..Default::default()
         },
         &mut rng,
-    )
-    .expect("university");
-    let report = check_forward(&m, &u.state).expect("capacity check");
-    println!(
-        "Information capacity on a 100-course state: consistent={} round-trip={} values-preserved={}",
-        report.forward_consistent, report.forward_round_trip, report.forward_values_preserved
-    );
+    )?;
+    let report = check_forward(&m, &u.state)?;
+    let mut r = Report::new("Figure 6: Remove O.C.NR, T.C.NR, A.C.NR from COURSE''");
+    r.fields = Row::new()
+        .cell("bcnf", m.schema().is_bcnf())
+        .cell("consistent", report.forward_consistent)
+        .cell("round_trip", report.forward_round_trip)
+        .cell("values_preserved", report.forward_values_preserved);
+    r.text = vec![m.schema().to_string()];
+    Ok(r)
 }
 
-/// Figure 8: amenability classification.
-fn fig8() {
-    heading("Figure 8: structures amenable to single-relation representation");
+/// Figure 8: amenability classification. Paper: (i),(ii) need general
+/// null constraints; (iii),(iv) only NNA.
+fn fig8(_: Scale) -> Result<Report> {
     let cases = [
         (
             "8(i) generalization, multi-attribute children",
-            classify_generalization(&figures::fig8_i(), "VEHICLE").expect("group"),
+            classify_generalization(&figures::fig8_i(), "VEHICLE"),
         ),
         (
             "8(ii) many-one star with relationship attributes",
-            classify_many_one_star(&figures::fig8_ii(), "PRODUCT").expect("group"),
+            classify_many_one_star(&figures::fig8_ii(), "PRODUCT"),
         ),
         (
             "8(iii) generalization, single-attribute children",
-            classify_generalization(&figures::fig8_iii(), "ACCOUNT").expect("group"),
+            classify_generalization(&figures::fig8_iii(), "ACCOUNT"),
         ),
         (
             "8(iv) attribute-less many-one star",
-            classify_many_one_star(&figures::fig8_iv(), "COURSE").expect("group"),
+            classify_many_one_star(&figures::fig8_iv(), "COURSE"),
         ),
     ];
-    let rows: Vec<Vec<String>> = cases
-        .iter()
+    let rows = cases
+        .into_iter()
         .map(|(label, g)| {
-            vec![
-                (*label).to_owned(),
-                format!("{:?}", g.members),
-                match g.amenability {
-                    Amenability::NnaOnly => "NNA only".to_owned(),
-                    Amenability::GeneralNullConstraints => "general null constraints".to_owned(),
-                },
-                g.violations.join("; "),
-            ]
+            let g = g.expect("every Figure 8 structure forms a group");
+            let regime = match g.amenability {
+                Amenability::NnaOnly => "NNA only",
+                Amenability::GeneralNullConstraints => "general null constraints",
+            };
+            Row::new()
+                .cell("structure", label)
+                .cell("members", Cell::list(&g.members))
+                .cell("regime", regime)
+                .cell("failed_conditions", g.violations.join("; "))
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &["structure", "members", "regime", "failed conditions"],
-            &rows
-        )
-    );
-    println!("Paper: (i),(ii) need general null constraints; (iii),(iv) only NNA.");
+    let mut r = Report::new("Figure 8: structures amenable to single-relation representation");
+    r.tables.push(("structures", rows));
+    Ok(r)
 }
 
 /// The §5.1 capability matrix: each Figure 8 structure against each DBMS
 /// dialect — does SDT's merging option fire, and through which mechanism
-/// is the result maintained?
-fn fig8_matrix() {
+/// is the result maintained? Structures (iii)/(iv) merge everywhere
+/// (NNA-only, Prop 5.2); (i)/(ii) merge only where a procedural mechanism
+/// or CHECKs exist.
+fn fig8_matrix(_: Scale) -> Result<Report> {
     use relmerge_ddl::{run_sdt, Dialect, SdtOption};
-    heading("Figure 8 x dialect: what merges where, and at what mechanism cost");
     let structures = [
         ("8(i)", figures::fig8_i()),
         ("8(ii)", figures::fig8_ii()),
         ("8(iii)", figures::fig8_iii()),
         ("8(iv)", figures::fig8_iv()),
     ];
-    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut rows = Vec::new();
     for (label, eer) in &structures {
         for dialect in Dialect::ALL {
-            let out = run_sdt(eer, SdtOption::Merged, dialect).expect("sdt");
-            rows.push(vec![
-                (*label).to_owned(),
-                dialect.name().to_owned(),
-                format!("{} -> {}", out.scheme_count.0, out.scheme_count.1),
-                out.merges_applied.to_string(),
-                out.script.procedural_count().to_string(),
-                out.script.unsupported().len().to_string(),
-            ]);
+            let out = run_sdt(eer, SdtOption::Merged, dialect)?;
+            rows.push(
+                Row::new()
+                    .cell("structure", *label)
+                    .cell("dialect", dialect.name())
+                    .cell("schemes_before", out.scheme_count.0)
+                    .cell("schemes_after", out.scheme_count.1)
+                    .cell("merges", out.merges_applied)
+                    .cell("procedural", out.script.procedural_count())
+                    .cell("unsupported", out.script.unsupported().len()),
+            );
         }
     }
-    println!(
-        "{}",
-        table::render(
-            &[
-                "structure",
-                "dialect",
-                "schemes",
-                "merges",
-                "triggers/rules",
-                "unsupported",
-            ],
-            &rows,
-        )
-    );
-    println!(
-        "Reading: structures (iii)/(iv) merge everywhere (NNA-only, Prop 5.2); \
-         (i)/(ii) merge only where a procedural mechanism or CHECKs exist."
-    );
+    let mut r = Report::new("Figure 8 x dialect: what merges where, and at what mechanism cost");
+    r.tables.push(("matrix", rows));
+    Ok(r)
 }
 
 /// Propositions 3.1, 4.1, 4.2, 5.1, 5.2 spot-checked on generated inputs.
-fn props() {
-    heading("Propositions 3.1 / 4.1 / 4.2 / 5.1 / 5.2");
-    let rs = translate(&figures::fig7_eer()).expect("fig 3 schema");
+fn props(_: Scale) -> Result<Report> {
+    let rs = translate(&figures::fig7_eer())?;
 
-    // Prop 3.1: syntactic key-relation matches the semantic definition.
+    // Prop 3.1: COURSE covers the keys of {OFFER,TEACH,ASSIST} when every
+    // course is offered.
     let mut rng = StdRng::seed_from_u64(3);
     let u = relmerge_workload::generate_university(
         &relmerge_workload::UniversitySpec {
@@ -447,12 +460,9 @@ fn props() {
             ..Default::default()
         },
         &mut rng,
-    )
-    .expect("university");
-    let sem =
-        is_key_relation_semantically(&u.schema, &u.state, "COURSE", &["OFFER", "TEACH", "ASSIST"])
-            .expect("semantic check");
-    println!("Prop 3.1: COURSE covers the keys of {{OFFER,TEACH,ASSIST}} (offer_ratio=1): {sem}");
+    )?;
+    let prop31 =
+        is_key_relation_semantically(&u.schema, &u.state, "COURSE", &["OFFER", "TEACH", "ASSIST"])?;
 
     // Prop 4.1 / 4.2 on a random star schema.
     let spec = StarSpec {
@@ -462,1037 +472,272 @@ fn props() {
     };
     let schema = star_schema(&spec);
     let mut rng = StdRng::seed_from_u64(17);
-    let state = consistent_state(&schema, &StateSpec::default(), &mut rng).expect("state");
-    let mut merged = Merge::plan(&schema, &["ROOT", "S0", "S1", "S2"], "M").expect("merge");
-    let r1 = check_forward(&merged, &state).expect("check");
-    println!(
-        "Prop 4.1 (Merge preserves capacity + BCNF) on a random star: {} (BCNF={})",
-        r1.holds(),
-        merged.schema().is_bcnf()
-    );
-    let merged_state = merged.apply(&state).expect("apply");
-    merged.remove_all_removable().expect("remove");
-    let r2 = check_both(&merged, &state, &merged.apply(&state).expect("apply")).expect("check");
-    println!(
-        "Prop 4.2 (Remove preserves capacity): {} (merged arity {} -> {})",
-        r2.holds(),
-        merged_state.relation("M").expect("rel").arity(),
-        merged
-            .apply(&state)
-            .expect("apply")
-            .relation("M")
-            .expect("rel")
-            .arity()
-    );
+    let state = consistent_state(&schema, &StateSpec::default(), &mut rng)?;
+    let mut merged = Merge::plan(&schema, &["ROOT", "S0", "S1", "S2"], "M")?;
+    let prop41 = check_forward(&merged, &state)?.holds();
+    let prop41_bcnf = merged.schema().is_bcnf();
+    let arity_before = merged.apply(&state)?.relation("M").map_or(0, |r| r.arity());
+    merged.remove_all_removable()?;
+    let removed = merged.apply(&state)?;
+    let prop42 = check_both(&merged, &state, &removed)?.holds();
 
     // Prop 5.1 / 5.2 on the university chain (Figure 4 vs Figure 5 sets).
+    // Paper: 5.1(i) fails for the three-way merge and holds for the
+    // four-way one; 5.2 fails on the chain (general constraints remain,
+    // Figure 6) and passes on Figure 8(iv)'s star.
     let three = ["COURSE", "OFFER", "TEACH"];
     let four = ["COURSE", "OFFER", "TEACH", "ASSIST"];
-    println!(
-        "Prop 5.1(i): merge {{COURSE,OFFER,TEACH}} keeps INDs key-based: {} (paper: no)",
-        prop51_inds_key_based(&rs, &three).expect("check")
-    );
-    println!(
-        "Prop 5.1(i): merge {{COURSE,OFFER,TEACH,ASSIST}}: {} (paper: yes)",
-        prop51_inds_key_based(&rs, &four).expect("check")
-    );
-    println!(
-        "Prop 5.1(ii): non-null keys for the 4-way merge: {}",
-        prop51_keys_non_null(&rs, &four).expect("check")
-    );
-    let failures = prop52_nna_only(&rs, &four).expect("check");
-    println!(
-        "Prop 5.2 on the chain: {} failures {:?} (paper: fails — general constraints remain, Figure 6)",
-        failures.len(),
-        failures
-            .iter()
-            .map(|f| format!("({}, cond {})", f.member, f.condition))
-            .collect::<Vec<_>>()
-    );
-    let iv = translate(&figures::fig8_iv()).expect("8(iv)");
-    println!(
-        "Prop 5.2 on Figure 8(iv)'s star: {} failures (paper: passes)",
-        prop52_nna_only(&iv, &["COURSE", "OFFER", "TEACH"])
-            .expect("check")
-            .len()
-    );
+    let failures = prop52_nna_only(&rs, &four)?;
+    let iv = translate(&figures::fig8_iv())?;
+    let mut r = Report::new("Propositions 3.1 / 4.1 / 4.2 / 5.1 / 5.2");
+    r.fields = Row::new()
+        .cell("prop31_course_is_key_relation", prop31)
+        .cell("prop41_star_capacity", prop41)
+        .cell("prop41_star_bcnf", prop41_bcnf)
+        .cell("prop42_star_capacity", prop42)
+        .cell("prop42_arity_before", arity_before)
+        .cell(
+            "prop42_arity_after",
+            removed.relation("M").map_or(0, |r| r.arity()),
+        )
+        .cell(
+            "prop51_three_way_key_based",
+            prop51_inds_key_based(&rs, &three)?,
+        )
+        .cell(
+            "prop51_four_way_key_based",
+            prop51_inds_key_based(&rs, &four)?,
+        )
+        .cell(
+            "prop51_four_way_keys_non_null",
+            prop51_keys_non_null(&rs, &four)?,
+        )
+        .cell(
+            "prop52_chain_failures",
+            Cell::list(
+                failures
+                    .iter()
+                    .map(|f| format!("({}, cond {})", f.member, f.condition)),
+            ),
+        )
+        .cell(
+            "prop52_fig8iv_failures",
+            prop52_nna_only(&iv, &["COURSE", "OFFER", "TEACH"])?.len(),
+        );
+    Ok(r)
 }
 
 /// B1: merged-vs-unmerged query cost.
-fn b1() {
-    heading("B1: query speedup (merged vs unmerged), university workload");
-    let rows = experiments::query_speedup(&[100, 1_000, 10_000], 2_000).expect("b1");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.courses.to_string(),
-                r.unmerged_probes.to_string(),
-                r.merged_probes.to_string(),
-                format!("{:.0}", r.unmerged_ns),
-                format!("{:.0}", r.merged_ns),
-                format!("{:.2}x", r.point_speedup),
-                format!("{:.2}x", r.scan_speedup),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "courses",
-                "probes(unmerged)",
-                "probes(merged)",
-                "point ns(unmerged)",
-                "point ns(merged)",
-                "point speedup",
-                "scan speedup",
-            ],
-            &table_rows,
-        )
-    );
-    if trace_enabled() {
-        let (u, m) = experiments::university_merge(1_000, 42).expect("trace instance");
-        let (unmerged, merged) =
-            experiments::university_databases(&u, &m).expect("trace databases");
+fn b1(scale: Scale) -> Result<Report> {
+    let mut r = experiments::query_speedup(&[100, 1_000, 10_000], 2_000)?;
+    if scale.trace {
+        let (u, _, unmerged, merged) = trace_fixture()?;
         let nr = u.offered_courses[0];
-        trace_query(
-            &unmerged,
-            "b1 unmerged point query",
-            &experiments::unmerged_point_query(nr),
-        );
-        trace_query(
-            &merged,
-            "b1 merged point query",
-            &experiments::merged_point_query(nr),
-        );
+        let plan = experiments::unmerged_point_query(nr);
+        trace(&mut r, &unmerged, "b1 unmerged point query", &plan)?;
+        let plan = experiments::merged_point_query(nr);
+        trace(&mut r, &merged, "b1 merged point query", &plan)?;
     }
+    Ok(r)
 }
 
 /// B2: constraint-maintenance cost.
-fn b2() {
-    heading("B2: maintenance cost per inserted course bundle");
-    let rows = experiments::maintenance_cost(5_000).expect("b2");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.entities.to_string(),
-                r.statements.to_string(),
-                r.declarative.to_string(),
-                r.procedural.to_string(),
-                format!("{:.0}", r.ns_per_entity),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "scenario",
-                "entities",
-                "statements",
-                "declarative checks",
-                "procedural checks",
-                "ns/entity",
-            ],
-            &table_rows,
-        )
-    );
+fn b2(_: Scale) -> Result<Report> {
+    experiments::maintenance_cost(5_000)
+}
+
+/// B4: the effect of `Remove`.
+fn b4(_: Scale) -> Result<Report> {
+    experiments::remove_effect(&[100, 1_000, 10_000])
 }
 
 /// B6: mixed read-mostly workload, merged vs unmerged.
-fn b6() {
-    heading("B6: mixed workload (80% point reads, 10% reverse reads, 10% DML)");
-    let mut table_rows: Vec<Vec<String>> = Vec::new();
-    for courses in [1_000usize, 10_000] {
-        let rows = experiments::mixed_workload(courses, 20_000).expect("b6");
-        for r in &rows {
-            table_rows.push(vec![
-                courses.to_string(),
-                r.scenario.clone(),
-                r.ops.to_string(),
-                r.reads.to_string(),
-                r.writes.to_string(),
-                format!("{:.0}", r.ns_per_op),
-            ]);
-        }
-        let speedup = rows[0].ns_per_op / rows[1].ns_per_op;
-        table_rows.push(vec![
-            courses.to_string(),
-            format!("-> merged speedup {speedup:.2}x"),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-        ]);
-    }
-    println!(
-        "{}",
-        table::render(
-            &["courses", "scenario", "ops", "reads", "writes", "ns/op"],
-            &table_rows,
-        )
-    );
-    if trace_enabled() {
-        let (u, m) = experiments::university_merge(1_000, 21).expect("trace instance");
-        let (unmerged, _) = experiments::university_databases(&u, &m).expect("trace databases");
-        trace_query(
+fn b6(scale: Scale) -> Result<Report> {
+    let mut r = experiments::mixed_workload(&[1_000, 10_000], 20_000)?;
+    if scale.trace {
+        let (_, _, unmerged, _) = trace_fixture()?;
+        let plan = experiments::unmerged_by_faculty_query(10_000);
+        trace(
+            &mut r,
             &unmerged,
             "b6 reverse lookup (courses by faculty)",
-            &experiments::unmerged_by_faculty_query(10_000),
-        );
+            &plan,
+        )?;
     }
+    Ok(r)
 }
 
 /// B7: batched DML with deferred checking vs per-statement application.
-fn b7() {
-    heading("B7: batched DML (deferred group validation) vs per-statement");
-    let mut table_rows: Vec<Vec<String>> = Vec::new();
-    for courses in [1_000usize, 10_000] {
-        let rows = experiments::batch_dml(courses, 4_000, 64).expect("b7");
-        for r in &rows {
-            table_rows.push(vec![
-                courses.to_string(),
-                r.scenario.clone(),
-                format!("{} / {}", r.statements, r.batches),
-                format!("{} -> {}", r.eager_checks, r.batched_checks),
-                format!("{} -> {}", r.eager_probes, r.batched_probes),
-                r.deferred_checks.to_string(),
-                format!("{:.2}x", r.eager_ns / r.batched_ns),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        table::render(
-            &[
-                "courses",
-                "scenario",
-                "stmts / batches",
-                "checks (eager -> batched)",
-                "probes (eager -> batched)",
-                "deferred",
-                "speedup",
-            ],
-            &table_rows,
-        )
-    );
-    println!(
-        "Reading: deferred commit validates each constraint once per touched \
-         relation and dedupes repeated foreign-key probes, so the batched run \
-         does strictly fewer checks and probes for the identical final state."
-    );
+fn b7(_: Scale) -> Result<Report> {
+    experiments::batch_dml(&[1_000, 10_000], 4_000, 64)
 }
 
-/// B8: the morsel-parallel executor and cost-based hash joins versus the
-/// serial index-nested-loop baseline, on the unmerged university chain.
-/// Emits `BENCH_query.json` for CI and result-comparison tooling.
-fn b8() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, iters) = if smoke { (4_000, 3) } else { (40_000, 5) };
-    heading("B8: parallel executor + cost-based joins vs serial INL");
-    println!(
-        "scale: {courses} courses ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    let rows = experiments::parallel_query(courses, iters).expect("b8");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.query.clone(),
-                r.workers.to_string(),
-                r.rows_out.to_string(),
-                format!("{:.2} ms", r.baseline_ns / 1e6),
-                format!("{:.2} ms", r.parallel_ns / 1e6),
-                format!("{:.2}x", r.speedup),
-                format!("{:.0}", r.rows_per_sec),
-                r.morsels.to_string(),
-                format!("{} -> {}", r.baseline_probes, r.index_probes),
-                format!("{} -> {}", r.baseline_scanned, r.rows_scanned),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "query",
-                "workers",
-                "rows",
-                "INL baseline",
-                "measured",
-                "speedup vs INL",
-                "rows/s",
-                "morsels",
-                "probes (INL -> cost)",
-                "scanned (INL -> cost)",
-            ],
-            &table_rows,
-        )
-    );
-    // The composite win is structural (quadratic forced-INL scan vs one
-    // build-side scan) and must show at every worker count. The chain's
-    // forced-INL baseline does near-identical per-row work to the
-    // borrowed-build hash plan, so its end-to-end win is thread-level: on
-    // a single-core host the honest value is parity, and only multi-core
-    // hosts are required to beat the serial baseline.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    for r in &rows {
-        if r.query.starts_with("composite") {
-            assert!(
-                r.speedup > 1.0,
-                "the composite query must beat the quadratic INL baseline: {r:?}"
-            );
-        } else if cores > 1 && r.workers > 1 && r.workers <= cores {
-            assert!(
-                r.speedup > 1.0,
-                "multi-worker chain rows must beat the serial INL baseline \
-                 on a {cores}-core host: {r:?}"
-            );
-        } else {
-            assert!(
-                r.speedup > 0.5 && r.speedup < 2.5,
-                "chain rows must sit near INL parity on this host: {r:?}"
-            );
-        }
-    }
-    if cores == 1 {
-        println!(
-            "Note: recorded on a single-core host — chain-scan rows measure \
-             thread overhead only (≈1.0x); the composite rows carry the \
-             measured end-to-end win."
-        );
-    }
-    *B8_ROWS.lock().expect("b8 stash") = rows;
-    write_query_json();
-    if trace_enabled() {
-        use relmerge_engine::DbmsProfile;
-        let mut rng = StdRng::seed_from_u64(42);
-        let u = relmerge_workload::generate_university(
-            &relmerge_workload::UniversitySpec {
-                courses: 1_000,
-                ..Default::default()
-            },
-            &mut rng,
-        )
-        .expect("trace instance");
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal()).expect("trace db");
-        db.load_state(&u.state).expect("load");
-        trace_query(
-            &db,
+/// B8: the morsel-parallel executor, each worker count against
+/// workers = 1.
+fn b8(scale: Scale) -> Result<Report> {
+    let (courses, iters) = scale.pick((4_000, 3), (40_000, 5));
+    let mut r = experiments::parallel_query(courses, iters)?;
+    if scale.trace {
+        let (_, _, unmerged, _) = trace_fixture()?;
+        let plan = experiments::unmerged_scan_query();
+        trace(
+            &mut r,
+            &unmerged,
             "b8 chain scan (borrowed-index hash joins)",
-            &experiments::unmerged_scan_query(),
-        );
-        trace_query(
-            &db,
+            &plan,
+        )?;
+        let plan = experiments::composite_no_index_query();
+        trace(
+            &mut r,
+            &unmerged,
             "b8 composite join (transient hash build)",
-            &experiments::composite_no_index_query(),
-        );
+            &plan,
+        )?;
     }
+    Ok(r)
 }
 
-/// B9: the fault-torture matrix — every batch injection site × arrival
-/// index, in error and panic mode, must abort with a typed error, verify
-/// clean, and roll back byte-identical to the pre-batch snapshot.
-fn b9() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, batch_size) = if smoke { (300, 12) } else { (2_000, 24) };
-    heading("B9: fault-torture matrix (typed abort + integrity + rollback)");
-    println!(
-        "scale: {courses} courses, batch of {batch_size} statements ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    // The panic-mode cells deliberately panic inside the engine; the
-    // panics are caught and converted to typed errors, but the default
-    // hook would still spray a backtrace line per cell. Silence it for
-    // the duration of the matrix only.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let rows = experiments::fault_torture(courses, batch_size, 11);
-    std::panic::set_hook(default_hook);
-    let rows = rows.expect("b9");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.site.clone(),
-                r.mode.clone(),
-                r.cells.to_string(),
-                r.injections.to_string(),
-                r.typed_errors.to_string(),
-                r.clean_reports.to_string(),
-                r.snapshot_matches.to_string(),
-                r.no_fire.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "site",
-                "mode",
-                "cells",
-                "fired",
-                "typed errors",
-                "clean integrity",
-                "rollback == snapshot",
-                "no-fire",
-            ],
-            &table_rows,
-        )
-    );
-    let all_ok = rows.iter().all(|r| {
-        r.no_fire == 0
-            && r.injections == r.cells
-            && r.typed_errors == r.injections
-            && r.clean_reports == r.injections
-            && r.snapshot_matches == r.injections
-    });
-    assert!(all_ok, "every torture cell must recover: {rows:?}");
-    println!(
-        "Reading: every injected fault and panic aborted exactly one batch \
-         with a typed error; integrity verification found zero violations \
-         and the state always matched the pre-batch snapshot."
-    );
+/// B9: the fault-torture matrix.
+fn b9(scale: Scale) -> Result<Report> {
+    let (courses, batch_size) = scale.pick((300, 12), (2_000, 24));
+    quietly(|| experiments::fault_torture(courses, batch_size, 11))
 }
 
-/// B10: the versioned build-side cache — cold (rebuild before every
-/// execution) versus warm (every execution hits the cache) on the
-/// build-heavy composite join, swept over worker counts. Emits the B10
-/// section of `BENCH_query.json`.
-fn b10() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, iters) = if smoke { (4_000, 3) } else { (40_000, 5) };
-    heading("B10: versioned build-side cache (cold rebuild vs warm hit)");
-    println!(
-        "scale: {courses} courses ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    let rows = experiments::build_cache_speedup(courses, iters).expect("b10");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                format!("{:.2} ms", r.cold_ns / 1e6),
-                format!("{:.2} ms", r.warm_ns / 1e6),
-                format!("{:.2}x", r.speedup),
-                r.cache_hits.to_string(),
-                r.cache_misses.to_string(),
-                format!("{:.1} KiB", r.build_bytes as f64 / 1024.0),
-                r.parallel_builds.to_string(),
-                r.saved_allocs.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "workers",
-                "cold",
-                "warm",
-                "speedup vs serial cold",
-                "hits",
-                "misses",
-                "build size",
-                "parallel builds",
-                "saved allocs/run",
-            ],
-            &table_rows,
-        )
-    );
+/// B10: the versioned build-side cache. Every warm run must beat its
+/// cold run, and at full scale a multi-worker warm run must be ≥ 2× over
+/// the serial cold baseline.
+fn b10(scale: Scale) -> Result<Report> {
+    let (courses, iters) = scale.pick((4_000, 3), (40_000, 5));
+    let mut r = experiments::build_cache_speedup(courses, iters)?;
+    let rows = r.table("b10");
     assert!(
-        rows.iter()
-            .all(|r| r.cache_hits >= 1 && r.warm_ns < r.cold_ns),
-        "every warm run must hit the cache and beat its cold run: {rows:?}"
+        rows.iter().all(|r| r.num("warm_ns") < r.num("cold_ns")),
+        "every warm run must beat its cold run: {rows:?}"
     );
-    if !smoke {
+    if !scale.smoke {
         assert!(
-            rows.iter().any(|r| r.workers > 1 && r.speedup >= 2.0),
+            rows.iter()
+                .any(|r| r.int("workers") > 1 && r.num("speedup") >= 2.0),
             "a multi-worker warm run must be >= 2x over the serial cold \
              baseline at full scale: {rows:?}"
         );
     }
-    println!(
-        "Reading: warm executions skip the build entirely — the cache key \
-         (relation, probe attrs, version) guarantees a hit can never serve \
-         stale data, and stats are charged as if the build ran, so cold and \
-         warm runs are indistinguishable to the caller."
-    );
-    *B10_ROWS.lock().expect("b10 stash") = rows;
-    write_query_json();
-    if trace_enabled() {
-        use relmerge_engine::DbmsProfile;
-        let mut rng = StdRng::seed_from_u64(42);
-        let u = relmerge_workload::generate_university(
-            &relmerge_workload::UniversitySpec {
-                courses: 1_000,
-                ..Default::default()
-            },
-            &mut rng,
-        )
-        .expect("trace instance");
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal()).expect("trace db");
-        db.load_state(&u.state).expect("load");
+    if scale.trace {
+        let (_, _, unmerged, _) = trace_fixture()?;
         let plan = experiments::composite_no_index_query();
-        let _ = db.execute(&plan).expect("populate cache");
-        trace_query(&db, "b10 composite join, warm (cached build)", &plan);
+        let _ = unmerged.execute(&plan)?; // populate the cache
+        trace(
+            &mut r,
+            &unmerged,
+            "b10 composite join, warm (cached build)",
+            &plan,
+        )?;
     }
+    Ok(r)
 }
 
-/// B11: durability — WAL append overhead against an in-memory twin,
-/// literal log truncation at every acked boundary plus random mid-record
-/// offsets, the three durability fault sites in both modes, and recovery
-/// time against replayed log length. Emits `BENCH_wal.json`.
-fn b11() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, n_batches, batch_size) = if smoke { (200, 12, 8) } else { (1_000, 48, 16) };
-    heading("B11: durability (write-ahead log + snapshots + crash recovery)");
-    println!(
-        "scale: {courses} courses, {n_batches} batches of {batch_size} statements ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    // The fault matrix has panic-mode cells; silence the default hook for
-    // the duration (the panics are caught and typed, but the hook would
-    // still spray one backtrace line per cell).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let s = experiments::wal_torture(courses, n_batches, batch_size, 11);
-    std::panic::set_hook(default_hook);
-    let s = s.expect("b11");
-    println!(
-        "append overhead: durable {:.1} µs/batch vs in-memory {:.1} µs/batch ({:+.1}%)",
-        s.durable_batch_us,
-        s.memory_batch_us,
-        s.append_overhead * 100.0
-    );
-    println!(
-        "crash truncation: {}/{} cut points recovered verify-clean and \
-         byte-identical to the last durably-acked prefix\n",
-        s.truncation_clean, s.truncation_cells
-    );
-    assert_eq!(
-        s.truncation_clean, s.truncation_cells,
-        "every crash point must recover: {s:?}"
-    );
-    let table_rows: Vec<Vec<String>> = s
-        .torture
-        .iter()
-        .map(|r| {
-            vec![
-                r.site.clone(),
-                r.mode.clone(),
-                r.cells.to_string(),
-                r.injections.to_string(),
-                r.typed_errors.to_string(),
-                r.clean_reports.to_string(),
-                r.snapshot_matches.to_string(),
-                r.no_fire.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "site",
-                "mode",
-                "cells",
-                "fired",
-                "typed/contained",
-                "clean integrity",
-                "state verified",
-                "no-fire",
-            ],
-            &table_rows,
-        )
-    );
-    let all_ok = s.torture.iter().all(|r| {
-        r.no_fire == 0
-            && r.injections == r.cells
-            && r.typed_errors == r.injections
-            && r.clean_reports == r.injections
-            && r.snapshot_matches == r.injections
-    });
-    assert!(all_ok, "every durability torture cell must recover: {s:?}");
-    let curve_rows: Vec<Vec<String>> = s
-        .recovery
-        .iter()
-        .map(|r| {
-            vec![
-                r.batches.to_string(),
-                r.records.to_string(),
-                format!("{:.1} KiB", r.wal_bytes as f64 / 1024.0),
-                format!("{:.2} ms", r.replay_ns as f64 / 1e6),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "batches in log",
-                "records replayed",
-                "WAL bytes",
-                "recovery time"
-            ],
-            &curve_rows,
-        )
-    );
-    println!(
-        "Reading: a committed batch is on disk before it is visible, so \
-         cutting the log at any byte — acked boundary or torn mid-record \
-         tail — recovers exactly the durably-acked prefix; a failed append \
-         aborts its batch on disk and in memory, a failed snapshot costs \
-         only replay time, and a fault during recovery leaves the \
-         directory clean for the retry."
-    );
-    let path = std::path::Path::new("BENCH_wal.json");
-    experiments::write_wal_json(path, &s).expect("write BENCH_wal.json");
-    println!("wrote {}", path.display());
+/// B11: durability — WAL overhead, crash truncation, fault sites and the
+/// recovery curve.
+fn b11(scale: Scale) -> Result<Report> {
+    let (courses, n_batches, batch_size) = scale.pick((200, 12, 8), (1_000, 48, 16));
+    quietly(|| experiments::wal_torture(courses, n_batches, batch_size, 11))
 }
 
-/// B12: the concurrent multi-session engine — N client threads of the
-/// mixed university workload over one shared `Store` (snapshot readers,
-/// serialized writers, store-wide versioned build cache). Emits
-/// `BENCH_concurrency.json`.
-fn b12() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, ops) = if smoke { (150, 64) } else { (800, 320) };
-    heading("B12: concurrent sessions (snapshot readers / serialized writers / shared cache)");
-    println!(
-        "scale: {courses} courses, {ops} ops per client thread ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    let s = experiments::concurrent_sessions(courses, ops).expect("b12");
-    println!(
-        "single-Database baseline: {:.1} µs/op (thread 0's stream, no store)",
-        s.baseline_ns_per_op / 1e3
-    );
-    println!(
-        "deterministic cross-session probe: {} shared-cache hit(s) — one \
-         session's build served another session's identical join\n",
-        s.cross_session_hits
-    );
-    let table_rows: Vec<Vec<String>> = s
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.threads.to_string(),
-                r.ops.to_string(),
-                r.reads.to_string(),
-                r.writes.to_string(),
-                format!("{:.0}", r.ops_per_sec),
-                format!("{:.1} µs", r.read_p50_ns / 1e3),
-                format!("{:.1} µs", r.read_p95_ns / 1e3),
-                r.cache_hits.to_string(),
-                r.cache_misses.to_string(),
-                r.frozen_reads.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "threads",
-                "ops",
-                "reads",
-                "writes",
-                "ops/s",
-                "read p50",
-                "read p95",
-                "cache hits",
-                "misses",
-                "frozen re-reads",
-            ],
-            &table_rows,
-        )
-    );
-    println!(
-        "Reading: every read ran against a pinned copy-on-write snapshot \
-         while writers committed through the serialized path; the retained \
-         pins re-read byte-identical after the storm. Throughput-vs-threads \
-         is honest wall clock — on a single-core host extra threads add \
-         scheduling overhead rather than speedup, while the shared cache \
-         still converts one session's build into other sessions' hits."
-    );
-    let path = std::path::Path::new("BENCH_concurrency.json");
-    experiments::write_concurrency_json(path, &s).expect("write BENCH_concurrency.json");
-    println!("wrote {}", path.display());
+/// B12: concurrent sessions over one shared `Store`.
+fn b12(scale: Scale) -> Result<Report> {
+    let (courses, ops) = scale.pick((150, 64), (800, 320));
+    experiments::concurrent_sessions(courses, ops)
 }
 
-/// B13: the online merge advisor end to end — skewed reads drive the
-/// profiler, the profiler drives the advisor, the advisor's top proposal
-/// is migrated on the live database, and the identical stream replays
-/// against the merged schema. Emits `BENCH_merge.json`.
-fn b13() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, n_ops) = if smoke { (500, 600) } else { (10_000, 20_000) };
-    heading("B13: online merge (profiler -> advisor -> live migration -> replay)");
-    println!(
-        "scale: {courses} courses, {n_ops} skewed reads ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    // The migration fault matrix has panic-mode cells; silence the default
-    // hook for the duration (the panics are caught and typed, but the hook
-    // would still spray one backtrace line per cell).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let s = experiments::online_merge(courses, n_ops, 13);
-    std::panic::set_hook(default_hook);
-    let s = s.expect("b13");
-    println!(
-        "advisor chose {:?} -> {} (observed cost {}); migrated {} rows in {} chunks\n",
-        s.members, s.merged_name, s.observed_cost, s.rows_migrated, s.chunks_applied
-    );
-    let table_rows = vec![
-        vec![
-            "index probes".to_owned(),
-            s.pre_probes.to_string(),
-            s.post_probes.to_string(),
-            format!("{:.2}x", s.pre_probes as f64 / s.post_probes.max(1) as f64),
-        ],
-        vec![
-            "rows scanned".to_owned(),
-            s.pre_rows_scanned.to_string(),
-            s.post_rows_scanned.to_string(),
-            if s.pre_rows_scanned == 0 {
-                "n/a".to_owned()
-            } else {
-                format!(
-                    "{:.2}x",
-                    s.pre_rows_scanned as f64 / s.post_rows_scanned.max(1) as f64
-                )
-            },
-        ],
-        vec![
-            "median latency (us)".to_owned(),
-            format!("{:.1}", s.pre_median_us),
-            format!("{:.1}", s.post_median_us),
-            format!("{:.2}x", s.pre_median_us / s.post_median_us.max(1e-9)),
-        ],
-    ];
-    println!(
-        "{}",
-        table::render(
-            &["workload metric", "pre-merge", "post-merge", "improvement"],
-            &table_rows,
-        )
-    );
-    let torture_rows: Vec<Vec<String>> = s
-        .torture
-        .iter()
-        .map(|r| {
-            vec![
-                r.site.clone(),
-                r.mode.clone(),
-                r.cells.to_string(),
-                r.typed_errors.to_string(),
-                r.clean_reports.to_string(),
-                r.snapshot_matches.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "migration site",
-                "mode",
-                "cells",
-                "typed errors",
-                "clean integrity",
-                "rollback == snapshot",
-            ],
-            &torture_rows,
-        )
-    );
-    // The headline acceptance criteria, re-asserted on the summary: the
-    // probe count strictly drops, capacity is preserved (Props 4.1/4.2),
-    // and — in the full-scale release run — the median latency drops too.
-    assert!(s.capacity_4_1 && s.capacity_both, "{s:?}");
-    assert!(s.post_probes < s.pre_probes, "{s:?}");
-    if !smoke && cfg!(not(debug_assertions)) {
+/// B13: the online merge advisor end to end. In the full-scale release
+/// run the post-merge median latency must drop too.
+fn b13(scale: Scale) -> Result<Report> {
+    let (courses, n_ops) = scale.pick((500, 600), (10_000, 20_000));
+    let mut r = quietly(|| experiments::online_merge(courses, n_ops, 13))?;
+    if !scale.smoke && cfg!(not(debug_assertions)) {
+        let f = &r.fields;
         assert!(
-            s.post_median_us < s.pre_median_us,
-            "full-scale post-merge median latency must drop: {s:?}"
+            f.num("post_median_us") < f.num("pre_median_us"),
+            "full-scale post-merge median latency must drop: {f:?}"
         );
     }
-    println!(
-        "byte-identical post-merge replay at worker counts {:?}; capacity \
-         4.1={} 4.1+4.2={}",
-        s.workers, s.capacity_4_1, s.capacity_both
-    );
-    let path = std::path::Path::new("BENCH_merge.json");
-    experiments::write_merge_json(path, &s).expect("write BENCH_merge.json");
-    println!("wrote {}", path.display());
-    println!(
-        "Reading: the profiler's hot-join evidence picked the paper's \
-         COURSE chain unprompted; the live migration committed atomically \
-         (every injected fault rolled back byte-identically), and the \
-         replayed workload pays strictly fewer probes on the merged schema."
-    );
-    if trace_enabled() {
-        use relmerge_engine::DbmsProfile;
-        let mut rng = StdRng::seed_from_u64(42);
-        let u = relmerge_workload::generate_university(
-            &relmerge_workload::UniversitySpec {
-                courses: 1_000,
-                ..Default::default()
-            },
-            &mut rng,
-        )
-        .expect("trace instance");
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal()).expect("trace db");
-        db.load_state(&u.state).expect("load");
-        let mut plan = Merge::plan(
-            &u.schema,
-            &["COURSE", "OFFER", "TEACH", "ASSIST"],
-            "COURSE_M",
-        )
-        .expect("plan");
-        plan.remove_all_removable().expect("remove");
-        db.migrate(&plan).expect("migrate");
-        trace_query(
+    if scale.trace {
+        let (u, m, mut db, _) = trace_fixture()?;
+        db.migrate(&m)?;
+        let plan = experiments::merged_point_query(u.offered_courses[0]);
+        trace(
+            &mut r,
             &db,
             "b13 merged point query (post-migration)",
-            &experiments::merged_point_query(u.offered_courses[0]),
-        );
+            &plan,
+        )?;
     }
+    Ok(r)
 }
 
-/// B14: the workload profiler on a Zipf-skewed read mix — per-fingerprint
-/// attribution, allocation tracking, and the hot-join ranking that feeds
-/// the merge advisor. Emits `BENCH_profile.json`.
-fn b14() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, n_ops, top_k) = if smoke {
-        (500, 1_000, 5)
-    } else {
-        (10_000, 20_000, 8)
-    };
-    heading("B14: workload profiler (skewed read mix, hot-join ranking)");
-    println!(
-        "scale: {courses} courses, {n_ops} skewed reads ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    let s = experiments::workload_profile(courses, n_ops, top_k).expect("b14");
-    println!(
-        "fingerprints: {} across {} executions; {} probes, {} rows scanned, \
-         {} intermediate bytes (peak {})\n",
-        s.fingerprints,
-        s.executions,
-        s.index_probes,
-        s.rows_scanned,
-        s.intermediate_bytes,
-        s.peak_intermediate_bytes
-    );
-    let table_rows: Vec<Vec<String>> = s
-        .hot_joins
-        .iter()
-        .map(|h| {
-            vec![
-                format!("#{}", h.rank),
-                h.edge.clone(),
-                h.cumulative_cost.to_string(),
-                h.index_probes.to_string(),
-                h.rows_scanned.to_string(),
-                h.executions.to_string(),
-                format!("{:.1} KiB", h.intermediate_bytes as f64 / 1024.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "rank",
-                "join edge",
-                "cost",
-                "probes",
-                "scanned",
-                "execs",
-                "bytes"
-            ],
-            &table_rows,
-        )
-    );
-    // `workload_profile` already asserted exactness and determinism;
-    // re-state the advisor-facing property on the rendered rows.
-    assert!(
-        s.hot_joins
-            .windows(2)
-            .all(|w| w[0].cumulative_cost >= w[1].cumulative_cost),
-        "ranking must be sorted by cumulative cost: {:?}",
-        s.hot_joins
-    );
-    let path = std::path::Path::new("BENCH_profile.json");
-    experiments::write_profile_json(path, &s).expect("write BENCH_profile.json");
-    println!("wrote {}", path.display());
-    println!(
-        "Reading: the top edges are exactly the COURSE->OFFER->TEACH/ASSIST \
-         chain the paper merges away — the profiler's ranking reproduces the \
-         advisor's motivating evidence from observed load, and its totals sum \
-         exactly to the per-query stats (asserted)."
-    );
-    if trace_enabled() {
-        use relmerge_engine::DbmsProfile;
-        let mut rng = StdRng::seed_from_u64(42);
-        let u = relmerge_workload::generate_university(
-            &relmerge_workload::UniversitySpec {
-                courses: 1_000,
-                ..Default::default()
-            },
-            &mut rng,
-        )
-        .expect("trace instance");
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal()).expect("trace db");
-        db.load_state(&u.state).expect("load");
-        trace_query(
-            &db,
+/// B14: the workload profiler's hot-join ranking.
+fn b14(scale: Scale) -> Result<Report> {
+    let (courses, n_ops, top_k) = scale.pick((500, 1_000, 5), (10_000, 20_000, 8));
+    let mut r = experiments::workload_profile(courses, n_ops, top_k)?;
+    if scale.trace {
+        let (_, _, unmerged, _) = trace_fixture()?;
+        let plan = experiments::unmerged_point_query(0);
+        trace(
+            &mut r,
+            &unmerged,
             "b14 point query (the hot fingerprint)",
-            &experiments::unmerged_point_query(0),
-        );
+            &plan,
+        )?;
     }
+    Ok(r)
 }
 
-/// B15: optimizer-driven predicate pushdown — filters simplified, split
-/// into conjuncts, and evaluated at the scan, probe, and build sites
-/// instead of on the assembled result. Emits the B15 section of
-/// `BENCH_query.json`.
-fn b15() {
-    let smoke = SMOKE.load(Ordering::Relaxed);
-    let (courses, iters) = if smoke { (1_500, 3) } else { (8_000, 5) };
-    heading("B15: predicate pushdown (evaluate filters where the data lives)");
-    println!(
-        "scale: {courses} courses ({} mode)\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    let rows = experiments::predicate_pushdown(courses, iters).expect("b15");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.query.clone(),
-                r.rows_out.to_string(),
-                format!("{} -> {}", r.off_scanned, r.on_scanned),
-                format!("{} -> {}", r.off_probes, r.on_probes),
-                format!("{:.1}x", r.scan_reduction),
-                format!("{:.2} ms", r.off_ns / 1e6),
-                format!("{:.2} ms", r.on_ns / 1e6),
-                format!("{:.2}x", r.speedup),
-                r.pushed_conjuncts.to_string(),
-                r.pruned_rows.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "query",
-                "rows",
-                "scanned (off -> on)",
-                "probes (off -> on)",
-                "scan cut",
-                "off",
-                "on",
-                "speedup",
-                "pushed",
-                "pruned rows",
-            ],
-            &table_rows,
-        )
-    );
-    // `predicate_pushdown` already asserted byte-identity, the >= 10x
-    // chain scan reduction, and the scan-to-lookup upgrade; at full
-    // scale the chain's structural win must also show on the clock.
-    if !smoke {
+/// B15: predicate pushdown. At full scale the selective chain's
+/// structural win must also show on the clock.
+fn b15(scale: Scale) -> Result<Report> {
+    let (courses, iters) = scale.pick((1_500, 3), (8_000, 5));
+    let mut r = experiments::predicate_pushdown(courses, iters)?;
+    if !scale.smoke {
+        let chain = &r.table("b15")[0];
         assert!(
-            rows[0].speedup > 1.0,
+            chain.num("speedup") > 1.0,
             "pushdown must beat the top-of-plan filter on the selective \
-             chain at full scale: {rows:?}"
+             chain at full scale: {chain:?}"
         );
     }
-    println!(
-        "Reading: the optimizer partitions the filter into conjuncts and \
-         evaluates each at the lowest operator that can answer it — the \
-         selective chain prunes the stream before the quadratic join, and \
-         the root equality becomes an index point lookup (zero scans). \
-         Results are byte-identical with the knob on and off (asserted)."
-    );
-    *B15_ROWS.lock().expect("b15 stash") = rows;
-    write_query_json();
-    if trace_enabled() {
-        use relmerge_engine::{DbmsProfile, JoinStep, Predicate};
-        let mut rng = StdRng::seed_from_u64(42);
-        let u = relmerge_workload::generate_university(
-            &relmerge_workload::UniversitySpec {
-                courses: 1_000,
-                ..Default::default()
-            },
-            &mut rng,
-        )
-        .expect("trace instance");
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal()).expect("trace db");
-        db.load_state(&u.state).expect("load");
-        trace_query(
-            &db,
-            "b15 selective chain (Eq pushed to the TEACH probe)",
-            &QueryPlan::scan("COURSE")
-                .join(JoinStep::inner("TEACH", &["C.NR"], &["T.C.NR"]))
-                .join(JoinStep::inner(
-                    "ASSIST",
-                    &["T.C.NR", "T.F.SSN"],
-                    &["A.C.NR", "A.S.SSN"],
-                ))
-                .filter(Predicate::eq("T.F.SSN", 10_000_i64)),
-        );
-        let offered = *u.offered_courses.first().expect("offered course");
-        trace_query(
-            &db,
+    if scale.trace {
+        let (u, _, unmerged, _) = trace_fixture()?;
+        let chain = QueryPlan::scan("COURSE")
+            .join(JoinStep::inner("TEACH", &["C.NR"], &["T.C.NR"]))
+            .join(JoinStep::inner(
+                "ASSIST",
+                &["T.C.NR", "T.F.SSN"],
+                &["A.C.NR", "A.S.SSN"],
+            ))
+            .filter(Predicate::eq("T.F.SSN", 10_000_i64));
+        let label = "b15 selective chain (Eq pushed to the TEACH probe)";
+        trace(&mut r, &unmerged, label, &chain)?;
+        let root_eq = QueryPlan::scan("COURSE")
+            .join(JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]))
+            .filter(Predicate::eq("C.NR", u.offered_courses[0]));
+        trace(
+            &mut r,
+            &unmerged,
             "b15 root Eq upgrade (scan -> lookup)",
-            &QueryPlan::scan("COURSE")
-                .join(JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]))
-                .filter(Predicate::eq("C.NR", offered)),
-        );
+            &root_eq,
+        )?;
     }
+    Ok(r)
 }
 
-/// B4: the effect of `Remove`.
-fn b4() {
-    heading("B4: effect of Remove on the merged relation");
-    let rows = experiments::remove_effect(&[100, 1_000, 10_000]).expect("b4");
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.courses.to_string(),
-                format!("{} -> {}", r.arity.0, r.arity.1),
-                format!("{} -> {}", r.values.0, r.values.1),
-                format!("{} -> {}", r.nulls.0, r.nulls.1),
-                format!("{} -> {}", r.constraints.0, r.constraints.1),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "courses",
-                "arity",
-                "stored values",
-                "stored nulls",
-                "null constraints"
-            ],
-            &table_rows,
-        )
-    );
+/// Runs `f` with the default panic hook silenced: the fault matrices'
+/// panic-mode cells panic inside the engine on purpose, and although each
+/// panic is caught and typed, the hook would still print a backtrace line
+/// per cell.
+fn quietly(f: impl FnOnce() -> Result<Report>) -> Result<Report> {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = f();
+    std::panic::set_hook(default_hook);
+    out
 }

@@ -1,5 +1,5 @@
-//! The measured experiments: B1 (query speedup), B2 (maintenance cost),
-//! and B4 (the effect of `Remove` on relation size).
+//! The measured experiments B1–B15. Each returns a [`Report`] whose cell
+//! names are the keys of its `BENCH_<name>.json` artifact.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -11,6 +11,8 @@ use relmerge_engine::{
 use relmerge_obs as obs;
 use relmerge_relational::{DatabaseState, Error, Result, Tuple, Value};
 use relmerge_workload::{generate_university, University, UniversitySpec};
+
+use crate::report::{Cell, Report, Row};
 
 /// The university COURSE-chain merge used by B1/B2/B4: merge
 /// {COURSE, OFFER, TEACH, ASSIST} and remove every redundant key.
@@ -93,31 +95,8 @@ pub fn merged_scan_query() -> QueryPlan {
     QueryPlan::scan("COURSE_M")
 }
 
-/// One row of the B1 query-speedup table.
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Index probes per unmerged point query.
-    pub unmerged_probes: u64,
-    /// Index probes per merged point query.
-    pub merged_probes: u64,
-    /// Mean unmerged point-query latency (ns).
-    pub unmerged_ns: f64,
-    /// Mean merged point-query latency (ns).
-    pub merged_ns: f64,
-    /// Point-query latency ratio (unmerged / merged).
-    pub point_speedup: f64,
-    /// Unmerged scan-query latency (ns).
-    pub scan_unmerged_ns: f64,
-    /// Merged scan-query latency (ns).
-    pub scan_merged_ns: f64,
-    /// Scan latency ratio.
-    pub scan_speedup: f64,
-}
-
 /// B1: merged-vs-unmerged retrieval cost across instance scales.
-pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Vec<SpeedupRow>> {
+pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Report> {
     let mut rows = Vec::new();
     for &courses in scales {
         let _scale_span = obs::span("bench.b1.scale").field("courses", courses);
@@ -162,42 +141,32 @@ pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Vec<S
         }
         let scan_merged_ns = t.stop() as f64 / f64::from(SCAN_ITERS);
 
-        rows.push(SpeedupRow {
-            courses,
-            unmerged_probes: s1.index_probes,
-            merged_probes: s2.index_probes,
-            unmerged_ns,
-            merged_ns,
-            point_speedup: unmerged_ns / merged_ns,
-            scan_unmerged_ns,
-            scan_merged_ns,
-            scan_speedup: scan_unmerged_ns / scan_merged_ns,
-        });
+        rows.push(
+            Row::new()
+                .cell("courses", courses)
+                .cell("unmerged_probes", s1.index_probes)
+                .cell("merged_probes", s2.index_probes)
+                .cell("unmerged_ns", Cell::Num(unmerged_ns, 0))
+                .cell("merged_ns", Cell::Num(merged_ns, 0))
+                .cell("point_speedup", Cell::Num(unmerged_ns / merged_ns, 2))
+                .cell("scan_unmerged_ns", Cell::Num(scan_unmerged_ns, 0))
+                .cell("scan_merged_ns", Cell::Num(scan_merged_ns, 0))
+                .cell(
+                    "scan_speedup",
+                    Cell::Num(scan_unmerged_ns / scan_merged_ns, 2),
+                ),
+        );
     }
-    Ok(rows)
-}
-
-/// One row of the B2 maintenance-cost table.
-#[derive(Debug, Clone)]
-pub struct MaintenanceRow {
-    /// Scenario label.
-    pub scenario: String,
-    /// Logical entities inserted (one course with offer/teach/assist).
-    pub entities: u64,
-    /// Physical insert statements issued.
-    pub statements: u64,
-    /// Declarative-tier checks.
-    pub declarative: u64,
-    /// Procedural-tier (trigger/rule) checks.
-    pub procedural: u64,
-    /// Mean wall time per logical entity (ns).
-    pub ns_per_entity: f64,
+    let mut report = Report::new("B1: query speedup (merged vs unmerged), university workload");
+    report.scale = format!("{scales:?} courses, {queries_per_scale} point queries");
+    report.tables.push(("rows", rows));
+    Ok(report)
 }
 
 /// B2: constraint-maintenance cost of inserting course bundles into the
 /// unmerged schema (fully declarative on DB2) versus the merged schema
 /// (general null constraints → SYBASE-style triggers).
-pub fn maintenance_cost(entities: usize) -> Result<Vec<MaintenanceRow>> {
+pub fn maintenance_cost(entities: usize) -> Result<Report> {
     let (u, m) = university_merge(10, 1)?;
     let mut rows = Vec::new();
 
@@ -222,16 +191,12 @@ pub fn maintenance_cost(entities: usize) -> Result<Vec<MaintenanceRow>> {
             db.insert("ASSIST", Tuple::new([nr, student.clone()]))
                 .expect("assist insert");
         }
-        let elapsed = t.stop() as f64;
-        let stats = db.take_stats();
-        rows.push(MaintenanceRow {
-            scenario: "unmerged (DB2, declarative)".to_owned(),
-            entities: entities as u64,
-            statements: stats.inserts,
-            declarative: stats.declarative_checks,
-            procedural: stats.procedural_checks,
-            ns_per_entity: elapsed / entities as f64,
-        });
+        rows.push(maintenance_row(
+            "unmerged (DB2, declarative)",
+            entities,
+            &db.take_stats(),
+            t.stop(),
+        ));
     }
 
     // Merged: SYBASE profile — NS/NE constraints through triggers, but a
@@ -253,61 +218,72 @@ pub fn maintenance_cost(entities: usize) -> Result<Vec<MaintenanceRow>> {
             )
             .expect("merged insert");
         }
-        let elapsed = t.stop() as f64;
-        let stats = db.take_stats();
-        rows.push(MaintenanceRow {
-            scenario: "merged (SYBASE 4.0, triggers)".to_owned(),
-            entities: entities as u64,
-            statements: stats.inserts,
-            declarative: stats.declarative_checks,
-            procedural: stats.procedural_checks,
-            ns_per_entity: elapsed / entities as f64,
-        });
+        rows.push(maintenance_row(
+            "merged (SYBASE 4.0, triggers)",
+            entities,
+            &db.take_stats(),
+            t.stop(),
+        ));
     }
-    Ok(rows)
+    let mut report = Report::new("B2: maintenance cost per inserted course bundle");
+    report.scale = format!("{entities} course bundles");
+    report.tables.push(("rows", rows));
+    Ok(report)
 }
 
-/// One row of the B6 mixed-workload table.
-#[derive(Debug, Clone)]
-pub struct MixedRow {
-    /// Scenario label.
-    pub scenario: String,
-    /// Operations executed.
-    pub ops: usize,
-    /// Read operations (point + reverse).
-    pub reads: usize,
-    /// Write operations (adds + drops).
-    pub writes: usize,
-    /// Total wall time (ns).
-    pub total_ns: f64,
-    /// Mean ns per operation.
-    pub ns_per_op: f64,
+/// One B2 row: statements and checks of `entities` bundle inserts that
+/// took `elapsed_ns`.
+fn maintenance_row(
+    scenario: &str,
+    entities: usize,
+    stats: &relmerge_engine::MaintenanceStats,
+    elapsed_ns: u64,
+) -> Row {
+    Row::new()
+        .cell("scenario", scenario)
+        .cell("entities", entities)
+        .cell("statements", stats.inserts)
+        .cell("declarative", stats.declarative_checks)
+        .cell("procedural", stats.procedural_checks)
+        .cell(
+            "ns_per_entity",
+            Cell::Num(elapsed_ns as f64 / entities as f64, 0),
+        )
 }
 
 /// B6: the same read-mostly operation stream executed against the
-/// unmerged and merged databases — the whole-workload view of the §1
-/// trade-off (reads get cheaper, writes bundle up).
-pub fn mixed_workload(courses: usize, n_ops: usize) -> Result<Vec<MixedRow>> {
+/// unmerged and merged databases at each scale — the whole-workload view
+/// of the §1 trade-off (reads get cheaper, writes bundle up).
+pub fn mixed_workload(scales: &[usize], n_ops: usize) -> Result<Report> {
     use relmerge_workload::{university_ops, MixSpec, UniversityOp};
 
-    let (u, m) = university_merge(courses, 21)?;
-    let mut rng = StdRng::seed_from_u64(77);
-    // Defaults: 20 departments, 200 faculty (persons 500 × 2/5).
-    let ops = university_ops(&MixSpec::default(), n_ops, courses, 20, 200, &mut rng);
-    let reads = ops
-        .iter()
-        .filter(|o| {
-            matches!(
-                o,
-                UniversityOp::CourseDetail { .. } | UniversityOp::ByFaculty { .. }
-            )
-        })
-        .count();
-    let writes = n_ops - reads;
     let mut rows = Vec::new();
+    for &courses in scales {
+        let (u, m) = university_merge(courses, 21)?;
+        let mut rng = StdRng::seed_from_u64(77);
+        // Defaults: 20 departments, 200 faculty (persons 500 × 2/5).
+        let ops = university_ops(&MixSpec::default(), n_ops, courses, 20, 200, &mut rng);
+        let reads = ops
+            .iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    UniversityOp::CourseDetail { .. } | UniversityOp::ByFaculty { .. }
+                )
+            })
+            .count();
+        let row = |scenario: &str, total_ns: u64| {
+            Row::new()
+                .cell("courses", courses)
+                .cell("scenario", scenario)
+                .cell("ops", n_ops)
+                .cell("reads", reads)
+                .cell("writes", n_ops - reads)
+                .cell("total_ns", total_ns)
+                .cell("ns_per_op", Cell::Num(total_ns as f64 / n_ops as f64, 0))
+        };
 
-    // Unmerged execution.
-    {
+        // Unmerged execution.
         let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
         db.load_state(&u.state)?;
         let t = obs::timer("bench.b6.run").field("scenario", "unmerged");
@@ -341,19 +317,10 @@ pub fn mixed_workload(courses: usize, n_ops: usize) -> Result<Vec<MixedRow>> {
                 }
             }
         }
-        let total_ns = t.stop() as f64;
-        rows.push(MixedRow {
-            scenario: "unmerged (4 relations)".to_owned(),
-            ops: n_ops,
-            reads,
-            writes,
-            total_ns,
-            ns_per_op: total_ns / n_ops as f64,
-        });
-    }
+        let unmerged_ns = t.stop();
+        rows.push(row("unmerged (4 relations)", unmerged_ns));
 
-    // Merged execution.
-    {
+        // Merged execution.
         let merged_state = m.apply(&u.state)?;
         let mut db = Database::new(m.schema().clone(), DbmsProfile::ideal())?;
         db.load_state(&merged_state)?;
@@ -385,43 +352,17 @@ pub fn mixed_workload(courses: usize, n_ops: usize) -> Result<Vec<MixedRow>> {
                 }
             }
         }
-        let total_ns = t.stop() as f64;
-        rows.push(MixedRow {
-            scenario: "merged (COURSE_M)".to_owned(),
-            ops: n_ops,
-            reads,
-            writes,
-            total_ns,
-            ns_per_op: total_ns / n_ops as f64,
-        });
+        let merged_ns = t.stop();
+        rows.push(row("merged (COURSE_M)", merged_ns).cell(
+            "merged_speedup",
+            Cell::Num(unmerged_ns as f64 / merged_ns as f64, 2),
+        ));
     }
-    Ok(rows)
-}
-
-/// One row of the B7 batched-DML table: the same write stream applied
-/// per-statement versus through [`Database::apply_batch`].
-#[derive(Debug, Clone)]
-pub struct BatchDmlRow {
-    /// Scenario label ("unmerged" / "merged").
-    pub scenario: String,
-    /// Write statements in the stream.
-    pub statements: usize,
-    /// Batches the stream was chunked into.
-    pub batches: usize,
-    /// Constraint checks, per-statement application.
-    pub eager_checks: u64,
-    /// Constraint checks, batched application.
-    pub batched_checks: u64,
-    /// Index probes, per-statement application.
-    pub eager_probes: u64,
-    /// Index probes, batched application.
-    pub batched_probes: u64,
-    /// Group validations that ran deferred at batch commit.
-    pub deferred_checks: u64,
-    /// Wall time of the per-statement run (ns).
-    pub eager_ns: f64,
-    /// Wall time of the batched run (ns).
-    pub batched_ns: f64,
+    let mut report =
+        Report::new("B6: mixed workload (80% point reads, 10% reverse reads, 10% DML)");
+    report.scale = format!("{scales:?} courses, {n_ops} operations");
+    report.tables.push(("rows", rows));
+    Ok(report)
 }
 
 /// Applies one statement through the immediate per-statement API — the
@@ -442,106 +383,98 @@ fn apply_single(db: &mut Database, stmt: &Statement) -> Result<()> {
 }
 
 /// B7: batched DML with deferred group validation versus per-statement
-/// application of the identical write stream. Both runs must end in the
-/// same [`relmerge_relational::DatabaseState`]; the batched run performs
-/// strictly fewer constraint checks and index probes because commit-time
-/// validation checks each constraint once over the touched rows of a
-/// relation instead of once per statement.
-pub fn batch_dml(courses: usize, n_ops: usize, batch_size: usize) -> Result<Vec<BatchDmlRow>> {
+/// application of the identical write stream, at each scale. Both runs
+/// must end in the same [`relmerge_relational::DatabaseState`]; the
+/// batched run performs strictly fewer constraint checks and index probes
+/// because commit-time validation checks each constraint once over the
+/// touched rows of a relation instead of once per statement.
+pub fn batch_dml(scales: &[usize], n_ops: usize, batch_size: usize) -> Result<Report> {
     use relmerge_workload::{university_ops, write_batches, MixSpec};
 
     let _span = obs::span("bench.b7.batch_dml")
         .field("ops", n_ops)
         .field("batch_size", batch_size);
-    let (u, m) = university_merge(courses, 21)?;
-    let mut rng = StdRng::seed_from_u64(77);
-    // A write-only mix: reads lower to no statements anyway.
-    let spec = MixSpec {
-        point_reads: 0.0,
-        reverse_reads: 0.0,
-        inserts: 0.7,
-        deletes: 0.3,
-    };
-    let ops = university_ops(&spec, n_ops, courses, 20, 200, &mut rng);
-    let merged_state = m.apply(&u.state)?;
-
     let mut rows = Vec::new();
-    for (scenario, merged) in [("unmerged (Figure 3)", false), ("merged (COURSE_M)", true)] {
-        let batches = write_batches(&ops, merged, batch_size);
-        let statements: usize = batches.iter().map(Vec::len).sum();
-        let build = || -> Result<Database> {
-            let mut db = if merged {
-                Database::new(m.schema().clone(), DbmsProfile::ideal())?
-            } else {
-                Database::new(u.schema.clone(), DbmsProfile::ideal())?
-            };
-            db.load_state(if merged { &merged_state } else { &u.state })?;
-            Ok(db)
+    for &courses in scales {
+        let (u, m) = university_merge(courses, 21)?;
+        let mut rng = StdRng::seed_from_u64(77);
+        // A write-only mix: reads lower to no statements anyway.
+        let spec = MixSpec {
+            point_reads: 0.0,
+            reverse_reads: 0.0,
+            inserts: 0.7,
+            deletes: 0.3,
         };
+        let ops = university_ops(&spec, n_ops, courses, 20, 200, &mut rng);
+        let merged_state = m.apply(&u.state)?;
 
-        // Per-statement baseline: every statement validated on its own.
-        let mut eager_db = build()?;
-        let _ = eager_db.take_stats(); // discard the load phase
-        let t = obs::timer("bench.b7.eager").field("scenario", scenario);
-        for stmt in batches.iter().flatten() {
-            apply_single(&mut eager_db, stmt)?;
+        for (scenario, merged) in [("unmerged (Figure 3)", false), ("merged (COURSE_M)", true)] {
+            let batches = write_batches(&ops, merged, batch_size);
+            let build = || -> Result<Database> {
+                let mut db = if merged {
+                    Database::new(m.schema().clone(), DbmsProfile::ideal())?
+                } else {
+                    Database::new(u.schema.clone(), DbmsProfile::ideal())?
+                };
+                db.load_state(if merged { &merged_state } else { &u.state })?;
+                Ok(db)
+            };
+
+            // Per-statement baseline: every statement validated on its own.
+            let mut eager_db = build()?;
+            let _ = eager_db.take_stats(); // discard the load phase
+            let t = obs::timer("bench.b7.eager").field("scenario", scenario);
+            for stmt in batches.iter().flatten() {
+                apply_single(&mut eager_db, stmt)?;
+            }
+            let eager_ns = t.stop();
+            let eager = eager_db.take_stats();
+
+            // Batched: all-or-nothing batches with deferred group validation.
+            let mut batched_db = build()?;
+            let _ = batched_db.take_stats();
+            let mut deferred_checks = 0u64;
+            let t = obs::timer("bench.b7.batched").field("scenario", scenario);
+            for batch in &batches {
+                deferred_checks += batched_db.apply_batch(batch)?.deferred_checks;
+            }
+            let batched_ns = t.stop();
+            let batched = batched_db.take_stats();
+
+            // The two application orders must be indistinguishable afterwards.
+            assert_eq!(
+                eager_db.snapshot()?,
+                batched_db.snapshot()?,
+                "batched and per-statement runs must converge on one state"
+            );
+
+            rows.push(
+                Row::new()
+                    .cell("courses", courses)
+                    .cell("scenario", scenario)
+                    .cell("statements", batches.iter().map(Vec::len).sum::<usize>())
+                    .cell("batches", batches.len())
+                    .cell("eager_checks", eager.total_checks())
+                    .cell("batched_checks", batched.total_checks())
+                    .cell("eager_probes", eager.index_probes)
+                    .cell("batched_probes", batched.index_probes)
+                    .cell("deferred_checks", deferred_checks)
+                    .cell("eager_ns", eager_ns)
+                    .cell("batched_ns", batched_ns)
+                    .cell("speedup", Cell::Num(eager_ns as f64 / batched_ns as f64, 2)),
+            );
         }
-        let eager_ns = t.stop() as f64;
-        let eager = eager_db.take_stats();
-
-        // Batched: all-or-nothing batches with deferred group validation.
-        let mut batched_db = build()?;
-        let _ = batched_db.take_stats();
-        let mut deferred_checks = 0u64;
-        let t = obs::timer("bench.b7.batched").field("scenario", scenario);
-        for batch in &batches {
-            deferred_checks += batched_db.apply_batch(batch)?.deferred_checks;
-        }
-        let batched_ns = t.stop() as f64;
-        let batched = batched_db.take_stats();
-
-        // The two application orders must be indistinguishable afterwards.
-        assert_eq!(
-            eager_db.snapshot()?,
-            batched_db.snapshot()?,
-            "batched and per-statement runs must converge on one state"
-        );
-
-        rows.push(BatchDmlRow {
-            scenario: scenario.to_owned(),
-            statements,
-            batches: batches.len(),
-            eager_checks: eager.total_checks(),
-            batched_checks: batched.total_checks(),
-            eager_probes: eager.index_probes,
-            batched_probes: batched.index_probes,
-            deferred_checks,
-            eager_ns,
-            batched_ns,
-        });
     }
-    Ok(rows)
-}
-
-/// One row of the B4 removal-effect table.
-#[derive(Debug, Clone)]
-pub struct RemoveRow {
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Merged relation arity before / after `Remove`.
-    pub arity: (usize, usize),
-    /// Stored values before / after.
-    pub values: (usize, usize),
-    /// Stored nulls before / after.
-    pub nulls: (usize, usize),
-    /// Null constraints on the merged scheme before / after.
-    pub constraints: (usize, usize),
+    let mut report = Report::new("B7: batched DML (deferred group validation) vs per-statement");
+    report.scale = format!("{scales:?} courses, {n_ops} writes in batches of {batch_size}");
+    report.tables.push(("rows", rows));
+    Ok(report)
 }
 
 /// B4: the effect of `Remove` on relation size and constraint count
 /// (paper §4.2: removing redundant attributes "simplifies the set of null
 /// constraints … as well as reduces the size of the relations").
-pub fn remove_effect(scales: &[usize]) -> Result<Vec<RemoveRow>> {
+pub fn remove_effect(scales: &[usize]) -> Result<Report> {
     let mut rows = Vec::new();
     for &courses in scales {
         let mut rng = StdRng::seed_from_u64(5);
@@ -559,28 +492,33 @@ pub fn remove_effect(scales: &[usize]) -> Result<Vec<RemoveRow>> {
         )?;
         let before_state = m.apply(&u.state)?;
         let before = before_state.relation("COURSE_M").expect("merged relation");
-        let before_arity = before.arity();
-        let before_values = before.value_count();
-        let before_nulls = before.null_count();
         let before_constraints = m.generated_null_constraints().len();
         m.remove_all_removable()?;
         let after_state = m.apply(&u.state)?;
         let after = after_state.relation("COURSE_M").expect("merged relation");
-        rows.push(RemoveRow {
-            courses,
-            arity: (before_arity, after.arity()),
-            values: (before_values, after.value_count()),
-            nulls: (before_nulls, after.null_count()),
-            constraints: (before_constraints, m.generated_null_constraints().len()),
-        });
+        rows.push(
+            Row::new()
+                .cell("courses", courses)
+                .cell("arity_before", before.arity())
+                .cell("arity_after", after.arity())
+                .cell("values_before", before.value_count())
+                .cell("values_after", after.value_count())
+                .cell("nulls_before", before.null_count())
+                .cell("nulls_after", after.null_count())
+                .cell("constraints_before", before_constraints)
+                .cell("constraints_after", m.generated_null_constraints().len()),
+        );
     }
-    Ok(rows)
+    let mut report = Report::new("B4: effect of Remove on the merged relation");
+    report.scale = format!("{scales:?} courses");
+    report.tables.push(("rows", rows));
+    Ok(report)
 }
 
 /// The B8 composite-key join: ASSIST ⋈ TEACH on `(C.NR, SSN)`. No index
 /// covers TEACH's composite `[T.C.NR, T.F.SSN]` (its key is `[T.C.NR]`
-/// alone), so the pre-optimiser executor degraded to a per-row scan of
-/// TEACH; the cost-based planner builds one transient hash table instead.
+/// alone), so the planner builds one transient hash table from a single
+/// scan of TEACH.
 /// The result is legitimately empty — faculty and student SSNs are
 /// disjoint — which keeps the query a pure measure of join work.
 #[must_use]
@@ -605,82 +543,24 @@ pub fn worker_sweep(cores: usize) -> Vec<usize> {
     sweep
 }
 
-/// One row of the B8 parallel-executor table.
-#[derive(Debug, Clone)]
-pub struct ParallelQueryRow {
-    /// Query label.
-    pub query: String,
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Worker threads used by the parallel run.
-    pub workers: usize,
-    /// Output rows of the query.
-    pub rows_out: u64,
-    /// Serial latency (ns) under the cost-based strategy (the `workers:
-    /// 1` row's `parallel_ns`, or a dedicated serial loop for the
-    /// composite query).
-    pub serial_ns: f64,
-    /// Latency (ns) of this row's run — median over the timing loop.
-    pub parallel_ns: f64,
-    /// Latency (ns) of the measured pre-optimiser baseline (forced
-    /// index-nested-loop, serial).
-    pub baseline_ns: f64,
-    /// End-to-end speedup of this row's run over the pre-optimiser serial
-    /// executor. For the chain query this is the median of per-pair
-    /// `baseline / treatment` ratios from an interleaved A/B loop (host
-    /// speed drifts by up to 2× between runs on shared machines, and
-    /// pairing cancels the drift); for the composite query it is
-    /// `baseline_ns / parallel_ns` (the margin is orders of magnitude, so
-    /// drift is irrelevant).
-    pub speedup: f64,
-    /// Output rows per second through the parallel executor.
-    pub rows_per_sec: f64,
-    /// Morsels the root input was split into.
-    pub morsels: u64,
-    /// Hash builds per execution.
-    pub hash_builds: u64,
-    /// `rows_scanned` per execution under the cost-based strategy.
-    pub rows_scanned: u64,
-    /// `index_probes` per execution under the cost-based strategy.
-    pub index_probes: u64,
-    /// `rows_scanned` of the pre-optimiser (forced index-nested-loop)
-    /// baseline.
-    pub baseline_scanned: u64,
-    /// `index_probes` of the pre-optimiser baseline.
-    pub baseline_probes: u64,
-}
-
-/// B8: morsel-parallel executor and cost-based hash joins versus the
-/// pre-optimiser serial index-nested-loop executor, on the unmerged
-/// university schema, swept over every [`worker_sweep`] worker count.
+/// B8: the morsel-parallel executor on the unmerged university schema,
+/// swept over every [`worker_sweep`] worker count at the cost-based
+/// strategy.
 ///
 /// Two queries are measured: the B1 chain scan (covering indexes exist,
-/// so INL and borrowed-build hash joins do near-identical work per row —
-/// the win there is parallelism) and [`composite_no_index_query`] (no
-/// covering index, so the forced-INL fallback scans the right relation
-/// per left row — quadratic — while the cost-based plan does one
-/// build-side scan). Both baselines are *measured* by forcing the
-/// index-nested-loop strategy (`hash_join_threshold = usize::MAX`,
-/// serial): the chain baseline inside an interleaved A/B loop per worker
-/// count (pairing cancels host-speed drift; the speedup is the median of
-/// per-pair ratios), the composite baseline as a single timed execution
-/// reused across worker counts (it is quadratic — seconds at full scale —
-/// and the ~100× margin swallows any drift). The measured composite
-/// baseline is asserted to scan exactly `|ASSIST| + |ASSIST| × |TEACH|`
-/// rows, pinning the quadratic shape.
-///
-/// Each row's `speedup` is *end-to-end* against the pre-optimiser serial
-/// executor — strategy change and parallel execution together — because
-/// on a single-core host (the common CI shape) pure thread-level speedup
-/// is unmeasurable and worker counts above 1 legitimately show thread
-/// overhead; on such hosts the chain rows honestly sit near 1.0× and the
-/// composite rows carry the measured win.
+/// so the joins borrow them as hash build sides) and
+/// [`composite_no_index_query`] (no covering index, so the join scans
+/// TEACH once to build a transient hash table). Each row's `speedup`
+/// compares its worker count with workers = 1: the median of per-pair
+/// `serial / parallel` ratios from an interleaved loop (host speed drifts
+/// by up to 2× between runs on shared machines, and pairing cancels the
+/// drift). On a single-core host the honest value is ≈ 1.0×.
 ///
 /// Every run is asserted byte-identical, with identical
 /// [`relmerge_engine::QueryStats`], to its serial counterpart. The build
-/// cache is disabled throughout — B8 measures strategy and workers;
+/// cache is disabled throughout — B8 measures workers;
 /// [`build_cache_speedup`] (B10) measures the cache.
-pub fn parallel_query(courses: usize, iters: u32) -> Result<Vec<ParallelQueryRow>> {
+pub fn parallel_query(courses: usize, iters: u32) -> Result<Report> {
     let _span = obs::span("bench.b8.parallel_query").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
@@ -690,8 +570,6 @@ pub fn parallel_query(courses: usize, iters: u32) -> Result<Vec<ParallelQueryRow
         },
         &mut rng,
     )?;
-    let assist_rows = u.state.relation("ASSIST").expect("assist relation").len() as u64;
-    let teach_rows = u.state.relation("TEACH").expect("teach relation").len() as u64;
     let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
     db.load_state(&u.state)?;
     let cores = db.parallelism();
@@ -706,51 +584,14 @@ pub fn parallel_query(courses: usize, iters: u32) -> Result<Vec<ParallelQueryRow
     ];
     let mut rows = Vec::new();
     for (label, plan) in queries {
-        let quadratic = plan.root == "ASSIST";
-        // Pre-optimiser baseline: forced index-nested-loop, serial. The
-        // quadratic composite baseline is timed once here and reused; the
-        // chain baseline is re-timed inside the paired loop below.
-        db.configure(db.config().hash_join_threshold(usize::MAX));
         db.configure(db.config().parallelism(1));
-        let _ = db.execute(&plan)?; // warm-up
-        let t0 = std::time::Instant::now();
-        let (baseline_rel, baseline_stats) = db.execute(&plan)?;
-        let mut baseline_ns = obs::elapsed_ns(t0) as f64;
-        let (baseline_scanned, baseline_probes) =
-            (baseline_stats.rows_scanned, baseline_stats.index_probes);
-        if quadratic {
-            assert_eq!(
-                baseline_scanned,
-                assist_rows + assist_rows * teach_rows,
-                "forced-INL composite baseline must scan |A| + |A|x|T| rows"
-            );
-        }
-
-        // Cost-based serial run.
-        db.configure(
-            db.config()
-                .hash_join_threshold(relmerge_engine::DEFAULT_HASH_JOIN_THRESHOLD),
-        );
         let (serial_rel, serial_stats) = db.execute(&plan)?; // warm-up
-        assert_eq!(
-            serial_rel, baseline_rel,
-            "hash-join plan must return the index-nested-loop result"
-        );
-        assert!(
-            serial_stats.index_probes <= baseline_probes
-                && serial_stats.rows_scanned <= baseline_scanned
-                && serial_stats.index_probes + serial_stats.rows_scanned
-                    < baseline_probes + baseline_scanned,
-            "cost-based plan must do strictly less access work: {serial_stats:?} \
-             vs baseline scanned={baseline_scanned} probes={baseline_probes}"
-        );
         let t = obs::timer("bench.b8.serial").field("query", label);
         for _ in 0..iters {
             let _ = db.execute(&plan)?;
         }
         let serial_ns = t.stop() as f64 / f64::from(iters);
 
-        // The sweep: same strategy at every worker count.
         for &workers in &worker_sweep(cores) {
             db.configure(db.config().parallelism(workers));
             let (par_rel, par_stats) = db.execute(&plan)?; // warm-up
@@ -762,139 +603,85 @@ pub fn parallel_query(courses: usize, iters: u32) -> Result<Vec<ParallelQueryRow
             let _t = obs::timer("bench.b8.parallel")
                 .field("query", label)
                 .field("workers", workers);
-            let (parallel_ns, speedup) = if quadratic {
-                // Baseline is seconds per execution; time the treatment
-                // alone and compare against the single baseline run.
-                let mut treat = Vec::with_capacity(iters as usize);
-                for _ in 0..iters {
-                    let t0 = std::time::Instant::now();
-                    let _ = db.execute(&plan)?;
-                    treat.push(obs::elapsed_ns(t0) as f64);
-                }
-                let t_ns = median(&mut treat);
-                (t_ns, baseline_ns / t_ns)
-            } else {
-                // Interleave baseline and treatment executions and take
-                // the median of per-pair ratios: host speed can drift 2×
-                // over seconds, and pairing cancels the drift.
-                let mut base = Vec::with_capacity(iters as usize);
-                let mut treat = Vec::with_capacity(iters as usize);
-                let mut ratios = Vec::with_capacity(iters as usize);
-                for _ in 0..iters {
-                    db.configure(db.config().hash_join_threshold(usize::MAX));
-                    db.configure(db.config().parallelism(1));
-                    let t0 = std::time::Instant::now();
-                    let _ = db.execute(&plan)?;
-                    let b_ns = obs::elapsed_ns(t0) as f64;
-                    db.configure(
-                        db.config()
-                            .hash_join_threshold(relmerge_engine::DEFAULT_HASH_JOIN_THRESHOLD),
-                    );
-                    db.configure(db.config().parallelism(workers));
-                    let t0 = std::time::Instant::now();
-                    let _ = db.execute(&plan)?;
-                    let t_ns = obs::elapsed_ns(t0) as f64;
-                    base.push(b_ns);
-                    treat.push(t_ns);
-                    ratios.push(b_ns / t_ns);
-                }
-                baseline_ns = median(&mut base);
-                (median(&mut treat), median(&mut ratios))
-            };
-
-            rows.push(ParallelQueryRow {
-                query: label.to_owned(),
-                courses,
-                workers,
-                rows_out: serial_rel.len() as u64,
-                serial_ns,
-                parallel_ns,
-                baseline_ns,
-                speedup,
-                rows_per_sec: serial_rel.len() as f64 * 1e9 / parallel_ns,
-                morsels: serial_stats.morsels,
-                hash_builds: serial_stats.hash_builds,
-                rows_scanned: serial_stats.rows_scanned,
-                index_probes: serial_stats.index_probes,
-                baseline_scanned,
-                baseline_probes,
-            });
+            let mut treat = Vec::with_capacity(iters as usize);
+            let mut ratios = Vec::with_capacity(iters as usize);
+            for _ in 0..iters {
+                db.configure(db.config().parallelism(1));
+                let s_ns = timed(&db, &plan)?;
+                db.configure(db.config().parallelism(workers));
+                let t_ns = timed(&db, &plan)?;
+                treat.push(t_ns);
+                ratios.push(s_ns / t_ns);
+            }
+            let parallel_ns = quantile(&mut treat, 0.5);
+            rows.push(
+                Row::new()
+                    .cell("query", label)
+                    .cell("courses", courses)
+                    .cell("workers", workers)
+                    .cell("rows_out", serial_rel.len())
+                    .cell("serial_ns", Cell::Num(serial_ns, 0))
+                    .cell("parallel_ns", Cell::Num(parallel_ns, 0))
+                    .cell("speedup", Cell::Num(quantile(&mut ratios, 0.5), 4))
+                    .cell(
+                        "rows_per_sec",
+                        Cell::Num(serial_rel.len() as f64 * 1e9 / parallel_ns, 0),
+                    )
+                    .cell("morsels", serial_stats.morsels)
+                    .cell("hash_builds", serial_stats.hash_builds)
+                    .cell("rows_scanned", serial_stats.rows_scanned)
+                    .cell("index_probes", serial_stats.index_probes),
+            );
         }
-        db.configure(db.config().parallelism(1));
     }
-    Ok(rows)
+    let mut report = Report::new("B8: morsel-parallel executor, each worker count vs workers = 1");
+    report.scale = format!("{courses} courses, {iters} timed runs");
+    report.tables.push(("b8", rows));
+    Ok(report)
 }
 
-/// The median of `xs` (sorts in place; mean of the middle two for even
-/// lengths). Benchmarks on shared hosts see multi-× interference spikes;
-/// the median discards them where a mean would absorb them.
-fn median(xs: &mut [f64]) -> f64 {
-    assert!(!xs.is_empty(), "median of an empty sample");
-    xs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
+/// Wall time (ns) of one execution of `plan`.
+fn timed(db: &Database, plan: &QueryPlan) -> Result<f64> {
+    let t0 = std::time::Instant::now();
+    let _ = db.execute(plan)?;
+    Ok(obs::elapsed_ns(t0) as f64)
+}
+
+/// The `q`-quantile of `xs`, interpolating between the closest ranks
+/// (sorts in place; 0 for an empty sample), so `q = 0.5` is the median.
+/// Benchmarks on shared hosts see multi-× interference spikes; the median
+/// discards them where a mean would absorb them.
+fn quantile(xs: &mut [f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
     }
+    xs.sort_by(f64::total_cmp);
+    let pos = (xs.len() - 1) as f64 * q;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
 }
 
-/// One row of the B15 predicate-pushdown table.
-#[derive(Debug, Clone)]
-pub struct PushdownRow {
-    /// Query label.
-    pub query: String,
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Output rows (identical with pushdown on and off).
-    pub rows_out: u64,
-    /// `rows_scanned` per execution with pushdown off.
-    pub off_scanned: u64,
-    /// `rows_scanned` per execution with pushdown on.
-    pub on_scanned: u64,
-    /// `index_probes` with pushdown off.
-    pub off_probes: u64,
-    /// `index_probes` with pushdown on.
-    pub on_probes: u64,
-    /// Scan-reduction factor: `off_scanned / max(on_scanned, 1)`.
-    pub scan_reduction: f64,
-    /// Median latency (ns) with pushdown off.
-    pub off_ns: f64,
-    /// Median latency (ns) with pushdown on.
-    pub on_ns: f64,
-    /// Median of per-pair `off / on` latency ratios (interleaved loop).
-    pub speedup: f64,
-    /// Conjuncts placed below the residual filter per execution.
-    pub pushed_conjuncts: u64,
-    /// Rows pruned below the residual filter per execution.
-    pub pruned_rows: u64,
-}
-
-/// B15: optimizer-driven predicate pushdown versus the legacy
-/// evaluate-at-the-top filter, on the unmerged university schema.
+/// B15: optimizer-driven predicate pushdown versus the unoptimized
+/// evaluate-at-the-top filter, on the unmerged university schema at the
+/// default join strategy.
 ///
 /// Two queries are measured. The *selective chain* scans COURSE,
 /// inner-joins TEACH (where the pushed `Eq(T.F.SSN, ssn)` keeps roughly
 /// one faculty member's courses out of ~200), then inner-joins ASSIST on
-/// the composite non-indexed `[T.C.NR, T.F.SSN]` — under the forced
-/// index-nested-loop strategy that last step scans ASSIST once per
-/// surviving left row, so evaluating the conjunct at the TEACH probe
-/// instead of at the top shrinks the quadratic term by the predicate's
-/// selectivity. Like B8's composite query the result is legitimately
-/// empty (faculty and student SSNs are disjoint), keeping the query a
-/// pure measure of filter placement. The *root Eq upgrade* filters a
-/// two-relation outer chain on the root key; the optimizer converts the
-/// full scan into an index point lookup, so `rows_scanned` drops to
-/// zero.
+/// the composite non-indexed `[T.C.NR, T.F.SSN]`. Both settings scan the
+/// same rows — the root and one ASSIST build — so the pushdown's effect is
+/// the stream entering the ASSIST join, which must shrink at least 10×.
+/// Like B8's composite query the result is legitimately empty (faculty
+/// and student SSNs are disjoint), keeping the query a pure measure of
+/// filter placement. The *root Eq upgrade* filters a two-relation outer
+/// chain on the root key; the optimizer converts the full scan into an
+/// index point lookup, so `rows_scanned` drops to zero.
 ///
-/// Both settings are asserted byte-identical per query; the chain must
-/// show a >= 10x scan reduction and the root upgrade must scan zero
-/// rows. Latency pairs are interleaved off/on with the median-of-ratios
-/// estimator (B8's drift-cancelling idiom). The build cache is disabled
-/// so every execution pays its own access work, and the chain pins the
-/// join strategy so the delta is filter placement alone, not a strategy
-/// flip.
-pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Vec<PushdownRow>> {
+/// Both settings are asserted byte-identical per query. Latency pairs are
+/// interleaved off/on with the median-of-ratios estimator (B8's
+/// drift-cancelling idiom). The build cache is disabled so every
+/// execution pays its own access work.
+pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
     let _span = obs::span("bench.b15.predicate_pushdown").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
@@ -927,36 +714,38 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Vec<PushdownRow>
         ("selective chain (Eq pushed to TEACH)", &chain, true),
         ("root Eq upgrade (scan -> lookup)", &root_eq, false),
     ];
+    let mut report = Report::new("B15: predicate pushdown (evaluate filters where the data lives)");
     let mut rows = Vec::new();
-    for (label, plan, forced_inl) in queries {
-        let threshold = if forced_inl {
-            usize::MAX
-        } else {
-            relmerge_engine::DEFAULT_HASH_JOIN_THRESHOLD
-        };
-        db.configure(db.config().hash_join_threshold(threshold));
-
+    for (label, plan, is_chain) in queries {
         db.configure(db.config().predicate_pushdown(false));
-        let (off_rel, off_stats) = db.execute(plan)?;
+        let (off_rel, off_stats, off_trace) = db.execute_traced(plan)?;
         db.configure(db.config().predicate_pushdown(true));
         let before = db.metrics_registry().snapshot();
-        let (on_rel, on_stats) = db.execute(plan)?;
+        let (on_rel, on_stats, on_trace) = db.execute_traced(plan)?;
         let after = db.metrics_registry().snapshot();
         assert_eq!(
             on_rel, off_rel,
             "pushdown must not change the result ({label})"
         );
-        let pushed_conjuncts = after.counters["engine.query.pushed_conjuncts"]
-            - before.counters["engine.query.pushed_conjuncts"];
-        let pruned_rows = after.counters["engine.query.pushdown_pruned_rows"]
-            - before.counters["engine.query.pushdown_pruned_rows"];
-        if forced_inl {
+        let counter = |name: &str| after.counters[name] - before.counters[name];
+        if is_chain {
+            let assist_rows_in = |trace: &relmerge_engine::QueryTrace| {
+                trace
+                    .ops
+                    .iter()
+                    .find(|op| op.label.contains(" ASSIST ON "))
+                    .expect("the chain joins ASSIST")
+                    .stats
+                    .rows_in
+            };
+            let (off_in, on_in) = (assist_rows_in(&off_trace), assist_rows_in(&on_trace));
             assert!(
-                on_stats.rows_scanned * 10 <= off_stats.rows_scanned,
-                "pushdown must cut the chain's scans >= 10x: on={} off={}",
-                on_stats.rows_scanned,
-                off_stats.rows_scanned
+                on_in * 10 <= off_in,
+                "pushdown must cut the rows entering the ASSIST join >= 10x: on={on_in} off={off_in}"
             );
+            report.text.push(format!(
+                "rows entering the ASSIST join: {off_in} -> {on_in}"
+            ));
         } else {
             assert_eq!(
                 on_stats.rows_scanned, 0,
@@ -964,7 +753,7 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Vec<PushdownRow>
             );
             assert!(
                 off_stats.rows_scanned >= courses as u64,
-                "the legacy path must pay the full root scan"
+                "the unoptimized path must pay the full root scan"
             );
         }
 
@@ -975,69 +764,39 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Vec<PushdownRow>
         let mut ratios = Vec::with_capacity(iters as usize);
         for _ in 0..iters {
             db.configure(db.config().predicate_pushdown(false));
-            let t0 = std::time::Instant::now();
-            let _ = db.execute(plan)?;
-            let off_ns = obs::elapsed_ns(t0) as f64;
+            let off_ns = timed(&db, plan)?;
             db.configure(db.config().predicate_pushdown(true));
-            let t0 = std::time::Instant::now();
-            let _ = db.execute(plan)?;
-            let on_ns = obs::elapsed_ns(t0) as f64;
+            let on_ns = timed(&db, plan)?;
             offs.push(off_ns);
             ons.push(on_ns);
             ratios.push(off_ns / on_ns);
         }
-        rows.push(PushdownRow {
-            query: label.to_owned(),
-            courses,
-            rows_out: on_rel.len() as u64,
-            off_scanned: off_stats.rows_scanned,
-            on_scanned: on_stats.rows_scanned,
-            off_probes: off_stats.index_probes,
-            on_probes: on_stats.index_probes,
-            scan_reduction: off_stats.rows_scanned as f64 / on_stats.rows_scanned.max(1) as f64,
-            off_ns: median(&mut offs),
-            on_ns: median(&mut ons),
-            speedup: median(&mut ratios),
-            pushed_conjuncts,
-            pruned_rows,
-        });
+        rows.push(
+            Row::new()
+                .cell("query", label)
+                .cell("courses", courses)
+                .cell("rows_out", on_rel.len())
+                .cell("off_scanned", off_stats.rows_scanned)
+                .cell("on_scanned", on_stats.rows_scanned)
+                .cell("off_probes", off_stats.index_probes)
+                .cell("on_probes", on_stats.index_probes)
+                .cell(
+                    "scan_reduction",
+                    Cell::Num(
+                        off_stats.rows_scanned as f64 / on_stats.rows_scanned.max(1) as f64,
+                        2,
+                    ),
+                )
+                .cell("off_ns", Cell::Num(quantile(&mut offs, 0.5), 0))
+                .cell("on_ns", Cell::Num(quantile(&mut ons, 0.5), 0))
+                .cell("speedup", Cell::Num(quantile(&mut ratios, 0.5), 4))
+                .cell("pushed_conjuncts", counter("engine.query.pushed_conjuncts"))
+                .cell("pruned_rows", counter("engine.query.pushdown_pruned_rows")),
+        );
     }
-    db.configure(
-        db.config()
-            .hash_join_threshold(relmerge_engine::DEFAULT_HASH_JOIN_THRESHOLD),
-    );
-    Ok(rows)
-}
-
-/// One row of the B10 build-cache table.
-#[derive(Debug, Clone)]
-pub struct BuildCacheRow {
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Output rows of the query.
-    pub rows_out: u64,
-    /// Mean cold latency (ns): the cache is cleared before every
-    /// execution, so each one pays the full hash build.
-    pub cold_ns: f64,
-    /// Mean warm latency (ns): every execution reuses the cached build.
-    pub warm_ns: f64,
-    /// The headline number: serial cold baseline over this row's warm
-    /// run, `cold_ns(workers = 1) / warm_ns`.
-    pub speedup: f64,
-    /// Cache hits during the warm timing loop.
-    pub cache_hits: u64,
-    /// Cache misses during the cold timing loop (one per execution).
-    pub cache_misses: u64,
-    /// Bytes the cached build occupies.
-    pub build_bytes: u64,
-    /// Partitioned multi-worker builds during the cold loop (0 means the
-    /// planner kept every build serial at this scale).
-    pub parallel_builds: u64,
-    /// Probe-key `Tuple` allocations avoided per execution by the
-    /// borrowed-slice lookups.
-    pub saved_allocs: u64,
+    report.scale = format!("{courses} courses, {iters} timed pairs");
+    report.tables.push(("b15", rows));
+    Ok(report)
 }
 
 /// B10: the versioned build-side cache on the build-heavy composite join,
@@ -1055,7 +814,7 @@ pub struct BuildCacheRow {
 /// Every run — cold or warm, at any worker count — is asserted
 /// byte-identical, with identical [`relmerge_engine::QueryStats`], to a
 /// cache-off serial reference.
-pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Vec<BuildCacheRow>> {
+pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
     let _span = obs::span("bench.b10.build_cache").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
@@ -1126,163 +885,26 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Vec<BuildCacheR
         let warm_ns = t.stop() as f64 / f64::from(iters);
         let cache_hits = hits.get() - h0;
         assert!(cache_hits >= 1, "the warm loop must hit the cache");
-        let saved_allocs = (saved.get() - s0) / u64::from(iters.max(1));
 
-        rows.push(BuildCacheRow {
-            courses,
-            workers,
-            rows_out: reference.len() as u64,
-            cold_ns,
-            warm_ns,
-            speedup: serial_cold_ns / warm_ns,
-            cache_hits,
-            cache_misses,
-            build_bytes,
-            parallel_builds,
-            saved_allocs,
-        });
-    }
-    Ok(rows)
-}
-
-/// Writes the B8, B10, and B15 rows as machine-readable JSON (the
-/// `BENCH_query.json` artifact consumed by CI and by result-comparison
-/// tooling). Any section may be empty when only some experiments ran.
-pub fn write_parallel_query_json(
-    path: &std::path::Path,
-    b8: &[ParallelQueryRow],
-    b10: &[BuildCacheRow],
-    b15: &[PushdownRow],
-) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"experiment\":\"B8+B10+B15\",\"b8\":[");
-    for (i, r) in b8.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"query\":\"{}\",\"courses\":{},\"workers\":{},\"rows_out\":{},\
-             \"serial_ns\":{:.0},\"parallel_ns\":{:.0},\"baseline_ns\":{:.0},\
-             \"speedup\":{:.4},\
-             \"rows_per_sec\":{:.0},\"morsels\":{},\"hash_builds\":{},\
-             \"rows_scanned\":{},\"index_probes\":{},\
-             \"baseline_scanned\":{},\"baseline_probes\":{}}}",
-            obs::json_escape(&r.query),
-            r.courses,
-            r.workers,
-            r.rows_out,
-            r.serial_ns,
-            r.parallel_ns,
-            r.baseline_ns,
-            r.speedup,
-            r.rows_per_sec,
-            r.morsels,
-            r.hash_builds,
-            r.rows_scanned,
-            r.index_probes,
-            r.baseline_scanned,
-            r.baseline_probes,
+        rows.push(
+            Row::new()
+                .cell("courses", courses)
+                .cell("workers", workers)
+                .cell("rows_out", reference.len())
+                .cell("cold_ns", Cell::Num(cold_ns, 0))
+                .cell("warm_ns", Cell::Num(warm_ns, 0))
+                .cell("speedup", Cell::Num(serial_cold_ns / warm_ns, 4))
+                .cell("cache_hits", cache_hits)
+                .cell("cache_misses", cache_misses)
+                .cell("build_bytes", build_bytes)
+                .cell("parallel_builds", parallel_builds)
+                .cell("saved_allocs", (saved.get() - s0) / u64::from(iters.max(1))),
         );
     }
-    out.push_str("],\"b10\":[");
-    for (i, r) in b10.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"courses\":{},\"workers\":{},\"rows_out\":{},\
-             \"cold_ns\":{:.0},\"warm_ns\":{:.0},\"speedup\":{:.4},\
-             \"cache_hits\":{},\"cache_misses\":{},\"build_bytes\":{},\
-             \"parallel_builds\":{},\"saved_allocs\":{}}}",
-            r.courses,
-            r.workers,
-            r.rows_out,
-            r.cold_ns,
-            r.warm_ns,
-            r.speedup,
-            r.cache_hits,
-            r.cache_misses,
-            r.build_bytes,
-            r.parallel_builds,
-            r.saved_allocs,
-        );
-    }
-    out.push_str("],\"b15\":[");
-    for (i, r) in b15.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"query\":\"{}\",\"courses\":{},\"rows_out\":{},\
-             \"off_scanned\":{},\"on_scanned\":{},\
-             \"off_probes\":{},\"on_probes\":{},\
-             \"scan_reduction\":{:.2},\
-             \"off_ns\":{:.0},\"on_ns\":{:.0},\"speedup\":{:.4},\
-             \"pushed_conjuncts\":{},\"pruned_rows\":{}}}",
-            obs::json_escape(&r.query),
-            r.courses,
-            r.rows_out,
-            r.off_scanned,
-            r.on_scanned,
-            r.off_probes,
-            r.on_probes,
-            r.scan_reduction,
-            r.off_ns,
-            r.on_ns,
-            r.speedup,
-            r.pushed_conjuncts,
-            r.pruned_rows,
-        );
-    }
-    out.push_str("]}\n");
-    std::fs::write(path, out)
-}
-
-/// One row of the B14 hot-join ranking table.
-#[derive(Debug, Clone)]
-pub struct HotJoinRow {
-    /// 1-based rank by cumulative cost.
-    pub rank: usize,
-    /// The edge label, `LEFT->RIGHT[attrs]`.
-    pub edge: String,
-    /// The ranking key: index probes + rows scanned on the edge.
-    pub cumulative_cost: u64,
-    /// Index probes spent on the edge.
-    pub index_probes: u64,
-    /// Rows scanned on the edge.
-    pub rows_scanned: u64,
-    /// Executions that exercised the edge.
-    pub executions: u64,
-    /// Intermediate bytes the edge materialized.
-    pub intermediate_bytes: u64,
-}
-
-/// The B14 result: workload-wide profiler aggregates plus the top-k
-/// hot-join ranking.
-#[derive(Debug, Clone)]
-pub struct WorkloadProfileSummary {
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Operations executed.
-    pub ops: usize,
-    /// Distinct query fingerprints observed (the skewed read mix has
-    /// exactly two shapes, whatever the key skew).
-    pub fingerprints: usize,
-    /// Executions folded into the profiler.
-    pub executions: u64,
-    /// Workload-wide index probes (profiler == manual per-query sum).
-    pub index_probes: u64,
-    /// Workload-wide rows scanned.
-    pub rows_scanned: u64,
-    /// Workload-wide intermediate bytes.
-    pub intermediate_bytes: u64,
-    /// Workload-wide peak per-operator intermediate bytes.
-    pub peak_intermediate_bytes: u64,
-    /// The top-k hot joins, ranked by cumulative cost.
-    pub hot_joins: Vec<HotJoinRow>,
+    let mut report = Report::new("B10: versioned build-side cache (cold rebuild vs warm hit)");
+    report.scale = format!("{courses} courses, {iters} timed runs");
+    report.tables.push(("b10", rows));
+    Ok(report)
 }
 
 /// One B14 run: load the unmerged university instance, execute the
@@ -1329,12 +951,9 @@ fn profile_run(
 ///   per-operation split.
 /// * **Determinism** — a second run over the same operation stream on a
 ///   fresh database yields a byte-identical hot-join report (wall time is
-///   excluded from the report by construction).
-pub fn workload_profile(
-    courses: usize,
-    n_ops: usize,
-    top_k: usize,
-) -> Result<WorkloadProfileSummary> {
+///   excluded from the report by construction), ranked by cumulative
+///   cost.
+pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Report> {
     use relmerge_workload::{skewed_reads, SkewSpec, UniversityOp};
 
     let _span = obs::span("bench.b14.workload_profile").field("courses", courses);
@@ -1394,107 +1013,118 @@ pub fn workload_profile(
         "hot-join report must be deterministic"
     );
 
-    let hot_joins: Vec<HotJoinRow> = ranking
-        .iter()
-        .take(top_k)
-        .enumerate()
-        .map(|(i, h)| HotJoinRow {
-            rank: i + 1,
-            edge: h.edge.label(),
-            cumulative_cost: h.cumulative_cost,
-            index_probes: h.index_probes,
-            rows_scanned: h.rows_scanned,
-            executions: h.executions,
-            intermediate_bytes: h.intermediate_bytes,
-        })
-        .collect();
-    assert!(!hot_joins.is_empty(), "the read mix exercises joins");
+    let hot = &ranking[..ranking.len().min(top_k)];
+    assert!(!hot.is_empty(), "the read mix exercises joins");
     assert!(
-        hot_joins.iter().any(|h| h.intermediate_bytes > 0),
+        hot.iter().any(|h| h.intermediate_bytes > 0),
         "allocation tracking must attribute bytes to hot edges"
     );
-
-    Ok(WorkloadProfileSummary {
-        courses,
-        ops: n_ops,
-        fingerprints: snap.queries.len(),
-        executions: snap.executions(),
-        index_probes: sum(|t| t.index_probes),
-        rows_scanned: sum(|t| t.rows_scanned),
-        intermediate_bytes: sum(|t| t.intermediate_bytes),
-        peak_intermediate_bytes: manual.peak_intermediate_bytes,
-        hot_joins,
-    })
-}
-
-/// Writes the B14 summary as machine-readable JSON (the
-/// `BENCH_profile.json` artifact).
-pub fn write_profile_json(
-    path: &std::path::Path,
-    summary: &WorkloadProfileSummary,
-) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"B14\",\"courses\":{},\"ops\":{},\"fingerprints\":{},\
-         \"executions\":{},\"index_probes\":{},\"rows_scanned\":{},\
-         \"intermediate_bytes\":{},\"peak_intermediate_bytes\":{},\"hot_joins\":[",
-        summary.courses,
-        summary.ops,
-        summary.fingerprints,
-        summary.executions,
-        summary.index_probes,
-        summary.rows_scanned,
-        summary.intermediate_bytes,
-        summary.peak_intermediate_bytes,
+    assert!(
+        hot.windows(2)
+            .all(|w| w[0].cumulative_cost >= w[1].cumulative_cost),
+        "ranking must be sorted by cumulative cost"
     );
-    for (i, h) in summary.hot_joins.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rank\":{},\"edge\":\"{}\",\"cumulative_cost\":{},\
-             \"index_probes\":{},\"rows_scanned\":{},\"executions\":{},\
-             \"intermediate_bytes\":{}}}",
-            h.rank,
-            obs::json_escape(&h.edge),
-            h.cumulative_cost,
-            h.index_probes,
-            h.rows_scanned,
-            h.executions,
-            h.intermediate_bytes,
-        );
-    }
-    out.push_str("]}\n");
-    std::fs::write(path, out)
+    let hot_joins = hot
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            Row::new()
+                .cell("rank", i + 1)
+                .cell("edge", h.edge.label())
+                .cell("cumulative_cost", h.cumulative_cost)
+                .cell("index_probes", h.index_probes)
+                .cell("rows_scanned", h.rows_scanned)
+                .cell("executions", h.executions)
+                .cell("intermediate_bytes", h.intermediate_bytes)
+        })
+        .collect();
+
+    let mut report = Report::new("B14: workload profiler (skewed read mix, hot-join ranking)");
+    report.scale = format!("{courses} courses, {n_ops} skewed reads");
+    report.fields = Row::new()
+        .cell("courses", courses)
+        .cell("ops", n_ops)
+        .cell("fingerprints", snap.queries.len())
+        .cell("executions", snap.executions())
+        .cell("index_probes", sum(|t| t.index_probes))
+        .cell("rows_scanned", sum(|t| t.rows_scanned))
+        .cell("intermediate_bytes", sum(|t| t.intermediate_bytes))
+        .cell("peak_intermediate_bytes", manual.peak_intermediate_bytes);
+    report.tables.push(("hot_joins", hot_joins));
+    Ok(report)
 }
 
-/// One row of the B9 fault-torture matrix: all cells for one
+/// One row of a fault-torture matrix (B9, B11, B13): all cells for one
 /// `(injection site, fault mode)` pair, aggregated.
 #[derive(Debug, Clone)]
-pub struct TortureRow {
+struct TortureRow {
     /// Injection site name (see `relmerge_engine::fault::site`).
-    pub site: String,
-    /// Fault mode label (`"error"` or `"panic"`).
-    pub mode: String,
+    site: &'static str,
+    /// Fault mode.
+    mode: relmerge_engine::FaultMode,
     /// Matrix cells run for this pair (one per arrival index).
-    pub cells: u64,
+    cells: u64,
     /// Cells whose fault actually fired.
-    pub injections: u64,
+    injections: u64,
     /// Fired cells that surfaced a typed injected/panic error (never a
-    /// process abort). For the contained pushdown site
-    /// (`engine.query.pushdown`) this instead counts fired cells that
-    /// *succeeded* via the verified byte-identical fallback — the
-    /// site's acceptance criterion is containment, not a surfaced error.
-    pub typed_errors: u64,
+    /// process abort). For a contained site (`engine.query.pushdown`,
+    /// `engine.snapshot.write`) this instead counts fired cells whose
+    /// containment was verified — the site's acceptance criterion is
+    /// containment, not a surfaced error.
+    typed_errors: u64,
     /// Fired cells whose post-abort [`Database::verify_integrity`] report
     /// was clean.
-    pub clean_reports: u64,
-    /// Fired cells whose post-abort state byte-equalled the pre-batch
+    clean_reports: u64,
+    /// Fired cells whose post-abort state byte-equalled the pre-fault
     /// snapshot.
-    pub snapshot_matches: u64,
-    /// Cells whose arm never fired (the batch must then commit).
-    pub no_fire: u64,
+    snapshot_matches: u64,
+    /// Cells whose arm never fired (the operation must then succeed).
+    no_fire: u64,
+}
+
+impl TortureRow {
+    fn new(site: &'static str, mode: relmerge_engine::FaultMode) -> TortureRow {
+        TortureRow {
+            site,
+            mode,
+            cells: 0,
+            injections: 0,
+            typed_errors: 0,
+            clean_reports: 0,
+            snapshot_matches: 0,
+            no_fire: 0,
+        }
+    }
+
+    /// Every cell fired, surfaced typed (or was contained), verified
+    /// clean and rolled back byte-identically.
+    fn recovered(&self) -> bool {
+        self.no_fire == 0
+            && self.injections == self.cells
+            && self.typed_errors == self.injections
+            && self.clean_reports == self.injections
+            && self.snapshot_matches == self.injections
+    }
+
+    fn row(&self) -> Row {
+        Row::new()
+            .cell("site", self.site)
+            .cell("mode", self.mode.label())
+            .cell("cells", self.cells)
+            .cell("injections", self.injections)
+            .cell("typed_errors", self.typed_errors)
+            .cell("clean_reports", self.clean_reports)
+            .cell("snapshot_matches", self.snapshot_matches)
+            .cell("no_fire", self.no_fire)
+    }
+}
+
+/// A fault matrix as a report table, asserting that every row recovered.
+fn torture_table(rows: &[TortureRow]) -> Vec<Row> {
+    for r in rows {
+        assert!(r.recovered(), "every torture cell must recover: {r:?}");
+    }
+    rows.iter().map(TortureRow::row).collect()
 }
 
 /// B9: the fault-torture matrix. One merged-schema write batch is applied
@@ -1514,7 +1144,7 @@ pub struct TortureRow {
 /// Callers that arm panic-mode cells outside the test harness should
 /// install a quiet panic hook around the call — the injected panics are
 /// caught and converted, but the default hook still prints each one.
-pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Vec<TortureRow>> {
+pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Report> {
     use relmerge_engine::fault::site;
     use relmerge_engine::{FaultMode, FaultPlan};
     use relmerge_workload::{university_ops, write_batches, MixSpec};
@@ -1559,16 +1189,7 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Vec
     let mut rows = Vec::new();
     for mode in [FaultMode::Error, FaultMode::Panic] {
         for &(s, hits) in &arrivals {
-            let mut row = TortureRow {
-                site: s.to_owned(),
-                mode: mode.label().to_owned(),
-                cells: 0,
-                injections: 0,
-                typed_errors: 0,
-                clean_reports: 0,
-                snapshot_matches: 0,
-                no_fire: 0,
-            };
+            let mut row = TortureRow::new(s, mode);
             for nth in 0..hits {
                 row.cells += 1;
                 let mut db = build()?;
@@ -1633,16 +1254,7 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Vec
 
     for mode in [FaultMode::Error, FaultMode::Panic] {
         for &(s, hits) in &q_arrivals {
-            let mut row = TortureRow {
-                site: s.to_owned(),
-                mode: mode.label().to_owned(),
-                cells: 0,
-                injections: 0,
-                typed_errors: 0,
-                clean_reports: 0,
-                snapshot_matches: 0,
-                no_fire: 0,
-            };
+            let mut row = TortureRow::new(s, mode);
             for nth in 0..hits {
                 row.cells += 1;
                 let mut db = qbuild()?;
@@ -1699,16 +1311,7 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Vec
     let p_hits = probe.hits(site::PUSHDOWN);
 
     for mode in [FaultMode::Error, FaultMode::Panic] {
-        let mut row = TortureRow {
-            site: site::PUSHDOWN.to_owned(),
-            mode: mode.label().to_owned(),
-            cells: 0,
-            injections: 0,
-            typed_errors: 0,
-            clean_reports: 0,
-            snapshot_matches: 0,
-            no_fire: 0,
-        };
+        let mut row = TortureRow::new(site::PUSHDOWN, mode);
         for nth in 0..p_hits {
             row.cells += 1;
             let mut db = pbuild()?;
@@ -1763,16 +1366,7 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Vec
 
     for mode in [FaultMode::Error, FaultMode::Panic] {
         for &(s, hits) in &s_arrivals {
-            let mut row = TortureRow {
-                site: s.to_owned(),
-                mode: mode.label().to_owned(),
-                cells: 0,
-                injections: 0,
-                typed_errors: 0,
-                clean_reports: 0,
-                snapshot_matches: 0,
-                no_fire: 0,
-            };
+            let mut row = TortureRow::new(s, mode);
             for nth in 0..hits {
                 row.cells += 1;
                 let store = sbuild()?;
@@ -1829,63 +1423,10 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Vec
             rows.push(row);
         }
     }
-    Ok(rows)
-}
-
-/// The B13 online-merge ledger: one workload-driven live migration,
-/// before/after workload cost, capacity oracles, the migration fault
-/// matrix, and the post-merge worker sweep.
-#[derive(Debug, Clone)]
-pub struct OnlineMergeSummary {
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Read operations in the replayed stream (each executed twice:
-    /// unmerged phase A, merged phase B).
-    pub ops: usize,
-    /// Members of the advisor's chosen merge set (key relation first).
-    pub members: Vec<String>,
-    /// Name of the merged relation the live database now hosts.
-    pub merged_name: String,
-    /// Profiler-observed probe+scan cost the chosen merge eliminates.
-    pub observed_cost: u64,
-    /// Rows rewritten into the merged schema by the migration.
-    pub rows_migrated: usize,
-    /// Statement chunks the migration applied.
-    pub chunks_applied: usize,
-    /// Workload index probes before the migration.
-    pub pre_probes: u64,
-    /// Workload index probes after the migration (strictly smaller).
-    pub post_probes: u64,
-    /// Workload rows scanned before the migration.
-    pub pre_rows_scanned: u64,
-    /// Workload rows scanned after the migration.
-    pub post_rows_scanned: u64,
-    /// Median per-operation latency before the migration (µs).
-    pub pre_median_us: f64,
-    /// Median per-operation latency after the migration (µs).
-    pub post_median_us: f64,
-    /// Proposition 4.1 verdict on the pre-migration state.
-    pub capacity_4_1: bool,
-    /// Propositions 4.1 + 4.2 (`check_both`) verdict across the migration.
-    pub capacity_both: bool,
-    /// The migration fault matrix (same shape as B9's rows).
-    pub torture: Vec<TortureRow>,
-    /// Worker counts of the byte-identical post-merge sweep.
-    pub workers: Vec<usize>,
-}
-
-/// Median of a latency sample, in place.
-fn median_us(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
+    let mut report = Report::new("B9: fault-torture matrix (typed abort + integrity + rollback)");
+    report.scale = format!("{courses} courses, batch of {batch_size} statements");
+    report.tables.push(("torture", torture_table(&rows)));
+    Ok(report)
 }
 
 /// B13: the online merge advisor end to end — run a Zipf-skewed read mix
@@ -1905,7 +1446,7 @@ fn median_us(samples: &mut [f64]) -> f64 {
 ///   panic mode, aborts with a typed error, verifies clean, and rolls the
 ///   state back byte-identical to the pre-migration snapshot;
 /// * the post-merge replay is byte-identical at every worker count.
-pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<OnlineMergeSummary> {
+pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     use relmerge_core::{check_both, check_proposition_4_1, Advisor, AdvisorConfig};
     use relmerge_engine::fault::site;
     use relmerge_engine::{FaultMode, FaultPlan};
@@ -2051,16 +1592,7 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<OnlineMer
     for mode in [FaultMode::Error, FaultMode::Panic] {
         for &(s, hits) in &arrivals {
             assert!(hits > 0, "site {s} must arrive during a real migration");
-            let mut row = TortureRow {
-                site: s.to_owned(),
-                mode: mode.label().to_owned(),
-                cells: 0,
-                injections: 0,
-                typed_errors: 0,
-                clean_reports: 0,
-                snapshot_matches: 0,
-                no_fire: 0,
-            };
+            let mut row = TortureRow::new(s, mode);
             for nth in 0..hits {
                 row.cells += 1;
                 let mut db = fresh()?;
@@ -2084,149 +1616,32 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<OnlineMer
                     row.snapshot_matches += 1;
                 }
             }
-            assert!(
-                row.no_fire == 0
-                    && row.injections == row.cells
-                    && row.typed_errors == row.injections
-                    && row.clean_reports == row.injections
-                    && row.snapshot_matches == row.injections,
-                "every migration torture cell must recover: {row:?}"
-            );
             torture.push(row);
         }
     }
 
-    Ok(OnlineMergeSummary {
-        courses,
-        ops: ops.len(),
-        members: top.members.clone(),
-        merged_name: report.merged_name.clone(),
-        observed_cost: top.observed_cost,
-        rows_migrated: report.rows_migrated,
-        chunks_applied: report.chunks_applied,
-        pre_probes: pre_stats.index_probes,
-        post_probes: post_stats.index_probes,
-        pre_rows_scanned: pre_stats.rows_scanned,
-        post_rows_scanned: post_stats.rows_scanned,
-        pre_median_us: median_us(&mut pre_lat),
-        post_median_us: median_us(&mut post_lat),
-        capacity_4_1,
-        capacity_both,
-        torture,
-        workers,
-    })
-}
-
-/// Writes the B13 summary as machine-readable JSON (the
-/// `BENCH_merge.json` artifact).
-pub fn write_merge_json(path: &std::path::Path, s: &OnlineMergeSummary) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"B13\",\"courses\":{},\"ops\":{},\"merged_name\":\"{}\",\"members\":[",
-        s.courses,
-        s.ops,
-        obs::json_escape(&s.merged_name),
-    );
-    for (i, m) in s.members.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", obs::json_escape(m));
-    }
-    let _ = write!(
-        out,
-        "],\"observed_cost\":{},\"rows_migrated\":{},\"chunks_applied\":{},\
-         \"pre_probes\":{},\"post_probes\":{},\"pre_rows_scanned\":{},\
-         \"post_rows_scanned\":{},\"pre_median_us\":{:.3},\"post_median_us\":{:.3},\
-         \"capacity_4_1\":{},\"capacity_both\":{},\"workers\":[",
-        s.observed_cost,
-        s.rows_migrated,
-        s.chunks_applied,
-        s.pre_probes,
-        s.post_probes,
-        s.pre_rows_scanned,
-        s.post_rows_scanned,
-        s.pre_median_us,
-        s.post_median_us,
-        s.capacity_4_1,
-        s.capacity_both,
-    );
-    for (i, w) in s.workers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{w}");
-    }
-    out.push_str("],\"torture\":[");
-    for (i, r) in s.torture.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"site\":\"{}\",\"mode\":\"{}\",\"cells\":{},\"injections\":{},\
-             \"typed_errors\":{},\"clean_reports\":{},\"snapshot_matches\":{},\
-             \"no_fire\":{}}}",
-            obs::json_escape(&r.site),
-            obs::json_escape(&r.mode),
-            r.cells,
-            r.injections,
-            r.typed_errors,
-            r.clean_reports,
-            r.snapshot_matches,
-            r.no_fire,
-        );
-    }
-    out.push_str("]}\n");
-    std::fs::write(path, out)
-}
-
-/// One point of the B11 recovery-time-vs-log-length curve: a literal
-/// prefix of the write-ahead log, recovered and timed.
-#[derive(Debug, Clone)]
-pub struct WalRecoveryRow {
-    /// Committed workload batches whose records the replayed prefix holds.
-    pub batches: usize,
-    /// Records the recovery replayed (the seed batch included).
-    pub records: u64,
-    /// Valid WAL bytes replayed.
-    pub wal_bytes: u64,
-    /// Wall time of the whole recovery (ns).
-    pub replay_ns: u64,
-}
-
-/// The B11 durability ledger: WAL append overhead, the literal
-/// log-truncation crash matrix, the durability fault matrix, and the
-/// recovery-time-vs-log-length curve.
-#[derive(Debug, Clone)]
-pub struct WalSummary {
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Workload batches committed through the log.
-    pub batches: usize,
-    /// Statements per batch.
-    pub batch_size: usize,
-    /// Mean per-batch commit latency with the WAL on (µs).
-    pub durable_batch_us: f64,
-    /// Mean per-batch commit latency of the in-memory twin (µs).
-    pub memory_batch_us: f64,
-    /// Relative append overhead: `durable / memory − 1`.
-    pub append_overhead: f64,
-    /// Crash points exercised by literally truncating the log.
-    pub truncation_cells: usize,
-    /// Crash points that recovered verify-clean and byte-identical to the
-    /// last durably-acked prefix.
-    pub truncation_clean: usize,
-    /// The durability fault matrix (same row shape as B9). For
-    /// `engine.wal.append` a cell passes `snapshot_matches` only if the
-    /// rollback holds in memory, at the log position, AND through a fresh
-    /// recovery; for the contained `engine.snapshot.write` site
-    /// `typed_errors` counts verified containment (batch committed,
-    /// generation unchanged), as with B9's pushdown site; for
-    /// `engine.recovery.replay` the row verifies fail-typed-then-retry.
-    pub torture: Vec<TortureRow>,
-    /// Recovery time against replayed log length.
-    pub recovery: Vec<WalRecoveryRow>,
+    let mut out =
+        Report::new("B13: online merge (profiler -> advisor -> live migration -> replay)");
+    out.scale = format!("{courses} courses, {n_ops} skewed reads");
+    out.fields = Row::new()
+        .cell("courses", courses)
+        .cell("ops", ops.len())
+        .cell("merged_name", &report.merged_name)
+        .cell("members", Cell::list(&top.members))
+        .cell("observed_cost", top.observed_cost)
+        .cell("rows_migrated", report.rows_migrated)
+        .cell("chunks_applied", report.chunks_applied)
+        .cell("pre_probes", pre_stats.index_probes)
+        .cell("post_probes", post_stats.index_probes)
+        .cell("pre_rows_scanned", pre_stats.rows_scanned)
+        .cell("post_rows_scanned", post_stats.rows_scanned)
+        .cell("pre_median_us", Cell::Num(quantile(&mut pre_lat, 0.5), 3))
+        .cell("post_median_us", Cell::Num(quantile(&mut post_lat, 0.5), 3))
+        .cell("capacity_4_1", capacity_4_1)
+        .cell("capacity_both", capacity_both)
+        .cell("workers", Cell::list(workers));
+    out.tables.push(("torture", torture_table(&torture)));
+    Ok(out)
 }
 
 /// B11: durability torture. Commits a write workload through the
@@ -2239,7 +1654,15 @@ pub struct WalSummary {
 /// memory, [`site::SNAPSHOT_WRITE`] must be contained, and
 /// [`site::RECOVERY_REPLAY`] must fail the recovery typed while leaving
 /// the directory retry-clean); and a recovery-time-vs-log-length sweep
-/// over literal log prefixes.
+/// over literal log prefixes. Every crash point must recover and every
+/// torture cell must pass (asserted).
+///
+/// For `engine.wal.append` a cell passes `snapshot_matches` only if the
+/// rollback holds in memory, at the log position, AND through a fresh
+/// recovery; for the contained `engine.snapshot.write` site
+/// `typed_errors` counts verified containment (batch committed,
+/// generation unchanged), as with B9's pushdown site; for
+/// `engine.recovery.replay` the row verifies fail-typed-then-retry.
 ///
 /// Callers that arm panic-mode cells should install a quiet panic hook
 /// around the call, as with [`fault_torture`].
@@ -2252,7 +1675,7 @@ pub fn wal_torture(
     n_batches: usize,
     batch_size: usize,
     seed: u64,
-) -> Result<WalSummary> {
+) -> Result<Report> {
     use relmerge_engine::fault::site;
     use relmerge_engine::{DurabilityConfig, EngineConfig, FaultMode, FaultPlan, FsyncPolicy};
     use relmerge_workload::{university_ops, write_batches, MixSpec};
@@ -2387,12 +1810,13 @@ pub fn wal_torture(
         let (off, _, at) = &prefixes[i];
         std::fs::write(&log, &pristine[..*off as usize]).map_err(|e| io("cut log", e))?;
         let (_, report) = Database::recover(cfg.clone())?;
-        recovery.push(WalRecoveryRow {
-            batches: *at,
-            records: report.records_replayed(),
-            wal_bytes: report.wal_bytes_replayed,
-            replay_ns: report.replay_ns,
-        });
+        recovery.push(
+            Row::new()
+                .cell("batches", *at)
+                .cell("records", report.records_replayed())
+                .cell("wal_bytes", report.wal_bytes_replayed)
+                .cell("replay_ns", report.replay_ns),
+        );
     }
     std::fs::write(&log, &pristine).map_err(|e| io("restore log", e))?;
 
@@ -2410,16 +1834,7 @@ pub fn wal_torture(
         (0..6).map(|i| i * (replayable - 1) / 5).collect()
     };
     for mode in [FaultMode::Error, FaultMode::Panic] {
-        let mut row = TortureRow {
-            site: site::RECOVERY_REPLAY.to_owned(),
-            mode: mode.label().to_owned(),
-            cells: 0,
-            injections: 0,
-            typed_errors: 0,
-            clean_reports: 0,
-            snapshot_matches: 0,
-            no_fire: 0,
-        };
+        let mut row = TortureRow::new(site::RECOVERY_REPLAY, mode);
         for &nth in &nths {
             row.cells += 1;
             let plan =
@@ -2482,16 +1897,7 @@ pub fn wal_torture(
     let hits = probe.hits(site::WAL_APPEND);
     db.clear_fault_plan();
     for mode in [FaultMode::Error, FaultMode::Panic] {
-        let mut row = TortureRow {
-            site: site::WAL_APPEND.to_owned(),
-            mode: mode.label().to_owned(),
-            cells: 0,
-            injections: 0,
-            typed_errors: 0,
-            clean_reports: 0,
-            snapshot_matches: 0,
-            no_fire: 0,
-        };
+        let mut row = TortureRow::new(site::WAL_APPEND, mode);
         for nth in 0..hits {
             row.cells += 1;
             let batch = next_committing(&db, &mut pool)?;
@@ -2534,14 +1940,8 @@ pub fn wal_torture(
     let (mut db, _) = Database::recover(durable(1))?;
     for mode in [FaultMode::Error, FaultMode::Panic] {
         let mut row = TortureRow {
-            site: site::SNAPSHOT_WRITE.to_owned(),
-            mode: mode.label().to_owned(),
             cells: 1,
-            injections: 0,
-            typed_errors: 0,
-            clean_reports: 0,
-            snapshot_matches: 0,
-            no_fire: 0,
+            ..TortureRow::new(site::SNAPSHOT_WRITE, mode)
         };
         let batch = next_committing(&db, &mut pool)?;
         let gen_before = db.wal_position().map(|(g, _)| g);
@@ -2573,114 +1973,24 @@ pub fn wal_torture(
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 
-    Ok(WalSummary {
-        courses,
-        batches: committed,
-        batch_size,
-        durable_batch_us,
-        memory_batch_us,
-        append_overhead,
-        truncation_cells,
-        truncation_clean,
-        torture,
-        recovery,
-    })
-}
-
-/// Writes the B11 durability ledger as one JSON object (`BENCH_wal.json`).
-pub fn write_wal_json(path: &std::path::Path, s: &WalSummary) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"B11\",\"courses\":{},\"batches\":{},\"batch_size\":{},\
-         \"durable_batch_us\":{:.3},\"memory_batch_us\":{:.3},\"append_overhead\":{:.4},\
-         \"truncation_cells\":{},\"truncation_clean\":{},\"recovery\":[",
-        s.courses,
-        s.batches,
-        s.batch_size,
-        s.durable_batch_us,
-        s.memory_batch_us,
-        s.append_overhead,
-        s.truncation_cells,
-        s.truncation_clean,
+    assert_eq!(
+        truncation_clean, truncation_cells,
+        "every crash point must recover"
     );
-    for (i, r) in s.recovery.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"batches\":{},\"records\":{},\"wal_bytes\":{},\"replay_ns\":{}}}",
-            r.batches, r.records, r.wal_bytes, r.replay_ns,
-        );
-    }
-    out.push_str("],\"torture\":[");
-    for (i, r) in s.torture.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"site\":\"{}\",\"mode\":\"{}\",\"cells\":{},\"injections\":{},\
-             \"typed_errors\":{},\"clean_reports\":{},\"snapshot_matches\":{},\
-             \"no_fire\":{}}}",
-            obs::json_escape(&r.site),
-            obs::json_escape(&r.mode),
-            r.cells,
-            r.injections,
-            r.typed_errors,
-            r.clean_reports,
-            r.snapshot_matches,
-            r.no_fire,
-        );
-    }
-    out.push_str("]}\n");
-    std::fs::write(path, out)
-}
-
-/// One row of the B12 concurrency curve: N client threads of the mixed
-/// university workload over one shared [`Store`].
-#[derive(Debug, Clone)]
-pub struct ConcurrencyRow {
-    /// Client threads (one [`relmerge_engine::Session`] each).
-    pub threads: usize,
-    /// Operations executed across all threads (reads + writes).
-    pub ops: usize,
-    /// Read operations — each pins a snapshot and runs a query.
-    pub reads: usize,
-    /// Write operations — each commits a batch through the writer path.
-    pub writes: usize,
-    /// Wall time of the whole storm (ns).
-    pub total_ns: f64,
-    /// Aggregate operations per second across all threads.
-    pub ops_per_sec: f64,
-    /// Median read latency under concurrent writes (ns, pin + execute).
-    pub read_p50_ns: f64,
-    /// 95th-percentile read latency under concurrent writes (ns).
-    pub read_p95_ns: f64,
-    /// Shared-cache hits this run folded into the store registry.
-    pub cache_hits: u64,
-    /// Shared-cache misses this run folded into the store registry.
-    pub cache_misses: u64,
-    /// Pins retained across the storm and re-read byte-identical after it.
-    pub frozen_reads: usize,
-}
-
-/// The B12 ledger: the thread sweep plus its two side proofs — the
-/// single-`Database` baseline and the deterministic cross-session
-/// cache-reuse probe.
-#[derive(Debug, Clone)]
-pub struct ConcurrencySummary {
-    /// Courses in the instance.
-    pub courses: usize,
-    /// Logical operations per client thread.
-    pub ops_per_thread: usize,
-    /// ns/op of thread 0's stream on a plain [`Database`] (no store).
-    pub baseline_ns_per_op: f64,
-    /// Hits of the deterministic two-session same-join probe (> 0 proves
-    /// one session's build served another's query).
-    pub cross_session_hits: u64,
-    /// One row per swept thread count ([`worker_sweep`]).
-    pub rows: Vec<ConcurrencyRow>,
+    let mut report = Report::new("B11: durability (write-ahead log + snapshots + crash recovery)");
+    report.scale = format!("{courses} courses, {n_batches} batches of {batch_size} statements");
+    report.fields = Row::new()
+        .cell("courses", courses)
+        .cell("batches", committed)
+        .cell("batch_size", batch_size)
+        .cell("durable_batch_us", Cell::Num(durable_batch_us, 3))
+        .cell("memory_batch_us", Cell::Num(memory_batch_us, 3))
+        .cell("append_overhead", Cell::Num(append_overhead, 4))
+        .cell("truncation_cells", truncation_cells)
+        .cell("truncation_clean", truncation_clean);
+    report.tables.push(("recovery", recovery));
+    report.tables.push(("torture", torture_table(&torture)));
+    Ok(report)
 }
 
 /// Thread `t`'s deterministic operation stream: the default read-mostly
@@ -2712,15 +2022,6 @@ fn b12_read_plan(op: &relmerge_workload::UniversityOp) -> Option<QueryPlan> {
     }
 }
 
-/// `pct`-quantile of an ascending latency sample (0 when empty).
-fn percentile_ns(sorted: &[u64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * pct).round() as usize;
-    sorted[idx.min(sorted.len() - 1)] as f64
-}
-
 /// B12: N client threads of the mixed university workload over one
 /// shared [`Store`] — snapshot readers, serialized writers, and the
 /// store-wide versioned build cache, swept over every [`worker_sweep`]
@@ -2746,7 +2047,7 @@ fn percentile_ns(sorted: &[u64], pct: f64) -> f64 {
 ///   generous factor of it (the session layer adds one pin per read, not
 ///   a new execution path). The factor is wide because shared single-core
 ///   CI hosts drift; the printed table carries the honest numbers.
-pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<ConcurrencySummary> {
+pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Report> {
     use relmerge_workload::unmerged_statements;
 
     let _span = obs::span("bench.b12.concurrency").field("courses", courses);
@@ -2828,7 +2129,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Conc
                     let ops = b12_thread_ops(t, ops_per_thread, courses);
                     scope.spawn(move || {
                         let session = store.session();
-                        let mut lat: Vec<u64> = Vec::new();
+                        let mut lat: Vec<f64> = Vec::new();
                         let (mut reads, mut writes) = (0usize, 0usize);
                         let mut frozen = Vec::new();
                         for (i, op) in ops.iter().enumerate() {
@@ -2837,7 +2138,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Conc
                                     let t0 = std::time::Instant::now();
                                     let pin = session.pin().expect("pin");
                                     let (rel, _) = pin.execute(&plan).expect("read");
-                                    lat.push(t0.elapsed().as_nanos() as u64);
+                                    lat.push(t0.elapsed().as_nanos() as f64);
                                     reads += 1;
                                     if frozen.len() < 2 {
                                         frozen.push((pin, plan, rel));
@@ -2856,7 +2157,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Conc
                                 let _ = pin
                                     .execute(&composite_no_index_query())
                                     .expect("composite probe");
-                                lat.push(t0.elapsed().as_nanos() as u64);
+                                lat.push(t0.elapsed().as_nanos() as f64);
                                 reads += 1;
                             }
                         }
@@ -2873,7 +2174,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Conc
 
         // The retained pins saw the whole storm; their reads must replay
         // byte-identical now that every writer has committed.
-        let mut lat: Vec<u64> = Vec::new();
+        let mut lat: Vec<f64> = Vec::new();
         let (mut reads, mut writes, mut frozen_reads) = (0usize, 0usize, 0usize);
         for (l, r, w, frozen) in per_thread {
             lat.extend(l);
@@ -2900,97 +2201,77 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Conc
                 "concurrent sessions issuing the same join must share builds"
             );
         }
-        lat.sort_unstable();
         let ops = reads + writes;
-        rows.push(ConcurrencyRow {
-            threads,
-            ops,
-            reads,
-            writes,
-            total_ns,
-            ops_per_sec: ops as f64 / (total_ns / 1e9),
-            read_p50_ns: percentile_ns(&lat, 0.50),
-            read_p95_ns: percentile_ns(&lat, 0.95),
-            cache_hits,
-            cache_misses,
-            frozen_reads,
-        });
-    }
-
-    let n1 = rows
-        .iter()
-        .find(|r| r.threads == 1)
-        .expect("worker_sweep always contains 1");
-    let n1_ns_per_op = n1.total_ns / n1.ops as f64;
-    assert!(
-        n1_ns_per_op < baseline_ns_per_op * 10.0,
-        "one session over a store must stay in the same regime as a plain \
-         Database: {n1_ns_per_op:.0} ns/op vs baseline {baseline_ns_per_op:.0} ns/op"
-    );
-
-    Ok(ConcurrencySummary {
-        courses,
-        ops_per_thread,
-        baseline_ns_per_op,
-        cross_session_hits,
-        rows,
-    })
-}
-
-/// Writes the B12 concurrency ledger as one JSON object
-/// (`BENCH_concurrency.json`).
-pub fn write_concurrency_json(
-    path: &std::path::Path,
-    s: &ConcurrencySummary,
-) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"B12\",\"courses\":{},\"ops_per_thread\":{},\
-         \"baseline_ns_per_op\":{:.1},\"cross_session_hits\":{},\"rows\":[",
-        s.courses, s.ops_per_thread, s.baseline_ns_per_op, s.cross_session_hits,
-    );
-    for (i, r) in s.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        if threads == 1 {
+            let n1_ns_per_op = total_ns / ops as f64;
+            assert!(
+                n1_ns_per_op < baseline_ns_per_op * 10.0,
+                "one session over a store must stay in the same regime as a plain \
+                 Database: {n1_ns_per_op:.0} ns/op vs baseline {baseline_ns_per_op:.0} ns/op"
+            );
         }
-        let _ = write!(
-            out,
-            "{{\"threads\":{},\"ops\":{},\"reads\":{},\"writes\":{},\
-             \"total_ns\":{:.0},\"ops_per_sec\":{:.1},\"read_p50_ns\":{:.0},\
-             \"read_p95_ns\":{:.0},\"cache_hits\":{},\"cache_misses\":{},\
-             \"frozen_reads\":{}}}",
-            r.threads,
-            r.ops,
-            r.reads,
-            r.writes,
-            r.total_ns,
-            r.ops_per_sec,
-            r.read_p50_ns,
-            r.read_p95_ns,
-            r.cache_hits,
-            r.cache_misses,
-            r.frozen_reads,
+        rows.push(
+            Row::new()
+                .cell("threads", threads)
+                .cell("ops", ops)
+                .cell("reads", reads)
+                .cell("writes", writes)
+                .cell("total_ns", Cell::Num(total_ns, 0))
+                .cell("ops_per_sec", Cell::Num(ops as f64 / (total_ns / 1e9), 1))
+                .cell("read_p50_ns", Cell::Num(quantile(&mut lat, 0.50), 0))
+                .cell("read_p95_ns", Cell::Num(quantile(&mut lat, 0.95), 0))
+                .cell("cache_hits", cache_hits)
+                .cell("cache_misses", cache_misses)
+                .cell("frozen_reads", frozen_reads),
         );
     }
-    out.push_str("]}\n");
-    std::fs::write(path, out)
+
+    let mut report = Report::new(
+        "B12: concurrent sessions (snapshot readers / serialized writers / shared cache)",
+    );
+    report.scale = format!("{courses} courses, {ops_per_thread} ops per client thread");
+    report.fields = Row::new()
+        .cell("courses", courses)
+        .cell("ops_per_thread", ops_per_thread)
+        .cell("baseline_ns_per_op", Cell::Num(baseline_ns_per_op, 1))
+        .cell("cross_session_hits", cross_session_hits);
+    report.tables.push(("rows", rows));
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The cell names of `row`, in order: the keys its artifact carries.
+    fn keys(row: &Row) -> Vec<&str> {
+        row.0.iter().map(|(n, _)| *n).collect()
+    }
+
+    /// The torture-matrix columns of B9, B11 and B13.
+    const TORTURE_KEYS: [&str; 8] = [
+        "site",
+        "mode",
+        "cells",
+        "injections",
+        "typed_errors",
+        "clean_reports",
+        "snapshot_matches",
+        "no_fire",
+    ];
+
     #[test]
     fn query_speedup_shape() {
-        let rows = query_speedup(&[200], 50).unwrap();
+        let report = query_speedup(&[200], 50).unwrap();
+        let rows = report.table("rows");
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         // The unmerged query needs 4 probes (1 lookup + 3 joins); merged 1.
-        assert_eq!(r.unmerged_probes, 4);
-        assert_eq!(r.merged_probes, 1);
+        assert_eq!(r.int("unmerged_probes"), 4);
+        assert_eq!(r.int("merged_probes"), 1);
         // The merged plan must not be slower for point queries (shape, not
         // magnitude — debug builds are noisy, so allow generous slack).
-        assert!(r.point_speedup > 0.8, "{r:?}");
+        assert!(r.num("point_speedup") > 0.8, "{r:?}");
     }
 
     #[test]
@@ -3011,42 +2292,48 @@ mod tests {
 
     #[test]
     fn maintenance_shape() {
-        let rows = maintenance_cost(100).unwrap();
+        let report = maintenance_cost(100).unwrap();
+        let rows = report.table("rows");
         assert_eq!(rows.len(), 2);
-        let unmerged = &rows[0];
-        let merged = &rows[1];
+        let (unmerged, merged) = (&rows[0], &rows[1]);
         // Unmerged: 4 statements per entity, no procedural checks.
-        assert_eq!(unmerged.statements, 400);
-        assert_eq!(unmerged.procedural, 0);
-        assert!(unmerged.declarative > 0);
+        assert_eq!(unmerged.int("statements"), 400);
+        assert_eq!(unmerged.int("procedural"), 0);
+        assert!(unmerged.int("declarative") > 0);
         // Merged: 1 statement per entity, trigger checks present.
-        assert_eq!(merged.statements, 100);
-        assert!(merged.procedural > 0);
+        assert_eq!(merged.int("statements"), 100);
+        assert!(merged.int("procedural") > 0);
     }
 
     #[test]
     fn mixed_workload_runs_and_agrees() {
-        let rows = mixed_workload(200, 2_000).unwrap();
+        let report = mixed_workload(&[200], 2_000).unwrap();
+        let rows = report.table("rows");
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].ops, 2_000);
-        assert_eq!(rows[0].reads + rows[0].writes, 2_000);
-        assert!(rows[0].reads > rows[0].writes, "read-mostly mix");
-        assert!(rows[1].total_ns > 0.0);
+        assert_eq!(rows[0].int("ops"), 2_000);
+        assert_eq!(rows[0].int("reads") + rows[0].int("writes"), 2_000);
+        assert!(
+            rows[0].int("reads") > rows[0].int("writes"),
+            "read-mostly mix"
+        );
+        assert!(rows[1].int("total_ns") > 0);
+        assert!(rows[1].num("merged_speedup") > 0.0);
     }
 
     #[test]
     fn batch_dml_defers_and_saves_checks() {
         // `batch_dml` itself asserts the final states are identical.
-        let rows = batch_dml(200, 400, 32).unwrap();
+        let report = batch_dml(&[200], 400, 32).unwrap();
+        let rows = report.table("rows");
         assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.statements > 0, "{r:?}");
-            assert!(r.batches > 1, "{r:?}");
+        for r in rows {
+            assert!(r.int("statements") > 0, "{r:?}");
+            assert!(r.int("batches") > 1, "{r:?}");
             // The acceptance criterion: strictly fewer checks and probes
             // than per-statement application of the same stream.
-            assert!(r.batched_checks < r.eager_checks, "{r:?}");
-            assert!(r.batched_probes < r.eager_probes, "{r:?}");
-            assert!(r.deferred_checks > 0, "group validation ran: {r:?}");
+            assert!(r.int("batched_checks") < r.int("eager_checks"), "{r:?}");
+            assert!(r.int("batched_probes") < r.int("eager_probes"), "{r:?}");
+            assert!(r.int("deferred_checks") > 0, "group validation ran: {r:?}");
         }
     }
 
@@ -3054,28 +2341,48 @@ mod tests {
     fn concurrent_sessions_shape() {
         // `concurrent_sessions` itself asserts frozen pins replay
         // byte-identical, cross-session cache reuse, and the N=1 regime
-        // bound; here we check the ledger's shape and the JSON artifact.
-        let s = concurrent_sessions(120, 48).unwrap();
-        assert!(s.cross_session_hits > 0);
-        assert!(s.baseline_ns_per_op > 0.0);
-        assert!(s.rows.iter().any(|r| r.threads == 1));
-        assert!(s.rows.iter().any(|r| r.threads >= 2));
-        for r in &s.rows {
-            assert_eq!(r.ops, r.reads + r.writes, "{r:?}");
-            assert!(r.reads > r.writes, "read-mostly mix: {r:?}");
-            assert!(r.frozen_reads > 0, "{r:?}");
-            assert!(r.ops_per_sec > 0.0, "{r:?}");
-            assert!(r.read_p95_ns >= r.read_p50_ns, "{r:?}");
-            if r.threads >= 2 {
-                assert!(r.cache_hits > 0, "{r:?}");
+        // bound; here we check the ledger's shape and its artifact keys.
+        let report = concurrent_sessions(120, 48).unwrap();
+        assert_eq!(
+            keys(&report.fields),
+            [
+                "courses",
+                "ops_per_thread",
+                "baseline_ns_per_op",
+                "cross_session_hits"
+            ]
+        );
+        assert!(report.fields.int("cross_session_hits") > 0);
+        assert!(report.fields.num("baseline_ns_per_op") > 0.0);
+        let rows = report.table("rows");
+        assert!(rows.iter().any(|r| r.int("threads") == 1));
+        assert!(rows.iter().any(|r| r.int("threads") >= 2));
+        for r in rows {
+            assert_eq!(
+                keys(r),
+                [
+                    "threads",
+                    "ops",
+                    "reads",
+                    "writes",
+                    "total_ns",
+                    "ops_per_sec",
+                    "read_p50_ns",
+                    "read_p95_ns",
+                    "cache_hits",
+                    "cache_misses",
+                    "frozen_reads"
+                ]
+            );
+            assert_eq!(r.int("ops"), r.int("reads") + r.int("writes"), "{r:?}");
+            assert!(r.int("reads") > r.int("writes"), "read-mostly mix: {r:?}");
+            assert!(r.int("frozen_reads") > 0, "{r:?}");
+            assert!(r.num("ops_per_sec") > 0.0, "{r:?}");
+            assert!(r.num("read_p95_ns") >= r.num("read_p50_ns"), "{r:?}");
+            if r.int("threads") >= 2 {
+                assert!(r.int("cache_hits") > 0, "{r:?}");
             }
         }
-        let path = std::env::temp_dir().join("relmerge_b12_shape_test.json");
-        write_concurrency_json(&path, &s).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(text.starts_with("{\"experiment\":\"B12\""), "{text}");
-        assert!(text.contains("\"rows\":["), "{text}");
     }
 
     #[test]
@@ -3088,47 +2395,46 @@ mod tests {
 
     #[test]
     fn parallel_query_shape() {
-        // `parallel_query` itself asserts byte-identical results, equal
-        // stats, and strictly lower access work than the baseline.
-        let rows = parallel_query(300, 2).unwrap();
+        // `parallel_query` itself asserts byte-identical results and equal
+        // stats at every worker count.
+        let report = parallel_query(300, 2).unwrap();
+        let rows = report.table("b8");
         // One row per query per swept worker count, chain rows first.
         let sweep = rows.len() / 2;
         assert_eq!(rows.len(), 2 * sweep);
         assert!(sweep >= 3, "the sweep includes 1, 2, and 4 workers");
-        let chain_rows = &rows[..sweep];
+        let (chain_rows, composite_rows) = rows.split_at(sweep);
         assert!(
-            chain_rows.iter().any(|r| r.workers > 1),
+            chain_rows.iter().any(|r| r.int("workers") > 1),
             "multi-worker entries exist even on a single-core host"
         );
         for chain in chain_rows {
-            assert_eq!(chain.rows_out, 300, "{chain:?}");
-            assert!(chain.morsels > 0, "{chain:?}");
-            assert!(chain.hash_builds > 0, "covering indexes exist: {chain:?}");
-            // The chain's win is probes → borrowed-index hash builds.
-            assert!(chain.index_probes < chain.baseline_probes, "{chain:?}");
-            assert!(chain.baseline_ns > 0.0, "measured baseline: {chain:?}");
+            assert_eq!(chain.int("rows_out"), 300, "{chain:?}");
+            assert!(chain.int("morsels") > 0, "{chain:?}");
+            // Covering indexes exist: the joins borrow them as builds.
+            assert_eq!(chain.int("hash_builds"), 3, "{chain:?}");
+            assert_eq!(chain.int("index_probes"), 0, "{chain:?}");
         }
-        for composite in &rows[sweep..] {
-            assert_eq!(composite.rows_out, 0, "disjoint SSNs: {composite:?}");
-            // The composite's win is per-row scans → one build-side scan.
-            assert!(
-                composite.rows_scanned < composite.baseline_scanned,
-                "{composite:?}"
-            );
-            assert_eq!(composite.index_probes, composite.baseline_probes);
-            assert!(
-                composite.baseline_ns > 0.0,
-                "measured baseline: {composite:?}"
-            );
+        for composite in composite_rows {
+            assert_eq!(composite.int("rows_out"), 0, "disjoint SSNs: {composite:?}");
+            // One root scan of ASSIST plus one build scan of TEACH.
+            assert_eq!(composite.int("hash_builds"), 1, "{composite:?}");
+            assert_eq!(composite.int("index_probes"), 0, "{composite:?}");
+        }
+        for r in rows {
+            assert!(r.num("serial_ns") > 0.0 && r.num("speedup") > 0.0, "{r:?}");
         }
     }
 
     #[test]
     fn median_is_order_insensitive_and_spike_robust() {
-        assert_eq!(median(&mut [3.0]), 3.0);
-        assert_eq!(median(&mut [4.0, 1.0]), 2.5);
+        assert_eq!(quantile(&mut [3.0], 0.5), 3.0);
+        assert_eq!(quantile(&mut [4.0, 1.0], 0.5), 2.5);
         // A 100× interference spike does not move the median.
-        assert_eq!(median(&mut [2.0, 200.0, 1.0, 2.0, 3.0]), 2.0);
+        assert_eq!(quantile(&mut [2.0, 200.0, 1.0, 2.0, 3.0], 0.5), 2.0);
+        // The tails interpolate between the closest ranks.
+        assert_eq!(quantile(&mut [4.0, 0.0, 2.0], 0.75), 3.0);
+        assert_eq!(quantile(&mut [], 0.95), 0.0);
     }
 
     #[test]
@@ -3136,248 +2442,328 @@ mod tests {
         // `build_cache_speedup` itself asserts byte-identity and stat
         // equality against the cache-off serial reference; wall-clock
         // magnitudes are left to the release-mode B10 run.
-        let rows = build_cache_speedup(300, 2).unwrap();
+        let report = build_cache_speedup(300, 2).unwrap();
+        let rows = report.table("b10");
         assert!(rows.len() >= 3, "sweep includes 1, 2, and 4 workers");
-        assert_eq!(rows[0].workers, 1);
-        for r in &rows {
-            assert!(r.cache_hits >= 1, "{r:?}");
-            assert_eq!(r.cache_misses, 2, "every cold iteration misses: {r:?}");
-            assert!(r.build_bytes > 0, "{r:?}");
-            assert!(r.saved_allocs > 0, "every probe row saves one: {r:?}");
-            assert!(r.cold_ns > 0.0 && r.warm_ns > 0.0 && r.speedup > 0.0);
+        assert_eq!(rows[0].int("workers"), 1);
+        for r in rows {
+            assert!(r.int("cache_hits") >= 1, "{r:?}");
+            assert_eq!(
+                r.int("cache_misses"),
+                2,
+                "every cold iteration misses: {r:?}"
+            );
+            assert!(r.int("build_bytes") > 0, "{r:?}");
+            assert!(
+                r.int("saved_allocs") > 0,
+                "every probe row saves one: {r:?}"
+            );
+            assert!(r.num("cold_ns") > 0.0 && r.num("warm_ns") > 0.0);
+            assert!(r.num("speedup") > 0.0);
         }
     }
 
-    #[test]
-    fn composite_baseline_is_measured_and_quadratic() {
-        // The composite baseline is a real forced-INL execution;
-        // `parallel_query` asserts internally that it scans exactly
-        // `|ASSIST| + |ASSIST| × |TEACH|` rows. Cross-check the recorded
-        // row against an independent forced run.
-        let courses = 120;
-        let rows = parallel_query(courses, 1).unwrap();
-        let composite = &rows[rows.len() / 2]; // first composite-query row
-        let mut rng = StdRng::seed_from_u64(42);
-        let u = generate_university(
-            &UniversitySpec {
-                courses,
-                ..UniversitySpec::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal()).unwrap();
-        db.load_state(&u.state).unwrap();
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        db.configure(db.config().parallelism(1));
-        let (_, forced) = db.execute(&composite_no_index_query()).unwrap();
-        assert_eq!(forced.rows_scanned, composite.baseline_scanned);
-        assert_eq!(forced.index_probes, composite.baseline_probes);
-    }
-
+    /// The exact keys of the B8, B10 and B15 artifacts' rows.
     #[test]
     fn parallel_query_json_is_well_formed() {
         let b8 = parallel_query(150, 1).unwrap();
-        let b10 = build_cache_speedup(150, 1).unwrap();
-        let b15 = predicate_pushdown(150, 1).unwrap();
-        let path = std::env::temp_dir().join("relmerge_bench_query_test.json");
-        write_parallel_query_json(&path, &b8, &b10, &b15).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(text.starts_with("{\"experiment\":\"B8+B10+B15\",\"b8\":["));
-        assert!(text.contains("],\"b10\":["));
-        assert!(text.contains("],\"b15\":["));
-        assert!(text.trim_end().ends_with("]}"));
-        for key in ["\"rows_per_sec\":", "\"baseline_ns\":"] {
-            assert_eq!(text.matches(key).count(), b8.len(), "{key}");
-        }
-        for key in ["\"cache_hits\":", "\"warm_ns\":"] {
-            assert_eq!(text.matches(key).count(), b10.len(), "{key}");
-        }
-        for key in ["\"scan_reduction\":", "\"pushed_conjuncts\":"] {
-            assert_eq!(text.matches(key).count(), b15.len(), "{key}");
-        }
         assert_eq!(
-            text.matches("\"speedup\":").count(),
-            b8.len() + b10.len() + b15.len(),
-            "every row carries a speedup"
+            keys(&b8.table("b8")[0]),
+            [
+                "query",
+                "courses",
+                "workers",
+                "rows_out",
+                "serial_ns",
+                "parallel_ns",
+                "speedup",
+                "rows_per_sec",
+                "morsels",
+                "hash_builds",
+                "rows_scanned",
+                "index_probes"
+            ]
         );
+        let b10 = build_cache_speedup(150, 1).unwrap();
+        assert_eq!(
+            keys(&b10.table("b10")[0]),
+            [
+                "courses",
+                "workers",
+                "rows_out",
+                "cold_ns",
+                "warm_ns",
+                "speedup",
+                "cache_hits",
+                "cache_misses",
+                "build_bytes",
+                "parallel_builds",
+                "saved_allocs"
+            ]
+        );
+        let b15 = predicate_pushdown(150, 1).unwrap();
+        assert_eq!(
+            keys(&b15.table("b15")[0]),
+            [
+                "query",
+                "courses",
+                "rows_out",
+                "off_scanned",
+                "on_scanned",
+                "off_probes",
+                "on_probes",
+                "scan_reduction",
+                "off_ns",
+                "on_ns",
+                "speedup",
+                "pushed_conjuncts",
+                "pruned_rows"
+            ]
+        );
+        for (name, report) in [("b8", &b8), ("b10", &b10), ("b15", &b15)] {
+            let text = report.to_json(name, true);
+            let rows = report.table(name).len();
+            assert!(text.contains(&format!(",\"{name}\":[{{")), "{text}");
+            assert!(text.trim_end().ends_with("}]}"), "{text}");
+            assert_eq!(text.matches("\"speedup\":").count(), rows, "{text}");
+        }
     }
 
     #[test]
     fn predicate_pushdown_shape() {
-        // `predicate_pushdown` itself asserts byte-identity, the >= 10x
-        // chain scan reduction, and the scan-to-lookup upgrade; the
-        // checks here cover the recorded rows.
-        let rows = predicate_pushdown(200, 2).unwrap();
+        // `predicate_pushdown` itself asserts byte-identity, the >= 10x cut
+        // of the rows entering the chain's ASSIST join, and the
+        // scan-to-lookup upgrade; the checks here cover the recorded rows.
+        let report = predicate_pushdown(200, 2).unwrap();
+        let rows = report.table("b15");
         assert_eq!(rows.len(), 2);
         let chain = &rows[0];
-        assert!(chain.scan_reduction >= 10.0, "{chain:?}");
-        assert!(chain.pushed_conjuncts >= 1, "{chain:?}");
-        assert!(chain.pruned_rows > 0, "{chain:?}");
+        // Both settings scan the root and build ASSIST at most once; a
+        // pushed conjunct that keeps no TEACH row skips the build.
+        assert!(
+            chain.int("on_scanned") <= chain.int("off_scanned"),
+            "{chain:?}"
+        );
+        assert!(chain.int("pushed_conjuncts") >= 1, "{chain:?}");
+        assert!(chain.int("pruned_rows") > 0, "{chain:?}");
         let root = &rows[1];
-        assert_eq!(root.on_scanned, 0, "{root:?}");
-        assert!(root.off_scanned >= 200, "{root:?}");
-        assert!(root.rows_out >= 1, "{root:?}");
-        for r in &rows {
-            assert!(r.off_ns > 0.0 && r.on_ns > 0.0 && r.speedup > 0.0, "{r:?}");
+        assert_eq!(root.int("on_scanned"), 0, "{root:?}");
+        assert!(root.int("off_scanned") >= 200, "{root:?}");
+        assert!(root.int("rows_out") >= 1, "{root:?}");
+        for r in rows {
+            assert!(r.num("off_ns") > 0.0 && r.num("on_ns") > 0.0, "{r:?}");
+            assert!(r.num("speedup") > 0.0, "{r:?}");
         }
     }
 
     #[test]
     fn workload_profile_shape() {
         // `workload_profile` itself asserts the exactness (profiler totals
-        // == manual per-query sums) and determinism invariants; the shape
-        // checks here cover the summary surface.
-        let s = workload_profile(200, 300, 5).unwrap();
-        assert_eq!(s.ops, 300);
-        assert_eq!(s.fingerprints, 2);
-        assert_eq!(s.executions, 300);
-        assert!(s.index_probes > 0);
-        assert!(s.intermediate_bytes > 0, "allocation tracking is live");
-        assert!(s.peak_intermediate_bytes > 0);
-        assert!(s.peak_intermediate_bytes <= s.intermediate_bytes);
-        assert!(!s.hot_joins.is_empty() && s.hot_joins.len() <= 5);
+        // == manual per-query sums), determinism and ordering invariants;
+        // the shape checks here cover the summary surface.
+        let report = workload_profile(200, 300, 5).unwrap();
+        let f = &report.fields;
+        assert_eq!(f.int("ops"), 300);
+        assert_eq!(f.int("fingerprints"), 2);
+        assert_eq!(f.int("executions"), 300);
+        assert!(f.int("index_probes") > 0);
+        assert!(
+            f.int("intermediate_bytes") > 0,
+            "allocation tracking is live"
+        );
+        assert!(f.int("peak_intermediate_bytes") > 0);
+        assert!(f.int("peak_intermediate_bytes") <= f.int("intermediate_bytes"));
+        let hot = report.table("hot_joins");
+        assert!(!hot.is_empty() && hot.len() <= 5);
         // Ranking is 1-based, dense, and sorted by cumulative cost.
-        for (i, h) in s.hot_joins.iter().enumerate() {
-            assert_eq!(h.rank, i + 1);
-            assert_eq!(h.cumulative_cost, h.index_probes + h.rows_scanned);
-            if i > 0 {
-                assert!(h.cumulative_cost <= s.hot_joins[i - 1].cumulative_cost);
-            }
+        for (i, h) in hot.iter().enumerate() {
+            assert_eq!(h.int("rank"), i as u64 + 1);
+            assert_eq!(
+                h.int("cumulative_cost"),
+                h.int("index_probes") + h.int("rows_scanned")
+            );
         }
         // The point query dominates the skewed mix, so its first join
         // edge (COURSE→OFFER) must lead the ranking.
-        assert_eq!(s.hot_joins[0].edge, "COURSE->OFFER[O.C.NR]");
+        assert_eq!(hot[0].text("edge"), "COURSE->OFFER[O.C.NR]");
     }
 
     #[test]
     fn profile_json_is_well_formed() {
-        let s = workload_profile(120, 100, 3).unwrap();
-        let path = std::env::temp_dir().join("relmerge_bench_profile_test.json");
-        write_profile_json(&path, &s).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(text.starts_with("{\"experiment\":\"B14\","));
-        assert!(text.trim_end().ends_with("]}"));
+        let report = workload_profile(120, 100, 3).unwrap();
         assert_eq!(
-            text.matches("\"cumulative_cost\":").count(),
-            s.hot_joins.len()
+            keys(&report.fields),
+            [
+                "courses",
+                "ops",
+                "fingerprints",
+                "executions",
+                "index_probes",
+                "rows_scanned",
+                "intermediate_bytes",
+                "peak_intermediate_bytes"
+            ]
         );
+        assert_eq!(
+            keys(&report.table("hot_joins")[0]),
+            [
+                "rank",
+                "edge",
+                "cumulative_cost",
+                "index_probes",
+                "rows_scanned",
+                "executions",
+                "intermediate_bytes"
+            ]
+        );
+        let text = report.to_json("b14", false);
+        assert!(text.starts_with("{\"experiment\":\"B14\","), "{text}");
         assert_eq!(
             text.matches("\"edge\":").count(),
-            s.hot_joins.len(),
+            report.table("hot_joins").len(),
             "every hot join carries its relation pair"
         );
-        assert!(text.contains("\"intermediate_bytes\":"));
     }
 
     #[test]
     fn fault_torture_every_cell_recovers() {
-        let rows = fault_torture(60, 8, 11).unwrap();
+        // `fault_torture` itself asserts every row recovered.
+        let report = fault_torture(60, 8, 11).unwrap();
+        let rows = report.table("torture");
         // 4 batch sites × 2 modes, plus 2 query sites × 2 modes, plus
         // the contained pushdown site × 2 modes, plus 2 session sites
         // × 2 modes.
         assert_eq!(rows.len(), 18);
-        let total_cells: u64 = rows.iter().map(|r| r.cells).sum();
+        let total_cells: u64 = rows.iter().map(|r| r.int("cells")).sum();
         assert!(total_cells > 8, "matrix is wider than one cell per pair");
-        for r in &rows {
-            assert!(r.cells > 0, "{r:?}");
-            assert_eq!(r.no_fire, 0, "every arrival index must fire: {r:?}");
-            // The acceptance criterion: typed error, clean integrity,
-            // byte-identical rollback — for every fired cell.
-            assert_eq!(r.injections, r.cells, "{r:?}");
-            assert_eq!(r.typed_errors, r.injections, "{r:?}");
-            assert_eq!(r.clean_reports, r.injections, "{r:?}");
-            assert_eq!(r.snapshot_matches, r.injections, "{r:?}");
+        for r in rows {
+            assert_eq!(keys(r), TORTURE_KEYS);
+            assert!(r.int("cells") > 0, "{r:?}");
+            assert_eq!(r.int("snapshot_matches"), r.int("cells"), "{r:?}");
         }
     }
 
     #[test]
     fn online_merge_shape() {
-        let s = online_merge(60, 40, 7).unwrap();
+        let report = online_merge(60, 40, 7).unwrap();
+        let f = &report.fields;
         // The advisor chose the paper's chain from the observed workload.
-        assert_eq!(s.merged_name, "COURSE_M");
-        assert_eq!(s.members[0], "COURSE");
-        assert!(s.observed_cost > 0, "{s:?}");
+        assert_eq!(f.text("merged_name"), "COURSE_M");
+        assert_eq!(
+            f.get("members"),
+            Some(&Cell::list(["COURSE", "OFFER", "TEACH", "ASSIST"]))
+        );
+        assert!(f.int("observed_cost") > 0, "{f:?}");
         // Capacity oracles and the probe payoff (the strict-drop and
         // torture invariants are asserted inside online_merge; re-state
         // the headline ones on the summary).
-        assert!(s.capacity_4_1 && s.capacity_both);
-        assert!(s.post_probes < s.pre_probes, "{s:?}");
-        assert!(s.rows_migrated > 0 && s.chunks_applied > 0);
+        assert_eq!(f.get("capacity_4_1"), Some(&Cell::Bool(true)));
+        assert_eq!(f.get("capacity_both"), Some(&Cell::Bool(true)));
+        assert!(f.int("post_probes") < f.int("pre_probes"), "{f:?}");
+        assert!(f.int("rows_migrated") > 0 && f.int("chunks_applied") > 0);
         // 2 migration sites × 2 modes.
-        assert_eq!(s.torture.len(), 4);
-        assert!(!s.workers.is_empty());
+        assert_eq!(report.table("torture").len(), 4);
+        assert!(matches!(f.get("workers"), Some(Cell::List(w)) if !w.is_empty()));
     }
 
     #[test]
     fn merge_json_is_well_formed() {
-        let s = online_merge(60, 40, 7).unwrap();
-        let path = std::env::temp_dir().join("relmerge_bench_merge_test.json");
-        write_merge_json(&path, &s).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(text.starts_with("{\"experiment\":\"B13\","));
-        assert!(text.trim_end().ends_with("}"));
-        assert_eq!(text.matches("\"site\":").count(), s.torture.len());
-        assert!(text.contains("\"pre_probes\":"));
+        let report = online_merge(60, 40, 7).unwrap();
+        assert_eq!(
+            keys(&report.fields),
+            [
+                "courses",
+                "ops",
+                "merged_name",
+                "members",
+                "observed_cost",
+                "rows_migrated",
+                "chunks_applied",
+                "pre_probes",
+                "post_probes",
+                "pre_rows_scanned",
+                "post_rows_scanned",
+                "pre_median_us",
+                "post_median_us",
+                "capacity_4_1",
+                "capacity_both",
+                "workers"
+            ]
+        );
+        let text = report.to_json("b13", false);
+        assert!(text.starts_with("{\"experiment\":\"B13\","), "{text}");
+        assert!(
+            text.contains("\"members\":[\"COURSE\",\"OFFER\",\"TEACH\",\"ASSIST\"]"),
+            "{text}"
+        );
+        assert_eq!(text.matches("\"site\":").count(), 4);
         assert!(text.contains("\"capacity_both\":true"));
     }
 
     #[test]
     fn remove_effect_shrinks() {
-        let rows = remove_effect(&[200]).unwrap();
-        let r = &rows[0];
-        assert_eq!(r.arity, (7, 4));
-        assert!(r.values.1 < r.values.0);
-        assert!(r.nulls.1 < r.nulls.0);
-        assert!(r.constraints.1 < r.constraints.0);
+        let report = remove_effect(&[200]).unwrap();
+        let r = &report.table("rows")[0];
+        assert_eq!((r.int("arity_before"), r.int("arity_after")), (7, 4));
+        assert!(r.int("values_after") < r.int("values_before"));
+        assert!(r.int("nulls_after") < r.int("nulls_before"));
+        assert!(r.int("constraints_after") < r.int("constraints_before"));
+    }
+
+    /// Runs B11 with the default panic hook silenced: panic-mode cells
+    /// deliberately panic inside the engine.
+    fn quiet_wal_torture(courses: usize, batches: usize, size: usize, seed: u64) -> Report {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = wal_torture(courses, batches, size, seed);
+        std::panic::set_hook(default_hook);
+        report.unwrap()
     }
 
     #[test]
     fn wal_torture_matrix_is_green_at_smoke_scale() {
-        // Panic-mode cells deliberately panic inside the engine; keep the
-        // default hook from spraying backtraces.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let s = wal_torture(60, 6, 6, 7);
-        std::panic::set_hook(default_hook);
-        let s = s.unwrap();
-        assert!(s.batches > 0);
-        assert_eq!(s.truncation_clean, s.truncation_cells, "{s:?}");
-        // 3 sites × 2 modes, every cell fired and fully recovered.
-        assert_eq!(s.torture.len(), 6);
-        for r in &s.torture {
-            assert_eq!(r.no_fire, 0, "{r:?}");
-            assert_eq!(r.injections, r.cells, "{r:?}");
-            assert_eq!(r.typed_errors, r.injections, "{r:?}");
-            assert_eq!(r.clean_reports, r.injections, "{r:?}");
-            assert_eq!(r.snapshot_matches, r.injections, "{r:?}");
-        }
+        // `wal_torture` itself asserts every crash point and torture cell
+        // recovered.
+        let report = quiet_wal_torture(60, 6, 6, 7);
+        let batches = report.fields.int("batches");
+        assert!(batches > 0);
+        // 3 sites × 2 modes.
+        assert_eq!(report.table("torture").len(), 6);
         // The recovery curve covers the empty prefix through the full log.
-        assert!(s.recovery.len() >= 2);
-        assert_eq!(s.recovery[0].batches, 0);
-        assert_eq!(s.recovery.last().unwrap().batches, s.batches);
-        assert!(s.recovery.last().unwrap().records > s.recovery[0].records);
+        let curve = report.table("recovery");
+        assert!(curve.len() >= 2);
+        assert_eq!(curve[0].int("batches"), 0);
+        let last = curve.last().unwrap();
+        assert_eq!(last.int("batches"), batches);
+        assert!(last.int("records") > curve[0].int("records"));
     }
 
     #[test]
     fn wal_json_is_well_formed() {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let s = wal_torture(60, 4, 4, 11);
-        std::panic::set_hook(default_hook);
-        let s = s.unwrap();
-        let path = std::env::temp_dir().join("relmerge_bench_wal_test.json");
-        write_wal_json(&path, &s).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(text.starts_with("{\"experiment\":\"B11\","));
-        assert!(text.trim_end().ends_with("}"));
-        assert_eq!(text.matches("\"site\":").count(), s.torture.len());
-        assert_eq!(text.matches("\"replay_ns\":").count(), s.recovery.len());
-        assert!(text.contains("\"append_overhead\":"));
-        assert!(text.contains("\"truncation_clean\":"));
+        let report = quiet_wal_torture(60, 4, 4, 11);
+        assert_eq!(
+            keys(&report.fields),
+            [
+                "courses",
+                "batches",
+                "batch_size",
+                "durable_batch_us",
+                "memory_batch_us",
+                "append_overhead",
+                "truncation_cells",
+                "truncation_clean"
+            ]
+        );
+        let curve = report.table("recovery");
+        assert_eq!(
+            keys(&curve[0]),
+            ["batches", "records", "wal_bytes", "replay_ns"]
+        );
+        for r in report.table("torture") {
+            assert_eq!(keys(r), TORTURE_KEYS);
+        }
+        let text = report.to_json("b11", false);
+        assert!(text.starts_with("{\"experiment\":\"B11\","), "{text}");
+        assert_eq!(text.matches("\"replay_ns\":").count(), curve.len());
     }
 }

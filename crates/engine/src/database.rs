@@ -701,9 +701,10 @@ impl EngineConfig {
     }
 
     /// Sets the left-input cardinality at which a join step switches from
-    /// index-nested-loop to the hash strategy. `usize::MAX` disables hash
-    /// joins entirely; `0` forces them wherever the left input is
-    /// non-empty.
+    /// index-nested-loop to the hash strategy. A join no index covers
+    /// hashes whatever the threshold, so `usize::MAX` means
+    /// index-nested-loop wherever an index covers; `0` forces hash joins
+    /// wherever the left input is non-empty.
     #[must_use]
     pub fn hash_join_threshold(mut self, rows: usize) -> Self {
         self.hash_join_threshold = rows;
@@ -954,9 +955,8 @@ impl Database {
     }
 
     /// Left-input cardinality at which a join step switches from
-    /// index-nested-loop to the hash strategy. `usize::MAX` disables hash
-    /// joins entirely (the pre-morsel executor's behavior); `0` forces
-    /// them wherever the left input is non-empty.
+    /// index-nested-loop to the hash strategy (see
+    /// [`EngineConfig::hash_join_threshold`]).
     #[must_use]
     pub fn hash_join_threshold(&self) -> usize {
         self.config.hash_join_threshold

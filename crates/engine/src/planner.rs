@@ -236,13 +236,14 @@ pub fn plan(schema: &RelationalSchema, query: &LogicalQuery) -> Result<QueryPlan
 /// Physical strategy for one join step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
-    /// Probe the right relation once per left row through its indexes,
-    /// falling back to a full scan per row when none covers the join
-    /// attributes. Cheap for small left inputs over a covering index.
+    /// Probe the right relation once per left row through a covering
+    /// index. Cheap for small left inputs; without a covering index the
+    /// planner picks it only for a provably empty left input, which
+    /// probes nothing.
     IndexNestedLoop,
     /// Build (or borrow) a hash table over the right relation once and
     /// probe it per left row. Amortizes the build over a large left input
-    /// and rescues the no-covering-index case from per-row scans.
+    /// and serves the no-covering-index case with one build scan.
     Hash,
 }
 
@@ -256,14 +257,12 @@ pub enum JoinStrategy {
 /// are independent of parallelism.
 ///
 /// The rules, in order:
-/// 1. [`Database::hash_join_threshold`] of `usize::MAX` disables hash
-///    joins entirely — the pre-morsel executor's behavior, useful as a
-///    measurement baseline.
-/// 2. An empty left input never builds: index-nested-loop probes nothing.
-/// 3. No covering index ⇒ hash (the alternative is a full right-relation
-///    scan *per left row*).
-/// 4. Left cardinality at or above the threshold ⇒ hash.
-/// 5. Otherwise index-nested-loop.
+/// 1. An empty left input never builds: index-nested-loop probes nothing.
+/// 2. No covering index ⇒ hash (one build scan of the right relation).
+/// 3. Left cardinality at or above [`Database::hash_join_threshold`] ⇒
+///    hash. A threshold of `usize::MAX` therefore means index-nested-loop
+///    wherever an index covers.
+/// 4. Otherwise index-nested-loop.
 pub fn choose_join_strategy(
     db: &Database,
     rel: &str,
@@ -271,10 +270,9 @@ pub fn choose_join_strategy(
     left_estimate: usize,
 ) -> Result<JoinStrategy> {
     let covered = db.index_covers(rel, right_attrs)?;
-    let threshold = db.hash_join_threshold();
-    let strategy = if threshold == usize::MAX || left_estimate == 0 {
+    let strategy = if left_estimate == 0 {
         JoinStrategy::IndexNestedLoop
-    } else if !covered || left_estimate >= threshold {
+    } else if !covered || left_estimate >= db.hash_join_threshold() {
         JoinStrategy::Hash
     } else {
         JoinStrategy::IndexNestedLoop
@@ -288,9 +286,8 @@ pub fn choose_join_strategy(
 
 /// Worker count for one transient hash build over `build_rows` live rows.
 ///
-/// Mirrors the join-strategy sentinel: a
-/// [`Database::build_parallel_threshold`] of `usize::MAX` pins builds to
-/// the serial path (the measurement baseline), as does a single-worker
+/// A [`Database::build_parallel_threshold`] of `usize::MAX` pins builds
+/// to the serial path (the measurement baseline), as does a single-worker
 /// executor or a build side smaller than the threshold — chunking tiny
 /// builds costs more in thread scaffolding than it saves. Past the
 /// threshold the build fans out over at most
@@ -690,11 +687,16 @@ mod tests {
             choose_join_strategy(&db, "OFFER", &unindexed, 0).unwrap(),
             JoinStrategy::IndexNestedLoop
         );
-        // usize::MAX disables hash joins outright (measurement baseline).
+        // usize::MAX is an ordinary threshold: index-nested-loop wherever
+        // an index covers, and still hash where none does.
         db.configure(db.config().hash_join_threshold(usize::MAX));
         assert_eq!(
-            choose_join_strategy(&db, "OFFER", &unindexed, 1_000_000).unwrap(),
+            choose_join_strategy(&db, "OFFER", &keyed, 1_000_000).unwrap(),
             JoinStrategy::IndexNestedLoop
+        );
+        assert_eq!(
+            choose_join_strategy(&db, "OFFER", &unindexed, 1_000_000).unwrap(),
+            JoinStrategy::Hash
         );
         // Unknown relations and attributes error.
         assert!(choose_join_strategy(&db, "NOPE", &unindexed, 1).is_err());

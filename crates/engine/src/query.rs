@@ -197,8 +197,7 @@ impl CompiledNode {
 /// decided before fan-out, and per-morsel counters merge commutatively.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Rows read by scans (root scans, per-row scan fallbacks, and hash
-    /// build-side scans).
+    /// Rows read by scans (root scans and hash build-side scans).
     pub rows_scanned: u64,
     /// Hash-index probes issued by index-nested-loop steps and root
     /// lookups.
@@ -547,15 +546,10 @@ enum RightAccess<'a> {
         map: &'a HashMap<Tuple, Vec<usize>>,
         rows: &'a [Option<Tuple>],
     },
-    /// Index-nested-loop fallback with no covering index: scan the whole
-    /// right table for every left row (the pre-morsel executor's silent
-    /// worst case). It scans only when hash joins are disabled: otherwise
-    /// the planner picks it just for a left side estimated at zero rows,
-    /// which is provably empty.
-    ScanProbe {
-        pos: Vec<usize>,
-        rows: &'a [Option<Tuple>],
-    },
+    /// Index-nested-loop with no covering index. The planner picks it
+    /// only for a left side estimated at zero rows, which is provably
+    /// empty, so it neither scans nor builds and no row ever probes it.
+    Empty,
     /// Hash join borrowing a unique index as the prebuilt build side:
     /// probes are amortized by the build and not counted.
     HashUnique {
@@ -720,15 +714,7 @@ fn run_morsel<'a>(
                         matches.extend(slots.iter().filter_map(|&s| rows[s].as_ref()));
                     }
                 }
-                RightAccess::ScanProbe { pos, rows } => {
-                    op.rows_scanned += rows.len() as u64;
-                    // Element-wise compare against a total key: a null or
-                    // differing stored value fails the zip, so this matches
-                    // exactly what `project == key` matched.
-                    matches.extend(rows.iter().flatten().filter(|t| {
-                        pos.len() == key.len() && pos.iter().zip(key).all(|(&p, k)| t.get(p) == k)
-                    }));
-                }
+                RightAccess::Empty => {}
                 RightAccess::HashOwned { build, rows } => {
                     if let Some(slots) = build.probe(key) {
                         matches.extend(slots.iter().filter_map(|&s| rows[s].as_ref()));
@@ -897,10 +883,7 @@ fn compile_join<'a>(
                     rows: &table.rows,
                 }
             } else {
-                RightAccess::ScanProbe {
-                    pos,
-                    rows: &table.rows,
-                }
+                RightAccess::Empty
             }
         }
         JoinStrategy::Hash => {
@@ -1042,11 +1025,11 @@ fn compile_join<'a>(
 /// and the access path's fan-out, so the *next* step's strategy choice
 /// sees this step's output rather than the root cardinality. Unique
 /// accesses match at most one row per left row; lookup and built hash
-/// accesses multiply by the index's average bucket size; a bare scan probe
-/// gives no fan-out information and carries the left estimate through.
+/// accesses multiply by the index's average bucket size; the empty access
+/// only ever sees a zero estimate and carries it through.
 /// Outer joins never shrink the left side. The estimate is 0 only when
 /// the output is provably empty (an empty left side, or a pushed conjunct
-/// that keeps no right row), since rule 2 of
+/// that keeps no right row), since rule 1 of
 /// [`crate::planner::choose_join_strategy`] trusts it. Everything here
 /// reads pre-fan-out state only, keeping strategy choice deterministic
 /// across morsel sizes and worker counts.
@@ -1064,7 +1047,7 @@ fn estimate_join_output(join: &CompiledJoin<'_>, left: usize) -> usize {
             avg_bucket(map.len(), map.values().map(Vec::len).sum())
         }
         RightAccess::HashOwned { build, .. } => avg_bucket(build.keys(), build.slots()),
-        RightAccess::ScanProbe { .. } => 1,
+        RightAccess::Empty => 1,
     };
     let mut estimate = left.saturating_mul(fanout);
     // A pushed conjunct shrinks the matched stream by its measured
@@ -2167,35 +2150,27 @@ mod tests {
 
     #[test]
     fn hash_join_without_covering_index_builds_from_one_scan() {
-        // Join OFFER to itself-shaped data on the *non-indexed* O.D
-        // column: no unique or lookup index covers it, so the pre-morsel
-        // executor scanned the whole table per left row. The hash strategy
-        // scans it once to build.
-        let mut rs = RelationalSchema::new();
-        rs.add_scheme(RelationScheme::new("L", vec![a("L.K"), a("L.V")], &["L.K"]).unwrap())
-            .unwrap();
-        rs.add_scheme(RelationScheme::new("R", vec![a("R.K"), a("R.V")], &["R.K"]).unwrap())
-            .unwrap();
-        let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
-        for k in 0..12 {
-            db.insert("L", tup(&[k, k % 3])).unwrap();
-            db.insert("R", tup(&[k, k % 4])).unwrap();
-        }
-        let plan = QueryPlan::scan("L").join(JoinStep::inner("R", &["L.V"], &["R.V"]));
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        let (inl, inl_stats) = db.execute(&plan).unwrap();
-        assert_eq!(inl_stats.rows_scanned, 12 + 12 * 12, "scan per left row");
-        db.configure(db.config().hash_join_threshold(64)); // left = 12 < 64, but no index ⇒ hash
-        let (hashed, hash_stats) = db.execute(&plan).unwrap();
+        // Join on the *non-indexed* V columns: no unique or lookup index
+        // covers them, so the hash strategy scans R once to build, even
+        // for a left input below the threshold.
+        let mut db = lr_db(12);
+        db.configure(db.config().hash_join_threshold(64));
+        let (hashed, hash_stats) = db.execute(&lr_plan()).unwrap();
         assert_eq!(hash_stats.hash_builds, 1);
         assert_eq!(
             hash_stats.rows_scanned,
             12 + 12,
             "root scan + one build scan"
         );
-        assert_eq!(hashed, inl);
-        // The strictly-lower claim of the clone-free/hash path.
-        assert!(hash_stats.rows_scanned < inl_stats.rows_scanned);
+        let state = db.snapshot().unwrap();
+        let (l, r) = (state.relation("L").unwrap(), state.relation("R").unwrap());
+        let want = relmerge_relational::algebra::equi_join(l, r, &[("L.V", "R.V")]).unwrap();
+        assert!(hashed.set_eq_unordered(&want));
+        // `usize::MAX` only keeps covered joins on index-nested-loop.
+        db.configure(db.config().hash_join_threshold(usize::MAX));
+        let (again, again_stats) = db.execute(&lr_plan()).unwrap();
+        assert_eq!(again, hashed);
+        assert_eq!(again_stats, hash_stats);
     }
 
     /// L(L.K, L.V) / R(R.K, R.V): no index covers the V columns, so a
@@ -2273,11 +2248,11 @@ mod tests {
 
     /// L(50) ⋈ S on its key, with a pushed `Eq(S.W, 7)` keeping 10 of
     /// 1,000 S rows, then ⋈ T on the non-indexed T.V. The estimate after
-    /// S is 50·10/1000, which must not floor to 0: a zero estimate sends
-    /// T to index-nested-loop, and without a covering index that scans
-    /// all of T once per surviving left row.
+    /// S is 50·10/1000, which must not floor to 0: a zero estimate would
+    /// claim an empty left side for T and skip its build.
     #[test]
     fn floored_selectivity_estimate_keeps_the_hash_join() {
+        use relmerge_relational::algebra::{equi_join, select_eq};
         let mut rs = RelationalSchema::new();
         rs.add_scheme(RelationScheme::new("L", vec![a("L.K"), a("L.S")], &["L.K"]).unwrap())
             .unwrap();
@@ -2308,11 +2283,12 @@ mod tests {
         );
         assert_eq!(stats.hash_builds, 1);
         assert_eq!(stats.rows_scanned, 50 + 1000, "root scan + one build scan");
-        // The per-row scan stays reachable through the sentinel alone.
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        let (scanned, scan_stats) = db.execute(&plan).unwrap();
-        assert_eq!(scan_stats.rows_scanned, 50 + 10 * 1000);
-        assert_eq!(scanned, hashed);
+        let state = db.snapshot().unwrap();
+        let rel = |name: &str| state.relation(name).unwrap();
+        let ls = equi_join(rel("L"), rel("S"), &[("L.S", "S.K")]).unwrap();
+        let lst = equi_join(&ls, rel("T"), &[("L.K", "T.V")]).unwrap();
+        let want = select_eq(&lst, &["S.W"], &tup(&[7])).unwrap();
+        assert!(hashed.set_eq_unordered(&want));
     }
 
     #[test]

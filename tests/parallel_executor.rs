@@ -88,8 +88,8 @@ proptest! {
         let mut db = Database::new(schema, DbmsProfile::ideal()).expect("database");
         db.load_state(&state).expect("load");
 
-        // Reference: the pre-optimizer behavior — serial, index-nested-loop
-        // only (`usize::MAX` disables hash joins).
+        // Reference: serial, index-nested-loop wherever an index covers
+        // (`usize::MAX` never reaches the hash threshold).
         db.configure(db.config().parallelism(1));
         db.configure(db.config().hash_join_threshold(usize::MAX));
         let (ref_rel, _, ref_trace) = db.execute_traced(&plan).expect("reference");
