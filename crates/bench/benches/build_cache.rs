@@ -1,12 +1,11 @@
 //! B10: the versioned build-side cache — cold rebuild versus warm hit on
-//! the no-covering-index composite join — and the partitioned parallel
-//! hash build at each swept worker count.
+//! the no-covering-index composite join.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge_bench::experiments::{composite_no_index_query, worker_sweep};
+use relmerge_bench::experiments::composite_no_index_query;
 use relmerge_engine::{Database, DbmsProfile};
 use relmerge_workload::{generate_university, UniversitySpec};
 
@@ -48,27 +47,5 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The partitioned parallel build at each swept worker count, cache off
-/// so every execution measures the build itself.
-fn bench_partitioned_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("partitioned_build");
-    group.sample_size(20);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let courses = 10_000usize;
-    let mut db = build_db(courses);
-    db.configure(db.config().build_cache_capacity(0));
-    db.configure(db.config().build_parallel_threshold(0));
-    let plan = composite_no_index_query();
-    for w in worker_sweep(cores) {
-        db.configure(db.config().parallelism(w));
-        group.bench_with_input(
-            BenchmarkId::new(format!("workers_{w}"), courses),
-            &courses,
-            |b, _| b.iter(|| db.execute(&plan).expect("query")),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_cold_vs_warm, bench_partitioned_build);
+criterion_group!(benches, bench_cold_vs_warm);
 criterion_main!(benches);

@@ -583,7 +583,7 @@ fn b8(scale: Scale) -> Result<Report> {
         trace(
             &mut r,
             &unmerged,
-            "b8 chain scan (borrowed-index hash joins)",
+            "b8 chain scan (index-nested-loop joins)",
             &plan,
         )?;
         let plan = experiments::composite_no_index_query();

@@ -1,14 +1,14 @@
 //! Partitioned transient hash builds and the versioned build-side cache.
 //!
-//! When [`crate::planner::choose_join_strategy`] picks a hash join and no
-//! index covers the probe attributes, the executor scans the build side
-//! once into an [`OwnedBuild`]: a set of `hash(key) % P` partitions of a
-//! key → row-slot multimap. Past
-//! [`Database::build_parallel_threshold`](crate::Database::build_parallel_threshold)
-//! the scan fans out — each worker reads a contiguous chunk of the row
-//! slots into per-partition partial maps, and a second lock-free pass
-//! merges each partition on its own worker (the partitioned-build playbook
-//! of Balkesen et al., ICDE 2013). Because chunks are contiguous and are
+//! When no index covers a join's probe attributes,
+//! [`crate::planner::choose_join_strategy`] picks a hash join and the
+//! executor scans the build side once into an [`OwnedBuild`]: a set of
+//! `hash(key) % P` partitions of a key → row-slot multimap. Once
+//! [`crate::planner::choose_build_parallelism`] grants more than one
+//! worker, the scan fans out — each worker reads a contiguous chunk of
+//! the row slots into per-partition partial maps, and a second lock-free
+//! pass merges each partition on its own worker (the partitioned-build
+//! playbook of Balkesen et al., ICDE 2013). Because chunks are contiguous and are
 //! merged in chunk order, every key's slot list comes out in ascending
 //! slot order **regardless of the worker count**, so probe results — and
 //! therefore query results — are byte-identical at every parallelism
@@ -59,10 +59,6 @@ pub(crate) struct OwnedBuild {
     bytes: u64,
     /// Workers the build fanned out over (1 = serial).
     workers: usize,
-    /// Distinct keys, for output-cardinality estimation.
-    keys: usize,
-    /// Total slot references, for output-cardinality estimation.
-    slots: usize,
     /// Rows a pushed predicate excluded from the build (rows that were
     /// live and key-total but failed the filter).
     pruned: u64,
@@ -92,16 +88,6 @@ impl OwnedBuild {
     /// Workers the build fanned out over (1 = serial).
     pub(crate) fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Distinct keys in the build.
-    pub(crate) fn keys(&self) -> usize {
-        self.keys
-    }
-
-    /// Total slot references across all keys.
-    pub(crate) fn slots(&self) -> usize {
-        self.slots
     }
 
     /// Rows a pushed predicate excluded from the build.
@@ -286,8 +272,6 @@ where
         rows_scanned: rows.len() as u64,
         bytes,
         workers,
-        keys,
-        slots,
         pruned,
     })
 }
@@ -464,8 +448,6 @@ mod tests {
         for workers in [2, 3, 4, 7] {
             let par = build_owned(&rows, &pos, workers, None, || Ok(())).unwrap();
             assert_eq!(par.workers(), workers);
-            assert_eq!(par.keys(), serial.keys());
-            assert_eq!(par.slots(), serial.slots());
             assert_eq!(par.bytes(), serial.bytes());
             assert_eq!(par.rows_scanned(), 500);
             for k in 0..9i64 {

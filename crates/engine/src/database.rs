@@ -525,17 +525,8 @@ pub struct Database {
     wal: Option<crate::wal::Wal>,
 }
 
-/// Default left-cardinality at which the executor switches a join step to
-/// the hash strategy (see [`crate::planner::choose_join_strategy`]).
-pub const DEFAULT_HASH_JOIN_THRESHOLD: usize = 64;
-
 /// Default number of root rows per executor morsel.
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
-
-/// Default build-side live-row count at which a transient hash build fans
-/// out over the worker pool (see
-/// [`crate::planner::choose_build_parallelism`]).
-pub const DEFAULT_BUILD_PARALLEL_THRESHOLD: usize = 4096;
 
 /// Default byte capacity of the versioned build-side cache.
 pub const DEFAULT_BUILD_CACHE_BYTES: u64 = 64 * 1024 * 1024;
@@ -636,10 +627,9 @@ pub(crate) fn compile_catalog(
 }
 
 /// One `EngineConfig` consolidates every `Database` tuning knob: executor
-/// parallelism, join-strategy and parallel-build thresholds, morsel size,
-/// pushdown, build-cache capacity, the query budget, and durability. A
-/// `Database` stores one, and its knobs change only through a new one.
-/// Build one with the fluent setters and hand it to
+/// parallelism, morsel size, pushdown, build-cache capacity, the query
+/// budget, and durability. A `Database` stores one, and its knobs change
+/// only through a new one. Build one with the fluent setters and hand it to
 /// [`Database::new_with_config`] or [`Database::configure`]; read the live
 /// values back with [`Database::config`], so a sweep can tweak a single
 /// knob:
@@ -650,10 +640,8 @@ pub(crate) fn compile_catalog(
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     parallelism: usize,
-    hash_join_threshold: usize,
     morsel_rows: usize,
     predicate_pushdown: bool,
-    build_parallel_threshold: usize,
     build_cache_capacity: u64,
     query_budget: QueryBudget,
     /// Durability knobs (`None` = purely in-memory). Unlike the other
@@ -666,17 +654,15 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// The defaults `Database::new` ships with: available-parallelism
-    /// workers, the documented threshold/morsel constants, a 64 MiB build
-    /// cache, and an unlimited query budget.
+    /// workers, [`DEFAULT_MORSEL_ROWS`]-row morsels, pushdown on, a 64 MiB
+    /// build cache, and an unlimited query budget.
     fn default() -> Self {
         EngineConfig {
             parallelism: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            hash_join_threshold: DEFAULT_HASH_JOIN_THRESHOLD,
             morsel_rows: DEFAULT_MORSEL_ROWS,
             predicate_pushdown: true,
-            build_parallel_threshold: DEFAULT_BUILD_PARALLEL_THRESHOLD,
             build_cache_capacity: DEFAULT_BUILD_CACHE_BYTES,
             query_budget: QueryBudget::unlimited(),
             durability: None,
@@ -700,17 +686,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the left-input cardinality at which a join step switches from
-    /// index-nested-loop to the hash strategy. A join no index covers
-    /// hashes whatever the threshold, so `usize::MAX` means
-    /// index-nested-loop wherever an index covers; `0` forces hash joins
-    /// wherever the left input is non-empty.
-    #[must_use]
-    pub fn hash_join_threshold(mut self, rows: usize) -> Self {
-        self.hash_join_threshold = rows;
-        self
-    }
-
     /// Sets the root rows per executor morsel (clamped to ≥ 1 when
     /// applied).
     #[must_use]
@@ -728,15 +703,6 @@ impl EngineConfig {
     #[must_use]
     pub fn predicate_pushdown(mut self, on: bool) -> Self {
         self.predicate_pushdown = on;
-        self
-    }
-
-    /// Sets the build-side live-row count at which a transient hash build
-    /// fans out over the worker pool. `usize::MAX` pins every build to
-    /// the serial path; `0` fans out any non-trivial build.
-    #[must_use]
-    pub fn build_parallel_threshold(mut self, rows: usize) -> Self {
-        self.build_parallel_threshold = rows;
         self
     }
 
@@ -760,12 +726,6 @@ impl EngineConfig {
         self.parallelism
     }
 
-    /// The configured hash-join switchover threshold.
-    #[must_use]
-    pub fn get_hash_join_threshold(&self) -> usize {
-        self.hash_join_threshold
-    }
-
     /// The configured morsel size.
     #[must_use]
     pub fn get_morsel_rows(&self) -> usize {
@@ -776,12 +736,6 @@ impl EngineConfig {
     #[must_use]
     pub fn get_predicate_pushdown(&self) -> bool {
         self.predicate_pushdown
-    }
-
-    /// The configured parallel-build switchover threshold.
-    #[must_use]
-    pub fn get_build_parallel_threshold(&self) -> usize {
-        self.build_parallel_threshold
     }
 
     /// The configured build-cache byte capacity.
@@ -927,11 +881,11 @@ impl Database {
     /// Applies every knob in `config` to the live database (except
     /// durability, see [`EngineConfig::durability`]). Shrinking the
     /// build-cache capacity evicts least-recently-used entries down to the
-    /// new cap (and counts them in the eviction metrics); results never
-    /// depend on any of these knobs, and `QueryStats` depend only on the
-    /// join-strategy knobs and the pushdown switch (which can only shrink
-    /// the scan/probe/build counters), never on worker or morsel
-    /// configuration.
+    /// new cap (and counts them in the eviction metrics). Results never
+    /// depend on any of these knobs. Of the `QueryStats`, `morsels`
+    /// depends on the morsel size, and the rest depend only on the
+    /// pushdown switch, which can only shrink the scan/probe/build
+    /// counters; no stat depends on the worker count or the cache.
     pub fn configure(&mut self, config: EngineConfig) {
         // A no-op when the capacity is unchanged: the cache never holds
         // more than its cap.
@@ -954,14 +908,6 @@ impl Database {
         self.config.parallelism
     }
 
-    /// Left-input cardinality at which a join step switches from
-    /// index-nested-loop to the hash strategy (see
-    /// [`EngineConfig::hash_join_threshold`]).
-    #[must_use]
-    pub fn hash_join_threshold(&self) -> usize {
-        self.config.hash_join_threshold
-    }
-
     /// Root rows per executor morsel (always ≥ 1). Smaller morsels
     /// exercise the reassembly path; the default suits large scans.
     #[must_use]
@@ -974,14 +920,6 @@ impl Database {
     #[must_use]
     pub fn predicate_pushdown(&self) -> bool {
         self.config.predicate_pushdown
-    }
-
-    /// Build-side live-row count at which a transient hash build fans out
-    /// over the worker pool. `usize::MAX` pins every build to the serial
-    /// path; `0` fans out any non-trivial build.
-    #[must_use]
-    pub fn build_parallel_threshold(&self) -> usize {
-        self.config.build_parallel_threshold
     }
 
     /// Byte capacity of the versioned build-side cache (`0` = caching
@@ -1834,7 +1772,7 @@ impl Database {
     }
 
     /// Whether a unique or secondary lookup index of `rel` covers exactly
-    /// `attrs` (the join-strategy cost model's index question).
+    /// `attrs`: the one question that picks a join step's access.
     pub(crate) fn index_covers(&self, rel: &str, attrs: &[String]) -> Result<bool> {
         let table = self
             .tables
@@ -2098,15 +2036,9 @@ mod tests {
     fn build_cache_knobs_round_trip() {
         let mut db = Database::new(emp_mgr_schema(), DbmsProfile::db2()).unwrap();
         assert_eq!(db.build_cache_capacity(), DEFAULT_BUILD_CACHE_BYTES);
-        assert_eq!(
-            db.build_parallel_threshold(),
-            DEFAULT_BUILD_PARALLEL_THRESHOLD
-        );
         assert_eq!((db.build_cache_len(), db.build_cache_bytes()), (0, 0));
         db.configure(db.config().build_cache_capacity(0));
         assert_eq!(db.build_cache_capacity(), 0);
-        db.configure(db.config().build_parallel_threshold(usize::MAX));
-        assert_eq!(db.build_parallel_threshold(), usize::MAX);
         db.clear_build_cache();
         assert_eq!(db.build_cache_len(), 0);
     }
@@ -2115,28 +2047,25 @@ mod tests {
     fn engine_config_round_trips_every_knob() {
         let cfg = EngineConfig::new()
             .parallelism(3)
-            .hash_join_threshold(7)
             .morsel_rows(11)
-            .build_parallel_threshold(13)
+            .predicate_pushdown(false)
             .build_cache_capacity(1 << 20);
         let mut db = Database::new_with_config(emp_mgr_schema(), DbmsProfile::db2(), cfg).unwrap();
         assert_eq!(db.parallelism(), 3);
-        assert_eq!(db.hash_join_threshold(), 7);
         assert_eq!(db.morsel_rows(), 11);
-        assert_eq!(db.build_parallel_threshold(), 13);
+        assert!(!db.predicate_pushdown());
         assert_eq!(db.build_cache_capacity(), 1 << 20);
         let read_back = db.config();
         assert_eq!(read_back.get_parallelism(), 3);
-        assert_eq!(read_back.get_hash_join_threshold(), 7);
         assert_eq!(read_back.get_morsel_rows(), 11);
-        assert_eq!(read_back.get_build_parallel_threshold(), 13);
+        assert!(!read_back.get_predicate_pushdown());
         assert_eq!(read_back.get_build_cache_capacity(), 1 << 20);
         // Single-knob tweak leaves the rest intact, and zero values clamp
         // where the old setters clamped.
         db.configure(db.config().parallelism(0).morsel_rows(0));
         assert_eq!(db.parallelism(), 1);
         assert_eq!(db.morsel_rows(), 1);
-        assert_eq!(db.hash_join_threshold(), 7);
+        assert!(!db.predicate_pushdown());
     }
 
     #[test]

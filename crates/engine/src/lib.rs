@@ -44,7 +44,7 @@ pub use batch::{BatchOutcome, Statement, StatementOutcome};
 pub use capability::{DbmsProfile, Mechanism};
 pub use database::{
     Database, DmlError, EngineConfig, MaintenanceStats, DEFAULT_BUILD_CACHE_BYTES,
-    DEFAULT_BUILD_PARALLEL_THRESHOLD, DEFAULT_HASH_JOIN_THRESHOLD, DEFAULT_MORSEL_ROWS,
+    DEFAULT_MORSEL_ROWS,
 };
 pub use fault::{
     FaultMode, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation, QueryBudget,

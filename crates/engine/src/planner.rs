@@ -237,45 +237,37 @@ pub fn plan(schema: &RelationalSchema, query: &LogicalQuery) -> Result<QueryPlan
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Probe the right relation once per left row through a covering
-    /// index. Cheap for small left inputs; without a covering index the
-    /// planner picks it only for a provably empty left input, which
-    /// probes nothing.
+    /// unique or lookup index, each probe counted. A join no index covers
+    /// gets it only after a provably empty left side, and then probes
+    /// and builds nothing.
     IndexNestedLoop,
-    /// Build (or borrow) a hash table over the right relation once and
-    /// probe it per left row. Amortizes the build over a large left input
-    /// and serves the no-covering-index case with one build scan.
+    /// Scan the right relation once into a transient hash table (through
+    /// the versioned build cache) and probe it per left row: the access
+    /// of a join no index covers.
     Hash,
 }
 
-/// Cost-based strategy choice for one join step against `rel` over
-/// `right_attrs`, with `left_estimate` rows on the probe side. For the
-/// first step the executor passes the root cardinality, known exactly
-/// after root access; each later step receives the previous step's
-/// estimated output cardinality (left estimate × the access path's
-/// average index fan-out), so a selective chain that fans out switches to
-/// hash joins per-step. Estimates derive only from pre-fan-out state and
-/// are independent of parallelism.
+/// Strategy choice for one join step against `rel` over `right_attrs`.
+/// Index coverage alone decides it:
+/// 1. A covering unique or lookup index ⇒ index-nested-loop, whatever
+///    the left side holds.
+/// 2. No covering index and a provably empty left side (`left_empty`) ⇒
+///    index-nested-loop over nothing: no scan, no build.
+/// 3. Otherwise ⇒ hash, one build scan of the right relation.
 ///
-/// The rules, in order:
-/// 1. An empty left input never builds: index-nested-loop probes nothing.
-/// 2. No covering index ⇒ hash (one build scan of the right relation).
-/// 3. Left cardinality at or above [`Database::hash_join_threshold`] ⇒
-///    hash. A threshold of `usize::MAX` therefore means index-nested-loop
-///    wherever an index covers.
-/// 4. Otherwise index-nested-loop.
+/// The executor decides `left_empty` before fan-out, from the root rows
+/// and the pushed conjuncts of earlier inner steps, so the choice is
+/// identical at every parallelism level.
 pub fn choose_join_strategy(
     db: &Database,
     rel: &str,
     right_attrs: &[String],
-    left_estimate: usize,
+    left_empty: bool,
 ) -> Result<JoinStrategy> {
-    let covered = db.index_covers(rel, right_attrs)?;
-    let strategy = if left_estimate == 0 {
+    let strategy = if db.index_covers(rel, right_attrs)? || left_empty {
         JoinStrategy::IndexNestedLoop
-    } else if !covered || left_estimate >= db.hash_join_threshold() {
-        JoinStrategy::Hash
     } else {
-        JoinStrategy::IndexNestedLoop
+        JoinStrategy::Hash
     };
     match strategy {
         JoinStrategy::IndexNestedLoop => planner_counters().strategy_inl.inc(),
@@ -284,32 +276,19 @@ pub fn choose_join_strategy(
     Ok(strategy)
 }
 
-/// Worker count for one transient hash build over `build_rows` live rows.
-///
-/// A [`Database::build_parallel_threshold`] of `usize::MAX` pins builds
-/// to the serial path (the measurement baseline), as does a single-worker
-/// executor or a build side smaller than the threshold — chunking tiny
-/// builds costs more in thread scaffolding than it saves. Past the
-/// threshold the build fans out over at most
-/// [`Database::parallelism`] workers, one chunk of at least
-/// `threshold` rows each, so worker count grows with the build side
-/// instead of jumping straight to the full pool. The decision depends
-/// only on knobs and the live-row count, never on timing, so the
-/// partition layout — and therefore every downstream counter — is
+/// Live rows each worker of a partitioned transient build must have to
+/// itself: a build fans out only once it has two such chunks.
+pub(crate) const BUILD_CHUNK_ROWS: usize = 4096;
+
+/// Worker count for one transient hash build over `build_rows` live rows:
+/// one worker per full 4,096-row chunk, capped by
+/// [`Database::parallelism`]. A smaller build stays serial — chunking it
+/// costs more in thread scaffolding than it saves. The decision depends
+/// only on the worker budget and the live-row count, never on timing, so
+/// the partition layout — and therefore every downstream counter — is
 /// deterministic.
 pub fn choose_build_parallelism(db: &Database, build_rows: usize) -> usize {
-    let threshold = db.build_parallel_threshold();
-    let workers = if db.parallelism() <= 1 || build_rows < threshold {
-        1
-    } else {
-        match build_rows.checked_div(threshold) {
-            // Threshold 0 means "always parallel" — the chunk-size
-            // heuristic has no meaningful answer, so fan out over the
-            // full pool.
-            None => db.parallelism(),
-            Some(chunks) => db.parallelism().min(chunks.max(1)),
-        }
-    };
+    let workers = db.parallelism().min(build_rows / BUILD_CHUNK_ROWS).max(1);
     if workers > 1 {
         planner_counters().build_parallel.inc();
     } else {
@@ -412,23 +391,25 @@ fn predicate_shape_hash(p: &crate::query::Predicate) -> u64 {
 
 /// The canonical fingerprint of a query *shape*: a stable FNV-1a 64 hash
 /// of the root, the access kind and its lookup attributes (not the key
-/// values), every join edge with the strategy the planner chose for it,
-/// the predicate's structure (attributes and operators, not literals —
-/// `And`/`Or` operands combine commutatively), and the projection.
+/// values), every join edge, the predicate's structure (attributes and
+/// operators, not literals — `And`/`Or` operands combine commutatively),
+/// and the projection.
 ///
 /// Executions that differ only in constants therefore share a
 /// fingerprint — the granularity the workload profiler
 /// (`relmerge_obs::Profiler`) aggregates at — while any change to the
-/// plan's structure or chosen strategies yields a new one. The hash is
-/// hand-rolled and versioned, so recorded profiles stay comparable across
-/// Rust releases; `relmerge.query.v2` canonicalizes the filter through
-/// the predicate optimizer ([`crate::predopt::canonical_shape`]) first,
-/// so *equivalent* predicate forms — double negations, De Morgan
-/// variants, redundant conjuncts — also share a fingerprint, not just
-/// permutations of one form.
+/// plan's structure yields a new one. The hash is hand-rolled and
+/// versioned, so recorded profiles stay comparable across Rust releases.
+/// It canonicalizes the filter through the predicate optimizer
+/// ([`crate::predopt::canonical_shape`]) first, so *equivalent* predicate
+/// forms — double negations, De Morgan variants, redundant conjuncts —
+/// also share a fingerprint, not just permutations of one form. Join
+/// strategies are not hashed: they depend on the data (a key that matches
+/// no row empties the left side and skips a build), so hashing them
+/// would let a literal split one shape.
 #[must_use]
-pub fn fingerprint(plan: &QueryPlan, strategies: &[JoinStrategy]) -> u64 {
-    let mut h = hash_str(FNV_OFFSET, "relmerge.query.v2");
+pub fn fingerprint(plan: &QueryPlan) -> u64 {
+    let mut h = hash_str(FNV_OFFSET, "relmerge.query.v3");
     h = hash_str(h, &plan.root);
     match &plan.access {
         Access::FullScan => h = hash_str(h, "scan"),
@@ -439,7 +420,7 @@ pub fn fingerprint(plan: &QueryPlan, strategies: &[JoinStrategy]) -> u64 {
             }
         }
     }
-    for (i, step) in plan.joins.iter().enumerate() {
+    for step in &plan.joins {
         h = hash_str(h, if step.outer { "outer" } else { "inner" });
         h = hash_str(h, &step.rel);
         for a in &step.left_attrs {
@@ -448,14 +429,6 @@ pub fn fingerprint(plan: &QueryPlan, strategies: &[JoinStrategy]) -> u64 {
         for a in &step.right_attrs {
             h = hash_str(h, a);
         }
-        h = hash_str(
-            h,
-            match strategies.get(i) {
-                Some(JoinStrategy::Hash) => "hash",
-                Some(JoinStrategy::IndexNestedLoop) => "inl",
-                None => "unplanned",
-            },
-        );
     }
     if let Some(p) = &plan.filter {
         h = hash_str(h, "filter");
@@ -661,46 +634,30 @@ mod tests {
     }
 
     #[test]
-    fn join_strategy_cost_model() {
-        use crate::database::DEFAULT_HASH_JOIN_THRESHOLD;
-        let rs = chain();
-        let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
+    fn join_strategy_follows_index_coverage() {
+        let db = Database::new(chain(), DbmsProfile::ideal()).unwrap();
         let keyed = vec!["O.C.NR".to_owned()];
         let unindexed = vec!["O.D".to_owned()];
-        // Small left input with a covering index: index-nested-loop.
+        // A covering index is probed whatever the left side holds.
+        for left_empty in [false, true] {
+            assert_eq!(
+                choose_join_strategy(&db, "OFFER", &keyed, left_empty).unwrap(),
+                JoinStrategy::IndexNestedLoop
+            );
+        }
+        // No covering index: one hash build, unless the left side is
+        // provably empty.
         assert_eq!(
-            choose_join_strategy(&db, "OFFER", &keyed, 10).unwrap(),
-            JoinStrategy::IndexNestedLoop
-        );
-        // Crossing the threshold flips to hash.
-        assert_eq!(
-            choose_join_strategy(&db, "OFFER", &keyed, DEFAULT_HASH_JOIN_THRESHOLD).unwrap(),
+            choose_join_strategy(&db, "OFFER", &unindexed, false).unwrap(),
             JoinStrategy::Hash
         );
-        // No covering index: hash even for a small left input.
         assert_eq!(
-            choose_join_strategy(&db, "OFFER", &unindexed, 2).unwrap(),
-            JoinStrategy::Hash
-        );
-        // An empty left input never builds.
-        assert_eq!(
-            choose_join_strategy(&db, "OFFER", &unindexed, 0).unwrap(),
+            choose_join_strategy(&db, "OFFER", &unindexed, true).unwrap(),
             JoinStrategy::IndexNestedLoop
-        );
-        // usize::MAX is an ordinary threshold: index-nested-loop wherever
-        // an index covers, and still hash where none does.
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        assert_eq!(
-            choose_join_strategy(&db, "OFFER", &keyed, 1_000_000).unwrap(),
-            JoinStrategy::IndexNestedLoop
-        );
-        assert_eq!(
-            choose_join_strategy(&db, "OFFER", &unindexed, 1_000_000).unwrap(),
-            JoinStrategy::Hash
         );
         // Unknown relations and attributes error.
-        assert!(choose_join_strategy(&db, "NOPE", &unindexed, 1).is_err());
-        assert!(choose_join_strategy(&db, "OFFER", &["NOPE".to_owned()], 1).is_err());
+        assert!(choose_join_strategy(&db, "NOPE", &unindexed, false).is_err());
+        assert!(choose_join_strategy(&db, "OFFER", &["NOPE".to_owned()], false).is_err());
     }
 
     #[test]
@@ -708,26 +665,16 @@ mod tests {
         let rs = chain();
         let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
         db.configure(db.config().parallelism(4));
-        db.configure(db.config().build_parallel_threshold(1_000));
-        // Below the threshold: serial.
-        assert_eq!(choose_build_parallelism(&db, 999), 1);
-        // One threshold's worth of rows per worker, capped by parallelism.
-        assert_eq!(choose_build_parallelism(&db, 1_000), 1);
-        assert_eq!(choose_build_parallelism(&db, 2_500), 2);
+        // Below two full chunks: serial.
+        assert_eq!(choose_build_parallelism(&db, 0), 1);
+        assert_eq!(choose_build_parallelism(&db, BUILD_CHUNK_ROWS), 1);
+        assert_eq!(choose_build_parallelism(&db, 2 * BUILD_CHUNK_ROWS - 1), 1);
+        // One worker per full chunk, capped by parallelism.
+        assert_eq!(choose_build_parallelism(&db, 2 * BUILD_CHUNK_ROWS), 2);
         assert_eq!(choose_build_parallelism(&db, 1_000_000), 4);
         // Single-worker executor never fans out a build.
         db.configure(db.config().parallelism(1));
         assert_eq!(choose_build_parallelism(&db, 1_000_000), 1);
-        // The usize::MAX sentinel is the serial measurement baseline.
-        db.configure(db.config().parallelism(8));
-        db.configure(db.config().build_parallel_threshold(usize::MAX));
-        assert_eq!(choose_build_parallelism(&db, 1_000_000), 1);
-        // Threshold 0 means "always parallel": the full pool, even for a
-        // tiny build (and no division by zero).
-        db.configure(db.config().build_parallel_threshold(0));
-        assert_eq!(choose_build_parallelism(&db, 3), 8);
-        db.configure(db.config().parallelism(1));
-        assert_eq!(choose_build_parallelism(&db, 3), 1);
     }
 
     #[test]
@@ -735,23 +682,15 @@ mod tests {
         use crate::query::Predicate;
         let base = QueryPlan::lookup("COURSE", &["C.NR"], Tuple::new([Value::Int(1)]))
             .join(JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]));
-        let strategies = [JoinStrategy::IndexNestedLoop];
         // Different key constants: same shape, same fingerprint.
         let other_key = QueryPlan::lookup("COURSE", &["C.NR"], Tuple::new([Value::Int(999)]))
             .join(JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]));
-        assert_eq!(
-            fingerprint(&base, &strategies),
-            fingerprint(&other_key, &strategies)
-        );
-        // A different strategy or join shape changes it.
-        assert_ne!(
-            fingerprint(&base, &strategies),
-            fingerprint(&base, &[JoinStrategy::Hash])
-        );
-        assert_ne!(
-            fingerprint(&base, &strategies),
-            fingerprint(&QueryPlan::scan("COURSE"), &[])
-        );
+        assert_eq!(fingerprint(&base), fingerprint(&other_key));
+        // A different join shape changes it.
+        assert_ne!(fingerprint(&base), fingerprint(&QueryPlan::scan("COURSE")));
+        let inner = QueryPlan::lookup("COURSE", &["C.NR"], Tuple::new([Value::Int(1)]))
+            .join(JoinStep::inner("OFFER", &["C.NR"], &["O.C.NR"]));
+        assert_ne!(fingerprint(&base), fingerprint(&inner));
         // Predicate literals don't matter; permuting and re-parenthesizing
         // And/Or operands doesn't either; structure does.
         let p = |pred: Predicate| QueryPlan::scan("OFFER").filter(pred);
@@ -760,11 +699,11 @@ mod tests {
             .and(Predicate::eq("O.C.NR", 2i64));
         let cba = Predicate::eq("O.C.NR", 7i64)
             .and(Predicate::eq("O.D", 5i64).and(Predicate::not_null("O.C.NR")));
-        assert_eq!(fingerprint(&p(abc.clone()), &[]), fingerprint(&p(cba), &[]));
+        assert_eq!(fingerprint(&p(abc.clone())), fingerprint(&p(cba)));
         let or_form = Predicate::eq("O.D", 1i64)
             .or(Predicate::not_null("O.C.NR"))
             .or(Predicate::eq("O.C.NR", 2i64));
-        assert_ne!(fingerprint(&p(abc), &[]), fingerprint(&p(or_form), &[]));
+        assert_ne!(fingerprint(&p(abc)), fingerprint(&p(or_form)));
     }
 
     #[test]

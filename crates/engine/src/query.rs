@@ -14,15 +14,14 @@
 //! the scan path). A predicate over root attributes alone is pushed down:
 //! it runs before the join pipeline, morsel-parallel on the worker pool,
 //! with survivors reassembled in chunk order. The join pipeline is then
-//! compiled once: each step picks a strategy via
-//! [`crate::planner::choose_join_strategy`] — index-nested-loop for small
-//! left inputs with a covering index, hash join (borrowing an index, or
-//! building a transient table via the partitioned parallel builder in
-//! the crate-private `build` module, reused through the versioned
-//! build-side cache)
-//! otherwise — and any hash builds happen before fan-out so cost counters
-//! are identical at every parallelism level, cache on or off. The root
-//! rows are partitioned
+//! compiled once: each step picks its access via
+//! [`crate::planner::choose_join_strategy`] — index-nested-loop probes
+//! through a covering index, or else a hash join over a transient table
+//! built by scanning the right relation once (the partitioned parallel
+//! builder in the crate-private `build` module, reused through the
+//! versioned build-side cache) — and any hash builds happen before
+//! fan-out so cost counters are identical at every parallelism level,
+//! cache on or off. The root rows are partitioned
 //! into fixed-size morsels ([`Database::morsel_rows`]) claimed by up to
 //! [`Database::parallelism`] scoped worker threads; intermediate rows are
 //! arrays of borrowed slots, materialized exactly once per surviving row.
@@ -199,14 +198,15 @@ impl CompiledNode {
 pub struct QueryStats {
     /// Rows read by scans (root scans and hash build-side scans).
     pub rows_scanned: u64,
-    /// Hash-index probes issued by index-nested-loop steps and root
-    /// lookups.
+    /// Index probes issued by index-nested-loop steps and root lookups:
+    /// one per probed left row, whatever the left side's size.
     pub index_probes: u64,
     /// Join steps performed.
     pub joins: u64,
     /// Rows in the result.
     pub rows_output: u64,
-    /// Hash tables built (or borrowed from an index) as join build sides.
+    /// Transient hash tables built as join build sides (a cached build
+    /// counts as the build it replays).
     pub hash_builds: u64,
     /// Morsels the root rows were partitioned into.
     pub morsels: u64,
@@ -405,7 +405,7 @@ pub struct OpStats {
     pub rows_scanned: u64,
     /// Hash-index probes this operator issued.
     pub index_probes: u64,
-    /// Hash tables this operator built (or borrowed) as a build side.
+    /// Transient hash tables this operator built as a build side.
     pub hash_builds: u64,
     /// Approximate intermediate bytes this operator materialized (slot
     /// rows for joins, transient build tables, output tuples for the
@@ -530,7 +530,7 @@ impl Database {
     }
 }
 
-/// How one compiled join step reaches its right-hand rows. Borrowed
+/// How one compiled join step reaches its right-hand rows. The index
 /// variants point straight into the database's storage; `HashOwned` shares
 /// a transient table built by scanning the right relation once (possibly
 /// partition-parallel, possibly reused through the build-side cache).
@@ -541,26 +541,15 @@ enum RightAccess<'a> {
         map: &'a HashMap<Tuple, usize>,
         rows: &'a [Option<Tuple>],
     },
-    /// Index-nested-loop through a secondary lookup index.
+    /// Index-nested-loop through a secondary lookup index: one counted
+    /// probe per total left row.
     Lookup {
         map: &'a HashMap<Tuple, Vec<usize>>,
         rows: &'a [Option<Tuple>],
     },
-    /// Index-nested-loop with no covering index. The planner picks it
-    /// only for a left side estimated at zero rows, which is provably
-    /// empty, so it neither scans nor builds and no row ever probes it.
+    /// A join no index covers, after a provably empty left side: it
+    /// neither scans nor builds, and no row ever probes it.
     Empty,
-    /// Hash join borrowing a unique index as the prebuilt build side:
-    /// probes are amortized by the build and not counted.
-    HashUnique {
-        map: &'a HashMap<Tuple, usize>,
-        rows: &'a [Option<Tuple>],
-    },
-    /// Hash join borrowing a secondary lookup index as the build side.
-    HashLookup {
-        map: &'a HashMap<Tuple, Vec<usize>>,
-        rows: &'a [Option<Tuple>],
-    },
     /// Hash join over a transient table built by scanning the right
     /// relation once (counted as that one scan, whether the build ran cold
     /// or came from the versioned cache). The build maps keys to row
@@ -584,8 +573,6 @@ struct CompiledJoin<'a> {
     /// attributed to this join's operator in the trace.
     build: OpStats,
     label: String,
-    /// The strategy the planner chose — part of the query fingerprint.
-    strategy: JoinStrategy,
     /// Build-cache interactions of this step (0/1 hit, 0/1 miss, bytes
     /// evicted by its insert), folded into the query's profile record.
     cache_hits: u64,
@@ -596,11 +583,10 @@ struct CompiledJoin<'a> {
     /// was instead folded into the build (`HashOwned` filters while
     /// building) or when nothing was pushed here.
     pushed: Option<CompiledPredicate>,
-    /// Post-pushdown selectivity evidence `(kept, live)` from one pass
-    /// over the right table, fed to [`estimate_join_output`] so pushdown
-    /// can flip the *next* step's strategy. `None` when nothing was
-    /// pushed to this step.
-    sel: Option<(usize, usize)>,
+    /// Whether this step's output is provably empty, so the next step
+    /// builds nothing: its left side was empty, or it is an inner step
+    /// whose pushed conjunct keeps no right row.
+    output_empty: bool,
     /// Rows the pushed conjunct removed while building the hash side
     /// (charged per use, hit or cold, so the counter is cache-independent).
     build_pruned: u64,
@@ -700,16 +686,8 @@ fn run_morsel<'a>(
                     op.index_probes += 1;
                     matches.extend(map.get(key).and_then(|&s| rows[s].as_ref()));
                 }
-                RightAccess::HashUnique { map, rows } => {
-                    matches.extend(map.get(key).and_then(|&s| rows[s].as_ref()));
-                }
                 RightAccess::Lookup { map, rows } => {
                     op.index_probes += 1;
-                    if let Some(slots) = map.get(key) {
-                        matches.extend(slots.iter().filter_map(|&s| rows[s].as_ref()));
-                    }
-                }
-                RightAccess::HashLookup { map, rows } => {
                     if let Some(slots) = map.get(key) {
                         matches.extend(slots.iter().filter_map(|&s| rows[s].as_ref()));
                     }
@@ -808,12 +786,14 @@ struct FlatLayout {
 }
 
 /// Compiles one join step: resolves the left attributes against the
-/// evolving header, picks the strategy, and prepares (or borrows) the
-/// build side. A transient build goes through the versioned cache — a hit
-/// reuses the stored build and charges its stored costs, so `QueryStats`
-/// are identical cold and warm; a miss builds (fanning out past
-/// [`Database::build_parallel_threshold`]) and inserts. Extends
-/// `layout` with the right relation's attributes.
+/// evolving header, picks the strategy, and borrows the covering index or
+/// prepares the transient build side. A transient build goes through the
+/// versioned cache — a hit reuses the stored build and charges its stored
+/// costs, so `QueryStats` are identical cold and warm; a miss builds
+/// (partitioned once [`crate::planner::choose_build_parallelism`] grants
+/// more than one worker) and inserts. Extends `layout` with the right
+/// relation's attributes. `left_empty` says the left side is provably
+/// empty, which spares an uncovered join its build.
 ///
 /// `pushed` is the conjunction of filter conjuncts the pushdown planner
 /// assigned to this step's right relation. A transient hash build folds
@@ -825,7 +805,7 @@ fn compile_join<'a>(
     db: &'a Database,
     step: &JoinStep,
     layout: &mut FlatLayout,
-    left_estimate: usize,
+    left_empty: bool,
     pushed: Option<&Predicate>,
     budget: &BudgetTracker,
 ) -> Result<CompiledJoin<'a>> {
@@ -849,23 +829,18 @@ fn compile_join<'a>(
         .get(&step.rel)
         .ok_or_else(|| Error::UnknownScheme(step.rel.clone()))?;
     let pos = table.positions(&step.right_attrs)?;
-    let strategy = choose_join_strategy(db, &step.rel, &step.right_attrs, left_estimate)?;
+    let strategy = choose_join_strategy(db, &step.rel, &step.right_attrs, left_empty)?;
     let cp = pushed
         .map(|p| CompiledPredicate::compile(p, &table.header))
         .transpose()?;
-    // One pass over the stored rows measures the pushed conjunct's
-    // selectivity, so the next step's strategy choice sees the shrunken
-    // stream. Pre-fan-out and data-dependent only — deterministic across
-    // morsel sizes and worker counts.
-    let sel = cp.as_ref().map(|c| {
-        let kept = table
-            .rows
-            .iter()
-            .flatten()
-            .filter(|t| c.matches(t.values()))
-            .count();
-        (kept, table.live)
-    });
+    // An inner step whose pushed conjunct keeps no stored row empties the
+    // stream for every later step. The check reads pre-fan-out state only
+    // and stops at the first kept row.
+    let output_empty = left_empty
+        || (!step.outer
+            && cp
+                .as_ref()
+                .is_some_and(|c| !table.rows.iter().flatten().any(|t| c.matches(t.values()))));
     let t0 = Instant::now();
     let mut build = OpStats::default();
     let mut build_note: Option<String> = None;
@@ -888,82 +863,70 @@ fn compile_join<'a>(
         }
         JoinStrategy::Hash => {
             build.hash_builds = 1;
-            if let Some((_, map)) = table.unique.iter().find(|(p, _)| *p == pos) {
-                RightAccess::HashUnique {
-                    map,
-                    rows: &table.rows,
+            // Transient build, through the versioned cache: a version
+            // match proves the cached build still describes the stored
+            // rows, so hits skip the scan entirely. The cache lock is
+            // never held across the build or a fault site.
+            let key = BuildKey {
+                rel: step.rel.clone(),
+                attrs: step.right_attrs.clone(),
+                version: table.version,
+                filter: pushed.cloned(),
+            };
+            let cached = db.build_cache_lock().get(&key);
+            let owned = match cached {
+                Some(owned) => {
+                    db.metrics.build_cache_hits.inc();
+                    cache_hits = 1;
+                    build_note = Some("build: cached".to_owned());
+                    owned
                 }
-            } else if let Some((_, map)) = table.lookups.get(&step.right_attrs) {
-                RightAccess::HashLookup {
-                    map,
-                    rows: &table.rows,
-                }
-            } else {
-                // Transient build, through the versioned cache: a version
-                // match proves the cached build still describes the stored
-                // rows, so hits skip the scan entirely. The cache lock is
-                // never held across the build or a fault site.
-                let key = BuildKey {
-                    rel: step.rel.clone(),
-                    attrs: step.right_attrs.clone(),
-                    version: table.version,
-                    filter: pushed.cloned(),
-                };
-                let cached = db.build_cache_lock().get(&key);
-                let owned = match cached {
-                    Some(owned) => {
-                        db.metrics.build_cache_hits.inc();
-                        cache_hits = 1;
-                        build_note = Some("build: cached".to_owned());
-                        owned
+                None => {
+                    db.metrics.build_cache_misses.inc();
+                    cache_misses = 1;
+                    let workers = choose_build_parallelism(db, table.live);
+                    let owned = Arc::new(build_owned(
+                        &table.rows,
+                        &pos,
+                        workers,
+                        cp.as_ref(),
+                        || db.fault_check(site::HASH_BUILD),
+                    )?);
+                    if owned.workers() > 1 {
+                        db.metrics.parallel_builds.inc();
+                        build_note = Some(format!("build: {} workers", owned.workers()));
+                    } else {
+                        build_note = Some("build: serial".to_owned());
                     }
-                    None => {
-                        db.metrics.build_cache_misses.inc();
-                        cache_misses = 1;
-                        let workers = choose_build_parallelism(db, table.live);
-                        let owned = Arc::new(build_owned(
-                            &table.rows,
-                            &pos,
-                            workers,
-                            cp.as_ref(),
-                            || db.fault_check(site::HASH_BUILD),
-                        )?);
-                        if owned.workers() > 1 {
-                            db.metrics.parallel_builds.inc();
-                            build_note = Some(format!("build: {} workers", owned.workers()));
-                        } else {
-                            build_note = Some("build: serial".to_owned());
-                        }
-                        // The insert-side fault site fires *before* the
-                        // cache is touched: an injected error or panic
-                        // fails this query and leaves the cache unmodified
-                        // — never a poisoned entry.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            db.fault_check(site::BUILD_CACHE_INSERT)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(Error::ExecutionPanic {
-                                context: panic_message(payload),
-                            })
-                        })?;
-                        let (evicted, evicted_bytes) =
-                            db.build_cache_lock().insert(key, Arc::clone(&owned));
-                        db.metrics.build_cache_evictions.add(evicted);
-                        db.metrics.cache_insert.inc();
-                        db.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
-                        cache_evicted_bytes = evicted_bytes;
-                        owned
-                    }
-                };
-                // Hits charge the same scan count and bytes the cold build
-                // did, keeping stats and budgets independent of cache state.
-                budget.charge_build_bytes(owned.bytes())?;
-                build.rows_scanned = owned.rows_scanned();
-                build.intermediate_bytes = owned.bytes();
-                RightAccess::HashOwned {
-                    build: owned,
-                    rows: &table.rows,
+                    // The insert-side fault site fires *before* the
+                    // cache is touched: an injected error or panic
+                    // fails this query and leaves the cache unmodified
+                    // — never a poisoned entry.
+                    catch_unwind(AssertUnwindSafe(|| {
+                        db.fault_check(site::BUILD_CACHE_INSERT)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        Err(Error::ExecutionPanic {
+                            context: panic_message(payload),
+                        })
+                    })?;
+                    let (evicted, evicted_bytes) =
+                        db.build_cache_lock().insert(key, Arc::clone(&owned));
+                    db.metrics.build_cache_evictions.add(evicted);
+                    db.metrics.cache_insert.inc();
+                    db.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
+                    cache_evicted_bytes = evicted_bytes;
+                    owned
                 }
+            };
+            // Hits charge the same scan count and bytes the cold build
+            // did, keeping stats and budgets independent of cache state.
+            budget.charge_build_bytes(owned.bytes())?;
+            build.rows_scanned = owned.rows_scanned();
+            build.intermediate_bytes = owned.bytes();
+            RightAccess::HashOwned {
+                build: owned,
+                rows: &table.rows,
             }
         }
     };
@@ -1011,61 +974,13 @@ fn compile_join<'a>(
         outer: step.outer,
         build,
         label,
-        strategy,
         cache_hits,
         cache_misses,
         cache_evicted_bytes,
         pushed: pushed_probe,
-        sel,
+        output_empty,
         build_pruned,
     })
-}
-
-/// Estimates a compiled join's output cardinality from its left estimate
-/// and the access path's fan-out, so the *next* step's strategy choice
-/// sees this step's output rather than the root cardinality. Unique
-/// accesses match at most one row per left row; lookup and built hash
-/// accesses multiply by the index's average bucket size; the empty access
-/// only ever sees a zero estimate and carries it through.
-/// Outer joins never shrink the left side. The estimate is 0 only when
-/// the output is provably empty (an empty left side, or a pushed conjunct
-/// that keeps no right row), since rule 1 of
-/// [`crate::planner::choose_join_strategy`] trusts it. Everything here
-/// reads pre-fan-out state only, keeping strategy choice deterministic
-/// across morsel sizes and worker counts.
-fn estimate_join_output(join: &CompiledJoin<'_>, left: usize) -> usize {
-    let avg_bucket = |keys: usize, slots: usize| {
-        if keys == 0 {
-            1
-        } else {
-            slots.div_ceil(keys).max(1)
-        }
-    };
-    let fanout = match &join.access {
-        RightAccess::Unique { .. } | RightAccess::HashUnique { .. } => 1,
-        RightAccess::Lookup { map, .. } | RightAccess::HashLookup { map, .. } => {
-            avg_bucket(map.len(), map.values().map(Vec::len).sum())
-        }
-        RightAccess::HashOwned { build, .. } => avg_bucket(build.keys(), build.slots()),
-        RightAccess::Empty => 1,
-    };
-    let mut estimate = left.saturating_mul(fanout);
-    // A pushed conjunct shrinks the matched stream by its measured
-    // selectivity, so downstream strategy choices see the post-pushdown
-    // cardinality — a selective pushed filter can flip the next step from
-    // a hash build to index nested loops. A nonzero product never floors
-    // to 0: that would claim an empty left side for the next step.
-    if let Some((kept, live)) = join.sel {
-        let product = estimate.saturating_mul(kept);
-        if let Some(scaled) = product.checked_div(live) {
-            estimate = scaled.max(usize::from(product > 0));
-        }
-    }
-    if join.outer {
-        estimate.max(left)
-    } else {
-        estimate
-    }
 }
 
 /// Evaluates a root-only predicate over the scanned rows *before* the
@@ -1445,32 +1360,21 @@ fn execute_core(
     }
     budget.charge_rows(root_rows.len() as u64)?;
 
-    // Compile the join pipeline. Strategy choice starts from the root
-    // cardinality (known exactly after root access) and carries each
-    // step's estimated *output* cardinality forward as the next step's
-    // left estimate, so a selective chain that fans out picks hash joins
-    // per-step instead of from the root alone. Estimates derive only from
-    // pre-fan-out state (root rows plus index fan-outs), and hash builds
-    // happen here, before fan-out, so strategies and counters are
-    // identical at every parallelism level.
+    // Compile the join pipeline. Emptiness of each step's left side (see
+    // `CompiledJoin::output_empty`) and every hash build are settled here,
+    // before fan-out, so strategies and counters are identical at every
+    // parallelism level.
     let mut layout = FlatLayout {
         header: root_header.to_vec(),
         locs: (0..root_header.len()).map(|i| (0, i)).collect(),
         widths: vec![root_header.len()],
     };
-    let mut left_estimate = root_rows.len();
+    let mut left_empty = root_rows.is_empty();
     let mut joins: Vec<CompiledJoin<'_>> = Vec::with_capacity(plan.joins.len());
     for (step, pushed) in plan.joins.iter().zip(&pd.per_join) {
         stats.joins += 1;
-        let compiled = compile_join(
-            db,
-            step,
-            &mut layout,
-            left_estimate,
-            pushed.as_ref(),
-            &budget,
-        )?;
-        left_estimate = estimate_join_output(&compiled, left_estimate);
+        let compiled = compile_join(db, step, &mut layout, left_empty, pushed.as_ref(), &budget)?;
+        left_empty = compiled.output_empty;
         joins.push(compiled);
     }
     // Residual filter: what the placement left for the joined row.
@@ -1680,12 +1584,10 @@ fn execute_core(
     });
     span.add_field("rows_out", stats.rows_output);
 
-    // Fold this execution into the shared workload profiler: the shape
-    // (fingerprinted with the strategies the planner actually chose), the
-    // per-query cost, and per-edge attribution from the aggregated join
-    // operators — so per-fingerprint totals sum exactly to the
+    // Fold this execution into the shared workload profiler: the shape,
+    // the per-query cost, and per-edge attribution from the aggregated
+    // join operators — so per-fingerprint totals sum exactly to the
     // `QueryStats` each execution reported.
-    let strategies: Vec<JoinStrategy> = joins.iter().map(|j| j.strategy).collect();
     let edges: Vec<obs::JoinEdge> = plan
         .joins
         .iter()
@@ -1707,7 +1609,7 @@ fn execute_core(
         Access::Lookup { .. } => "lookup",
     };
     let shape = obs::QueryShape {
-        fingerprint: crate::planner::fingerprint(plan, &strategies),
+        fingerprint: crate::planner::fingerprint(plan),
         label: format!("{access_word} {} + {} joins", plan.root, plan.joins.len()),
         root: plan.root.clone(),
         edges,
@@ -2118,45 +2020,59 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_over_threshold_replaces_probes_with_one_build() {
+    fn covered_join_probes_its_index_whatever_the_left_size() {
+        use relmerge_relational::algebra::{equi_join, outer_equi_join};
+        // 200 courses: however large the left side, every left row is one
+        // counted probe of OFFER's unique index, and nothing is built.
         let mut db = db();
-        let plan = QueryPlan::scan("COURSE").join(JoinStep::inner("OFFER", &["C.K"], &["O.K"]));
-        // Force the hash strategy: the OFFER unique index becomes the
-        // build side, so no per-row probes are counted.
-        db.configure(db.config().hash_join_threshold(0));
-        let (hashed, hash_stats) = db.execute(&plan).unwrap();
-        assert_eq!(hash_stats.hash_builds, 1);
-        assert_eq!(hash_stats.index_probes, 0);
-        // Force index-nested-loop: the pre-morsel counters.
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        let (inl, inl_stats) = db.execute(&plan).unwrap();
-        assert_eq!(inl_stats.hash_builds, 0);
-        assert_eq!(inl_stats.index_probes, 10);
-        assert_eq!(hashed, inl, "strategy changes cost, not the result");
-    }
-
-    #[test]
-    fn outer_hash_join_pads_like_inl() {
-        let mut db = db();
-        let plan = QueryPlan::scan("COURSE").join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]));
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        let (inl, _) = db.execute(&plan).unwrap();
-        db.configure(db.config().hash_join_threshold(0));
-        let (hashed, stats) = db.execute(&plan).unwrap();
-        assert_eq!(stats.hash_builds, 1);
-        assert_eq!(hashed, inl);
-        assert!(hashed.contains(&Tuple::new([Value::Int(1), Value::Null, Value::Null])));
+        for k in 10..200 {
+            db.insert("COURSE", tup(&[k])).unwrap();
+        }
+        let state = db.snapshot().unwrap();
+        let (course, offer) = (
+            state.relation("COURSE").unwrap(),
+            state.relation("OFFER").unwrap(),
+        );
+        for outer in [false, true] {
+            let step = if outer {
+                JoinStep::outer("OFFER", &["C.K"], &["O.K"])
+            } else {
+                JoinStep::inner("OFFER", &["C.K"], &["O.K"])
+            };
+            let (got, stats, trace) = db
+                .execute_traced(&QueryPlan::scan("COURSE").join(step))
+                .unwrap();
+            assert_eq!(stats.index_probes, 200);
+            assert_eq!(stats.hash_builds, 0);
+            assert_eq!(stats.rows_scanned, 200, "the root scan only");
+            let verb = if outer {
+                "OuterJoin OFFER"
+            } else {
+                "Join OFFER"
+            };
+            assert!(
+                trace.ops[1].label.starts_with(verb),
+                "{}",
+                trace.ops[1].label
+            );
+            let want = if outer {
+                outer_equi_join(course, offer, &[("C.K", "O.K")]).unwrap()
+            } else {
+                equi_join(course, offer, &[("C.K", "O.K")]).unwrap()
+            };
+            assert!(got.set_eq_unordered(&want), "outer={outer}");
+        }
     }
 
     #[test]
     fn hash_join_without_covering_index_builds_from_one_scan() {
         // Join on the *non-indexed* V columns: no unique or lookup index
-        // covers them, so the hash strategy scans R once to build, even
-        // for a left input below the threshold.
-        let mut db = lr_db(12);
-        db.configure(db.config().hash_join_threshold(64));
+        // covers them, so the hash strategy scans R once to build, however
+        // small the left input.
+        let db = lr_db(12);
         let (hashed, hash_stats) = db.execute(&lr_plan()).unwrap();
         assert_eq!(hash_stats.hash_builds, 1);
+        assert_eq!(hash_stats.index_probes, 0);
         assert_eq!(
             hash_stats.rows_scanned,
             12 + 12,
@@ -2166,11 +2082,30 @@ mod tests {
         let (l, r) = (state.relation("L").unwrap(), state.relation("R").unwrap());
         let want = relmerge_relational::algebra::equi_join(l, r, &[("L.V", "R.V")]).unwrap();
         assert!(hashed.set_eq_unordered(&want));
-        // `usize::MAX` only keeps covered joins on index-nested-loop.
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        let (again, again_stats) = db.execute(&lr_plan()).unwrap();
-        assert_eq!(again, hashed);
-        assert_eq!(again_stats, hash_stats);
+    }
+
+    #[test]
+    fn empty_left_side_builds_nothing_and_keeps_the_fingerprint() {
+        // A present key feeds the uncovered join a row, so it builds once;
+        // an absent key empties the left side, so it neither scans nor
+        // builds. The literal still belongs to one query shape.
+        let db = lr_db(12);
+        for (k, builds) in [(3i64, 1u64), (999, 0)] {
+            let plan = lr_plan().filter(Predicate::eq("L.K", k));
+            let (_, stats, trace) = db.execute_traced(&plan).unwrap();
+            assert_eq!(stats.hash_builds, builds, "L.K = {k}");
+            assert_eq!(stats.rows_scanned, 12 * builds, "L.K = {k}");
+            assert_eq!(stats.index_probes, 1, "the root lookup only");
+            let verb = if builds == 1 { "HashJoin R" } else { "Join R" };
+            assert!(
+                trace.ops[1].label.starts_with(verb),
+                "{}",
+                trace.ops[1].label
+            );
+        }
+        let snap = db.profile_snapshot();
+        assert_eq!(snap.queries.len(), 1);
+        assert_eq!(snap.queries.values().next().unwrap().executions, 2);
     }
 
     /// L(L.K, L.V) / R(R.K, R.V): no index covers the V columns, so a
@@ -2186,7 +2121,6 @@ mod tests {
             db.insert("L", tup(&[k, k % 3])).unwrap();
             db.insert("R", tup(&[k, k % 4])).unwrap();
         }
-        db.configure(db.config().hash_join_threshold(0));
         db
     }
 
@@ -2247,11 +2181,11 @@ mod tests {
     }
 
     /// L(50) ⋈ S on its key, with a pushed `Eq(S.W, 7)` keeping 10 of
-    /// 1,000 S rows, then ⋈ T on the non-indexed T.V. The estimate after
-    /// S is 50·10/1000, which must not floor to 0: a zero estimate would
-    /// claim an empty left side for T and skip its build.
+    /// 1,000 S rows, then ⋈ T on the non-indexed T.V. A selective pushed
+    /// conjunct that keeps *some* row must not be taken for an empty left
+    /// side: T still builds.
     #[test]
-    fn floored_selectivity_estimate_keeps_the_hash_join() {
+    fn selective_pushed_conjunct_keeps_the_next_build() {
         use relmerge_relational::algebra::{equi_join, select_eq};
         let mut rs = RelationalSchema::new();
         rs.add_scheme(RelationScheme::new("L", vec![a("L.K"), a("L.S")], &["L.K"]).unwrap())
@@ -2338,20 +2272,31 @@ mod tests {
         assert_eq!(off, after);
     }
 
+    /// `lr_db` at two full build chunks, and a root `Eq` that keeps the
+    /// output at one L row's matches.
+    fn two_chunk_build() -> (Database, QueryPlan) {
+        let rows = 2 * crate::planner::BUILD_CHUNK_ROWS as i64;
+        (lr_db(rows), lr_plan().filter(Predicate::eq("L.K", 5i64)))
+    }
+
     #[test]
     fn parallel_builds_are_byte_identical_to_serial() {
-        let mut db = lr_db(200);
-        let plan = lr_plan();
-        db.configure(db.config().parallelism(4));
-        db.configure(db.config().build_parallel_threshold(usize::MAX));
-        let (serial, serial_stats) = db.execute(&plan).unwrap();
+        let (mut db, plan) = two_chunk_build();
+        db.configure(db.config().parallelism(1));
+        let (serial, serial_stats, trace) = db.execute_traced(&plan).unwrap();
+        assert!(
+            trace.ops[1].label.ends_with("[build: serial]"),
+            "{}",
+            trace.ops[1].label
+        );
+        assert_eq!(serial.len(), crate::planner::BUILD_CHUNK_ROWS / 2);
         db.clear_build_cache();
-        db.configure(db.config().build_parallel_threshold(8));
+        db.configure(db.config().parallelism(2));
         let (parallel, parallel_stats, trace) = db.execute_traced(&plan).unwrap();
         assert_eq!(parallel, serial);
         assert_eq!(parallel_stats, serial_stats);
         assert!(
-            trace.ops[1].label.ends_with("[build: 4 workers]"),
+            trace.ops[1].label.ends_with("[build: 2 workers]"),
             "{}",
             trace.ops[1].label
         );
@@ -2388,33 +2333,37 @@ mod tests {
     #[test]
     fn build_faults_never_poison_the_cache() {
         use crate::fault::{FaultMode, FaultPlan};
-        let mut db = lr_db(12);
-        let plan = lr_plan();
+        // A two-worker build: the hash-build site arrives once per chunk,
+        // so `nth` 0 and 1 fire in each chunk; the insert site arrives once.
+        let (mut db, plan) = two_chunk_build();
+        db.configure(db.config().parallelism(2));
         let (baseline, _) = db.execute(&plan).unwrap();
-        for (site_name, mode) in [
-            (site::HASH_BUILD, FaultMode::Error),
-            (site::HASH_BUILD, FaultMode::Panic),
-            (site::BUILD_CACHE_INSERT, FaultMode::Error),
-            (site::BUILD_CACHE_INSERT, FaultMode::Panic),
-        ] {
-            db.clear_build_cache();
-            db.set_fault_plan(FaultPlan::new().fail_at(site_name, 0, mode));
-            let err = db.execute(&plan).unwrap_err();
-            match mode {
-                FaultMode::Error => {
-                    assert!(matches!(err, Error::Injected { .. }), "{site_name}: {err}");
+        for mode in [FaultMode::Error, FaultMode::Panic] {
+            for (site_name, nth) in [
+                (site::HASH_BUILD, 0),
+                (site::HASH_BUILD, 1),
+                (site::BUILD_CACHE_INSERT, 0),
+            ] {
+                db.clear_build_cache();
+                let armed = db.set_fault_plan(FaultPlan::new().fail_at(site_name, nth, mode));
+                let err = db.execute(&plan).unwrap_err();
+                assert_eq!(armed.total_fired(), 1, "{site_name} #{nth}");
+                match mode {
+                    FaultMode::Error => {
+                        assert!(matches!(err, Error::Injected { .. }), "{site_name}: {err}");
+                    }
+                    FaultMode::Panic => {
+                        assert!(
+                            matches!(err, Error::ExecutionPanic { .. }),
+                            "{site_name}: {err}"
+                        );
+                    }
                 }
-                FaultMode::Panic => {
-                    assert!(
-                        matches!(err, Error::ExecutionPanic { .. }),
-                        "{site_name}: {err}"
-                    );
-                }
+                assert_eq!(db.build_cache_len(), 0, "{site_name}: no poisoned entry");
+                db.clear_fault_plan();
+                let (recovered, _) = db.execute(&plan).unwrap();
+                assert_eq!(recovered, baseline, "{site_name}: clean recovery");
             }
-            assert_eq!(db.build_cache_len(), 0, "{site_name}: no poisoned entry");
-            db.clear_fault_plan();
-            let (recovered, _) = db.execute(&plan).unwrap();
-            assert_eq!(recovered, baseline, "{site_name}: clean recovery");
         }
     }
 
@@ -2432,14 +2381,13 @@ mod tests {
 
     #[test]
     fn hash_join_label_in_trace() {
-        let mut db = db();
-        db.configure(db.config().hash_join_threshold(0));
-        let plan = QueryPlan::scan("COURSE").join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]));
+        let db = lr_db(12);
+        let plan = QueryPlan::scan("L").join(JoinStep::outer("R", &["L.V"], &["R.V"]));
         let (_, stats, trace) = db.execute_traced(&plan).unwrap();
         assert_eq!(trace.totals(), stats);
         assert_eq!(trace.ops[1].kind, OpKind::Join);
         assert!(
-            trace.ops[1].label.starts_with("OuterHashJoin OFFER"),
+            trace.ops[1].label.starts_with("OuterHashJoin R"),
             "{}",
             trace.ops[1].label
         );

@@ -584,7 +584,6 @@ mod tests {
         )
         .unwrap();
         let st = Store::new(Database::new(rs, DbmsProfile::ideal()).unwrap());
-        st.configure(st.config().hash_join_threshold(0));
         let s = st.session();
         s.insert("P", tup(&[1, 1])).unwrap();
         s.insert("C", tup(&[10, 1])).unwrap();

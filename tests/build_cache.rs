@@ -29,8 +29,6 @@ fn schema() -> RelationalSchema {
 
 fn build_db(cache: bool) -> Database {
     let mut db = Database::new(schema(), DbmsProfile::ideal()).unwrap();
-    // Always hash-join, so every query exercises a build side.
-    db.configure(db.config().hash_join_threshold(0));
     if !cache {
         db.configure(db.config().build_cache_capacity(0));
     }

@@ -65,7 +65,6 @@ fn row(vals: &[i64]) -> Tuple {
 fn engine_config(workers: usize, cache_on: bool) -> EngineConfig {
     EngineConfig::default()
         .parallelism(workers)
-        .hash_join_threshold(0)
         .morsel_rows(4)
         .build_cache_capacity(if cache_on {
             DEFAULT_BUILD_CACHE_BYTES

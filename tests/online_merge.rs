@@ -12,11 +12,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge::core::{check_both, check_proposition_4_1, Merge, Merged};
+use relmerge::core::{check_both, check_proposition_4_1, Advisor, AdvisorConfig, Merge, Merged};
 use relmerge::engine::fault::site;
-use relmerge::engine::{Database, DbmsProfile, FaultMode, FaultPlan, QueryPlan, Statement};
+use relmerge::engine::{
+    Database, DbmsProfile, FaultMode, FaultPlan, JoinStep, QueryPlan, Statement,
+};
 use relmerge::relational::{Error, Tuple, Value};
-use relmerge::workload::{consistent_state, star_merge_set, star_schema, StarSpec, StateSpec};
+use relmerge::workload::{
+    consistent_state, generate_university, star_merge_set, star_schema, StarSpec, StateSpec,
+    UniversitySpec,
+};
 
 /// One step of the random DML history. Every field is interpreted
 /// modulo the generated schema's actual shape, and statements the
@@ -97,6 +102,46 @@ fn star_plan(schema: &relmerge::relational::RelationalSchema, spec: &StarSpec) -
     let mut plan = Merge::plan(schema, &refs, "M").unwrap();
     plan.remove_all_removable().unwrap();
     plan
+}
+
+/// A scan-only workload pays for its joins too: each chain scan probes
+/// OFFER once per course and TEACH and ASSIST once per offered course, so
+/// the hot-join report charges every edge and the advisor merges the
+/// COURSE chain.
+#[test]
+fn advisor_merges_the_chain_a_scan_workload_pays_for() {
+    let mut rng = StdRng::seed_from_u64(42);
+    let spec = UniversitySpec {
+        courses: 500,
+        ..UniversitySpec::default()
+    };
+    let u = generate_university(&spec, &mut rng).unwrap();
+    let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal()).unwrap();
+    db.load_state(&u.state).unwrap();
+    let chain = QueryPlan::scan("COURSE")
+        .join(JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]))
+        .join(JoinStep::outer("TEACH", &["O.C.NR"], &["T.C.NR"]))
+        .join(JoinStep::outer("ASSIST", &["O.C.NR"], &["A.C.NR"]));
+    let mut probes = 0;
+    for _ in 0..20 {
+        let (_, stats) = db.execute(&chain).unwrap();
+        assert_eq!(stats.hash_builds, 0, "every chain join is covered");
+        probes += stats.index_probes;
+    }
+    let hot = relmerge::obs::report(&db.profile_snapshot());
+    assert_eq!(hot.len(), 3, "{hot:?}");
+    assert!(hot.iter().all(|h| h.cumulative_cost > 0), "{hot:?}");
+    assert_eq!(hot.iter().map(|h| h.index_probes).sum::<u64>(), probes);
+
+    let applied = db
+        .advise_and_migrate(&Advisor::new(AdvisorConfig::permissive()))
+        .unwrap();
+    assert_eq!(applied.len(), 1, "{applied:?}");
+    let mut members = applied[0].proposal.members.clone();
+    members.sort();
+    assert_eq!(members, ["ASSIST", "COURSE", "OFFER", "TEACH"]);
+    assert_eq!(applied[0].proposal.observed_cost, probes);
+    assert!(db.verify_integrity().is_clean());
 }
 
 proptest! {

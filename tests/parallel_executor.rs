@@ -1,8 +1,8 @@
 //! Whole-system property test for the morsel-parallel executor: on random
 //! star and chain schemas carrying random consistent states, every
-//! configuration of join-strategy threshold, morsel size, and worker count
-//! must return the byte-identical relation, identical [`QueryStats`], and
-//! a trace whose per-operator counters sum exactly to those stats.
+//! configuration of morsel size and worker count must return the
+//! byte-identical relation, identical [`QueryStats`], and a trace whose
+//! per-operator counters sum exactly to those stats.
 //!
 //! [`QueryStats`]: relmerge::engine::QueryStats
 
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge::engine::{Database, DbmsProfile, JoinStep, Predicate, QueryPlan};
+use relmerge::engine::{Database, DbmsProfile, JoinStep, Predicate, QueryPlan, QueryStats};
 use relmerge::workload::{
     chain_schema, consistent_state, star_schema, ChainSpec, StarSpec, StateSpec,
 };
@@ -88,53 +88,39 @@ proptest! {
         let mut db = Database::new(schema, DbmsProfile::ideal()).expect("database");
         db.load_state(&state).expect("load");
 
-        // Reference: serial, index-nested-loop wherever an index covers
-        // (`usize::MAX` never reaches the hash threshold).
+        // Reference: serial, at the default morsel size.
         db.configure(db.config().parallelism(1));
-        db.configure(db.config().hash_join_threshold(usize::MAX));
-        let (ref_rel, _, ref_trace) = db.execute_traced(&plan).expect("reference");
+        let (ref_rel, ref_stats, ref_trace) = db.execute_traced(&plan).expect("reference");
 
-        for threshold in [0usize, 64, usize::MAX] {
-            db.configure(db.config().hash_join_threshold(threshold));
-            let mut strategy_stats = None;
-            for morsel_rows in [1usize, 7, 64] {
-                db.configure(db.config().morsel_rows(morsel_rows));
-                for workers in 1usize..=4 {
-                    db.configure(db.config().parallelism(workers));
-                    let (rel, stats, trace) = db.execute_traced(&plan).expect("query");
+        for morsel_rows in [1usize, 7, 64] {
+            db.configure(db.config().morsel_rows(morsel_rows));
+            for workers in 1usize..=4 {
+                db.configure(db.config().parallelism(workers));
+                let (rel, stats, trace) = db.execute_traced(&plan).expect("query");
 
-                    // Byte-identical result, whatever the configuration.
-                    prop_assert_eq!(
-                        &rel, &ref_rel,
-                        "threshold={} morsel={} workers={}",
-                        threshold, morsel_rows, workers
-                    );
-                    // The trace reconstructs the stats exactly.
-                    prop_assert_eq!(trace.totals(), stats.clone());
-                    prop_assert_eq!(stats.rows_output, rel.len() as u64);
-                    prop_assert_eq!(
-                        trace.ops.last().expect("ops nonempty").stats.rows_out,
-                        rel.len() as u64
-                    );
-                    // Operator row counts are physical facts, independent
-                    // of morsel size and worker count (strategy may differ
-                    // from the reference, row flow may not).
-                    prop_assert_eq!(trace.ops.len(), ref_trace.ops.len());
-                    for (op, ref_op) in trace.ops.iter().zip(&ref_trace.ops) {
-                        prop_assert_eq!(op.stats.rows_in, ref_op.stats.rows_in);
-                        prop_assert_eq!(op.stats.rows_out, ref_op.stats.rows_out);
-                    }
-                    // Cost counters depend only on the strategy: identical
-                    // across morsel sizes and worker counts (the morsel
-                    // count itself varies with the morsel size, so it is
-                    // masked out of the comparison).
-                    let mut s = stats;
-                    s.morsels = 0;
-                    match &strategy_stats {
-                        None => strategy_stats = Some(s),
-                        Some(first) => prop_assert_eq!(&s, first),
-                    }
+                // Byte-identical result, whatever the configuration.
+                prop_assert_eq!(&rel, &ref_rel, "morsel={} workers={}", morsel_rows, workers);
+                // The trace reconstructs the stats exactly.
+                prop_assert_eq!(trace.totals(), stats.clone());
+                prop_assert_eq!(stats.rows_output, rel.len() as u64);
+                prop_assert_eq!(
+                    trace.ops.last().expect("ops nonempty").stats.rows_out,
+                    rel.len() as u64
+                );
+                // Operator row counts are physical facts, independent of
+                // morsel size and worker count.
+                prop_assert_eq!(trace.ops.len(), ref_trace.ops.len());
+                for (op, ref_op) in trace.ops.iter().zip(&ref_trace.ops) {
+                    prop_assert_eq!(op.stats.rows_in, ref_op.stats.rows_in);
+                    prop_assert_eq!(op.stats.rows_out, ref_op.stats.rows_out);
                 }
+                // So are the cost counters (the morsel count itself varies
+                // with the morsel size, so it is masked out of the
+                // comparison).
+                prop_assert_eq!(
+                    QueryStats { morsels: 0, ..stats },
+                    QueryStats { morsels: 0, ..ref_stats }
+                );
             }
         }
     }

@@ -3,7 +3,7 @@
 //! and null-padded rows) the optimized form must agree with the original
 //! row-by-row; executing with pushdown on must return byte-identical
 //! results to pushdown off at every worker count while never *increasing*
-//! the scan/probe counters (strategies pinned); the plan fingerprint must
+//! the scan/probe counters; the plan fingerprint must
 //! be stable across logically equivalent predicate forms; and an injected
 //! fault at `engine.query.pushdown` must fall back to the unoptimized
 //! filter placement with identical results and stats.
@@ -104,16 +104,14 @@ proptest! {
     }
 
     /// Pushdown on and off return byte-identical results at workers
-    /// {1,2,4}; with the join strategy pinned (so placement, not strategy,
-    /// is the only difference) the scan and scan+probe counters never
-    /// increase with pushdown on; and per-setting stats are identical at
-    /// every worker count.
+    /// {1,2,4}; the scan and scan+probe counters never increase with
+    /// pushdown on; and per-setting stats are identical at every worker
+    /// count.
     #[test]
     fn pushdown_equivalent_and_counters_monotone(
         satellites in 1usize..4,
         rows in 1usize..24,
         coverage in 0.0f64..=1.0,
-        force_hash in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let spec = StarSpec { satellites, non_key_attrs: 2, externals: 0 };
@@ -125,7 +123,6 @@ proptest! {
             &mut rng,
         ).expect("state");
         let attrs = star_attrs(satellites, 2);
-        let threshold = if force_hash { 0 } else { usize::MAX };
 
         for _ in 0..4 {
             let mut plan = QueryPlan::scan("ROOT");
@@ -144,12 +141,7 @@ proptest! {
             let run = |pushdown: bool, workers: usize| {
                 let mut db = Database::new(schema.clone(), DbmsProfile::ideal()).expect("db");
                 db.load_state(&state).expect("load");
-                db.configure(
-                    db.config()
-                        .hash_join_threshold(threshold)
-                        .predicate_pushdown(pushdown)
-                        .parallelism(workers),
-                );
+                db.configure(db.config().predicate_pushdown(pushdown).parallelism(workers));
                 db.execute(&plan).expect("execution")
             };
 
@@ -194,7 +186,7 @@ proptest! {
             let plan = QueryPlan::scan("ROOT")
                 .join(JoinStep::inner("S0", &["ROOT.K"], &["S0.K"]))
                 .filter(pred);
-            fingerprint(&plan, &[relmerge::engine::JoinStrategy::IndexNestedLoop])
+            fingerprint(&plan)
         };
         let f = fp(base());
         // Double negation.
@@ -262,50 +254,36 @@ proptest! {
     }
 }
 
-/// A selective conjunct pushed into an early join shrinks the estimate the
-/// planner feeds the *next* step, flipping it from a hash join to index
-/// nested loops — visible in the trace labels and the probe counters.
+/// An inner step whose pushed conjunct keeps no right row proves the
+/// stream empty, so the next step — a join no index covers — skips its
+/// build. Pushdown off builds, and both settings return byte-identical
+/// results. A conjunct that keeps some rows keeps the build.
 #[test]
-fn pushdown_selectivity_flips_hash_to_inl() {
+fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
     let a = |n: &str| Attribute::new(n, Domain::Int);
     let mut rs = RelationalSchema::new();
     rs.add_scheme(RelationScheme::new("C0", vec![a("A.K")], &["A.K"]).unwrap())
         .unwrap();
     rs.add_scheme(RelationScheme::new("C1", vec![a("B.K"), a("B.V")], &["B.K"]).unwrap())
         .unwrap();
-    rs.add_scheme(RelationScheme::new("C2", vec![a("D.K")], &["D.K"]).unwrap())
+    rs.add_scheme(RelationScheme::new("C2", vec![a("D.K"), a("D.V")], &["D.K"]).unwrap())
         .unwrap();
     rs.add_null_constraint(NullConstraint::nna("C0", &["A.K"]))
         .unwrap();
     rs.add_null_constraint(NullConstraint::nna("C1", &["B.K", "B.V"]))
         .unwrap();
-    rs.add_null_constraint(NullConstraint::nna("C2", &["D.K"]))
+    rs.add_null_constraint(NullConstraint::nna("C2", &["D.K", "D.V"]))
         .unwrap();
     rs.add_ind(InclusionDep::new("C1", &["B.K"], "C0", &["A.K"]))
-        .unwrap();
-    rs.add_ind(InclusionDep::new("C2", &["D.K"], "C0", &["A.K"]))
         .unwrap();
     let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
     for k in 0..100i64 {
         db.insert("C0", Tuple::new(vec![Value::Int(k)])).unwrap();
         db.insert("C1", Tuple::new(vec![Value::Int(k), Value::Int(k % 10)]))
             .unwrap();
-        db.insert("C2", Tuple::new(vec![Value::Int(k)])).unwrap();
+        db.insert("C2", Tuple::new(vec![Value::Int(k), Value::Int(k)]))
+            .unwrap();
     }
-    // 100 root rows ≥ the default hash threshold, so without pushdown both
-    // joins hash; with the B.V conjunct pushed into the C1 step the
-    // estimate entering C2 drops to ~10, under the threshold.
-    let plan = QueryPlan::scan("C0")
-        .join(JoinStep::inner("C1", &["A.K"], &["B.K"]))
-        .join(JoinStep::inner("C2", &["B.K"], &["D.K"]))
-        .filter(Predicate::eq("B.V", Value::Int(3)));
-
-    db.configure(db.config().predicate_pushdown(false));
-    let (off_rel, _, off_trace) = db.execute_traced(&plan).unwrap();
-    db.configure(db.config().predicate_pushdown(true));
-    let (on_rel, on_stats, on_trace) = db.execute_traced(&plan).unwrap();
-
-    assert_eq!(on_rel, off_rel, "strategy flip changed the result");
     let label_of = |trace: &relmerge::engine::QueryTrace, rel: &str| {
         trace
             .ops
@@ -314,22 +292,53 @@ fn pushdown_selectivity_flips_hash_to_inl() {
             .map(|op| op.label.clone())
             .unwrap_or_default()
     };
-    assert!(
-        label_of(&off_trace, "C2").starts_with("HashJoin"),
-        "expected a hash join without pushdown: {}",
-        label_of(&off_trace, "C2")
-    );
-    assert!(
-        label_of(&on_trace, "C2").starts_with("Join"),
-        "expected INL after pushdown shrank the estimate: {}",
-        label_of(&on_trace, "C2")
-    );
-    assert!(
-        label_of(&on_trace, "C1").contains("[pushed]"),
-        "C1 must carry the pushed conjunct: {}",
-        label_of(&on_trace, "C1")
-    );
-    assert!(on_stats.index_probes > 0, "INL probes must be counted");
+    // B.V = 3 keeps 10 C1 rows; B.V = 99 keeps none. C1 is joined on its
+    // key and C2 on the uncovered D.V.
+    for (value, rows, on_builds) in [(3i64, 10, 1), (99, 0, 0)] {
+        let plan = QueryPlan::scan("C0")
+            .join(JoinStep::inner("C1", &["A.K"], &["B.K"]))
+            .join(JoinStep::inner("C2", &["B.K"], &["D.V"]))
+            .filter(Predicate::eq("B.V", Value::Int(value)));
+        db.configure(db.config().predicate_pushdown(false));
+        let (off_rel, off_stats, off_trace) = db.execute_traced(&plan).unwrap();
+        db.configure(db.config().predicate_pushdown(true));
+        let (on_rel, on_stats, on_trace) = db.execute_traced(&plan).unwrap();
+
+        assert_eq!(
+            on_rel, off_rel,
+            "B.V = {value}: pushdown changed the result"
+        );
+        assert_eq!(on_rel.len(), rows);
+        assert_eq!(
+            off_stats.hash_builds, 1,
+            "B.V = {value}: pushdown off builds"
+        );
+        assert_eq!(on_stats.hash_builds, on_builds, "B.V = {value}");
+        assert_eq!(on_stats.index_probes, 100, "C1 is probed once per C0 row");
+        assert_eq!(on_stats.rows_scanned, 100 + 100 * on_builds);
+        let c2 = label_of(&on_trace, "C2");
+        let verb = if on_builds == 0 {
+            "Join C2"
+        } else {
+            "HashJoin C2"
+        };
+        assert!(c2.starts_with(verb), "B.V = {value}: {c2}");
+        assert!(label_of(&off_trace, "C2").starts_with("HashJoin C2"));
+        assert!(
+            label_of(&on_trace, "C1").contains("[pushed]"),
+            "C1 must carry the pushed conjunct: {}",
+            label_of(&on_trace, "C1")
+        );
+    }
+    // Only an inner step can empty the stream: under an outer join the
+    // unmatched C0 rows survive null-padded, so C2 still builds.
+    let plan = QueryPlan::scan("C0")
+        .join(JoinStep::outer("C1", &["A.K"], &["B.K"]))
+        .join(JoinStep::inner("C2", &["B.K"], &["D.V"]))
+        .filter(Predicate::eq("B.V", Value::Int(99)));
+    let (rel, stats) = db.execute(&plan).unwrap();
+    assert!(rel.is_empty());
+    assert_eq!(stats.hash_builds, 1);
 }
 
 /// A pushed root `Eq` on an indexed attribute upgrades the full scan to an
