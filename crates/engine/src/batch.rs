@@ -34,13 +34,13 @@
 //! deferred) is rolled back completely, leaving rows *and indexes* exactly
 //! as they were.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use relmerge_obs::{self as obs};
-use relmerge_relational::{Error, Relation, Tuple};
+use relmerge_relational::{Error, FxHashMap, Relation, Tuple};
 
 use crate::database::{singleton_relation, CheckClass, Database, DmlError};
 use crate::fault::{panic_message, site};
@@ -764,7 +764,7 @@ impl Database {
                 let lhs_pos = self.tables[rel]
                     .positions(&c.lhs_attrs)
                     .map_err(|e| structural(e.into()))?;
-                let mut keys: HashMap<Tuple, usize> = HashMap::new();
+                let mut keys: FxHashMap<Tuple, usize> = FxHashMap::default();
                 for (t, idx) in &tr.inserted {
                     if t.is_total_at(&lhs_pos) {
                         keys.entry(t.project(&lhs_pos))
@@ -817,7 +817,7 @@ impl Database {
                 let rhs_pos = self.tables[rel]
                     .positions(&c.rhs_attrs)
                     .map_err(|e| structural(e.into()))?;
-                let mut removed: HashMap<Tuple, usize> = HashMap::new();
+                let mut removed: FxHashMap<Tuple, usize> = FxHashMap::default();
                 for (t, idx) in &tr.deleted {
                     if t.is_total_at(&rhs_pos) {
                         removed
@@ -942,6 +942,10 @@ mod tests {
     fn failed_batch_reports_statement_and_rolls_back() {
         let mut d = db();
         d.insert("P", tup(&[1])).unwrap();
+        // Tombstone a slot, so the rows the batch inserts (and the
+        // rollback removes) sit after a dead slot.
+        d.insert("P", tup(&[3])).unwrap();
+        d.delete_by_key("P", &tup(&[3])).unwrap();
         let before = d.snapshot().unwrap();
         let err = d
             .apply_batch(&[
@@ -952,9 +956,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.statement_index(), Some(2));
         assert_eq!(d.snapshot().unwrap(), before);
+        assert!(d.verify_integrity().is_clean());
         // Indexes intact: the engine still accepts and enforces DML.
         d.insert("C", tup(&[12, 1])).unwrap();
         assert!(d.insert("C", tup(&[13, 7])).is_err());
+        assert!(d.insert("P", tup(&[2])).unwrap());
+        assert!(d.insert("P", tup(&[3])).unwrap());
     }
 
     #[test]

@@ -21,28 +21,25 @@
 //! rows; invalidation needs no bookkeeping beyond the bump. Entries are
 //! evicted least-recently-used once the byte cap is exceeded.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use relmerge_relational::{Error, Result, Tuple, Value};
+use relmerge_relational::{Error, FxBuildHasher, FxHashMap, Result, Tuple, Value};
 
 use crate::fault::panic_message;
 use crate::query::{CompiledPredicate, Predicate};
 
 /// One parallel build worker's output: per-partition partial maps plus
 /// the number of rows its pushed filter pruned.
-type ChunkBuild = (Vec<HashMap<Tuple, Vec<usize>>>, u64);
+type ChunkBuild = (Vec<FxHashMap<Tuple, Vec<usize>>>, u64);
 
-/// The partition a key belongs to: a stable hash of the value slice,
-/// reduced mod the partition count. Build and probe sides must agree, so
-/// both hash the *slice* form of the key (a [`Tuple`] hashes identically
-/// to its slice — see `Borrow<[Value]> for Tuple`).
+/// The partition a key belongs to: the key's hash reduced mod the
+/// partition count. Build and probe sides must agree, so both hash the
+/// *slice* form of the key (a [`Tuple`] hashes identically to its slice —
+/// see `Borrow<[Value]> for Tuple`).
 fn partition_of(key: &[Value], partitions: usize) -> usize {
-    let mut h = std::hash::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % partitions as u64) as usize
+    (FxBuildHasher::default().hash_one(key) % partitions as u64) as usize
 }
 
 /// A transient hash table over one relation's probe attributes: `P`
@@ -51,7 +48,7 @@ fn partition_of(key: &[Value], partitions: usize) -> usize {
 /// [`QueryStats`](crate::QueryStats) independent of cache state).
 #[derive(Debug)]
 pub(crate) struct OwnedBuild {
-    partitions: Vec<HashMap<Tuple, Vec<usize>>>,
+    partitions: Vec<FxHashMap<Tuple, Vec<usize>>>,
     /// Row slots scanned to build (the whole slot array, tombstones
     /// included — the figure the serial build always charged).
     rows_scanned: u64,
@@ -116,11 +113,11 @@ where
 {
     let workers = workers.max(1).min(rows.len().max(1));
     let mut pruned: u64 = 0;
-    let merged: Vec<HashMap<Tuple, Vec<usize>>> = if workers <= 1 {
+    let merged: Vec<FxHashMap<Tuple, Vec<usize>>> = if workers <= 1 {
         let (map, chunk_pruned) = catch_unwind(AssertUnwindSafe(
-            || -> Result<(HashMap<Tuple, Vec<usize>>, u64)> {
+            || -> Result<(FxHashMap<Tuple, Vec<usize>>, u64)> {
                 fault()?;
-                let mut map: HashMap<Tuple, Vec<usize>> = HashMap::new();
+                let mut map: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
                 let mut pruned = 0u64;
                 for (slot, t) in rows.iter().enumerate() {
                     if let Some(t) = t {
@@ -150,7 +147,7 @@ where
         // into per-partition partial maps. Chunks are joined in spawn
         // order, so `partials` stays chunk-ordered.
         let chunk_rows = rows.len().div_ceil(workers);
-        let mut partials: Vec<Vec<HashMap<Tuple, Vec<usize>>>> = Vec::with_capacity(workers);
+        let mut partials: Vec<Vec<FxHashMap<Tuple, Vec<usize>>>> = Vec::with_capacity(workers);
         let mut failure: Option<Error> = None;
         std::thread::scope(|scope| {
             let handles: Vec<_> = rows
@@ -161,8 +158,8 @@ where
                     scope.spawn(move || -> Result<ChunkBuild> {
                         catch_unwind(AssertUnwindSafe(|| -> Result<_> {
                             fault()?;
-                            let mut parts: Vec<HashMap<Tuple, Vec<usize>>> =
-                                (0..workers).map(|_| HashMap::new()).collect();
+                            let mut parts: Vec<FxHashMap<Tuple, Vec<usize>>> =
+                                (0..workers).map(|_| FxHashMap::default()).collect();
                             let mut pruned = 0u64;
                             let base = ci * chunk_rows;
                             for (off, t) in chunk.iter().enumerate() {
@@ -218,20 +215,20 @@ where
         // pass 2 then merges each partition on its own worker with no
         // locking (disjoint ownership). Appending chunk-ordered slot lists
         // keeps every key's list in ascending slot order.
-        let mut columns: Vec<Vec<HashMap<Tuple, Vec<usize>>>> =
+        let mut columns: Vec<Vec<FxHashMap<Tuple, Vec<usize>>>> =
             (0..workers).map(|_| Vec::with_capacity(workers)).collect();
         for parts in partials {
             for (p, map) in parts.into_iter().enumerate() {
                 columns[p].push(map);
             }
         }
-        let mut merged: Vec<HashMap<Tuple, Vec<usize>>> = Vec::with_capacity(workers);
+        let mut merged: Vec<FxHashMap<Tuple, Vec<usize>>> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = columns
                 .into_iter()
                 .map(|column| {
                     scope.spawn(move || {
-                        let mut out: HashMap<Tuple, Vec<usize>> = HashMap::new();
+                        let mut out: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
                         for map in column {
                             for (k, mut slots) in map {
                                 out.entry(k).or_default().append(&mut slots);
@@ -259,7 +256,7 @@ where
         }
         merged
     };
-    let keys: usize = merged.iter().map(HashMap::len).sum();
+    let keys: usize = merged.iter().map(FxHashMap::len).sum();
     let slots: usize = merged.iter().flat_map(|m| m.values()).map(Vec::len).sum();
     let key_values: usize = merged.iter().flat_map(|m| m.keys()).map(Tuple::arity).sum();
     // Approximate bytes: map-entry overhead per key, plus the key's boxed
@@ -309,7 +306,7 @@ pub(crate) struct BuildCache {
     cap_bytes: u64,
     bytes: u64,
     tick: u64,
-    entries: HashMap<BuildKey, CacheEntry>,
+    entries: FxHashMap<BuildKey, CacheEntry>,
 }
 
 impl BuildCache {
@@ -319,7 +316,7 @@ impl BuildCache {
             cap_bytes,
             bytes: 0,
             tick: 0,
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
         }
     }
 

@@ -18,7 +18,7 @@
 //! systems. Each DML statement also opens an `engine.dml.*` trace span
 //! carrying the relation and outcome.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 use std::sync::Arc;
@@ -26,7 +26,8 @@ use std::time::Instant;
 
 use relmerge_obs::{self as obs, Counter, Histogram, Registry};
 use relmerge_relational::{
-    Attribute, DatabaseState, Error, NullConstraint, Relation, RelationalSchema, Result, Tuple,
+    Attribute, DatabaseState, Error, FxHashMap, FxHashSet, NullConstraint, Relation,
+    RelationalSchema, Result, Tuple,
 };
 
 use crate::capability::{DbmsProfile, Mechanism};
@@ -360,7 +361,7 @@ impl DbMetrics {
 
 /// A secondary lookup index: attribute positions plus a map from each
 /// total subtuple to the live row slots carrying it.
-type LookupIndex = (Vec<usize>, HashMap<Tuple, Vec<usize>>);
+type LookupIndex = (Vec<usize>, FxHashMap<Tuple, Vec<usize>>);
 
 /// One stored relation with its indexes.
 #[derive(Clone)]
@@ -368,8 +369,9 @@ pub(crate) struct Table {
     pub(crate) header: Vec<Attribute>,
     pub(crate) rows: Vec<Option<Tuple>>, // tombstoned on delete
     pub(crate) live: usize,
-    /// Unique indexes, one per candidate key: positions + map to row slot.
-    pub(crate) unique: Vec<(Vec<usize>, HashMap<Tuple, usize>)>,
+    /// Unique indexes, one per candidate key, the primary key first:
+    /// positions + map to row slot.
+    pub(crate) unique: Vec<(Vec<usize>, FxHashMap<Tuple, usize>)>,
     /// Secondary lookup indexes keyed by attribute-name list (for foreign
     /// keys, IND targets, and join probes). Values are the live row slots
     /// of each **total** subtuple.
@@ -413,7 +415,7 @@ impl Table {
     fn add_unique(&mut self, names: &[String]) -> Result<()> {
         let pos = self.positions(names)?;
         if !self.unique.iter().any(|(p, _)| *p == pos) {
-            self.unique.push((pos, HashMap::new()));
+            self.unique.push((pos, FxHashMap::default()));
         }
         Ok(())
     }
@@ -421,7 +423,8 @@ impl Table {
     fn add_lookup(&mut self, names: &[String]) -> Result<()> {
         if !self.lookups.contains_key(names) {
             let pos = self.positions(names)?;
-            self.lookups.insert(names.to_vec(), (pos, HashMap::new()));
+            self.lookups
+                .insert(names.to_vec(), (pos, FxHashMap::default()));
         }
         Ok(())
     }
@@ -1539,7 +1542,7 @@ impl Database {
             // Lookup indexes, both directions.
             for (attrs, (pos, map)) in &table.lookups {
                 for (key, slots) in map {
-                    let mut seen = std::collections::HashSet::new();
+                    let mut seen = FxHashSet::default();
                     for &slot in slots {
                         report.index_entries_checked += 1;
                         if !seen.insert(slot) {
@@ -1642,7 +1645,7 @@ impl Database {
                     );
                     continue;
                 };
-                let targets: std::collections::HashSet<Tuple> = rhs_table
+                let targets: FxHashSet<Tuple> = rhs_table
                     .rows
                     .iter()
                     .flatten()
@@ -1758,10 +1761,13 @@ impl Database {
             .get_mut(rel)
             .map(Arc::make_mut)
             .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
+        // One probe of the primary-key index (`compile_catalog` adds it
+        // first), not a scan of the table.
         let slot = table
-            .rows
-            .iter()
-            .position(|r| r.as_ref() == Some(t))
+            .unique
+            .first()
+            .and_then(|(pos, map)| map.get(&t.project(pos)).copied())
+            .filter(|&slot| table.rows[slot].as_ref() == Some(t))
             .ok_or_else(|| Error::StateMismatch {
                 detail: format!("rollback: tuple {t} not found in `{rel}`"),
             })?;

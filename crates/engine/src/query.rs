@@ -23,8 +23,9 @@
 //! fan-out so cost counters are identical at every parallelism level,
 //! cache on or off. The root rows are partitioned
 //! into fixed-size morsels ([`Database::morsel_rows`]) claimed by up to
-//! [`Database::parallelism`] scoped worker threads; intermediate rows are
-//! arrays of borrowed slots, materialized exactly once per surviving row.
+//! [`Database::parallelism`] scoped worker threads; each join step writes
+//! its intermediate rows into one flat buffer of borrowed slots, and each
+//! surviving row is materialized exactly once.
 //! Morsel outputs are reassembled in morsel order, so the result is
 //! deterministic and byte-identical to serial execution.
 //!
@@ -34,7 +35,6 @@
 //! step) whose per-operator counters sum exactly to the [`QueryStats`]
 //! totals — per-worker counters merge back into their operator.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use relmerge_obs::{self as obs};
-use relmerge_relational::{Attribute, Error, Relation, Result, Tuple, Value};
+use relmerge_relational::{Attribute, Error, FxHashMap, Relation, Result, Tuple, Value};
 
 use crate::build::{build_owned, BuildKey, OwnedBuild};
 use crate::database::Database;
@@ -538,13 +538,13 @@ enum RightAccess<'a> {
     /// Index-nested-loop through a unique index: one counted probe per
     /// total left row.
     Unique {
-        map: &'a HashMap<Tuple, usize>,
+        map: &'a FxHashMap<Tuple, usize>,
         rows: &'a [Option<Tuple>],
     },
     /// Index-nested-loop through a secondary lookup index: one counted
     /// probe per total left row.
     Lookup {
-        map: &'a HashMap<Tuple, Vec<usize>>,
+        map: &'a FxHashMap<Tuple, Vec<usize>>,
         rows: &'a [Option<Tuple>],
     },
     /// A join no index covers, after a provably empty left side: it
@@ -592,10 +592,6 @@ struct CompiledJoin<'a> {
     build_pruned: u64,
 }
 
-/// An intermediate row: one borrowed slot per plan source (root, then one
-/// per join step); `None` is an outer-join null pad.
-type Row<'a> = Vec<Option<&'a Tuple>>;
-
 /// What one morsel produced: materialized (and filtered) rows plus the
 /// per-operator counters accumulated while producing them.
 struct MorselOut {
@@ -628,20 +624,20 @@ impl MorselOut {
 
 /// Runs the compiled join → materialize → filter pipeline over one morsel
 /// of root rows. Infallible: every name was resolved at compile time.
+///
+/// A step's intermediate rows live in one flat buffer: row `i` of a
+/// stream that has joined `stride` sources is
+/// `cur[i * stride..(i + 1) * stride]`, one borrowed slot per source
+/// (root first), `None` for an outer-join null pad. Each step appends its
+/// output rows, one slot wider, to the other buffer and swaps.
 fn run_morsel<'a>(
     morsel: &[&'a Tuple],
     joins: &[CompiledJoin<'a>],
     filter: Option<&CompiledPredicate>,
     widths: &[usize],
 ) -> MorselOut {
-    let mut cur: Vec<Row<'a>> = morsel
-        .iter()
-        .map(|t| {
-            let mut parts: Row<'a> = Vec::with_capacity(widths.len());
-            parts.push(Some(*t));
-            parts
-        })
-        .collect();
+    let mut cur: Vec<Option<&'a Tuple>> = morsel.iter().map(|&t| Some(t)).collect();
+    let mut next: Vec<Option<&'a Tuple>> = Vec::new();
     let mut per_join = Vec::with_capacity(joins.len());
     let mut key_vals: Vec<Value> = Vec::new();
     let mut matches: Vec<&'a Tuple> = Vec::new();
@@ -649,12 +645,14 @@ fn run_morsel<'a>(
     let mut pruned: u64 = 0;
     for (ji, join) in joins.iter().enumerate() {
         let t0 = Instant::now();
+        let stride = ji + 1;
         let mut op = OpStats {
-            rows_in: cur.len() as u64,
+            rows_in: (cur.len() / stride) as u64,
             ..OpStats::default()
         };
-        let mut next: Vec<Row<'a>> = Vec::with_capacity(cur.len());
-        for mut row in cur {
+        next.clear();
+        next.reserve(cur.len() + cur.len() / stride);
+        for row in cur.chunks_exact(stride) {
             // Extract the left key; an outer-join pad or a null component
             // makes it non-total (no probe, old behavior).
             key_vals.clear();
@@ -670,8 +668,8 @@ fn run_morsel<'a>(
             }
             if !total {
                 if join.outer {
-                    row.push(None);
-                    next.push(row);
+                    next.extend_from_slice(row);
+                    next.push(None);
                 }
                 continue;
             }
@@ -711,21 +709,17 @@ fn run_morsel<'a>(
             }
             if matches.is_empty() {
                 if join.outer {
-                    row.push(None);
-                    next.push(row);
+                    next.extend_from_slice(row);
+                    next.push(None);
                 }
             } else {
-                let (last, rest) = matches.split_last().expect("non-empty");
-                for &m in rest {
-                    let mut r = row.clone();
-                    r.push(Some(m));
-                    next.push(r);
+                for &m in &matches {
+                    next.extend_from_slice(row);
+                    next.push(Some(m));
                 }
-                row.push(Some(*last));
-                next.push(row);
             }
         }
-        op.rows_out = next.len() as u64;
+        op.rows_out = (next.len() / (stride + 1)) as u64;
         // Slot-row footprint of this step's output: one borrowed slot per
         // source seen so far (root + ji + 1 joins). Depends only on
         // `rows_out`, so the sum across morsels is identical at every
@@ -734,18 +728,19 @@ fn run_morsel<'a>(
             op.rows_out * ((ji + 2) * std::mem::size_of::<Option<&Tuple>>()) as u64;
         op.wall_ns = obs::elapsed_ns(t0);
         per_join.push(op);
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
     }
     // Materialize each surviving row exactly once, applying the filter on
     // the freshly built values.
     let t0 = Instant::now();
+    let rows_in = cur.len() / widths.len();
     let mut fop = OpStats {
-        rows_in: cur.len() as u64,
+        rows_in: rows_in as u64,
         ..OpStats::default()
     };
     let total_width: usize = widths.iter().sum();
-    let mut out = Vec::with_capacity(cur.len());
-    for parts in cur {
+    let mut out = Vec::with_capacity(rows_in);
+    for parts in cur.chunks_exact(widths.len()) {
         let mut vals: Vec<Value> = Vec::with_capacity(total_width);
         for (si, w) in widths.iter().enumerate() {
             match parts[si] {

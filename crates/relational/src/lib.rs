@@ -16,7 +16,8 @@
 //!   total-equality — with satisfaction checking and inference engines
 //!   ([`nullcon`]);
 //! * whole-schema containers and database-state consistency checking
-//!   ([`schema`], [`state`]).
+//!   ([`schema`], [`state`]);
+//! * the one fast hasher every engine map uses ([`fxhash`]).
 //!
 //! Everything in the merging crate (`relmerge-core`) is defined in terms of
 //! the vocabulary exported here.
@@ -29,6 +30,7 @@ pub mod attribute;
 pub mod domain;
 pub mod error;
 pub mod fd;
+pub mod fxhash;
 pub mod ind;
 pub mod notation;
 pub mod nullcon;
@@ -43,6 +45,7 @@ pub use attribute::{AttrCorrespondence, Attribute};
 pub use domain::Domain;
 pub use error::{Error, Result};
 pub use fd::{Fd, FdSet};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ind::InclusionDep;
 pub use nullcon::NullConstraint;
 pub use relation::Relation;

@@ -1,22 +1,63 @@
 //! Relations: headers plus sets of tuples.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::attribute::{self, Attribute};
 use crate::error::{Error, Result};
+use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 use crate::value::Tuple;
 
 /// A relation: an ordered attribute header and a *set* of tuples.
 ///
-/// Set semantics follow the paper (§2 treats relations as sets); insertion
-/// order is preserved for deterministic display and iteration, while a hash
-/// index provides O(1) duplicate elimination and membership tests.
+/// Set semantics follow the paper (§2 treats relations as sets). Each
+/// tuple is stored once, in insertion order, which fixes display and
+/// iteration order. An index from each row's hash to the positions of the
+/// rows with that hash makes duplicate elimination and membership tests
+/// O(1) without a second copy of any row.
 #[derive(Debug, Clone)]
 pub struct Relation {
     header: Vec<Attribute>,
     rows: Vec<Tuple>,
-    index: HashSet<Tuple>,
+    /// Row hash → positions in `rows` of the rows with that hash.
+    index: FxHashMap<u64, Slots>,
+}
+
+/// The positions of the rows sharing one hash: almost always one row;
+/// several only when distinct rows collide on all 64 bits.
+#[derive(Debug, Clone)]
+enum Slots {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Slots {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Slots::One(p) => std::slice::from_ref(p),
+            Slots::Many(ps) => ps,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [usize] {
+        match self {
+            Slots::One(p) => std::slice::from_mut(p),
+            Slots::Many(ps) => ps,
+        }
+    }
+
+    fn push(&mut self, pos: usize) {
+        match self {
+            Slots::One(p) => *self = Slots::Many(vec![*p, pos]),
+            Slots::Many(ps) => ps.push(pos),
+        }
+    }
+}
+
+fn row_hash(t: &Tuple) -> u64 {
+    FxBuildHasher::default().hash_one(t)
 }
 
 impl Relation {
@@ -33,7 +74,7 @@ impl Relation {
         Ok(Relation {
             header,
             rows: Vec::new(),
-            index: HashSet::new(),
+            index: FxHashMap::default(),
         })
     }
 
@@ -43,6 +84,10 @@ impl Relation {
         rows: impl IntoIterator<Item = Tuple>,
     ) -> Result<Self> {
         let mut r = Relation::new(header)?;
+        let rows = rows.into_iter();
+        let (expected, _) = rows.size_hint();
+        r.rows.reserve(expected);
+        r.index.reserve(expected);
         for t in rows {
             r.insert(t)?;
         }
@@ -93,7 +138,17 @@ impl Relation {
     /// Whether `t` is a member of the relation.
     #[must_use]
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.index.contains(t)
+        self.find(row_hash(t), t).is_some()
+    }
+
+    /// Position in `rows` of the row equal to `t`, whose hash is `hash`.
+    fn find(&self, hash: u64, t: &Tuple) -> Option<usize> {
+        self.index
+            .get(&hash)?
+            .as_slice()
+            .iter()
+            .copied()
+            .find(|&p| self.rows[p] == *t)
     }
 
     /// Position of attribute `name` in the header.
@@ -131,27 +186,42 @@ impl Relation {
                 });
             }
         }
-        if self.index.contains(&t) {
-            return Ok(false);
+        let pos = self.rows.len();
+        match self.index.entry(row_hash(&t)) {
+            Entry::Vacant(e) => {
+                e.insert(Slots::One(pos));
+            }
+            Entry::Occupied(mut e) => {
+                if e.get().as_slice().iter().any(|&p| self.rows[p] == t) {
+                    return Ok(false);
+                }
+                e.get_mut().push(pos);
+            }
         }
-        self.index.insert(t.clone());
         self.rows.push(t);
         Ok(true)
     }
 
-    /// Removes a tuple; returns whether it was present.
+    /// Removes a tuple; returns whether it was present. The remaining
+    /// tuples keep their order.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if self.index.remove(t) {
-            let pos = self
-                .rows
-                .iter()
-                .position(|r| r == t)
-                .expect("index and rows are kept in sync");
-            self.rows.remove(pos);
-            true
-        } else {
-            false
+        let hash = row_hash(t);
+        let Some(pos) = self.find(hash, t) else {
+            return false;
+        };
+        match self.index.get_mut(&hash) {
+            Some(Slots::Many(ps)) if ps.len() > 1 => ps.retain(|&p| p != pos),
+            _ => {
+                self.index.remove(&hash);
+            }
         }
+        self.rows.remove(pos);
+        for p in self.index.values_mut().flat_map(Slots::as_mut_slice) {
+            if *p > pos {
+                *p -= 1;
+            }
+        }
+        true
     }
 
     /// Two relations are *equal as sets* if their headers match (same names
@@ -160,7 +230,7 @@ impl Relation {
     pub fn set_eq(&self, other: &Relation) -> bool {
         self.header == other.header
             && self.rows.len() == other.rows.len()
-            && self.rows.iter().all(|t| other.index.contains(t))
+            && self.rows.iter().all(|t| other.contains(t))
     }
 
     /// Set equality up to column order: reorders `other`'s columns to match
@@ -182,7 +252,7 @@ impl Relation {
         {
             return false;
         }
-        let reordered: HashSet<Tuple> = other.rows.iter().map(|t| t.project(&perm)).collect();
+        let reordered: FxHashSet<Tuple> = other.rows.iter().map(|t| t.project(&perm)).collect();
         self.rows.iter().all(|t| reordered.contains(t))
     }
 
@@ -289,6 +359,58 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert!(!r.contains(&t1));
         assert!(r.contains(&t2));
+    }
+
+    #[test]
+    fn rows_sharing_a_hash_are_kept_found_and_removed_apart() {
+        use crate::fxhash::{K, ROTATE};
+        // A pair (a, b) hashes as rotate((P(a) + b) * K), where P(a) is the
+        // state after every word but b. K is odd, so its inverse undoes the
+        // multiply; then b2 = b1 + P(a1) - P(a2) makes (a2, b2) collide
+        // with (a1, b1).
+        let pair = |a: i64, b: u64| Tuple::new([Value::Int(a), Value::Int(b as i64)]);
+        let k_inv = (0..6).fold(K, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(x)))
+        });
+        assert_eq!(K.wrapping_mul(k_inv), 1);
+        let state_before_b = |a: i64| {
+            row_hash(&pair(a, 0))
+                .rotate_right(ROTATE)
+                .wrapping_mul(k_inv)
+        };
+        let b1: u64 = 5;
+        let b2 = b1
+            .wrapping_add(state_before_b(1))
+            .wrapping_sub(state_before_b(2));
+        let (t1, t2) = (pair(1, b1), pair(2, b2));
+        assert_ne!(t1, t2);
+        assert_eq!(row_hash(&t1), row_hash(&t2), "the pair must collide");
+
+        let mut r = Relation::new(vec![
+            Attribute::new("A", Domain::Int),
+            Attribute::new("B", Domain::Int),
+        ])
+        .unwrap();
+        let t0 = pair(0, 0);
+        assert!(r.insert(t0.clone()).unwrap());
+        assert!(r.insert(t1.clone()).unwrap());
+        assert!(r.insert(t2.clone()).unwrap(), "a colliding row is kept");
+        assert!(!r.insert(t2.clone()).unwrap(), "and deduplicated");
+        assert_eq!(r.len(), 3);
+        assert!(r.contains(&t1) && r.contains(&t2));
+        assert!(!r.contains(&pair(2, b1)));
+        // Removing one colliding row leaves the other findable, and the
+        // row before them keeps its place.
+        assert!(r.remove(&t1));
+        assert!(!r.contains(&t1));
+        assert!(r.contains(&t2) && r.contains(&t0));
+        assert_eq!(r.rows(), &[t0.clone(), t2.clone()]);
+        assert!(r.remove(&t0));
+        assert!(r.contains(&t2));
+        assert!(r.remove(&t2));
+        assert!(r.is_empty());
+        assert!(r.insert(t1.clone()).unwrap());
+        assert!(r.contains(&t1) && !r.contains(&t2));
     }
 
     #[test]

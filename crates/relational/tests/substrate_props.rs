@@ -39,6 +39,27 @@ fn relation_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// A random (A, B) pair over two values and null: nine distinct tuples,
+/// so random sequences repeat tuples often.
+fn pair_strategy() -> impl Strategy<Value = Tuple> {
+    proptest::array::uniform2(proptest::option::of(0i64..2)).prop_map(|[a, b]| {
+        Tuple::new([
+            a.map_or(Value::Null, Value::Int),
+            b.map_or(Value::Null, Value::Int),
+        ])
+    })
+}
+
+/// One step of a [`Relation`] model run: `0` insert, `1` remove,
+/// `2` contains, `3` set equality against a relation built from `others`.
+fn relation_op_strategy() -> impl Strategy<Value = (u8, Tuple, Vec<Tuple>)> {
+    (
+        0u8..4,
+        pair_strategy(),
+        proptest::collection::vec(pair_strategy(), 0..8),
+    )
+}
+
 /// A random null-existence constraint over the fixed attributes.
 fn ne_strategy() -> impl Strategy<Value = NullConstraint> {
     (
@@ -59,6 +80,50 @@ fn te_strategy() -> impl Strategy<Value = NullConstraint> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A relation stores each row once yet keeps set semantics: random
+    /// insert / remove / contains / set-equality sequences over nullable
+    /// tuples agree with a plain `Vec` that deduplicates linearly, in both
+    /// membership and iteration order.
+    #[test]
+    fn relation_matches_a_vec_model(
+        ops in proptest::collection::vec(relation_op_strategy(), 0..40),
+    ) {
+        let pair_header = || header()[..2].to_vec();
+        let mut r = Relation::new(pair_header()).expect("header");
+        let mut model: Vec<Tuple> = Vec::new();
+        for (op, t, others) in ops {
+            match op {
+                0 => {
+                    let new = !model.contains(&t);
+                    if new {
+                        model.push(t.clone());
+                    }
+                    prop_assert_eq!(r.insert(t).expect("fits"), new);
+                }
+                1 => {
+                    let pos = model.iter().position(|m| *m == t);
+                    if let Some(p) = pos {
+                        model.remove(p);
+                    }
+                    prop_assert_eq!(r.remove(&t), pos.is_some());
+                }
+                2 => prop_assert_eq!(r.contains(&t), model.contains(&t)),
+                _ => {
+                    let other = Relation::with_rows(pair_header(), others.clone()).expect("fits");
+                    let same = model.iter().all(|m| others.contains(m))
+                        && others.iter().all(|o| model.contains(o));
+                    prop_assert_eq!(r.set_eq(&other), same);
+                    prop_assert_eq!(other.set_eq(&r), same);
+                    prop_assert_eq!(r == other, same);
+                }
+            }
+            prop_assert_eq!(r.rows(), model.as_slice());
+            for m in &model {
+                prop_assert!(r.contains(m));
+            }
+        }
+    }
 
     /// Soundness of null-existence inference: anything `ne_implies`
     /// derives from a constraint set holds on every relation satisfying

@@ -4,13 +4,16 @@
 //! (paper §2), up to row order — whether the right join column has no
 //! index (one transient hash build), is the key (unique-index probes), or
 //! is the left side of an inclusion dependency (lookup-index probes).
+//! Random plans of two to four such steps, filtered by a predicate over
+//! nulls, must return the algebra's answer too, with pushdown on or off.
 
 use proptest::prelude::*;
 
-use relmerge::engine::{Database, DbmsProfile, JoinStep, QueryPlan};
+use relmerge::engine::{Database, DbmsProfile, JoinStep, Predicate, QueryPlan, Statement};
 use relmerge::relational::algebra::{difference, equi_join, outer_equi_join, select_eq};
 use relmerge::relational::{
-    Attribute, Domain, InclusionDep, Relation, RelationScheme, RelationalSchema, Tuple, Value,
+    Attribute, DatabaseState, Domain, InclusionDep, Relation, RelationScheme, RelationalSchema,
+    Tuple, Value,
 };
 
 /// The right join column of one case, and the access that reaches it.
@@ -85,6 +88,108 @@ fn algebra_join(db: &Database, right: &str, outer: bool) -> Relation {
     }
 }
 
+/// `Ti(Ti.K, Ti.V)` for each `vals[i]`, keyed on K, holding row `k` =
+/// `(k, vals[i][k])`. Where `indexed[i]`, `Ti[Ti.V] ⊆ T0[T0.K]` gives
+/// `Ti.V` a lookup index; every V lies in `0..4`, where every T0 has keys.
+fn chain_database(vals: &[Vec<Option<i64>>], indexed: &[bool]) -> Database {
+    let mut rs = RelationalSchema::new();
+    for (i, &lookup) in indexed[..vals.len()].iter().enumerate() {
+        let (k, v) = (format!("T{i}.K"), format!("T{i}.V"));
+        let header = vec![
+            Attribute::new(k.as_str(), Domain::Int),
+            Attribute::new(v.as_str(), Domain::Int),
+        ];
+        let scheme = RelationScheme::new(format!("T{i}"), header, &[k.as_str()]).expect("scheme");
+        rs.add_scheme(scheme).expect("add");
+        if lookup {
+            rs.add_ind(InclusionDep::new(
+                format!("T{i}"),
+                &[v.as_str()],
+                "T0",
+                &["T0.K"],
+            ))
+            .expect("ind");
+        }
+    }
+    let mut db = Database::new(rs, DbmsProfile::ideal()).expect("database");
+    let rows: Vec<Statement> = vals
+        .iter()
+        .enumerate()
+        .flat_map(|(i, rel)| {
+            rel.iter().enumerate().map(move |(k, v)| {
+                let v = v.map_or(Value::Null, Value::Int);
+                Statement::insert(format!("T{i}"), Tuple::new([Value::Int(k as i64), v]))
+            })
+        })
+        .collect();
+    db.apply_batch(&rows).expect("load");
+    db
+}
+
+/// `Ti.K` or `Ti.V`.
+fn chain_attr(rel: usize, key: bool) -> String {
+    format!("T{rel}.{}", if key { "K" } else { "V" })
+}
+
+/// One filter atom: `attr IS NULL`, `attr IS NOT NULL`, `attr = value`
+/// (the null literal included), possibly negated.
+#[derive(Debug, Clone)]
+enum Atom {
+    IsNull(String),
+    NotNull(String),
+    Eq(String, Value),
+}
+
+/// Whether `atom` (negated when `negate`) holds on `row` over `header`:
+/// two-valued, with `Eq` false on a null operand unless the literal is
+/// null — the engine's documented predicate semantics.
+fn holds(atom: &Atom, negate: bool, header: &[Attribute], row: &Tuple) -> bool {
+    let at = |attr: &str| {
+        let p = header.iter().position(|a| a.name() == attr).expect("attr");
+        row.get(p)
+    };
+    let v = match atom {
+        Atom::IsNull(a) => at(a).is_null(),
+        Atom::NotNull(a) => !at(a).is_null(),
+        Atom::Eq(a, lit) => at(a) == lit,
+    };
+    v != negate
+}
+
+/// The plan's answer by the algebra over the stored state: per step, an
+/// inner step equi-joins the inputs without their null-keyed rows, and a
+/// left outer step takes the outer-equi-join minus its right-only rows,
+/// the ones whose never-null `T0.K` is padded; then the atoms select.
+fn algebra_chain(
+    state: &DatabaseState,
+    steps: &[(String, String, bool)],
+    atoms: &[(Atom, bool)],
+) -> Relation {
+    let null = Tuple::new([Value::Null]);
+    let keyed = |r: &Relation, attr: &str| {
+        difference(r, &select_eq(r, &[attr], &null).expect("select")).expect("difference")
+    };
+    let mut acc = state.relation("T0").expect("relation").clone();
+    for (j, (left, right, outer)) in steps.iter().enumerate() {
+        let rel = state.relation(&format!("T{}", j + 1)).expect("relation");
+        let on = [(left.as_str(), right.as_str())];
+        acc = if *outer {
+            let full = outer_equi_join(&acc, &keyed(rel, right), &on).expect("outer join");
+            let right_only = select_eq(&full, &["T0.K"], &null).expect("select");
+            difference(&full, &right_only).expect("difference")
+        } else {
+            equi_join(&keyed(&acc, left), &keyed(rel, right), &on).expect("join")
+        };
+    }
+    let header = acc.header().to_vec();
+    let kept: Vec<Tuple> = acc
+        .iter()
+        .filter(|t| atoms.iter().all(|(a, neg)| holds(a, *neg, &header, t)))
+        .cloned()
+        .collect();
+    Relation::with_rows(header, kept).expect("selection")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -126,5 +231,92 @@ proptest! {
         }
         let want = algebra_join(&db, attr, outer);
         prop_assert!(got.set_eq_unordered(&want), "engine {} vs algebra {}", got, want);
+    }
+
+    /// Plans of two to four steps over three to five relations, mixing
+    /// inner and left outer steps, key (unique-index), lookup-index and
+    /// unindexed right columns and null join keys, filtered by a
+    /// conjunction of `IsNull` / `NotNull` / `Eq` atoms, some negated: the
+    /// algebra's answer with pushdown on and off, serially and on two
+    /// workers, with three-row morsels.
+    #[test]
+    fn multi_join_plans_match_the_algebra(
+        vals in prop::collection::vec(
+            prop::collection::vec(prop::option::of(0i64..4), 4..8),
+            3..6,
+        ),
+        indexed in prop::collection::vec(any::<bool>(), 5),
+        steps in prop::collection::vec(
+            (0usize..4, any::<bool>(), any::<bool>(), any::<bool>()),
+            2..5,
+        ),
+        atoms in prop::collection::vec(
+            (0u8..4, 0usize..5, any::<bool>(), 0i64..4, any::<bool>()),
+            0..4,
+        ),
+    ) {
+        let mut db = chain_database(&vals, &indexed);
+        let state = db.snapshot().expect("snapshot");
+        // Step j joins T(j+1) on an attribute of T0..=Tj.
+        let steps: Vec<(String, String, bool)> = steps
+            .iter()
+            .take(vals.len() - 1)
+            .enumerate()
+            .map(|(j, &(src, left_key, right_key, outer))| {
+                (chain_attr(src % (j + 1), left_key), chain_attr(j + 1, right_key), outer)
+            })
+            .collect();
+        let sources = steps.len() + 1;
+        let atoms: Vec<(Atom, bool)> = atoms
+            .iter()
+            .map(|&(kind, rel, key, v, negate)| {
+                let attr = chain_attr(rel % sources, key);
+                let atom = match kind {
+                    0 => Atom::IsNull(attr),
+                    1 => Atom::NotNull(attr),
+                    2 => Atom::Eq(attr, Value::Int(v)),
+                    _ => Atom::Eq(attr, Value::Null),
+                };
+                (atom, negate)
+            })
+            .collect();
+        let mut plan = QueryPlan::scan("T0");
+        for (j, (left, right, outer)) in steps.iter().enumerate() {
+            let rel = format!("T{}", j + 1);
+            plan = plan.join(if *outer {
+                JoinStep::outer(rel, &[left], &[right])
+            } else {
+                JoinStep::inner(rel, &[left], &[right])
+            });
+        }
+        let filter = atoms.iter().map(|(atom, negate)| {
+            let p = match atom {
+                Atom::IsNull(a) => Predicate::is_null(a.as_str()),
+                Atom::NotNull(a) => Predicate::not_null(a.as_str()),
+                Atom::Eq(a, v) => Predicate::eq(a.as_str(), v.clone()),
+            };
+            if *negate { p.negate() } else { p }
+        }).reduce(Predicate::and);
+        if let Some(f) = filter {
+            plan = plan.filter(f);
+        }
+        let want = algebra_chain(&state, &steps, &atoms);
+        for pushdown in [true, false] {
+            for workers in [1, 2] {
+                db.configure(
+                    db.config()
+                        .predicate_pushdown(pushdown)
+                        .parallelism(workers)
+                        .morsel_rows(3),
+                );
+                let (got, stats) = db.execute(&plan).expect("query");
+                prop_assert_eq!(stats.joins, steps.len() as u64);
+                prop_assert!(
+                    got.set_eq(&want),
+                    "pushdown {} workers {}: engine {} vs algebra {}",
+                    pushdown, workers, got, want
+                );
+            }
+        }
     }
 }
