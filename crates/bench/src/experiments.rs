@@ -804,8 +804,8 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
 /// execution, so each one rebuilds TEACH's transient hash table) and warm
 /// (the first execution populates the cache, every timed one hits it).
 /// The headline `speedup` compares each warm run against the *serial*
-/// cold baseline — the end-to-end win of cache plus parallelism over the
-/// previous executor default. Like B8's composite row, the query's result
+/// cold baseline — the end-to-end win of the cache, with the morsel
+/// probes spread over the row's workers. Like B8's composite row, the query's result
 /// is legitimately empty (faculty and student SSNs are disjoint), keeping
 /// it a pure measure of build-side work.
 ///
@@ -840,7 +840,6 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
     let registry = std::sync::Arc::clone(db.metrics_registry());
     let hits = registry.counter("engine.query.build_cache.hits");
     let misses = registry.counter("engine.query.build_cache.misses");
-    let par_builds = registry.counter("engine.query.build.parallel");
     let saved = registry.counter("engine.query.probe_key.saved_allocs");
 
     let mut serial_cold_ns = 0.0;
@@ -854,7 +853,6 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
         assert_eq!(cold_rel, reference, "cold result must be byte-identical");
         assert_eq!(cold_stats, ref_stats, "cold stats must be identical");
         let m0 = misses.get();
-        let p0 = par_builds.get();
         let t = obs::timer("bench.b10.cold").field("workers", workers);
         for _ in 0..iters {
             db.clear_build_cache();
@@ -862,7 +860,6 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
         }
         let cold_ns = t.stop() as f64 / f64::from(iters);
         let cache_misses = misses.get() - m0;
-        let parallel_builds = par_builds.get() - p0;
         if workers == 1 {
             serial_cold_ns = cold_ns;
         }
@@ -895,7 +892,6 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
                 .cell("cache_hits", cache_hits)
                 .cell("cache_misses", cache_misses)
                 .cell("build_bytes", build_bytes)
-                .cell("parallel_builds", parallel_builds)
                 .cell("saved_allocs", (saved.get() - s0) / u64::from(iters.max(1))),
         );
     }
@@ -1131,7 +1127,7 @@ fn torture_table(rows: &[TortureRow]) -> Vec<Row> {
 /// surface a typed error to the caller, (b) leave
 /// [`Database::verify_integrity`] clean, and (c) roll the state back to
 /// the pre-batch snapshot, byte-identical. A second leg tortures the
-/// query path the same way — the partitioned hash build and the
+/// query path the same way — the transient hash build and the
 /// build-cache insert — additionally requiring that a failed build never
 /// leaves an entry in the cache. A third leg tortures the predicate
 /// pushdown planner (`engine.query.pushdown`), whose contract inverts
@@ -2493,7 +2489,6 @@ mod tests {
                 "cache_hits",
                 "cache_misses",
                 "build_bytes",
-                "parallel_builds",
                 "saved_allocs"
             ]
         );

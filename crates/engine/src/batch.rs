@@ -22,7 +22,7 @@
 //! values into single index probes) instead of re-probing per statement,
 //! which is the §5.1 maintenance cost amortized over the batch. For large
 //! batches touching several relations, group validation fans out across
-//! relations with [`std::thread::scope`].
+//! relations on up to [`Database::parallelism`] threads.
 //!
 //! Key uniqueness is the exception: it is checked eagerly even in deferred
 //! mode, because the hash indexes that back every other check must stay
@@ -36,14 +36,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use relmerge_obs::{self as obs};
 use relmerge_relational::{Error, FxHashMap, Relation, Tuple};
 
 use crate::database::{singleton_relation, CheckClass, Database, DmlError};
-use crate::fault::{panic_message, site};
+use crate::fault::{contain, fan_out, site};
 
 /// One DML statement, the unit of the unified execution path.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,8 +295,8 @@ struct Violation {
     error: DmlError,
 }
 
-/// Batches at or above this many touched rows (spanning at least two
-/// relations) validate relations on parallel threads.
+/// Batches at or above this many touched rows validate their relations on
+/// up to [`Database::parallelism`] threads.
 const PARALLEL_ROW_THRESHOLD: usize = 512;
 
 /// The span/metrics label for a unified-path DML result.
@@ -367,14 +366,7 @@ impl Database {
         let result = self.execute_statement(stmt, Some(&mut undo));
         let result = match result {
             Ok(outcome) if !undo.is_empty() => {
-                let logged = catch_unwind(AssertUnwindSafe(|| {
-                    self.wal_append_batch(std::slice::from_ref(stmt))
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(Error::ExecutionPanic {
-                        context: panic_message(payload),
-                    })
-                });
+                let logged = contain(|| self.wal_append_batch(std::slice::from_ref(stmt)));
                 match logged {
                     Ok(()) => Ok(outcome),
                     Err(e) => Err(rollback_after_failed_append(self, undo, e)),
@@ -493,13 +485,13 @@ impl Database {
         let mut undo: Vec<Undo> = Vec::new();
         let mut outcomes = Vec::with_capacity(stmts.len());
         // The whole forward path — statement apply, deferred group
-        // validation, the commit tail — runs under `catch_unwind`, with the
+        // validation, the commit tail — runs under `contain`, with the
         // undo log owned *outside* the closure. Every mutation records its
         // undo entry before any fault site can fire again, so a panic
         // anywhere inside (injected or genuine) leaves `undo` complete:
         // the caught panic becomes a typed error and takes the same
         // rollback path a constraint violation does.
-        let forward = catch_unwind(AssertUnwindSafe(|| -> Result<u64, DmlError> {
+        let result = contain(|| -> Result<u64, DmlError> {
             let mut touched = Touched::default();
             for (i, stmt) in stmts.iter().enumerate() {
                 self.fault_check(site::STATEMENT_APPLY)
@@ -535,11 +527,6 @@ impl Database {
             // constraint violation does, so nothing un-logged survives.
             self.wal_append_batch(stmts).map_err(DmlError::from)?;
             Ok(checks)
-        }));
-        let result = forward.unwrap_or_else(|payload| {
-            Err(DmlError::Schema(Error::ExecutionPanic {
-                context: panic_message(payload),
-            }))
         });
         self.metrics.batch_size.record(stmts.len() as u64);
         self.metrics.batch_ns.record(obs::elapsed_ns(start));
@@ -650,42 +637,29 @@ impl Database {
     }
 
     /// Commit-time group validation: each deferred constraint class is
-    /// checked once over the touched rows of each relation. Independent
-    /// relations validate on parallel threads for large batches. Returns
-    /// the number of group checks performed.
+    /// checked once over the touched rows of each relation. Large batches
+    /// validate relations on up to [`Database::parallelism`] threads.
+    /// Returns the number of group checks performed.
     fn validate_deferred(&self, touched: &Touched) -> Result<u64, DmlError> {
         let rels: Vec<(&String, &TouchedRel)> = touched.rels.iter().collect();
-        let results: Vec<Result<u64, Violation>> =
-            if rels.len() >= 2 && touched.total_rows() >= PARALLEL_ROW_THRESHOLD {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = rels
-                        .iter()
-                        .map(|(name, tr)| scope.spawn(move || self.validate_relation(name, tr)))
-                        .collect();
-                    // A panicked validation worker (injected or genuine)
-                    // fails only its relation: the panic becomes a typed
-                    // violation attributed to that relation's earliest
-                    // statement, and the batch rolls back normally.
-                    handles
-                        .into_iter()
-                        .zip(&rels)
-                        .map(|(h, (_, tr))| {
-                            h.join().unwrap_or_else(|payload| {
-                                Err(Violation {
-                                    index: tr.first_index(),
-                                    error: DmlError::Schema(Error::ExecutionPanic {
-                                        context: panic_message(payload),
-                                    }),
-                                })
-                            })
-                        })
-                        .collect()
-                })
-            } else {
-                rels.iter()
-                    .map(|(name, tr)| self.validate_relation(name, tr))
-                    .collect()
-            };
+        let workers = if touched.total_rows() >= PARALLEL_ROW_THRESHOLD {
+            self.parallelism()
+        } else {
+            1
+        };
+        // A panicking validation (injected or genuine) fails only its
+        // relation: the panic becomes a typed violation attributed to that
+        // relation's earliest statement, and the batch rolls back normally.
+        let results = fan_out(workers, &rels, |(name, tr)| {
+            Ok(
+                contain(|| Ok(self.validate_relation(name, tr))).unwrap_or_else(|e| {
+                    Err(Violation {
+                        index: tr.first_index(),
+                        error: DmlError::Schema(e),
+                    })
+                }),
+            )
+        })?;
         let mut checks = 0u64;
         let mut worst: Option<Violation> = None;
         for r in results {
@@ -1132,6 +1106,43 @@ mod tests {
         let err = d.apply_batch(&bad).unwrap_err();
         assert_eq!(err.statement_index(), Some(n as usize));
         assert_eq!(d.len("C"), n as usize);
+    }
+
+    #[test]
+    fn validation_panic_names_the_earliest_statement_at_every_size() {
+        use crate::fault::{FaultMode, FaultPlan};
+        for workers in [1, 4] {
+            for rows in [8, 1_024] {
+                let mut d = db();
+                d.configure(d.config().parallelism(workers));
+                // Parents at even indices, their children at odd ones.
+                let stmts: Vec<Statement> = (0..rows / 2)
+                    .flat_map(|i| {
+                        [
+                            Statement::insert("P", tup(&[i])),
+                            Statement::insert("C", tup(&[1000 + i, i])),
+                        ]
+                    })
+                    .collect();
+                // Two arms panic the first two arrivals, so both relations
+                // fail in whatever order they are validated.
+                d.set_fault_plan(
+                    FaultPlan::new()
+                        .fail_at(site::GROUP_VALIDATE, 0, FaultMode::Panic)
+                        .fail_at(site::GROUP_VALIDATE, 0, FaultMode::Panic),
+                );
+                let err = d.apply_batch(&stmts).unwrap_err();
+                assert_eq!(err.statement_index(), Some(0), "{workers}w/{rows}: {err}");
+                assert!(
+                    matches!(
+                        err.root_cause(),
+                        DmlError::Schema(Error::ExecutionPanic { .. })
+                    ),
+                    "{err}"
+                );
+                assert_eq!((d.len("P"), d.len("C")), (0, 0), "rolled back");
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,11 @@
-//! Partitioned transient hash builds and the versioned build-side cache.
+//! Transient hash builds and the versioned build-side cache.
 //!
 //! When no index covers a join's probe attributes,
 //! [`crate::planner::choose_join_strategy`] picks a hash join and the
-//! executor scans the build side once into an [`OwnedBuild`]: a set of
-//! `hash(key) % P` partitions of a key → row-slot multimap. Once
-//! [`crate::planner::choose_build_parallelism`] grants more than one
-//! worker, the scan fans out — each worker reads a contiguous chunk of
-//! the row slots into per-partition partial maps, and a second lock-free
-//! pass merges each partition on its own worker (the partitioned-build
-//! playbook of Balkesen et al., ICDE 2013). Because chunks are contiguous and are
-//! merged in chunk order, every key's slot list comes out in ascending
-//! slot order **regardless of the worker count**, so probe results — and
-//! therefore query results — are byte-identical at every parallelism
-//! level.
+//! executor scans the build side once, serially, into an [`OwnedBuild`]:
+//! a key → row-slot multimap whose slot lists come out in ascending slot
+//! order, so probe results — and therefore query results — are
+//! byte-identical at every parallelism level.
 //!
 //! Finished builds land in a per-database [`BuildCache`] keyed by
 //! [`BuildKey`] — `(relation, probe attrs, relation version)`. The version
@@ -21,41 +14,24 @@
 //! rows; invalidation needs no bookkeeping beyond the bump. Entries are
 //! evicted least-recently-used once the byte cap is exceeded.
 
-use std::hash::BuildHasher;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use relmerge_relational::{Error, FxBuildHasher, FxHashMap, Result, Tuple, Value};
+use relmerge_relational::{FxHashMap, Result, Tuple, Value};
 
-use crate::fault::panic_message;
 use crate::query::{CompiledPredicate, Predicate};
 
-/// One parallel build worker's output: per-partition partial maps plus
-/// the number of rows its pushed filter pruned.
-type ChunkBuild = (Vec<FxHashMap<Tuple, Vec<usize>>>, u64);
-
-/// The partition a key belongs to: the key's hash reduced mod the
-/// partition count. Build and probe sides must agree, so both hash the
-/// *slice* form of the key (a [`Tuple`] hashes identically to its slice —
-/// see `Borrow<[Value]> for Tuple`).
-fn partition_of(key: &[Value], partitions: usize) -> usize {
-    (FxBuildHasher::default().hash_one(key) % partitions as u64) as usize
-}
-
-/// A transient hash table over one relation's probe attributes: `P`
-/// partitions of key → live-row-slot lists, with the cost figures the
-/// executor charges per use (identically on cache hits, keeping
+/// A transient hash table over one relation's probe attributes: key →
+/// live-row-slot lists, with the cost figures the executor charges per
+/// use (identically on cache hits, keeping
 /// [`QueryStats`](crate::QueryStats) independent of cache state).
 #[derive(Debug)]
 pub(crate) struct OwnedBuild {
-    partitions: Vec<FxHashMap<Tuple, Vec<usize>>>,
+    map: FxHashMap<Tuple, Vec<usize>>,
     /// Row slots scanned to build (the whole slot array, tombstones
-    /// included — the figure the serial build always charged).
+    /// included).
     rows_scanned: u64,
     /// Approximate resident size, for the cache cap and the query budget.
     bytes: u64,
-    /// Workers the build fanned out over (1 = serial).
-    workers: usize,
     /// Rows a pushed predicate excluded from the build (rows that were
     /// live and key-total but failed the filter).
     pruned: u64,
@@ -64,12 +40,7 @@ pub(crate) struct OwnedBuild {
 impl OwnedBuild {
     /// The live row slots carrying `key`, in ascending slot order.
     pub(crate) fn probe(&self, key: &[Value]) -> Option<&[usize]> {
-        let p = if self.partitions.len() == 1 {
-            0
-        } else {
-            partition_of(key, self.partitions.len())
-        };
-        self.partitions[p].get(key).map(Vec::as_slice)
+        self.map.get(key).map(Vec::as_slice)
     }
 
     /// Row slots scanned to produce this build.
@@ -82,11 +53,6 @@ impl OwnedBuild {
         self.bytes
     }
 
-    /// Workers the build fanned out over (1 = serial).
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Rows a pushed predicate excluded from the build.
     pub(crate) fn pruned(&self) -> u64 {
         self.pruned
@@ -94,181 +60,44 @@ impl OwnedBuild {
 }
 
 /// Scans `rows` once into an [`OwnedBuild`] over the attribute positions
-/// `pos`, fanning out over `workers` contiguous chunks when `workers > 1`.
-/// A pushed `filter` (compiled against the relation's header) keeps
-/// failing rows out of the build entirely, shrinking its byte footprint;
-/// the exclusions are counted in [`OwnedBuild::pruned`].
-/// `fault` runs once per chunk (the `engine.query.hash_build` site) —
-/// possibly on a worker thread — and any panic it raises, like any genuine
-/// build panic, is contained into a typed [`Error::ExecutionPanic`].
-pub(crate) fn build_owned<F>(
+/// `pos`. A pushed `filter` (compiled against the relation's header)
+/// keeps failing rows out of the build entirely, shrinking its byte
+/// footprint; the exclusions are counted in [`OwnedBuild::pruned`].
+/// `fault` runs once, before the scan (the `engine.query.hash_build`
+/// site); the caller contains any panic.
+pub(crate) fn build_owned(
     rows: &[Option<Tuple>],
     pos: &[usize],
-    workers: usize,
     filter: Option<&CompiledPredicate>,
-    fault: F,
-) -> Result<OwnedBuild>
-where
-    F: Fn() -> Result<()> + Sync,
-{
-    let workers = workers.max(1).min(rows.len().max(1));
-    let mut pruned: u64 = 0;
-    let merged: Vec<FxHashMap<Tuple, Vec<usize>>> = if workers <= 1 {
-        let (map, chunk_pruned) = catch_unwind(AssertUnwindSafe(
-            || -> Result<(FxHashMap<Tuple, Vec<usize>>, u64)> {
-                fault()?;
-                let mut map: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
-                let mut pruned = 0u64;
-                for (slot, t) in rows.iter().enumerate() {
-                    if let Some(t) = t {
-                        if t.is_total_at(pos) {
-                            if let Some(f) = filter {
-                                if !f.matches(t.values()) {
-                                    pruned += 1;
-                                    continue;
-                                }
-                            }
-                            map.entry(t.project(pos)).or_default().push(slot);
-                        }
+    fault: impl FnOnce() -> Result<()>,
+) -> Result<OwnedBuild> {
+    fault()?;
+    let mut map: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
+    let mut pruned = 0u64;
+    for (slot, t) in rows.iter().enumerate() {
+        if let Some(t) = t {
+            if t.is_total_at(pos) {
+                if let Some(f) = filter {
+                    if !f.matches(t.values()) {
+                        pruned += 1;
+                        continue;
                     }
                 }
-                Ok((map, pruned))
-            },
-        ))
-        .unwrap_or_else(|payload| {
-            Err(Error::ExecutionPanic {
-                context: panic_message(payload),
-            })
-        })?;
-        pruned = chunk_pruned;
-        vec![map]
-    } else {
-        // Pass 1: each worker scans one contiguous chunk of the slot array
-        // into per-partition partial maps. Chunks are joined in spawn
-        // order, so `partials` stays chunk-ordered.
-        let chunk_rows = rows.len().div_ceil(workers);
-        let mut partials: Vec<Vec<FxHashMap<Tuple, Vec<usize>>>> = Vec::with_capacity(workers);
-        let mut failure: Option<Error> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk_rows)
-                .enumerate()
-                .map(|(ci, chunk)| {
-                    let fault = &fault;
-                    scope.spawn(move || -> Result<ChunkBuild> {
-                        catch_unwind(AssertUnwindSafe(|| -> Result<_> {
-                            fault()?;
-                            let mut parts: Vec<FxHashMap<Tuple, Vec<usize>>> =
-                                (0..workers).map(|_| FxHashMap::default()).collect();
-                            let mut pruned = 0u64;
-                            let base = ci * chunk_rows;
-                            for (off, t) in chunk.iter().enumerate() {
-                                if let Some(t) = t {
-                                    if t.is_total_at(pos) {
-                                        if let Some(f) = filter {
-                                            if !f.matches(t.values()) {
-                                                pruned += 1;
-                                                continue;
-                                            }
-                                        }
-                                        let key = t.project(pos);
-                                        let p = partition_of(key.values(), workers);
-                                        parts[p].entry(key).or_default().push(base + off);
-                                    }
-                                }
-                            }
-                            Ok((parts, pruned))
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(Error::ExecutionPanic {
-                                context: panic_message(payload),
-                            })
-                        })
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok((parts, chunk_pruned))) => {
-                        partials.push(parts);
-                        pruned += chunk_pruned;
-                    }
-                    Ok(Err(e)) => {
-                        if failure.is_none() {
-                            failure = Some(e);
-                        }
-                    }
-                    Err(payload) => {
-                        if failure.is_none() {
-                            failure = Some(Error::ExecutionPanic {
-                                context: panic_message(payload),
-                            });
-                        }
-                    }
-                }
-            }
-        });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        // Transpose chunk-major partials into partition-major columns;
-        // pass 2 then merges each partition on its own worker with no
-        // locking (disjoint ownership). Appending chunk-ordered slot lists
-        // keeps every key's list in ascending slot order.
-        let mut columns: Vec<Vec<FxHashMap<Tuple, Vec<usize>>>> =
-            (0..workers).map(|_| Vec::with_capacity(workers)).collect();
-        for parts in partials {
-            for (p, map) in parts.into_iter().enumerate() {
-                columns[p].push(map);
+                map.entry(t.project(pos)).or_default().push(slot);
             }
         }
-        let mut merged: Vec<FxHashMap<Tuple, Vec<usize>>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = columns
-                .into_iter()
-                .map(|column| {
-                    scope.spawn(move || {
-                        let mut out: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
-                        for map in column {
-                            for (k, mut slots) in map {
-                                out.entry(k).or_default().append(&mut slots);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(map) => merged.push(map),
-                    Err(payload) => {
-                        if failure.is_none() {
-                            failure = Some(Error::ExecutionPanic {
-                                context: panic_message(payload),
-                            });
-                        }
-                    }
-                }
-            }
-        });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        merged
-    };
-    let keys: usize = merged.iter().map(FxHashMap::len).sum();
-    let slots: usize = merged.iter().flat_map(|m| m.values()).map(Vec::len).sum();
-    let key_values: usize = merged.iter().flat_map(|m| m.keys()).map(Tuple::arity).sum();
+    }
+    let slots: usize = map.values().map(Vec::len).sum();
+    let key_values: usize = map.keys().map(Tuple::arity).sum();
     // Approximate bytes: map-entry overhead per key, plus the key's boxed
     // values, plus one usize per slot reference.
-    let bytes = (keys as u64) * (std::mem::size_of::<(Tuple, Vec<usize>)>() as u64 + 16)
+    let bytes = (map.len() as u64) * (std::mem::size_of::<(Tuple, Vec<usize>)>() as u64 + 16)
         + (key_values as u64) * std::mem::size_of::<Value>() as u64
         + (slots as u64) * std::mem::size_of::<usize>() as u64;
     Ok(OwnedBuild {
-        partitions: merged,
+        map,
         rows_scanned: rows.len() as u64,
         bytes,
-        workers,
         pruned,
     })
 }
@@ -438,67 +267,51 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_slot_identical_to_serial() {
+    fn build_keeps_live_total_rows_in_slot_order() {
         let rows = rows(500);
-        let pos = vec![1usize];
-        let serial = build_owned(&rows, &pos, 1, None, || Ok(())).unwrap();
-        for workers in [2, 3, 4, 7] {
-            let par = build_owned(&rows, &pos, workers, None, || Ok(())).unwrap();
-            assert_eq!(par.workers(), workers);
-            assert_eq!(par.bytes(), serial.bytes());
-            assert_eq!(par.rows_scanned(), 500);
-            for k in 0..9i64 {
-                let key = [Value::Int(k)];
-                assert_eq!(par.probe(&key), serial.probe(&key), "key {k}");
-            }
-            // Slot lists are ascending (the determinism invariant).
-            let key = [Value::Int(1)];
-            let slots = par.probe(&key).unwrap();
+        let build = build_owned(&rows, &[1], None, || Ok(())).unwrap();
+        assert_eq!(build.rows_scanned(), 500);
+        for k in 0..9i64 {
+            let slots = build.probe(&[Value::Int(k)]).unwrap();
+            // Ascending slots, no tombstone, exactly the key's rows.
             assert!(slots.windows(2).all(|w| w[0] < w[1]), "{slots:?}");
+            assert!(slots
+                .iter()
+                .all(|&s| rows[s].as_ref().unwrap().values()[1] == Value::Int(k)));
         }
-        // Null and tombstoned rows never enter the build.
-        assert!(serial.probe(&[Value::Null]).is_none());
-    }
-
-    #[test]
-    fn build_faults_surface_typed_from_any_chunk() {
-        let rows = rows(100);
-        let pos = vec![0usize];
-        let calls = std::sync::atomic::AtomicU64::new(0);
-        let err = build_owned(&rows, &pos, 4, None, || {
-            if calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 2 {
-                Err(Error::Injected {
-                    site: "test".to_owned(),
-                })
-            } else {
-                Ok(())
-            }
-        })
-        .unwrap_err();
-        assert!(matches!(err, Error::Injected { .. }), "{err}");
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 4);
-        // A panicking chunk is contained into a typed error.
-        let err = build_owned(&rows, &pos, 4, None, || -> Result<()> {
-            panic!("boom in a build worker")
+        // Null keys and tombstoned rows never enter the build.
+        assert!(build.probe(&[Value::Null]).is_none());
+        let live_total = rows
+            .iter()
+            .flatten()
+            .filter(|t| t.is_total_at(&[1]))
+            .count();
+        let built: usize = (0..9i64)
+            .map(|k| build.probe(&[Value::Int(k)]).unwrap().len())
+            .sum();
+        assert_eq!(built, live_total);
+        // The fault hook runs once, before the scan, and its error
+        // surfaces typed.
+        let calls = std::cell::Cell::new(0);
+        let err = build_owned(&rows, &[1], None, || {
+            calls.set(calls.get() + 1);
+            Err(relmerge_relational::Error::Injected {
+                site: "test".to_owned(),
+            })
         })
         .unwrap_err();
         assert!(
-            matches!(err, Error::ExecutionPanic { ref context } if context.contains("boom")),
+            matches!(err, relmerge_relational::Error::Injected { .. }),
             "{err}"
         );
-        // Serial builds contain panics too (no thread scaffolding).
-        let err = build_owned(&rows, &pos, 1, None, || -> Result<()> {
-            panic!("serial boom")
-        })
-        .unwrap_err();
-        assert!(matches!(err, Error::ExecutionPanic { .. }), "{err}");
+        assert_eq!(calls.get(), 1);
     }
 
     #[test]
     fn cache_is_lru_with_byte_cap() {
         let rows = rows(64);
         let pos = vec![0usize];
-        let build = || Arc::new(build_owned(&rows, &pos, 1, None, || Ok(())).unwrap());
+        let build = || Arc::new(build_owned(&rows, &pos, None, || Ok(())).unwrap());
         let one = build().bytes();
         let key = |v: u64| BuildKey {
             rel: "R".to_owned(),

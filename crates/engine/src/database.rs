@@ -227,7 +227,6 @@ pub(crate) struct DbMetrics {
     pub(crate) build_cache_hits: Arc<Counter>,
     pub(crate) build_cache_misses: Arc<Counter>,
     pub(crate) build_cache_evictions: Arc<Counter>,
-    pub(crate) parallel_builds: Arc<Counter>,
     pub(crate) probe_saved_allocs: Arc<Counter>,
     /// Predicate-pushdown counters: conjuncts the optimizer placed below
     /// the residual filter position, rows pruned by those placements
@@ -315,7 +314,6 @@ impl DbMetrics {
             build_cache_hits: registry.counter("engine.query.build_cache.hits"),
             build_cache_misses: registry.counter("engine.query.build_cache.misses"),
             build_cache_evictions: registry.counter("engine.query.build_cache.evictions"),
-            parallel_builds: registry.counter("engine.query.build.parallel"),
             probe_saved_allocs: registry.counter("engine.query.probe_key.saved_allocs"),
             pushed_conjuncts: registry.counter("engine.query.pushed_conjuncts"),
             pushdown_pruned_rows: registry.counter("engine.query.pushdown_pruned_rows"),
@@ -680,9 +678,10 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// Sets the executor's worker-thread budget (clamped to ≥ 1 when
-    /// applied). `1` means serial execution, byte-identical to the
-    /// parallel result by construction.
+    /// Sets the worker-thread budget (clamped to ≥ 1 when applied) for
+    /// the executor's root prefilter and morsel probes, and for the
+    /// deferred validation of large batches. `1` means serial execution,
+    /// byte-identical to the parallel result by construction.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers.max(1);
@@ -903,9 +902,10 @@ impl Database {
         };
     }
 
-    /// Worker threads the query executor may use. Defaults to the
-    /// machine's available parallelism; `1` means serial execution,
-    /// byte-identical to the parallel result by construction.
+    /// Worker threads the query executor (root prefilter and morsel
+    /// probes) and the deferred validation of large batches may use.
+    /// Defaults to the machine's available parallelism; `1` means serial
+    /// execution, byte-identical to the parallel result by construction.
     #[must_use]
     pub fn parallelism(&self) -> usize {
         self.config.parallelism

@@ -15,12 +15,16 @@
 //!   [`Error::BudgetExceeded`];
 //! * an [`IntegrityReport`] is the structured output of
 //!   [`Database::verify_integrity`](crate::Database::verify_integrity),
-//!   the deep checker the torture harness runs after every induced abort.
+//!   the deep checker the torture harness runs after every induced abort;
+//! * the crate-private `contain` and `fan_out` are the engine's one panic
+//!   boundary and its one thread fan-out: every path that must survive a
+//!   panic, and every worker thread, goes through them.
 //!
 //! Faults are *injected*, never spontaneous: a database with no plan
 //! installed pays one branch per site.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use relmerge_obs as obs;
@@ -37,7 +41,9 @@ pub mod site {
     /// [`Database::apply_batch`]: crate::Database::apply_batch
     pub const STATEMENT_APPLY: &str = "engine.batch.statement_apply";
     /// Commit-time group validation (fires once per touched relation,
-    /// possibly on a validation worker thread).
+    /// possibly on a validation worker thread). A panic here fails only
+    /// its relation, as a violation at that relation's earliest
+    /// statement, at every batch size and worker count.
     pub const GROUP_VALIDATE: &str = "engine.batch.group_validate";
     /// Index maintenance: just before a row (and its index entries) lands
     /// or is removed on the forward DML path. Never fires during rollback.
@@ -47,8 +53,8 @@ pub mod site {
     /// A morsel worker in the query executor (fires once per morsel,
     /// possibly on a worker thread).
     pub const MORSEL_WORKER: &str = "engine.query.morsel_worker";
-    /// A transient hash build in the query executor (fires once per build
-    /// chunk, possibly on a build worker thread).
+    /// A transient hash build in the query executor (fires once per cold
+    /// build, before its serial scan).
     pub const HASH_BUILD: &str = "engine.query.hash_build";
     /// Insertion of a finished transient build into the build-side cache
     /// (fires once per insert, before the cache is mutated).
@@ -141,7 +147,7 @@ pub mod site {
 pub enum FaultMode {
     /// Return [`Error::Injected`] from the site.
     Error,
-    /// Panic at the site (exercising the engine's `catch_unwind` armor).
+    /// Panic at the site (exercising the engine's panic containment).
     Panic,
 }
 
@@ -293,7 +299,7 @@ impl FaultPlan {
 
 /// Best-effort extraction of a panic payload's message (the engine's own
 /// injected panics carry a `String`).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -301,6 +307,70 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
+}
+
+/// Runs `f`, turning a panic in it — injected at a fault site or genuine —
+/// into a typed [`Error::ExecutionPanic`]. The engine's one panic
+/// boundary: every path that must survive a panic goes through it.
+#[allow(clippy::disallowed_methods, reason = "the engine's one panic boundary")]
+pub(crate) fn contain<T, E: From<Error>>(
+    f: impl FnOnce() -> std::result::Result<T, E>,
+) -> std::result::Result<T, E> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(E::from(Error::ExecutionPanic {
+            context: panic_message(payload),
+        }))
+    })
+}
+
+/// Runs `f` on every item, each call under [`contain`], over up to
+/// `workers` scoped threads, and returns the outputs in item order — or
+/// the failure at the lowest item index, which is the error a serial run
+/// returns. Workers claim items in order and stop claiming once any call
+/// has failed; one worker runs inline, with no thread set-up.
+#[allow(clippy::disallowed_methods, reason = "the engine's one fan-out")]
+pub(crate) fn fan_out<I: Sync, T: Send>(
+    workers: usize,
+    items: &[I],
+    f: impl Fn(&I) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let workers = workers.clamp(1, items.len().max(1));
+    if workers == 1 {
+        let mut outs = Vec::with_capacity(items.len());
+        for item in items {
+            outs.push(contain(|| f(item))?);
+        }
+        return Ok(outs);
+    }
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    // The claimed items are a prefix of `items`, each with its outcome, so
+    // in item order the first failure is the one a serial run stops at.
+    let mut claimed: Vec<(usize, Result<T>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        let out = contain(|| f(item));
+                        if out.is_err() {
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                        done.push((i, out));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("a worker runs every call under `contain`"))
+            .collect()
+    });
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Resource limits for one query execution, checked cooperatively at
@@ -406,15 +476,14 @@ impl QueryBudget {
             morsels: AtomicU64::new(0),
             build_bytes: AtomicU64::new(0),
             intermediate_bytes: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
         }
     }
 }
 
-/// Shared per-execution budget state: workers charge rows as morsels
-/// complete and poll [`checkpoint`](BudgetTracker::checkpoint) before
-/// claiming the next one, so one tripped worker cancels the rest
-/// cooperatively.
+/// Shared per-execution budget state: workers poll
+/// [`checkpoint`](BudgetTracker::checkpoint) as each morsel starts and
+/// charge rows as it completes. A trip fails that morsel, and
+/// [`fan_out`] then stops the other workers from claiming more.
 pub(crate) struct BudgetTracker {
     max_rows: Option<u64>,
     deadline: Option<Instant>,
@@ -424,12 +493,10 @@ pub(crate) struct BudgetTracker {
     morsels: AtomicU64,
     build_bytes: AtomicU64,
     intermediate_bytes: AtomicU64,
-    tripped: AtomicBool,
 }
 
 impl BudgetTracker {
     fn exceeded(&self, why: String) -> Error {
-        self.tripped.store(true, Ordering::Relaxed);
         Error::BudgetExceeded {
             detail: format!(
                 "{why} ({} rows produced across {} completed morsels)",
@@ -439,12 +506,8 @@ impl BudgetTracker {
         }
     }
 
-    /// Cheap poll: fails once another worker tripped the budget or the
-    /// deadline passed.
+    /// Cheap poll: fails once the deadline passed.
     pub(crate) fn checkpoint(&self) -> Result<()> {
-        if self.tripped.load(Ordering::Relaxed) {
-            return Err(self.exceeded("budget tripped by another worker".to_owned()));
-        }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 return Err(self.exceeded("wall-time deadline passed".to_owned()));
@@ -604,12 +667,57 @@ mod tests {
     #[test]
     fn panic_mode_panics_with_site_message() {
         let plan = FaultPlan::new().fail_at(site::GROUP_VALIDATE, 0, FaultMode::Panic);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.check(site::GROUP_VALIDATE)
-        }));
-        let msg = panic_message(caught.unwrap_err());
-        assert!(msg.contains(site::GROUP_VALIDATE), "{msg}");
+        let err = contain(|| plan.check(site::GROUP_VALIDATE)).unwrap_err();
+        assert!(
+            matches!(err, Error::ExecutionPanic { ref context } if context.contains(site::GROUP_VALIDATE)),
+            "{err}"
+        );
         assert_eq!(plan.fired(site::GROUP_VALIDATE), 1);
+    }
+
+    #[test]
+    fn fan_out_returns_outputs_in_item_order() {
+        let items: Vec<u64> = (0..100).collect();
+        for workers in 1..=4 {
+            let outs = fan_out(workers, &items, |&i| Ok(i * 10)).unwrap();
+            assert_eq!(outs, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+            assert!(fan_out(workers, &[] as &[u64], |&i| Ok(i))
+                .unwrap()
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_the_failure_a_serial_run_returns() {
+        let calls = AtomicU64::new(0);
+        let items: Vec<u64> = (0..40).collect();
+        let f = |&i: &u64| -> Result<u64> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            match i {
+                7 | 23 => Err(Error::Injected {
+                    site: format!("item {i}"),
+                }),
+                31 => panic!("item 31"),
+                _ => Ok(i),
+            }
+        };
+        for workers in 1..=4 {
+            let err = fan_out(workers, &items, f).unwrap_err();
+            assert!(
+                matches!(err, Error::Injected { ref site } if site == "item 7"),
+                "{workers} workers: {err}"
+            );
+        }
+        // Serially, nothing past the failing item 7 is claimed.
+        calls.store(0, Ordering::Relaxed);
+        fan_out(1, &items, f).unwrap_err();
+        assert_eq!(calls.load(Ordering::Relaxed), 8);
+        // A panicking call comes back typed.
+        let err = fan_out(2, &items[24..], f).unwrap_err();
+        assert!(
+            matches!(err, Error::ExecutionPanic { ref context } if context == "item 31"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -636,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_tracker_trips_row_cap_and_cancels_peers() {
+    fn budget_tracker_trips_row_cap() {
         let budget = QueryBudget::unlimited().with_max_rows(10);
         assert!(!budget.is_unlimited());
         assert_eq!(budget.max_rows(), Some(10));
@@ -645,8 +753,6 @@ mod tests {
         assert!(tracker.charge_morsel(6).is_ok());
         let err = tracker.charge_morsel(5).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { ref detail } if detail.contains("row cap")));
-        // Peers see the trip at their next checkpoint.
-        assert!(tracker.checkpoint().is_err());
     }
 
     #[test]
@@ -661,7 +767,6 @@ mod tests {
             matches!(err, Error::BudgetExceeded { ref detail } if detail.contains("build-memory")),
             "{err}"
         );
-        assert!(tracker.checkpoint().is_err(), "peers see the trip");
     }
 
     #[test]
@@ -677,7 +782,6 @@ mod tests {
             matches!(err, Error::BudgetExceeded { ref detail } if detail.contains("intermediate-memory")),
             "{err}"
         );
-        assert!(tracker.checkpoint().is_err(), "peers see the trip");
         // The build cap alone does not charge the intermediate pool past
         // its own limit check order: a pure intermediate charge can trip
         // while the build cap stays untouched.

@@ -35,7 +35,6 @@
 //! online.
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use relmerge_core::{check_forward, Advisor, CapacityReport, Merge, MergeProposal, Merged};
 use relmerge_obs as obs;
@@ -43,7 +42,7 @@ use relmerge_relational::{Error, RelationalSchema, Result};
 
 use crate::batch::Statement;
 use crate::database::{compile_catalog, Catalog, Database};
-use crate::fault::{panic_message, site};
+use crate::fault::{contain, site};
 
 /// Rows per `apply_batch` chunk on the data-apply path. Chunking bounds
 /// the undo log per batch and gives the `engine.migrate.apply` fault site
@@ -202,12 +201,12 @@ impl Database {
         if let Some(wal) = self.wal() {
             wal.suspend(true);
         }
-        // Everything that mutates runs under `catch_unwind`: a panic at
+        // Everything that mutates runs under `contain`: a panic at
         // any site (injected or genuine) takes the same rollback path an
         // error does and resurfaces typed.
         let mut saved: Option<(RelationalSchema, Catalog)> = None;
         let saved_ref = &mut saved;
-        let forward = catch_unwind(AssertUnwindSafe(|| -> Result<(usize, usize)> {
+        let result = contain(|| -> Result<(usize, usize)> {
             self.fault_check(site::MIGRATION_REWRITE)?;
             let catalog = compile_catalog(&new_schema, self.profile(), "Database::migrate")?;
             // Cached builds describe pre-migration relations; drop them
@@ -250,11 +249,6 @@ impl Database {
             // failed append fails the migration, which rolls back below.
             self.wal_append_migration()?;
             Ok((rows, chunks))
-        }));
-        let result = forward.unwrap_or_else(|payload| {
-            Err(Error::ExecutionPanic {
-                context: panic_message(payload),
-            })
         });
         if let Some(wal) = self.wal() {
             wal.suspend(false);

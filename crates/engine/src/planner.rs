@@ -276,27 +276,6 @@ pub fn choose_join_strategy(
     Ok(strategy)
 }
 
-/// Live rows each worker of a partitioned transient build must have to
-/// itself: a build fans out only once it has two such chunks.
-pub(crate) const BUILD_CHUNK_ROWS: usize = 4096;
-
-/// Worker count for one transient hash build over `build_rows` live rows:
-/// one worker per full 4,096-row chunk, capped by
-/// [`Database::parallelism`]. A smaller build stays serial — chunking it
-/// costs more in thread scaffolding than it saves. The decision depends
-/// only on the worker budget and the live-row count, never on timing, so
-/// the partition layout — and therefore every downstream counter — is
-/// deterministic.
-pub fn choose_build_parallelism(db: &Database, build_rows: usize) -> usize {
-    let workers = db.parallelism().min(build_rows / BUILD_CHUNK_ROWS).max(1);
-    if workers > 1 {
-        planner_counters().build_parallel.inc();
-    } else {
-        planner_counters().build_serial.inc();
-    }
-    workers
-}
-
 /// Decides whether a pushed root conjunct can upgrade a full-scan root
 /// access to an index point-lookup. Eligible when the conjunct is a
 /// positive `Eq` on a single attribute of `rel` comparing against a
@@ -450,8 +429,6 @@ struct PlannerCounters {
     joins_derived: std::sync::Arc<relmerge_obs::Counter>,
     strategy_inl: std::sync::Arc<relmerge_obs::Counter>,
     strategy_hash: std::sync::Arc<relmerge_obs::Counter>,
-    build_parallel: std::sync::Arc<relmerge_obs::Counter>,
-    build_serial: std::sync::Arc<relmerge_obs::Counter>,
 }
 
 fn planner_counters() -> &'static PlannerCounters {
@@ -463,8 +440,6 @@ fn planner_counters() -> &'static PlannerCounters {
             joins_derived: reg.counter("engine.plan.joins_derived"),
             strategy_inl: reg.counter("engine.plan.strategy.inl"),
             strategy_hash: reg.counter("engine.plan.strategy.hash"),
-            build_parallel: reg.counter("engine.plan.build.parallel"),
-            build_serial: reg.counter("engine.plan.build.serial"),
         }
     })
 }
@@ -658,23 +633,6 @@ mod tests {
         // Unknown relations and attributes error.
         assert!(choose_join_strategy(&db, "NOPE", &unindexed, false).is_err());
         assert!(choose_join_strategy(&db, "OFFER", &["NOPE".to_owned()], false).is_err());
-    }
-
-    #[test]
-    fn build_parallelism_cost_model() {
-        let rs = chain();
-        let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
-        db.configure(db.config().parallelism(4));
-        // Below two full chunks: serial.
-        assert_eq!(choose_build_parallelism(&db, 0), 1);
-        assert_eq!(choose_build_parallelism(&db, BUILD_CHUNK_ROWS), 1);
-        assert_eq!(choose_build_parallelism(&db, 2 * BUILD_CHUNK_ROWS - 1), 1);
-        // One worker per full chunk, capped by parallelism.
-        assert_eq!(choose_build_parallelism(&db, 2 * BUILD_CHUNK_ROWS), 2);
-        assert_eq!(choose_build_parallelism(&db, 1_000_000), 4);
-        // Single-worker executor never fans out a build.
-        db.configure(db.config().parallelism(1));
-        assert_eq!(choose_build_parallelism(&db, 1_000_000), 1);
     }
 
     #[test]

@@ -12,22 +12,21 @@
 //!
 //! The root access produces *borrowed* row slots (no tuple is cloned on
 //! the scan path). A predicate over root attributes alone is pushed down:
-//! it runs before the join pipeline, morsel-parallel on the worker pool,
+//! it runs before the join pipeline, chunk by chunk on the worker pool,
 //! with survivors reassembled in chunk order. The join pipeline is then
 //! compiled once: each step picks its access via
 //! [`crate::planner::choose_join_strategy`] — index-nested-loop probes
 //! through a covering index, or else a hash join over a transient table
-//! built by scanning the right relation once (the partitioned parallel
-//! builder in the crate-private `build` module, reused through the
-//! versioned build-side cache) — and any hash builds happen before
-//! fan-out so cost counters are identical at every parallelism level,
-//! cache on or off. The root rows are partitioned
-//! into fixed-size morsels ([`Database::morsel_rows`]) claimed by up to
-//! [`Database::parallelism`] scoped worker threads; each join step writes
-//! its intermediate rows into one flat buffer of borrowed slots, and each
-//! surviving row is materialized exactly once.
-//! Morsel outputs are reassembled in morsel order, so the result is
-//! deterministic and byte-identical to serial execution.
+//! built by one serial scan of the right relation (the crate-private
+//! `build` module, reused through the versioned build-side cache) — and
+//! any hash builds happen before fan-out so cost counters are identical
+//! at every parallelism level, cache on or off. The root rows are
+//! partitioned into fixed-size morsels ([`Database::morsel_rows`]) that
+//! the engine's one fan-out spreads over up to [`Database::parallelism`]
+//! scoped worker threads; each join step writes its intermediate rows
+//! into one flat buffer of borrowed slots, and each surviving row is
+//! materialized exactly once. Morsel outputs come back in morsel order,
+//! so the result is deterministic and byte-identical to serial execution.
 //!
 //! [`Database::execute_traced`] additionally returns a [`QueryTrace`]: an
 //! EXPLAIN-ANALYZE-style operator breakdown (rows in/out, index probes,
@@ -37,8 +36,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,8 +44,8 @@ use relmerge_relational::{Attribute, Error, FxHashMap, Relation, Result, Tuple, 
 
 use crate::build::{build_owned, BuildKey, OwnedBuild};
 use crate::database::Database;
-use crate::fault::{panic_message, site, BudgetTracker};
-use crate::planner::{choose_build_parallelism, choose_join_strategy, JoinStrategy};
+use crate::fault::{contain, fan_out, site, BudgetTracker};
+use crate::planner::{choose_join_strategy, JoinStrategy};
 
 /// A selection predicate over the attributes visible at its evaluation
 /// point (the joined row, before projection). Three-valued logic is not
@@ -533,7 +530,7 @@ impl Database {
 /// How one compiled join step reaches its right-hand rows. The index
 /// variants point straight into the database's storage; `HashOwned` shares
 /// a transient table built by scanning the right relation once (possibly
-/// partition-parallel, possibly reused through the build-side cache).
+/// reused through the build-side cache).
 enum RightAccess<'a> {
     /// Index-nested-loop through a unique index: one counted probe per
     /// total left row.
@@ -784,11 +781,10 @@ struct FlatLayout {
 /// evolving header, picks the strategy, and borrows the covering index or
 /// prepares the transient build side. A transient build goes through the
 /// versioned cache — a hit reuses the stored build and charges its stored
-/// costs, so `QueryStats` are identical cold and warm; a miss builds
-/// (partitioned once [`crate::planner::choose_build_parallelism`] grants
-/// more than one worker) and inserts. Extends `layout` with the right
-/// relation's attributes. `left_empty` says the left side is provably
-/// empty, which spares an uncovered join its build.
+/// costs, so `QueryStats` are identical cold and warm; a miss builds and
+/// inserts. Extends `layout` with the right relation's attributes.
+/// `left_empty` says the left side is provably empty, which spares an
+/// uncovered join its build.
 ///
 /// `pushed` is the conjunction of filter conjuncts the pushdown planner
 /// assigned to this step's right relation. A transient hash build folds
@@ -879,31 +875,17 @@ fn compile_join<'a>(
                 None => {
                     db.metrics.build_cache_misses.inc();
                     cache_misses = 1;
-                    let workers = choose_build_parallelism(db, table.live);
-                    let owned = Arc::new(build_owned(
-                        &table.rows,
-                        &pos,
-                        workers,
-                        cp.as_ref(),
-                        || db.fault_check(site::HASH_BUILD),
-                    )?);
-                    if owned.workers() > 1 {
-                        db.metrics.parallel_builds.inc();
-                        build_note = Some(format!("build: {} workers", owned.workers()));
-                    } else {
-                        build_note = Some("build: serial".to_owned());
-                    }
-                    // The insert-side fault site fires *before* the
-                    // cache is touched: an injected error or panic
-                    // fails this query and leaves the cache unmodified
-                    // — never a poisoned entry.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        db.fault_check(site::BUILD_CACHE_INSERT)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(Error::ExecutionPanic {
-                            context: panic_message(payload),
-                        })
+                    build_note = Some("build: serial".to_owned());
+                    let owned = contain(|| -> Result<_> {
+                        let owned = build_owned(&table.rows, &pos, cp.as_ref(), || {
+                            db.fault_check(site::HASH_BUILD)
+                        })?;
+                        // The insert-side fault site fires *before* the
+                        // cache is touched: an injected error or panic
+                        // fails this query and leaves the cache
+                        // unmodified — never a poisoned entry.
+                        db.fault_check(site::BUILD_CACHE_INSERT)?;
+                        Ok(Arc::new(owned))
                     })?;
                     let (evicted, evicted_bytes) =
                         db.build_cache_lock().insert(key, Arc::clone(&owned));
@@ -979,76 +961,25 @@ fn compile_join<'a>(
 }
 
 /// Evaluates a root-only predicate over the scanned rows *before* the
-/// join pipeline. Past one worker the rows are split into
-/// [`Database::morsel_rows`]-sized contiguous chunks claimed by scoped
-/// workers, and survivors are reassembled in chunk order — so the
-/// surviving slots, and everything downstream, are identical at every
-/// worker count. A panicking worker fails only this query, as a typed
+/// join pipeline, one [`Database::morsel_rows`]-sized contiguous chunk
+/// per [`fan_out`] item, with survivors reassembled in chunk order — so
+/// the surviving slots, and everything downstream, are identical at every
+/// worker count. A panicking chunk fails only this query, as a typed
 /// error.
 fn prefilter_root<'a>(
     db: &Database,
-    rows: Vec<&'a Tuple>,
+    rows: &[&'a Tuple],
     cp: &CompiledPredicate,
 ) -> Result<Vec<&'a Tuple>> {
-    let chunk_rows = db.morsel_rows().max(1);
-    let workers = db
-        .parallelism()
-        .clamp(1, rows.len().div_ceil(chunk_rows).max(1));
-    if workers <= 1 {
-        return Ok(rows
-            .into_iter()
+    let chunks: Vec<&[&'a Tuple]> = rows.chunks(db.morsel_rows().max(1)).collect();
+    let kept = fan_out(db.parallelism(), &chunks, |chunk| {
+        Ok(chunk
+            .iter()
+            .copied()
             .filter(|t| cp.matches(t.values()))
-            .collect());
-    }
-    let chunks: Vec<&[&Tuple]> = rows.chunks(chunk_rows).collect();
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Vec<&'a Tuple>>> = Vec::new();
-    slots.resize_with(chunks.len(), || None);
-    let mut failure: Option<Error> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, chunks) = (&next, &chunks);
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, Vec<&'a Tuple>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(i) else { break };
-                        let kept = chunk
-                            .iter()
-                            .copied()
-                            .filter(|t| cp.matches(t.values()))
-                            .collect();
-                        done.push((i, kept));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(done) => {
-                    for (i, kept) in done {
-                        slots[i] = Some(kept);
-                    }
-                }
-                Err(payload) => {
-                    if failure.is_none() {
-                        failure = Some(Error::ExecutionPanic {
-                            context: panic_message(payload),
-                        });
-                    }
-                }
-            }
-        }
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(slots
-        .into_iter()
-        .flat_map(|s| s.expect("every chunk claimed exactly once"))
-        .collect())
+            .collect::<Vec<_>>())
+    })?;
+    Ok(kept.concat())
 }
 
 /// Where each conjunct of the query filter will run, decided once per
@@ -1259,13 +1190,13 @@ fn execute_core(
     // (the fallback counter records it).
     let pd = match (&plan.filter, db.predicate_pushdown()) {
         (Some(filter), true) => {
-            let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Option<PushdownPlan>> {
+            let attempt = contain(|| -> Result<Option<PushdownPlan>> {
                 db.fault_check(site::PUSHDOWN)?;
                 Ok(plan_pushdown(db, plan, filter, root_header))
-            }));
+            });
             match attempt {
-                Ok(Ok(Some(p))) => p,
-                Ok(Ok(None)) | Ok(Err(_)) | Err(_) => {
+                Ok(Some(p)) => p,
+                Ok(None) | Err(_) => {
                     db.metrics.pushdown_fallbacks.inc();
                     PushdownPlan::unoptimized(plan, root_header)
                 }
@@ -1344,7 +1275,7 @@ fn execute_core(
     } else if let Some(cp) = &pd.root {
         let t0 = Instant::now();
         let rows_in = root_rows.len() as u64;
-        root_rows = prefilter_root(db, root_rows, cp)?;
+        root_rows = prefilter_root(db, &root_rows, cp)?;
         pruned_rows += rows_in - root_rows.len() as u64;
         pushed_op = Some(OpStats {
             rows_in,
@@ -1379,99 +1310,29 @@ fn execute_core(
         .map(|p| CompiledPredicate::compile(p, &layout.header))
         .transpose()?;
 
-    // Partition into morsels and fan out; each worker claims the next
-    // unprocessed morsel until none remain.
+    // Partition into morsels and fan out.
     let morsel_rows = db.morsel_rows().max(1);
     let morsels: Vec<&[&Tuple]> = root_rows.chunks(morsel_rows).collect();
     stats.morsels = morsels.len() as u64;
-    let workers = db.parallelism().clamp(1, morsels.len().max(1));
     span.add_field("morsels", morsels.len());
-    span.add_field("workers", workers);
+    span.add_field("workers", db.parallelism().min(morsels.len().max(1)));
     // Each morsel boundary is a cancellation point: the budget is polled
-    // before a morsel is claimed and charged after it completes, and a
-    // panicking worker (injected or genuine) is contained — it fails only
-    // this query, as a typed error, leaving the database untouched (the
+    // as a morsel starts and charged as it completes, and a panicking
+    // morsel (injected or genuine) is contained — it fails only this
+    // query, as a typed error, leaving the database untouched (the
     // executor never mutates; workers hold only borrowed rows).
-    let outs: Vec<MorselOut> = if workers <= 1 {
-        let mut outs = Vec::with_capacity(morsels.len());
-        for m in &morsels {
-            budget.checkpoint()?;
-            let out = catch_unwind(AssertUnwindSafe(|| -> Result<MorselOut> {
-                db.fault_check(site::MORSEL_WORKER)?;
-                Ok(run_morsel(m, &joins, filter.as_ref(), &layout.widths))
-            }))
-            .unwrap_or_else(|payload| {
-                Err(Error::ExecutionPanic {
-                    context: panic_message(payload),
-                })
-            })?;
-            budget.charge_morsel(out.rows.len() as u64)?;
-            budget.charge_intermediate_bytes(out.intermediate_bytes())?;
-            outs.push(out);
-        }
-        outs
-    } else {
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<MorselOut>> = Vec::new();
-        slots.resize_with(morsels.len(), || None);
-        let mut failure: Option<Error> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, morsels, joins) = (&next, &morsels, &joins);
-                    let (filter, widths, budget) = (filter.as_ref(), &layout.widths, &budget);
-                    scope.spawn(move || -> Result<Vec<(usize, MorselOut)>> {
-                        let mut done: Vec<(usize, MorselOut)> = Vec::new();
-                        loop {
-                            // Cooperative cancellation: a budget tripped by
-                            // any worker stops the others at their next
-                            // claim.
-                            budget.checkpoint()?;
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(m) = morsels.get(i) else { break };
-                            db.fault_check(site::MORSEL_WORKER)?;
-                            let out = run_morsel(m, joins, filter, widths);
-                            budget.charge_morsel(out.rows.len() as u64)?;
-                            budget.charge_intermediate_bytes(out.intermediate_bytes())?;
-                            done.push((i, out));
-                        }
-                        Ok(done)
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(done)) => {
-                        for (i, out) in done {
-                            slots[i] = Some(out);
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        if failure.is_none() {
-                            failure = Some(e);
-                        }
-                    }
-                    Err(payload) => {
-                        if failure.is_none() {
-                            failure = Some(Error::ExecutionPanic {
-                                context: panic_message(payload),
-                            });
-                        }
-                    }
-                }
-            }
-        });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every morsel claimed exactly once"))
-            .collect()
-    };
+    let outs: Vec<MorselOut> = fan_out(db.parallelism(), &morsels, |m| {
+        budget.checkpoint()?;
+        db.fault_check(site::MORSEL_WORKER)?;
+        let out = run_morsel(m, &joins, filter.as_ref(), &layout.widths);
+        budget.charge_morsel(out.rows.len() as u64)?;
+        budget.charge_intermediate_bytes(out.intermediate_bytes())?;
+        Ok(out)
+    })?;
 
-    // Reassemble in morsel order — deterministic and byte-identical to the
-    // serial path — and merge per-worker counters into their operators.
+    // Concatenate in morsel order — deterministic and byte-identical to
+    // the serial path — and merge per-morsel counters into their
+    // operators.
     let mut per_join: Vec<OpStats> = joins.iter().map(|j| j.build).collect();
     let mut filter_op = OpStats::default();
     let mut rows: Vec<Tuple> = Vec::with_capacity(outs.iter().map(|o| o.rows.len()).sum());
@@ -2267,38 +2128,6 @@ mod tests {
         assert_eq!(off, after);
     }
 
-    /// `lr_db` at two full build chunks, and a root `Eq` that keeps the
-    /// output at one L row's matches.
-    fn two_chunk_build() -> (Database, QueryPlan) {
-        let rows = 2 * crate::planner::BUILD_CHUNK_ROWS as i64;
-        (lr_db(rows), lr_plan().filter(Predicate::eq("L.K", 5i64)))
-    }
-
-    #[test]
-    fn parallel_builds_are_byte_identical_to_serial() {
-        let (mut db, plan) = two_chunk_build();
-        db.configure(db.config().parallelism(1));
-        let (serial, serial_stats, trace) = db.execute_traced(&plan).unwrap();
-        assert!(
-            trace.ops[1].label.ends_with("[build: serial]"),
-            "{}",
-            trace.ops[1].label
-        );
-        assert_eq!(serial.len(), crate::planner::BUILD_CHUNK_ROWS / 2);
-        db.clear_build_cache();
-        db.configure(db.config().parallelism(2));
-        let (parallel, parallel_stats, trace) = db.execute_traced(&plan).unwrap();
-        assert_eq!(parallel, serial);
-        assert_eq!(parallel_stats, serial_stats);
-        assert!(
-            trace.ops[1].label.ends_with("[build: 2 workers]"),
-            "{}",
-            trace.ops[1].label
-        );
-        let snap = db.metrics_registry().snapshot();
-        assert_eq!(snap.counters["engine.query.build.parallel"], 1);
-    }
-
     #[test]
     fn build_byte_budget_trips_with_typed_error() {
         use crate::fault::QueryBudget;
@@ -2328,21 +2157,17 @@ mod tests {
     #[test]
     fn build_faults_never_poison_the_cache() {
         use crate::fault::{FaultMode, FaultPlan};
-        // A two-worker build: the hash-build site arrives once per chunk,
-        // so `nth` 0 and 1 fire in each chunk; the insert site arrives once.
-        let (mut db, plan) = two_chunk_build();
-        db.configure(db.config().parallelism(2));
+        // Each site arrives once per cold build.
+        let mut db = lr_db(12);
+        let plan = lr_plan();
         let (baseline, _) = db.execute(&plan).unwrap();
         for mode in [FaultMode::Error, FaultMode::Panic] {
-            for (site_name, nth) in [
-                (site::HASH_BUILD, 0),
-                (site::HASH_BUILD, 1),
-                (site::BUILD_CACHE_INSERT, 0),
-            ] {
+            for site_name in [site::HASH_BUILD, site::BUILD_CACHE_INSERT] {
                 db.clear_build_cache();
-                let armed = db.set_fault_plan(FaultPlan::new().fail_at(site_name, nth, mode));
+                let armed = db.set_fault_plan(FaultPlan::new().fail_at(site_name, 0, mode));
                 let err = db.execute(&plan).unwrap_err();
-                assert_eq!(armed.total_fired(), 1, "{site_name} #{nth}");
+                assert_eq!(armed.hits(site_name), 1, "{site_name}");
+                assert_eq!(armed.total_fired(), 1, "{site_name}");
                 match mode {
                     FaultMode::Error => {
                         assert!(matches!(err, Error::Injected { .. }), "{site_name}: {err}");

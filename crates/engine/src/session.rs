@@ -40,7 +40,6 @@
 //! writer section (fails that commit typed; the master state and the
 //! commit sequence are untouched, and pinned readers stay healthy).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -50,7 +49,7 @@ use relmerge_relational::{DatabaseState, Error, Relation, Result};
 
 use crate::batch::{BatchOutcome, Statement};
 use crate::database::{Database, DbMetrics, DmlError, EngineConfig};
-use crate::fault::{panic_message, site, FaultPlan, IntegrityReport};
+use crate::fault::{contain, site, FaultPlan, IntegrityReport};
 use crate::migrate::MigrationReport;
 use crate::query::{QueryPlan, QueryStats};
 use crate::txn::Transaction;
@@ -258,15 +257,7 @@ impl Store {
         f: impl FnOnce(&mut Database) -> std::result::Result<T, E>,
     ) -> std::result::Result<T, E> {
         let mut master = self.lock_master();
-        let gate = catch_unwind(AssertUnwindSafe(|| master.fault_check(site::WRITER_COMMIT)))
-            .unwrap_or_else(|payload| {
-                Err(Error::ExecutionPanic {
-                    context: panic_message(payload),
-                })
-            });
-        if let Err(e) = gate {
-            return Err(E::from(e));
-        }
+        contain(|| master.fault_check(site::WRITER_COMMIT))?;
         let out = f(&mut master);
         if out.is_ok() {
             self.publish_commit();
@@ -297,14 +288,7 @@ impl Session {
     /// or panic) is contained to this pin attempt.
     pub fn pin(&self) -> Result<Snapshot> {
         let base = self.store.pinned_base();
-        catch_unwind(AssertUnwindSafe(|| {
-            base.fault_check(site::SESSION_SNAPSHOT)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(Error::ExecutionPanic {
-                context: panic_message(payload),
-            })
-        })?;
+        contain(|| base.fault_check(site::SESSION_SNAPSHOT))?;
         Ok(Snapshot {
             db: base.snapshot_handle(Arc::clone(&self.metrics)),
         })

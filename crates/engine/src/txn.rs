@@ -11,7 +11,7 @@ use relmerge_relational::{Error, Tuple};
 
 use crate::batch::{rollback, rollback_after_failed_append, Statement, StatementOutcome, Undo};
 use crate::database::{Database, DmlError};
-use crate::fault::panic_message;
+use crate::fault::contain;
 
 /// A transaction handle: issue statements through it; changes are recorded
 /// for rollback. Each verb is a thin front for the unified
@@ -82,6 +82,10 @@ impl Database {
             undo: Vec::new(),
             stmts: Vec::new(),
         };
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "not `contain`: a panic in caller code resumes after the rollback"
+        )]
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut tx)));
         match outcome {
             Ok(Ok(value)) => {
@@ -92,14 +96,7 @@ impl Database {
                 // same rollback path a constraint violation takes.
                 let stmts = std::mem::take(&mut tx.stmts);
                 if !stmts.is_empty() {
-                    let logged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        tx.db.wal_append_batch(&stmts)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(Error::ExecutionPanic {
-                            context: panic_message(payload),
-                        })
-                    });
+                    let logged = contain(|| tx.db.wal_append_batch(&stmts));
                     if let Err(e) = logged {
                         let undo = std::mem::take(&mut tx.undo);
                         return Err(rollback_after_failed_append(tx.db, undo, e));

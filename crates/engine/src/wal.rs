@@ -45,7 +45,6 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -60,7 +59,7 @@ use relmerge_relational::{
 use crate::batch::Statement;
 use crate::capability::{DbmsProfile, Mechanism};
 use crate::database::{compile_catalog, Database, EngineConfig};
-use crate::fault::{panic_message, site, FaultPlan};
+use crate::fault::{contain, site, FaultPlan};
 
 /// Magic prefix of every WAL file.
 const WAL_MAGIC: &[u8; 8] = b"RMWAL001";
@@ -1105,7 +1104,7 @@ impl Database {
     }
 
     /// Logs a committed statement batch to the WAL, if this database is
-    /// durable. Called from inside the batch machinery's `catch_unwind`
+    /// durable. Called from inside the batch machinery's contained
     /// forward path *after* every check has passed — an error or injected
     /// panic here (site [`site::WAL_APPEND`]) takes the same rollback path
     /// a constraint violation does, so nothing un-logged ever becomes
@@ -1155,15 +1154,10 @@ impl Database {
     pub(crate) fn wal_snapshot_contained(&self) {
         let Some(wal) = self.wal() else { return };
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
+        let outcome = contain(|| -> Result<()> {
             self.fault_check(site::SNAPSHOT_WRITE)?;
             let payload = encode_snapshot(self)?;
             wal.install_snapshot(&payload)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(Error::ExecutionPanic {
-                context: panic_message(payload),
-            })
         });
         let registry = obs::global();
         match outcome {
@@ -1211,14 +1205,7 @@ impl Database {
         let registry = obs::global();
         registry.counter("engine.recovery.attempts").inc();
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            recover_inner(&config, fault.as_deref())
-        }))
-        .unwrap_or_else(|payload| {
-            Err(Error::ExecutionPanic {
-                context: panic_message(payload),
-            })
-        });
+        let outcome = contain(|| recover_inner(&config, fault.as_deref()));
         match outcome {
             Ok((db, mut report)) => {
                 report.replay_ns = obs::elapsed_ns(t0);
