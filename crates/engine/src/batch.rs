@@ -746,16 +746,17 @@ impl Database {
                             .or_insert(*idx);
                     }
                 }
-                let (_, map) = self.tables[&c.rhs_rel]
-                    .lookups
-                    .get(&c.rhs_attrs)
-                    .expect("lookup indexes built for every IND");
+                let target = &self.tables[&c.rhs_rel];
+                let index = target
+                    .index(&c.rhs_attrs)
+                    .expect("both sides of every IND are indexed");
                 let mut dangling: Option<(usize, Tuple)> = None;
                 for (key, idx) in &keys {
                     self.metrics.index_probes.inc();
                     // Batch-inserted target rows are live already, so
                     // child-before-parent (and self-reference) just works.
-                    if !map.contains_key(key) && dangling.as_ref().is_none_or(|(i, _)| idx < i) {
+                    let found = index.find(&target.rows, key.values()).next().is_some();
+                    if !found && dangling.as_ref().is_none_or(|(i, _)| idx < i) {
                         dangling = Some((*idx, key.clone()));
                     }
                 }
@@ -800,23 +801,20 @@ impl Database {
                             .or_insert(*idx);
                     }
                 }
+                let carried = |rel: &str, attrs: &[String], value: &Tuple| {
+                    let table = &self.tables[rel];
+                    table
+                        .index(attrs)
+                        .is_some_and(|ix| ix.find(&table.rows, value.values()).next().is_some())
+                };
                 let mut orphaned: Option<(usize, Tuple)> = None;
                 for (value, idx) in &removed {
                     self.metrics.index_probes.inc();
-                    let still_provided = self.tables[rel]
-                        .lookups
-                        .get(&c.rhs_attrs)
-                        .and_then(|(_, map)| map.get(value))
-                        .is_some_and(|slots| !slots.is_empty());
-                    if still_provided {
+                    if carried(rel, &c.rhs_attrs, value) {
                         continue;
                     }
                     self.metrics.index_probes.inc();
-                    let referencing = self.tables[&c.lhs_rel]
-                        .lookups
-                        .get(&c.lhs_attrs)
-                        .and_then(|(_, map)| map.get(value))
-                        .is_some_and(|slots| !slots.is_empty());
+                    let referencing = carried(&c.lhs_rel, &c.lhs_attrs, value);
                     if referencing && orphaned.as_ref().is_none_or(|(i, _)| idx < i) {
                         orphaned = Some((*idx, value.clone()));
                     }

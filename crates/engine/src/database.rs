@@ -18,16 +18,19 @@
 //! systems. Each DML statement also opens an `engine.dml.*` trace span
 //! carrying the relation and outcome.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, AddAssign};
 use std::sync::Arc;
 use std::time::Instant;
 
 use relmerge_obs::{self as obs, Counter, Histogram, Registry};
+use relmerge_relational::fxhash::{FxHasher, Slots};
 use relmerge_relational::{
     Attribute, DatabaseState, Error, FxHashMap, FxHashSet, NullConstraint, Relation,
-    RelationalSchema, Result, Tuple,
+    RelationalSchema, Result, Tuple, Value,
 };
 
 use crate::capability::{DbmsProfile, Mechanism};
@@ -254,6 +257,13 @@ pub(crate) struct DbMetrics {
     /// the batch path's intermediate-state accounting.
     pub(crate) undo_entries: Arc<Histogram>,
     pub(crate) undo_bytes: Arc<Histogram>,
+    /// Copy-on-write: tables a mutation had to copy because a snapshot
+    /// (or a store's published base) still shared them, and the row slots
+    /// those copies held.
+    cow_table_copies: Arc<Counter>,
+    cow_copied_rows: Arc<Counter>,
+    /// Wall time of each [`crate::session::Session::pin`].
+    pub(crate) pin_ns: Arc<Histogram>,
     /// Where this shard folds on drop: a session shard folds into its
     /// store's registry; every other shard folds into the process-global
     /// registry (`None`). Exactly-once because the fold runs in
@@ -331,6 +341,9 @@ impl DbMetrics {
             batch_ns: registry.histogram("engine.batch.ns"),
             undo_entries: registry.histogram("engine.batch.undo.entries"),
             undo_bytes: registry.histogram("engine.batch.undo.bytes"),
+            cow_table_copies: registry.counter("engine.cow.table_copies"),
+            cow_copied_rows: registry.counter("engine.cow.copied_rows"),
+            pin_ns: registry.histogram("engine.session.pin.ns"),
             registry,
             flush_into,
         }
@@ -357,23 +370,105 @@ impl DbMetrics {
     }
 }
 
-/// A secondary lookup index: attribute positions plus a map from each
-/// total subtuple to the live row slots carrying it.
-type LookupIndex = (Vec<usize>, FxHashMap<Tuple, Vec<usize>>);
+/// The hash of a key, fed its values in place: the one hash every table
+/// index inserts, removes and probes with, so a key read at a stored row's
+/// positions and the same key as a probe slice hash alike.
+#[inline]
+fn key_hash<'v>(key: impl IntoIterator<Item = &'v Value>) -> u64 {
+    let mut h = FxHasher::default();
+    for v in key {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
 
-/// One stored relation with its indexes.
+/// One table index over the attribute positions `pos`: the hash of each
+/// indexed row's key → the slots of the rows whose keys have that hash, in
+/// ascending slot order. No key is stored: a probe compares the candidate
+/// rows' own values with the key, so a bucket may hold rows of several
+/// keys that collide on all 64 bits.
+#[derive(Clone)]
+pub(crate) struct KeyIndex {
+    pos: Vec<usize>,
+    map: FxHashMap<u64, Slots>,
+}
+
+impl KeyIndex {
+    fn new(pos: Vec<usize>) -> Self {
+        KeyIndex {
+            pos,
+            map: FxHashMap::default(),
+        }
+    }
+
+    /// The key of `t` at this index's positions, read in place.
+    fn key_of<'t>(&self, t: &'t Tuple) -> impl Iterator<Item = &'t Value> + Clone + use<'_, 't> {
+        self.pos.iter().map(|&i| t.get(i))
+    }
+
+    fn insert(&mut self, t: &Tuple, slot: usize) {
+        self.map
+            .entry(key_hash(self.key_of(t)))
+            .and_modify(|slots| slots.push(slot))
+            .or_insert(Slots::One(slot));
+    }
+
+    fn remove(&mut self, t: &Tuple, slot: usize) {
+        if let Entry::Occupied(mut e) = self.map.entry(key_hash(self.key_of(t))) {
+            if e.get_mut().remove(slot) {
+                e.remove();
+            }
+        }
+    }
+
+    /// The slots of every row whose key shares `key`'s hash; only those
+    /// that [`KeyIndex::carries`] `key` match it.
+    #[inline]
+    pub(crate) fn bucket<'v>(&self, key: impl IntoIterator<Item = &'v Value>) -> &[usize] {
+        self.map.get(&key_hash(key)).map_or(&[], Slots::as_slice)
+    }
+
+    /// Whether `row` carries `key` at this index's positions.
+    #[inline]
+    pub(crate) fn carries<'v>(
+        &self,
+        row: &Tuple,
+        key: impl IntoIterator<Item = &'v Value>,
+    ) -> bool {
+        self.key_of(row).eq(key)
+    }
+
+    /// The live rows of `rows` carrying `key`, with their slots, in slot
+    /// order.
+    pub(crate) fn find<'r, 'v, K>(
+        &'r self,
+        rows: &'r [Option<Tuple>],
+        key: K,
+    ) -> impl Iterator<Item = (usize, &'r Tuple)> + use<'r, 'v, K>
+    where
+        K: IntoIterator<Item = &'v Value> + Clone,
+    {
+        self.bucket(key.clone()).iter().filter_map(move |&s| {
+            rows[s]
+                .as_ref()
+                .filter(|t| self.carries(t, key.clone()))
+                .map(|t| (s, t))
+        })
+    }
+}
+
+/// One stored relation with its indexes: one index per attribute list.
 #[derive(Clone)]
 pub(crate) struct Table {
     pub(crate) header: Vec<Attribute>,
     pub(crate) rows: Vec<Option<Tuple>>, // tombstoned on delete
     pub(crate) live: usize,
-    /// Unique indexes, one per candidate key, the primary key first:
-    /// positions + map to row slot.
-    pub(crate) unique: Vec<(Vec<usize>, FxHashMap<Tuple, usize>)>,
-    /// Secondary lookup indexes keyed by attribute-name list (for foreign
-    /// keys, IND targets, and join probes). Values are the live row slots
-    /// of each **total** subtuple.
-    pub(crate) lookups: BTreeMap<Vec<String>, LookupIndex>,
+    /// Unique indexes, one per candidate key, the primary key first. They
+    /// index every live row, null key components included.
+    unique: Vec<KeyIndex>,
+    /// Lookup indexes (inclusion-dependency sides no unique index covers):
+    /// they index the live rows whose key is **total**.
+    lookups: Vec<KeyIndex>,
     /// Monotone modification counter: bumped once per row mutation (every
     /// mutation path funnels through `index_insert`/`index_remove`). Keys
     /// the build-side cache — a version match proves a cached hash build
@@ -390,7 +485,7 @@ impl Table {
             rows: Vec::new(),
             live: 0,
             unique: Vec::new(),
-            lookups: BTreeMap::new(),
+            lookups: Vec::new(),
             version: 0,
         }
     }
@@ -410,49 +505,58 @@ impl Table {
             .collect()
     }
 
+    /// The index over exactly `attrs`, in that order (a unique one when
+    /// both kinds would): the one answer to "which index covers these
+    /// attributes".
+    pub(crate) fn index(&self, attrs: &[String]) -> Option<&KeyIndex> {
+        self.unique.iter().chain(&self.lookups).find(|ix| {
+            ix.pos.len() == attrs.len()
+                && ix
+                    .pos
+                    .iter()
+                    .zip(attrs)
+                    .all(|(&p, n)| self.header[p].name() == n)
+        })
+    }
+
     fn add_unique(&mut self, names: &[String]) -> Result<()> {
-        let pos = self.positions(names)?;
-        if !self.unique.iter().any(|(p, _)| *p == pos) {
-            self.unique.push((pos, FxHashMap::default()));
+        if self.index(names).is_none() {
+            let pos = self.positions(names)?;
+            self.unique.push(KeyIndex::new(pos));
         }
         Ok(())
     }
 
+    /// Adds a lookup index over `names`, unless an index already covers
+    /// them.
     fn add_lookup(&mut self, names: &[String]) -> Result<()> {
-        if !self.lookups.contains_key(names) {
+        if self.index(names).is_none() {
             let pos = self.positions(names)?;
-            self.lookups
-                .insert(names.to_vec(), (pos, FxHashMap::default()));
+            self.lookups.push(KeyIndex::new(pos));
         }
         Ok(())
     }
 
     fn index_insert(&mut self, t: &Tuple, slot: usize) {
         self.version += 1;
-        for (pos, map) in &mut self.unique {
-            map.insert(t.project(pos), slot);
+        for ix in &mut self.unique {
+            ix.insert(t, slot);
         }
-        for (pos, map) in self.lookups.values_mut() {
-            if t.is_total_at(pos) {
-                map.entry(t.project(pos)).or_default().push(slot);
+        for ix in &mut self.lookups {
+            if t.is_total_at(&ix.pos) {
+                ix.insert(t, slot);
             }
         }
     }
 
     fn index_remove(&mut self, t: &Tuple, slot: usize) {
         self.version += 1;
-        for (pos, map) in &mut self.unique {
-            map.remove(&t.project(pos));
+        for ix in &mut self.unique {
+            ix.remove(t, slot);
         }
-        for (pos, map) in self.lookups.values_mut() {
-            if t.is_total_at(pos) {
-                let key = t.project(pos);
-                if let Some(slots) = map.get_mut(&key) {
-                    slots.retain(|&s| s != slot);
-                    if slots.is_empty() {
-                        map.remove(&key);
-                    }
-                }
+        for ix in &mut self.lookups {
+            if t.is_total_at(&ix.pos) {
+                ix.remove(t, slot);
             }
         }
     }
@@ -489,9 +593,11 @@ pub struct Database {
     profile: DbmsProfile,
     /// Stored relations, individually `Arc`-wrapped for copy-on-write
     /// snapshot sharing: a pinned reader handle clones the map (pointer
-    /// clones), and the writer's mutation paths go through
-    /// [`Arc::make_mut`] — in place while unshared, a one-time table copy
-    /// after a snapshot pinned it.
+    /// clones), and every mutation path goes through
+    /// [`Database::table_mut`] — in place while unshared, otherwise a copy
+    /// of the whole table. A store's published base keeps every table
+    /// shared after a pin, so each commit that follows a pin copies each
+    /// table it touches (`engine.cow.table_copies`).
     pub(crate) tables: BTreeMap<String, Arc<Table>>,
     pub(crate) nulls: Arc<BTreeMap<String, Vec<CompiledNull>>>,
     pub(crate) outgoing: Arc<BTreeMap<String, Vec<CompiledInd>>>,
@@ -544,8 +650,9 @@ pub(crate) struct Catalog {
 }
 
 /// Validates `schema` against `profile` and compiles its physical catalog:
-/// one table per scheme (unique index per candidate key, lookup indexes on
-/// both sides of every inclusion dependency) and the compiled constraint
+/// one table per scheme (unique index per candidate key, a lookup index on
+/// each side of every inclusion dependency that no unique index covers —
+/// one index per attribute list) and the compiled constraint
 /// maps, each constraint annotated with the maintenance mechanism the
 /// profile assigns it (paper §5.1).
 pub(crate) fn compile_catalog(
@@ -570,7 +677,8 @@ pub(crate) fn compile_catalog(
         }
         tables.insert(s.name().to_owned(), table);
     }
-    // Lookup indexes for both sides of every inclusion dependency.
+    // Both sides of every inclusion dependency are indexed; a side that
+    // is a candidate key reuses its unique index.
     for ind in schema.inds() {
         tables
             .get_mut(&ind.rhs_rel)
@@ -1089,10 +1197,27 @@ impl Database {
     /// over the database's lifetime — the invariant that makes a
     /// build-cache hit proof of freshness.
     pub(crate) fn raise_relation_version(&mut self, rel: &str, floor: u64) {
-        if let Some(t) = self.tables.get_mut(rel) {
-            let t = Arc::make_mut(t);
+        if let Ok(t) = self.table_mut(rel) {
             t.version = t.version.max(floor);
         }
+    }
+
+    /// `rel`'s table, ready to mutate. A table that a snapshot or a
+    /// store's published base still shares is copied first, and the copy
+    /// is counted in `engine.cow.table_copies` and, by row slots, in
+    /// `engine.cow.copied_rows`.
+    pub(crate) fn table_mut(&mut self, rel: &str) -> Result<&mut Table> {
+        let shared = self
+            .tables
+            .get_mut(rel)
+            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
+        let before = Arc::as_ptr(shared);
+        let table = Arc::make_mut(shared);
+        if !std::ptr::eq(before, table) {
+            self.metrics.cow_table_copies.inc();
+            self.metrics.cow_copied_rows.add(table.rows.len() as u64);
+        }
+        Ok(table)
     }
 
     /// The DBMS profile in force.
@@ -1182,14 +1307,14 @@ impl Database {
     /// batch applies, exactly like SQL's non-deferrable `PRIMARY KEY`.
     pub(crate) fn check_unique(&self, rel: &str, t: &Tuple) -> std::result::Result<bool, DmlError> {
         let table = &self.tables[rel];
-        for (pos, map) in &table.unique {
+        for ix in &table.unique {
             let t0 = Instant::now();
             self.metrics.index_probes.inc();
-            let hit = map.get(&t.project(pos)).copied();
+            let hit = ix.find(&table.rows, ix.key_of(t)).next();
             self.metrics
                 .record_check(CheckClass::Key, Mechanism::Declarative, t0);
-            if let Some(slot) = hit {
-                if table.rows[slot].as_ref() == Some(t) {
+            if let Some((_, stored)) = hit {
+                if stored == t {
                     return Ok(true); // identical tuple: idempotent
                 }
                 self.metrics.rejected.inc();
@@ -1240,28 +1365,29 @@ impl Database {
                 self.metrics.record_check(CheckClass::Ind, c.mechanism, t0);
                 continue; // partial subtuples are exempt (total-projection semantics)
             }
-            let key = t.project(&lhs_pos);
             self.metrics.index_probes.inc();
             // Self-referencing dependency satisfied by the tuple itself.
             if c.rhs_rel == rel {
                 let rhs_pos = self.tables[rel].positions(&c.rhs_attrs)?;
-                if t.project(&rhs_pos) == key {
+                if t.eq_at(&lhs_pos, &rhs_pos) {
                     self.metrics.record_check(CheckClass::Ind, c.mechanism, t0);
                     continue;
                 }
             }
             let target = &self.tables[&c.rhs_rel];
-            let (_, map) = target
-                .lookups
-                .get(&c.rhs_attrs)
-                .expect("lookup indexes built for every IND");
-            let found = map.contains_key(&key);
+            let found = target
+                .index(&c.rhs_attrs)
+                .expect("both sides of every IND are indexed")
+                .find(&target.rows, lhs_pos.iter().map(|&i| t.get(i)))
+                .next()
+                .is_some();
             self.metrics.record_check(CheckClass::Ind, c.mechanism, t0);
             if !found {
                 self.metrics.rejected.inc();
                 return Err(DmlError::ConstraintViolation(format!(
-                    "`{rel}`[{}] = {key} has no match in `{}`[{}]",
+                    "`{rel}`[{}] = {} has no match in `{}`[{}]",
                     c.lhs_attrs.join(","),
+                    t.project(&lhs_pos),
                     c.rhs_rel,
                     c.rhs_attrs.join(",")
                 )));
@@ -1270,7 +1396,7 @@ impl Database {
         // Commit. The fault site fires *before* any index mutation so an
         // injected failure leaves no partial maintenance behind.
         self.fault_check(site::INDEX_MAINTENANCE)?;
-        let table = Arc::make_mut(self.tables.get_mut(rel).expect("checked"));
+        let table = self.table_mut(rel)?;
         let slot = table.rows.len();
         table.index_insert(&t, slot);
         table.rows.push(Some(t));
@@ -1305,24 +1431,19 @@ impl Database {
             .tables
             .get(rel)
             .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
-        let pk_pos = table.positions(&pk)?;
         self.metrics.index_probes.inc();
-        let Some((_, map)) = table.unique.iter().find(|(p, _)| *p == pk_pos) else {
+        let Some(ix) = table.index(&pk) else {
             return Err(DmlError::Schema(Error::MissingPrimaryKey(rel.to_owned())));
         };
-        Ok(map.get(key).map(|&slot| {
-            (
-                slot,
-                table.rows[slot]
-                    .clone()
-                    .expect("unique index points at live rows"),
-            )
-        }))
+        Ok(ix
+            .find(&table.rows, key.values())
+            .next()
+            .map(|(slot, t)| (slot, t.clone())))
     }
 
     /// Removes the row at `slot` with **no** constraint checking.
     pub(crate) fn remove_slot(&mut self, rel: &str, slot: usize, victim: &Tuple) {
-        let table = Arc::make_mut(self.tables.get_mut(rel).expect("checked"));
+        let table = self.table_mut(rel).expect("checked");
         table.index_remove(victim, slot);
         table.rows[slot] = None;
         table.live -= 1;
@@ -1354,38 +1475,38 @@ impl Database {
                     .record_check(CheckClass::Restrict, c.mechanism, t0);
                 continue;
             }
-            let referenced = victim.project(&rhs_pos);
+            // The referenced value, read in place from the victim. Each
+            // count below stops as soon as its answer is known.
+            let referenced = rhs_pos.iter().map(|&i| victim.get(i));
+            let carrying = |rel: &str, attrs: &[String], enough: usize| {
+                let table = &self.tables[rel];
+                table.index(attrs).map_or(0, |ix| {
+                    ix.find(&table.rows, referenced.clone())
+                        .take(enough)
+                        .count()
+                })
+            };
             self.metrics.index_probes.add(2);
-            let remaining = self.tables[rel]
-                .lookups
-                .get(&c.rhs_attrs)
-                .and_then(|(_, map)| map.get(&referenced))
-                .map_or(0, Vec::len) as u32;
-            if remaining > 1 {
+            if carrying(rel, &c.rhs_attrs, 2) > 1 {
                 self.metrics
                     .record_check(CheckClass::Restrict, c.mechanism, t0);
                 continue; // another tuple still provides the value
             }
-            let referencing = self.tables[&c.lhs_rel]
-                .lookups
-                .get(&c.lhs_attrs)
-                .and_then(|(_, map)| map.get(&referenced))
-                .map_or(0, Vec::len) as u32;
             // A self-reference by the victim itself does not block.
-            let self_ref = if c.lhs_rel == rel {
+            let self_ref = c.lhs_rel == rel && {
                 let lhs_pos = self.tables[rel].positions(&c.lhs_attrs)?;
-                u32::from(victim.is_total_at(&lhs_pos) && victim.project(&lhs_pos) == referenced)
-            } else {
-                0
+                victim.eq_at(&lhs_pos, &rhs_pos)
             };
+            let referencing = carrying(&c.lhs_rel, &c.lhs_attrs, usize::from(self_ref) + 1);
             self.metrics
                 .record_check(CheckClass::Restrict, c.mechanism, t0);
-            if referencing > self_ref {
+            if referencing > usize::from(self_ref) {
                 self.metrics.rejected.inc();
                 return Err(DmlError::ConstraintViolation(format!(
-                    "RESTRICT: `{}`[{}] still references {referenced}",
+                    "RESTRICT: `{}`[{}] still references {}",
                     c.lhs_rel,
-                    c.lhs_attrs.join(",")
+                    c.lhs_attrs.join(","),
+                    victim.project(&rhs_pos)
                 )));
             }
         }
@@ -1424,11 +1545,7 @@ impl Database {
     /// suffix, rather than once per replayed record.
     pub(crate) fn load_state_unverified(&mut self, state: &DatabaseState) -> Result<()> {
         for (name, relation) in state.iter() {
-            let table = self
-                .tables
-                .get_mut(name)
-                .map(Arc::make_mut)
-                .ok_or_else(|| Error::UnknownScheme(name.to_owned()))?;
+            let table = self.table_mut(name)?;
             for t in relation.iter() {
                 let slot = table.rows.len();
                 table.index_insert(t, slot);
@@ -1438,9 +1555,8 @@ impl Database {
         }
         for name in state.names() {
             let cached = self.build_cache_lock().max_version(name);
-            if let (Some(cached), Some(table)) = (cached, self.tables.get_mut(name)) {
-                let table = Arc::make_mut(table);
-                table.version = table.version.max(cached + 1);
+            if let Some(cached) = cached {
+                self.raise_relation_version(name, cached + 1);
             }
         }
         Ok(())
@@ -1504,82 +1620,93 @@ impl Database {
                     ),
                 );
             }
-            // Unique indexes, both directions.
-            for (pos, map) in &table.unique {
-                for (key, &slot) in map {
-                    report.index_entries_checked += 1;
-                    match table.rows.get(slot).and_then(|r| r.as_ref()) {
-                        Some(t) if t.project(pos) == *key => {}
-                        Some(_) => flag(
-                            name,
-                            IntegrityKind::UniqueIndex,
-                            format!("entry {key} points at slot {slot} holding a different key"),
-                        ),
-                        None => flag(
-                            name,
-                            IntegrityKind::UniqueIndex,
-                            format!("entry {key} points at dead slot {slot}"),
-                        ),
-                    }
-                }
-                for &(slot, t) in &live_rows {
-                    let key = t.project(pos);
-                    match map.get(&key) {
-                        Some(&s) if s == slot => {}
-                        Some(&s) => flag(
-                            name,
-                            IntegrityKind::UniqueIndex,
-                            format!("key {key} of slot {slot} indexed at slot {s} (duplicate key)"),
-                        ),
-                        None => flag(
-                            name,
-                            IntegrityKind::UniqueIndex,
-                            format!("slot {slot} with key {key} missing from the index"),
-                        ),
-                    }
-                }
-            }
-            // Lookup indexes, both directions.
-            for (attrs, (pos, map)) in &table.lookups {
-                for (key, slots) in map {
-                    let mut seen = FxHashSet::default();
-                    for &slot in slots {
+            // Every index, both directions, allocating only to report.
+            let indexes = (table
+                .unique
+                .iter()
+                .map(|ix| (ix, IntegrityKind::UniqueIndex)))
+            .chain(
+                table
+                    .lookups
+                    .iter()
+                    .map(|ix| (ix, IntegrityKind::LookupIndex)),
+            );
+            for (ix, kind) in indexes {
+                let unique = kind == IntegrityKind::UniqueIndex;
+                let on = || {
+                    let attrs: Vec<&str> = ix.pos.iter().map(|&p| table.header[p].name()).collect();
+                    format!("[{}]", attrs.join(","))
+                };
+                // Entries: a bucket lists, in ascending order, live rows
+                // whose key has the bucket's hash (and is total, for a
+                // lookup index).
+                for (&hash, slots) in &ix.map {
+                    let slots = slots.as_slice();
+                    for (j, &slot) in slots.iter().enumerate() {
                         report.index_entries_checked += 1;
-                        if !seen.insert(slot) {
+                        if j > 0 && slots[j - 1] >= slot {
                             flag(
                                 name,
-                                IntegrityKind::LookupIndex,
-                                format!(
-                                    "[{}] entry {key} lists slot {slot} twice",
-                                    attrs.join(",")
-                                ),
+                                kind,
+                                format!("{} bucket lists slot {slot} twice or out of order", on()),
                             );
                         }
-                        match table.rows.get(slot).and_then(|r| r.as_ref()) {
-                            Some(t) if t.is_total_at(pos) && t.project(pos) == *key => {}
-                            _ => flag(
+                        match table.rows.get(slot).and_then(Option::as_ref) {
+                            Some(t)
+                                if key_hash(ix.key_of(t)) == hash
+                                    && (unique || t.is_total_at(&ix.pos)) => {}
+                            Some(t) => flag(
                                 name,
-                                IntegrityKind::LookupIndex,
+                                kind,
                                 format!(
-                                    "[{}] entry {key} points at slot {slot} not carrying it",
-                                    attrs.join(",")
+                                    "{} entry points at slot {slot} holding a key it does \
+                                     not index: {}",
+                                    on(),
+                                    t.project(&ix.pos)
                                 ),
+                            ),
+                            None => flag(
+                                name,
+                                kind,
+                                format!("{} entry points at dead slot {slot}", on()),
                             ),
                         }
                     }
                 }
+                // Rows: every row the index covers sits in its key's
+                // bucket, and no earlier row holds the same unique key.
                 for &(slot, t) in &live_rows {
-                    if !t.is_total_at(pos) {
+                    if !unique && !t.is_total_at(&ix.pos) {
                         continue;
                     }
-                    let key = t.project(pos);
-                    if !map.get(&key).is_some_and(|slots| slots.contains(&slot)) {
+                    let bucket = ix.bucket(ix.key_of(t));
+                    let duplicate = || {
+                        bucket.iter().take_while(|&&s| s < slot).find(|&&s| {
+                            table
+                                .rows
+                                .get(s)
+                                .and_then(Option::as_ref)
+                                .is_some_and(|u| ix.carries(u, ix.key_of(t)))
+                        })
+                    };
+                    if bucket.binary_search(&slot).is_err() {
                         flag(
                             name,
-                            IntegrityKind::LookupIndex,
+                            kind,
                             format!(
-                                "slot {slot} with [{}] = {key} missing from the index",
-                                attrs.join(",")
+                                "slot {slot} with {} = {} missing from the index",
+                                on(),
+                                t.project(&ix.pos)
+                            ),
+                        );
+                    } else if let Some(s) = duplicate().filter(|_| unique) {
+                        flag(
+                            name,
+                            kind,
+                            format!(
+                                "slot {slot} repeats key {} = {} of slot {s} (duplicate key)",
+                                on(),
+                                t.project(&ix.pos)
                             ),
                         );
                     }
@@ -1694,20 +1821,9 @@ impl Database {
             .get(rel)
             .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
         let pos = table.positions(attrs)?;
-        // Unique index?
-        if let Some((_, map)) = table.unique.iter().find(|(p, _)| *p == pos) {
+        if let Some(ix) = table.index(attrs) {
             stats.index_probes += 1;
-            if let Some(t) = map.get(key).and_then(|&slot| table.rows[slot].as_ref()) {
-                out.push(t);
-            }
-            return Ok(());
-        }
-        // Secondary lookup index?
-        if let Some((_, map)) = table.lookups.get(attrs) {
-            stats.index_probes += 1;
-            if let Some(slots) = map.get(key) {
-                out.extend(slots.iter().filter_map(|&s| table.rows[s].as_ref()));
-            }
+            out.extend(ix.find(&table.rows, key.values()).map(|(_, t)| t));
             return Ok(());
         }
         // Fall back to a scan.
@@ -1730,22 +1846,18 @@ impl Database {
         Ok((&table.header, table.rows.iter().flatten().collect()))
     }
 
-    /// Probes a unique index over `attrs` for `key` (no stats, no scan
-    /// fallback). Used by the transaction layer.
+    /// Probes the index over `attrs` for `key` and returns the first
+    /// match (no stats, no scan fallback). Used by the transaction layer
+    /// with a primary key.
     pub(crate) fn unique_lookup(&self, rel: &str, attrs: &[String], key: &Tuple) -> Option<Tuple> {
         let table = self.tables.get(rel)?;
-        let pos = table.positions(attrs).ok()?;
-        let (_, map) = table.unique.iter().find(|(p, _)| *p == pos)?;
-        map.get(key).and_then(|&slot| table.rows[slot].clone())
+        let (_, t) = table.index(attrs)?.find(&table.rows, key.values()).next()?;
+        Some(t.clone())
     }
 
     /// Re-inserts a tuple with **no** constraint checking — rollback only.
     pub(crate) fn raw_insert(&mut self, rel: &str, t: Tuple) -> Result<()> {
-        let table = self
-            .tables
-            .get_mut(rel)
-            .map(Arc::make_mut)
-            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
+        let table = self.table_mut(rel)?;
         let slot = table.rows.len();
         table.index_insert(&t, slot);
         table.rows.push(Some(t));
@@ -1756,18 +1868,15 @@ impl Database {
     /// Removes an exact tuple with **no** constraint checking — rollback
     /// only.
     pub(crate) fn raw_remove(&mut self, rel: &str, t: &Tuple) -> Result<()> {
-        let table = self
-            .tables
-            .get_mut(rel)
-            .map(Arc::make_mut)
-            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
+        let table = self.table_mut(rel)?;
         // One probe of the primary-key index (`compile_catalog` adds it
-        // first), not a scan of the table.
+        // first) with the row's own key, not a scan of the table.
         let slot = table
             .unique
             .first()
-            .and_then(|(pos, map)| map.get(&t.project(pos)).copied())
-            .filter(|&slot| table.rows[slot].as_ref() == Some(t))
+            .and_then(|ix| ix.find(&table.rows, ix.key_of(t)).next())
+            .filter(|&(_, stored)| stored == t)
+            .map(|(slot, _)| slot)
             .ok_or_else(|| Error::StateMismatch {
                 detail: format!("rollback: tuple {t} not found in `{rel}`"),
             })?;
@@ -1777,15 +1886,15 @@ impl Database {
         Ok(())
     }
 
-    /// Whether a unique or secondary lookup index of `rel` covers exactly
-    /// `attrs`: the one question that picks a join step's access.
+    /// Whether an index of `rel` covers exactly `attrs`: the one question
+    /// that picks a join step's access.
     pub(crate) fn index_covers(&self, rel: &str, attrs: &[String]) -> Result<bool> {
         let table = self
             .tables
             .get(rel)
             .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
-        let pos = table.positions(attrs)?;
-        Ok(table.unique.iter().any(|(p, _)| *p == pos) || table.lookups.contains_key(attrs))
+        table.positions(attrs)?;
+        Ok(table.index(attrs).is_some())
     }
 
     pub(crate) fn header(&self, rel: &str) -> Result<&[Attribute]> {
@@ -2072,6 +2181,183 @@ mod tests {
         assert_eq!(db.parallelism(), 1);
         assert_eq!(db.morsel_rows(), 1);
         assert!(!db.predicate_pushdown());
+    }
+
+    /// P(P.A, P.B) keyed on both attributes; C(C.K, C.A, C.B) references
+    /// it through C[C.A, C.B] ⊆ P[P.A, P.B].
+    fn pair_key_schema() -> RelationalSchema {
+        let mut rs = RelationalSchema::new();
+        rs.add_scheme(RelationScheme::new("P", vec![a("P.A"), a("P.B")], &["P.A", "P.B"]).unwrap())
+            .unwrap();
+        rs.add_scheme(
+            RelationScheme::new("C", vec![a("C.K"), a("C.A"), a("C.B")], &["C.K"]).unwrap(),
+        )
+        .unwrap();
+        rs.add_null_constraint(NullConstraint::nna("P", &["P.A", "P.B"]))
+            .unwrap();
+        rs.add_null_constraint(NullConstraint::nna("C", &["C.K"]))
+            .unwrap();
+        rs.add_ind(InclusionDep::new(
+            "C",
+            &["C.A", "C.B"],
+            "P",
+            &["P.A", "P.B"],
+        ))
+        .unwrap();
+        rs
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_are_told_apart_by_value() {
+        use crate::query::{JoinStep, QueryPlan};
+        use relmerge_relational::fxhash::{K, ROTATE};
+        // A key (a, b) hashes as rotate((S(a) + b) * K), where S(a) is the
+        // state before b's word. K is odd, so its inverse undoes the
+        // multiply; then b' = b + S(a) - S(a') makes (a', b') collide with
+        // (a, b).
+        let k_inv = (0..6).fold(K, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(x)))
+        });
+        let state_before_b = |a: i64| {
+            key_hash(tup(&[a, 0]).values())
+                .rotate_right(ROTATE)
+                .wrapping_mul(k_inv)
+        };
+        let colliding = |a: i64| {
+            let b = 5u64
+                .wrapping_add(state_before_b(1))
+                .wrapping_sub(state_before_b(a));
+            tup(&[a, b as i64])
+        };
+        let (k1, k2, k3) = (colliding(1), colliding(2), colliding(3));
+        assert_eq!(k1, tup(&[1, 5]));
+        assert_eq!(key_hash(k1.values()), key_hash(k2.values()));
+        assert_eq!(key_hash(k1.values()), key_hash(k3.values()));
+
+        let mut db = Database::new(pair_key_schema(), DbmsProfile::db2()).unwrap();
+        assert!(
+            db.tables["P"].lookups.is_empty(),
+            "the IND reuses P's unique index"
+        );
+        assert!(db.insert("P", k1.clone()).unwrap());
+        assert!(
+            db.insert("P", k2.clone()).unwrap(),
+            "a shared hash is no duplicate"
+        );
+        assert_eq!(db.tables["P"].unique[0].bucket(k1.values()).len(), 2);
+        // Each child's IND check finds its own key; a colliding key that
+        // no row carries is still dangling.
+        db.insert(
+            "C",
+            Tuple::new([Value::Int(1), k1.get(0).clone(), k1.get(1).clone()]),
+        )
+        .unwrap();
+        db.insert(
+            "C",
+            Tuple::new([Value::Int(2), k2.get(0).clone(), k2.get(1).clone()]),
+        )
+        .unwrap();
+        let dangling = Tuple::new([Value::Int(3), k3.get(0).clone(), k3.get(1).clone()]);
+        assert!(db.insert("C", dangling).is_err());
+        // A root lookup and a join probe each return only their own row.
+        for key in [&k1, &k2] {
+            let (rows, _) = db
+                .execute(&QueryPlan::lookup("P", &["P.A", "P.B"], key.clone()))
+                .unwrap();
+            assert_eq!(rows.rows(), std::slice::from_ref(key));
+        }
+        let join =
+            QueryPlan::scan("C").join(JoinStep::inner("P", &["C.A", "C.B"], &["P.A", "P.B"]));
+        let (rows, stats) = db.execute(&join).unwrap();
+        assert_eq!(stats.index_probes, 2);
+        assert_eq!(rows.len(), 2);
+        assert!(rows
+            .iter()
+            .all(|t| t.get(1) == t.get(3) && t.get(2) == t.get(4)));
+        // RESTRICT: the row sharing k2's hash does not provide k2.
+        assert!(db.delete_by_key("P", &k2).is_err());
+        assert!(db.delete_by_key("C", &tup(&[2])).unwrap());
+        assert!(db.delete_by_key("P", &k2).unwrap());
+        assert!(
+            db.delete_by_key("P", &k1).is_err(),
+            "k1 is still referenced"
+        );
+        assert_eq!(db.len("P"), 1);
+        let report = db.verify_integrity();
+        assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn integrity_audit_flags_each_corrupt_index() {
+        // P ← C through C.FK ⊆ P.K: C carries the unique index [C.K] and
+        // the lookup index [C.FK].
+        let mut rs = RelationalSchema::new();
+        rs.add_scheme(RelationScheme::new("P", vec![a("P.K")], &["P.K"]).unwrap())
+            .unwrap();
+        rs.add_scheme(RelationScheme::new("C", vec![a("C.K"), a("C.FK")], &["C.K"]).unwrap())
+            .unwrap();
+        rs.add_ind(InclusionDep::new("C", &["C.FK"], "P", &["P.K"]))
+            .unwrap();
+        let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
+        for k in [1, 2] {
+            db.insert("P", tup(&[k])).unwrap();
+        }
+        for (k, fk) in [(10, 1), (11, 1), (12, 2), (13, 2)] {
+            db.insert("C", tup(&[k, fk])).unwrap();
+        }
+        db.delete_by_key("C", &tup(&[13])).unwrap(); // slot 3 is dead
+        let clean = db.verify_integrity();
+        assert!(clean.is_clean(), "{clean}");
+        assert_eq!(clean.index_entries_checked, 2 + 3 + 3);
+        let audit = |corrupt: &dyn Fn(&mut Table)| {
+            let mut copy = db.fork();
+            corrupt(copy.table_mut("C").unwrap());
+            copy.verify_integrity().violations
+        };
+        let flagged = |violations: &[IntegrityViolation], kind: IntegrityKind, what: &str| {
+            violations
+                .iter()
+                .any(|v| v.relation == "C" && v.kind == kind && v.detail.contains(what))
+        };
+        // An entry pointing at a dead slot.
+        let v = audit(&|t| t.lookups[0].insert(&tup(&[13, 2]), 3));
+        assert!(
+            flagged(&v, IntegrityKind::LookupIndex, "dead slot 3"),
+            "{v:?}"
+        );
+        // An entry at a row carrying another key: slot 0 (C.FK = 1) filed
+        // under C.FK = 2.
+        let v = audit(&|t| t.lookups[0].insert(&tup(&[12, 2]), 0));
+        assert!(
+            flagged(&v, IntegrityKind::LookupIndex, "a key it does not index"),
+            "{v:?}"
+        );
+        // A live row missing from its index.
+        let v = audit(&|t| t.unique[0].remove(&tup(&[11, 1]), 1));
+        assert!(
+            flagged(
+                &v,
+                IntegrityKind::UniqueIndex,
+                "slot 1 with [C.K] = (11) missing"
+            ),
+            "{v:?}"
+        );
+        // Two live rows sharing one unique key.
+        let v = audit(&|t| {
+            let twin = tup(&[10, 2]);
+            let slot = t.rows.len();
+            t.index_insert(&twin, slot);
+            t.rows.push(Some(twin));
+            t.live += 1;
+        });
+        assert!(
+            flagged(&v, IntegrityKind::UniqueIndex, "duplicate key"),
+            "{v:?}"
+        );
+        assert!(
+            v.iter().all(|v| v.kind == IntegrityKind::UniqueIndex),
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -40,10 +40,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use relmerge_obs::{self as obs};
-use relmerge_relational::{Attribute, Error, FxHashMap, Relation, Result, Tuple, Value};
+use relmerge_relational::{Attribute, Error, Relation, Result, Tuple, Value};
 
 use crate::build::{build_owned, BuildKey, OwnedBuild};
-use crate::database::Database;
+use crate::database::{Database, KeyIndex};
 use crate::fault::{contain, fan_out, site, BudgetTracker};
 use crate::planner::{choose_join_strategy, JoinStrategy};
 
@@ -527,21 +527,15 @@ impl Database {
     }
 }
 
-/// How one compiled join step reaches its right-hand rows. The index
-/// variants point straight into the database's storage; `HashOwned` shares
-/// a transient table built by scanning the right relation once (possibly
+/// How one compiled join step reaches its right-hand rows. `Index`
+/// points straight into the database's storage; `HashOwned` shares a
+/// transient table built by scanning the right relation once (possibly
 /// reused through the build-side cache).
 enum RightAccess<'a> {
-    /// Index-nested-loop through a unique index: one counted probe per
-    /// total left row.
-    Unique {
-        map: &'a FxHashMap<Tuple, usize>,
-        rows: &'a [Option<Tuple>],
-    },
-    /// Index-nested-loop through a secondary lookup index: one counted
-    /// probe per total left row.
-    Lookup {
-        map: &'a FxHashMap<Tuple, Vec<usize>>,
+    /// Index-nested-loop through the table index covering the join
+    /// attributes: one counted probe per total left row.
+    Index {
+        index: &'a KeyIndex,
         rows: &'a [Option<Tuple>],
     },
     /// A join no index covers, after a provably empty left side: it
@@ -598,9 +592,8 @@ struct MorselOut {
     per_join: Vec<OpStats>,
     /// Materialize + filter counters (`rows_in`/`rows_out`/`wall_ns`).
     filter: OpStats,
-    /// Probe-key `Tuple` allocations avoided by probing with the borrowed
-    /// value slice (one per total-key probe; the B10 summary reports the
-    /// sum).
+    /// Probe-key `Tuple` allocations avoided by probing with borrowed
+    /// values (one per total-key probe; the B10 summary reports the sum).
     saved_allocs: u64,
     /// Right rows removed by probe-side pushed conjuncts in this morsel.
     pruned: u64,
@@ -649,14 +642,22 @@ fn run_morsel<'a>(
         };
         next.clear();
         next.reserve(cur.len() + cur.len() / stride);
+        // An index is probed with the left key's values in place; a
+        // transient build (keyed by tuples) with a copy in `key_vals`,
+        // which keeps its capacity across rows.
+        let copies_key = matches!(join.access, RightAccess::HashOwned { .. });
         for row in cur.chunks_exact(stride) {
-            // Extract the left key; an outer-join pad or a null component
-            // makes it non-total (no probe, old behavior).
+            // An outer-join pad or a null key component makes the key
+            // non-total (no probe).
             key_vals.clear();
             let mut total = true;
             for &(src, col) in &join.left_locs {
                 match row[src] {
-                    Some(t) if !t.get(col).is_null() => key_vals.push(t.get(col).clone()),
+                    Some(t) if !t.get(col).is_null() => {
+                        if copies_key {
+                            key_vals.push(t.get(col).clone());
+                        }
+                    }
                     _ => {
                         total = false;
                         break;
@@ -670,26 +671,28 @@ fn run_morsel<'a>(
                 }
                 continue;
             }
-            // Probe with the borrowed value slice — `Tuple` hashes and
-            // compares like its slice (`Borrow<[Value]>`), so no key tuple
-            // is allocated; `key_vals` keeps its capacity across rows.
             saved_allocs += 1;
-            let key = key_vals.as_slice();
             matches.clear();
             match &join.access {
-                RightAccess::Unique { map, rows } => {
+                RightAccess::Index { index, rows } => {
                     op.index_probes += 1;
-                    matches.extend(map.get(key).and_then(|&s| rows[s].as_ref()));
-                }
-                RightAccess::Lookup { map, rows } => {
-                    op.index_probes += 1;
-                    if let Some(slots) = map.get(key) {
-                        matches.extend(slots.iter().filter_map(|&s| rows[s].as_ref()));
+                    let key = join
+                        .left_locs
+                        .iter()
+                        .map(|&(src, col)| row[src].expect("a total key").get(col));
+                    // A plain loop over the bucket: rows whose keys only
+                    // share the key's hash are skipped.
+                    for &s in index.bucket(key.clone()) {
+                        if let Some(t) = &rows[s] {
+                            if index.carries(t, key.clone()) {
+                                matches.push(t);
+                            }
+                        }
                     }
                 }
                 RightAccess::Empty => {}
                 RightAccess::HashOwned { build, rows } => {
-                    if let Some(slots) = build.probe(key) {
+                    if let Some(slots) = build.probe(&key_vals) {
                         matches.extend(slots.iter().filter_map(|&s| rows[s].as_ref()));
                     }
                 }
@@ -837,21 +840,13 @@ fn compile_join<'a>(
     let mut build_note: Option<String> = None;
     let (mut cache_hits, mut cache_misses, mut cache_evicted_bytes) = (0u64, 0u64, 0u64);
     let access = match strategy {
-        JoinStrategy::IndexNestedLoop => {
-            if let Some((_, map)) = table.unique.iter().find(|(p, _)| *p == pos) {
-                RightAccess::Unique {
-                    map,
-                    rows: &table.rows,
-                }
-            } else if let Some((_, map)) = table.lookups.get(&step.right_attrs) {
-                RightAccess::Lookup {
-                    map,
-                    rows: &table.rows,
-                }
-            } else {
-                RightAccess::Empty
-            }
-        }
+        JoinStrategy::IndexNestedLoop => match table.index(&step.right_attrs) {
+            Some(index) => RightAccess::Index {
+                index,
+                rows: &table.rows,
+            },
+            None => RightAccess::Empty,
+        },
         JoinStrategy::Hash => {
             build.hash_builds = 1;
             // Transient build, through the versioned cache: a version

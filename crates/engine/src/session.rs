@@ -8,8 +8,12 @@
 //!   returns a [`Snapshot`] — a consistent, immutable view of the store
 //!   at a commit boundary. Pinning is O(number of relations): tables are
 //!   individually `Arc`-wrapped, so a snapshot shares the writer's
-//!   storage until the writer's next mutation copies the touched table
-//!   on write ([`std::sync::Arc::make_mut`]). A pinned snapshot is a
+//!   storage, and a writer copies each table it touches while a pin
+//!   shares it ([`std::sync::Arc::make_mut`]). The store's published
+//!   base keeps sharing every table after the snapshots drop, so every
+//!   commit that follows a pin copies each table it touches
+//!   (`engine.cow.table_copies`, `engine.cow.copied_rows`; pins are
+//!   timed in `engine.session.pin.ns`). A pinned snapshot is a
 //!   plain [`Database`] value behind a `Deref`, so the whole `&self`
 //!   read surface (execute, snapshot, verify, versions) works unchanged
 //!   — and every query against it is byte-identical to running it alone
@@ -42,6 +46,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use relmerge_core::Merged;
 use relmerge_obs::Registry;
@@ -287,11 +292,12 @@ impl Session {
     /// Fault site [`site::SESSION_SNAPSHOT`] fires here; a fire (error
     /// or panic) is contained to this pin attempt.
     pub fn pin(&self) -> Result<Snapshot> {
+        let t0 = Instant::now();
         let base = self.store.pinned_base();
         contain(|| base.fault_check(site::SESSION_SNAPSHOT))?;
-        Ok(Snapshot {
-            db: base.snapshot_handle(Arc::clone(&self.metrics)),
-        })
+        let db = base.snapshot_handle(Arc::clone(&self.metrics));
+        self.metrics.pin_ns.record(relmerge_obs::elapsed_ns(t0));
+        Ok(Snapshot { db })
     }
 
     /// Pins a snapshot and executes `plan` against it — the one-shot
@@ -615,6 +621,41 @@ mod tests {
         assert!(r.is_err());
         assert_eq!(st.commit_seq(), seq);
         assert_eq!(s.pin().unwrap().len("P"), 1);
+    }
+
+    #[test]
+    fn a_commit_after_a_pin_copies_each_table_it_touches() {
+        let st = store();
+        let s = st.session();
+        s.insert("P", tup(&[1])).unwrap();
+        s.insert("C", tup(&[10, 1])).unwrap();
+        s.insert("C", tup(&[11, 1])).unwrap();
+        let copies = || {
+            let snap = st.metrics_registry().snapshot();
+            (
+                snap.counters["engine.cow.table_copies"],
+                snap.counters["engine.cow.copied_rows"],
+            )
+        };
+        assert_eq!(copies(), (0, 0), "no pin yet, nothing shared");
+        // A pinned snapshot shares every table: the insert copies P (one
+        // row slot) and leaves C (two) alone.
+        let snap = s.pin().unwrap();
+        s.insert("P", tup(&[2])).unwrap();
+        assert_eq!(copies(), (1, 1));
+        assert_eq!(snap.len("P"), 1);
+        // With every snapshot dropped, the store's published base still
+        // shares P, so the next commit after a pin copies it again.
+        drop(snap);
+        drop(s.pin().unwrap());
+        s.insert("P", tup(&[3])).unwrap();
+        assert_eq!(copies(), (2, 3));
+        // No pin in between: the master owns P alone.
+        s.insert("P", tup(&[4])).unwrap();
+        assert_eq!(copies(), (2, 3));
+        drop(s);
+        let pins = &st.metrics_registry().snapshot().histograms["engine.session.pin.ns"];
+        assert_eq!(pins.count, 2, "each pin is timed");
     }
 
     #[test]

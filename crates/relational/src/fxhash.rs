@@ -21,11 +21,11 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// An odd 64-bit multiplier (the constant of rustc-hash 2), so each
-/// multiply is invertible.
-pub(crate) const K: u64 = 0xf135_7aea_2e62_a9c5;
+/// multiply is invertible (tests invert it to build colliding keys).
+pub const K: u64 = 0xf135_7aea_2e62_a9c5;
 
 /// How far [`FxHasher::finish`] rotates the state left.
-pub(crate) const ROTATE: u32 = 26;
+pub const ROTATE: u32 = 26;
 
 /// Folds each written word into the state as `(state + word) * K`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -76,6 +76,61 @@ impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.state.rotate_left(ROTATE)
+    }
+}
+
+/// The slots (row positions) whose keys share one 64-bit hash, in the
+/// order they were pushed: almost always one; several when a key has many
+/// rows or distinct keys collide on all 64 bits. The bucket of every map
+/// keyed by row hash ([`crate::Relation`] and the engine's table indexes).
+#[derive(Debug, Clone)]
+pub enum Slots {
+    /// A single slot: no allocation.
+    One(usize),
+    /// Two or more slots.
+    Many(Vec<usize>),
+}
+
+impl Slots {
+    /// The slots, in push order.
+    #[inline]
+    #[must_use]
+    pub fn as_slice(&self) -> &[usize] {
+        match self {
+            Slots::One(p) => std::slice::from_ref(p),
+            Slots::Many(ps) => ps,
+        }
+    }
+
+    /// The slots, mutably (to renumber them in place).
+    pub fn as_mut_slice(&mut self) -> &mut [usize] {
+        match self {
+            Slots::One(p) => std::slice::from_mut(p),
+            Slots::Many(ps) => ps,
+        }
+    }
+
+    /// Appends `pos`.
+    pub fn push(&mut self, pos: usize) {
+        match self {
+            Slots::One(p) => *self = Slots::Many(vec![*p, pos]),
+            Slots::Many(ps) => ps.push(pos),
+        }
+    }
+
+    /// Removes every occurrence of `pos`, keeping the order of the rest;
+    /// returns whether the bucket is now empty (its map entry should go).
+    pub fn remove(&mut self, pos: usize) -> bool {
+        match self {
+            Slots::One(p) => *p == pos,
+            Slots::Many(ps) => {
+                ps.retain(|&p| p != pos);
+                if let [p] = ps[..] {
+                    *self = Slots::One(p);
+                }
+                self.as_slice().is_empty()
+            }
+        }
     }
 }
 

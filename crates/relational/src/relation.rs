@@ -7,7 +7,7 @@ use std::hash::BuildHasher;
 
 use crate::attribute::{self, Attribute};
 use crate::error::{Error, Result};
-use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, Slots};
 use crate::value::Tuple;
 
 /// A relation: an ordered attribute header and a *set* of tuples.
@@ -23,37 +23,6 @@ pub struct Relation {
     rows: Vec<Tuple>,
     /// Row hash → positions in `rows` of the rows with that hash.
     index: FxHashMap<u64, Slots>,
-}
-
-/// The positions of the rows sharing one hash: almost always one row;
-/// several only when distinct rows collide on all 64 bits.
-#[derive(Debug, Clone)]
-enum Slots {
-    One(usize),
-    Many(Vec<usize>),
-}
-
-impl Slots {
-    fn as_slice(&self) -> &[usize] {
-        match self {
-            Slots::One(p) => std::slice::from_ref(p),
-            Slots::Many(ps) => ps,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [usize] {
-        match self {
-            Slots::One(p) => std::slice::from_mut(p),
-            Slots::Many(ps) => ps,
-        }
-    }
-
-    fn push(&mut self, pos: usize) {
-        match self {
-            Slots::One(p) => *self = Slots::Many(vec![*p, pos]),
-            Slots::Many(ps) => ps.push(pos),
-        }
-    }
 }
 
 fn row_hash(t: &Tuple) -> u64 {
@@ -209,10 +178,9 @@ impl Relation {
         let Some(pos) = self.find(hash, t) else {
             return false;
         };
-        match self.index.get_mut(&hash) {
-            Some(Slots::Many(ps)) if ps.len() > 1 => ps.retain(|&p| p != pos),
-            _ => {
-                self.index.remove(&hash);
+        if let Entry::Occupied(mut e) = self.index.entry(hash) {
+            if e.get_mut().remove(pos) {
+                e.remove();
             }
         }
         self.rows.remove(pos);
