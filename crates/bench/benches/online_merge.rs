@@ -1,7 +1,7 @@
-//! B13 micro-benchmarks: the cost of the online migration itself — plan
-//! compilation plus catalog swap plus chunked data apply — as the state
-//! grows, the advisor's profile-driven proposal pass, and the point-query
-//! payoff before and after a live merge.
+//! B13 micro-benchmarks: the cost of the online migration itself — the
+//! capacity gate, the catalog swap and one audited load of the merged
+//! state — as the state grows, the advisor's profile-driven proposal
+//! pass, and the point-query payoff before and after a live merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -490,12 +490,11 @@ fn main() {
                             Ok(applied) => {
                                 for a in &applied {
                                     println!(
-                                        "-- live migration: {} <- {:?} ({} row(s) in {} \
-                                         chunk(s), dropped {:?})",
+                                        "-- live migration: {} <- {:?} ({} row(s), \
+                                         dropped {:?})",
                                         a.report.merged_name,
                                         a.report.members,
                                         a.report.rows_migrated,
-                                        a.report.chunks_applied,
                                         a.report.dropped
                                     );
                                 }

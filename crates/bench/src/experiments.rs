@@ -1698,9 +1698,9 @@ pub fn wal_torture(
         &mut rng,
     )?;
 
-    // Seed through the logged DML path — `load_state` would bypass the
-    // log. One deferred-validation batch is order-free and costs a single
-    // record.
+    // Seed through the logged DML path, so the seed is the log's first
+    // record (`load_state` would commit it as a snapshot instead). One
+    // deferred-validation batch is order-free and costs a single record.
     let mut db = Database::new_with_config(u.schema.clone(), DbmsProfile::ideal(), cfg.clone())?;
     let mut memory = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
     memory.load_state(&u.state)?;

@@ -51,10 +51,20 @@ impl CapacityReport {
 /// pipeline on one consistent state `r` of the original schema:
 /// η(r) consistent, η′(η(r)) = r, and values preserved.
 pub fn check_forward(merged: &Merged, state: &DatabaseState) -> Result<CapacityReport> {
+    check_forward_image(merged, state, &merged.apply(state)?)
+}
+
+/// [`check_forward`] over an `image` the caller already holds, which must
+/// be `merged.apply(state)` — for a caller that needs η(r) itself, so it
+/// is computed once.
+pub fn check_forward_image(
+    merged: &Merged,
+    state: &DatabaseState,
+    image: &DatabaseState,
+) -> Result<CapacityReport> {
     let mut span = obs::span("core.capacity.check_forward").field("merged", merged.merged_name());
-    let image = merged.apply(state)?;
     let forward_consistent = image.is_consistent(merged.schema())?;
-    let back = merged.invert(&image)?;
+    let back = merged.invert(image)?;
     let forward_round_trip = back == *state;
     let forward_values_preserved = image.values_included_in(state);
     span.add_field(
@@ -138,6 +148,8 @@ mod tests {
         let report = check_forward(&m, &st).unwrap();
         assert!(report.holds(), "{report:?}");
         assert!(check_proposition_4_1(&m, &st).unwrap());
+        let image = m.apply(&st).unwrap();
+        assert_eq!(check_forward_image(&m, &st, &image).unwrap(), report);
     }
 
     #[test]
@@ -195,6 +207,10 @@ mod tests {
             ]))
             .unwrap();
         assert!(!bad.is_consistent(m.schema()).unwrap());
+        // Handed in as the forward image, the tampered state fails the
+        // consistency condition.
+        let forward = check_forward_image(&m, &st, &bad).unwrap();
+        assert!(!forward.forward_consistent && !forward.holds());
         // η(η′(bad)) ≠ bad: the partly-null MGR part cannot be rebuilt.
         let report = check_both(&m, &st, &bad).unwrap();
         assert_eq!(report.backward_round_trip, Some(false));

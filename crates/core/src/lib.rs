@@ -39,7 +39,9 @@ pub mod remove;
 pub mod report;
 
 pub use advisor::{Advisor, AdvisorConfig, AppliedMerge, MergeProposal};
-pub use capacity::{check_both, check_forward, check_proposition_4_1, CapacityReport};
+pub use capacity::{
+    check_both, check_forward, check_forward_image, check_proposition_4_1, CapacityReport,
+};
 pub use conditions::{
     maximal_merge_sets, prop51_inds_key_based, prop51_keys_non_null, prop52_nna_only, Prop52Failure,
 };

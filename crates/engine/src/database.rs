@@ -1518,14 +1518,20 @@ impl Database {
 
     /// Bulk-loads a database state without per-tuple rejection (the state
     /// is assumed consistent, e.g. produced by `Merged::apply`); constraint
-    /// counters are not affected. Fails if any tuple is malformed, and —
-    /// because "assumed consistent" is an assumption worth auditing when
-    /// the state arrives from disk — runs [`Database::verify_integrity`]
-    /// over the result, failing with [`Error::StateMismatch`] if the
-    /// loaded state violates any constraint or index invariant. The audit
-    /// is O(state size). Every touched relation's version is also bumped
-    /// strictly past any cached build of it, so seeded or recovered data
-    /// can never alias a stale build-cache entry.
+    /// counters are not affected. Each relation's header must equal its
+    /// table's — names and domains, in order — or the load fails with
+    /// [`Error::StateMismatch`] before any row lands. Because "assumed
+    /// consistent" is an assumption worth auditing, the load then runs
+    /// [`Database::verify_integrity`] over the result, O(state size), and
+    /// fails with [`Error::StateMismatch`] if the loaded state violates any
+    /// constraint or index invariant. On a durable database a clean load
+    /// then commits by installing the whole state as the next snapshot
+    /// generation. After a failed audit or install the database keeps the
+    /// loaded rows, for diagnosis, and must be discarded; on disk the
+    /// previous generation stays authoritative, so recovery returns the
+    /// state before the load. Every touched relation's version is also
+    /// bumped strictly past any cached build of it, so seeded or recovered
+    /// data can never alias a stale build-cache entry.
     pub fn load_state(&mut self, state: &DatabaseState) -> Result<()> {
         self.load_state_unverified(state)?;
         let report = self.verify_integrity();
@@ -1534,16 +1540,37 @@ impl Database {
                 detail: format!("loaded state failed integrity verification: {report}"),
             });
         }
-        Ok(())
+        self.wal_snapshot()
     }
 
-    /// [`Database::load_state`] minus the closing integrity audit: just
-    /// the bulk load and the build-cache version bumps, O(rows loaded).
-    /// For callers that own a coarser verification boundary — crash
-    /// recovery replays every logged migration through this path and runs
-    /// [`Database::verify_integrity`] exactly once after the whole log
-    /// suffix, rather than once per replayed record.
+    /// [`Database::load_state`] minus the closing audit and the durable
+    /// commit: the header check, the bulk load and the build-cache version
+    /// bumps, O(rows loaded). Crash recovery loads its snapshot through
+    /// this path and runs [`Database::verify_integrity`] once, after the
+    /// whole log suffix has replayed.
     pub(crate) fn load_state_unverified(&mut self, state: &DatabaseState) -> Result<()> {
+        for (name, relation) in state.iter() {
+            let table = self
+                .tables
+                .get(name)
+                .ok_or_else(|| Error::UnknownScheme(name.to_owned()))?;
+            if relation.header() != table.header.as_slice() {
+                let show = |header: &[Attribute]| {
+                    let attrs: Vec<String> = header
+                        .iter()
+                        .map(|a| format!("{a} {}", a.domain()))
+                        .collect();
+                    attrs.join(", ")
+                };
+                return Err(Error::StateMismatch {
+                    detail: format!(
+                        "relation `{name}` has header ({}), its table ({})",
+                        show(relation.header()),
+                        show(&table.header)
+                    ),
+                });
+            }
+        }
         for (name, relation) in state.iter() {
             let table = self.table_mut(name)?;
             for t in relation.iter() {
@@ -2046,6 +2073,34 @@ mod tests {
         assert_eq!(db2.snapshot().unwrap(), snap);
         // Constraints still enforced on top of the loaded data.
         assert!(db2.insert("MGR", tup(&[2, 6])).is_err()); // dup key
+    }
+
+    #[test]
+    fn load_state_refuses_a_header_that_is_not_the_tables() {
+        // No null constraints, so the audit never rebuilds a `Relation`
+        // that would check the rows' shape against the table.
+        let (k, v) = (a("P.K"), Attribute::new("P.V", Domain::Text));
+        let mut rs = RelationalSchema::new();
+        rs.add_scheme(RelationScheme::new("P", vec![k.clone(), v.clone()], &["P.K"]).unwrap())
+            .unwrap();
+        let swapped = Relation::with_rows(
+            vec![v, k.clone()],
+            [Tuple::new([Value::text("x"), Value::Int(1)])],
+        )
+        .unwrap();
+        let narrow = Relation::with_rows(vec![k], [tup(&[1])]).unwrap();
+        for relation in [swapped, narrow] {
+            let mut state = DatabaseState::new();
+            state.set_relation("P", relation);
+            let mut db = Database::new(rs.clone(), DbmsProfile::ideal()).unwrap();
+            let err = db.load_state(&state).unwrap_err();
+            assert!(matches!(err, Error::StateMismatch { .. }), "{err}");
+            assert_eq!(db.len("P"), 0);
+            assert_eq!(
+                db.snapshot().unwrap(),
+                DatabaseState::empty_for(&rs).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -72,19 +72,28 @@ pub mod site {
     ///
     /// [`Database::migrate`]: crate::Database::migrate
     pub const MIGRATION_REWRITE: &str = "engine.migrate.rewrite";
-    /// The data-apply phase of an online migration: fires once per
-    /// statement chunk, before that chunk's `apply_batch` runs.
+    /// The data-load phase of an online migration: fires once, after the
+    /// catalog swap and just before the migrated state is loaded with
+    /// [`Database::load_state`].
+    ///
+    /// [`Database::load_state`]: crate::Database::load_state
     pub const MIGRATION_APPLY: &str = "engine.migrate.apply";
     /// A write-ahead-log append, on a durable database (fires once per
-    /// committed batch / migration record, *before* any bytes are
-    /// written). A fire fails the commit, which rolls back through the
-    /// ordinary undo path — nothing un-logged ever becomes visible.
+    /// committed batch, *before* any bytes are written). A fire fails the
+    /// commit, which rolls back through the ordinary undo path — nothing
+    /// un-logged ever becomes visible.
     pub const WAL_APPEND: &str = "engine.wal.append";
-    /// A periodic snapshot install (fires once per due snapshot, before
-    /// the snapshot file is written). A fire — error or panic — is
-    /// *contained*: the triggering batch stays committed and durable in
-    /// the log; only the log truncation is forgone (counted by
-    /// `engine.wal.snapshot_failures`).
+    /// A snapshot install on a durable database (fires once per install,
+    /// before the snapshot is encoded). A fire — error or panic — at a
+    /// periodic snapshot is *contained*: the triggering batch stays
+    /// committed and durable in the log; only the log truncation is
+    /// forgone (counted by `engine.wal.snapshot_failures`). A fire at the
+    /// install that commits a durable [`Database::load_state`] fails the
+    /// load typed — and so aborts a [`Database::migrate`], which rolls
+    /// back — with the previous generation still authoritative on disk.
+    ///
+    /// [`Database::load_state`]: crate::Database::load_state
+    /// [`Database::migrate`]: crate::Database::migrate
     pub const SNAPSHOT_WRITE: &str = "engine.snapshot.write";
     /// Record replay inside [`Database::recover`] (fires once per valid
     /// WAL record, before that record is applied). A fire aborts the

@@ -8,23 +8,27 @@
 //!
 //! 1. **Guard** — the plan must start from the live schema, and the
 //!    forward information-capacity check (Proposition 4.1's state half,
-//!    [`check_forward`]) must hold on the current snapshot; a migration
-//!    that would lose tuples or values is refused before anything
-//!    mutates.
+//!    [`check_forward_image`]) must hold on η of the current snapshot,
+//!    computed once; a migration that would lose tuples or values is
+//!    refused before anything mutates.
 //! 2. **Catalog rewrite** (fault site `engine.migrate.rewrite`) — the
 //!    build cache is dropped, and the physical catalog (tables, indexes,
 //!    compiled null/IND constraints, including the merge's generated
 //!    null-existence constraints) is recompiled from the merged schema
 //!    and swapped in; relation versions carry over so every name stays
 //!    strictly monotonic.
-//! 3. **Data apply** (fault site `engine.migrate.apply`, once per chunk)
-//!    — the η-mapped state is lowered to [`Statement`] inserts and
-//!    replayed through [`Database::apply_batch`], parents before
-//!    children, so the deferred-checking machinery group-validates every
-//!    constraint of the new schema over the migrated data.
+//! 3. **Data load** (fault site `engine.migrate.apply`, once, just before
+//!    the load) — one [`Database::load_state`] of that same η(r): a bulk
+//!    load into the new tables plus the deep
+//!    [`Database::verify_integrity`] audit of every constraint and index
+//!    of the new schema. On a durable database the load then commits by
+//!    installing the migrated state as the next snapshot generation
+//!    (fault site `engine.snapshot.write`); the log carries no migration
+//!    record.
 //! 4. **Rollback** — any error or panic (injected or genuine) swaps the
 //!    saved catalog back and the database is byte-identical to its
-//!    pre-migration snapshot; the failure surfaces as a typed error.
+//!    pre-migration snapshot; the failure surfaces as a typed error. On
+//!    disk the previous generation stays authoritative.
 //!
 //! On success the pre-migration workload profile is *taken* out of the
 //! shared profiler and archived in the [`MigrationReport`], so no stale
@@ -36,21 +40,12 @@
 
 use std::collections::BTreeSet;
 
-use relmerge_core::{check_forward, Advisor, CapacityReport, Merge, MergeProposal, Merged};
+use relmerge_core::{check_forward_image, Advisor, CapacityReport, Merge, MergeProposal, Merged};
 use relmerge_obs as obs;
 use relmerge_relational::{Error, RelationalSchema, Result};
 
-use crate::batch::Statement;
 use crate::database::{compile_catalog, Catalog, Database};
 use crate::fault::{contain, site};
-
-/// Rows per `apply_batch` chunk on the data-apply path. Chunking bounds
-/// the undo log per batch and gives the `engine.migrate.apply` fault site
-/// one arrival per chunk; relations that may reference rows of their own
-/// relation (self-INDs) or sit on an IND cycle are applied as a single
-/// batch instead, since deferred validation only sees one batch at a
-/// time.
-const MIGRATE_CHUNK_ROWS: usize = 1024;
 
 /// What an online migration did, returned by [`Database::migrate`].
 #[derive(Debug)]
@@ -62,12 +57,13 @@ pub struct MigrationReport {
     /// Relations present before the migration and absent after it (the
     /// merge's members and every `Remove(Yi)` casualty).
     pub dropped: Vec<String>,
-    /// Tuples written through the statement path, across all relations.
+    /// Tuples loaded into the new tables, across all relations.
     pub rows_migrated: usize,
-    /// `apply_batch` chunks the data apply was split into.
+    /// Loads the migrated state took: always 1, since η(r) is loaded in
+    /// one [`Database::load_state`].
     pub chunks_applied: usize,
-    /// The forward information-capacity report ([`check_forward`]) that
-    /// gated the migration — `holds()` is true by construction.
+    /// The forward information-capacity report ([`check_forward_image`])
+    /// that gated the migration — `holds()` is true by construction.
     pub capacity: CapacityReport,
     /// The pre-migration workload profile, taken out of the live
     /// profiler at commit so stale pre-merge relation names cannot leak
@@ -84,56 +80,6 @@ pub struct AdvisedMigration {
     pub proposal: MergeProposal,
     /// The executed migration.
     pub report: MigrationReport,
-}
-
-/// Relations of `schema` ordered parents-first (every IND target before
-/// its sources), as batch groups: acyclic relations get their own group;
-/// an IND cycle's relations are returned as one combined group so they
-/// can be applied (and group-validated) in a single batch.
-fn apply_groups(schema: &RelationalSchema) -> Vec<Vec<String>> {
-    let names: Vec<String> = schema
-        .schemes()
-        .iter()
-        .map(|s| s.name().to_owned())
-        .collect();
-    let mut placed: BTreeSet<String> = BTreeSet::new();
-    let mut groups: Vec<Vec<String>> = Vec::new();
-    loop {
-        let mut progressed = false;
-        for n in &names {
-            if placed.contains(n) {
-                continue;
-            }
-            let ready = schema
-                .inds()
-                .iter()
-                .filter(|i| i.lhs_rel == *n)
-                .all(|i| i.rhs_rel == *n || placed.contains(&i.rhs_rel));
-            if ready {
-                placed.insert(n.clone());
-                groups.push(vec![n.clone()]);
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    let cycle: Vec<String> = names.into_iter().filter(|n| !placed.contains(n)).collect();
-    if !cycle.is_empty() {
-        groups.push(cycle);
-    }
-    groups
-}
-
-/// True when `rel` has an inclusion dependency into itself — its rows may
-/// reference rows that land later in the same relation, so it must be
-/// applied as one batch.
-fn has_self_ind(schema: &RelationalSchema, rel: &str) -> bool {
-    schema
-        .inds()
-        .iter()
-        .any(|i| i.lhs_rel == rel && i.rhs_rel == rel)
 }
 
 impl Database {
@@ -161,17 +107,17 @@ impl Database {
             });
         }
         let pre = self.snapshot()?;
-        // Proposition 4.1's state half gates the migration: refuse any
-        // plan that would lose information on the *current* data.
-        let capacity = check_forward(plan, &pre)?;
+        // η: the merged-schema image of the current state. Proposition
+        // 4.1's state half gates the migration on it: refuse any plan that
+        // would lose information on the *current* data.
+        let migrated = plan.apply(&pre)?;
+        let capacity = check_forward_image(plan, &pre, &migrated)?;
         if !capacity.holds() {
             return Err(Error::PreconditionViolated {
                 procedure: "Database::migrate",
                 detail: format!("migration would not preserve information capacity: {capacity:?}"),
             });
         }
-        // η: the merged-schema image of the current state.
-        let migrated = plan.apply(&pre)?;
         let new_schema = plan.schema().clone();
         let pre_versions: Vec<(String, u64)> = new_schema
             .schemes()
@@ -194,19 +140,12 @@ impl Database {
             })
             .collect();
 
-        // A migration is one logical commit: suspend per-batch logging so
-        // the data-apply chunks below don't write individual records — the
-        // single migration record appended at the end of the forward path
-        // captures the whole swap (and is the only thing recovery replays).
-        if let Some(wal) = self.wal() {
-            wal.suspend(true);
-        }
         // Everything that mutates runs under `contain`: a panic at
         // any site (injected or genuine) takes the same rollback path an
         // error does and resurfaces typed.
         let mut saved: Option<(RelationalSchema, Catalog)> = None;
         let saved_ref = &mut saved;
-        let result = contain(|| -> Result<(usize, usize)> {
+        let result = contain(|| -> Result<()> {
             self.fault_check(site::MIGRATION_REWRITE)?;
             let catalog = compile_catalog(&new_schema, self.profile(), "Database::migrate")?;
             // Cached builds describe pre-migration relations; drop them
@@ -217,44 +156,14 @@ impl Database {
             for (name, floor) in &pre_versions {
                 self.raise_relation_version(name, *floor);
             }
-            let mut rows = 0usize;
-            let mut chunks = 0usize;
-            for group in apply_groups(&new_schema) {
-                let single_batch =
-                    group.len() > 1 || group.iter().any(|r| has_self_ind(&new_schema, r));
-                let stmts: Vec<Statement> = group
-                    .iter()
-                    .filter_map(|rel| migrated.relation(rel).map(|r| (rel, r)))
-                    .flat_map(|(rel, relation)| {
-                        relation
-                            .iter()
-                            .map(|t| Statement::insert(rel.clone(), t.clone()))
-                    })
-                    .collect();
-                rows += stmts.len();
-                let chunk_rows = if single_batch {
-                    stmts.len().max(1)
-                } else {
-                    MIGRATE_CHUNK_ROWS
-                };
-                for chunk in stmts.chunks(chunk_rows) {
-                    self.fault_check(site::MIGRATION_APPLY)?;
-                    self.apply_batch(chunk).map_err(Error::from)?;
-                    chunks += 1;
-                }
-            }
-            // Write-ahead: one catalog record — new schema, full
-            // post-migration state, version floors — makes the whole swap
-            // durable (the per-chunk appends above were suspended). A
-            // failed append fails the migration, which rolls back below.
-            self.wal_append_migration()?;
-            Ok((rows, chunks))
+            self.fault_check(site::MIGRATION_APPLY)?;
+            // The audit checks every constraint of the new schema over the
+            // migrated rows; on a durable database the snapshot install
+            // inside is the migration's commit point.
+            self.load_state(&migrated)
         });
-        if let Some(wal) = self.wal() {
-            wal.suspend(false);
-        }
         match result {
-            Ok((rows_migrated, chunks_applied)) => {
+            Ok(()) => {
                 let dropped: Vec<String> = pre
                     .names()
                     .into_iter()
@@ -265,6 +174,7 @@ impl Database {
                 // keys name relations that no longer exist.
                 let pre_profile = self.profiler().take();
                 obs::global().counter("engine.migrate.applied").inc();
+                let rows_migrated = migrated.total_tuples();
                 span.add_field("rows", rows_migrated);
                 Ok(MigrationReport {
                     merged_name: plan.merged_name().to_owned(),
@@ -275,7 +185,7 @@ impl Database {
                         .collect(),
                     dropped,
                     rows_migrated,
-                    chunks_applied,
+                    chunks_applied: 1,
                     capacity,
                     pre_profile,
                 })
@@ -283,10 +193,8 @@ impl Database {
             Err(e) => {
                 if let Some((old_schema, old_catalog)) = saved {
                     self.swap_catalog(old_schema, old_catalog);
-                    // Chunks applied before the failure may have cached
-                    // nothing (DML never does), but queries inside the
-                    // window could have; drop everything again so only
-                    // pre-migration-shaped builds can ever be cached.
+                    // Readers pinned before the migration share the cache;
+                    // drop whatever they cached inside the window too.
                     self.clear_build_cache();
                 }
                 obs::global().counter("engine.migrate.aborted").inc();

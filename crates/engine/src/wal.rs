@@ -1,12 +1,14 @@
 //! Write-ahead logging, snapshots, and crash recovery (DESIGN.md §13).
 //!
-//! Everything the engine commits — every [`Statement`] batch, every
-//! single-statement verb, every [`Database::transaction`] bundle, and
-//! every [`Database::migrate`] catalog swap — appends one length-prefixed,
-//! FNV-64-checksummed record to a write-ahead log *before* the in-memory
-//! commit becomes visible to the caller. Periodic snapshots capture the
-//! full state plus the catalog (schema, profile, relation versions) and
-//! start a fresh log generation, bounding replay time.
+//! Every [`Statement`] batch the engine commits — an `apply_batch` batch,
+//! a single-statement verb, a [`Database::transaction`] bundle — appends
+//! one length-prefixed, FNV-64-checksummed record to a write-ahead log
+//! *before* the in-memory commit becomes visible to the caller. Snapshots
+//! capture the full state plus the catalog (schema, profile, relation
+//! versions) and start a fresh log generation: periodically, bounding
+//! replay time, and as the commit of a durable [`Database::load_state`] —
+//! which is how a [`Database::migrate`] commits, so the log holds batches
+//! only.
 //!
 //! ## On-disk layout
 //!
@@ -32,11 +34,11 @@
 //!
 //! [`Database::recover`] loads the newest snapshot that passes its
 //! checksum, replays the log suffix record by record through the very same
-//! `apply_batch` / `compile_catalog` paths the records were produced by,
-//! tolerates a torn or truncated tail record (replay stops at the first
-//! frame whose length or checksum does not verify), deep-checks the result
-//! with [`Database::verify_integrity`], and only then truncates the torn
-//! tail and reopens the log for appending. A fault injected *during*
+//! `apply_batch` path the records were produced by, tolerates a torn or
+//! truncated tail record (replay stops at the first frame whose length or
+//! checksum does not verify), deep-checks the result with
+//! [`Database::verify_integrity`], and only then truncates the torn tail
+//! and reopens the log for appending. A fault injected *during*
 //! recovery (site [`site::RECOVERY_REPLAY`], error or panic mode) aborts
 //! before anything on disk is touched, so the next attempt starts from the
 //! same bytes and succeeds.
@@ -46,7 +48,6 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -58,7 +59,7 @@ use relmerge_relational::{
 
 use crate::batch::Statement;
 use crate::capability::{DbmsProfile, Mechanism};
-use crate::database::{compile_catalog, Database, EngineConfig};
+use crate::database::{Database, EngineConfig};
 use crate::fault::{contain, site, FaultPlan};
 
 /// Magic prefix of every WAL file.
@@ -67,10 +68,10 @@ const WAL_MAGIC: &[u8; 8] = b"RMWAL001";
 const SNAP_MAGIC: &[u8; 8] = b"RMSNAP01";
 /// Record-frame header: `u32` payload length + `u64` FNV-1a checksum.
 const FRAME_HEADER: u64 = 12;
-/// Payload tag of a committed statement batch.
+/// Payload tag of a committed statement batch, the one record kind. A
+/// log written by an older build may hold a migration record (tag 2):
+/// recovery refuses it typed rather than decoding it as a batch.
 const REC_BATCH: u8 = 1;
-/// Payload tag of a committed online migration (catalog record).
-const REC_MIGRATION: u8 = 2;
 /// Largest payload recovery will believe; anything bigger is treated as a
 /// torn length field. Enforced symmetrically at append/snapshot-write
 /// time with a typed error, so an oversized payload can never be acked
@@ -154,9 +155,9 @@ impl DurabilityConfig {
         }
     }
 
-    /// Sets how many committed batches (or migrations) accumulate in the
-    /// log before a snapshot is installed and the log truncated. `0`
-    /// disables periodic snapshots — the log grows until recovery.
+    /// Sets how many committed batches accumulate in the log before a
+    /// snapshot is installed and the log truncated. `0` disables periodic
+    /// snapshots — the log grows until recovery.
     #[must_use]
     pub fn snapshot_every(mut self, batches: u64) -> Self {
         self.snapshot_every = batches;
@@ -197,8 +198,6 @@ pub struct RecoveryReport {
     pub generation: u64,
     /// Batch records replayed from the log suffix.
     pub batches_replayed: u64,
-    /// Migration (catalog) records replayed from the log suffix.
-    pub migrations_replayed: u64,
     /// Whether a torn/truncated/corrupted tail record was detected (and
     /// discarded).
     pub torn_tail: bool,
@@ -211,10 +210,10 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Total records replayed (batches + migrations).
+    /// Total records replayed: every record is a batch.
     #[must_use]
     pub fn records_replayed(&self) -> u64 {
-        self.batches_replayed + self.migrations_replayed
+        self.batches_replayed
     }
 }
 
@@ -222,12 +221,10 @@ impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "recovered: snapshot generation {}, {} record(s) replayed ({} batch, {} migration, \
-             {} WAL bytes, {:.1} ms), torn tail: {}",
+            "recovered: snapshot generation {}, {} batch record(s) replayed ({} WAL bytes, \
+             {:.1} ms), torn tail: {}",
             self.generation,
-            self.records_replayed(),
             self.batches_replayed,
-            self.migrations_replayed,
             self.wal_bytes_replayed,
             self.replay_ns as f64 / 1e6,
             if self.torn_tail {
@@ -787,19 +784,6 @@ fn encode_batch_payload(stmts: &[Statement]) -> Vec<u8> {
     e.buf
 }
 
-fn encode_migration_payload(
-    schema: &RelationalSchema,
-    state: &DatabaseState,
-    versions: &[(String, u64)],
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(REC_MIGRATION);
-    e.schema(schema);
-    e.state(state);
-    e.versions(versions);
-    e.buf
-}
-
 /// Everything a snapshot persists: the logical catalog plus the data.
 struct SnapshotBody {
     profile: DbmsProfile,
@@ -856,9 +840,6 @@ struct WalInner {
 pub(crate) struct Wal {
     cfg: DurabilityConfig,
     inner: Mutex<WalInner>,
-    /// Set while a migration runs so its internal `apply_batch` chunks are
-    /// not logged individually (the migration record captures them all).
-    suspended: AtomicBool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -894,7 +875,6 @@ impl Wal {
                 batches_since_snapshot: 0,
                 poisoned: false,
             }),
-            suspended: AtomicBool::new(false),
         })
     }
 
@@ -909,14 +889,6 @@ impl Wal {
     pub(crate) fn position(&self) -> (u64, u64) {
         let g = self.lock();
         (g.generation, g.offset)
-    }
-
-    pub(crate) fn suspend(&self, on: bool) {
-        self.suspended.store(on, Ordering::Relaxed);
-    }
-
-    pub(crate) fn is_suspended(&self) -> bool {
-        self.suspended.load(Ordering::Relaxed)
     }
 
     fn lock(&self) -> MutexGuard<'_, WalInner> {
@@ -985,17 +957,6 @@ impl Wal {
     /// Appends a committed statement batch.
     pub(crate) fn append_batch(&self, stmts: &[Statement]) -> Result<bool> {
         self.append_payload(&encode_batch_payload(stmts))
-    }
-
-    /// Appends a committed migration: the new schema, the full
-    /// post-migration state, and the version floors the swap established.
-    pub(crate) fn append_migration(
-        &self,
-        schema: &RelationalSchema,
-        state: &DatabaseState,
-        versions: &[(String, u64)],
-    ) -> Result<bool> {
-        self.append_payload(&encode_migration_payload(schema, state, versions))
     }
 
     /// Installs `payload` as the next snapshot generation and switches the
@@ -1108,69 +1069,43 @@ impl Database {
     /// forward path *after* every check has passed — an error or injected
     /// panic here (site [`site::WAL_APPEND`]) takes the same rollback path
     /// a constraint violation does, so nothing un-logged ever becomes
-    /// visible. Also drives the snapshot cadence.
+    /// visible. Also drives the snapshot cadence, whose failure is
+    /// counted (`engine.wal.snapshot_failures`) and swallowed: the batch
+    /// that triggered it is already durable in the log, and the previous
+    /// generation stays intact, so a failed cadence snapshot costs replay
+    /// time, never correctness.
     pub(crate) fn wal_append_batch(&mut self, stmts: &[Statement]) -> Result<()> {
         let Some(wal) = self.wal() else {
             return Ok(());
         };
-        if wal.is_suspended() {
-            return Ok(());
-        }
         self.fault_check(site::WAL_APPEND)?;
-        let snapshot_due = self.wal().expect("checked above").append_batch(stmts)?;
-        if snapshot_due {
-            self.wal_snapshot_contained();
+        if wal.append_batch(stmts)? && self.wal_snapshot().is_err() {
+            obs::global().counter("engine.wal.snapshot_failures").inc();
         }
         Ok(())
     }
 
-    /// Logs a committed migration (catalog record) to the WAL. Runs while
-    /// the log is suspended for the migration's internal chunks — the one
-    /// record captures the whole swap.
-    pub(crate) fn wal_append_migration(&mut self) -> Result<()> {
-        if self.wal().is_none() {
-            return Ok(());
-        }
-        self.fault_check(site::WAL_APPEND)?;
-        let schema = self.schema().clone();
-        let state = self.snapshot()?;
-        let versions = self.relation_versions();
-        let snapshot_due = self
-            .wal()
-            .expect("checked above")
-            .append_migration(&schema, &state, &versions)?;
-        if snapshot_due {
-            self.wal_snapshot_contained();
-        }
-        Ok(())
-    }
-
-    /// Installs a snapshot of the current state, *contained*: a failure —
+    /// Installs a snapshot of the current state as the next generation,
+    /// if this database is durable: the snapshot cadence's install and
+    /// the commit point of a durable [`Database::load_state`]. A failure —
     /// IO, injected error, or injected panic at [`site::SNAPSHOT_WRITE`] —
-    /// is caught, counted (`engine.wal.snapshot_failures`), and swallowed.
-    /// The committed batch that triggered the cadence is already durable
-    /// in the log, and the previous generation stays intact, so a failed
-    /// snapshot costs replay time, never correctness.
-    pub(crate) fn wal_snapshot_contained(&self) {
-        let Some(wal) = self.wal() else { return };
+    /// surfaces typed, with the previous generation still authoritative
+    /// on disk.
+    pub(crate) fn wal_snapshot(&self) -> Result<()> {
+        let Some(wal) = self.wal() else {
+            return Ok(());
+        };
         let t0 = Instant::now();
-        let outcome = contain(|| -> Result<()> {
+        contain(|| -> Result<()> {
             self.fault_check(site::SNAPSHOT_WRITE)?;
-            let payload = encode_snapshot(self)?;
-            wal.install_snapshot(&payload)
-        });
+            wal.install_snapshot(&encode_snapshot(self)?)
+        })?;
         let registry = obs::global();
-        match outcome {
-            Ok(()) => {
-                registry.counter("engine.wal.snapshots").inc();
-                registry
-                    .histogram("engine.wal.snapshot_ns")
-                    .record(obs::elapsed_ns(t0));
-            }
-            Err(_) => {
-                registry.counter("engine.wal.snapshot_failures").inc();
-            }
-        }
+        registry.counter("engine.wal.snapshots").inc();
+        registry
+            .histogram("engine.wal.snapshot_ns")
+            .record(obs::elapsed_ns(t0));
+        Ok(())
     }
 
     /// The write-ahead log's current position as `(generation, offset)` —
@@ -1304,7 +1239,6 @@ fn recover_inner(
         )));
     }
     let mut batches = 0u64;
-    let mut migrations = 0u64;
     if header_ok {
         loop {
             let remaining = bytes.len() - pos;
@@ -1332,7 +1266,8 @@ fn recover_inner(
             if let Some(plan) = fault {
                 plan.check(site::RECOVERY_REPLAY)?;
             }
-            replay_record(&mut db, payload, &mut batches, &mut migrations)?;
+            replay_record(&mut db, payload)?;
+            batches += 1;
             pos = body_start + len as usize;
         }
     }
@@ -1376,13 +1311,11 @@ fn recover_inner(
             batches_since_snapshot: 0,
             poisoned: false,
         }),
-        suspended: AtomicBool::new(false),
     };
     db.set_wal(Some(wal));
     let report = RecoveryReport {
         generation,
         batches_replayed: batches,
-        migrations_replayed: migrations,
         torn_tail,
         truncated_bytes,
         wal_bytes_replayed: valid_offset - magic_len as u64,
@@ -1392,52 +1325,22 @@ fn recover_inner(
 }
 
 /// Applies one decoded WAL record to the database being rebuilt — through
-/// the same execution paths that produced it.
-fn replay_record(
-    db: &mut Database,
-    payload: &[u8],
-    batches: &mut u64,
-    migrations: &mut u64,
-) -> Result<()> {
+/// the same execution path that produced it.
+fn replay_record(db: &mut Database, payload: &[u8]) -> Result<()> {
     let mut d = Dec::new(payload);
-    match d.u8()? {
-        REC_BATCH => {
-            let stmts: Result<Vec<Statement>> = (0..d.count()?).map(|_| d.statement()).collect();
-            let stmts = stmts?;
-            d.done()?;
-            // The profile is the one the record was committed under, so
-            // `apply_batch` re-runs the exact mode (deferred or immediate)
-            // the original commit used.
-            db.apply_batch(&stmts).map_err(Error::from)?;
-            *batches += 1;
-        }
-        REC_MIGRATION => {
-            let schema = d.schema()?;
-            let state = d.state()?;
-            let versions = d.versions()?;
-            d.done()?;
-            // Mirror the live migration protocol: shared `compile_catalog`,
-            // cache purge, atomic swap, version floors, then the data.
-            let catalog = compile_catalog(&schema, &db.profile().clone(), "Database::recover")?;
-            db.clear_build_cache();
-            db.swap_catalog(schema, catalog);
-            for (name, floor) in &versions {
-                db.raise_relation_version(name, *floor);
-            }
-            // Unverified: auditing here would make replay O(records ×
-            // state size); `recover_inner` deep-checks once at the end.
-            db.load_state_unverified(&state)?;
-            for (name, floor) in &versions {
-                db.raise_relation_version(name, *floor);
-            }
-            *migrations += 1;
-        }
-        other => {
-            return Err(corrupt(format!(
-                "unknown record tag {other} (checksum valid — incompatible log format?)"
-            )))
-        }
+    let tag = d.u8()?;
+    if tag != REC_BATCH {
+        return Err(corrupt(format!(
+            "unknown record tag {tag} (checksum valid — incompatible log format?)"
+        )));
     }
+    let stmts: Result<Vec<Statement>> = (0..d.count()?).map(|_| d.statement()).collect();
+    let stmts = stmts?;
+    d.done()?;
+    // The profile is the one the record was committed under, so
+    // `apply_batch` re-runs the exact mode (deferred or immediate) the
+    // original commit used.
+    db.apply_batch(&stmts).map_err(Error::from)?;
     Ok(())
 }
 
@@ -1621,6 +1524,22 @@ mod tests {
         assert!(!report.torn_tail);
         // Two single inserts + one batch + one transaction = 4 records.
         assert_eq!(report.batches_replayed, 4, "{report}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_migration_record_from_an_older_build_fails_recovery_typed() {
+        let dir = tempdir("oldtag");
+        let cfg = durable_config(&dir);
+        let db = Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+        // Tag 2 framed an older build's migration record.
+        db.wal().unwrap().append_payload(&[2, 0, 0, 0, 0]).unwrap();
+        drop(db);
+        let err = Database::recover(cfg)
+            .err()
+            .expect("an unknown record must fail recovery");
+        assert!(matches!(err, Error::Durability { .. }), "{err}");
+        assert!(err.to_string().contains("unknown record tag 2"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

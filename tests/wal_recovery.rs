@@ -1,10 +1,13 @@
-//! Crash-recovery property tests for the write-ahead log.
+//! Crash-recovery tests for the write-ahead log.
 //!
 //! The contract under test is *valid-prefix semantics*: whatever byte the
 //! log is cut at — a clean record boundary, mid-record (torn tail), or a
 //! record whose checksum was corrupted in place — recovery must produce a
 //! `verify_integrity()`-clean database equal to the state after the last
-//! batch whose record survives intact, at every worker count.
+//! batch whose record survives intact, at every worker count. The commits
+//! that install a snapshot instead of appending a record — a durable
+//! `load_state` and so an online migration — must survive a restart too,
+//! and a failed one must leave the previous state to recover.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,13 +16,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use relmerge::core::{Merge, Merged};
+use relmerge::engine::fault::site;
 use relmerge::engine::{
-    Database, DbmsProfile, DurabilityConfig, EngineConfig, FsyncPolicy, Statement,
+    Database, DbmsProfile, DurabilityConfig, EngineConfig, FaultMode, FaultPlan, FsyncPolicy,
+    Statement,
 };
 use relmerge::relational::{
-    Attribute, DatabaseState, Domain, InclusionDep, NullConstraint, RelationScheme,
+    Attribute, DatabaseState, Domain, Error, InclusionDep, NullConstraint, RelationScheme,
     RelationalSchema, Tuple, Value,
 };
+use relmerge::workload::{consistent_state, star_merge_set, star_schema, StarSpec, StateSpec};
 
 /// Bytes of the `RMWAL001` magic every log file starts with.
 const WAL_HEADER: u64 = 8;
@@ -216,4 +223,136 @@ proptest! {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A durable database over a two-satellite star, seeded by one logged
+/// batch, plus the plan that merges the whole star into `M`.
+fn migratable(cfg: &EngineConfig) -> (Database, Merged) {
+    let spec = StarSpec {
+        satellites: 2,
+        non_key_attrs: 1,
+        externals: 0,
+    };
+    let schema = star_schema(&spec);
+    let mut rng = StdRng::seed_from_u64(19);
+    let state = consistent_state(
+        &schema,
+        &StateSpec {
+            root_rows: 12,
+            coverage: 0.5,
+        },
+        &mut rng,
+    )
+    .unwrap();
+    let seed: Vec<Statement> = state
+        .iter()
+        .flat_map(|(name, rel)| rel.iter().map(move |t| Statement::insert(name, t.clone())))
+        .collect();
+    let mut db =
+        Database::new_with_config(schema.clone(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+    db.apply_batch(&seed).unwrap();
+    let members = star_merge_set(&spec);
+    let refs: Vec<&str> = members.iter().map(String::as_str).collect();
+    let mut plan = Merge::plan(&schema, &refs, "M").unwrap();
+    plan.remove_all_removable().unwrap();
+    (db, plan)
+}
+
+#[test]
+fn a_migrated_durable_database_survives_a_restart() {
+    let dir = fresh_dir("migrate");
+    let cfg = config(&dir, 1, 0);
+    let (mut db, plan) = migratable(&cfg);
+    db.migrate(&plan).unwrap();
+    let expect = db.snapshot().unwrap();
+    let versions: Vec<(String, u64)> = expect
+        .names()
+        .into_iter()
+        .map(|n| (n.to_owned(), db.relation_version(n).unwrap()))
+        .collect();
+    drop(db);
+
+    let (mut recovered, report) = Database::recover(cfg.clone()).unwrap();
+    assert_eq!(recovered.schema(), plan.schema());
+    assert_eq!(recovered.snapshot().unwrap(), expect);
+    for (name, version) in &versions {
+        assert!(
+            recovered.relation_version(name).unwrap() >= *version,
+            "{name}"
+        );
+    }
+    assert_eq!(report.records_replayed(), 0, "{report}");
+    assert!(recovered.verify_integrity().is_clean());
+
+    // A root with no satellite rows, committed on the merged schema, lands
+    // in the new generation's log and replays.
+    let arity = expect.relation("M").unwrap().header().len();
+    let mut row = vec![Value::Null; arity];
+    row[0] = Value::Int(10_000);
+    recovered
+        .apply_batch(&[Statement::insert("M", Tuple::new(row))])
+        .unwrap();
+    let expect = recovered.snapshot().unwrap();
+    drop(recovered);
+    let (again, report) = Database::recover(cfg).unwrap();
+    assert_eq!(again.snapshot().unwrap(), expect);
+    assert_eq!(report.records_replayed(), 1, "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_failed_migration_commit_leaves_the_old_schema_to_recover() {
+    for mode in [FaultMode::Error, FaultMode::Panic] {
+        let dir = fresh_dir("migrate-fault");
+        let cfg = config(&dir, 1, 0);
+        let (mut db, plan) = migratable(&cfg);
+        let schema = db.schema().clone();
+        let pre = db.snapshot().unwrap();
+        let armed = db.set_fault_plan(FaultPlan::new().fail_at(site::SNAPSHOT_WRITE, 0, mode));
+        let err = db.migrate(&plan).unwrap_err();
+        assert_eq!(armed.fired(site::SNAPSHOT_WRITE), 1, "{mode:?}");
+        assert!(
+            matches!(err, Error::Injected { .. } | Error::ExecutionPanic { .. }),
+            "{mode:?}: {err}"
+        );
+        db.clear_fault_plan();
+        assert_eq!(db.schema(), &schema, "{mode:?}");
+        assert_eq!(db.snapshot().unwrap(), pre, "{mode:?}");
+        drop(db);
+
+        let (recovered, _) = Database::recover(cfg).unwrap();
+        assert_eq!(recovered.schema(), &schema, "{mode:?}");
+        assert_eq!(recovered.snapshot().unwrap(), pre, "{mode:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_durable_load_state_survives_recovery() {
+    let dir = fresh_dir("load");
+    let cfg = config(&dir, 1, 0);
+    let mut state = DatabaseState::empty_for(&schema()).unwrap();
+    for k in 0..4 {
+        state.insert("PARENT", tup(&[k])).unwrap();
+    }
+    for c in 0..6 {
+        state.insert("CHILD", tup(&[c, c % 4])).unwrap();
+    }
+    let mut db = Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+    db.load_state(&state).unwrap();
+    drop(db);
+    let (mut recovered, report) = Database::recover(cfg.clone()).unwrap();
+    assert_eq!(recovered.snapshot().unwrap(), state);
+    assert_eq!(report.records_replayed(), 0, "{report}");
+
+    // A load whose audit fails (a child of a missing parent) installs
+    // nothing: recovery returns the state before it.
+    let mut orphan = DatabaseState::empty_for(&schema()).unwrap();
+    orphan.insert("CHILD", tup(&[100, 99])).unwrap();
+    let err = recovered.load_state(&orphan).unwrap_err();
+    assert!(matches!(err, Error::StateMismatch { .. }), "{err}");
+    drop(recovered);
+    let (again, _) = Database::recover(cfg).unwrap();
+    assert_eq!(again.snapshot().unwrap(), state);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
