@@ -660,13 +660,40 @@ fn quantile(xs: &mut [f64], q: f64) -> f64 {
     xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
 }
 
-/// B15: optimizer-driven predicate pushdown versus the unoptimized
-/// evaluate-at-the-top filter, on the unmerged university schema.
+/// The reference a pushed-down filter must match: `plan` run without its
+/// filter, keeping the answer rows the filter matches, in order, with the
+/// unfiltered run's stats and trace. For unprojected plans: the filter
+/// compiles against the answer's header.
+fn filter_at_top(
+    db: &Database,
+    plan: &QueryPlan,
+) -> Result<(
+    relmerge_relational::Relation,
+    relmerge_engine::QueryStats,
+    relmerge_engine::QueryTrace,
+)> {
+    let unfiltered = QueryPlan {
+        filter: None,
+        ..plan.clone()
+    };
+    let (all, stats, trace) = db.execute_traced(&unfiltered)?;
+    let Some(filter) = &plan.filter else {
+        return Ok((all, stats, trace));
+    };
+    let cp = filter.compile(all.header())?;
+    let kept = all.iter().filter(|t| cp.matches(t.values())).cloned();
+    let answer = relmerge_relational::Relation::with_rows(all.header().to_vec(), kept)?;
+    Ok((answer, stats, trace))
+}
+
+/// B15: optimizer-driven predicate pushdown versus the filter evaluated
+/// at the top of the unfiltered plan (`filter_at_top`), on the unmerged
+/// university schema.
 ///
 /// Two queries are measured. The *selective chain* scans COURSE,
 /// inner-joins TEACH (where the pushed `Eq(T.F.SSN, ssn)` keeps roughly
 /// one faculty member's courses out of ~200), then inner-joins ASSIST on
-/// the composite non-indexed `[T.C.NR, T.F.SSN]`. Both settings scan the
+/// the composite non-indexed `[T.C.NR, T.F.SSN]`. Both sides scan the
 /// same rows — the root and one ASSIST build — so the pushdown's effect is
 /// the stream entering the ASSIST join, which must shrink at least 10×.
 /// Like B8's composite query the result is legitimately empty (faculty
@@ -675,7 +702,7 @@ fn quantile(xs: &mut [f64], q: f64) -> f64 {
 /// chain on the root key; the optimizer converts the full scan into an
 /// index point lookup, so `rows_scanned` drops to zero.
 ///
-/// Both settings are asserted byte-identical per query. Latency pairs are
+/// Both sides are asserted byte-identical per query. Latency pairs are
 /// interleaved off/on with the median-of-ratios estimator (B8's
 /// drift-cancelling idiom). The build cache is disabled so every
 /// execution pays its own access work.
@@ -715,15 +742,13 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
     let mut report = Report::new("B15: predicate pushdown (evaluate filters where the data lives)");
     let mut rows = Vec::new();
     for (label, plan, is_chain) in queries {
-        db.configure(db.config().predicate_pushdown(false));
-        let (off_rel, off_stats, off_trace) = db.execute_traced(plan)?;
-        db.configure(db.config().predicate_pushdown(true));
+        let (off_rel, off_stats, off_trace) = filter_at_top(&db, plan)?;
         let before = db.metrics_registry().snapshot();
         let (on_rel, on_stats, on_trace) = db.execute_traced(plan)?;
         let after = db.metrics_registry().snapshot();
         assert_eq!(
             on_rel, off_rel,
-            "pushdown must not change the result ({label})"
+            "pushdown must return the filter at the top's answer ({label})"
         );
         let counter = |name: &str| after.counters[name] - before.counters[name];
         if is_chain {
@@ -751,7 +776,7 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
             );
             assert!(
                 off_stats.rows_scanned >= courses as u64,
-                "the unoptimized path must pay the full root scan"
+                "the filter at the top must pay the full root scan"
             );
         }
 
@@ -761,9 +786,9 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
         let mut ons = Vec::with_capacity(iters as usize);
         let mut ratios = Vec::with_capacity(iters as usize);
         for _ in 0..iters {
-            db.configure(db.config().predicate_pushdown(false));
-            let off_ns = timed(&db, plan)?;
-            db.configure(db.config().predicate_pushdown(true));
+            let t0 = std::time::Instant::now();
+            let _ = filter_at_top(&db, plan)?;
+            let off_ns = obs::elapsed_ns(t0) as f64;
             let on_ns = timed(&db, plan)?;
             offs.push(off_ns);
             ons.push(on_ns);
@@ -1061,10 +1086,9 @@ struct TortureRow {
     /// Cells whose fault actually fired.
     injections: u64,
     /// Fired cells that surfaced a typed injected/panic error (never a
-    /// process abort). For a contained site (`engine.query.pushdown`,
-    /// `engine.snapshot.write`) this instead counts fired cells whose
-    /// containment was verified — the site's acceptance criterion is
-    /// containment, not a surfaced error.
+    /// process abort). For the contained `engine.snapshot.write` site this
+    /// instead counts fired cells whose containment was verified — the
+    /// site's acceptance criterion is containment, not a surfaced error.
     typed_errors: u64,
     /// Fired cells whose post-abort [`Database::verify_integrity`] report
     /// was clean.
@@ -1127,13 +1151,9 @@ fn torture_table(rows: &[TortureRow]) -> Vec<Row> {
 /// surface a typed error to the caller, (b) leave
 /// [`Database::verify_integrity`] clean, and (c) roll the state back to
 /// the pre-batch snapshot, byte-identical. A second leg tortures the
-/// query path the same way — the transient hash build and the
-/// build-cache insert — additionally requiring that a failed build never
-/// leaves an entry in the cache. A third leg tortures the predicate
-/// pushdown planner (`engine.query.pushdown`), whose contract inverts
-/// the others: a fault there must be *contained* — the executor falls
-/// back to the unoptimized filter placement and the query must still
-/// succeed, byte-identical (result and stats) to a pushdown-off run.
+/// query path the same way — the transient hash build, the build-cache
+/// insert and filter placement (`engine.query.pushdown`) — additionally
+/// requiring that a failed query never leaves an entry in the cache.
 ///
 /// Callers that arm panic-mode cells outside the test harness should
 /// install a quiet panic hook around the call — the injected panics are
@@ -1217,117 +1237,64 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Rep
         }
     }
 
-    // The query-path leg: the composite join's transient hash build and
-    // its cache insert, against the unmerged schema. A query never
-    // mutates state, so the snapshot comparison is about *not* corrupting
-    // anything; the sharper invariants are the typed error, the clean
-    // integrity report, and the build cache staying empty — a failed
-    // build or insert must never leave a poisoned entry behind.
-    let qplan = composite_no_index_query();
+    // The query-path leg: the composite join's transient hash build, its
+    // cache insert and filter placement, against the unmerged schema. The
+    // filter is root-only, so the build is the join's unfiltered one. A
+    // query never mutates state, so the snapshot comparison is about *not*
+    // corrupting anything; the sharper invariants are the typed error, the
+    // clean integrity report, and the build cache staying empty — a failed
+    // query must never leave a poisoned entry behind.
+    let qplan = composite_no_index_query().filter(Predicate::not_null("A.S.SSN"));
     let qbuild = || -> Result<Database> {
         let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
         db.load_state(&u.state)?;
         Ok(db)
     };
-    let query_sites = [site::HASH_BUILD, site::BUILD_CACHE_INSERT];
+    let build_sites = [site::HASH_BUILD, site::BUILD_CACHE_INSERT];
     let mut dry = qbuild()?;
     let mut probe = FaultPlan::new();
-    for &s in &query_sites {
+    for &s in build_sites.iter().chain(&[site::PUSHDOWN]) {
         probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
     }
     let probe = dry.set_fault_plan(probe);
     let _ = dry.execute(&qplan)?;
-    let q_arrivals: Vec<(&'static str, u64)> =
-        query_sites.iter().map(|&s| (s, probe.hits(s))).collect();
 
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        for &(s, hits) in &q_arrivals {
-            let mut row = TortureRow::new(s, mode);
-            for nth in 0..hits {
-                row.cells += 1;
-                let mut db = qbuild()?;
-                let pre = db.snapshot()?;
-                let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
-                let outcome = db.execute(&qplan);
-                if plan.total_fired() == 0 {
-                    row.no_fire += 1;
-                    outcome?;
-                    continue;
+    // Both modes of the build sites, then both of filter placement.
+    for sites in [&build_sites[..], &[site::PUSHDOWN]] {
+        for mode in [FaultMode::Error, FaultMode::Panic] {
+            for &s in sites {
+                let mut row = TortureRow::new(s, mode);
+                for nth in 0..probe.hits(s) {
+                    row.cells += 1;
+                    let mut db = qbuild()?;
+                    let pre = db.snapshot()?;
+                    let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
+                    let outcome = db.execute(&qplan);
+                    if plan.total_fired() == 0 {
+                        row.no_fire += 1;
+                        outcome?;
+                        continue;
+                    }
+                    row.injections += 1;
+                    if let Err(Error::Injected { .. } | Error::ExecutionPanic { .. }) = outcome {
+                        row.typed_errors += 1;
+                    }
+                    assert_eq!(
+                        db.build_cache_len(),
+                        0,
+                        "a failed query must never cache a build ({s}, {mode:?}, nth {nth})"
+                    );
+                    db.clear_fault_plan();
+                    if db.verify_integrity().is_clean() {
+                        row.clean_reports += 1;
+                    }
+                    if db.snapshot()? == pre {
+                        row.snapshot_matches += 1;
+                    }
                 }
-                row.injections += 1;
-                if let Err(Error::Injected { .. } | Error::ExecutionPanic { .. }) = outcome {
-                    row.typed_errors += 1;
-                }
-                assert_eq!(
-                    db.build_cache_len(),
-                    0,
-                    "a failed build must never be cached ({s}, {mode:?}, nth {nth})"
-                );
-                db.clear_fault_plan();
-                if db.verify_integrity().is_clean() {
-                    row.clean_reports += 1;
-                }
-                if db.snapshot()? == pre {
-                    row.snapshot_matches += 1;
-                }
-            }
-            rows.push(row);
-        }
-    }
-
-    // The pushdown leg: the predicate-planning site fires before any
-    // data is touched, so an injected error or panic must never surface.
-    // The executor falls back to the unoptimized filter placement; the
-    // query must succeed byte-identical (result and stats) to a
-    // pushdown-off reference with the fallback counter bumped. Those
-    // verified contained fallbacks are recorded as this leg's
-    // `typed_errors` (see [`TortureRow::typed_errors`]).
-    let pquery = unmerged_scan_query().filter(Predicate::not_null("T.F.SSN"));
-    let pbuild = || -> Result<Database> {
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-        db.load_state(&u.state)?;
-        Ok(db)
-    };
-    let mut reference = pbuild()?;
-    reference.configure(reference.config().predicate_pushdown(false));
-    let (ref_rel, ref_stats) = reference.execute(&pquery)?;
-
-    let mut dry = pbuild()?;
-    let probe =
-        dry.set_fault_plan(FaultPlan::new().fail_at(site::PUSHDOWN, u64::MAX, FaultMode::Error));
-    let _ = dry.execute(&pquery)?;
-    let p_hits = probe.hits(site::PUSHDOWN);
-
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        let mut row = TortureRow::new(site::PUSHDOWN, mode);
-        for nth in 0..p_hits {
-            row.cells += 1;
-            let mut db = pbuild()?;
-            let pre = db.snapshot()?;
-            let plan = db.set_fault_plan(FaultPlan::new().fail_at(site::PUSHDOWN, nth, mode));
-            let outcome = db.execute(&pquery);
-            if plan.total_fired() == 0 {
-                row.no_fire += 1;
-                outcome?;
-                continue;
-            }
-            row.injections += 1;
-            let fallbacks =
-                db.metrics_registry().snapshot().counters["engine.query.pushdown.fallbacks"];
-            if let Ok((rel, stats)) = outcome {
-                if rel == ref_rel && stats == ref_stats && fallbacks == 1 {
-                    row.typed_errors += 1;
-                }
-            }
-            db.clear_fault_plan();
-            if db.verify_integrity().is_clean() {
-                row.clean_reports += 1;
-            }
-            if db.snapshot()? == pre {
-                row.snapshot_matches += 1;
+                rows.push(row);
             }
         }
-        rows.push(row);
     }
 
     // The multi-session leg: `engine.session.snapshot` must be contained
@@ -2529,7 +2496,7 @@ mod tests {
         let rows = report.table("b15");
         assert_eq!(rows.len(), 2);
         let chain = &rows[0];
-        // Both settings scan the root and build ASSIST at most once; a
+        // Both sides scan the root and build ASSIST at most once; a
         // pushed conjunct that keeps no TEACH row skips the build.
         assert!(
             chain.int("on_scanned") <= chain.int("off_scanned"),
@@ -2621,9 +2588,8 @@ mod tests {
         // `fault_torture` itself asserts every row recovered.
         let report = fault_torture(60, 8, 11).unwrap();
         let rows = report.table("torture");
-        // 4 batch sites × 2 modes, plus 2 query sites × 2 modes, plus
-        // the contained pushdown site × 2 modes, plus 2 session sites
-        // × 2 modes.
+        // 4 batch sites × 2 modes, plus 3 query sites × 2 modes, plus 2
+        // session sites × 2 modes.
         assert_eq!(rows.len(), 18);
         let total_cells: u64 = rows.iter().map(|r| r.int("cells")).sum();
         assert!(total_cells > 8, "matrix is wider than one cell per pair");

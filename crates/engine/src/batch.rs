@@ -197,22 +197,23 @@ impl Undo {
     }
 }
 
-/// Rolls back after a write-ahead append failed on an otherwise valid
-/// commit, keeping the append failure as the root cause: if the rollback
-/// itself also fails, the returned error carries *both* faults — a
-/// durability fault must never be masked by the cleanup it triggered.
-pub(crate) fn rollback_after_failed_append(
+/// Rolls back a commit that failed after its changes landed — a failed
+/// write-ahead append, or a panic mid-statement — keeping that failure as
+/// the root cause: if the rollback itself also fails, the returned error
+/// carries *both* faults — a fault must never be masked by the cleanup it
+/// triggered.
+pub(crate) fn rollback_after_failed_commit(
     db: &mut Database,
     undo: Vec<Undo>,
-    append_err: Error,
+    cause: DmlError,
 ) -> DmlError {
     match rollback(db, undo) {
-        Ok(()) => DmlError::from(append_err),
+        Ok(()) => cause,
         Err(rollback_err) => DmlError::Schema(Error::Durability {
             detail: format!(
-                "write-ahead append failed ({append_err}); the rollback of the \
-                 un-logged commit then failed too ({rollback_err}) — in-memory \
-                 state no longer matches the log"
+                "the commit failed ({cause}); its rollback then failed too \
+                 ({rollback_err}) — in-memory state is neither the old one nor \
+                 the logged one"
             ),
         }),
     }
@@ -357,21 +358,21 @@ impl Database {
         };
         let mut span = obs::span(span_name);
         span.add_field("rel", stmt.rel());
-        // The statement runs with a local undo log so that on a durable
-        // database a failed write-ahead append (error or panic) can roll
-        // the mutation back — the WAL ordering guarantee has no statement
-        // granularity exemption. A Noop outcome leaves `undo` empty and
-        // appends nothing.
+        // The statement and its write-ahead append run under `contain`,
+        // with the undo log outside, as in `apply_batch`: a failed append
+        // or a panic mid-statement (injected or genuine) rolls back every
+        // change that landed. A typed statement failure or a Noop leaves
+        // `undo` empty, and a Noop appends nothing.
         let mut undo: Vec<Undo> = Vec::new();
-        let result = self.execute_statement(stmt, Some(&mut undo));
-        let result = match result {
-            Ok(outcome) if !undo.is_empty() => {
-                let logged = contain(|| self.wal_append_batch(std::slice::from_ref(stmt)));
-                match logged {
-                    Ok(()) => Ok(outcome),
-                    Err(e) => Err(rollback_after_failed_append(self, undo, e)),
-                }
+        let result = contain(|| -> Result<StatementOutcome, DmlError> {
+            let outcome = self.execute_statement(stmt, &mut undo)?;
+            if !undo.is_empty() {
+                self.wal_append_batch(std::slice::from_ref(stmt))?;
             }
+            Ok(outcome)
+        });
+        let result = match result {
+            Err(e) if !undo.is_empty() => Err(rollback_after_failed_commit(self, undo, e)),
             other => other,
         };
         let ns = obs::elapsed_ns(start);
@@ -385,37 +386,32 @@ impl Database {
     }
 
     /// The immediate-mode executor every DML entry point shares. Records
-    /// changes into `undo` when the caller is a transaction or batch; a
-    /// standalone statement passes `None` (a single eagerly-checked
-    /// statement never needs rollback — updates carry their own).
+    /// each change in `undo` as it lands, so a panic mid-statement leaves
+    /// the caller's rollback complete. A typed failure leaves `undo` as it
+    /// found it: an update whose insert half is rejected first restores
+    /// its old row.
     pub(crate) fn execute_statement(
         &mut self,
         stmt: &Statement,
-        undo: Option<&mut Vec<Undo>>,
+        undo: &mut Vec<Undo>,
     ) -> Result<StatementOutcome, DmlError> {
         match stmt {
             Statement::Insert { rel, tuple } => {
-                let fresh = self.insert_inner(rel, tuple.clone())?;
-                if fresh {
-                    if let Some(undo) = undo {
-                        undo.push(Undo::Insert {
-                            rel: rel.clone(),
-                            tuple: tuple.clone(),
-                        });
-                    }
-                    Ok(StatementOutcome::Inserted)
-                } else {
-                    Ok(StatementOutcome::Noop)
+                if !self.insert_inner(rel, tuple.clone())? {
+                    return Ok(StatementOutcome::Noop);
                 }
+                undo.push(Undo::Insert {
+                    rel: rel.clone(),
+                    tuple: tuple.clone(),
+                });
+                Ok(StatementOutcome::Inserted)
             }
             Statement::Delete { rel, key } => match self.delete_inner(rel, key)? {
                 Some(victim) => {
-                    if let Some(undo) = undo {
-                        undo.push(Undo::Delete {
-                            rel: rel.clone(),
-                            tuple: victim,
-                        });
-                    }
+                    undo.push(Undo::Delete {
+                        rel: rel.clone(),
+                        tuple: victim,
+                    });
                     Ok(StatementOutcome::Deleted)
                 }
                 None => Ok(StatementOutcome::Noop),
@@ -427,21 +423,19 @@ impl Database {
                 if old == *tuple {
                     return Ok(StatementOutcome::Updated);
                 }
-                // Delete-then-insert under a statement-local undo log, so a
-                // failed update restores the old row even outside any
-                // transaction. The delete's RESTRICT check is what makes
-                // key-changing updates safe.
-                let mut local: Vec<Undo> = Vec::new();
+                // Delete-then-insert. The delete's RESTRICT check is what
+                // makes key-changing updates safe.
+                let mark = undo.len();
                 let result = (|| -> Result<(), DmlError> {
-                    match self.delete_inner(rel, key)? {
-                        Some(victim) => local.push(Undo::Delete {
-                            rel: rel.clone(),
-                            tuple: victim,
-                        }),
-                        None => unreachable!("row located above"),
-                    }
+                    let Some(victim) = self.delete_inner(rel, key)? else {
+                        unreachable!("row located above")
+                    };
+                    undo.push(Undo::Delete {
+                        rel: rel.clone(),
+                        tuple: victim,
+                    });
                     if self.insert_inner(rel, tuple.clone())? {
-                        local.push(Undo::Insert {
+                        undo.push(Undo::Insert {
                             rel: rel.clone(),
                             tuple: tuple.clone(),
                         });
@@ -450,14 +444,11 @@ impl Database {
                 })();
                 match result {
                     Ok(()) => {
-                        if let Some(undo) = undo {
-                            undo.append(&mut local);
-                        }
                         self.metrics.updates.inc();
                         Ok(StatementOutcome::Updated)
                     }
                     Err(e) => {
-                        rollback(self, local)?;
+                        rollback(self, undo.split_off(mark))?;
                         Err(e)
                     }
                 }
@@ -499,7 +490,7 @@ impl Database {
                 let applied = if deferred {
                     self.apply_deferred(stmt, i, &mut undo, &mut touched)
                 } else {
-                    self.execute_statement(stmt, Some(&mut undo))
+                    self.execute_statement(stmt, &mut undo)
                 };
                 match applied {
                     Ok(outcome) => outcomes.push(outcome),
@@ -944,7 +935,7 @@ mod tests {
             .map(|i| Statement::insert("C", Tuple::new([Value::Int(100 + i), Value::Null])))
             .collect();
         for s in &stmts {
-            eager.execute_statement(s, None).unwrap();
+            eager.execute_statement(s, &mut Vec::new()).unwrap();
         }
         let outcome = batched.apply_batch(&stmts).unwrap();
         assert!(outcome.deferred_checks > 0);
@@ -974,7 +965,7 @@ mod tests {
             .map(|i| Statement::insert("C", tup(&[100 + i, 1])))
             .collect();
         for s in &stmts {
-            eager.execute_statement(s, None).unwrap();
+            eager.execute_statement(s, &mut Vec::new()).unwrap();
         }
         batched.apply_batch(&stmts).unwrap();
         let e = eager.take_stats();

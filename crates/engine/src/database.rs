@@ -232,13 +232,10 @@ pub(crate) struct DbMetrics {
     pub(crate) build_cache_evictions: Arc<Counter>,
     pub(crate) probe_saved_allocs: Arc<Counter>,
     /// Predicate-pushdown counters: conjuncts the optimizer placed below
-    /// the residual filter position, rows pruned by those placements
-    /// (root prefilter, probe filters, filtered hash builds), and queries
-    /// where a failed optimize/pushdown fell back to the unoptimized
-    /// placement.
+    /// the residual filter position, and rows pruned by those placements
+    /// (root prefilter, probe filters, filtered hash builds).
     pub(crate) pushed_conjuncts: Arc<Counter>,
     pub(crate) pushdown_pruned_rows: Arc<Counter>,
-    pub(crate) pushdown_fallbacks: Arc<Counter>,
     /// Build-cache inserts and the bytes evicted by inserts and capacity
     /// changes (hits, misses and evicted entries count under
     /// `engine.query.build_cache.*`).
@@ -327,7 +324,6 @@ impl DbMetrics {
             probe_saved_allocs: registry.counter("engine.query.probe_key.saved_allocs"),
             pushed_conjuncts: registry.counter("engine.query.pushed_conjuncts"),
             pushdown_pruned_rows: registry.counter("engine.query.pushdown_pruned_rows"),
-            pushdown_fallbacks: registry.counter("engine.query.pushdown.fallbacks"),
             cache_insert: registry.counter("engine.build_cache.insert"),
             cache_evicted_bytes: registry.gauge("engine.build_cache.evicted_bytes"),
             class_declarative: per_class("declarative"),
@@ -509,7 +505,15 @@ impl Table {
     /// both kinds would): the one answer to "which index covers these
     /// attributes".
     pub(crate) fn index(&self, attrs: &[String]) -> Option<&KeyIndex> {
-        self.unique.iter().chain(&self.lookups).find(|ix| {
+        self.index_holding(attrs, true)
+    }
+
+    /// The index over exactly `attrs` that holds every row carrying a key
+    /// that is `total` (or, when false, has a null). A lookup index holds
+    /// total keys only, so a key with a null can use a unique index alone.
+    fn index_holding(&self, attrs: &[String], total: bool) -> Option<&KeyIndex> {
+        let lookups = if total { &self.lookups[..] } else { &[] };
+        self.unique.iter().chain(lookups).find(|ix| {
             ix.pos.len() == attrs.len()
                 && ix
                     .pos
@@ -736,8 +740,8 @@ pub(crate) fn compile_catalog(
 }
 
 /// One `EngineConfig` consolidates every `Database` tuning knob: executor
-/// parallelism, morsel size, pushdown, build-cache capacity, the query
-/// budget, and durability. A `Database` stores one, and its knobs change
+/// parallelism, morsel size, build-cache capacity, the query budget, and
+/// durability. A `Database` stores one, and its knobs change
 /// only through a new one. Build one with the fluent setters and hand it to
 /// [`Database::new_with_config`] or [`Database::configure`]; read the live
 /// values back with [`Database::config`], so a sweep can tweak a single
@@ -750,7 +754,6 @@ pub(crate) fn compile_catalog(
 pub struct EngineConfig {
     parallelism: usize,
     morsel_rows: usize,
-    predicate_pushdown: bool,
     build_cache_capacity: u64,
     query_budget: QueryBudget,
     /// Durability knobs (`None` = purely in-memory). Unlike the other
@@ -763,15 +766,14 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// The defaults `Database::new` ships with: available-parallelism
-    /// workers, [`DEFAULT_MORSEL_ROWS`]-row morsels, pushdown on, a 64 MiB
-    /// build cache, and an unlimited query budget.
+    /// workers, [`DEFAULT_MORSEL_ROWS`]-row morsels, a 64 MiB build cache,
+    /// and an unlimited query budget.
     fn default() -> Self {
         EngineConfig {
             parallelism: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            predicate_pushdown: true,
             build_cache_capacity: DEFAULT_BUILD_CACHE_BYTES,
             query_budget: QueryBudget::unlimited(),
             durability: None,
@@ -804,18 +806,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables optimizer-driven predicate pushdown (default
-    /// on). When off, the filter is placed without the optimizer: as a
-    /// whole, ahead of the joins when it compiles against the root header
-    /// of a full scan, otherwise on the joined rows. Results are
-    /// byte-identical either way; only the scan/probe/build work — and
-    /// therefore `QueryStats` — can shrink with pushdown on.
-    #[must_use]
-    pub fn predicate_pushdown(mut self, on: bool) -> Self {
-        self.predicate_pushdown = on;
-        self
-    }
-
     /// Sets the build-cache byte capacity (`0` disables caching).
     #[must_use]
     pub fn build_cache_capacity(mut self, bytes: u64) -> Self {
@@ -840,12 +830,6 @@ impl EngineConfig {
     #[must_use]
     pub fn get_morsel_rows(&self) -> usize {
         self.morsel_rows
-    }
-
-    /// Whether optimizer-driven predicate pushdown is enabled.
-    #[must_use]
-    pub fn get_predicate_pushdown(&self) -> bool {
-        self.predicate_pushdown
     }
 
     /// The configured build-cache byte capacity.
@@ -992,10 +976,9 @@ impl Database {
     /// durability, see [`EngineConfig::durability`]). Shrinking the
     /// build-cache capacity evicts least-recently-used entries down to the
     /// new cap (and counts them in the eviction metrics). Results never
-    /// depend on any of these knobs. Of the `QueryStats`, `morsels`
-    /// depends on the morsel size, and the rest depend only on the
-    /// pushdown switch, which can only shrink the scan/probe/build
-    /// counters; no stat depends on the worker count or the cache.
+    /// depend on any of these knobs. Of the `QueryStats`, only `morsels`
+    /// depends on one (the morsel size); no stat depends on the worker
+    /// count or the cache.
     pub fn configure(&mut self, config: EngineConfig) {
         // A no-op when the capacity is unchanged: the cache never holds
         // more than its cap.
@@ -1024,13 +1007,6 @@ impl Database {
     #[must_use]
     pub fn morsel_rows(&self) -> usize {
         self.config.morsel_rows
-    }
-
-    /// Whether optimizer-driven predicate pushdown is enabled (default
-    /// on). See [`EngineConfig::predicate_pushdown`].
-    #[must_use]
-    pub fn predicate_pushdown(&self) -> bool {
-        self.config.predicate_pushdown
     }
 
     /// Byte capacity of the versioned build-side cache (`0` = caching
@@ -1830,11 +1806,11 @@ impl Database {
         report
     }
 
-    /// Probes the lookup index of `rel` over `attrs` for `key`, appending
-    /// *borrowed* matches to `out` (scanning only on index miss). The
-    /// clone-free variant of the old `probe`: tuples materialize once, at
-    /// concat/projection time in the executor, not per probe. Exposed for
-    /// the query executor.
+    /// Appends to `out` the *borrowed* rows of `rel` whose values over
+    /// `attrs` equal `key`, null equal to null as in the algebra's
+    /// selection: one probe of an index that holds every such row, or
+    /// else a scan. Tuples materialize once, at concat/projection time in
+    /// the executor, not per probe. Exposed for the query executor.
     pub(crate) fn probe_slots<'a>(
         &'a self,
         rel: &str,
@@ -1848,19 +1824,18 @@ impl Database {
             .get(rel)
             .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
         let pos = table.positions(attrs)?;
-        if let Some(ix) = table.index(attrs) {
+        if let Some(ix) = table.index_holding(attrs, key.is_total()) {
             stats.index_probes += 1;
             out.extend(ix.find(&table.rows, key.values()).map(|(_, t)| t));
             return Ok(());
         }
-        // Fall back to a scan.
         stats.rows_scanned += table.rows.len() as u64;
         out.extend(
             table
                 .rows
                 .iter()
                 .flatten()
-                .filter(|t| t.is_total_at(&pos) && t.project(&pos) == *key),
+                .filter(|t| pos.iter().map(|&i| t.get(i)).eq(key.values())),
         );
         Ok(())
     }
@@ -2218,24 +2193,21 @@ mod tests {
         let cfg = EngineConfig::new()
             .parallelism(3)
             .morsel_rows(11)
-            .predicate_pushdown(false)
             .build_cache_capacity(1 << 20);
         let mut db = Database::new_with_config(emp_mgr_schema(), DbmsProfile::db2(), cfg).unwrap();
         assert_eq!(db.parallelism(), 3);
         assert_eq!(db.morsel_rows(), 11);
-        assert!(!db.predicate_pushdown());
         assert_eq!(db.build_cache_capacity(), 1 << 20);
         let read_back = db.config();
         assert_eq!(read_back.get_parallelism(), 3);
         assert_eq!(read_back.get_morsel_rows(), 11);
-        assert!(!read_back.get_predicate_pushdown());
         assert_eq!(read_back.get_build_cache_capacity(), 1 << 20);
         // Single-knob tweak leaves the rest intact, and zero values clamp
         // where the old setters clamped.
         db.configure(db.config().parallelism(0).morsel_rows(0));
         assert_eq!(db.parallelism(), 1);
         assert_eq!(db.morsel_rows(), 1);
-        assert!(!db.predicate_pushdown());
+        assert_eq!(db.build_cache_capacity(), 1 << 20);
     }
 
     /// P(P.A, P.B) keyed on both attributes; C(C.K, C.A, C.B) references

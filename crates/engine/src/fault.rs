@@ -59,12 +59,10 @@ pub mod site {
     /// Insertion of a finished transient build into the build-side cache
     /// (fires once per insert, before the cache is mutated).
     pub const BUILD_CACHE_INSERT: &str = "engine.query.build_cache_insert";
-    /// Predicate optimization + pushdown planning (fires once per filtered
-    /// query, before the root access path is chosen). A fire — error or
-    /// panic — is *contained*: the executor abandons pushdown for that
-    /// query and takes the unoptimized filter placement (the one
-    /// pushdown-off queries use), returning a byte-identical result
-    /// (counted by `engine.query.pushdown.fallbacks`).
+    /// Predicate optimization + filter placement (fires once per filtered
+    /// query, before the root access path is chosen and any row is read).
+    /// A fire — error or panic — fails that query typed and leaves the
+    /// build cache untouched.
     pub const PUSHDOWN: &str = "engine.query.pushdown";
     /// The catalog-rewrite phase of an online migration
     /// ([`Database::migrate`]): fires once, after the pre-migration

@@ -979,9 +979,7 @@ fn prefilter_root<'a>(
 
 /// Where each conjunct of the query filter will run, decided once per
 /// query before any data is touched. Produced by [`plan_pushdown`] from
-/// the [`crate::predopt`] optimizer's canonical conjunct partition, or by
-/// [`PushdownPlan::unoptimized`] when pushdown is off or its planning
-/// failed.
+/// the [`crate::predopt`] optimizer's canonical conjunct partition.
 struct PushdownPlan {
     /// Conjunction of the root-only conjuncts, compiled against the root
     /// header; evaluated by [`prefilter_root`] right after root access.
@@ -1001,43 +999,27 @@ struct PushdownPlan {
     /// How many conjuncts were placed somewhere cheaper than the
     /// post-join filter (the `engine.query.pushed_conjuncts` increment).
     pushed: u64,
-    /// Whether the optimizer made this placement. Only its placements
-    /// feed the pushdown counters.
-    optimized: bool,
 }
 
 impl PushdownPlan {
-    /// The placement without the optimizer: the whole filter becomes the
-    /// root prefilter when it compiles against the root header of a full
-    /// scan, and the residual otherwise — where an unknown attribute
-    /// surfaces as the query's error.
-    fn unoptimized(plan: &QueryPlan, root_header: &[Attribute]) -> PushdownPlan {
-        let root = match (&plan.access, &plan.filter) {
-            (Access::FullScan, Some(p)) => CompiledPredicate::compile(p, root_header).ok(),
-            _ => None,
-        };
-        let residual = if root.is_some() {
-            None
-        } else {
-            plan.filter.clone()
-        };
+    /// Nothing placed anywhere: the placement of an unfiltered plan with
+    /// `joins` steps.
+    fn empty(joins: usize) -> PushdownPlan {
         PushdownPlan {
-            root,
+            root: None,
             root_lookup: None,
-            per_join: vec![None; plan.joins.len()],
-            residual,
+            per_join: vec![None; joins],
+            residual: None,
             verdict: None,
             pushed: 0,
-            optimized: false,
         }
     }
 }
 
 /// Partitions the optimized filter's conjuncts across the plan's
-/// relations. Returns `None` on *any* internal inconsistency — an
-/// attribute that resolves to no relation, a compile failure — so the
-/// caller falls back to [`PushdownPlan::unoptimized`] and surfaces
-/// exactly the errors it always did. Placement rules:
+/// relations. Fails, before any row is read, with the error the query
+/// would meet anyway: a join that names an unknown relation, or a filter
+/// attribute that resolves to no relation. Placement rules:
 ///
 /// - root-only conjunct → root prefilter (or an index point-lookup for
 ///   one `Eq` on an indexed attribute under a full scan), dropped from
@@ -1055,37 +1037,33 @@ fn plan_pushdown(
     plan: &QueryPlan,
     filter: &Predicate,
     root_header: &[Attribute],
-) -> Option<PushdownPlan> {
+) -> Result<PushdownPlan> {
     // headers[0] is the root; headers[k] is join step k-1's relation.
     let mut headers: Vec<&[Attribute]> = Vec::with_capacity(plan.joins.len() + 1);
     headers.push(root_header);
     for step in &plan.joins {
-        headers.push(db.header(&step.rel).ok()?);
+        headers.push(db.header(&step.rel)?);
     }
-    let source_of = |attr: &str| -> Option<usize> {
+    let source_of = |attr: &str| -> Result<usize> {
         headers
             .iter()
             .position(|h| h.iter().any(|a| a.name() == attr))
+            .ok_or_else(|| Error::UnknownAttribute {
+                attribute: attr.to_owned(),
+                context: "predicate".to_owned(),
+            })
     };
-    // Every attribute of the *original* predicate must resolve, otherwise
-    // the unoptimized placement must surface its unknown-attribute error.
+    // Every attribute of the *original* predicate must resolve, even one
+    // the optimizer folds away.
     for attr in crate::predopt::attrs(filter) {
         source_of(&attr)?;
     }
-    let mut out = PushdownPlan {
-        root: None,
-        root_lookup: None,
-        per_join: vec![None; plan.joins.len()],
-        residual: None,
-        verdict: None,
-        pushed: 0,
-        optimized: true,
-    };
+    let mut out = PushdownPlan::empty(plan.joins.len());
     let canonical = match crate::predopt::optimize(filter) {
         crate::predopt::Optimized::Always(b) => {
             out.verdict = Some(b);
             out.pushed = 1;
-            return Some(out);
+            return Ok(out);
         }
         crate::predopt::Optimized::Pred(q) => q,
     };
@@ -1119,7 +1097,7 @@ fn plan_pushdown(
             out.pushed += 1;
         } else {
             let step = &plan.joins[src - 1];
-            let cp = CompiledPredicate::compile(&c, headers[src]).ok()?;
+            let cp = CompiledPredicate::compile(&c, headers[src])?;
             let null_rejecting = !cp.matches(&vec![Value::Null; headers[src].len()]);
             if step.outer && !null_rejecting {
                 residual.push(c);
@@ -1134,13 +1112,12 @@ fn plan_pushdown(
     }
     out.root = crate::predopt::conjoin(&root_conjuncts)
         .map(|p| CompiledPredicate::compile(&p, root_header))
-        .transpose()
-        .ok()?;
+        .transpose()?;
     for (slot, cs) in out.per_join.iter_mut().zip(&per_join) {
         *slot = crate::predopt::conjoin(cs);
     }
     out.residual = crate::predopt::conjoin(&residual);
-    Some(out)
+    Ok(out)
 }
 
 /// Thin classification wrapper over [`execute_core`]: a failed execution
@@ -1178,26 +1155,15 @@ fn execute_core(
 
     let root_header = db.header(&plan.root)?;
 
-    // Pushdown planning runs before any data is touched, under the
-    // `engine.query.pushdown` fault site: an injected error or panic —
-    // like any internal planning failure — is contained here and drops
-    // the query onto the unoptimized placement, byte-identical in results
-    // (the fallback counter records it).
-    let pd = match (&plan.filter, db.predicate_pushdown()) {
-        (Some(filter), true) => {
-            let attempt = contain(|| -> Result<Option<PushdownPlan>> {
-                db.fault_check(site::PUSHDOWN)?;
-                Ok(plan_pushdown(db, plan, filter, root_header))
-            });
-            match attempt {
-                Ok(Some(p)) => p,
-                Ok(None) | Err(_) => {
-                    db.metrics.pushdown_fallbacks.inc();
-                    PushdownPlan::unoptimized(plan, root_header)
-                }
-            }
-        }
-        _ => PushdownPlan::unoptimized(plan, root_header),
+    // Filter placement runs before any data is touched, under the
+    // `engine.query.pushdown` fault site: an injected error or panic, like
+    // a filter naming an unknown attribute, fails the query typed.
+    let pd = match &plan.filter {
+        Some(filter) => contain(|| {
+            db.fault_check(site::PUSHDOWN)?;
+            plan_pushdown(db, plan, filter, root_header)
+        })?,
+        None => PushdownPlan::empty(plan.joins.len()),
     };
 
     // Root access (serial, borrowed slots — nothing is cloned). A pushed
@@ -1363,11 +1329,9 @@ fn execute_core(
         .max()
         .unwrap_or(0);
     db.metrics.probe_saved_allocs.add(saved_allocs);
-    if pd.optimized {
-        pruned_rows += joins.iter().map(|j| j.build_pruned).sum::<u64>();
-        db.metrics.pushed_conjuncts.add(pd.pushed);
-        db.metrics.pushdown_pruned_rows.add(pruned_rows);
-    }
+    pruned_rows += joins.iter().map(|j| j.build_pruned).sum::<u64>();
+    db.metrics.pushed_conjuncts.add(pd.pushed);
+    db.metrics.pushdown_pruned_rows.add(pruned_rows);
 
     // Projection (central, so set semantics dedup once).
     let t_proj = Instant::now();
@@ -2002,25 +1966,6 @@ mod tests {
             assert_eq!(parallel, serial, "pushdown byte-identical at {workers}");
             assert_eq!(parallel_stats, serial_stats);
         }
-        // Pushdown off takes the unoptimized placement: the root-only
-        // filter still runs ahead of the joins, with the same result and
-        // stats, but no optimizer placement feeds the pushdown counters.
-        let pushdown_counters = |db: &Database| {
-            let snap = db.metrics_registry().snapshot();
-            (
-                snap.counters["engine.query.pushed_conjuncts"],
-                snap.counters["engine.query.pushdown_pruned_rows"],
-            )
-        };
-        db.configure(db.config().predicate_pushdown(false));
-        let before = pushdown_counters(&db);
-        let (off, off_stats, off_trace) = db.execute_traced(&plan).unwrap();
-        assert_eq!(off, serial);
-        assert_eq!(off_stats, serial_stats);
-        assert_eq!(off_trace.ops[1].label, "Filter (pushed to scan)");
-        assert_eq!(off_trace.ops[1].stats.rows_out, 9);
-        assert_eq!(pushdown_counters(&db), before);
-        db.configure(db.config().predicate_pushdown(true));
         // A predicate needing join attributes still runs post-join.
         let plan = QueryPlan::scan("COURSE")
             .join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]))
@@ -2029,6 +1974,25 @@ mod tests {
         assert_eq!(result.len(), 5);
         assert_eq!(trace.ops[2].kind, OpKind::Filter);
         assert_eq!(trace.ops[2].label, "Filter");
+    }
+
+    #[test]
+    fn unknown_filter_attribute_fails_before_any_row_is_read() {
+        // OFFER joins on its unindexed `O.D`, so a run that got as far as
+        // the join would scan and cache one build.
+        let db = db();
+        let plan = QueryPlan::scan("COURSE")
+            .join(JoinStep::inner("OFFER", &["C.K"], &["O.D"]))
+            .filter(Predicate::eq("NOPE", 1i64));
+        let err = db.execute(&plan).unwrap_err();
+        assert!(
+            matches!(&err, Error::UnknownAttribute { attribute, context }
+                if attribute == "NOPE" && context == "predicate"),
+            "{err:?}"
+        );
+        assert_eq!(db.build_cache_len(), 0);
+        let snap = db.metrics_registry().snapshot();
+        assert_eq!(snap.counters["engine.query.build_cache.misses"], 0);
     }
 
     /// L(50) ⋈ S on its key, with a pushed `Eq(S.W, 7)` keeping 10 of

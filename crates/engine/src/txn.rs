@@ -9,7 +9,7 @@
 
 use relmerge_relational::{Error, Tuple};
 
-use crate::batch::{rollback, rollback_after_failed_append, Statement, StatementOutcome, Undo};
+use crate::batch::{rollback, rollback_after_failed_commit, Statement, StatementOutcome, Undo};
 use crate::database::{Database, DmlError};
 use crate::fault::contain;
 
@@ -26,7 +26,7 @@ pub struct Transaction<'a> {
 
 impl Transaction<'_> {
     fn run(&mut self, stmt: &Statement) -> Result<StatementOutcome, DmlError> {
-        let outcome = self.db.execute_statement(stmt, Some(&mut self.undo))?;
+        let outcome = self.db.execute_statement(stmt, &mut self.undo)?;
         if !matches!(outcome, StatementOutcome::Noop) {
             self.stmts.push(stmt.clone());
         }
@@ -99,7 +99,7 @@ impl Database {
                     let logged = contain(|| tx.db.wal_append_batch(&stmts));
                     if let Err(e) = logged {
                         let undo = std::mem::take(&mut tx.undo);
-                        return Err(rollback_after_failed_append(tx.db, undo, e));
+                        return Err(rollback_after_failed_commit(tx.db, undo, e.into()));
                     }
                 }
                 Ok(value)

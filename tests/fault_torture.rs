@@ -1,6 +1,7 @@
 //! Fault-injection integration coverage: every batch injection site ×
 //! arrival index × mode aborts with a typed error, leaves the deep
-//! integrity checker clean, and rolls the state back byte-identical; a
+//! integrity checker clean, and rolls the state back byte-identical —
+//! under deferred and under immediate checking, updates included; a
 //! panicking morsel worker fails only its own query; query budgets trip
 //! with typed errors; and seeded corruption is actually detected.
 
@@ -12,8 +13,8 @@ use rand::rngs::StdRng;
 
 use relmerge::engine::fault::site;
 use relmerge::engine::{
-    Database, DbmsProfile, FaultMode, FaultPlan, IntegrityKind, QueryBudget, QueryPlan, Statement,
-    Store,
+    Database, DbmsProfile, DmlError, FaultMode, FaultPlan, IntegrityKind, QueryBudget, QueryPlan,
+    Statement, Store,
 };
 use relmerge::relational::{
     Attribute, DatabaseState, Domain, Error, InclusionDep, NullConstraint, RelationScheme,
@@ -54,7 +55,12 @@ fn row(vals: &[i64]) -> Tuple {
 
 /// A seeded baseline database: PARENT(1), PARENT(2), CHILD(500, 1).
 fn baseline_db() -> Database {
-    let mut db = Database::new(parent_child_schema(), DbmsProfile::ideal()).unwrap();
+    baseline_db_on(DbmsProfile::ideal())
+}
+
+/// [`baseline_db`] under `profile`.
+fn baseline_db_on(profile: DbmsProfile) -> Database {
+    let mut db = Database::new(parent_child_schema(), profile).unwrap();
     db.insert("PARENT", row(&[1])).unwrap();
     db.insert("PARENT", row(&[2])).unwrap();
     db.insert("CHILD", row(&[500, 1])).unwrap();
@@ -127,6 +133,86 @@ fn every_site_arrival_and_mode_recovers() {
                 );
                 // The database stays fully usable after the abort.
                 db.apply_batch(&batch).unwrap();
+            }
+        }
+    }
+}
+
+/// A valid parent-first batch that moves a child with an update, which
+/// immediate checking applies as a delete and then an insert.
+fn immediate_batch() -> Vec<Statement> {
+    vec![
+        Statement::insert("PARENT", row(&[10])),
+        Statement::insert("CHILD", row(&[501, 10])),
+        Statement::update("CHILD", row(&[500]), row(&[500, 10])),
+        Statement::delete("CHILD", row(&[501])),
+    ]
+}
+
+/// Under immediate checking, a fault at any arrival of any batch site, in
+/// either mode — an update's insert half included — fails a batch, a
+/// single-statement update and a one-update transaction typed (the
+/// transaction rolls back, then resumes the panic), with a clean audit
+/// and the pre-operation state.
+#[test]
+fn immediate_mode_updates_recover_at_every_site_arrival_and_mode() {
+    type Op = fn(&mut Database) -> Result<(), DmlError>;
+    let ops: [(&str, Op); 3] = [
+        ("apply_batch", |db| {
+            db.apply_batch(&immediate_batch()).map(drop)
+        }),
+        ("update_by_key", |db| {
+            db.update_by_key("CHILD", &row(&[500]), row(&[500, 2]))
+                .map(drop)
+        }),
+        ("transaction", |db| {
+            db.transaction(|tx| tx.update_by_key("CHILD", &row(&[500]), row(&[500, 2])))
+                .map(drop)
+        }),
+    ];
+    for (name, op) in ops {
+        let mut dry = baseline_db_on(DbmsProfile::db2());
+        let mut probe = FaultPlan::new();
+        for &s in site::BATCH {
+            probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
+        }
+        let probe = dry.set_fault_plan(probe);
+        op(&mut dry).unwrap();
+        // Sites the operation never reaches (group validation, under
+        // immediate checking) have no cells.
+        for &s in site::BATCH {
+            for nth in 0..probe.hits(s) {
+                for mode in [FaultMode::Error, FaultMode::Panic] {
+                    let cell = format!("{name} {s}#{nth} ({})", mode.label());
+                    let mut db = baseline_db_on(DbmsProfile::db2());
+                    let pre = db.snapshot().unwrap();
+                    let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
+                    let outcome =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&mut db)));
+                    assert_eq!(plan.fired(s), 1, "{cell}");
+                    match outcome {
+                        Ok(Err(e)) => assert!(
+                            matches!(
+                                (mode, e.root_cause()),
+                                (FaultMode::Error, DmlError::Schema(Error::Injected { .. }))
+                                    | (
+                                        FaultMode::Panic,
+                                        DmlError::Schema(Error::ExecutionPanic { .. })
+                                    )
+                            ),
+                            "{cell}: {e}"
+                        ),
+                        Ok(Ok(())) => panic!("{cell}: the armed fault must fail the operation"),
+                        Err(_) => assert!(
+                            name == "transaction" && mode == FaultMode::Panic,
+                            "{cell}: the panic escaped"
+                        ),
+                    }
+                    db.clear_fault_plan();
+                    let report = db.verify_integrity();
+                    assert!(report.is_clean(), "{cell}: {report}");
+                    assert_eq!(db.snapshot().unwrap(), pre, "{cell}: state moved");
+                }
             }
         }
     }

@@ -5,7 +5,9 @@
 //! index (one transient hash build), is the key (unique-index probes), or
 //! is the left side of an inclusion dependency (lookup-index probes).
 //! Random plans of two to four such steps, filtered by a predicate over
-//! nulls, must return the algebra's answer too, with pushdown on or off.
+//! nulls, must return the algebra's answer too, and a root lookup keyed on
+//! any of those columns, with a key that may be null, must return the
+//! algebra's selection.
 
 use proptest::prelude::*;
 
@@ -237,8 +239,8 @@ proptest! {
     /// inner and left outer steps, key (unique-index), lookup-index and
     /// unindexed right columns and null join keys, filtered by a
     /// conjunction of `IsNull` / `NotNull` / `Eq` atoms, some negated: the
-    /// algebra's answer with pushdown on and off, serially and on two
-    /// workers, with three-row morsels.
+    /// algebra's answer, serially and on two workers, with three-row
+    /// morsels.
     #[test]
     fn multi_join_plans_match_the_algebra(
         vals in prop::collection::vec(
@@ -301,22 +303,44 @@ proptest! {
             plan = plan.filter(f);
         }
         let want = algebra_chain(&state, &steps, &atoms);
-        for pushdown in [true, false] {
-            for workers in [1, 2] {
-                db.configure(
-                    db.config()
-                        .predicate_pushdown(pushdown)
-                        .parallelism(workers)
-                        .morsel_rows(3),
-                );
-                let (got, stats) = db.execute(&plan).expect("query");
-                prop_assert_eq!(stats.joins, steps.len() as u64);
-                prop_assert!(
-                    got.set_eq(&want),
-                    "pushdown {} workers {}: engine {} vs algebra {}",
-                    pushdown, workers, got, want
-                );
-            }
+        for workers in [1, 2] {
+            db.configure(db.config().parallelism(workers).morsel_rows(3));
+            let (got, stats) = db.execute(&plan).expect("query");
+            prop_assert_eq!(stats.joins, steps.len() as u64);
+            prop_assert!(
+                got.set_eq(&want),
+                "workers {}: engine {} vs algebra {}",
+                workers, got, want
+            );
         }
+    }
+
+    /// A root lookup of R on its key, on the referencing `R.V` (lookup
+    /// index) or on the unindexed `R.V`, with a key that may be null:
+    /// `select_eq`'s answer, where null equals null, as it does in
+    /// `Predicate::Eq`.
+    #[test]
+    fn root_lookups_match_the_algebra(
+        left in prop::collection::vec(prop::option::of(0i64..4), 1..16),
+        right in prop::collection::vec(prop::option::of(0i64..64), 0..16),
+        column in prop::sample::select(vec![
+            RightColumn::Unindexed,
+            RightColumn::Key,
+            RightColumn::Referencing,
+        ]),
+        key in prop::option::of(0i64..4),
+    ) {
+        let bound = if column == RightColumn::Referencing { left.len() as i64 } else { 4 };
+        let right: Vec<Option<i64>> = right.iter().map(|v| v.map(|v| v % bound)).collect();
+        let db = lr_database(&left, &right, column);
+        let attr = column.attr();
+        let key = Tuple::new([key.map_or(Value::Null, Value::Int)]);
+        let (got, _) = db
+            .execute(&QueryPlan::lookup("R", &[attr], key.clone()))
+            .expect("lookup");
+        let state = db.snapshot().expect("snapshot");
+        let r = state.relation("R").expect("relation");
+        let want = select_eq(r, &[attr], &key).expect("select");
+        prop_assert!(got.set_eq_unordered(&want), "engine {} vs algebra {}", got, want);
     }
 }

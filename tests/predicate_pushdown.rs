@@ -1,12 +1,12 @@
 //! Whole-system property tests for the predicate optimizer and
 //! cross-operator pushdown: on random predicate trees (with null literals
 //! and null-padded rows) the optimized form must agree with the original
-//! row-by-row; executing with pushdown on must return byte-identical
-//! results to pushdown off at every worker count while never *increasing*
-//! the scan/probe counters; the plan fingerprint must
-//! be stable across logically equivalent predicate forms; and an injected
-//! fault at `engine.query.pushdown` must fall back to the unoptimized
-//! filter placement with identical results and stats.
+//! row-by-row; every execution must return the answer of the filter
+//! evaluated at the top of the unfiltered plan (`filter_at_top`), at every
+//! worker count, while never scanning or probing more than that plan; the
+//! plan fingerprint must be stable across logically equivalent predicate
+//! forms; and an injected fault at `engine.query.pushdown` must fail the
+//! query typed, leaving the state and the build cache untouched.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,12 +15,36 @@ use rand::{Rng, SeedableRng};
 use relmerge::engine::fault::site;
 use relmerge::engine::{
     fingerprint, optimize, Database, DbmsProfile, FaultMode, FaultPlan, JoinStep, Optimized,
-    Predicate, QueryPlan,
+    Predicate, QueryPlan, QueryStats, QueryTrace,
 };
 use relmerge::relational::{
-    Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Tuple, Value,
+    Attribute, Domain, Error, InclusionDep, NullConstraint, Relation, RelationScheme,
+    RelationalSchema, Tuple, Value,
 };
 use relmerge::workload::{consistent_state, star_schema, StarSpec, StateSpec};
+
+/// The reference a pushed-down filter must match: `plan` run without its
+/// filter, keeping the answer rows the filter matches, in order, with the
+/// unfiltered run's stats and trace. For unprojected plans: the filter
+/// compiles against the answer's header.
+fn filter_at_top(db: &Database, plan: &QueryPlan) -> (Relation, QueryStats, QueryTrace) {
+    let unfiltered = QueryPlan {
+        filter: None,
+        ..plan.clone()
+    };
+    let (all, stats, trace) = db
+        .execute_traced(&unfiltered)
+        .expect("unfiltered execution");
+    let Some(filter) = &plan.filter else {
+        return (all, stats, trace);
+    };
+    let cp = filter
+        .compile(all.header())
+        .expect("filter over the answer's header");
+    let kept = all.iter().filter(|t| cp.matches(t.values())).cloned();
+    let answer = Relation::with_rows(all.header().to_vec(), kept).expect("answer rows");
+    (answer, stats, trace)
+}
 
 /// A random predicate tree over `attrs`: leaves mix equality against small
 /// integers, equality against the null literal, and null tests; inner
@@ -103,10 +127,9 @@ proptest! {
         }
     }
 
-    /// Pushdown on and off return byte-identical results at workers
-    /// {1,2,4}; the scan and scan+probe counters never increase with
-    /// pushdown on; and per-setting stats are identical at every worker
-    /// count.
+    /// Pushdown returns the filter at the top's answer at workers {1,2,4};
+    /// it never scans, nor scans and probes, more than the unfiltered
+    /// plan; and its stats are identical at every worker count.
     #[test]
     fn pushdown_equivalent_and_counters_monotone(
         satellites in 1usize..4,
@@ -138,33 +161,31 @@ proptest! {
             }
             let plan = plan.filter(random_pred(&mut rng, &attrs, 3));
 
-            let run = |pushdown: bool, workers: usize| {
+            let load = |workers: usize| {
                 let mut db = Database::new(schema.clone(), DbmsProfile::ideal()).expect("db");
                 db.load_state(&state).expect("load");
-                db.configure(db.config().predicate_pushdown(pushdown).parallelism(workers));
-                db.execute(&plan).expect("execution")
+                db.configure(db.config().parallelism(workers));
+                db
             };
 
-            let (off_rel, off_stats) = run(false, 1);
-            let (on_rel, on_stats) = run(true, 1);
-            prop_assert_eq!(&on_rel, &off_rel, "pushdown changed the result");
+            let db = load(1);
+            let (want, top_stats, _) = filter_at_top(&db, &plan);
+            let (on_rel, on_stats) = db.execute(&plan).expect("execution");
+            prop_assert_eq!(&on_rel, &want, "pushdown changed the answer");
             prop_assert!(
-                on_stats.rows_scanned <= off_stats.rows_scanned,
+                on_stats.rows_scanned <= top_stats.rows_scanned,
                 "pushdown increased scans: {} > {}",
-                on_stats.rows_scanned, off_stats.rows_scanned
+                on_stats.rows_scanned, top_stats.rows_scanned
             );
             prop_assert!(
                 on_stats.rows_scanned + on_stats.index_probes
-                    <= off_stats.rows_scanned + off_stats.index_probes,
+                    <= top_stats.rows_scanned + top_stats.index_probes,
                 "pushdown increased scan+probe work"
             );
             for workers in [2usize, 4] {
-                let (rel, stats) = run(true, workers);
-                prop_assert_eq!(&rel, &on_rel, "pushdown not byte-identical at {} workers", workers);
-                prop_assert_eq!(stats, on_stats, "stats vary with workers (pushdown on)");
-                let (rel, stats) = run(false, workers);
-                prop_assert_eq!(&rel, &off_rel, "legacy path not byte-identical at {} workers", workers);
-                prop_assert_eq!(stats, off_stats, "stats vary with workers (pushdown off)");
+                let (rel, stats) = load(workers).execute(&plan).expect("execution");
+                prop_assert_eq!(&rel, &want, "pushdown changed the answer at {} workers", workers);
+                prop_assert_eq!(stats, on_stats, "stats vary with workers");
             }
         }
     }
@@ -210,11 +231,13 @@ proptest! {
         prop_assert_ne!(f, fp(flipped));
     }
 
-    /// An injected error or panic at `engine.query.pushdown` is contained:
-    /// the query still succeeds, its result and stats are byte-identical
-    /// to a pushdown-off run, and the fallback counter records it.
+    /// An injected error or panic at `engine.query.pushdown` fails the
+    /// query typed before any row is read: the state and the build cache
+    /// stay untouched (S1 joins on its unindexed `S1.V0`, so a run that
+    /// reached that join would cache a build), and the next execution
+    /// returns the filter at the top's answer.
     #[test]
-    fn pushdown_fault_falls_back_byte_identical(
+    fn pushdown_fault_fails_the_query_typed(
         rows in 1usize..24,
         seed in any::<u64>(),
     ) {
@@ -228,27 +251,25 @@ proptest! {
         ).expect("state");
         let plan = QueryPlan::scan("ROOT")
             .join(JoinStep::outer("S0", &["ROOT.K"], &["S0.K"]))
-            .join(JoinStep::inner("S1", &["ROOT.K"], &["S1.K"]))
+            .join(JoinStep::inner("S1", &["ROOT.K"], &["S1.V0"]))
             .filter(random_pred(&mut rng, &star_attrs(2, 1), 3));
-
-        let mut reference = Database::new(schema.clone(), DbmsProfile::ideal()).expect("db");
-        reference.load_state(&state).expect("load");
-        reference.configure(reference.config().predicate_pushdown(false));
-        let (want, want_stats) = reference.execute(&plan).expect("reference execution");
 
         for mode in [FaultMode::Error, FaultMode::Panic] {
             let mut db = Database::new(schema.clone(), DbmsProfile::ideal()).expect("db");
             db.load_state(&state).expect("load");
+            let pre = db.snapshot().expect("snapshot");
             let armed = db.set_fault_plan(FaultPlan::new().fail_at(site::PUSHDOWN, 0, mode));
-            let (got, got_stats) = db.execute(&plan).expect("fault must be contained");
+            let err = db.execute(&plan).expect_err("a fire fails the query");
             prop_assert_eq!(armed.fired(site::PUSHDOWN), 1, "site never armed ({:?})", mode);
-            prop_assert_eq!(&got, &want, "fallback result differs ({:?})", mode);
-            prop_assert_eq!(got_stats, want_stats, "fallback stats differ ({:?})", mode);
-            let snap = db.metrics_registry().snapshot();
-            prop_assert_eq!(snap.counters["engine.query.pushdown.fallbacks"], 1);
-            // The armed shot is spent: the next execution pushes again,
-            // still byte-identical.
+            prop_assert!(
+                matches!(err, Error::Injected { .. } | Error::ExecutionPanic { .. }),
+                "untyped failure ({:?}): {:?}", mode, err
+            );
+            prop_assert_eq!(db.build_cache_len(), 0, "a failed query cached a build ({:?})", mode);
+            prop_assert!(db.snapshot().expect("snapshot") == pre, "state moved ({:?})", mode);
+            // The armed shot is spent: the next execution succeeds.
             let (again, _) = db.execute(&plan).expect("clean re-execution");
+            let (want, _, _) = filter_at_top(&db, &plan);
             prop_assert_eq!(&again, &want);
         }
     }
@@ -256,8 +277,9 @@ proptest! {
 
 /// An inner step whose pushed conjunct keeps no right row proves the
 /// stream empty, so the next step — a join no index covers — skips its
-/// build. Pushdown off builds, and both settings return byte-identical
-/// results. A conjunct that keeps some rows keeps the build.
+/// build. The unfiltered plan builds, and the pushed run returns the
+/// filter at the top's answer. A conjunct that keeps some rows keeps the
+/// build.
 #[test]
 fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
     let a = |n: &str| Attribute::new(n, Domain::Int);
@@ -299,19 +321,17 @@ fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
             .join(JoinStep::inner("C1", &["A.K"], &["B.K"]))
             .join(JoinStep::inner("C2", &["B.K"], &["D.V"]))
             .filter(Predicate::eq("B.V", Value::Int(value)));
-        db.configure(db.config().predicate_pushdown(false));
-        let (off_rel, off_stats, off_trace) = db.execute_traced(&plan).unwrap();
-        db.configure(db.config().predicate_pushdown(true));
+        let (top_rel, top_stats, top_trace) = filter_at_top(&db, &plan);
         let (on_rel, on_stats, on_trace) = db.execute_traced(&plan).unwrap();
 
         assert_eq!(
-            on_rel, off_rel,
+            on_rel, top_rel,
             "B.V = {value}: pushdown changed the result"
         );
         assert_eq!(on_rel.len(), rows);
         assert_eq!(
-            off_stats.hash_builds, 1,
-            "B.V = {value}: pushdown off builds"
+            top_stats.hash_builds, 1,
+            "B.V = {value}: the unfiltered plan builds"
         );
         assert_eq!(on_stats.hash_builds, on_builds, "B.V = {value}");
         assert_eq!(on_stats.index_probes, 100, "C1 is probed once per C0 row");
@@ -323,7 +343,7 @@ fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
             "HashJoin C2"
         };
         assert!(c2.starts_with(verb), "B.V = {value}: {c2}");
-        assert!(label_of(&off_trace, "C2").starts_with("HashJoin C2"));
+        assert!(label_of(&top_trace, "C2").starts_with("HashJoin C2"));
         assert!(
             label_of(&on_trace, "C1").contains("[pushed]"),
             "C1 must carry the pushed conjunct: {}",
@@ -371,25 +391,26 @@ fn pushed_root_eq_upgrades_scan_to_lookup() {
         .join(JoinStep::outer("S0", &["ROOT.K"], &["S0.K"]))
         .filter(Predicate::eq("ROOT.K", key).and(Predicate::not_null("S0.V0")));
 
-    db.configure(db.config().predicate_pushdown(false));
-    let (off_rel, off_stats) = db.execute(&plan).unwrap();
-    db.configure(db.config().predicate_pushdown(true));
+    let (top_rel, top_stats, _) = filter_at_top(&db, &plan);
     let (on_rel, on_stats, trace) = db.execute_traced(&plan).unwrap();
 
-    assert_eq!(on_rel, off_rel);
+    assert_eq!(on_rel, top_rel);
     assert!(
         trace.ops[0].label.contains("(pushed Eq)"),
         "root access must be the upgraded lookup: {}",
         trace.ops[0].label
     );
-    assert!(off_stats.rows_scanned >= 20, "legacy path scans the root");
+    assert!(
+        top_stats.rows_scanned >= 20,
+        "the unfiltered plan scans the root"
+    );
     assert_eq!(
         on_stats.rows_scanned, 0,
         "upgraded root access must not scan"
     );
     assert!(
         on_stats.rows_scanned + on_stats.index_probes
-            <= off_stats.rows_scanned + off_stats.index_probes,
+            <= top_stats.rows_scanned + top_stats.index_probes,
         "upgrade must not increase total access work"
     );
     let snap = db.metrics_registry().snapshot();
