@@ -1,12 +1,13 @@
 //! Regenerates every figure and proposition of the paper, plus the
-//! measured B1–B15 experiments recorded in `EXPERIMENTS.md`.
+//! measured B1–B15 experiments recorded in `EXPERIMENTS.md`: the one
+//! timing harness of the repository.
 //!
 //! Usage: `reproduce [<experiment>|all]... [--smoke] [--trace]`
 //!
 //! The experiments are the names in [`EXPERIMENTS`]; no name means `all`.
 //! Each prints its report and writes it to `BENCH_<name>.json`: at the
 //! repository root, or under `target/smoke/` with `--smoke`, which shrinks
-//! B8–B15 to a CI-sized scale. `--trace` adds the
+//! B3, B5 and B8–B15 to a CI-sized scale. `--trace` adds the
 //! [`Database::execute_traced`] operator tree of one representative query
 //! per query-running experiment. Any other argument exits with status 2.
 
@@ -104,8 +105,16 @@ const EXPERIMENTS: &[Experiment] = &[
         run: b2,
     },
     Experiment {
+        name: "b3",
+        run: b3,
+    },
+    Experiment {
         name: "b4",
         run: b4,
+    },
+    Experiment {
+        name: "b5",
+        run: b5,
     },
     Experiment {
         name: "b6",
@@ -546,9 +555,24 @@ fn b2(_: Scale) -> Result<Report> {
     experiments::maintenance_cost(5_000)
 }
 
+/// B3: the cost of `Merge`, `Remove`, the advisor, the planner and η/η′.
+fn b3(scale: Scale) -> Result<Report> {
+    let (satellites, root_rows): (&[usize], &[usize]) = scale.pick(
+        (&[2, 8], &[100, 1_000]),
+        (&[2, 8, 32, 128], &[100, 1_000, 10_000]),
+    );
+    experiments::merge_scaling(satellites, root_rows)
+}
+
 /// B4: the effect of `Remove`.
 fn b4(_: Scale) -> Result<Report> {
     experiments::remove_effect(&[100, 1_000, 10_000])
+}
+
+/// B5: the relational substrate.
+fn b5(scale: Scale) -> Result<Report> {
+    let sizes: &[usize] = scale.pick(&[1_000], &[1_000, 10_000]);
+    experiments::substrate(sizes)
 }
 
 /// B6: mixed read-mostly workload, merged vs unmerged.

@@ -1,6 +1,9 @@
 //! The measured experiments B1–B15. Each returns a [`Report`] whose cell
 //! names are the keys of its `BENCH_<name>.json` artifact.
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -141,6 +144,25 @@ pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Repor
         }
         let scan_merged_ns = t.stop() as f64 / f64::from(SCAN_ITERS);
 
+        // Reverse lookups ("courses taught by faculty F"): a walk up the
+        // chain against one probe of the merged relation's secondary index.
+        let ssns: Vec<i64> = (0..queries_per_scale)
+            .map(|_| 10_000 + rng.gen_range(0..200))
+            .collect();
+        let (r1, _) = unmerged.execute(&unmerged_by_faculty_query(ssns[0]))?;
+        let (r2, _) = merged.execute(&merged_by_faculty_query(ssns[0]))?;
+        assert!(r1.set_eq_unordered(&r2), "reverse lookups must agree");
+        let t = obs::timer("bench.b1.reverse.unmerged").field("queries", ssns.len());
+        for &ssn in &ssns {
+            let _ = unmerged.execute(&unmerged_by_faculty_query(ssn))?;
+        }
+        let reverse_unmerged_ns = t.stop() as f64 / ssns.len() as f64;
+        let t = obs::timer("bench.b1.reverse.merged").field("queries", ssns.len());
+        for &ssn in &ssns {
+            let _ = merged.execute(&merged_by_faculty_query(ssn))?;
+        }
+        let reverse_merged_ns = t.stop() as f64 / ssns.len() as f64;
+
         rows.push(
             Row::new()
                 .cell("courses", courses)
@@ -154,7 +176,9 @@ pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Repor
                 .cell(
                     "scan_speedup",
                     Cell::Num(scan_unmerged_ns / scan_merged_ns, 2),
-                ),
+                )
+                .cell("reverse_unmerged_ns", Cell::Num(reverse_unmerged_ns, 0))
+                .cell("reverse_merged_ns", Cell::Num(reverse_merged_ns, 0)),
         );
     }
     let mut report = Report::new("B1: query speedup (merged vs unmerged), university workload");
@@ -164,8 +188,10 @@ pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Repor
 }
 
 /// B2: constraint-maintenance cost of inserting course bundles into the
-/// unmerged schema (fully declarative on DB2) versus the merged schema
-/// (general null constraints → SYBASE-style triggers).
+/// unmerged schema (fully declarative on DB2) versus the merged schema,
+/// whose general null constraints run as SYBASE-style triggers or, on the
+/// ideal profile, natively: the same one-statement insert with no trigger
+/// tier.
 pub fn maintenance_cost(entities: usize) -> Result<Report> {
     let (u, m) = university_merge(10, 1)?;
     let mut rows = Vec::new();
@@ -199,17 +225,20 @@ pub fn maintenance_cost(entities: usize) -> Result<Report> {
         ));
     }
 
-    // Merged: SYBASE profile — NS/NE constraints through triggers, but a
-    // course bundle is a single statement.
-    {
-        let merged_state = m.apply(&u.state)?;
-        let mut db = Database::new(m.schema().clone(), DbmsProfile::sybase40())?;
+    // Merged: a course bundle is a single statement. SYBASE checks the
+    // NS/NE constraints through triggers; the ideal profile natively.
+    let merged_state = m.apply(&u.state)?;
+    for (scenario, profile) in [
+        ("merged (SYBASE 4.0, triggers)", DbmsProfile::sybase40()),
+        ("merged (ideal, native)", DbmsProfile::ideal()),
+    ] {
+        let mut db = Database::new(m.schema().clone(), profile)?;
         db.load_state(&merged_state)?;
         let dept = Value::text("dept0");
         let faculty = Value::Int(10_000);
         let student = Value::Int(10_400);
         let _ = db.take_stats(); // discard the load phase
-        let t = obs::timer("bench.b2.insert").field("scenario", "merged");
+        let t = obs::timer("bench.b2.insert").field("scenario", scenario);
         for i in 0..entities {
             let nr = Value::Int(1_000_000 + i as i64);
             db.insert(
@@ -219,7 +248,7 @@ pub fn maintenance_cost(entities: usize) -> Result<Report> {
             .expect("merged insert");
         }
         rows.push(maintenance_row(
-            "merged (SYBASE 4.0, triggers)",
+            scenario,
             entities,
             &db.take_stats(),
             t.stop(),
@@ -249,6 +278,111 @@ fn maintenance_row(
             "ns_per_entity",
             Cell::Num(elapsed_ns as f64 / entities as f64, 0),
         )
+}
+
+/// B3: the cost of the schema-design procedures as the merge set grows,
+/// and of the state mappings as the data grows.
+///
+/// Each star of `satellites` satellites has one non-key attribute per
+/// satellite, referencing one of two external schemes. With one such
+/// attribute, [`relmerge_core::AdvisorConfig::declarative_only`] admits
+/// the merge; with two, general null constraints remain (Proposition
+/// 5.2) and the advisor applies nothing. Timed per star: `Merge::plan`
+/// of the whole star, `remove_all_removable` of a fresh plan (planned
+/// untimed), the advisor's `propose_static` and `greedy`, and the query
+/// planner on a query spanning the root and the last satellite. Timed
+/// per `root_rows`: η (`Merged::apply`) and η′ (`Merged::invert`) of a
+/// 3-satellite star.
+///
+/// Asserted: every merged scheme is BCNF (Proposition 4.1), `greedy`
+/// applies at least one merge, and η′(η(r)) = r at every size.
+pub fn merge_scaling(satellites: &[usize], root_rows: &[usize]) -> Result<Report> {
+    use relmerge_core::{Advisor, AdvisorConfig};
+    use relmerge_engine::LogicalQuery;
+    use relmerge_workload::{consistent_state, star_merge_set, star_schema, StarSpec, StateSpec};
+
+    let _span = obs::span("bench.b3.merge_scaling");
+    let advisor = Advisor::new(AdvisorConfig::declarative_only());
+    let mut procedures = Vec::new();
+    for &n in satellites {
+        let spec = StarSpec {
+            satellites: n,
+            non_key_attrs: 1,
+            externals: 2,
+        };
+        let schema = star_schema(&spec);
+        let set = star_merge_set(&spec);
+        let refs: Vec<&str> = set.iter().map(String::as_str).collect();
+        let plan = || Merge::plan(&schema, &refs, "MERGED");
+        let mut merged = plan()?;
+        let arity_before = merged.merged_scheme().attr_names().len();
+        let planned_bcnf = merged.schema().is_bcnf();
+        merged.remove_all_removable()?;
+        assert!(
+            planned_bcnf && merged.schema().is_bcnf(),
+            "every merged scheme must be BCNF ({n} satellites)"
+        );
+        let (_, applied) = advisor.greedy(&schema)?;
+        assert!(!applied.is_empty(), "greedy must merge ({n} satellites)");
+        let last = format!("S{}.V0", n - 1);
+        let query = LogicalQuery::select(&["ROOT.K", &last]);
+        let remove = |mut m: Merged| m.remove_all_removable().map(|_| m);
+        procedures.push(
+            Row::new()
+                .cell("satellites", n)
+                .cell("arity_before", arity_before)
+                .cell("arity_after", merged.merged_scheme().attr_names().len())
+                .cell("greedy_merges", applied.len())
+                .cell("plan_us", median_us(plan)?)
+                .cell("remove_us", median_us_with(plan, remove)?)
+                .cell("propose_us", median_us(|| advisor.propose_static(&schema))?)
+                .cell("greedy_us", median_us(|| advisor.greedy(&schema))?)
+                .cell(
+                    "query_plan_us",
+                    median_us(|| relmerge_engine::plan(&schema, &query))?,
+                ),
+        );
+    }
+
+    let spec = StarSpec {
+        satellites: 3,
+        non_key_attrs: 2,
+        externals: 0,
+    };
+    let schema = star_schema(&spec);
+    let set = star_merge_set(&spec);
+    let refs: Vec<&str> = set.iter().map(String::as_str).collect();
+    let merged = Merge::plan(&schema, &refs, "MERGED")?;
+    let mut mappings = Vec::new();
+    for &rows in root_rows {
+        let mut rng = StdRng::seed_from_u64(13);
+        let spec = StateSpec {
+            root_rows: rows,
+            coverage: 0.7,
+        };
+        let state = consistent_state(&schema, &spec, &mut rng)?;
+        let image = merged.apply(&state)?;
+        assert_eq!(
+            merged.invert(&image)?,
+            state,
+            "η′(η(r)) must equal r ({rows} root rows)"
+        );
+        mappings.push(
+            Row::new()
+                .cell("root_rows", rows)
+                .cell("tuples", state.total_tuples())
+                .cell("merged_tuples", image.total_tuples())
+                .cell("apply_us", median_us(|| merged.apply(&state))?)
+                .cell("invert_us", median_us(|| merged.invert(&image))?),
+        );
+    }
+    let mut report =
+        Report::new("B3: cost of the procedures (Merge, Remove, advisor, planner, η/η′)");
+    report.scale =
+        format!("{satellites:?} star satellites, {root_rows:?} root rows, median of {RUNS} runs");
+    report.tables.push(("procedures", procedures));
+    report.tables.push(("mappings", mappings));
+    Ok(report)
 }
 
 /// B6: the same read-mostly operation stream executed against the
@@ -473,7 +607,8 @@ pub fn batch_dml(scales: &[usize], n_ops: usize, batch_size: usize) -> Result<Re
 
 /// B4: the effect of `Remove` on relation size and constraint count
 /// (paper §4.2: removing redundant attributes "simplifies the set of null
-/// constraints … as well as reduces the size of the relations").
+/// constraints … as well as reduces the size of the relations"), and on
+/// the time to materialize the merged relation (η) and to scan it.
 pub fn remove_effect(scales: &[usize]) -> Result<Report> {
     let mut rows = Vec::new();
     for &courses in scales {
@@ -485,17 +620,25 @@ pub fn remove_effect(scales: &[usize]) -> Result<Report> {
             },
             &mut rng,
         )?;
+        // The merged relation of `m`, with the median η and scan times.
+        let measure = |m: &Merged| -> Result<(relmerge_relational::Relation, Cell, Cell)> {
+            let state = m.apply(&u.state)?;
+            let eta_us = median_us(|| m.apply(&u.state))?;
+            let mut db = Database::new(m.schema().clone(), DbmsProfile::ideal())?;
+            db.load_state(&state)?;
+            let scan_us = median_us(|| db.execute(&merged_scan_query()))?;
+            let merged = state.relation("COURSE_M").expect("merged relation");
+            Ok((merged.clone(), eta_us, scan_us))
+        };
         let mut m = Merge::plan(
             &u.schema,
             &["COURSE", "OFFER", "TEACH", "ASSIST"],
             "COURSE_M",
         )?;
-        let before_state = m.apply(&u.state)?;
-        let before = before_state.relation("COURSE_M").expect("merged relation");
+        let (before, eta_before_us, scan_before_us) = measure(&m)?;
         let before_constraints = m.generated_null_constraints().len();
         m.remove_all_removable()?;
-        let after_state = m.apply(&u.state)?;
-        let after = after_state.relation("COURSE_M").expect("merged relation");
+        let (after, eta_after_us, scan_after_us) = measure(&m)?;
         rows.push(
             Row::new()
                 .cell("courses", courses)
@@ -506,12 +649,162 @@ pub fn remove_effect(scales: &[usize]) -> Result<Report> {
                 .cell("nulls_before", before.null_count())
                 .cell("nulls_after", after.null_count())
                 .cell("constraints_before", before_constraints)
-                .cell("constraints_after", m.generated_null_constraints().len()),
+                .cell("constraints_after", m.generated_null_constraints().len())
+                .cell("eta_before_us", eta_before_us)
+                .cell("eta_after_us", eta_after_us)
+                .cell("scan_before_us", scan_before_us)
+                .cell("scan_after_us", scan_after_us),
         );
     }
     let mut report = Report::new("B4: effect of Remove on the merged relation");
     report.scale = format!("{scales:?} courses");
     report.tables.push(("rows", rows));
+    Ok(report)
+}
+
+/// B5: the relational substrate the technique is built on — the §2
+/// outer-equi-join and the total projection that reverses it, the five
+/// §3 null-constraint kinds, and the FD and null-existence closures
+/// behind the BCNF test and `Remove`.
+///
+/// Per size `n` in `sizes`: a join of two 3-column relations of `n` rows
+/// each, whose keys step by 2 and by 4 so that half of each side matches,
+/// and the total projection of the result on the left header. The
+/// constraints are checked over a relation of the largest size whose odd
+/// rows are null in their last two columns. The closures walk chains of
+/// 8 and 32 attributes.
+///
+/// Asserted: the join has `n + n/2` rows (both sides are padded), the
+/// total projection recovers the left operand, every constraint holds,
+/// both closures reach the whole chain, and the FD chain is not BCNF.
+pub fn substrate(sizes: &[usize]) -> Result<Report> {
+    use relmerge_relational::nullcon::ne_closure;
+    use relmerge_relational::{
+        algebra, Attribute, Domain, Fd, FdSet, NullConstraint, Relation, RelationScheme,
+    };
+
+    let _span = obs::span("bench.b5.substrate");
+    let header = |prefix: &str, width: usize| -> Vec<Attribute> {
+        (0..width)
+            .map(|c| Attribute::new(format!("{prefix}.A{c}"), Domain::Int))
+            .collect()
+    };
+    // Row r of an `n`-row relation holds r·stride + c in column c.
+    let int_relation = |prefix: &str, n: usize, stride: i64| {
+        Relation::with_rows(
+            header(prefix, 3),
+            (0..n as i64).map(|r| Tuple::new([0, 1, 2].map(|c| Value::Int(r * stride + c)))),
+        )
+    };
+    let mut joins = Vec::new();
+    for &n in sizes {
+        let left = int_relation("L", n, 2)?;
+        let right = int_relation("R", n, 4)?;
+        let on = [("L.A0", "R.A0")];
+        let left_attrs = ["L.A0", "L.A1", "L.A2"];
+        let joined = algebra::outer_equi_join(&left, &right, &on)?;
+        assert_eq!(joined.len(), n + n / 2, "both sides of the join are padded");
+        assert_eq!(
+            algebra::total_project(&joined, &left_attrs)?,
+            left,
+            "the total projection must recover the left operand"
+        );
+        joins.push(
+            Row::new()
+                .cell("rows", n)
+                .cell("joined_rows", joined.len())
+                .cell(
+                    "join_us",
+                    median_us(|| algebra::outer_equi_join(&left, &right, &on))?,
+                )
+                .cell(
+                    "project_us",
+                    median_us(|| algebra::total_project(&joined, &left_attrs))?,
+                ),
+        );
+    }
+
+    let n = sizes.iter().copied().max().unwrap_or(0);
+    let half_null = Relation::with_rows(
+        header("M", 4),
+        (0..n as i64).map(|r| {
+            let tail = |v: i64| {
+                if r % 2 == 0 {
+                    Value::Int(v)
+                } else {
+                    Value::Null
+                }
+            };
+            Tuple::new([Value::Int(r), Value::Int(r), tail(r + 1), tail(r + 2)])
+        }),
+    )?;
+    let constraints = [
+        ("nna", NullConstraint::nna("M", &["M.A0"])),
+        ("null_sync", NullConstraint::ns("M", &["M.A2", "M.A3"])),
+        (
+            "null_existence",
+            NullConstraint::ne("M", &["M.A2"], &["M.A3"]),
+        ),
+        (
+            "total_equality",
+            NullConstraint::te("M", &["M.A0"], &["M.A1"]),
+        ),
+        (
+            "part_null",
+            NullConstraint::pn("M", &[&["M.A0", "M.A1"], &["M.A2", "M.A3"]]),
+        ),
+    ];
+    let mut checks = Vec::new();
+    for (kind, constraint) in &constraints {
+        assert!(constraint.satisfied_by(&half_null)?, "{kind} must hold");
+        checks.push(Row::new().cell("constraint", *kind).cell("rows", n).cell(
+            "check_us",
+            median_us(|| constraint.satisfied_by(&half_null))?,
+        ));
+    }
+
+    let mut chains = Vec::new();
+    for width in [8, 32] {
+        let attrs = header("R", width);
+        let names: Vec<String> = attrs.iter().map(|a| a.name().to_owned()).collect();
+        let scheme = RelationScheme::new("R", attrs, &[&names[0]])?;
+        // A0 → A1 → … → A(width−1), and the same chain of null-existence
+        // constraints.
+        let mut fds = FdSet::new();
+        let mut nes = Vec::new();
+        for pair in names.windows(2) {
+            fds.push(Fd::new("R", &[&pair[0]], &[&pair[1]]));
+            nes.push(NullConstraint::ne("R", &[&pair[0]], &[&pair[1]]));
+        }
+        let start = [names[0].as_str()];
+        let closure = fds.closure("R", &start);
+        let ne = ne_closure(&nes, "R", &start);
+        assert!(
+            closure.len() == width && ne.len() == width,
+            "the closures must reach the whole {width}-attribute chain"
+        );
+        let bcnf = fds.is_bcnf(&scheme);
+        assert!(!bcnf, "a non-key FD chain is not BCNF");
+        chains.push(
+            Row::new()
+                .cell("attrs", width)
+                .cell("closure_attrs", closure.len())
+                .cell("ne_closure_attrs", ne.len())
+                .cell("bcnf", bcnf)
+                .cell("closure_us", median_us(|| Ok(fds.closure("R", &start)))?)
+                .cell("bcnf_us", median_us(|| Ok(fds.is_bcnf(&scheme)))?)
+                .cell(
+                    "ne_closure_us",
+                    median_us(|| Ok(ne_closure(&nes, "R", &start)))?,
+                ),
+        );
+    }
+    let mut report =
+        Report::new("B5: the relational substrate (outer-equi-join, null constraints, closures)");
+    report.scale = format!("{sizes:?} rows, median of {RUNS} runs");
+    report.tables.push(("joins", joins));
+    report.tables.push(("null_constraints", checks));
+    report.tables.push(("chains", chains));
     Ok(report)
 }
 
@@ -658,6 +951,33 @@ fn quantile(xs: &mut [f64], q: f64) -> f64 {
     let pos = (xs.len() - 1) as f64 * q;
     let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
     xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+}
+
+/// Timed runs behind each median of [`median_us`].
+const RUNS: usize = 11;
+
+/// The median wall time of [`RUNS`] runs of `f`, after one untimed
+/// warm-up run: a report cell in µs.
+fn median_us<T>(mut f: impl FnMut() -> Result<T>) -> Result<Cell> {
+    median_us_with(|| Ok(()), |()| f())
+}
+
+/// [`median_us`] of `run`, each run on a fresh input from `setup`, which
+/// is not timed. Each result is dropped after its clock stops.
+fn median_us_with<S, T>(
+    mut setup: impl FnMut() -> Result<S>,
+    mut run: impl FnMut(S) -> Result<T>,
+) -> Result<Cell> {
+    drop(run(setup()?)?);
+    let mut xs = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let input = setup()?;
+        let t0 = Instant::now();
+        let out = black_box(run(black_box(input))?);
+        xs.push(obs::elapsed_ns(t0) as f64 / 1e3);
+        drop(out);
+    }
+    Ok(Cell::Num(quantile(&mut xs, 0.5), 3))
 }
 
 /// The reference a pushed-down filter must match: `plan` run without its
@@ -927,13 +1247,13 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
 }
 
 /// One B14 run: load the unmerged university instance, execute the
-/// skewed read mix, and return the profiler snapshot alongside the
-/// manually summed per-query [`QueryStats`] — the ground truth the
-/// profiler must match exactly.
+/// skewed read mix, and return the database alongside the manually summed
+/// per-query [`QueryStats`] — the ground truth its profiler must match
+/// exactly — and the mix's wall time (ns).
 fn profile_run(
     courses: usize,
     ops: &[relmerge_workload::UniversityOp],
-) -> Result<(obs::ProfileSnapshot, relmerge_engine::QueryStats)> {
+) -> Result<(Database, relmerge_engine::QueryStats, u64)> {
     use relmerge_workload::UniversityOp;
 
     let mut rng = StdRng::seed_from_u64(42);
@@ -947,6 +1267,7 @@ fn profile_run(
     let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
     db.load_state(&u.state)?;
     let mut manual = relmerge_engine::QueryStats::default();
+    let t0 = Instant::now();
     for op in ops {
         let (_, stats) = match op {
             UniversityOp::CourseDetail { nr } => db.execute(&unmerged_point_query(*nr))?,
@@ -955,7 +1276,8 @@ fn profile_run(
         };
         manual += stats;
     }
-    Ok((db.profile_snapshot(), manual))
+    let elapsed_ns = obs::elapsed_ns(t0);
+    Ok((db, manual, elapsed_ns))
 }
 
 /// B14: the workload profiler on a Zipf-skewed read mix against the
@@ -980,7 +1302,8 @@ pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Re
     let mut rng = StdRng::seed_from_u64(14);
     let ops = skewed_reads(&SkewSpec::default(), n_ops, courses, 200, &mut rng);
 
-    let (snap, manual) = profile_run(courses, &ops)?;
+    let (db, manual, mix_ns) = profile_run(courses, &ops)?;
+    let snap = db.profile_snapshot();
 
     // Exactness: profiler totals == manual per-query sums, field for field.
     let sum = |f: fn(&obs::QueryCost) -> u64| -> u64 {
@@ -1025,12 +1348,14 @@ pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Re
     // Determinism: a fresh database + the same stream reproduce the
     // report byte for byte.
     let ranking = obs::report(&snap);
-    let (snap2, _) = profile_run(courses, &ops)?;
+    let (db2, _, _) = profile_run(courses, &ops)?;
     assert_eq!(
         obs::report_to_json(&ranking),
-        obs::report_to_json(&obs::report(&snap2)),
+        obs::report_to_json(&obs::report(&db2.profile_snapshot())),
         "hot-join report must be deterministic"
     );
+    let snapshot_us = median_us(|| Ok(db.profile_snapshot()))?;
+    let report_us = median_us(|| Ok(obs::report(&snap)))?;
 
     let hot = &ranking[..ranking.len().min(top_k)];
     assert!(!hot.is_empty(), "the read mix exercises joins");
@@ -1068,7 +1393,10 @@ pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Re
         .cell("index_probes", sum(|t| t.index_probes))
         .cell("rows_scanned", sum(|t| t.rows_scanned))
         .cell("intermediate_bytes", sum(|t| t.intermediate_bytes))
-        .cell("peak_intermediate_bytes", manual.peak_intermediate_bytes);
+        .cell("peak_intermediate_bytes", manual.peak_intermediate_bytes)
+        .cell("ns_per_op", Cell::Num(mix_ns as f64 / n_ops as f64, 0))
+        .cell("snapshot_us", snapshot_us)
+        .cell("report_us", report_us);
     report.tables.push(("hot_joins", hot_joins));
     Ok(report)
 }
@@ -1406,7 +1734,6 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     use relmerge_engine::fault::site;
     use relmerge_engine::{FaultMode, FaultPlan};
     use relmerge_workload::{skewed_reads, SkewSpec, UniversityOp};
-    use std::time::Instant;
 
     let _span = obs::span("bench.b13.online_merge").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -1448,7 +1775,9 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     // The advisor, fed the live profile, ranks the COURSE chain first —
     // the only candidate the observed workload pays for.
     let advisor = Advisor::new(AdvisorConfig::permissive());
-    let proposals = advisor.propose_from_profile(&db.profile_snapshot(), db.schema())?;
+    let profile = db.profile_snapshot();
+    let proposals = advisor.propose_from_profile(&profile, db.schema())?;
+    let propose_us = median_us(|| advisor.propose_from_profile(&profile, db.schema()))?;
     let top = proposals
         .iter()
         .find(|p| p.admissible && p.observed_cost > 0)
@@ -1475,7 +1804,9 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     assert!(capacity_4_1, "Proposition 4.1 must hold pre-migration");
 
     // The live migration, then the 4.1 + 4.2 oracle across it.
+    let t0 = Instant::now();
     let report = db.migrate(&plan)?;
+    let migrate_ms = obs::elapsed_ns(t0) as f64 / 1e6;
     let post_state = db.snapshot()?;
     let capacity_both = check_both(&plan, &pre_state, &post_state)?.holds();
     assert!(
@@ -1584,8 +1915,10 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
         .cell("merged_name", &report.merged_name)
         .cell("members", Cell::list(&top.members))
         .cell("observed_cost", top.observed_cost)
+        .cell("propose_us", propose_us)
         .cell("rows_migrated", report.rows_migrated)
         .cell("chunks_applied", report.chunks_applied)
+        .cell("migrate_ms", Cell::Num(migrate_ms, 3))
         .cell("pre_probes", pre_stats.index_probes)
         .cell("post_probes", post_stats.index_probes)
         .cell("pre_rows_scanned", pre_stats.rows_scanned)
@@ -1634,7 +1967,6 @@ pub fn wal_torture(
     use relmerge_engine::fault::site;
     use relmerge_engine::{DurabilityConfig, EngineConfig, FaultMode, FaultPlan, FsyncPolicy};
     use relmerge_workload::{university_ops, write_batches, MixSpec};
-    use std::time::Instant;
 
     let _span = obs::span("bench.b11.wal_torture")
         .field("courses", courses)
@@ -2249,8 +2581,8 @@ mod tests {
     fn maintenance_shape() {
         let report = maintenance_cost(100).unwrap();
         let rows = report.table("rows");
-        assert_eq!(rows.len(), 2);
-        let (unmerged, merged) = (&rows[0], &rows[1]);
+        assert_eq!(rows.len(), 3);
+        let (unmerged, merged, native) = (&rows[0], &rows[1], &rows[2]);
         // Unmerged: 4 statements per entity, no procedural checks.
         assert_eq!(unmerged.int("statements"), 400);
         assert_eq!(unmerged.int("procedural"), 0);
@@ -2258,6 +2590,86 @@ mod tests {
         // Merged: 1 statement per entity, trigger checks present.
         assert_eq!(merged.int("statements"), 100);
         assert!(merged.int("procedural") > 0);
+        // The same insert with no trigger tier checks every constraint
+        // natively.
+        assert_eq!(native.int("statements"), 100);
+        assert_eq!(native.int("procedural"), 0);
+        assert_eq!(
+            native.int("declarative"),
+            merged.int("declarative") + merged.int("procedural")
+        );
+    }
+
+    #[test]
+    fn merge_scaling_shape() {
+        // `merge_scaling` itself asserts BCNF, a greedy merge at every
+        // size and η′(η(r)) = r; the checks here cover the recorded rows.
+        let report = merge_scaling(&[2, 8], &[100]).unwrap();
+        let procedures = report.table("procedures");
+        assert_eq!(procedures.len(), 2);
+        for r in procedures {
+            // Merge keeps every member's attributes; Remove drops each
+            // satellite's copy of the root key.
+            let n = r.int("satellites");
+            assert_eq!(
+                (r.int("arity_before"), r.int("arity_after")),
+                (1 + 2 * n, 1 + n)
+            );
+            assert_eq!(r.int("greedy_merges"), 1, "{r:?}");
+            for k in [
+                "plan_us",
+                "remove_us",
+                "propose_us",
+                "greedy_us",
+                "query_plan_us",
+            ] {
+                assert!(r.num(k) > 0.0, "{k}: {r:?}");
+            }
+        }
+        let eta = &report.table("mappings")[0];
+        assert_eq!(
+            keys(eta),
+            [
+                "root_rows",
+                "tuples",
+                "merged_tuples",
+                "apply_us",
+                "invert_us"
+            ]
+        );
+        // η keeps one merged tuple per root row.
+        assert_eq!((eta.int("root_rows"), eta.int("merged_tuples")), (100, 100));
+    }
+
+    #[test]
+    fn substrate_shape() {
+        // `substrate` itself asserts the join's padding, the total
+        // projection's round trip, every constraint and both closures.
+        let report = substrate(&[1_000]).unwrap();
+        let join = &report.table("joins")[0];
+        assert_eq!((join.int("rows"), join.int("joined_rows")), (1_000, 1_500));
+        let kinds: Vec<&str> = report
+            .table("null_constraints")
+            .iter()
+            .map(|r| r.text("constraint"))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "nna",
+                "null_sync",
+                "null_existence",
+                "total_equality",
+                "part_null"
+            ]
+        );
+        let chains = report.table("chains");
+        assert_eq!(chains.len(), 2);
+        for r in chains {
+            assert_eq!(r.int("closure_attrs"), r.int("attrs"), "{r:?}");
+            assert_eq!(r.int("ne_closure_attrs"), r.int("attrs"), "{r:?}");
+            assert_eq!(r.get("bcnf"), Some(&Cell::Bool(false)), "{r:?}");
+        }
     }
 
     #[test]
@@ -2559,7 +2971,10 @@ mod tests {
                 "index_probes",
                 "rows_scanned",
                 "intermediate_bytes",
-                "peak_intermediate_bytes"
+                "peak_intermediate_bytes",
+                "ns_per_op",
+                "snapshot_us",
+                "report_us"
             ]
         );
         assert_eq!(
@@ -2634,8 +3049,10 @@ mod tests {
                 "merged_name",
                 "members",
                 "observed_cost",
+                "propose_us",
                 "rows_migrated",
                 "chunks_applied",
+                "migrate_ms",
                 "pre_probes",
                 "post_probes",
                 "pre_rows_scanned",

@@ -19,7 +19,9 @@ fn assert_rejected(args: &[&str], bad: &str) {
         "{stderr}"
     );
     assert!(
-        stderr.contains("fig1 ") && stderr.contains(" b15 all"),
+        stderr.contains("fig1 ")
+            && stderr.contains(" b2 b3 b4 b5 b6 ")
+            && stderr.contains(" b15 all"),
         "{stderr}"
     );
     assert!(stderr.contains("--smoke --trace"), "{stderr}");

@@ -38,9 +38,7 @@
 //! advisor: profile evidence in, ranked proposals, hot merges executed
 //! online.
 
-use std::collections::BTreeSet;
-
-use relmerge_core::{check_forward_image, Advisor, CapacityReport, Merge, MergeProposal, Merged};
+use relmerge_core::{check_forward_image, Advisor, CapacityReport, MergeProposal, Merged};
 use relmerge_obs as obs;
 use relmerge_relational::{Error, RelationalSchema, Result};
 
@@ -205,31 +203,33 @@ impl Database {
 
     /// The full observation → decision → migration loop: snapshots the
     /// live workload profile, asks `advisor` for proposals ranked by the
-    /// access cost they would eliminate, and migrates every admissible,
-    /// pairwise-disjoint proposal with **observed** cost (static-only
-    /// proposals are skipped — this entry point only merges what the
-    /// workload demonstrably pays for). Returns the executed migrations
-    /// in application order; an empty vector means the evidence demanded
-    /// nothing.
+    /// access cost they would eliminate, selects the admissible,
+    /// pairwise-disjoint ones with **observed** cost through
+    /// [`Advisor::apply_proposals`] (static-only proposals are skipped —
+    /// this entry point only merges what the workload demonstrably pays
+    /// for), and migrates each selected merge in order. Returns the
+    /// executed migrations in application order; an empty vector means
+    /// the evidence demanded nothing.
+    ///
+    /// Every selected merge is planned before the first migration, so a
+    /// planning error surfaces before any migration runs; the selection
+    /// fires `core.advisor.applied` and the `core.advisor.apply_greedy`
+    /// span.
     pub fn advise_and_migrate(&mut self, advisor: &Advisor) -> Result<Vec<AdvisedMigration>> {
         let snapshot = self.profile_snapshot();
-        let proposals = advisor.propose_from_profile(&snapshot, self.schema())?;
-        let mut consumed: BTreeSet<String> = BTreeSet::new();
-        let mut out = Vec::new();
-        for proposal in proposals {
-            if !proposal.admissible || proposal.observed_cost == 0 {
-                continue;
-            }
-            if proposal.members.iter().any(|m| consumed.contains(m)) {
-                continue;
-            }
-            let merged_name = format!("{}_M", proposal.members[0]);
-            let refs: Vec<&str> = proposal.members.iter().map(String::as_str).collect();
-            let mut plan = Merge::plan(self.schema(), &refs, &merged_name)?;
-            plan.remove_all_removable()?;
-            let report = self.migrate(&plan)?;
-            consumed.extend(proposal.members.iter().cloned());
-            out.push(AdvisedMigration { proposal, report });
+        let observed: Vec<MergeProposal> = advisor
+            .propose_from_profile(&snapshot, self.schema())?
+            .into_iter()
+            .filter(|p| p.observed_cost > 0)
+            .collect();
+        let (_, applied) = advisor.apply_proposals(self.schema(), &observed)?;
+        let mut out = Vec::with_capacity(applied.len());
+        for step in applied {
+            let report = self.migrate(&step.merged)?;
+            out.push(AdvisedMigration {
+                proposal: step.proposal,
+                report,
+            });
         }
         Ok(out)
     }
@@ -241,7 +241,7 @@ mod tests {
     use crate::capability::DbmsProfile;
     use crate::fault::{FaultMode, FaultPlan};
     use crate::query::{JoinStep, QueryPlan};
-    use relmerge_core::AdvisorConfig;
+    use relmerge_core::{AdvisorConfig, Merge};
     use relmerge_relational::{
         Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Tuple,
         Value,

@@ -17,7 +17,10 @@ use relmerge::engine::fault::site;
 use relmerge::engine::{
     Database, DbmsProfile, FaultMode, FaultPlan, JoinStep, QueryPlan, Statement,
 };
-use relmerge::relational::{Error, Tuple, Value};
+use relmerge::relational::{
+    Attribute, Domain, Error, InclusionDep, NullConstraint, RelationScheme, RelationalSchema,
+    Tuple, Value,
+};
 use relmerge::workload::{
     consistent_state, generate_university, star_merge_set, star_schema, StarSpec, StateSpec,
     UniversitySpec,
@@ -141,6 +144,72 @@ fn advisor_merges_the_chain_a_scan_workload_pays_for() {
     members.sort();
     assert_eq!(members, ["ASSIST", "COURSE", "OFFER", "TEACH"]);
     assert_eq!(applied[0].proposal.observed_cost, probes);
+    assert!(db.verify_integrity().is_clean());
+}
+
+/// Two disjoint stars, `A ← A1` and `B ← B1`, ten rows in each relation.
+fn two_stars() -> Database {
+    let int = |name: &str| Attribute::new(name, Domain::Int);
+    let mut rs = RelationalSchema::new();
+    for (root, sat) in [("A", "A1"), ("B", "B1")] {
+        let (rk, sk, sv) = (format!("{root}.K"), format!("{sat}.K"), format!("{sat}.V"));
+        rs.add_scheme(RelationScheme::new(root, vec![int(&rk)], &[&rk]).unwrap())
+            .unwrap();
+        rs.add_scheme(RelationScheme::new(sat, vec![int(&sk), int(&sv)], &[&sk]).unwrap())
+            .unwrap();
+        rs.add_null_constraint(NullConstraint::nna(root, &[&rk]))
+            .unwrap();
+        rs.add_null_constraint(NullConstraint::nna(sat, &[&sk, &sv]))
+            .unwrap();
+        rs.add_ind(InclusionDep::new(sat, &[&sk], root, &[&rk]))
+            .unwrap();
+    }
+    let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
+    for k in 0..10 {
+        for (root, sat) in [("A", "A1"), ("B", "B1")] {
+            db.insert(root, Tuple::new([Value::Int(k)])).unwrap();
+            db.insert(sat, Tuple::new([Value::Int(k), Value::Int(k * 10)]))
+                .unwrap();
+        }
+    }
+    db
+}
+
+/// Of two mergeable stars, only the one the workload joins migrates, and
+/// the migrations are exactly `Advisor::apply_proposals`' selection over
+/// the same observed proposals.
+#[test]
+fn advise_and_migrate_merges_only_the_hot_star() {
+    let mut db = two_stars();
+    let hot = QueryPlan::scan("A1").join(JoinStep::inner("A", &["A1.K"], &["A.K"]));
+    for _ in 0..4 {
+        db.execute(&hot).unwrap();
+    }
+    let advisor = Advisor::new(AdvisorConfig::permissive());
+    let proposals = advisor
+        .propose_from_profile(&db.profile_snapshot(), db.schema())
+        .unwrap();
+    assert_eq!(
+        proposals.len(),
+        2,
+        "both stars are candidates: {proposals:?}"
+    );
+    let observed: Vec<_> = proposals
+        .into_iter()
+        .filter(|p| p.observed_cost > 0)
+        .collect();
+    let (schema, selected) = advisor.apply_proposals(db.schema(), &observed).unwrap();
+
+    let migrated = db.advise_and_migrate(&advisor).unwrap();
+    assert_eq!(migrated.len(), 1, "{migrated:?}");
+    assert_eq!(migrated[0].proposal.members, ["A", "A1"]);
+    assert_eq!(migrated.len(), selected.len());
+    for (m, s) in migrated.iter().zip(&selected) {
+        assert_eq!(m.proposal, s.proposal);
+        assert_eq!(m.report.merged_name, s.merged_name);
+    }
+    assert_eq!(*db.schema(), schema);
+    assert!(db.schema().scheme("B").is_some() && db.schema().scheme("B1").is_some());
     assert!(db.verify_integrity().is_clean());
 }
 
