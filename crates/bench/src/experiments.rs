@@ -192,92 +192,91 @@ pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Repor
 /// whose general null constraints run as SYBASE-style triggers or, on the
 /// ideal profile, natively: the same one-statement insert with no trigger
 /// tier.
-pub fn maintenance_cost(entities: usize) -> Result<Report> {
+///
+/// Each of `rounds` rounds loads a fresh database per scenario (untimed)
+/// and times its `entities` bundle inserts, rotating which scenario runs
+/// first; each row reports its scenario's median `ns_per_entity`. Every
+/// round must count the same statements and checks (asserted).
+pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
     let (u, m) = university_merge(10, 1)?;
-    let mut rows = Vec::new();
-
-    // Unmerged: DB2 profile — every constraint is declarative.
-    {
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::db2())?;
-        db.load_state(&u.state)?;
-        // Seed references.
-        let dept = Value::text("dept0");
-        let faculty = Value::Int(10_000);
-        let student = Value::Int(10_400);
-        let _ = db.take_stats(); // discard the load phase
-        let t = obs::timer("bench.b2.insert").field("scenario", "unmerged");
-        for i in 0..entities {
-            let nr = Value::Int(1_000_000 + i as i64);
-            db.insert("COURSE", Tuple::new([nr.clone()]))
-                .expect("course insert");
-            db.insert("OFFER", Tuple::new([nr.clone(), dept.clone()]))
-                .expect("offer insert");
-            db.insert("TEACH", Tuple::new([nr.clone(), faculty.clone()]))
-                .expect("teach insert");
-            db.insert("ASSIST", Tuple::new([nr, student.clone()]))
-                .expect("assist insert");
-        }
-        rows.push(maintenance_row(
-            "unmerged (DB2, declarative)",
-            entities,
-            &db.take_stats(),
-            t.stop(),
-        ));
-    }
-
-    // Merged: a course bundle is a single statement. SYBASE checks the
-    // NS/NE constraints through triggers; the ideal profile natively.
     let merged_state = m.apply(&u.state)?;
-    for (scenario, profile) in [
-        ("merged (SYBASE 4.0, triggers)", DbmsProfile::sybase40()),
-        ("merged (ideal, native)", DbmsProfile::ideal()),
-    ] {
-        let mut db = Database::new(m.schema().clone(), profile)?;
-        db.load_state(&merged_state)?;
-        let dept = Value::text("dept0");
-        let faculty = Value::Int(10_000);
-        let student = Value::Int(10_400);
-        let _ = db.take_stats(); // discard the load phase
-        let t = obs::timer("bench.b2.insert").field("scenario", scenario);
-        for i in 0..entities {
-            let nr = Value::Int(1_000_000 + i as i64);
-            db.insert(
-                "COURSE_M",
-                Tuple::new([nr, dept.clone(), faculty.clone(), student.clone()]),
-            )
-            .expect("merged insert");
+    // Unmerged: DB2 profile — every constraint is declarative. Merged: a
+    // course bundle is a single statement; SYBASE checks the NS/NE
+    // constraints through triggers, the ideal profile natively.
+    let scenarios = [
+        ("unmerged (DB2, declarative)", DbmsProfile::db2(), false),
+        (
+            "merged (SYBASE 4.0, triggers)",
+            DbmsProfile::sybase40(),
+            true,
+        ),
+        ("merged (ideal, native)", DbmsProfile::ideal(), true),
+    ];
+    let dept = Value::text("dept0");
+    let faculty = Value::Int(10_000);
+    let student = Value::Int(10_400);
+    let mut counts: Vec<Option<relmerge_engine::MaintenanceStats>> = vec![None; scenarios.len()];
+    let mut ns: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); scenarios.len()];
+    for round in 0..rounds {
+        for i in 0..scenarios.len() {
+            let s = (round + i) % scenarios.len();
+            let (scenario, profile, merged) = &scenarios[s];
+            let (schema, state) = if *merged {
+                (m.schema(), &merged_state)
+            } else {
+                (&u.schema, &u.state)
+            };
+            let mut db = Database::new(schema.clone(), profile.clone())?;
+            db.load_state(state)?;
+            let _ = db.take_stats(); // discard the load phase
+            let t = obs::timer("bench.b2.insert").field("scenario", *scenario);
+            for e in 0..entities {
+                let nr = Value::Int(1_000_000 + e as i64);
+                if *merged {
+                    db.insert(
+                        "COURSE_M",
+                        Tuple::new([nr, dept.clone(), faculty.clone(), student.clone()]),
+                    )
+                    .expect("merged insert");
+                } else {
+                    db.insert("COURSE", Tuple::new([nr.clone()]))
+                        .expect("course insert");
+                    db.insert("OFFER", Tuple::new([nr.clone(), dept.clone()]))
+                        .expect("offer insert");
+                    db.insert("TEACH", Tuple::new([nr.clone(), faculty.clone()]))
+                        .expect("teach insert");
+                    db.insert("ASSIST", Tuple::new([nr, student.clone()]))
+                        .expect("assist insert");
+                }
+            }
+            ns[s].push(t.stop() as f64 / entities as f64);
+            let stats = db.take_stats();
+            let first = *counts[s].get_or_insert(stats);
+            assert_eq!(
+                stats, first,
+                "{scenario}: round {round} counted differently"
+            );
         }
-        rows.push(maintenance_row(
-            scenario,
-            entities,
-            &db.take_stats(),
-            t.stop(),
-        ));
     }
+    let rows = scenarios
+        .iter()
+        .zip(counts)
+        .zip(&mut ns)
+        .map(|(((scenario, _, _), stats), ns)| {
+            let stats = stats.expect("at least one round");
+            Row::new()
+                .cell("scenario", *scenario)
+                .cell("entities", entities)
+                .cell("statements", stats.inserts)
+                .cell("declarative", stats.declarative_checks)
+                .cell("procedural", stats.procedural_checks)
+                .cell("ns_per_entity", Cell::Num(quantile(ns, 0.5), 0))
+        })
+        .collect();
     let mut report = Report::new("B2: maintenance cost per inserted course bundle");
-    report.scale = format!("{entities} course bundles");
+    report.scale = format!("{entities} course bundles, median of {rounds} rounds");
     report.tables.push(("rows", rows));
     Ok(report)
-}
-
-/// One B2 row: statements and checks of `entities` bundle inserts that
-/// took `elapsed_ns`.
-fn maintenance_row(
-    scenario: &str,
-    entities: usize,
-    stats: &relmerge_engine::MaintenanceStats,
-    elapsed_ns: u64,
-) -> Row {
-    Row::new()
-        .cell("scenario", scenario)
-        .cell("entities", entities)
-        .cell("statements", stats.inserts)
-        .cell("declarative", stats.declarative_checks)
-        .cell("procedural", stats.procedural_checks)
-        .cell(
-            "ns_per_entity",
-            Cell::Num(elapsed_ns as f64 / entities as f64, 0),
-        )
 }
 
 /// B3: the cost of the schema-design procedures as the merge set grows,
@@ -823,11 +822,10 @@ pub fn composite_no_index_query() -> QueryPlan {
     ))
 }
 
-/// The worker counts every sweep-style experiment measures: 1, 2, 4, and
-/// the machine's available parallelism, deduplicated and sorted. Counts
-/// above the physical core count are kept on purpose — the determinism
-/// guarantee says they must still produce byte-identical results, and on
-/// a single-core host they are the only multi-worker data points.
+/// The client-thread counts B12 measures: 1, 2, 4, and the machine's
+/// available parallelism, deduplicated and sorted. Counts above the
+/// physical core count are kept on purpose: on a single-core host they
+/// are the only multi-thread data points.
 #[must_use]
 pub fn worker_sweep(cores: usize) -> Vec<usize> {
     let mut sweep = vec![1, 2, 4, cores.max(1)];
@@ -836,24 +834,20 @@ pub fn worker_sweep(cores: usize) -> Vec<usize> {
     sweep
 }
 
-/// B8: the morsel-parallel executor on the unmerged university schema,
-/// swept over every [`worker_sweep`] worker count.
+/// B8: the executor on the unmerged university schema.
 ///
 /// Two queries are measured: the B1 chain scan (covering indexes exist,
 /// so every join probes its index once per left row) and
 /// [`composite_no_index_query`] (no covering index, so the join scans
-/// TEACH once to build a transient hash table). Each row's `speedup`
-/// compares its worker count with workers = 1: the median of per-pair
-/// `serial / parallel` ratios from an interleaved loop (host speed drifts
-/// by up to 2× between runs on shared machines, and pairing cancels the
-/// drift). On a single-core host the honest value is ≈ 1.0×.
+/// TEACH once to build a transient hash table). `ns` is the median of
+/// `iters` timed runs after one warm-up. The build cache is disabled
+/// throughout, so every run pays its own build; [`build_cache_speedup`]
+/// (B10) measures the cache.
 ///
-/// Every run is asserted byte-identical, with identical
-/// [`relmerge_engine::QueryStats`], to its serial counterpart. The build
-/// cache is disabled throughout — B8 measures workers;
-/// [`build_cache_speedup`] (B10) measures the cache.
-pub fn parallel_query(courses: usize, iters: u32) -> Result<Report> {
-    let _span = obs::span("bench.b8.parallel_query").field("courses", courses);
+/// Asserted: the chain builds nothing and probes, and the composite join
+/// builds once.
+pub fn join_execution(courses: usize, iters: u32) -> Result<Report> {
+    let _span = obs::span("bench.b8.join_execution").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
         &UniversitySpec {
@@ -864,78 +858,57 @@ pub fn parallel_query(courses: usize, iters: u32) -> Result<Report> {
     )?;
     let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
     db.load_state(&u.state)?;
-    let cores = db.parallelism();
     db.configure(db.config().build_cache_capacity(0));
 
+    // (label, plan, transient builds): every chain join probes its
+    // covering index, and the composite join builds once.
     let queries = [
-        ("chain scan (COURSE + 3 outer joins)", unmerged_scan_query()),
+        (
+            "chain scan (COURSE + 3 outer joins)",
+            unmerged_scan_query(),
+            0,
+        ),
         (
             "composite join (ASSIST x TEACH)",
             composite_no_index_query(),
+            1,
         ),
     ];
     let mut rows = Vec::new();
-    for (label, plan) in queries {
-        db.configure(db.config().parallelism(1));
-        let (serial_rel, serial_stats) = db.execute(&plan)?; // warm-up
-        let t = obs::timer("bench.b8.serial").field("query", label);
-        for _ in 0..iters {
-            let _ = db.execute(&plan)?;
-        }
-        let serial_ns = t.stop() as f64 / f64::from(iters);
-
-        for &workers in &worker_sweep(cores) {
-            db.configure(db.config().parallelism(workers));
-            let (par_rel, par_stats) = db.execute(&plan)?; // warm-up
-            assert_eq!(
-                par_rel, serial_rel,
-                "parallel result must be byte-identical"
-            );
-            assert_eq!(par_stats, serial_stats, "parallel stats must be identical");
-            let _t = obs::timer("bench.b8.parallel")
-                .field("query", label)
-                .field("workers", workers);
-            let mut treat = Vec::with_capacity(iters as usize);
-            let mut ratios = Vec::with_capacity(iters as usize);
-            for _ in 0..iters {
-                db.configure(db.config().parallelism(1));
-                let s_ns = timed(&db, &plan)?;
-                db.configure(db.config().parallelism(workers));
-                let t_ns = timed(&db, &plan)?;
-                treat.push(t_ns);
-                ratios.push(s_ns / t_ns);
-            }
-            let parallel_ns = quantile(&mut treat, 0.5);
-            rows.push(
-                Row::new()
-                    .cell("query", label)
-                    .cell("courses", courses)
-                    .cell("workers", workers)
-                    .cell("rows_out", serial_rel.len())
-                    .cell("serial_ns", Cell::Num(serial_ns, 0))
-                    .cell("parallel_ns", Cell::Num(parallel_ns, 0))
-                    .cell("speedup", Cell::Num(quantile(&mut ratios, 0.5), 4))
-                    .cell(
-                        "rows_per_sec",
-                        Cell::Num(serial_rel.len() as f64 * 1e9 / parallel_ns, 0),
-                    )
-                    .cell("morsels", serial_stats.morsels)
-                    .cell("hash_builds", serial_stats.hash_builds)
-                    .cell("rows_scanned", serial_stats.rows_scanned)
-                    .cell("index_probes", serial_stats.index_probes),
-            );
-        }
+    for (label, plan, builds) in queries {
+        let (rel, stats) = db.execute(&plan)?; // warm-up
+        assert_eq!(
+            (stats.hash_builds, stats.index_probes > 0),
+            (builds, builds == 0),
+            "{label}: {stats:?}"
+        );
+        let mut runs = (0..iters)
+            .map(|_| timed(|| db.execute(&plan)))
+            .collect::<Result<Vec<f64>>>()?;
+        let ns = quantile(&mut runs, 0.5);
+        rows.push(
+            Row::new()
+                .cell("query", label)
+                .cell("courses", courses)
+                .cell("rows_out", rel.len())
+                .cell("ns", Cell::Num(ns, 0))
+                .cell("rows_per_sec", Cell::Num(rel.len() as f64 * 1e9 / ns, 0))
+                .cell("morsels", stats.morsels)
+                .cell("hash_builds", stats.hash_builds)
+                .cell("rows_scanned", stats.rows_scanned)
+                .cell("index_probes", stats.index_probes),
+        );
     }
-    let mut report = Report::new("B8: morsel-parallel executor, each worker count vs workers = 1");
-    report.scale = format!("{courses} courses, {iters} timed runs");
+    let mut report = Report::new("B8: the executor on a chain scan and a composite join");
+    report.scale = format!("{courses} courses, median of {iters} timed runs");
     report.tables.push(("b8", rows));
     Ok(report)
 }
 
-/// Wall time (ns) of one execution of `plan`.
-fn timed(db: &Database, plan: &QueryPlan) -> Result<f64> {
-    let t0 = std::time::Instant::now();
-    let _ = db.execute(plan)?;
+/// Wall time (ns) of one call of `run`, dropping its result included.
+fn timed<T>(run: impl FnOnce() -> Result<T>) -> Result<f64> {
+    let t0 = Instant::now();
+    let _ = run()?;
     Ok(obs::elapsed_ns(t0) as f64)
 }
 
@@ -1022,10 +995,12 @@ fn filter_at_top(
 /// chain on the root key; the optimizer converts the full scan into an
 /// index point lookup, so `rows_scanned` drops to zero.
 ///
-/// Both sides are asserted byte-identical per query. Latency pairs are
-/// interleaved off/on with the median-of-ratios estimator (B8's
-/// drift-cancelling idiom). The build cache is disabled so every
-/// execution pays its own access work.
+/// Both sides are asserted byte-identical per query. Latency is measured
+/// in `iters` off/on pairs, alternating which side runs first, and
+/// `speedup` is the median of the per-pair `off / on` ratios: pairing
+/// cancels host-speed drift, and alternating cancels any cost of running
+/// second. The build cache is disabled so every execution pays its own
+/// access work.
 pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
     let _span = obs::span("bench.b15.predicate_pushdown").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
@@ -1100,16 +1075,18 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
             );
         }
 
-        // Interleaved off/on timing pairs; the median of per-pair ratios
-        // cancels host-speed drift (see `parallel_query`).
+        let off = || timed(|| filter_at_top(&db, plan));
+        let on = || timed(|| db.execute(plan));
         let mut offs = Vec::with_capacity(iters as usize);
         let mut ons = Vec::with_capacity(iters as usize);
         let mut ratios = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            let t0 = std::time::Instant::now();
-            let _ = filter_at_top(&db, plan)?;
-            let off_ns = obs::elapsed_ns(t0) as f64;
-            let on_ns = timed(&db, plan)?;
+        for i in 0..iters {
+            let (off_ns, on_ns) = if i % 2 == 0 {
+                (off()?, on()?)
+            } else {
+                let on_ns = on()?;
+                (off()?, on_ns)
+            };
             offs.push(off_ns);
             ons.push(on_ns);
             ratios.push(off_ns / on_ns);
@@ -1142,21 +1119,17 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
     Ok(report)
 }
 
-/// B10: the versioned build-side cache on the build-heavy composite join,
-/// swept over every [`worker_sweep`] worker count.
+/// B10: the versioned build-side cache on the build-heavy composite join.
 ///
-/// Each worker count is measured cold (cache cleared before every
-/// execution, so each one rebuilds TEACH's transient hash table) and warm
-/// (the first execution populates the cache, every timed one hits it).
-/// The headline `speedup` compares each warm run against the *serial*
-/// cold baseline — the end-to-end win of the cache, with the morsel
-/// probes spread over the row's workers. Like B8's composite row, the query's result
-/// is legitimately empty (faculty and student SSNs are disjoint), keeping
-/// it a pure measure of build-side work.
+/// The query is measured cold (cache cleared before every execution, so
+/// each one rebuilds TEACH's transient hash table) and warm (the first
+/// execution populates the cache, every timed one hits it); `speedup` is
+/// cold over warm, the end-to-end win of the cache. Like B8's composite
+/// row, the query's result is legitimately empty (faculty and student
+/// SSNs are disjoint), keeping it a pure measure of build-side work.
 ///
-/// Every run — cold or warm, at any worker count — is asserted
-/// byte-identical, with identical [`relmerge_engine::QueryStats`], to a
-/// cache-off serial reference.
+/// Every run, cold or warm, is asserted byte-identical, with identical
+/// [`relmerge_engine::QueryStats`], to a cache-off reference.
 pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
     let _span = obs::span("bench.b10.build_cache").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
@@ -1169,13 +1142,11 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
     )?;
     let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
     db.load_state(&u.state)?;
-    let cores = db.parallelism();
     let plan = composite_no_index_query();
 
-    // Cache-off serial reference: every cached run must be byte-identical
-    // to it, with identical stats.
+    // Cache-off reference: every cached run must be byte-identical to it,
+    // with identical stats.
     db.configure(db.config().build_cache_capacity(0));
-    db.configure(db.config().parallelism(1));
     let (reference, ref_stats) = db.execute(&plan)?;
     db.configure(
         db.config()
@@ -1187,62 +1158,50 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
     let misses = registry.counter("engine.query.build_cache.misses");
     let saved = registry.counter("engine.query.probe_key.saved_allocs");
 
-    let mut serial_cold_ns = 0.0;
-    let mut rows = Vec::new();
-    for &workers in &worker_sweep(cores) {
-        db.configure(db.config().parallelism(workers));
-
-        // Cold: every execution rebuilds.
-        db.clear_build_cache();
-        let (cold_rel, cold_stats) = db.execute(&plan)?;
-        assert_eq!(cold_rel, reference, "cold result must be byte-identical");
-        assert_eq!(cold_stats, ref_stats, "cold stats must be identical");
-        let m0 = misses.get();
-        let t = obs::timer("bench.b10.cold").field("workers", workers);
-        for _ in 0..iters {
-            db.clear_build_cache();
-            let _ = db.execute(&plan)?;
-        }
-        let cold_ns = t.stop() as f64 / f64::from(iters);
-        let cache_misses = misses.get() - m0;
-        if workers == 1 {
-            serial_cold_ns = cold_ns;
-        }
-
-        // Warm: populate once, then every execution reuses the build.
+    // Cold: every execution rebuilds.
+    db.clear_build_cache();
+    let (cold_rel, cold_stats) = db.execute(&plan)?;
+    assert_eq!(cold_rel, reference, "cold result must be byte-identical");
+    assert_eq!(cold_stats, ref_stats, "cold stats must be identical");
+    let m0 = misses.get();
+    let t = obs::timer("bench.b10.cold");
+    for _ in 0..iters {
         db.clear_build_cache();
         let _ = db.execute(&plan)?;
-        let build_bytes = db.build_cache_bytes();
-        let (warm_rel, warm_stats) = db.execute(&plan)?;
-        assert_eq!(warm_rel, reference, "warm result must be byte-identical");
-        assert_eq!(warm_stats, ref_stats, "warm stats must be identical");
-        let h0 = hits.get();
-        let s0 = saved.get();
-        let t = obs::timer("bench.b10.warm").field("workers", workers);
-        for _ in 0..iters {
-            let _ = db.execute(&plan)?;
-        }
-        let warm_ns = t.stop() as f64 / f64::from(iters);
-        let cache_hits = hits.get() - h0;
-        assert!(cache_hits >= 1, "the warm loop must hit the cache");
-
-        rows.push(
-            Row::new()
-                .cell("courses", courses)
-                .cell("workers", workers)
-                .cell("rows_out", reference.len())
-                .cell("cold_ns", Cell::Num(cold_ns, 0))
-                .cell("warm_ns", Cell::Num(warm_ns, 0))
-                .cell("speedup", Cell::Num(serial_cold_ns / warm_ns, 4))
-                .cell("cache_hits", cache_hits)
-                .cell("cache_misses", cache_misses)
-                .cell("build_bytes", build_bytes)
-                .cell("saved_allocs", (saved.get() - s0) / u64::from(iters.max(1))),
-        );
     }
+    let cold_ns = t.stop() as f64 / f64::from(iters);
+    let cache_misses = misses.get() - m0;
+
+    // Warm: populate once, then every execution reuses the build.
+    db.clear_build_cache();
+    let _ = db.execute(&plan)?;
+    let build_bytes = db.build_cache_bytes();
+    let (warm_rel, warm_stats) = db.execute(&plan)?;
+    assert_eq!(warm_rel, reference, "warm result must be byte-identical");
+    assert_eq!(warm_stats, ref_stats, "warm stats must be identical");
+    let h0 = hits.get();
+    let s0 = saved.get();
+    let t = obs::timer("bench.b10.warm");
+    for _ in 0..iters {
+        let _ = db.execute(&plan)?;
+    }
+    let warm_ns = t.stop() as f64 / f64::from(iters);
+    let cache_hits = hits.get() - h0;
+    assert!(cache_hits >= 1, "the warm loop must hit the cache");
+
+    let row = Row::new()
+        .cell("courses", courses)
+        .cell("rows_out", reference.len())
+        .cell("cold_ns", Cell::Num(cold_ns, 0))
+        .cell("warm_ns", Cell::Num(warm_ns, 0))
+        .cell("speedup", Cell::Num(cold_ns / warm_ns, 4))
+        .cell("cache_hits", cache_hits)
+        .cell("cache_misses", cache_misses)
+        .cell("build_bytes", build_bytes)
+        .cell("saved_allocs", (saved.get() - s0) / u64::from(iters.max(1)));
     let mut report = Report::new("B10: versioned build-side cache (cold rebuild vs warm hit)");
     report.scale = format!("{courses} courses, {iters} timed runs");
-    report.tables.push(("b10", rows));
+    report.tables.push(("b10", vec![row]));
     Ok(report)
 }
 
@@ -1727,8 +1686,7 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Rep
 /// * the replayed workload's index probes strictly drop;
 /// * every arrival of both `engine.migrate.*` fault sites, in error and
 ///   panic mode, aborts with a typed error, verifies clean, and rolls the
-///   state back byte-identical to the pre-migration snapshot;
-/// * the post-merge replay is byte-identical at every worker count.
+///   state back byte-identical to the pre-migration snapshot.
 pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     use relmerge_core::{check_both, check_proposition_4_1, Advisor, AdvisorConfig};
     use relmerge_engine::fault::site;
@@ -1836,23 +1794,6 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
         post_stats.index_probes
     );
 
-    // The post-merge worker sweep: byte-identical results at every level
-    // of parallelism, on the migrated (not freshly built) database.
-    let cores = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
-    let workers = worker_sweep(cores);
-    let mut baseline: Option<Vec<relmerge_relational::Relation>> = None;
-    for &w in &workers {
-        db.configure(db.config().parallelism(w));
-        let mut results = Vec::with_capacity(ops.len());
-        for op in &ops {
-            results.push(db.execute(&plan_for(true, op))?.0);
-        }
-        match &baseline {
-            None => baseline = Some(results),
-            Some(b) => assert_eq!(*b, results, "worker count {w} changed replay results"),
-        }
-    }
-
     // The migration fault matrix: every arrival of both migration sites,
     // in both modes, against a fresh unmerged twin. Same protocol as B9:
     // a dry run with never-firing arms counts arrivals per site, then one
@@ -1926,8 +1867,7 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
         .cell("pre_median_us", Cell::Num(quantile(&mut pre_lat, 0.5), 3))
         .cell("post_median_us", Cell::Num(quantile(&mut post_lat, 0.5), 3))
         .cell("capacity_4_1", capacity_4_1)
-        .cell("capacity_both", capacity_both)
-        .cell("workers", Cell::list(workers));
+        .cell("capacity_both", capacity_both);
     out.tables.push(("torture", torture_table(&torture)));
     Ok(out)
 }
@@ -2086,7 +2026,10 @@ pub fn wal_torture(
     }
 
     // Leg 3 — recovery time against log length, over literal prefixes at
-    // evenly spaced committed-batch checkpoints.
+    // evenly spaced committed-batch checkpoints. One untimed recovery
+    // first, so the curve's first point pays no cost the later ones skip;
+    // each point is the median of five recoveries of its prefix.
+    let _ = Database::recover(cfg.clone())?;
     let mut recovery = Vec::new();
     let steps: Vec<usize> = if prefixes.len() <= 5 {
         (0..prefixes.len()).collect()
@@ -2096,13 +2039,17 @@ pub fn wal_torture(
     for &i in &steps {
         let (off, _, at) = &prefixes[i];
         std::fs::write(&log, &pristine[..*off as usize]).map_err(|e| io("cut log", e))?;
-        let (_, report) = Database::recover(cfg.clone())?;
+        let reports = (0..5)
+            .map(|_| Database::recover(cfg.clone()).map(|(_, report)| report))
+            .collect::<Result<Vec<_>>>()?;
+        let mut replay_ns: Vec<f64> = reports.iter().map(|r| r.replay_ns as f64).collect();
+        let report = &reports[0];
         recovery.push(
             Row::new()
                 .cell("batches", *at)
                 .cell("records", report.records_replayed())
                 .cell("wal_bytes", report.wal_bytes_replayed)
-                .cell("replay_ns", report.replay_ns),
+                .cell("replay_ns", quantile(&mut replay_ns, 0.5) as u64),
         );
     }
     std::fs::write(&log, &pristine).map_err(|e| io("restore log", e))?;
@@ -2579,7 +2526,7 @@ mod tests {
 
     #[test]
     fn maintenance_shape() {
-        let report = maintenance_cost(100).unwrap();
+        let report = maintenance_cost(100, 3).unwrap();
         let rows = report.table("rows");
         assert_eq!(rows.len(), 3);
         let (unmerged, merged, native) = (&rows[0], &rows[1], &rows[2]);
@@ -2761,39 +2708,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_shape() {
-        // `parallel_query` itself asserts byte-identical results and equal
-        // stats at every worker count.
-        let report = parallel_query(300, 2).unwrap();
+    fn join_execution_shape() {
+        let report = join_execution(300, 2).unwrap();
         let rows = report.table("b8");
-        // One row per query per swept worker count, chain rows first.
-        let sweep = rows.len() / 2;
-        assert_eq!(rows.len(), 2 * sweep);
-        assert!(sweep >= 3, "the sweep includes 1, 2, and 4 workers");
-        let (chain_rows, composite_rows) = rows.split_at(sweep);
-        assert!(
-            chain_rows.iter().any(|r| r.int("workers") > 1),
-            "multi-worker entries exist even on a single-core host"
-        );
-        for chain in chain_rows {
-            assert_eq!(chain.int("rows_out"), 300, "{chain:?}");
-            assert!(chain.int("morsels") > 0, "{chain:?}");
-            // Covering indexes exist: nothing is built, and every join
-            // probes its index once per left row with a non-null key (each
-            // course probes OFFER; each offered course probes TEACH and
-            // ASSIST).
-            assert_eq!(chain.int("hash_builds"), 0, "{chain:?}");
-            assert_eq!(chain.int("rows_scanned"), 300, "{chain:?}");
-            assert!(chain.int("index_probes") > 300, "{chain:?}");
-        }
-        for composite in composite_rows {
-            assert_eq!(composite.int("rows_out"), 0, "disjoint SSNs: {composite:?}");
-            // One root scan of ASSIST plus one build scan of TEACH.
-            assert_eq!(composite.int("hash_builds"), 1, "{composite:?}");
-            assert_eq!(composite.int("index_probes"), 0, "{composite:?}");
-        }
+        assert_eq!(rows.len(), 2, "the chain scan, then the composite join");
+        let (chain, composite) = (&rows[0], &rows[1]);
+        assert_eq!(chain.int("rows_out"), 300, "{chain:?}");
+        assert_eq!(chain.int("morsels"), 1, "{chain:?}");
+        // Every join probes its index once per left row with a non-null
+        // key (each course probes OFFER; each offered course probes TEACH
+        // and ASSIST), after the one root scan.
+        assert_eq!(chain.int("rows_scanned"), 300, "{chain:?}");
+        assert!(chain.int("index_probes") > 300, "{chain:?}");
+        assert_eq!(composite.int("rows_out"), 0, "disjoint SSNs: {composite:?}");
+        assert_eq!(composite.int("index_probes"), 0, "{composite:?}");
         for r in rows {
-            assert!(r.num("serial_ns") > 0.0 && r.num("speedup") > 0.0, "{r:?}");
+            assert!(r.num("ns") > 0.0, "{r:?}");
         }
     }
 
@@ -2811,43 +2741,38 @@ mod tests {
     #[test]
     fn build_cache_speedup_shape() {
         // `build_cache_speedup` itself asserts byte-identity and stat
-        // equality against the cache-off serial reference; wall-clock
-        // magnitudes are left to the release-mode B10 run.
+        // equality against the cache-off reference; wall-clock magnitudes
+        // are left to the release-mode B10 run.
         let report = build_cache_speedup(300, 2).unwrap();
         let rows = report.table("b10");
-        assert!(rows.len() >= 3, "sweep includes 1, 2, and 4 workers");
-        assert_eq!(rows[0].int("workers"), 1);
-        for r in rows {
-            assert!(r.int("cache_hits") >= 1, "{r:?}");
-            assert_eq!(
-                r.int("cache_misses"),
-                2,
-                "every cold iteration misses: {r:?}"
-            );
-            assert!(r.int("build_bytes") > 0, "{r:?}");
-            assert!(
-                r.int("saved_allocs") > 0,
-                "every probe row saves one: {r:?}"
-            );
-            assert!(r.num("cold_ns") > 0.0 && r.num("warm_ns") > 0.0);
-            assert!(r.num("speedup") > 0.0);
-        }
+        assert_eq!(rows.len(), 1, "one cold/warm row");
+        let r = &rows[0];
+        assert!(r.int("cache_hits") >= 1, "{r:?}");
+        assert_eq!(
+            r.int("cache_misses"),
+            2,
+            "every cold iteration misses: {r:?}"
+        );
+        assert!(r.int("build_bytes") > 0, "{r:?}");
+        assert!(
+            r.int("saved_allocs") > 0,
+            "every probe row saves one: {r:?}"
+        );
+        assert!(r.num("cold_ns") > 0.0 && r.num("warm_ns") > 0.0);
+        assert!(r.num("speedup") > 0.0);
     }
 
     /// The exact keys of the B8, B10 and B15 artifacts' rows.
     #[test]
-    fn parallel_query_json_is_well_formed() {
-        let b8 = parallel_query(150, 1).unwrap();
+    fn query_json_is_well_formed() {
+        let b8 = join_execution(150, 1).unwrap();
         assert_eq!(
             keys(&b8.table("b8")[0]),
             [
                 "query",
                 "courses",
-                "workers",
                 "rows_out",
-                "serial_ns",
-                "parallel_ns",
-                "speedup",
+                "ns",
                 "rows_per_sec",
                 "morsels",
                 "hash_builds",
@@ -2860,7 +2785,6 @@ mod tests {
             keys(&b10.table("b10")[0]),
             [
                 "courses",
-                "workers",
                 "rows_out",
                 "cold_ns",
                 "warm_ns",
@@ -2895,7 +2819,7 @@ mod tests {
             let rows = report.table(name).len();
             assert!(text.contains(&format!(",\"{name}\":[{{")), "{text}");
             assert!(text.trim_end().ends_with("}]}"), "{text}");
-            assert_eq!(text.matches("\"speedup\":").count(), rows, "{text}");
+            assert_eq!(text.matches("\"courses\":").count(), rows, "{text}");
         }
     }
 
@@ -3035,7 +2959,6 @@ mod tests {
         assert!(f.int("rows_migrated") > 0 && f.int("chunks_applied") > 0);
         // 2 migration sites × 2 modes.
         assert_eq!(report.table("torture").len(), 4);
-        assert!(matches!(f.get("workers"), Some(Cell::List(w)) if !w.is_empty()));
     }
 
     #[test]
@@ -3060,8 +2983,7 @@ mod tests {
                 "pre_median_us",
                 "post_median_us",
                 "capacity_4_1",
-                "capacity_both",
-                "workers"
+                "capacity_both"
             ]
         );
         let text = report.to_json("b13", false);

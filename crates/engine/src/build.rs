@@ -2,10 +2,10 @@
 //!
 //! When no index covers a join's probe attributes,
 //! [`crate::planner::choose_join_strategy`] picks a hash join and the
-//! executor scans the build side once, serially, into an [`OwnedBuild`]:
-//! a key → row-slot multimap whose slot lists come out in ascending slot
-//! order, so probe results — and therefore query results — are
-//! byte-identical at every parallelism level.
+//! executor scans the build side once into an [`OwnedBuild`]: a key →
+//! row-slot multimap whose slot lists come out in ascending slot order, so
+//! probe results — and therefore query results — are byte-identical cold
+//! or cached.
 //!
 //! Finished builds land in a per-database [`BuildCache`] keyed by
 //! [`BuildKey`] — `(relation, probe attrs, relation version)`. The version

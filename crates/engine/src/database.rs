@@ -627,17 +627,14 @@ pub struct Database {
     profiler: Arc<obs::Profiler>,
     /// Installed fault plan, if any (`None` in production configurations).
     /// Behind an `Arc` so sites can fire from `&self` contexts — validation
-    /// and morsel worker threads included — and so callers keep a handle to
-    /// inspect hit/fire counts after the run.
+    /// worker threads included — and so callers keep a handle to inspect
+    /// hit/fire counts after the run.
     fault: Option<Arc<FaultPlan>>,
     /// The write-ahead log, when this database is durable
     /// (`EngineConfig::durability` set at construction or recovery).
     /// `None` means purely in-memory — the pre-durability behavior.
     wal: Option<crate::wal::Wal>,
 }
-
-/// Default number of root rows per executor morsel.
-pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 /// Default byte capacity of the versioned build-side cache.
 pub const DEFAULT_BUILD_CACHE_BYTES: u64 = 64 * 1024 * 1024;
@@ -739,9 +736,9 @@ pub(crate) fn compile_catalog(
     })
 }
 
-/// One `EngineConfig` consolidates every `Database` tuning knob: executor
-/// parallelism, morsel size, build-cache capacity, the query budget, and
-/// durability. A `Database` stores one, and its knobs change
+/// One `EngineConfig` consolidates every `Database` tuning knob: the
+/// worker-thread budget of deferred batch validation, build-cache
+/// capacity, the query budget, and durability. A `Database` stores one, and its knobs change
 /// only through a new one. Build one with the fluent setters and hand it to
 /// [`Database::new_with_config`] or [`Database::configure`]; read the live
 /// values back with [`Database::config`], so a sweep can tweak a single
@@ -753,7 +750,6 @@ pub(crate) fn compile_catalog(
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     parallelism: usize,
-    morsel_rows: usize,
     build_cache_capacity: u64,
     query_budget: QueryBudget,
     /// Durability knobs (`None` = purely in-memory). Unlike the other
@@ -766,14 +762,12 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// The defaults `Database::new` ships with: available-parallelism
-    /// workers, [`DEFAULT_MORSEL_ROWS`]-row morsels, a 64 MiB build cache,
-    /// and an unlimited query budget.
+    /// workers, a 64 MiB build cache, and an unlimited query budget.
     fn default() -> Self {
         EngineConfig {
             parallelism: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             build_cache_capacity: DEFAULT_BUILD_CACHE_BYTES,
             query_budget: QueryBudget::unlimited(),
             durability: None,
@@ -789,20 +783,12 @@ impl EngineConfig {
     }
 
     /// Sets the worker-thread budget (clamped to ≥ 1 when applied) for
-    /// the executor's root prefilter and morsel probes, and for the
-    /// deferred validation of large batches. `1` means serial execution,
-    /// byte-identical to the parallel result by construction.
+    /// the deferred validation of large batches. `1` means serial
+    /// validation, with the same outcome by construction. A query always
+    /// runs on its caller's thread.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Sets the root rows per executor morsel (clamped to ≥ 1 when
-    /// applied).
-    #[must_use]
-    pub fn morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows.max(1);
         self
     }
 
@@ -824,12 +810,6 @@ impl EngineConfig {
     #[must_use]
     pub fn get_parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    /// The configured morsel size.
-    #[must_use]
-    pub fn get_morsel_rows(&self) -> usize {
-        self.morsel_rows
     }
 
     /// The configured build-cache byte capacity.
@@ -962,7 +942,7 @@ impl Database {
     /// the stored knobs plus the live build-cache capacity and, for a
     /// durable database, its log's durability knobs. Combined with the
     /// builder setters this makes single-knob tweaks one-liners:
-    /// `db.configure(db.config().morsel_rows(64))`.
+    /// `db.configure(db.config().build_cache_capacity(0))`.
     #[must_use]
     pub fn config(&self) -> EngineConfig {
         EngineConfig {
@@ -975,10 +955,8 @@ impl Database {
     /// Applies every knob in `config` to the live database (except
     /// durability, see [`EngineConfig::durability`]). Shrinking the
     /// build-cache capacity evicts least-recently-used entries down to the
-    /// new cap (and counts them in the eviction metrics). Results never
-    /// depend on any of these knobs. Of the `QueryStats`, only `morsels`
-    /// depends on one (the morsel size); no stat depends on the worker
-    /// count or the cache.
+    /// new cap (and counts them in the eviction metrics). No query answer
+    /// or `QueryStats` field depends on any of these knobs.
     pub fn configure(&mut self, config: EngineConfig) {
         // A no-op when the capacity is unchanged: the cache never holds
         // more than its cap.
@@ -993,20 +971,12 @@ impl Database {
         };
     }
 
-    /// Worker threads the query executor (root prefilter and morsel
-    /// probes) and the deferred validation of large batches may use.
+    /// Worker threads the deferred validation of large batches may use.
     /// Defaults to the machine's available parallelism; `1` means serial
-    /// execution, byte-identical to the parallel result by construction.
+    /// validation, with the same outcome by construction.
     #[must_use]
     pub fn parallelism(&self) -> usize {
         self.config.parallelism
-    }
-
-    /// Root rows per executor morsel (always ≥ 1). Smaller morsels
-    /// exercise the reassembly path; the default suits large scans.
-    #[must_use]
-    pub fn morsel_rows(&self) -> usize {
-        self.config.morsel_rows
     }
 
     /// Byte capacity of the versioned build-side cache (`0` = caching
@@ -1073,7 +1043,7 @@ impl Database {
     }
 
     /// The resource limits queries execute under (default unlimited).
-    /// Limits are checked cooperatively at morsel boundaries; a tripped
+    /// Limits are checked cooperatively every 1,024 root rows; a tripped
     /// limit surfaces as [`Error::BudgetExceeded`] with the partial
     /// progress in its detail.
     #[must_use]
@@ -2192,21 +2162,17 @@ mod tests {
     fn engine_config_round_trips_every_knob() {
         let cfg = EngineConfig::new()
             .parallelism(3)
-            .morsel_rows(11)
             .build_cache_capacity(1 << 20);
         let mut db = Database::new_with_config(emp_mgr_schema(), DbmsProfile::db2(), cfg).unwrap();
         assert_eq!(db.parallelism(), 3);
-        assert_eq!(db.morsel_rows(), 11);
         assert_eq!(db.build_cache_capacity(), 1 << 20);
         let read_back = db.config();
         assert_eq!(read_back.get_parallelism(), 3);
-        assert_eq!(read_back.get_morsel_rows(), 11);
         assert_eq!(read_back.get_build_cache_capacity(), 1 << 20);
         // Single-knob tweak leaves the rest intact, and zero values clamp
         // where the old setters clamped.
-        db.configure(db.config().parallelism(0).morsel_rows(0));
+        db.configure(db.config().parallelism(0));
         assert_eq!(db.parallelism(), 1);
-        assert_eq!(db.morsel_rows(), 1);
         assert_eq!(db.build_cache_capacity(), 1 << 20);
     }
 

@@ -11,8 +11,8 @@
 //!   [`Error::Injected`] or a panic, deterministically on its n-th
 //!   arrival;
 //! * a [`QueryBudget`] caps a query's intermediate rows and wall time,
-//!   checked cooperatively at morsel boundaries and surfaced as
-//!   [`Error::BudgetExceeded`];
+//!   checked cooperatively every 1,024 root rows (one morsel) and
+//!   surfaced as [`Error::BudgetExceeded`];
 //! * an [`IntegrityReport`] is the structured output of
 //!   [`Database::verify_integrity`](crate::Database::verify_integrity),
 //!   the deep checker the torture harness runs after every induced abort;
@@ -50,8 +50,8 @@ pub mod site {
     pub const INDEX_MAINTENANCE: &str = "engine.db.index_maintenance";
     /// The batch commit tail, after every deferred validation succeeded.
     pub const COMMIT: &str = "engine.batch.commit";
-    /// A morsel worker in the query executor (fires once per morsel,
-    /// possibly on a worker thread).
+    /// A morsel of the query executor (fires once per morsel of 1,024
+    /// root rows, as it starts).
     pub const MORSEL_WORKER: &str = "engine.query.morsel_worker";
     /// A transient hash build in the query executor (fires once per cold
     /// build, before its serial scan).
@@ -181,7 +181,7 @@ struct Arm {
 
 /// A deterministic fault plan: a set of armed sites, each of which fires
 /// on a specific arrival count. Counters are atomic so sites can fire from
-/// `&self` contexts (validation and morsel worker threads included), and
+/// `&self` contexts (validation worker threads included), and
 /// the plan is installed behind an [`Arc`](std::sync::Arc) so the caller
 /// keeps a handle to inspect [`hits`](FaultPlan::hits) and
 /// [`fired`](FaultPlan::fired) after the run.
@@ -381,9 +381,8 @@ pub(crate) fn fan_out<I: Sync, T: Send>(
 }
 
 /// Resource limits for one query execution, checked cooperatively at
-/// morsel boundaries (so enforcement granularity is
-/// [`Database::morsel_rows`](crate::Database::morsel_rows)). The default
-/// is unlimited; a tripped limit surfaces as [`Error::BudgetExceeded`]
+/// morsel boundaries (so enforcement granularity is 1,024 root rows). The
+/// default is unlimited; a tripped limit surfaces as [`Error::BudgetExceeded`]
 /// carrying the partial progress (rows produced, morsels completed) in
 /// its detail.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -410,7 +409,7 @@ impl QueryBudget {
     }
 
     /// Caps the query's wall time; the deadline starts when execution
-    /// does and is checked before each morsel is claimed.
+    /// does and is checked before each morsel starts.
     #[must_use]
     pub fn with_max_wall(mut self, limit: Duration) -> Self {
         self.max_wall = Some(limit);
@@ -487,10 +486,9 @@ impl QueryBudget {
     }
 }
 
-/// Shared per-execution budget state: workers poll
+/// Per-execution budget state: the executor polls
 /// [`checkpoint`](BudgetTracker::checkpoint) as each morsel starts and
-/// charge rows as it completes. A trip fails that morsel, and
-/// [`fan_out`] then stops the other workers from claiming more.
+/// charges rows as it completes. A trip fails the query at that morsel.
 pub(crate) struct BudgetTracker {
     max_rows: Option<u64>,
     deadline: Option<Instant>,

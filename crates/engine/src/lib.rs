@@ -7,8 +7,9 @@
 //! mechanism ([`capability`]); [`Database`] enforces a schema's
 //! dependencies and null constraints on DML through the corresponding tier,
 //! counting the work ([`database`]); [`query`] executes point lookups
-//! and joins with cost counters, quantifying the paper's §1 claim that
-//! merging reduces joins and improves access performance — every
+//! and joins with cost counters, one query on one thread, quantifying
+//! the paper's §1 claim that merging reduces joins and improves access
+//! performance — every
 //! successful execution also folds into the database's shared workload
 //! profiler, keyed by the canonical plan fingerprint
 //! ([`planner::fingerprint`]), feeding the hot-join report the merge
@@ -42,10 +43,7 @@ pub mod wal;
 
 pub use batch::{BatchOutcome, Statement, StatementOutcome};
 pub use capability::{DbmsProfile, Mechanism};
-pub use database::{
-    Database, DmlError, EngineConfig, MaintenanceStats, DEFAULT_BUILD_CACHE_BYTES,
-    DEFAULT_MORSEL_ROWS,
-};
+pub use database::{Database, DmlError, EngineConfig, MaintenanceStats, DEFAULT_BUILD_CACHE_BYTES};
 pub use fault::{
     FaultMode, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation, QueryBudget,
 };

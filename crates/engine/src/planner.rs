@@ -255,9 +255,9 @@ pub enum JoinStrategy {
 ///    index-nested-loop over nothing: no scan, no build.
 /// 3. Otherwise ⇒ hash, one build scan of the right relation.
 ///
-/// The executor decides `left_empty` before fan-out, from the root rows
-/// and the pushed conjuncts of earlier inner steps, so the choice is
-/// identical at every parallelism level.
+/// The executor decides `left_empty` before the first morsel runs, from
+/// the root rows and the pushed conjuncts of earlier inner steps, so one
+/// choice holds for the whole query.
 pub fn choose_join_strategy(
     db: &Database,
     rel: &str,

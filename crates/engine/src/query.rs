@@ -1,4 +1,4 @@
-//! A morsel-parallel query executor with cost counters.
+//! A serial, morsel-at-a-time query executor with cost counters.
 //!
 //! The point (paper §1): *"decreasing the number of relations in a database
 //! by merging relations reduces the need for joining relations, and usually
@@ -6,33 +6,32 @@
 //! logical retrieval against merged and unmerged schemas — a point lookup
 //! or scan over a single merged relation versus an N-way join — and counts
 //! the rows and index probes each needs, so the benches can report the
-//! speedup *shape* the paper asserts.
+//! speedup *shape* the paper asserts. A merge saves work, not threads, so
+//! one query runs on one thread.
 //!
 //! # Execution model
 //!
 //! The root access produces *borrowed* row slots (no tuple is cloned on
 //! the scan path). A predicate over root attributes alone is pushed down:
-//! it runs before the join pipeline, chunk by chunk on the worker pool,
-//! with survivors reassembled in chunk order. The join pipeline is then
-//! compiled once: each step picks its access via
+//! it drops root rows in place before the join pipeline. The join pipeline
+//! is then compiled once: each step picks its access via
 //! [`crate::planner::choose_join_strategy`] — index-nested-loop probes
 //! through a covering index, or else a hash join over a transient table
-//! built by one serial scan of the right relation (the crate-private
-//! `build` module, reused through the versioned build-side cache) — and
-//! any hash builds happen before fan-out so cost counters are identical
-//! at every parallelism level, cache on or off. The root rows are
-//! partitioned into fixed-size morsels ([`Database::morsel_rows`]) that
-//! the engine's one fan-out spreads over up to [`Database::parallelism`]
-//! scoped worker threads; each join step writes its intermediate rows
-//! into one flat buffer of borrowed slots, and each surviving row is
-//! materialized exactly once. Morsel outputs come back in morsel order,
-//! so the result is deterministic and byte-identical to serial execution.
+//! built by one scan of the right relation (the crate-private `build`
+//! module, reused through the versioned build-side cache) — so cost
+//! counters are identical cache on or off. The root rows then run through
+//! the pipeline in morsels of 1,024 rows, in order, in one loop: each join
+//! step writes its intermediate rows into one flat buffer of borrowed
+//! slots, each surviving row is materialized exactly once, and each morsel
+//! folds its counters into its operators as it finishes. A morsel is the
+//! unit of [`QueryBudget`](crate::QueryBudget) checks and of the
+//! `engine.query.morsel_worker` fault site.
 //!
 //! [`Database::execute_traced`] additionally returns a [`QueryTrace`]: an
 //! EXPLAIN-ANALYZE-style operator breakdown (rows in/out, index probes,
 //! rows scanned, hash builds, wall time per access/join/filter/project
 //! step) whose per-operator counters sum exactly to the [`QueryStats`]
-//! totals — per-worker counters merge back into their operator.
+//! totals.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -44,8 +43,12 @@ use relmerge_relational::{Attribute, Error, Relation, Result, Tuple, Value};
 
 use crate::build::{build_owned, BuildKey, OwnedBuild};
 use crate::database::{Database, KeyIndex};
-use crate::fault::{contain, fan_out, site, BudgetTracker};
+use crate::fault::{contain, site, BudgetTracker};
 use crate::planner::{choose_join_strategy, JoinStrategy};
+
+/// Root rows per morsel: a query's budget is polled as each morsel starts
+/// and charged as it completes.
+const MORSEL_ROWS: usize = 1024;
 
 /// A selection predicate over the attributes visible at its evaluation
 /// point (the joined row, before projection). Three-valued logic is not
@@ -114,8 +117,8 @@ impl Predicate {
 }
 
 /// A [`Predicate`] with attribute positions resolved against a header,
-/// so workers evaluate it on materialized value rows infallibly. Compile
-/// once, evaluate per row.
+/// so the executor evaluates it on materialized value rows infallibly.
+/// Compile once, evaluate per row.
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     node: CompiledNode,
@@ -188,9 +191,8 @@ impl CompiledNode {
     }
 }
 
-/// Counters accumulated by one query execution. Identical at every
-/// [`Database::parallelism`] level: join strategies and hash builds are
-/// decided before fan-out, and per-morsel counters merge commutatively.
+/// Counters accumulated by one query execution. Identical whether a hash
+/// build ran cold or came from the build cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Rows read by scans (root scans and hash build-side scans).
@@ -205,13 +207,12 @@ pub struct QueryStats {
     /// Transient hash tables built as join build sides (a cached build
     /// counts as the build it replays).
     pub hash_builds: u64,
-    /// Morsels the root rows were partitioned into.
+    /// Morsels the root rows were partitioned into (1,024 rows each).
     pub morsels: u64,
     /// Approximate bytes of intermediate state this query materialized:
     /// borrowed slot rows emitted by join steps, transient hash builds,
-    /// and the materialized output rows. Deterministic at every
-    /// parallelism level and identical whether a build ran cold or came
-    /// from the cache.
+    /// and the materialized output rows. Identical whether a build ran
+    /// cold or came from the cache.
     pub intermediate_bytes: u64,
     /// The largest single-operator contribution to `intermediate_bytes` —
     /// the high-water mark a memory budget should reason about. Maxed,
@@ -408,8 +409,22 @@ pub struct OpStats {
     /// rows for joins, transient build tables, output tuples for the
     /// materialize/filter step).
     pub intermediate_bytes: u64,
-    /// Wall time spent in this operator (summed across workers).
+    /// Wall time spent in this operator (summed across morsels).
     pub wall_ns: u64,
+}
+
+impl OpStats {
+    /// Folds one morsel's probe-side counters into this operator's.
+    /// `hash_builds` is left alone: builds happen once, before the first
+    /// morsel.
+    fn absorb(&mut self, morsel: &OpStats) {
+        self.rows_in += morsel.rows_in;
+        self.rows_out += morsel.rows_out;
+        self.rows_scanned += morsel.rows_scanned;
+        self.index_probes += morsel.index_probes;
+        self.intermediate_bytes += morsel.intermediate_bytes;
+        self.wall_ns += morsel.wall_ns;
+    }
 }
 
 /// One operator of an executed plan, with its measured cost.
@@ -427,8 +442,7 @@ pub struct OpTrace {
 /// operators in execution order (root access first), each with rows
 /// in/out, probes, scanned rows, and wall time. [`QueryTrace::totals`]
 /// reconstructs the [`QueryStats`] the run reported — the per-operator
-/// counters sum exactly to them, with per-worker (morsel) contributions
-/// merged back into their operator.
+/// counters, each summed over the morsels, add up exactly to them.
 #[derive(Debug, Clone, Default)]
 pub struct QueryTrace {
     /// Operators in execution order.
@@ -553,8 +567,7 @@ enum RightAccess<'a> {
 
 /// One join step compiled against the database: strategy chosen, build
 /// side ready, left attribute positions resolved to (source, column)
-/// slots. Compilation happens before fan-out, so workers share it
-/// immutably.
+/// slots. Compilation happens once, before the first morsel runs.
 struct CompiledJoin<'a> {
     access: RightAccess<'a>,
     /// (source, column) of each left join attribute in the slot row.
@@ -583,56 +596,50 @@ struct CompiledJoin<'a> {
     build_pruned: u64,
 }
 
-/// What one morsel produced: materialized (and filtered) rows plus the
-/// per-operator counters accumulated while producing them.
-struct MorselOut {
-    rows: Vec<Tuple>,
-    /// Probe-side counters per join step (build costs live in
-    /// [`CompiledJoin::build`]).
+/// What the morsels produced so far: each morsel's materialized (and
+/// filtered) rows, in morsel order, plus the per-operator counters each
+/// morsel folds in as it finishes.
+struct PipelineOut {
+    morsel_rows: Vec<Vec<Tuple>>,
+    /// Per join step: its build costs ([`CompiledJoin::build`]) plus the
+    /// probe-side counters of every finished morsel.
     per_join: Vec<OpStats>,
     /// Materialize + filter counters (`rows_in`/`rows_out`/`wall_ns`).
     filter: OpStats,
     /// Probe-key `Tuple` allocations avoided by probing with borrowed
     /// values (one per total-key probe; the B10 summary reports the sum).
     saved_allocs: u64,
-    /// Right rows removed by probe-side pushed conjuncts in this morsel.
+    /// Right rows removed by probe-side pushed conjuncts.
     pruned: u64,
 }
 
-impl MorselOut {
-    /// Intermediate bytes this morsel materialized (slot rows emitted by
-    /// its join steps plus its materialized output rows) — what the
-    /// intermediate-memory budget charges at the morsel boundary.
-    fn intermediate_bytes(&self) -> u64 {
-        self.per_join
-            .iter()
-            .map(|o| o.intermediate_bytes)
-            .sum::<u64>()
-            + self.filter.intermediate_bytes
-    }
-}
-
 /// Runs the compiled join → materialize → filter pipeline over one morsel
-/// of root rows. Infallible: every name was resolved at compile time.
+/// of root rows, appending its surviving rows to `out` and folding its
+/// counters in. Returns the rows it materialized and the intermediate bytes
+/// it produced (slot rows emitted by its join steps plus its materialized
+/// rows) — what the budget charges at the morsel boundary. Infallible:
+/// every name was resolved at compile time.
 ///
 /// A step's intermediate rows live in one flat buffer: row `i` of a
 /// stream that has joined `stride` sources is
 /// `cur[i * stride..(i + 1) * stride]`, one borrowed slot per source
 /// (root first), `None` for an outer-join null pad. Each step appends its
-/// output rows, one slot wider, to the other buffer and swaps.
+/// output rows, one slot wider, to the other buffer and swaps. The per-row
+/// loops count in locals, folded into `out` once per step.
 fn run_morsel<'a>(
     morsel: &[&'a Tuple],
     joins: &[CompiledJoin<'a>],
     filter: Option<&CompiledPredicate>,
     widths: &[usize],
-) -> MorselOut {
+    out: &mut PipelineOut,
+) -> (u64, u64) {
     let mut cur: Vec<Option<&'a Tuple>> = morsel.iter().map(|&t| Some(t)).collect();
     let mut next: Vec<Option<&'a Tuple>> = Vec::new();
-    let mut per_join = Vec::with_capacity(joins.len());
     let mut key_vals: Vec<Value> = Vec::new();
     let mut matches: Vec<&'a Tuple> = Vec::new();
     let mut saved_allocs: u64 = 0;
     let mut pruned: u64 = 0;
+    let mut bytes: u64 = 0;
     for (ji, join) in joins.iter().enumerate() {
         let t0 = Instant::now();
         let stride = ji + 1;
@@ -722,24 +729,20 @@ fn run_morsel<'a>(
         op.rows_out = (next.len() / (stride + 1)) as u64;
         // Slot-row footprint of this step's output: one borrowed slot per
         // source seen so far (root + ji + 1 joins). Depends only on
-        // `rows_out`, so the sum across morsels is identical at every
-        // worker count.
+        // `rows_out`, so the sum across morsels is the whole stream's.
         op.intermediate_bytes =
             op.rows_out * ((ji + 2) * std::mem::size_of::<Option<&Tuple>>()) as u64;
         op.wall_ns = obs::elapsed_ns(t0);
-        per_join.push(op);
+        bytes += op.intermediate_bytes;
+        out.per_join[ji].absorb(&op);
         std::mem::swap(&mut cur, &mut next);
     }
     // Materialize each surviving row exactly once, applying the filter on
     // the freshly built values.
     let t0 = Instant::now();
     let rows_in = cur.len() / widths.len();
-    let mut fop = OpStats {
-        rows_in: rows_in as u64,
-        ..OpStats::default()
-    };
     let total_width: usize = widths.iter().sum();
-    let mut out = Vec::with_capacity(rows_in);
+    let mut rows = Vec::with_capacity(rows_in);
     for parts in cur.chunks_exact(widths.len()) {
         let mut vals: Vec<Value> = Vec::with_capacity(total_width);
         for (si, w) in widths.iter().enumerate() {
@@ -753,21 +756,24 @@ fn run_morsel<'a>(
                 continue;
             }
         }
-        out.push(Tuple::new(vals));
+        rows.push(Tuple::new(vals));
     }
-    fop.rows_out = out.len() as u64;
+    let rows_out = rows.len() as u64;
+    out.morsel_rows.push(rows);
     // Materialized-output footprint: each surviving row owns a `Tuple`
     // holding `total_width` values.
-    fop.intermediate_bytes = fop.rows_out
-        * (std::mem::size_of::<Tuple>() + total_width * std::mem::size_of::<Value>()) as u64;
-    fop.wall_ns = obs::elapsed_ns(t0);
-    MorselOut {
-        rows: out,
-        per_join,
-        filter: fop,
-        saved_allocs,
-        pruned,
-    }
+    let fop = OpStats {
+        rows_in: rows_in as u64,
+        rows_out,
+        intermediate_bytes: rows_out
+            * (std::mem::size_of::<Tuple>() + total_width * std::mem::size_of::<Value>()) as u64,
+        wall_ns: obs::elapsed_ns(t0),
+        ..OpStats::default()
+    };
+    out.filter.absorb(&fop);
+    out.saved_allocs += saved_allocs;
+    out.pruned += pruned;
+    (rows_out, bytes + fop.intermediate_bytes)
 }
 
 /// The evolving layout of the flattened join output: the combined
@@ -828,8 +834,8 @@ fn compile_join<'a>(
         .map(|p| CompiledPredicate::compile(p, &table.header))
         .transpose()?;
     // An inner step whose pushed conjunct keeps no stored row empties the
-    // stream for every later step. The check reads pre-fan-out state only
-    // and stops at the first kept row.
+    // stream for every later step. The check reads stored rows only and
+    // stops at the first kept row.
     let output_empty = left_empty
         || (!step.outer
             && cp
@@ -955,34 +961,12 @@ fn compile_join<'a>(
     })
 }
 
-/// Evaluates a root-only predicate over the scanned rows *before* the
-/// join pipeline, one [`Database::morsel_rows`]-sized contiguous chunk
-/// per [`fan_out`] item, with survivors reassembled in chunk order — so
-/// the surviving slots, and everything downstream, are identical at every
-/// worker count. A panicking chunk fails only this query, as a typed
-/// error.
-fn prefilter_root<'a>(
-    db: &Database,
-    rows: &[&'a Tuple],
-    cp: &CompiledPredicate,
-) -> Result<Vec<&'a Tuple>> {
-    let chunks: Vec<&[&'a Tuple]> = rows.chunks(db.morsel_rows().max(1)).collect();
-    let kept = fan_out(db.parallelism(), &chunks, |chunk| {
-        Ok(chunk
-            .iter()
-            .copied()
-            .filter(|t| cp.matches(t.values()))
-            .collect::<Vec<_>>())
-    })?;
-    Ok(kept.concat())
-}
-
 /// Where each conjunct of the query filter will run, decided once per
 /// query before any data is touched. Produced by [`plan_pushdown`] from
 /// the [`crate::predopt`] optimizer's canonical conjunct partition.
 struct PushdownPlan {
     /// Conjunction of the root-only conjuncts, compiled against the root
-    /// header; evaluated by [`prefilter_root`] right after root access.
+    /// header; drops root rows right after root access.
     root: Option<CompiledPredicate>,
     /// A root `Eq` conjunct upgraded to an index point-lookup: root
     /// access becomes one counted probe instead of a full scan.
@@ -1236,7 +1220,7 @@ fn execute_core(
     } else if let Some(cp) = &pd.root {
         let t0 = Instant::now();
         let rows_in = root_rows.len() as u64;
-        root_rows = prefilter_root(db, &root_rows, cp)?;
+        root_rows.retain(|t| cp.matches(t.values()));
         pruned_rows += rows_in - root_rows.len() as u64;
         pushed_op = Some(OpStats {
             rows_in,
@@ -1249,8 +1233,7 @@ fn execute_core(
 
     // Compile the join pipeline. Emptiness of each step's left side (see
     // `CompiledJoin::output_empty`) and every hash build are settled here,
-    // before fan-out, so strategies and counters are identical at every
-    // parallelism level.
+    // before the first morsel runs.
     let mut layout = FlatLayout {
         header: root_header.to_vec(),
         locs: (0..root_header.len()).map(|i| (0, i)).collect(),
@@ -1271,49 +1254,46 @@ fn execute_core(
         .map(|p| CompiledPredicate::compile(p, &layout.header))
         .transpose()?;
 
-    // Partition into morsels and fan out.
-    let morsel_rows = db.morsel_rows().max(1);
-    let morsels: Vec<&[&Tuple]> = root_rows.chunks(morsel_rows).collect();
+    // Run the pipeline a morsel at a time. Each morsel boundary is a
+    // cancellation point: the budget is polled as a morsel starts and
+    // charged as it completes, and a panic (injected or genuine) is
+    // contained — it fails only this query, as a typed error, leaving the
+    // database untouched (the executor never mutates; it holds only
+    // borrowed rows).
+    let morsels = root_rows.chunks(MORSEL_ROWS);
     stats.morsels = morsels.len() as u64;
-    span.add_field("morsels", morsels.len());
-    span.add_field("workers", db.parallelism().min(morsels.len().max(1)));
-    // Each morsel boundary is a cancellation point: the budget is polled
-    // as a morsel starts and charged as it completes, and a panicking
-    // morsel (injected or genuine) is contained — it fails only this
-    // query, as a typed error, leaving the database untouched (the
-    // executor never mutates; workers hold only borrowed rows).
-    let outs: Vec<MorselOut> = fan_out(db.parallelism(), &morsels, |m| {
-        budget.checkpoint()?;
-        db.fault_check(site::MORSEL_WORKER)?;
-        let out = run_morsel(m, &joins, filter.as_ref(), &layout.widths);
-        budget.charge_morsel(out.rows.len() as u64)?;
-        budget.charge_intermediate_bytes(out.intermediate_bytes())?;
-        Ok(out)
-    })?;
-
-    // Concatenate in morsel order — deterministic and byte-identical to
-    // the serial path — and merge per-morsel counters into their
-    // operators.
-    let mut per_join: Vec<OpStats> = joins.iter().map(|j| j.build).collect();
-    let mut filter_op = OpStats::default();
-    let mut rows: Vec<Tuple> = Vec::with_capacity(outs.iter().map(|o| o.rows.len()).sum());
-    let mut saved_allocs: u64 = 0;
-    for out in outs {
-        saved_allocs += out.saved_allocs;
-        pruned_rows += out.pruned;
-        for (agg, op) in per_join.iter_mut().zip(&out.per_join) {
-            agg.rows_in += op.rows_in;
-            agg.rows_out += op.rows_out;
-            agg.rows_scanned += op.rows_scanned;
-            agg.index_probes += op.index_probes;
-            agg.intermediate_bytes += op.intermediate_bytes;
-            agg.wall_ns += op.wall_ns;
+    span.add_field("morsels", stats.morsels);
+    let mut out = PipelineOut {
+        morsel_rows: Vec::with_capacity(stats.morsels as usize),
+        per_join: joins.iter().map(|j| j.build).collect(),
+        filter: OpStats::default(),
+        saved_allocs: 0,
+        pruned: 0,
+    };
+    contain(|| {
+        for morsel in morsels {
+            budget.checkpoint()?;
+            db.fault_check(site::MORSEL_WORKER)?;
+            let (rows, bytes) =
+                run_morsel(morsel, &joins, filter.as_ref(), &layout.widths, &mut out);
+            budget.charge_morsel(rows)?;
+            budget.charge_intermediate_bytes(bytes)?;
         }
-        filter_op.rows_in += out.filter.rows_in;
-        filter_op.rows_out += out.filter.rows_out;
-        filter_op.intermediate_bytes += out.filter.intermediate_bytes;
-        filter_op.wall_ns += out.filter.wall_ns;
-        rows.extend(out.rows);
+        Ok::<_, Error>(())
+    })?;
+    let PipelineOut {
+        morsel_rows,
+        per_join,
+        filter: filter_op,
+        saved_allocs,
+        pruned,
+    } = out;
+    pruned_rows += pruned;
+    // One exact allocation for the result: a vector grown morsel by morsel
+    // would reallocate a ten-morsel result four times.
+    let mut rows = Vec::with_capacity(morsel_rows.iter().map(Vec::len).sum());
+    for part in morsel_rows {
+        rows.extend(part);
     }
     for op in &per_join {
         stats.rows_scanned += op.rows_scanned;
@@ -1704,17 +1684,6 @@ mod tests {
         assert!(stats.peak_intermediate_bytes > 0);
         assert!(stats.peak_intermediate_bytes <= stats.intermediate_bytes);
         assert_eq!(trace.totals(), stats);
-        // The accounting is deterministic across worker counts and morsel
-        // sizes.
-        let mut small = db.fork();
-        small.configure(small.config().parallelism(4));
-        small.configure(small.config().morsel_rows(1));
-        let (_, par_stats) = small.execute(&plan).unwrap();
-        assert_eq!(par_stats.intermediate_bytes, stats.intermediate_bytes);
-        assert_eq!(
-            par_stats.peak_intermediate_bytes,
-            stats.peak_intermediate_bytes
-        );
     }
 
     #[test]
@@ -1794,16 +1763,21 @@ mod tests {
     }
 
     #[test]
-    fn morsels_counted_independent_of_workers() {
+    fn morsels_are_1024_root_rows_each() {
         let mut db = db();
-        db.configure(db.config().morsel_rows(3));
-        for workers in [1, 4] {
-            db.configure(db.config().parallelism(workers));
-            let (_, stats) = db.execute(&QueryPlan::scan("COURSE")).unwrap();
-            assert_eq!(stats.morsels, 4, "10 rows / 3-row morsels");
+        // COURSE holds 10 rows; grow it across the first morsel boundaries.
+        let mut next = 10;
+        for (rows, morsels) in [(10, 1), (1_024, 1), (1_025, 2), (2_048, 2), (2_049, 3)] {
+            while next < rows {
+                db.insert("COURSE", tup(&[next])).unwrap();
+                next += 1;
+            }
+            let (_, stats, trace) = db.execute_traced(&QueryPlan::scan("COURSE")).unwrap();
+            assert_eq!(stats.morsels, morsels, "{rows} root rows");
+            assert_eq!(trace.totals(), stats);
         }
         // An empty root partitions into zero morsels.
-        let plan = QueryPlan::lookup("COURSE", &["C.K"], tup(&[999])).join(JoinStep::inner(
+        let plan = QueryPlan::lookup("COURSE", &["C.K"], tup(&[-1])).join(JoinStep::inner(
             "OFFER",
             &["C.K"],
             &["O.K"],
@@ -1811,27 +1785,6 @@ mod tests {
         let (result, stats) = db.execute(&plan).unwrap();
         assert_eq!(result.len(), 0);
         assert_eq!(stats.morsels, 0);
-    }
-
-    #[test]
-    fn parallel_execution_is_byte_identical() {
-        let mut db = db();
-        let plan = QueryPlan::scan("COURSE")
-            .join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]))
-            .filter(Predicate::not_null("C.K"));
-        db.configure(db.config().morsel_rows(1)); // every row its own morsel
-        db.configure(db.config().parallelism(1));
-        let (serial, serial_stats) = db.execute(&plan).unwrap();
-        for workers in 2..=4 {
-            db.configure(db.config().parallelism(workers));
-            let (parallel, parallel_stats) = db.execute(&plan).unwrap();
-            assert_eq!(parallel, serial, "byte-identical at {workers} workers");
-            assert_eq!(parallel_stats, serial_stats);
-            let (traced, traced_stats, trace) = db.execute_traced(&plan).unwrap();
-            assert_eq!(traced, serial);
-            assert_eq!(traced_stats, serial_stats);
-            assert_eq!(trace.totals(), traced_stats);
-        }
     }
 
     #[test]
@@ -1945,27 +1898,18 @@ mod tests {
 
     #[test]
     fn root_filter_pushdown_is_equivalent_and_traced() {
-        let mut db = db();
-        db.configure(db.config().morsel_rows(2));
-        // A root-only predicate on a full scan runs pre-join,
-        // morsel-parallel, without changing results or stats.
+        let db = db();
+        // A root-only predicate on a full scan runs pre-join.
         let plan = QueryPlan::scan("COURSE")
             .join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]))
             .filter(Predicate::not_null("C.K").and(Predicate::eq("C.K", 4i64).negate()));
-        db.configure(db.config().parallelism(1));
-        let (serial, serial_stats, trace) = db.execute_traced(&plan).unwrap();
-        assert_eq!(serial.len(), 9);
-        assert_eq!(trace.totals(), serial_stats);
+        let (result, stats, trace) = db.execute_traced(&plan).unwrap();
+        assert_eq!(result.len(), 9);
+        assert_eq!(trace.totals(), stats);
         assert_eq!(trace.ops[1].kind, OpKind::Filter);
         assert_eq!(trace.ops[1].label, "Filter (pushed to scan)");
         assert_eq!(trace.ops[1].stats.rows_in, 10);
         assert_eq!(trace.ops[1].stats.rows_out, 9);
-        for workers in [2, 4] {
-            db.configure(db.config().parallelism(workers));
-            let (parallel, parallel_stats) = db.execute(&plan).unwrap();
-            assert_eq!(parallel, serial, "pushdown byte-identical at {workers}");
-            assert_eq!(parallel_stats, serial_stats);
-        }
         // A predicate needing join attributes still runs post-join.
         let plan = QueryPlan::scan("COURSE")
             .join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]))
@@ -2010,7 +1954,6 @@ mod tests {
         rs.add_scheme(RelationScheme::new("T", vec![a("T.K"), a("T.V")], &["T.K"]).unwrap())
             .unwrap();
         let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
-        db.configure(db.config().parallelism(1));
         for k in 0..50 {
             db.insert("L", tup(&[k, k * 20])).unwrap();
         }

@@ -1,7 +1,7 @@
 //! Concurrent-session coverage: random interleavings of reader sessions
 //! and writer batches over one shared [`Store`] — every read must be
-//! byte-identical to a serial replay at its pinned version vector, at
-//! every worker count, with the shared build cache on or off; pinned
+//! byte-identical to a serial replay at its pinned version vector, with
+//! the shared build cache on or off; pinned
 //! snapshots stay frozen while writers commit; and the shared cache
 //! serves cross-session hits without ever serving a stale or
 //! predicate-mismatched build (stale service would break the replay
@@ -62,15 +62,12 @@ fn row(vals: &[i64]) -> Tuple {
     Tuple::new(vals.iter().map(|v| Value::Int(*v)).collect::<Vec<_>>())
 }
 
-fn engine_config(workers: usize, cache_on: bool) -> EngineConfig {
-    EngineConfig::default()
-        .parallelism(workers)
-        .morsel_rows(4)
-        .build_cache_capacity(if cache_on {
-            DEFAULT_BUILD_CACHE_BYTES
-        } else {
-            0
-        })
+fn engine_config(cache_on: bool) -> EngineConfig {
+    EngineConfig::default().build_cache_capacity(if cache_on {
+        DEFAULT_BUILD_CACHE_BYTES
+    } else {
+        0
+    })
 }
 
 /// The deterministic baseline both the store master and the serial
@@ -216,17 +213,15 @@ proptest! {
 
     /// Random single-schedule interleavings of pins, reads, pin drops,
     /// and writer batches: every read must equal the serial replay at
-    /// its pinned version vector, with the cache on or off, at every
-    /// worker count.
+    /// its pinned version vector, with the cache on or off.
     #[test]
     fn snapshot_reads_match_serial_replay(
         seed in 0u64..1_000_000,
         n_ops in 8usize..28,
-        workers in prop::sample::select(vec![1usize, 2, 4]),
         cache_on in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let config = engine_config(workers, cache_on);
+        let config = engine_config(cache_on);
         let store = Store::new(seed_db(&config));
         let writer = store.session();
         let readers = [store.session(), store.session()];
@@ -281,59 +276,57 @@ proptest! {
 /// so the batch order the replay needs is exactly the stream order.)
 #[test]
 fn threaded_readers_match_serial_replay_under_writes() {
-    for workers in [1usize, 2, 4] {
-        let config = engine_config(workers, true);
-        let store = Store::new(seed_db(&config));
+    let config = engine_config(true);
+    let store = Store::new(seed_db(&config));
 
-        let mut rng = StdRng::seed_from_u64(0xb12 + workers as u64);
-        let (mut next_parent, mut next_child) = (100i64, 1000i64);
-        let batches: Vec<Vec<Statement>> = (0..12)
-            .map(|_| {
-                let n = rng.gen_range(1..5);
-                random_batch(&mut rng, n, &mut next_parent, &mut next_child)
+    let mut rng = StdRng::seed_from_u64(0xb13);
+    let (mut next_parent, mut next_child) = (100i64, 1000i64);
+    let batches: Vec<Vec<Statement>> = (0..12)
+        .map(|_| {
+            let n = rng.gen_range(1..5);
+            random_batch(&mut rng, n, &mut next_parent, &mut next_child)
+        })
+        .collect();
+
+    let reads: Vec<Read> = std::thread::scope(|scope| {
+        let writer_store = store.clone();
+        let writer_batches = &batches;
+        let writer = scope.spawn(move || {
+            let session = writer_store.session();
+            for batch in writer_batches {
+                let _ = session.apply_batch(batch);
+            }
+        });
+        let reader_handles: Vec<_> = (0..2)
+            .map(|t| {
+                let reader_store = store.clone();
+                scope.spawn(move || {
+                    let session = reader_store.session();
+                    let mut out = Vec::new();
+                    for i in 0..10u32 {
+                        let pin = session.pin().unwrap();
+                        let q = (i + t) % QUERY_COUNT;
+                        let (rows, _) = pin.execute(&query(q)).unwrap();
+                        out.push(Read {
+                            vector: pin.version_vector(),
+                            query: q,
+                            rows,
+                        });
+                    }
+                    out
+                })
             })
             .collect();
+        writer.join().unwrap();
+        reader_handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
 
-        let reads: Vec<Read> = std::thread::scope(|scope| {
-            let writer_store = store.clone();
-            let writer_batches = &batches;
-            let writer = scope.spawn(move || {
-                let session = writer_store.session();
-                for batch in writer_batches {
-                    let _ = session.apply_batch(batch);
-                }
-            });
-            let reader_handles: Vec<_> = (0..2)
-                .map(|t| {
-                    let reader_store = store.clone();
-                    scope.spawn(move || {
-                        let session = reader_store.session();
-                        let mut out = Vec::new();
-                        for i in 0..10u32 {
-                            let pin = session.pin().unwrap();
-                            let q = (i + t) % QUERY_COUNT;
-                            let (rows, _) = pin.execute(&query(q)).unwrap();
-                            out.push(Read {
-                                vector: pin.version_vector(),
-                                query: q,
-                                rows,
-                            });
-                        }
-                        out
-                    })
-                })
-                .collect();
-            writer.join().unwrap();
-            reader_handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-
-        assert!(store.verify_integrity().is_clean());
-        check_against_serial_replay(&config, &batches, &reads)
-            .unwrap_or_else(|detail| panic!("workers={workers}: {detail}"));
-    }
+    assert!(store.verify_integrity().is_clean());
+    check_against_serial_replay(&config, &batches, &reads)
+        .unwrap_or_else(|detail| panic!("{detail}"));
 }
 
 /// The shared cache serves cross-session hits: the second session's
@@ -341,7 +334,7 @@ fn threaded_readers_match_serial_replay_under_writes() {
 /// returning byte-identical rows.
 #[test]
 fn shared_cache_serves_cross_session_hits() {
-    let store = Store::new(seed_db(&engine_config(2, true)));
+    let store = Store::new(seed_db(&engine_config(true)));
     let s1 = store.session();
     let s2 = store.session();
     let q = query(0);
@@ -371,7 +364,7 @@ fn shared_cache_serves_cross_session_hits() {
 /// build served), while an old pin keeps its frozen result.
 #[test]
 fn writes_invalidate_the_shared_cache_without_disturbing_old_pins() {
-    let store = Store::new(seed_db(&engine_config(1, true)));
+    let store = Store::new(seed_db(&engine_config(true)));
     let session = store.session();
     let q = query(0);
     let old_pin = session.pin().unwrap();

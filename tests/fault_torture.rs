@@ -2,7 +2,7 @@
 //! arrival index × mode aborts with a typed error, leaves the deep
 //! integrity checker clean, and rolls the state back byte-identical —
 //! under deferred and under immediate checking, updates included; a
-//! panicking morsel worker fails only its own query; query budgets trip
+//! panicking query morsel fails only its own query; query budgets trip
 //! with typed errors; and seeded corruption is actually detected.
 
 use std::time::Duration;
@@ -312,19 +312,21 @@ fn session_sites_error_and_panic_at_every_arrival_recover() {
 #[test]
 fn panicking_morsel_worker_fails_only_its_query() {
     let mut db = baseline_db();
-    for k in 100..164 {
-        db.insert("PARENT", row(&[k])).unwrap();
-    }
-    db.configure(db.config().morsel_rows(4));
-    db.configure(db.config().parallelism(4));
+    // 2 + 2,047 parents: three morsels of 1,024 root rows.
+    let parents: Vec<Statement> = (100..2_147)
+        .map(|k| Statement::insert("PARENT", row(&[k])))
+        .collect();
+    db.apply_batch(&parents).unwrap();
     let scan = QueryPlan::scan("PARENT");
-    let (all, _) = db.execute(&scan).unwrap();
+    let (all, stats) = db.execute(&scan).unwrap();
+    assert_eq!(stats.morsels, 3);
 
     let plan =
         db.set_fault_plan(FaultPlan::new().fail_at(site::MORSEL_WORKER, 2, FaultMode::Panic));
     let err = db.execute(&scan).unwrap_err();
     assert!(matches!(err, Error::ExecutionPanic { .. }), "{err}");
     assert_eq!(plan.fired(site::MORSEL_WORKER), 1);
+    assert_eq!(plan.hits(site::MORSEL_WORKER), 3, "the third morsel fired");
 
     // Only that query failed: the database survives, verifies clean, and
     // answers the same query once the plan is cleared.
@@ -332,10 +334,9 @@ fn panicking_morsel_worker_fails_only_its_query() {
     assert!(db.verify_integrity().is_clean());
     let (again, _) = db.execute(&scan).unwrap();
     assert_eq!(again, all);
-    db.insert("PARENT", row(&[999])).unwrap();
+    db.insert("PARENT", row(&[5_000])).unwrap();
 
-    // Error mode on the serial path is equally contained.
-    db.configure(db.config().parallelism(1));
+    // Error mode is equally contained.
     db.set_fault_plan(FaultPlan::new().fail_at(site::MORSEL_WORKER, 0, FaultMode::Error));
     let err = db.execute(&scan).unwrap_err();
     assert!(matches!(err, Error::Injected { .. }), "{err}");
@@ -368,11 +369,10 @@ fn query_budgets_trip_with_typed_errors() {
     let err = db.execute(&scan).unwrap_err();
     assert!(matches!(err, Error::BudgetExceeded { .. }), "{err}");
 
-    // Lifting the budget restores service; parallel execution under a
-    // generous budget is unaffected.
+    // Lifting the budget restores service, and a generous budget is no
+    // obstacle.
     db.configure(db.config().query_budget(QueryBudget::unlimited()));
     assert!(db.execute(&scan).is_ok());
-    db.configure(db.config().parallelism(4));
     db.configure(
         db.config()
             .query_budget(QueryBudget::unlimited().with_max_rows(1_000_000)),

@@ -5,9 +5,10 @@
 //! index (one transient hash build), is the key (unique-index probes), or
 //! is the left side of an inclusion dependency (lookup-index probes).
 //! Random plans of two to four such steps, filtered by a predicate over
-//! nulls, must return the algebra's answer too, and a root lookup keyed on
-//! any of those columns, with a key that may be null, must return the
-//! algebra's selection.
+//! nulls, must return the algebra's answer too, as must one such plan over
+//! a root of three morsels, and a root lookup keyed on any of those
+//! columns, with a key that may be null, must return the algebra's
+//! selection.
 
 use proptest::prelude::*;
 
@@ -192,12 +193,53 @@ fn algebra_chain(
     Relation::with_rows(header, kept).expect("selection")
 }
 
+/// A root of 2,099 rows after its filter runs as three morsels of 1,024
+/// root rows: the answer across the morsel boundaries is the algebra's,
+/// and the trace adds up to the stats. `T0.V` is null in every fifth row
+/// and `T1.V`, `T2.V` in every third. The inner step probes `T1.V`'s
+/// lookup index, and the outer step builds over the unindexed `T2.V`. The
+/// filter drops one root row before the pipeline and every match with
+/// `T2.V = 0` after it, keeping the outer step's pads.
+#[test]
+fn three_morsel_plan_matches_the_algebra() {
+    let vals: [Vec<Option<i64>>; 3] = [
+        (0..2_100).map(|k| (k % 5 != 4).then_some(k % 4)).collect(),
+        (0..8).map(|k| (k % 3 != 1).then_some(k % 4)).collect(),
+        (0..8)
+            .map(|k| (k % 3 != 2).then_some((k + 1) % 4))
+            .collect(),
+    ];
+    let db = chain_database(&vals, &[false, true, false]);
+    let steps = [
+        ("T0.V".to_owned(), "T1.V".to_owned(), false),
+        ("T1.K".to_owned(), "T2.V".to_owned(), true),
+    ];
+    let atoms = [
+        (Atom::Eq("T0.K".to_owned(), Value::Int(0)), true),
+        (Atom::Eq("T2.V".to_owned(), Value::Int(0)), true),
+    ];
+    let plan = QueryPlan::scan("T0")
+        .join(JoinStep::inner("T1", &["T0.V"], &["T1.V"]))
+        .join(JoinStep::outer("T2", &["T1.K"], &["T2.V"]))
+        .filter(
+            Predicate::eq("T0.K", 0i64)
+                .negate()
+                .and(Predicate::eq("T2.V", 0i64).negate()),
+        );
+    let (got, stats, trace) = db.execute_traced(&plan).expect("query");
+    assert_eq!(stats.morsels, 3);
+    assert_eq!(stats.hash_builds, 1, "one build over T2.V");
+    assert_eq!(trace.totals(), stats);
+    let want = algebra_chain(&db.snapshot().expect("snapshot"), &steps, &atoms);
+    assert!(got.set_eq(&want), "engine {got} vs algebra {want}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The algebra's answer, serially and morsel-parallel: one transient
-    /// build for the unindexed column, one counted probe per non-null left
-    /// key and no build for an indexed one.
+    /// The algebra's answer: one transient build for the unindexed column,
+    /// one counted probe per non-null left key and no build for an indexed
+    /// one.
     #[test]
     fn join_access_paths_match_the_algebra(
         left in prop::collection::vec(prop::option::of(0i64..4), 1..16),
@@ -208,14 +250,12 @@ proptest! {
             RightColumn::Referencing,
         ]),
         outer in any::<bool>(),
-        workers in 1usize..4,
     ) {
         // A referencing R.V must name an L row; the others stay in 0..4,
         // where the left keys are drawn.
         let bound = if column == RightColumn::Referencing { left.len() as i64 } else { 4 };
         let right: Vec<Option<i64>> = right.iter().map(|v| v.map(|v| v % bound)).collect();
-        let mut db = lr_database(&left, &right, column);
-        db.configure(db.config().parallelism(workers).morsel_rows(3));
+        let db = lr_database(&left, &right, column);
         let attr = column.attr();
         let step = if outer {
             JoinStep::outer("R", &["L.V"], &[attr])
@@ -239,8 +279,7 @@ proptest! {
     /// inner and left outer steps, key (unique-index), lookup-index and
     /// unindexed right columns and null join keys, filtered by a
     /// conjunction of `IsNull` / `NotNull` / `Eq` atoms, some negated: the
-    /// algebra's answer, serially and on two workers, with three-row
-    /// morsels.
+    /// algebra's answer, with a trace whose operators add up to the stats.
     #[test]
     fn multi_join_plans_match_the_algebra(
         vals in prop::collection::vec(
@@ -257,7 +296,7 @@ proptest! {
             0..4,
         ),
     ) {
-        let mut db = chain_database(&vals, &indexed);
+        let db = chain_database(&vals, &indexed);
         let state = db.snapshot().expect("snapshot");
         // Step j joins T(j+1) on an attribute of T0..=Tj.
         let steps: Vec<(String, String, bool)> = steps
@@ -303,16 +342,11 @@ proptest! {
             plan = plan.filter(f);
         }
         let want = algebra_chain(&state, &steps, &atoms);
-        for workers in [1, 2] {
-            db.configure(db.config().parallelism(workers).morsel_rows(3));
-            let (got, stats) = db.execute(&plan).expect("query");
-            prop_assert_eq!(stats.joins, steps.len() as u64);
-            prop_assert!(
-                got.set_eq(&want),
-                "workers {}: engine {} vs algebra {}",
-                workers, got, want
-            );
-        }
+        let (got, stats, trace) = db.execute_traced(&plan).expect("query");
+        prop_assert_eq!(stats.joins, steps.len() as u64);
+        prop_assert_eq!(stats.rows_output, got.len() as u64);
+        prop_assert_eq!(trace.totals(), stats);
+        prop_assert!(got.set_eq(&want), "engine {} vs algebra {}", got, want);
     }
 
     /// A root lookup of R on its key, on the referencing `R.V` (lookup

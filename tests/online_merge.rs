@@ -1,7 +1,7 @@
 //! Whole-system property test for the online migration path: for a random
 //! star schema, a random consistent state, and a random tolerated DML
 //! history, `Database::migrate` must land the live database byte-identical
-//! — state and per-query `QueryStats`, at every worker count — to a fresh
+//! — state and per-query `QueryStats` — to a fresh
 //! database built on the merged schema from the η-mapped state; capacity
 //! must be preserved (Propositions 4.1/4.2); and every injected migration
 //! fault must abort with a typed error, verify clean, and roll back
@@ -247,15 +247,11 @@ proptest! {
         prop_assert_eq!(&post, &fresh.snapshot().unwrap());
         prop_assert!(live.verify_integrity().is_clean());
 
-        for w in [1usize, 2, 4] {
-            live.configure(live.config().parallelism(w));
-            fresh.configure(fresh.config().parallelism(w));
-            for q in replay_queries(root_rows) {
-                let (r_live, s_live) = live.execute(&q).unwrap();
-                let (r_fresh, s_fresh) = fresh.execute(&q).unwrap();
-                prop_assert_eq!(&r_live, &r_fresh, "workers {} plan {:?}", w, q);
-                prop_assert_eq!(s_live, s_fresh, "workers {} plan {:?}", w, q);
-            }
+        for q in replay_queries(root_rows) {
+            let (r_live, s_live) = live.execute(&q).unwrap();
+            let (r_fresh, s_fresh) = fresh.execute(&q).unwrap();
+            prop_assert_eq!(&r_live, &r_fresh, "plan {:?}", q);
+            prop_assert_eq!(s_live, s_fresh, "plan {:?}", q);
         }
     }
 

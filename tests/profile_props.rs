@@ -1,9 +1,9 @@
 //! Whole-system property tests for the workload profiler: on random star
 //! schemas carrying random consistent states, the per-fingerprint
 //! aggregated totals must equal the sum of the individual
-//! [`QueryStats`] of the executions they fold — exactly, at every worker
-//! count — and the plan fingerprint must be stable under predicate-order
-//! permutation and re-parenthesization.
+//! [`QueryStats`] of the executions they fold, exactly, and the plan
+//! fingerprint must be stable under predicate-order permutation and
+//! re-parenthesization.
 //!
 //! [`QueryStats`]: relmerge::engine::QueryStats
 
@@ -102,10 +102,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Per-fingerprint totals == the summed `QueryStats` of exactly the
-    /// executions that share the fingerprint, at every worker count; and
-    /// the profile's stat fields are identical across worker counts.
+    /// executions that share the fingerprint.
     #[test]
-    fn profiler_totals_equal_per_query_sums_at_every_worker_count(
+    fn profiler_totals_equal_per_query_sums(
         satellites in 1usize..4,
         rows in 1usize..24,
         coverage in 0.0f64..=1.0,
@@ -127,44 +126,30 @@ proptest! {
             .map(|p| fingerprint_of(&schema, &state, p))
             .collect();
 
-        let mut baseline: Option<BTreeMap<u64, StatSum>> = None;
-        for workers in [1usize, 2, 4] {
-            let mut db = Database::new(schema.clone(), DbmsProfile::ideal()).expect("db");
-            db.load_state(&state).expect("load");
-            db.configure(db.config().parallelism(workers));
+        let mut db = Database::new(schema.clone(), DbmsProfile::ideal()).expect("db");
+        db.load_state(&state).expect("load");
 
-            // Execute the mix (twice, so folding is exercised) and sum
-            // stats manually per expected fingerprint.
-            let mut manual: BTreeMap<u64, StatSum> = BTreeMap::new();
-            let mut executions: BTreeMap<u64, u64> = BTreeMap::new();
-            for _ in 0..2 {
-                for (plan, &fp) in plans.iter().zip(&fingerprints) {
-                    let (_, stats) = db.execute(plan).expect("execution");
-                    manual.entry(fp).or_default().fold(&stats);
-                    *executions.entry(fp).or_default() += 1;
-                }
+        // Execute the mix (twice, so folding is exercised) and sum stats
+        // manually per expected fingerprint.
+        let mut manual: BTreeMap<u64, StatSum> = BTreeMap::new();
+        let mut executions: BTreeMap<u64, u64> = BTreeMap::new();
+        for _ in 0..2 {
+            for (plan, &fp) in plans.iter().zip(&fingerprints) {
+                let (_, stats) = db.execute(plan).expect("execution");
+                manual.entry(fp).or_default().fold(&stats);
+                *executions.entry(fp).or_default() += 1;
             }
+        }
 
-            let snap: ProfileSnapshot = db.profile_snapshot();
-            let got: BTreeMap<u64, StatSum> = snap
-                .queries
-                .iter()
-                .map(|(&fp, p)| (fp, StatSum::of_cost(&p.totals)))
-                .collect();
-            prop_assert_eq!(
-                &got, &manual,
-                "per-fingerprint totals must equal per-query sums (workers={})",
-                workers
-            );
-            for (fp, p) in &snap.queries {
-                prop_assert_eq!(p.executions, executions[fp]);
-            }
-            // Stat fields are worker-count independent: the same mix
-            // yields the same profile wherever it ran.
-            match &baseline {
-                None => baseline = Some(got),
-                Some(b) => prop_assert_eq!(b, &got, "profile varies with workers"),
-            }
+        let snap: ProfileSnapshot = db.profile_snapshot();
+        let got: BTreeMap<u64, StatSum> = snap
+            .queries
+            .iter()
+            .map(|(&fp, p)| (fp, StatSum::of_cost(&p.totals)))
+            .collect();
+        prop_assert_eq!(&got, &manual, "per-fingerprint totals must equal per-query sums");
+        for (fp, p) in &snap.queries {
+            prop_assert_eq!(p.executions, executions[fp]);
         }
     }
 

@@ -4,7 +4,7 @@
 //! log is cut at — a clean record boundary, mid-record (torn tail), or a
 //! record whose checksum was corrupted in place — recovery must produce a
 //! `verify_integrity()`-clean database equal to the state after the last
-//! batch whose record survives intact, at every worker count. The commits
+//! batch whose record survives intact. The commits
 //! that install a snapshot instead of appending a record — a durable
 //! `load_state` and so an online migration — must survive a restart too,
 //! and a failed one must leave the previous state to recover.
@@ -82,16 +82,14 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn config(dir: &Path, workers: usize, snapshot_every: u64) -> EngineConfig {
-    EngineConfig::default()
-        .parallelism(workers)
-        .durability(Some(
-            DurabilityConfig::new(dir)
-                .snapshot_every(snapshot_every)
-                // No OS crash is simulated (the process survives), so skipping
-                // fsync changes nothing about what recovery can see.
-                .fsync(FsyncPolicy::Never),
-        ))
+fn config(dir: &Path, snapshot_every: u64) -> EngineConfig {
+    EngineConfig::default().durability(Some(
+        DurabilityConfig::new(dir)
+            .snapshot_every(snapshot_every)
+            // No OS crash is simulated (the process survives), so skipping
+            // fsync changes nothing about what recovery can see.
+            .fsync(FsyncPolicy::Never),
+    ))
 }
 
 /// Runs `batches` random batches against a fresh durable database and
@@ -145,11 +143,10 @@ proptest! {
     #[test]
     fn any_kill_offset_recovers_to_a_valid_prefix(
         seed in 0u64..1_000_000,
-        workers in prop::sample::select(vec![1usize, 2, 4]),
         snapshot_every in prop::sample::select(vec![0u64, 3]),
     ) {
         let dir = fresh_dir("kill");
-        let cfg = config(&dir, workers, snapshot_every);
+        let cfg = config(&dir, snapshot_every);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut db =
             Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
@@ -190,10 +187,9 @@ proptest! {
     #[test]
     fn corrupted_checksum_record_ends_the_prefix(
         seed in 0u64..1_000_000,
-        workers in prop::sample::select(vec![1usize, 2, 4]),
     ) {
         let dir = fresh_dir("crc");
-        let cfg = config(&dir, workers, 0); // one generation, no snapshots
+        let cfg = config(&dir, 0); // one generation, no snapshots
         let mut rng = StdRng::seed_from_u64(seed);
         let mut db =
             Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
@@ -261,7 +257,7 @@ fn migratable(cfg: &EngineConfig) -> (Database, Merged) {
 #[test]
 fn a_migrated_durable_database_survives_a_restart() {
     let dir = fresh_dir("migrate");
-    let cfg = config(&dir, 1, 0);
+    let cfg = config(&dir, 0);
     let (mut db, plan) = migratable(&cfg);
     db.migrate(&plan).unwrap();
     let expect = db.snapshot().unwrap();
@@ -304,7 +300,7 @@ fn a_migrated_durable_database_survives_a_restart() {
 fn a_failed_migration_commit_leaves_the_old_schema_to_recover() {
     for mode in [FaultMode::Error, FaultMode::Panic] {
         let dir = fresh_dir("migrate-fault");
-        let cfg = config(&dir, 1, 0);
+        let cfg = config(&dir, 0);
         let (mut db, plan) = migratable(&cfg);
         let schema = db.schema().clone();
         let pre = db.snapshot().unwrap();
@@ -330,7 +326,7 @@ fn a_failed_migration_commit_leaves_the_old_schema_to_recover() {
 #[test]
 fn a_durable_load_state_survives_recovery() {
     let dir = fresh_dir("load");
-    let cfg = config(&dir, 1, 0);
+    let cfg = config(&dir, 0);
     let mut state = DatabaseState::empty_for(&schema()).unwrap();
     for k in 0..4 {
         state.insert("PARENT", tup(&[k])).unwrap();
