@@ -1121,9 +1121,10 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
 
 /// B10: the versioned build-side cache on the build-heavy composite join.
 ///
-/// The query is measured cold (cache cleared before every execution, so
-/// each one rebuilds TEACH's transient hash table) and warm (the first
-/// execution populates the cache, every timed one hits it); `speedup` is
+/// The query runs `iters` times cold (cache cleared before the run, so it
+/// rebuilds TEACH's transient hash table) alternating with `iters` times
+/// warm (right after a cold run populated the cache, so it hits); each run
+/// is timed alone, `cold_ns`/`warm_ns` are the medians, and `speedup` is
 /// cold over warm, the end-to-end win of the cache. Like B8's composite
 /// row, the query's result is legitimately empty (faculty and student
 /// SSNs are disjoint), keeping it a pure measure of build-side work.
@@ -1158,36 +1159,33 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
     let misses = registry.counter("engine.query.build_cache.misses");
     let saved = registry.counter("engine.query.probe_key.saved_allocs");
 
-    // Cold: every execution rebuilds.
+    // A cold run rebuilds and populates the cache; a warm run reuses it.
     db.clear_build_cache();
     let (cold_rel, cold_stats) = db.execute(&plan)?;
     assert_eq!(cold_rel, reference, "cold result must be byte-identical");
     assert_eq!(cold_stats, ref_stats, "cold stats must be identical");
-    let m0 = misses.get();
-    let t = obs::timer("bench.b10.cold");
-    for _ in 0..iters {
-        db.clear_build_cache();
-        let _ = db.execute(&plan)?;
-    }
-    let cold_ns = t.stop() as f64 / f64::from(iters);
-    let cache_misses = misses.get() - m0;
-
-    // Warm: populate once, then every execution reuses the build.
-    db.clear_build_cache();
-    let _ = db.execute(&plan)?;
     let build_bytes = db.build_cache_bytes();
     let (warm_rel, warm_stats) = db.execute(&plan)?;
     assert_eq!(warm_rel, reference, "warm result must be byte-identical");
     assert_eq!(warm_stats, ref_stats, "warm stats must be identical");
-    let h0 = hits.get();
-    let s0 = saved.get();
-    let t = obs::timer("bench.b10.warm");
+
+    // Timed: cold and warm runs alternate, so host drift touches both
+    // sides alike, and each side reports its median.
+    let mut cold = Vec::with_capacity(iters as usize);
+    let mut warm = Vec::with_capacity(iters as usize);
+    let (mut cache_misses, mut cache_hits, mut saved_allocs) = (0, 0, 0);
     for _ in 0..iters {
-        let _ = db.execute(&plan)?;
+        db.clear_build_cache();
+        let m0 = misses.get();
+        cold.push(timed(|| db.execute(&plan))?);
+        cache_misses += misses.get() - m0;
+        let (h0, s0) = (hits.get(), saved.get());
+        warm.push(timed(|| db.execute(&plan))?);
+        cache_hits += hits.get() - h0;
+        saved_allocs += saved.get() - s0;
     }
-    let warm_ns = t.stop() as f64 / f64::from(iters);
-    let cache_hits = hits.get() - h0;
-    assert!(cache_hits >= 1, "the warm loop must hit the cache");
+    assert!(cache_hits >= 1, "the warm runs must hit the cache");
+    let (cold_ns, warm_ns) = (quantile(&mut cold, 0.5), quantile(&mut warm, 0.5));
 
     let row = Row::new()
         .cell("courses", courses)
@@ -1198,7 +1196,7 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
         .cell("cache_hits", cache_hits)
         .cell("cache_misses", cache_misses)
         .cell("build_bytes", build_bytes)
-        .cell("saved_allocs", (saved.get() - s0) / u64::from(iters.max(1)));
+        .cell("saved_allocs", saved_allocs / u64::from(iters.max(1)));
     let mut report = Report::new("B10: versioned build-side cache (cold rebuild vs warm hit)");
     report.scale = format!("{courses} courses, {iters} timed runs");
     report.tables.push(("b10", vec![row]));

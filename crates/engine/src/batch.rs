@@ -1,17 +1,19 @@
-//! Batched DML with deferred constraint checking, behind a unified
-//! statement API.
+//! Batched DML behind a unified statement API, with one constraint
+//! validator run on two schedules.
 //!
-//! Every mutation of a [`Database`] — the single-statement convenience
-//! methods, [`Transaction`](crate::Transaction) statements, and whole
-//! batches — flows through one executor over [`Statement`] values, in one
-//! of two checking modes:
+//! Every mutation of a [`Database`] — the single-statement methods and
+//! whole batches — flows through one apply step over [`Statement`]
+//! values. The step checks only what cannot wait, the statement's shape
+//! and key uniqueness; then the row lands and joins a *touch set*, and
+//! one group validator checks null constraints, inclusion dependencies
+//! and RESTRICT semantics over it, on one of two schedules:
 //!
-//! * **immediate** — every constraint is verified before the row lands,
-//!   exactly like the classic per-statement path;
-//! * **deferred** — rows land after only structural and key-uniqueness
-//!   checks, and inclusion dependencies, null constraints, and RESTRICT
-//!   semantics are validated *once per constraint over the set of touched
-//!   rows* when the batch commits (SQL-92 `DEFERRABLE INITIALLY DEFERRED`).
+//! * **immediate** — right after each statement, over that statement's
+//!   own rows: a rejection rolls the statement back (and, inside a batch,
+//!   the whole batch);
+//! * **deferred** — once per constraint over the touched rows of each
+//!   relation when the batch commits (SQL-92 `DEFERRABLE INITIALLY
+//!   DEFERRED`), on profiles with the `deferred_checking` capability.
 //!
 //! Deferral is what makes order-free batches possible: a referencing child
 //! may be inserted before its parent, a parent deleted before its children,
@@ -21,27 +23,28 @@
 //! class once per touched relation (deduplicating repeated foreign-key
 //! values into single index probes) instead of re-probing per statement,
 //! which is the §5.1 maintenance cost amortized over the batch. For large
-//! batches touching several relations, group validation fans out across
+//! batches touching several relations, deferred validation fans out across
 //! relations on up to [`Database::parallelism`] threads.
 //!
-//! Key uniqueness is the exception: it is checked eagerly even in deferred
-//! mode, because the hash indexes that back every other check must stay
-//! consistent while the batch applies — the same reason SQL `PRIMARY KEY`
-//! constraints are typically not deferrable.
+//! Key uniqueness is checked as each row lands, on both schedules, because
+//! the hash indexes that back every other check must stay consistent while
+//! a batch applies — the same reason SQL `PRIMARY KEY` constraints are
+//! typically not deferrable.
 //!
-//! All-or-nothing semantics reuse the undo machinery shared with
-//! [`Database::transaction`]: a batch that fails any check (immediate or
-//! deferred) is rolled back completely, leaving rows *and indexes* exactly
-//! as they were.
+//! All-or-nothing semantics come from one undo log: a statement or batch
+//! that fails any check, fails its write-ahead append, or panics is rolled
+//! back completely, leaving rows *and indexes* exactly as they were. Row
+//! counters (`engine.dml.*`) count a statement's rows when its statement or
+//! batch commits.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
 use relmerge_obs::{self as obs};
-use relmerge_relational::{Error, FxHashMap, Relation, Tuple};
+use relmerge_relational::{Error, Relation, Tuple};
 
-use crate::database::{singleton_relation, CheckClass, Database, DmlError};
+use crate::database::{key_hash, CheckClass, Database, DmlError};
 use crate::fault::{contain, fan_out, site};
 
 /// One DML statement, the unit of the unified execution path.
@@ -145,7 +148,7 @@ pub struct BatchOutcome {
     /// [`DmlError::AtStatement`] naming the failing statement.
     pub outcomes: Vec<StatementOutcome>,
     /// Whether constraint checking was deferred to commit (profile
-    /// capability) or fell back to immediate per-statement checks.
+    /// capability) or ran on the immediate schedule, after each statement.
     pub deferred: bool,
     /// Group validations performed at commit (0 in immediate mode).
     pub deferred_checks: u64,
@@ -168,21 +171,24 @@ impl BatchOutcome {
     }
 }
 
-/// One undoable change — the shared rollback unit of transactions and
-/// batches.
+/// One undoable change — the rollback unit of statements and batches. It
+/// names the slot it changed, so rollback restores every table slot for
+/// slot, with no probe and no way to fail.
 pub(crate) enum Undo {
-    /// Remove the tuple that was inserted.
+    /// Take out the row that landed at `slot`.
     Insert {
-        /// Relation the tuple went into.
+        /// Relation the row went into.
         rel: String,
-        /// The inserted tuple.
-        tuple: Tuple,
+        /// Where it landed.
+        slot: usize,
     },
-    /// Re-insert the tuple that was deleted.
+    /// Put the removed `tuple` back at its `slot`.
     Delete {
-        /// Relation the tuple came from.
+        /// Relation the row came from.
         rel: String,
-        /// The removed tuple.
+        /// Where it was.
+        slot: usize,
+        /// The removed row.
         tuple: Tuple,
     },
 }
@@ -192,66 +198,81 @@ impl Undo {
     /// analogue of the executor's intermediate-byte accounting, so the
     /// staging cost of a batch is observable before it commits.
     fn approx_bytes(&self) -> u64 {
-        let (Undo::Insert { rel, tuple } | Undo::Delete { rel, tuple }) = self;
-        (std::mem::size_of::<Undo>() + rel.len() + std::mem::size_of_val(tuple.values())) as u64
+        let (rel, removed) = match self {
+            Undo::Insert { rel, .. } => (rel, 0),
+            Undo::Delete { rel, tuple, .. } => (rel, std::mem::size_of_val(tuple.values())),
+        };
+        (std::mem::size_of::<Undo>() + rel.len() + removed) as u64
     }
-}
 
-/// Rolls back a commit that failed after its changes landed — a failed
-/// write-ahead append, or a panic mid-statement — keeping that failure as
-/// the root cause: if the rollback itself also fails, the returned error
-/// carries *both* faults — a fault must never be masked by the cleanup it
-/// triggered.
-pub(crate) fn rollback_after_failed_commit(
-    db: &mut Database,
-    undo: Vec<Undo>,
-    cause: DmlError,
-) -> DmlError {
-    match rollback(db, undo) {
-        Ok(()) => cause,
-        Err(rollback_err) => DmlError::Schema(Error::Durability {
-            detail: format!(
-                "the commit failed ({cause}); its rollback then failed too \
-                 ({rollback_err}) — in-memory state is neither the old one nor \
-                 the logged one"
-            ),
-        }),
+    /// The row a removal took out (validation reads removed rows here).
+    fn removed(&self) -> &Tuple {
+        match self {
+            Undo::Delete { tuple, .. } => tuple,
+            Undo::Insert { .. } => unreachable!("removed rows are recorded by their removals"),
+        }
     }
 }
 
 /// Reverses every recorded change, newest first.
-pub(crate) fn rollback(db: &mut Database, undo: Vec<Undo>) -> Result<(), DmlError> {
+fn rollback(db: &mut Database, undo: Vec<Undo>) {
     for entry in undo.into_iter().rev() {
         match entry {
-            Undo::Insert { rel, tuple } => {
-                db.raw_remove(&rel, &tuple).map_err(DmlError::Schema)?;
+            Undo::Insert { rel, slot } => {
+                db.take_slot(&rel, slot);
             }
-            Undo::Delete { rel, tuple } => {
-                db.raw_insert(&rel, tuple).map_err(DmlError::Schema)?;
-            }
+            Undo::Delete { rel, slot, tuple } => db.restore_slot(&rel, slot, tuple),
         }
     }
-    Ok(())
 }
 
-/// Net rows a deferred batch touched in one relation, with the index of
-/// the statement that touched each (for error attribution).
+/// The rows one statement changed in its relation: the row it removed
+/// (its slot and its undo entry) and the slot of the row it landed.
+#[derive(Default)]
+struct Touch {
+    removed: Option<(usize, usize)>,
+    landed: Option<usize>,
+}
+
+/// A touched row as validation reads it: the row's slot (inserted rows)
+/// or undo entry (removed rows), and the index of the statement that
+/// touched it, for error attribution. No row is copied.
+type TouchedRow = (usize, usize);
+
+/// The earliest statement that touched any of `inserted` or `deleted`.
+fn first_index(inserted: &[TouchedRow], deleted: &[TouchedRow]) -> usize {
+    inserted
+        .iter()
+        .chain(deleted)
+        .map(|&(_, i)| i)
+        .min()
+        .unwrap_or(0)
+}
+
+/// The net rows one deferred batch changed in one relation.
 #[derive(Default)]
 struct TouchedRel {
-    /// Rows inserted by the batch and still live.
-    inserted: Vec<(Tuple, usize)>,
-    /// Pre-existing rows the batch removed.
-    deleted: Vec<(Tuple, usize)>,
+    /// The rows the batch inserted that are still live, by slot.
+    inserted: Vec<TouchedRow>,
+    /// The pre-existing rows the batch removed, by undo entry.
+    deleted: Vec<TouchedRow>,
 }
 
 impl TouchedRel {
-    fn first_index(&self) -> usize {
-        self.inserted
-            .iter()
-            .chain(&self.deleted)
-            .map(|(_, i)| *i)
-            .min()
-            .unwrap_or(0)
+    fn record(&mut self, touch: Touch, index: usize) {
+        if let Some((slot, entry)) = touch.removed {
+            // Deleting a row the batch itself inserted is a net no-op: it
+            // is neither a new row to validate nor a pre-existing row whose
+            // removal could orphan references that predate the batch.
+            if let Some(pos) = self.inserted.iter().position(|&(s, _)| s == slot) {
+                self.inserted.swap_remove(pos);
+            } else {
+                self.deleted.push((entry, index));
+            }
+        }
+        if let Some(slot) = touch.landed {
+            self.inserted.push((slot, index));
+        }
     }
 }
 
@@ -262,24 +283,11 @@ struct Touched {
 }
 
 impl Touched {
-    fn record_insert(&mut self, rel: &str, tuple: Tuple, index: usize) {
-        self.rels
-            .entry(rel.to_owned())
-            .or_default()
-            .inserted
-            .push((tuple, index));
-    }
-
-    fn record_delete(&mut self, rel: &str, tuple: Tuple, index: usize) {
-        let touched = self.rels.entry(rel.to_owned()).or_default();
-        // Deleting a row the batch itself inserted is a net no-op: it is
-        // neither a new row to validate nor a pre-existing row whose
-        // removal could orphan references that predate the batch.
-        if let Some(pos) = touched.inserted.iter().position(|(t, _)| *t == tuple) {
-            touched.inserted.swap_remove(pos);
-        } else {
-            touched.deleted.push((tuple, index));
+    fn rel_mut(&mut self, rel: &str) -> &mut TouchedRel {
+        if !self.rels.contains_key(rel) {
+            self.rels.insert(rel.to_owned(), TouchedRel::default());
         }
+        self.rels.get_mut(rel).expect("inserted above")
     }
 
     fn total_rows(&self) -> usize {
@@ -290,7 +298,7 @@ impl Touched {
     }
 }
 
-/// A deferred violation: which statement caused it, and why.
+/// A group-validation failure: which statement caused it, and why.
 struct Violation {
     index: usize,
     error: DmlError,
@@ -299,6 +307,76 @@ struct Violation {
 /// Batches at or above this many touched rows validate their relations on
 /// up to [`Database::parallelism`] threads.
 const PARALLEL_ROW_THRESHOLD: usize = 512;
+
+/// One distinct key of a touch set: its hash (0 when it needs none), a
+/// row carrying it, and the earliest statement index that introduced it.
+type Key<'t> = (u64, &'t Tuple, usize);
+
+/// The buffer that deduplicates a touch set's keys, reused by every check
+/// of one relation's validation.
+#[derive(Default)]
+struct Keys<'t> {
+    /// The key of a one-row touch set, which needs no hash and no buffer.
+    lone: Option<Key<'t>>,
+    many: Vec<Key<'t>>,
+}
+
+impl<'t> Keys<'t> {
+    /// One entry per distinct key at `pos` among the `rows` that are total
+    /// there. Keys are told apart by hash and then by value, read in
+    /// place; none is projected.
+    fn distinct(
+        &mut self,
+        rows: impl Iterator<Item = (&'t Tuple, usize)>,
+        pos: &[usize],
+    ) -> &[Key<'t>] {
+        let mut rows = rows
+            .filter(|(t, _)| t.is_total_at(pos))
+            .map(|(t, i)| (0, t, i));
+        let Some(first) = rows.next() else {
+            return &[];
+        };
+        let Some(second) = rows.next() else {
+            return std::slice::from_ref(self.lone.insert(first));
+        };
+        let keys = &mut self.many;
+        keys.clear();
+        keys.extend([first, second].into_iter().chain(rows));
+        for key in keys.iter_mut() {
+            key.0 = key_hash(pos.iter().map(|&p| key.1.get(p)));
+        }
+        keys.sort_unstable_by_key(|&(hash, _, index)| (hash, index));
+        let mut kept = 0;
+        for next in 0..keys.len() {
+            let (hash, row, _) = keys[next];
+            // The kept keys sharing this hash sit just below `kept`.
+            let seen = keys[..kept]
+                .iter()
+                .rev()
+                .take_while(|k| k.0 == hash)
+                .any(|k| pos.iter().all(|&p| k.1.get(p) == row.get(p)));
+            if !seen {
+                keys[kept] = keys[next];
+                kept += 1;
+            }
+        }
+        keys.truncate(kept);
+        keys
+    }
+}
+
+/// The constraints `map` declares on `rel` that apply to a touch set
+/// whose relevant rows are `rows`: none when there are no such rows.
+fn constraints_on<'a, T>(
+    map: &'a BTreeMap<String, Vec<T>>,
+    rel: &str,
+    rows: &[TouchedRow],
+) -> &'a [T] {
+    if rows.is_empty() {
+        return &[];
+    }
+    map.get(rel).map_or(&[], Vec::as_slice)
+}
 
 /// The span/metrics label for a unified-path DML result.
 fn outcome_label(result: &Result<StatementOutcome, DmlError>) -> &'static str {
@@ -336,8 +414,9 @@ impl Database {
 
     /// Updates the row with primary key `key` to `new`, atomically. The
     /// new tuple may change the key; referential RESTRICT applies only to
-    /// referenced projections that actually change. Returns whether a row
-    /// with that key existed.
+    /// referenced projections that actually change, because the new row
+    /// lands before the old one's references are checked. Returns whether
+    /// a row with that key existed.
     pub fn update_by_key(&mut self, rel: &str, key: &Tuple, new: Tuple) -> Result<bool, DmlError> {
         let stmt = Statement::Update {
             rel: rel.to_owned(),
@@ -347,8 +426,9 @@ impl Database {
         Ok(matches!(self.apply_one(&stmt)?, StatementOutcome::Updated))
     }
 
-    /// Runs one statement through the unified immediate path with span and
-    /// latency instrumentation — the single-statement public API.
+    /// Runs one statement on the immediate schedule with span and latency
+    /// instrumentation — the single-statement public API, whatever the
+    /// profile's checking capability.
     fn apply_one(&mut self, stmt: &Statement) -> Result<StatementOutcome, DmlError> {
         let start = Instant::now();
         let span_name = match stmt {
@@ -358,22 +438,31 @@ impl Database {
         };
         let mut span = obs::span(span_name);
         span.add_field("rel", stmt.rel());
-        // The statement and its write-ahead append run under `contain`,
-        // with the undo log outside, as in `apply_batch`: a failed append
-        // or a panic mid-statement (injected or genuine) rolls back every
-        // change that landed. A typed statement failure or a Noop leaves
-        // `undo` empty, and a Noop appends nothing.
+        // The statement, its validation and its write-ahead append run
+        // under `contain`, with the undo log outside, as in `apply_batch`:
+        // a rejection, a failed append or a panic mid-statement (injected
+        // or genuine) rolls back every change that landed. A statement
+        // stopped before it changed a row, or a Noop, leaves `undo` empty
+        // and appends nothing.
         let mut undo: Vec<Undo> = Vec::new();
         let result = contain(|| -> Result<StatementOutcome, DmlError> {
-            let outcome = self.execute_statement(stmt, &mut undo)?;
+            let outcome = self.apply_immediate(stmt, 0, &mut undo)?;
             if !undo.is_empty() {
                 self.wal_append_batch(std::slice::from_ref(stmt))?;
             }
             Ok(outcome)
         });
         let result = match result {
-            Err(e) if !undo.is_empty() => Err(rollback_after_failed_commit(self, undo, e)),
-            other => other,
+            Ok(outcome) => {
+                let updates =
+                    u64::from(matches!(stmt, Statement::Update { .. }) && !undo.is_empty());
+                self.count_committed(&undo, updates);
+                Ok(outcome)
+            }
+            Err(e) => {
+                rollback(self, undo);
+                Err(e)
+            }
         };
         let ns = obs::elapsed_ns(start);
         match stmt {
@@ -385,84 +474,13 @@ impl Database {
         result
     }
 
-    /// The immediate-mode executor every DML entry point shares. Records
-    /// each change in `undo` as it lands, so a panic mid-statement leaves
-    /// the caller's rollback complete. A typed failure leaves `undo` as it
-    /// found it: an update whose insert half is rejected first restores
-    /// its old row.
-    pub(crate) fn execute_statement(
-        &mut self,
-        stmt: &Statement,
-        undo: &mut Vec<Undo>,
-    ) -> Result<StatementOutcome, DmlError> {
-        match stmt {
-            Statement::Insert { rel, tuple } => {
-                if !self.insert_inner(rel, tuple.clone())? {
-                    return Ok(StatementOutcome::Noop);
-                }
-                undo.push(Undo::Insert {
-                    rel: rel.clone(),
-                    tuple: tuple.clone(),
-                });
-                Ok(StatementOutcome::Inserted)
-            }
-            Statement::Delete { rel, key } => match self.delete_inner(rel, key)? {
-                Some(victim) => {
-                    undo.push(Undo::Delete {
-                        rel: rel.clone(),
-                        tuple: victim,
-                    });
-                    Ok(StatementOutcome::Deleted)
-                }
-                None => Ok(StatementOutcome::Noop),
-            },
-            Statement::Update { rel, key, tuple } => {
-                let Some((_, old)) = self.find_by_pk(rel, key)? else {
-                    return Ok(StatementOutcome::Noop);
-                };
-                if old == *tuple {
-                    return Ok(StatementOutcome::Updated);
-                }
-                // Delete-then-insert. The delete's RESTRICT check is what
-                // makes key-changing updates safe.
-                let mark = undo.len();
-                let result = (|| -> Result<(), DmlError> {
-                    let Some(victim) = self.delete_inner(rel, key)? else {
-                        unreachable!("row located above")
-                    };
-                    undo.push(Undo::Delete {
-                        rel: rel.clone(),
-                        tuple: victim,
-                    });
-                    if self.insert_inner(rel, tuple.clone())? {
-                        undo.push(Undo::Insert {
-                            rel: rel.clone(),
-                            tuple: tuple.clone(),
-                        });
-                    }
-                    Ok(())
-                })();
-                match result {
-                    Ok(()) => {
-                        self.metrics.updates.inc();
-                        Ok(StatementOutcome::Updated)
-                    }
-                    Err(e) => {
-                        rollback(self, undo.split_off(mark))?;
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
     /// Applies `stmts` atomically. When the profile supports deferred
     /// checking, null constraints, inclusion dependencies, and RESTRICT
     /// semantics are validated once per constraint over the touched rows at
     /// commit — so statements may arrive in any order, including a
     /// referencing child before its parent. Profiles without the capability
-    /// fall back to immediate per-statement checking (still all-or-nothing,
-    /// but order-sensitive).
+    /// validate each statement's own rows right after it lands (still
+    /// all-or-nothing, but order-sensitive).
     ///
     /// On failure the returned [`DmlError::AtStatement`] names the
     /// statement that caused the rejection and the whole batch is rolled
@@ -475,30 +493,39 @@ impl Database {
         span.add_field("mode", if deferred { "deferred" } else { "immediate" });
         let mut undo: Vec<Undo> = Vec::new();
         let mut outcomes = Vec::with_capacity(stmts.len());
-        // The whole forward path — statement apply, deferred group
-        // validation, the commit tail — runs under `contain`, with the
-        // undo log owned *outside* the closure. Every mutation records its
-        // undo entry before any fault site can fire again, so a panic
-        // anywhere inside (injected or genuine) leaves `undo` complete:
-        // the caught panic becomes a typed error and takes the same
-        // rollback path a constraint violation does.
+        let mut updates = 0u64;
+        // The whole forward path — statement apply, group validation, the
+        // commit tail — runs under `contain`, with the undo log owned
+        // *outside* the closure. Every mutation records its undo entry
+        // before any fault site can fire again, so a panic anywhere inside
+        // (injected or genuine) leaves `undo` complete: the caught panic
+        // becomes a typed error and takes the same rollback path a
+        // constraint violation does.
         let result = contain(|| -> Result<u64, DmlError> {
             let mut touched = Touched::default();
             for (i, stmt) in stmts.iter().enumerate() {
                 self.fault_check(site::STATEMENT_APPLY)
                     .map_err(|e| DmlError::at_statement(i, e.into()))?;
+                let undo_before = undo.len();
                 let applied = if deferred {
-                    self.apply_deferred(stmt, i, &mut undo, &mut touched)
+                    self.apply_statement(stmt, &mut undo)
+                        .map(|(outcome, touch)| {
+                            touched.rel_mut(stmt.rel()).record(touch, i);
+                            outcome
+                        })
                 } else {
-                    self.execute_statement(stmt, &mut undo)
+                    self.apply_immediate(stmt, i, &mut undo)
                 };
                 match applied {
                     Ok(outcome) => outcomes.push(outcome),
                     Err(e) => return Err(DmlError::at_statement(i, e)),
                 }
+                if matches!(stmt, Statement::Update { .. }) && undo.len() > undo_before {
+                    updates += 1;
+                }
             }
             let checks = if deferred {
-                match self.validate_deferred(&touched) {
+                match self.validate_deferred(&touched, &undo) {
                     Ok(c) => c,
                     Err(e) => {
                         // Apply-time failures already counted themselves;
@@ -529,6 +556,7 @@ impl Database {
         span.add_field("undo_entries", undo.len());
         match result {
             Ok(deferred_checks) => {
+                self.count_committed(&undo, updates);
                 self.metrics.batch_commits.inc();
                 span.add_field("result", "committed");
                 span.add_field("deferred_checks", deferred_checks);
@@ -546,7 +574,7 @@ impl Database {
                     }
                     _ => {}
                 }
-                rollback(self, undo)?;
+                rollback(self, undo);
                 self.metrics.batch_rollbacks.inc();
                 span.add_field("result", "rolled_back");
                 Err(e)
@@ -554,84 +582,121 @@ impl Database {
         }
     }
 
-    /// The deferred-mode apply step: structural and key-uniqueness checks
-    /// only, then the row lands raw; everything else waits for commit.
-    fn apply_deferred(
+    /// Counts the rows of a statement or batch that committed: one insert
+    /// or delete per undo entry (a changing update lands as one of each),
+    /// plus the `updates` that changed a row.
+    fn count_committed(&self, undo: &[Undo], updates: u64) {
+        let inserts = undo
+            .iter()
+            .filter(|u| matches!(u, Undo::Insert { .. }))
+            .count() as u64;
+        self.metrics.inserts.add(inserts);
+        self.metrics.deletes.add(undo.len() as u64 - inserts);
+        self.metrics.updates.add(updates);
+    }
+
+    /// One statement on the immediate schedule: it lands, then
+    /// [`Database::validate_relation`] checks its own touch set at once.
+    /// The caller rolls back what `undo` gained when this fails.
+    fn apply_immediate(
         &mut self,
         stmt: &Statement,
         index: usize,
         undo: &mut Vec<Undo>,
-        touched: &mut Touched,
     ) -> Result<StatementOutcome, DmlError> {
+        let (outcome, touch) = self.apply_statement(stmt, undo)?;
+        let inserted = touch.landed.map(|slot| (slot, index));
+        let deleted = touch.removed.map(|(_, entry)| (entry, index));
+        if inserted.is_some() || deleted.is_some() {
+            let rows = (inserted.as_slice(), deleted.as_slice());
+            if let Err(v) = self.validate_relation(stmt.rel(), rows, undo, false) {
+                self.metrics.rejected.inc();
+                return Err(v.error);
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// The one statement-apply step of both schedules: the checks that
+    /// cannot wait — shape and key uniqueness — then the row lands raw,
+    /// recording its undo entry. Returns what the statement did and the
+    /// rows it touched; every other check is
+    /// [`Database::validate_relation`]'s, over those rows.
+    fn apply_statement(
+        &mut self,
+        stmt: &Statement,
+        undo: &mut Vec<Undo>,
+    ) -> Result<(StatementOutcome, Touch), DmlError> {
+        let mut touch = Touch::default();
         match stmt {
             Statement::Insert { rel, tuple } => {
                 self.validate_shape(rel, tuple)?;
                 if self.check_unique(rel, tuple)? {
-                    return Ok(StatementOutcome::Noop);
+                    return Ok((StatementOutcome::Noop, touch));
                 }
                 self.fault_check(site::INDEX_MAINTENANCE)?;
-                self.raw_insert(rel, tuple.clone())
+                let slot = self
+                    .raw_insert(rel, tuple.clone())
                     .map_err(DmlError::Schema)?;
-                self.metrics.inserts.inc();
                 undo.push(Undo::Insert {
                     rel: rel.clone(),
-                    tuple: tuple.clone(),
+                    slot,
                 });
-                touched.record_insert(rel, tuple.clone(), index);
-                Ok(StatementOutcome::Inserted)
+                touch.landed = Some(slot);
+                Ok((StatementOutcome::Inserted, touch))
             }
             Statement::Delete { rel, key } => {
-                let Some((slot, victim)) = self.find_by_pk(rel, key)? else {
-                    return Ok(StatementOutcome::Noop);
+                let Some(slot) = self.find_by_pk(rel, key)? else {
+                    return Ok((StatementOutcome::Noop, touch));
                 };
                 self.fault_check(site::INDEX_MAINTENANCE)?;
-                self.remove_slot(rel, slot, &victim);
-                self.metrics.deletes.inc();
+                let victim = self.take_slot(rel, slot);
                 undo.push(Undo::Delete {
                     rel: rel.clone(),
-                    tuple: victim.clone(),
+                    slot,
+                    tuple: victim,
                 });
-                touched.record_delete(rel, victim, index);
-                Ok(StatementOutcome::Deleted)
+                touch.removed = Some((slot, undo.len() - 1));
+                Ok((StatementOutcome::Deleted, touch))
             }
             Statement::Update { rel, key, tuple } => {
-                let Some((slot, old)) = self.find_by_pk(rel, key)? else {
-                    return Ok(StatementOutcome::Noop);
+                let Some(slot) = self.find_by_pk(rel, key)? else {
+                    return Ok((StatementOutcome::Noop, touch));
                 };
-                if old == *tuple {
-                    return Ok(StatementOutcome::Updated);
+                if self.tables[rel].rows[slot].as_ref() == Some(tuple) {
+                    return Ok((StatementOutcome::Updated, touch));
                 }
                 self.validate_shape(rel, tuple)?;
                 self.fault_check(site::INDEX_MAINTENANCE)?;
-                self.remove_slot(rel, slot, &old);
+                let old = self.take_slot(rel, slot);
                 undo.push(Undo::Delete {
                     rel: rel.clone(),
-                    tuple: old.clone(),
+                    slot,
+                    tuple: old,
                 });
-                touched.record_delete(rel, old, index);
+                touch.removed = Some((slot, undo.len() - 1));
                 if !self.check_unique(rel, tuple)? {
                     self.fault_check(site::INDEX_MAINTENANCE)?;
-                    self.raw_insert(rel, tuple.clone())
+                    let slot = self
+                        .raw_insert(rel, tuple.clone())
                         .map_err(DmlError::Schema)?;
                     undo.push(Undo::Insert {
                         rel: rel.clone(),
-                        tuple: tuple.clone(),
+                        slot,
                     });
-                    touched.record_insert(rel, tuple.clone(), index);
+                    touch.landed = Some(slot);
                 }
-                self.metrics.updates.inc();
-                self.metrics.inserts.inc();
-                self.metrics.deletes.inc();
-                Ok(StatementOutcome::Updated)
+                Ok((StatementOutcome::Updated, touch))
             }
         }
     }
 
-    /// Commit-time group validation: each deferred constraint class is
-    /// checked once over the touched rows of each relation. Large batches
-    /// validate relations on up to [`Database::parallelism`] threads.
-    /// Returns the number of group checks performed.
-    fn validate_deferred(&self, touched: &Touched) -> Result<u64, DmlError> {
+    /// The deferred schedule's commit-time validation: each constraint
+    /// class is checked once over the touched rows of each relation.
+    /// Large batches validate relations on up to
+    /// [`Database::parallelism`] threads. Returns the number of group
+    /// checks performed.
+    fn validate_deferred(&self, touched: &Touched, undo: &[Undo]) -> Result<u64, DmlError> {
         let rels: Vec<(&String, &TouchedRel)> = touched.rels.iter().collect();
         let workers = if touched.total_rows() >= PARALLEL_ROW_THRESHOLD {
             self.parallelism()
@@ -642,13 +707,16 @@ impl Database {
         // relation: the panic becomes a typed violation attributed to that
         // relation's earliest statement, and the batch rolls back normally.
         let results = fan_out(workers, &rels, |(name, tr)| {
+            let rows = (&tr.inserted[..], &tr.deleted[..]);
             Ok(
-                contain(|| Ok(self.validate_relation(name, tr))).unwrap_or_else(|e| {
-                    Err(Violation {
-                        index: tr.first_index(),
-                        error: DmlError::Schema(e),
-                    })
-                }),
+                contain(|| Ok(self.validate_relation(name, rows, undo, true))).unwrap_or_else(
+                    |e| {
+                        Err(Violation {
+                            index: first_index(rows.0, rows.1),
+                            error: DmlError::Schema(e),
+                        })
+                    },
+                ),
             )
         })?;
         let mut checks = 0u64;
@@ -671,159 +739,157 @@ impl Database {
         }
     }
 
-    /// Group-validates one relation's touch set: null constraints over the
-    /// inserted rows, outgoing inclusion dependencies over the distinct
-    /// foreign subtuples, RESTRICT over the distinct referenced values the
-    /// deletes removed.
-    fn validate_relation(&self, rel: &str, tr: &TouchedRel) -> Result<u64, Violation> {
+    /// The one constraint validator, over one relation's touch set: null
+    /// constraints over the inserted rows, outgoing inclusion dependencies
+    /// over their distinct foreign keys, RESTRICT over the distinct
+    /// referenced values the deletes removed. Every touched row is already
+    /// in place, so a parent in the same batch, a self-reference, a value
+    /// another row still provides, and a referencing row deleted alongside
+    /// all resolve through the indexes. `deferred` says which schedule
+    /// runs it: only the deferred one counts `engine.check.deferred`.
+    fn validate_relation(
+        &self,
+        rel: &str,
+        (inserted_rows, deleted_rows): (&[TouchedRow], &[TouchedRow]),
+        undo: &[Undo],
+        deferred: bool,
+    ) -> Result<u64, Violation> {
         let structural = |e: DmlError| Violation {
-            index: tr.first_index(),
+            index: first_index(inserted_rows, deleted_rows),
             error: e,
         };
         self.fault_check(site::GROUP_VALIDATE)
             .map_err(|e| structural(e.into()))?;
+        // Null constraints and outgoing INDs check inserted rows, RESTRICT
+        // checks removed ones.
+        let nulls = constraints_on(&self.nulls, rel, inserted_rows);
+        let outgoing = constraints_on(&self.outgoing, rel, inserted_rows);
+        let incoming = constraints_on(&self.incoming, rel, deleted_rows);
+        if nulls.is_empty() && outgoing.is_empty() && incoming.is_empty() {
+            return Ok(0);
+        }
         let mut checks = 0u64;
-        if !tr.inserted.is_empty() {
-            // Null constraints: one group check per constraint over a
-            // relation holding exactly the batch-inserted rows.
-            if let Some(constraints) = self.nulls.get(rel).filter(|c| !c.is_empty()) {
-                let header = self.tables[rel].header.clone();
-                let group = Relation::with_rows(header, tr.inserted.iter().map(|(t, _)| t.clone()))
-                    .map_err(|e| structural(e.into()))?;
-                for c in constraints {
-                    let t0 = Instant::now();
-                    let ok = c
-                        .constraint
-                        .satisfied_by(&group)
-                        .map_err(|e| structural(e.into()))?;
-                    self.metrics.record_check(CheckClass::Null, c.mechanism, t0);
-                    self.metrics.deferred.inc();
-                    checks += 1;
-                    if !ok {
-                        // Pinpoint the offending statement (failure path
-                        // only; not metered).
-                        let offender = tr
-                            .inserted
-                            .iter()
-                            .find(|(t, _)| {
-                                let single = singleton_relation(&self.tables[rel].header, t);
-                                !c.constraint.satisfied_by(&single).unwrap_or(true)
-                            })
-                            .map_or_else(|| tr.first_index(), |(_, i)| *i);
-                        return Err(Violation {
-                            index: offender,
-                            error: DmlError::ConstraintViolation(c.constraint.to_string()),
-                        });
-                    }
-                }
-            }
-            // Outgoing inclusion dependencies: one group check per
-            // dependency, probing each *distinct* foreign subtuple once.
-            for c in self
-                .outgoing
-                .get(rel)
-                .map(Vec::as_slice)
-                .unwrap_or_default()
-            {
-                let t0 = Instant::now();
-                let lhs_pos = self.tables[rel]
-                    .positions(&c.lhs_attrs)
-                    .map_err(|e| structural(e.into()))?;
-                let mut keys: FxHashMap<Tuple, usize> = FxHashMap::default();
-                for (t, idx) in &tr.inserted {
-                    if t.is_total_at(&lhs_pos) {
-                        keys.entry(t.project(&lhs_pos))
-                            .and_modify(|e| *e = (*e).min(*idx))
-                            .or_insert(*idx);
-                    }
-                }
-                let target = &self.tables[&c.rhs_rel];
-                let index = target
-                    .index(&c.rhs_attrs)
-                    .expect("both sides of every IND are indexed");
-                let mut dangling: Option<(usize, Tuple)> = None;
-                for (key, idx) in &keys {
-                    self.metrics.index_probes.inc();
-                    // Batch-inserted target rows are live already, so
-                    // child-before-parent (and self-reference) just works.
-                    let found = index.find(&target.rows, key.values()).next().is_some();
-                    if !found && dangling.as_ref().is_none_or(|(i, _)| idx < i) {
-                        dangling = Some((*idx, key.clone()));
-                    }
-                }
-                self.metrics.record_check(CheckClass::Ind, c.mechanism, t0);
+        let mut counted = |class, mechanism, t0| {
+            self.metrics.record_check(class, mechanism, t0);
+            if deferred {
                 self.metrics.deferred.inc();
-                checks += 1;
-                if let Some((idx, key)) = dangling {
+            }
+            checks += 1;
+        };
+        let table = &self.tables[rel];
+        let inserted = || {
+            inserted_rows.iter().map(|&(slot, i)| {
+                (
+                    table.rows[slot].as_ref().expect("inserted rows are live"),
+                    i,
+                )
+            })
+        };
+        let mut keys = Keys::default();
+        // Null constraints: one group check per constraint over a relation
+        // holding exactly the inserted rows.
+        if !nulls.is_empty() {
+            let group =
+                Relation::with_rows(table.header.clone(), inserted().map(|(t, _)| t.clone()))
+                    .map_err(|e| structural(e.into()))?;
+            for c in nulls {
+                let t0 = Instant::now();
+                let ok = c
+                    .constraint
+                    .satisfied_by(&group)
+                    .map_err(|e| structural(e.into()))?;
+                counted(CheckClass::Null, c.mechanism, t0);
+                if !ok {
+                    // Pinpoint the offending statement (failure path only;
+                    // not metered).
+                    let offender = inserted()
+                        .find(|(t, _)| {
+                            Relation::with_rows(table.header.clone(), [(*t).clone()])
+                                .and_then(|single| c.constraint.satisfied_by(&single))
+                                .is_ok_and(|ok| !ok)
+                        })
+                        .map_or_else(|| first_index(inserted_rows, deleted_rows), |(_, i)| i);
                     return Err(Violation {
-                        index: idx,
-                        error: DmlError::ConstraintViolation(format!(
-                            "`{rel}`[{}] = {key} has no match in `{}`[{}]",
-                            c.lhs_attrs.join(","),
-                            c.rhs_rel,
-                            c.rhs_attrs.join(",")
-                        )),
+                        index: offender,
+                        error: DmlError::ConstraintViolation(c.constraint.to_string()),
                     });
                 }
             }
         }
-        if !tr.deleted.is_empty() {
-            // RESTRICT: one group check per incoming dependency, probing
-            // each distinct referenced value the deletes removed. Indexes
-            // are current, so a value re-provided by a batch insert — or a
-            // referencing row deleted in the same batch — resolves
-            // naturally.
-            for c in self
-                .incoming
-                .get(rel)
-                .map(Vec::as_slice)
-                .unwrap_or_default()
-            {
-                let t0 = Instant::now();
-                let rhs_pos = self.tables[rel]
-                    .positions(&c.rhs_attrs)
-                    .map_err(|e| structural(e.into()))?;
-                let mut removed: FxHashMap<Tuple, usize> = FxHashMap::default();
-                for (t, idx) in &tr.deleted {
-                    if t.is_total_at(&rhs_pos) {
-                        removed
-                            .entry(t.project(&rhs_pos))
-                            .and_modify(|e| *e = (*e).min(*idx))
-                            .or_insert(*idx);
-                    }
+        // Outgoing inclusion dependencies: one group check per dependency,
+        // probing each *distinct* foreign key once.
+        for c in outgoing {
+            let t0 = Instant::now();
+            let lhs_pos = table
+                .positions(&c.lhs_attrs)
+                .map_err(|e| structural(e.into()))?;
+            let target = &self.tables[&c.rhs_rel];
+            let index = target
+                .index(&c.rhs_attrs)
+                .expect("both sides of every IND are indexed");
+            let mut dangling: Option<(usize, &Tuple)> = None;
+            for &(_, row, idx) in keys.distinct(inserted(), &lhs_pos) {
+                self.metrics.index_probes.inc();
+                let key = lhs_pos.iter().map(|&p| row.get(p));
+                let found = index.find(&target.rows, key).next().is_some();
+                if !found && dangling.is_none_or(|(i, _)| idx < i) {
+                    dangling = Some((idx, row));
                 }
-                let carried = |rel: &str, attrs: &[String], value: &Tuple| {
-                    let table = &self.tables[rel];
-                    table
-                        .index(attrs)
-                        .is_some_and(|ix| ix.find(&table.rows, value.values()).next().is_some())
-                };
-                let mut orphaned: Option<(usize, Tuple)> = None;
-                for (value, idx) in &removed {
-                    self.metrics.index_probes.inc();
-                    if carried(rel, &c.rhs_attrs, value) {
-                        continue;
-                    }
-                    self.metrics.index_probes.inc();
-                    let referencing = carried(&c.lhs_rel, &c.lhs_attrs, value);
-                    if referencing && orphaned.as_ref().is_none_or(|(i, _)| idx < i) {
-                        orphaned = Some((*idx, value.clone()));
-                    }
+            }
+            counted(CheckClass::Ind, c.mechanism, t0);
+            if let Some((idx, row)) = dangling {
+                return Err(Violation {
+                    index: idx,
+                    error: DmlError::ConstraintViolation(format!(
+                        "`{rel}`[{}] = {} has no match in `{}`[{}]",
+                        c.lhs_attrs.join(","),
+                        row.project(&lhs_pos),
+                        c.rhs_rel,
+                        c.rhs_attrs.join(",")
+                    )),
+                });
+            }
+        }
+        // RESTRICT: one group check per incoming dependency, probing each
+        // distinct referenced value the deletes removed: first whether a
+        // live row of `rel` still provides it, then whether a live row
+        // references it.
+        for c in incoming {
+            let t0 = Instant::now();
+            let rhs_pos = table
+                .positions(&c.rhs_attrs)
+                .map_err(|e| structural(e.into()))?;
+            let carried = |rel: &str, attrs: &[String], row: &Tuple| {
+                let table = &self.tables[rel];
+                table.index(attrs).is_some_and(|ix| {
+                    let value = rhs_pos.iter().map(|&p| row.get(p));
+                    ix.find(&table.rows, value).next().is_some()
+                })
+            };
+            let mut orphaned: Option<(usize, &Tuple)> = None;
+            let deleted = deleted_rows.iter().map(|&(u, i)| (undo[u].removed(), i));
+            for &(_, row, idx) in keys.distinct(deleted, &rhs_pos) {
+                self.metrics.index_probes.inc();
+                if carried(rel, &c.rhs_attrs, row) {
+                    continue;
                 }
-                self.metrics
-                    .record_check(CheckClass::Restrict, c.mechanism, t0);
-                self.metrics.deferred.inc();
-                checks += 1;
-                if let Some((idx, value)) = orphaned {
-                    return Err(Violation {
-                        index: idx,
-                        error: DmlError::ConstraintViolation(format!(
-                            "RESTRICT: `{}`[{}] still references {value}",
-                            c.lhs_rel,
-                            c.lhs_attrs.join(",")
-                        )),
-                    });
+                self.metrics.index_probes.inc();
+                let referencing = carried(&c.lhs_rel, &c.lhs_attrs, row);
+                if referencing && orphaned.is_none_or(|(i, _)| idx < i) {
+                    orphaned = Some((idx, row));
                 }
+            }
+            counted(CheckClass::Restrict, c.mechanism, t0);
+            if let Some((idx, row)) = orphaned {
+                return Err(Violation {
+                    index: idx,
+                    error: DmlError::ConstraintViolation(format!(
+                        "RESTRICT: `{}`[{}] still references {}",
+                        c.lhs_rel,
+                        c.lhs_attrs.join(","),
+                        row.project(&rhs_pos)
+                    )),
+                });
             }
         }
         Ok(checks)
@@ -935,7 +1001,7 @@ mod tests {
             .map(|i| Statement::insert("C", Tuple::new([Value::Int(100 + i), Value::Null])))
             .collect();
         for s in &stmts {
-            eager.execute_statement(s, &mut Vec::new()).unwrap();
+            eager.apply_one(s).unwrap();
         }
         let outcome = batched.apply_batch(&stmts).unwrap();
         assert!(outcome.deferred_checks > 0);
@@ -965,7 +1031,7 @@ mod tests {
             .map(|i| Statement::insert("C", tup(&[100 + i, 1])))
             .collect();
         for s in &stmts {
-            eager.execute_statement(s, &mut Vec::new()).unwrap();
+            eager.apply_one(s).unwrap();
         }
         batched.apply_batch(&stmts).unwrap();
         let e = eager.take_stats();
@@ -1132,6 +1198,62 @@ mod tests {
                 assert_eq!((d.len("P"), d.len("C")), (0, 0), "rolled back");
             }
         }
+    }
+
+    #[test]
+    fn rollback_restores_every_slot() {
+        for profile in [DbmsProfile::ideal(), DbmsProfile::db2()] {
+            let mut d = Database::new(pc_schema(), profile).unwrap();
+            for k in 1..=3 {
+                d.insert("P", tup(&[k])).unwrap();
+            }
+            d.insert("C", tup(&[10, 1])).unwrap();
+            let rows = |d: &Database| [d.tables["P"].rows.clone(), d.tables["C"].rows.clone()];
+            let before = rows(&d);
+            // P(2) leaves and lands again at a new slot, C(10) moves off
+            // P(1), P(1) leaves; then C(11) dangles.
+            let err = d
+                .apply_batch(&[
+                    Statement::delete("P", tup(&[2])),
+                    Statement::insert("P", tup(&[2])),
+                    Statement::update("C", tup(&[10]), tup(&[10, 3])),
+                    Statement::delete("P", tup(&[1])),
+                    Statement::insert("C", tup(&[11, 99])),
+                ])
+                .unwrap_err();
+            assert_eq!(err.statement_index(), Some(4));
+            // Every row is back at its slot; the slots the batch appended
+            // are tombstones.
+            for (after, before) in rows(&d).iter().zip(&before) {
+                assert!(after[..before.len()] == before[..]);
+                assert!(after[before.len()..].iter().all(Option::is_none));
+            }
+            let report = d.verify_integrity();
+            assert!(report.is_clean(), "{report}");
+        }
+    }
+
+    #[test]
+    fn distinct_keys_keep_the_earliest_statement_of_each_key() {
+        let rows = [
+            tup(&[1, 7]),
+            Tuple::new([Value::Int(2), Value::Null]),
+            tup(&[3, 8]),
+            tup(&[4, 7]),
+        ];
+        let mut keys = Keys::default();
+        let mut got: Vec<(usize, Tuple)> = keys
+            .distinct(rows.iter().zip([5, 1, 4, 0]), &[1])
+            .iter()
+            .map(|&(_, t, i)| (i, t.clone()))
+            .collect();
+        got.sort_unstable_by_key(|(i, _)| *i);
+        // Key 7 first arrives at statement 0 (the fourth row); the null
+        // key is not total and is skipped.
+        assert_eq!(got, [(0, tup(&[4, 7])), (4, tup(&[3, 8]))]);
+        // One total row, or none, needs no buffer.
+        assert_eq!(keys.distinct(rows[..2].iter().zip([2, 3]), &[1]).len(), 1);
+        assert!(keys.distinct(rows[1..2].iter().zip([3]), &[1]).is_empty());
     }
 
     #[test]

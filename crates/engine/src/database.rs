@@ -34,9 +34,7 @@ use relmerge_relational::{
 };
 
 use crate::capability::{DbmsProfile, Mechanism};
-use crate::fault::{
-    site, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation, QueryBudget,
-};
+use crate::fault::{FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation, QueryBudget};
 
 /// Why a DML statement was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,13 +139,16 @@ impl From<DmlError> for Error {
 /// (see [`Database::stats`]); the live counters are registry-backed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
-    /// Successful inserts.
+    /// Rows inserted by committed statements and batches (a rejected or
+    /// rolled-back statement's rows are not counted).
     pub inserts: u64,
-    /// Successful deletes.
+    /// Rows deleted by committed statements and batches.
     pub deletes: u64,
-    /// Successful updates (each also counts its physical delete + insert).
+    /// Committed updates that changed a row (each also counts its
+    /// physical delete + insert).
     pub updates: u64,
-    /// Statements rejected by a constraint.
+    /// Statements rejected by a constraint (one per statement, or per
+    /// batch when its commit-time validation fails).
     pub rejected: u64,
     /// Declarative-tier checks performed (PK, NNA, FK).
     pub declarative_checks: u64,
@@ -370,7 +371,7 @@ impl DbMetrics {
 /// index inserts, removes and probes with, so a key read at a stored row's
 /// positions and the same key as a probe slice hash alike.
 #[inline]
-fn key_hash<'v>(key: impl IntoIterator<Item = &'v Value>) -> u64 {
+pub(crate) fn key_hash<'v>(key: impl IntoIterator<Item = &'v Value>) -> u64 {
     let mut h = FxHasher::default();
     for v in key {
         v.hash(&mut h);
@@ -405,7 +406,15 @@ impl KeyIndex {
     fn insert(&mut self, t: &Tuple, slot: usize) {
         self.map
             .entry(key_hash(self.key_of(t)))
-            .and_modify(|slots| slots.push(slot))
+            .and_modify(|slots| {
+                slots.push(slot);
+                // A rollback puts a row back at its old slot, which may sit
+                // below the bucket's last one: keep the bucket ascending.
+                let slots = slots.as_mut_slice();
+                if slots[slots.len() - 2] > slot {
+                    slots.sort_unstable();
+                }
+            })
             .or_insert(Slots::One(slot));
     }
 
@@ -1272,85 +1281,6 @@ impl Database {
         Ok(false)
     }
 
-    /// The eagerly-checked single-tuple insert: every constraint is
-    /// enforced before the row lands. Returns whether the tuple was new.
-    pub(crate) fn insert_inner(
-        &mut self,
-        rel: &str,
-        t: Tuple,
-    ) -> std::result::Result<bool, DmlError> {
-        self.validate_shape(rel, &t)?;
-        // Null constraints: single-tuple checks.
-        if let Some(checks) = self.nulls.get(rel).filter(|c| !c.is_empty()) {
-            let singleton = singleton_relation(&self.tables[rel].header, &t);
-            for c in checks {
-                let t0 = Instant::now();
-                let ok = c.constraint.satisfied_by(&singleton)?;
-                self.metrics.record_check(CheckClass::Null, c.mechanism, t0);
-                if !ok {
-                    self.metrics.rejected.inc();
-                    return Err(DmlError::ConstraintViolation(c.constraint.to_string()));
-                }
-            }
-        }
-        // Key uniqueness (declarative).
-        if self.check_unique(rel, &t)? {
-            return Ok(false);
-        }
-        // Outgoing inclusion dependencies (FK-style: a total LHS subtuple
-        // must exist in the target).
-        for c in self
-            .outgoing
-            .get(rel)
-            .map(Vec::as_slice)
-            .unwrap_or_default()
-        {
-            let t0 = Instant::now();
-            let lhs_pos = self.tables[rel].positions(&c.lhs_attrs)?;
-            if !t.is_total_at(&lhs_pos) {
-                self.metrics.record_check(CheckClass::Ind, c.mechanism, t0);
-                continue; // partial subtuples are exempt (total-projection semantics)
-            }
-            self.metrics.index_probes.inc();
-            // Self-referencing dependency satisfied by the tuple itself.
-            if c.rhs_rel == rel {
-                let rhs_pos = self.tables[rel].positions(&c.rhs_attrs)?;
-                if t.eq_at(&lhs_pos, &rhs_pos) {
-                    self.metrics.record_check(CheckClass::Ind, c.mechanism, t0);
-                    continue;
-                }
-            }
-            let target = &self.tables[&c.rhs_rel];
-            let found = target
-                .index(&c.rhs_attrs)
-                .expect("both sides of every IND are indexed")
-                .find(&target.rows, lhs_pos.iter().map(|&i| t.get(i)))
-                .next()
-                .is_some();
-            self.metrics.record_check(CheckClass::Ind, c.mechanism, t0);
-            if !found {
-                self.metrics.rejected.inc();
-                return Err(DmlError::ConstraintViolation(format!(
-                    "`{rel}`[{}] = {} has no match in `{}`[{}]",
-                    c.lhs_attrs.join(","),
-                    t.project(&lhs_pos),
-                    c.rhs_rel,
-                    c.rhs_attrs.join(",")
-                )));
-            }
-        }
-        // Commit. The fault site fires *before* any index mutation so an
-        // injected failure leaves no partial maintenance behind.
-        self.fault_check(site::INDEX_MAINTENANCE)?;
-        let table = self.table_mut(rel)?;
-        let slot = table.rows.len();
-        table.index_insert(&t, slot);
-        table.rows.push(Some(t));
-        table.live += 1;
-        self.metrics.inserts.inc();
-        Ok(true)
-    }
-
     /// The primary-key attribute names of `rel`.
     pub(crate) fn primary_key_attrs(
         &self,
@@ -1365,13 +1295,12 @@ impl Database {
             .collect())
     }
 
-    /// Locates the row with primary key `key` (one index probe), without
-    /// removing it.
+    /// The slot of the row with primary key `key` (one index probe).
     pub(crate) fn find_by_pk(
         &self,
         rel: &str,
         key: &Tuple,
-    ) -> std::result::Result<Option<(usize, Tuple)>, DmlError> {
+    ) -> std::result::Result<Option<usize>, DmlError> {
         let pk = self.primary_key_attrs(rel)?;
         let table = self
             .tables
@@ -1384,82 +1313,41 @@ impl Database {
         Ok(ix
             .find(&table.rows, key.values())
             .next()
-            .map(|(slot, t)| (slot, t.clone())))
+            .map(|(slot, _)| slot))
     }
 
-    /// Removes the row at `slot` with **no** constraint checking.
-    pub(crate) fn remove_slot(&mut self, rel: &str, slot: usize, victim: &Tuple) {
-        let table = self.table_mut(rel).expect("checked");
-        table.index_remove(victim, slot);
-        table.rows[slot] = None;
-        table.live -= 1;
-    }
-
-    /// The eagerly-checked delete: RESTRICT semantics are enforced before
-    /// the row is removed. Returns the victim tuple, if one existed.
-    pub(crate) fn delete_inner(
-        &mut self,
+    /// Fetches the row with primary key `key`, if present.
+    pub fn get_by_key(
+        &self,
         rel: &str,
         key: &Tuple,
     ) -> std::result::Result<Option<Tuple>, DmlError> {
-        let Some((slot, victim)) = self.find_by_pk(rel, key)? else {
-            return Ok(None);
-        };
-        // RESTRICT: no referencing tuple may be orphaned. The deletion only
-        // orphans a reference if no *other* live tuple of `rel` carries the
-        // same referenced subtuple.
-        for c in self
-            .incoming
-            .get(rel)
-            .map(Vec::as_slice)
-            .unwrap_or_default()
-        {
-            let t0 = Instant::now();
-            let rhs_pos = self.tables[rel].positions(&c.rhs_attrs)?;
-            if !victim.is_total_at(&rhs_pos) {
-                self.metrics
-                    .record_check(CheckClass::Restrict, c.mechanism, t0);
-                continue;
-            }
-            // The referenced value, read in place from the victim. Each
-            // count below stops as soon as its answer is known.
-            let referenced = rhs_pos.iter().map(|&i| victim.get(i));
-            let carrying = |rel: &str, attrs: &[String], enough: usize| {
-                let table = &self.tables[rel];
-                table.index(attrs).map_or(0, |ix| {
-                    ix.find(&table.rows, referenced.clone())
-                        .take(enough)
-                        .count()
-                })
-            };
-            self.metrics.index_probes.add(2);
-            if carrying(rel, &c.rhs_attrs, 2) > 1 {
-                self.metrics
-                    .record_check(CheckClass::Restrict, c.mechanism, t0);
-                continue; // another tuple still provides the value
-            }
-            // A self-reference by the victim itself does not block.
-            let self_ref = c.lhs_rel == rel && {
-                let lhs_pos = self.tables[rel].positions(&c.lhs_attrs)?;
-                victim.eq_at(&lhs_pos, &rhs_pos)
-            };
-            let referencing = carrying(&c.lhs_rel, &c.lhs_attrs, usize::from(self_ref) + 1);
-            self.metrics
-                .record_check(CheckClass::Restrict, c.mechanism, t0);
-            if referencing > usize::from(self_ref) {
-                self.metrics.rejected.inc();
-                return Err(DmlError::ConstraintViolation(format!(
-                    "RESTRICT: `{}`[{}] still references {}",
-                    c.lhs_rel,
-                    c.lhs_attrs.join(","),
-                    victim.project(&rhs_pos)
-                )));
-            }
-        }
-        self.fault_check(site::INDEX_MAINTENANCE)?;
-        self.remove_slot(rel, slot, &victim);
-        self.metrics.deletes.inc();
-        Ok(Some(victim))
+        let pk = self.primary_key_attrs(rel)?;
+        let table = &self.tables[rel];
+        Ok(table
+            .index(&pk)
+            .and_then(|ix| ix.find(&table.rows, key.values()).next())
+            .map(|(_, t)| t.clone()))
+    }
+
+    /// Takes the live row at `slot` out of `rel` with **no** constraint
+    /// checking, leaving a tombstone: a statement's removal step, and the
+    /// rollback of a row that landed.
+    pub(crate) fn take_slot(&mut self, rel: &str, slot: usize) -> Tuple {
+        let table = self.table_mut(rel).expect("checked");
+        let row = table.rows[slot].take().expect("a live slot");
+        table.index_remove(&row, slot);
+        table.live -= 1;
+        row
+    }
+
+    /// Puts `row` back at its tombstoned `slot` — the rollback of a
+    /// removal, which leaves the table exactly as before it.
+    pub(crate) fn restore_slot(&mut self, rel: &str, slot: usize, row: Tuple) {
+        let table = self.table_mut(rel).expect("checked");
+        table.index_insert(&row, slot);
+        table.rows[slot] = Some(row);
+        table.live += 1;
     }
 
     /// Bulk-loads a database state without per-tuple rejection (the state
@@ -1818,44 +1706,15 @@ impl Database {
         Ok((&table.header, table.rows.iter().flatten().collect()))
     }
 
-    /// Probes the index over `attrs` for `key` and returns the first
-    /// match (no stats, no scan fallback). Used by the transaction layer
-    /// with a primary key.
-    pub(crate) fn unique_lookup(&self, rel: &str, attrs: &[String], key: &Tuple) -> Option<Tuple> {
-        let table = self.tables.get(rel)?;
-        let (_, t) = table.index(attrs)?.find(&table.rows, key.values()).next()?;
-        Some(t.clone())
-    }
-
-    /// Re-inserts a tuple with **no** constraint checking — rollback only.
-    pub(crate) fn raw_insert(&mut self, rel: &str, t: Tuple) -> Result<()> {
+    /// Appends a tuple with **no** constraint checking and returns its
+    /// slot: a statement's landing step (its checks are the caller's).
+    pub(crate) fn raw_insert(&mut self, rel: &str, t: Tuple) -> Result<usize> {
         let table = self.table_mut(rel)?;
         let slot = table.rows.len();
         table.index_insert(&t, slot);
         table.rows.push(Some(t));
         table.live += 1;
-        Ok(())
-    }
-
-    /// Removes an exact tuple with **no** constraint checking — rollback
-    /// only.
-    pub(crate) fn raw_remove(&mut self, rel: &str, t: &Tuple) -> Result<()> {
-        let table = self.table_mut(rel)?;
-        // One probe of the primary-key index (`compile_catalog` adds it
-        // first) with the row's own key, not a scan of the table.
-        let slot = table
-            .unique
-            .first()
-            .and_then(|ix| ix.find(&table.rows, ix.key_of(t)).next())
-            .filter(|&(_, stored)| stored == t)
-            .map(|(slot, _)| slot)
-            .ok_or_else(|| Error::StateMismatch {
-                detail: format!("rollback: tuple {t} not found in `{rel}`"),
-            })?;
-        table.index_remove(t, slot);
-        table.rows[slot] = None;
-        table.live -= 1;
-        Ok(())
+        Ok(slot)
     }
 
     /// Whether an index of `rel` covers exactly `attrs`: the one question
@@ -1876,12 +1735,6 @@ impl Database {
             .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?
             .header)
     }
-}
-
-pub(crate) fn singleton_relation(header: &[Attribute], t: &Tuple) -> Relation {
-    let mut r = Relation::new(header.to_vec()).expect("header already validated");
-    r.insert(t.clone()).expect("tuple already validated");
-    r
 }
 
 #[cfg(test)]

@@ -40,10 +40,12 @@ pub mod site {
     ///
     /// [`Database::apply_batch`]: crate::Database::apply_batch
     pub const STATEMENT_APPLY: &str = "engine.batch.statement_apply";
-    /// Commit-time group validation (fires once per touched relation,
-    /// possibly on a validation worker thread). A panic here fails only
-    /// its relation, as a violation at that relation's earliest
-    /// statement, at every batch size and worker count.
+    /// Group validation: fires once per touched relation at a deferred
+    /// commit (possibly on a validation worker thread), and once for each
+    /// immediately-checked statement that changes a row. At a deferred
+    /// commit a panic here fails only its relation, as a violation at
+    /// that relation's earliest statement, at every batch size and worker
+    /// count.
     pub const GROUP_VALIDATE: &str = "engine.batch.group_validate";
     /// Index maintenance: just before a row (and its index entries) lands
     /// or is removed on the forward DML path. Never fires during rollback.

@@ -38,7 +38,6 @@ pub mod planner;
 pub mod predopt;
 pub mod query;
 pub mod session;
-pub mod txn;
 pub mod wal;
 
 pub use batch::{BatchOutcome, Statement, StatementOutcome};
@@ -55,5 +54,4 @@ pub use query::{
     QueryStats, QueryTrace,
 };
 pub use session::{Session, Snapshot, Store};
-pub use txn::Transaction;
 pub use wal::{DurabilityConfig, FsyncPolicy, RecoveryReport, DEFAULT_SNAPSHOT_EVERY};

@@ -19,7 +19,7 @@
 //!   — and every query against it is byte-identical to running it alone
 //!   against that frozen state.
 //! * **Writers are serialized.** Every mutation — [`Statement`] batches,
-//!   [`Session::transaction`], [`Session::migrate`] — funnels through
+//!   the single-statement verbs, [`Session::migrate`] — funnels through
 //!   one writer mutex, bumps the store's commit sequence on success, and
 //!   appends to the WAL exactly as a single-owner [`Database`] would.
 //!   A failed commit rolls back without disturbing concurrently-pinned
@@ -57,7 +57,6 @@ use crate::database::{Database, DbMetrics, DmlError, EngineConfig};
 use crate::fault::{contain, site, FaultPlan, IntegrityReport};
 use crate::migrate::MigrationReport;
 use crate::query::{QueryPlan, QueryStats};
-use crate::txn::Transaction;
 
 /// The shared half of a multi-session engine: one master [`Database`]
 /// plus the published-snapshot machinery. `Store` is a cheap handle
@@ -81,7 +80,7 @@ struct StoreInner {
     /// snapshot refresh path locks it briefly to copy the table map at a
     /// commit boundary. Lock order: `master` before `published`.
     master: Mutex<Database>,
-    /// Bumped once per *successful* commit (batch, transaction,
+    /// Bumped once per *successful* commit (batch, single statement,
     /// migration, config change). Readers compare it against the
     /// published snapshot's sequence to decide whether a refresh is due
     /// — the lock-free fast path of [`Session::pin`].
@@ -197,10 +196,10 @@ impl Store {
     }
 
     fn lock_master(&self) -> MutexGuard<'_, Database> {
-        // A writer panic (e.g. an injected panic resumed by
-        // `Database::transaction` after its rollback completed) poisons
-        // the mutex with the database already restored — recover the
-        // guard rather than propagating the poison.
+        // Every write path contains its own panics (`fault::contain`) and
+        // rolls itself back, so only a panic outside them — a bug — can
+        // poison the mutex. Recover the guard rather than propagate the
+        // poison to every other session.
         self.inner
             .master
             .lock()
@@ -330,15 +329,6 @@ impl Session {
         key: &relmerge_relational::Tuple,
     ) -> std::result::Result<bool, DmlError> {
         self.store.with_writer(|db| db.delete_by_key(rel, key))
-    }
-
-    /// Runs `f` as one atomic transaction through the serialized writer
-    /// path (see [`Database::transaction`]).
-    pub fn transaction<T>(
-        &self,
-        f: impl FnOnce(&mut Transaction<'_>) -> std::result::Result<T, DmlError>,
-    ) -> std::result::Result<T, DmlError> {
-        self.store.with_writer(|db| db.transaction(f))
     }
 
     /// Executes an online merge migration through the serialized writer
@@ -601,24 +591,25 @@ mod tests {
     }
 
     #[test]
-    fn transactions_and_migrations_serialize_through_the_store() {
+    fn batches_and_single_statements_commit_through_the_store() {
         let st = store();
         let s = st.session();
-        s.transaction(|tx| {
-            tx.insert("P", tup(&[1]))?;
-            tx.insert("C", tup(&[10, 1]))?;
-            Ok(())
-        })
+        s.apply_batch(&[
+            Statement::insert("P", tup(&[1])),
+            Statement::insert("C", tup(&[10, 1])),
+        ])
         .unwrap();
         let seq = st.commit_seq();
         let snap = s.pin().unwrap();
         assert_eq!(snap.len("C"), 1);
-        // A failing transaction rolls back and does not commit.
-        let r: std::result::Result<(), DmlError> = s.transaction(|tx| {
-            tx.insert("P", tup(&[2]))?;
-            Err(DmlError::ConstraintViolation("forced".to_owned()))
-        });
-        assert!(r.is_err());
+        // A rejected batch or statement rolls back and does not commit.
+        assert!(s
+            .apply_batch(&[
+                Statement::insert("P", tup(&[2])),
+                Statement::insert("C", tup(&[11, 99])),
+            ])
+            .is_err());
+        assert!(s.insert("C", tup(&[12, 99])).is_err());
         assert_eq!(st.commit_seq(), seq);
         assert_eq!(s.pin().unwrap().len("P"), 1);
     }

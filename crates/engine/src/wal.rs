@@ -1,7 +1,7 @@
 //! Write-ahead logging, snapshots, and crash recovery (DESIGN.md §13).
 //!
-//! Every [`Statement`] batch the engine commits — an `apply_batch` batch,
-//! a single-statement verb, a [`Database::transaction`] bundle — appends
+//! Every [`Statement`] batch the engine commits — an `apply_batch` batch
+//! or a single-statement verb, logged as a one-statement batch — appends
 //! one length-prefixed, FNV-64-checksummed record to a write-ahead log
 //! *before* the in-memory commit becomes visible to the caller. Snapshots
 //! capture the full state plus the catalog (schema, profile, relation
@@ -33,8 +33,9 @@
 //! ## Recovery
 //!
 //! [`Database::recover`] loads the newest snapshot that passes its
-//! checksum, replays the log suffix record by record through the very same
-//! `apply_batch` path the records were produced by, tolerates a torn or
+//! checksum, replays the log suffix record by record through
+//! `apply_batch` (a single statement's one-statement record validates the
+//! same rows on either checking schedule), tolerates a torn or
 //! truncated tail record (replay stops at the first frame whose length or
 //! checksum does not verify), deep-checks the result with
 //! [`Database::verify_integrity`], and only then truncates the torn tail
@@ -1338,8 +1339,8 @@ fn replay_record(db: &mut Database, payload: &[u8]) -> Result<()> {
     let stmts = stmts?;
     d.done()?;
     // The profile is the one the record was committed under, so
-    // `apply_batch` re-runs the exact mode (deferred or immediate) the
-    // original commit used.
+    // `apply_batch` re-runs the checking schedule a batch committed on; a
+    // single statement's record checks the same rows on either schedule.
     db.apply_batch(&stmts).map_err(Error::from)?;
     Ok(())
 }
@@ -1509,11 +1510,10 @@ mod tests {
             Statement::insert("C", tup(&[20, 2])),
         ])
         .unwrap();
-        db.transaction(|tx| {
-            tx.insert("P", tup(&[3]))?;
-            tx.update_by_key("C", &tup(&[20]), tup(&[20, 3]))?;
-            Ok(())
-        })
+        db.apply_batch(&[
+            Statement::insert("P", tup(&[3])),
+            Statement::update("C", tup(&[20]), tup(&[20, 3])),
+        ])
         .unwrap();
         let expect = db.snapshot().unwrap();
         drop(db); // "crash": nothing flushed beyond what append made durable
@@ -1522,7 +1522,7 @@ mod tests {
         assert_eq!(recovered.snapshot().unwrap(), expect);
         assert!(recovered.verify_integrity().is_clean());
         assert!(!report.torn_tail);
-        // Two single inserts + one batch + one transaction = 4 records.
+        // Two single inserts + two batches = 4 records.
         assert_eq!(report.batches_replayed, 4, "{report}");
         let _ = fs::remove_dir_all(&dir);
     }

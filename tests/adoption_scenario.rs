@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use relmerge::core::{Advisor, MergeReport};
 use relmerge::ddl::{advisor_config_for, backward_migration, forward_migration, generate, Dialect};
-use relmerge::engine::{Database, DbmsProfile, LogicalQuery};
+use relmerge::engine::{Database, DbmsProfile, LogicalQuery, Statement};
 use relmerge::relational::{Tuple, Value};
 use relmerge::workload::{generate_university, UniversitySpec};
 
@@ -73,9 +73,9 @@ fn university_adoption_end_to_end() {
         .map(|s| s.merged_name())
         .find(|n| n.starts_with("COURSE"))
         .expect("course chain merged");
-    db.transaction(|tx| {
-        tx.insert("DEPARTMENT", Tuple::new([Value::text("new-dept")]))?;
-        tx.insert(
+    db.apply_batch(&[
+        Statement::insert("DEPARTMENT", Tuple::new([Value::text("new-dept")])),
+        Statement::insert(
             merged_name,
             Tuple::new([
                 Value::Int(50_000),
@@ -83,14 +83,14 @@ fn university_adoption_end_to_end() {
                 Value::Null,
                 Value::Null,
             ]),
-        )?;
-        Ok(())
-    })
+        ),
+    ])
     .unwrap();
     // A constraint-violating bundle rolls back wholesale.
     let before = db.snapshot().unwrap();
-    let result = db.transaction(|tx| {
-        tx.insert(
+    let result = db.apply_batch(&[
+        Statement::insert("DEPARTMENT", Tuple::new([Value::text("other-dept")])),
+        Statement::insert(
             merged_name,
             Tuple::new([
                 Value::Int(50_001),
@@ -98,9 +98,8 @@ fn university_adoption_end_to_end() {
                 Value::Null,
                 Value::Null,
             ]),
-        )?;
-        Ok(())
-    });
+        ),
+    ]);
     assert!(result.is_err());
     assert_eq!(db.snapshot().unwrap(), before);
 

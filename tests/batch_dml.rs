@@ -1,9 +1,10 @@
 //! Integration coverage for the batched-DML API: deferred inclusion
 //! dependencies make statement order inside a batch irrelevant, a failed
 //! batch leaves no trace, and profiles without the capability fall back
-//! to immediate (still atomic) checking.
+//! to immediate (still atomic) checking; RESTRICT guards only referenced
+//! values that change, on both schedules.
 
-use relmerge::engine::{Database, DbmsProfile, Statement};
+use relmerge::engine::{Database, DbmsProfile, DmlError, Statement};
 use relmerge::relational::{
     Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Tuple, Value,
 };
@@ -157,4 +158,152 @@ fn profiles_without_the_capability_check_immediately_but_stay_atomic() {
     assert!(!out.deferred);
     assert_eq!(out.deferred_checks, 0);
     assert_eq!(out.applied(), 2);
+}
+
+/// P(P.K, P.V) ← C(C.K, C.FK) with C[C.FK] ⊆ P[P.K].
+fn valued_parent_schema() -> RelationalSchema {
+    let mut rs = RelationalSchema::new();
+    rs.add_scheme(
+        RelationScheme::new(
+            "P",
+            vec![
+                Attribute::new("P.K", Domain::Int),
+                Attribute::new("P.V", Domain::Int),
+            ],
+            &["P.K"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    rs.add_scheme(
+        RelationScheme::new(
+            "C",
+            vec![
+                Attribute::new("C.K", Domain::Int),
+                Attribute::new("C.FK", Domain::Int),
+            ],
+            &["C.K"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    rs.add_null_constraint(NullConstraint::nna("P", &["P.K"]))
+        .unwrap();
+    rs.add_null_constraint(NullConstraint::nna("C", &["C.K"]))
+        .unwrap();
+    rs.add_ind(InclusionDep::new("C", &["C.FK"], "P", &["P.K"]))
+        .unwrap();
+    rs
+}
+
+/// RESTRICT guards the referenced projection, not the row: an update that
+/// keeps a referenced key commits on both schedules, through a single
+/// statement and through a batch, and one that changes it is refused.
+#[test]
+fn restrict_applies_only_to_referenced_values_that_change() {
+    for profile in [DbmsProfile::ideal(), DbmsProfile::db2()] {
+        let name = profile.name;
+        let mut db = Database::new(valued_parent_schema(), profile).unwrap();
+        db.insert("P", row(&[1, 7])).unwrap();
+        db.insert("C", row(&[10, 1])).unwrap();
+
+        assert!(
+            db.update_by_key("P", &row(&[1]), row(&[1, 8])).unwrap(),
+            "{name}: non-key update through update_by_key"
+        );
+        db.apply_batch(&[Statement::update("P", row(&[1]), row(&[1, 9]))])
+            .unwrap_or_else(|e| panic!("{name}: non-key update through apply_batch: {e}"));
+        assert_eq!(db.get_by_key("P", &row(&[1])).unwrap(), Some(row(&[1, 9])));
+
+        let before = db.snapshot().unwrap();
+        let single = db.update_by_key("P", &row(&[1]), row(&[2, 9])).unwrap_err();
+        let batched = db
+            .apply_batch(&[Statement::update("P", row(&[1]), row(&[2, 9]))])
+            .unwrap_err();
+        for err in [single.to_string(), batched.to_string()] {
+            assert!(
+                err.contains("RESTRICT: `C`[C.FK] still references (1)"),
+                "{name}: {err}"
+            );
+        }
+        assert_eq!(db.snapshot().unwrap(), before, "{name}");
+    }
+}
+
+/// Row counters count a statement's rows when its statement or batch
+/// commits, never rows a rejection rolled back.
+#[test]
+fn rows_count_when_their_statement_or_batch_commits() {
+    for profile in [DbmsProfile::ideal(), DbmsProfile::db2()] {
+        let mut d = Database::new(parent_child_schema(), profile).unwrap();
+        // A rejected batch lands PARENT(1) before CHILD(10, 9) dangles;
+        // neither row is counted, on either schedule.
+        assert!(d
+            .apply_batch(&[
+                Statement::insert("PARENT", row(&[1])),
+                Statement::insert("CHILD", row(&[10, 9])),
+            ])
+            .is_err());
+        // A rejected single insert lands, then rolls back.
+        assert!(d.insert("CHILD", row(&[10, 9])).is_err());
+        assert_eq!((d.len("PARENT"), d.len("CHILD")), (0, 0));
+        let s = d.take_stats();
+        assert_eq!((s.inserts, s.deletes, s.updates), (0, 0, 0));
+        assert_eq!(s.rejected, 2);
+        // Committed rows count once each: an update is one of each.
+        d.insert("PARENT", row(&[1])).unwrap();
+        d.insert("PARENT", row(&[2])).unwrap();
+        d.apply_batch(&[
+            Statement::insert("CHILD", row(&[10, 1])),
+            Statement::update("CHILD", row(&[10]), row(&[10, 2])),
+            Statement::update("CHILD", row(&[10]), row(&[10, 2])), // identical: no change
+            Statement::delete("PARENT", row(&[1])),
+        ])
+        .unwrap();
+        let s = d.take_stats();
+        assert_eq!((s.inserts, s.deletes, s.updates), (4, 2, 1));
+        assert_eq!(s.rejected, 0);
+    }
+}
+
+/// A single-statement update is validated over its own rows and rolled
+/// back whole when rejected, on both schedules.
+#[test]
+fn single_statement_updates_validate_and_roll_back() {
+    for profile in [DbmsProfile::ideal(), DbmsProfile::db2()] {
+        let mut d = Database::new(parent_child_schema(), profile).unwrap();
+        d.insert("PARENT", row(&[1])).unwrap();
+        d.insert("PARENT", row(&[2])).unwrap();
+        d.insert("CHILD", row(&[10, 1])).unwrap();
+        // A non-key change commits.
+        assert!(d
+            .update_by_key("CHILD", &row(&[10]), row(&[10, 2]))
+            .unwrap());
+        assert_eq!(
+            d.get_by_key("CHILD", &row(&[10])).unwrap(),
+            Some(row(&[10, 2]))
+        );
+        // A dangling replacement is rejected and the old row restored.
+        let err = d
+            .update_by_key("CHILD", &row(&[10]), row(&[10, 99]))
+            .unwrap_err();
+        assert!(matches!(err, DmlError::ConstraintViolation(_)), "{err}");
+        assert_eq!(
+            d.get_by_key("CHILD", &row(&[10])).unwrap(),
+            Some(row(&[10, 2]))
+        );
+        // A missing key is a no-op.
+        assert!(!d.update_by_key("PARENT", &row(&[9]), row(&[9])).unwrap());
+        // A failed batch restores the rows its statements deleted.
+        let before = d.snapshot().unwrap();
+        assert!(d
+            .apply_batch(&[
+                Statement::delete("PARENT", row(&[1])),
+                Statement::insert("CHILD", row(&[11, 99])),
+            ])
+            .is_err());
+        assert_eq!(d.snapshot().unwrap(), before);
+        assert!(d.verify_integrity().is_clean());
+        assert!(d.snapshot().unwrap().is_consistent(d.schema()).unwrap());
+    }
 }

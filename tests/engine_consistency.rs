@@ -1,12 +1,13 @@
 //! The engine's incremental DML enforcement agrees with the declarative
 //! whole-state consistency checker: a statement is accepted iff applying it
-//! would leave the state consistent.
+//! would leave the state consistent — on both checking schedules, through
+//! the single-statement verbs and through one-statement batches.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge::engine::{Database, DbmsProfile, DmlError};
+use relmerge::engine::{Database, DbmsProfile, DmlError, Statement};
 use relmerge::obs;
 use relmerge::relational::{
     Attribute, DatabaseState, Domain, InclusionDep, NullConstraint, RelationScheme,
@@ -18,11 +19,12 @@ use relmerge::workload::{
 
 /// A merged-shape schema with every constraint class the engine enforces:
 /// key, NNA, NS, NE, TE, PN would require a synthetic key-relation — use
-/// the post-merge COURSE_M shape plus one reference target.
+/// the post-merge COURSE_M shape plus one reference target, which carries
+/// a non-key attribute so that an update can keep a referenced key.
 fn merged_shape_schema() -> RelationalSchema {
     let a = |n: &str| Attribute::new(n, Domain::Int);
     let mut rs = RelationalSchema::new();
-    rs.add_scheme(RelationScheme::new("DEPT", vec![a("D.K")], &["D.K"]).unwrap())
+    rs.add_scheme(RelationScheme::new("DEPT", vec![a("D.K"), a("D.N")], &["D.K"]).unwrap())
         .unwrap();
     rs.add_scheme(
         RelationScheme::new(
@@ -52,25 +54,6 @@ fn merged_shape_schema() -> RelationalSchema {
     rs
 }
 
-/// One random statement.
-#[derive(Debug, Clone)]
-enum Stmt {
-    InsertDept(i64),
-    InsertM([Option<i64>; 5]),
-    DeleteDept(i64),
-    DeleteM(i64),
-}
-
-fn stmt_strategy() -> impl Strategy<Value = Stmt> {
-    let small = 0i64..6;
-    prop_oneof![
-        small.clone().prop_map(Stmt::InsertDept),
-        proptest::array::uniform5(proptest::option::of(0i64..6)).prop_map(Stmt::InsertM),
-        small.clone().prop_map(Stmt::DeleteDept),
-        small.prop_map(Stmt::DeleteM),
-    ]
-}
-
 fn to_tuple(vals: &[Option<i64>]) -> Tuple {
     Tuple::new(
         vals.iter()
@@ -79,46 +62,104 @@ fn to_tuple(vals: &[Option<i64>]) -> Tuple {
     )
 }
 
+fn key(k: i64) -> Tuple {
+    Tuple::new([Value::Int(k)])
+}
+
+/// An `M` row: arbitrary values, or a well-formed row (its groups total
+/// or null together, keyed alike) so that rows referencing `DEPT` exist.
+fn m_row() -> impl Strategy<Value = [Option<i64>; 5]> {
+    let small = || proptest::option::of(0i64..6);
+    prop_oneof![
+        proptest::array::uniform5(small()),
+        (0i64..6, small(), small()).prop_map(|(k, dept, faculty)| {
+            let taught = dept.and(faculty);
+            [Some(k), dept.map(|_| k), dept, taught.map(|_| k), taught]
+        }),
+    ]
+}
+
+/// One random statement: inserts, deletes, and updates of `DEPT` and `M`
+/// that keep or change the key.
+fn stmt_strategy() -> impl Strategy<Value = Statement> {
+    let small = || 0i64..6;
+    let dept = || (small(), proptest::option::of(0i64..3));
+    prop_oneof![
+        dept().prop_map(|(k, n)| Statement::insert("DEPT", to_tuple(&[Some(k), n]))),
+        m_row().prop_map(|vals| Statement::insert("M", to_tuple(&vals))),
+        small().prop_map(|k| Statement::delete("DEPT", key(k))),
+        small().prop_map(|k| Statement::delete("M", key(k))),
+        (small(), proptest::option::of(0i64..3)).prop_map(|(k, n)| Statement::update(
+            "DEPT",
+            key(k),
+            to_tuple(&[Some(k), n])
+        )),
+        (small(), dept()).prop_map(|(k, (to, n))| Statement::update(
+            "DEPT",
+            key(k),
+            to_tuple(&[Some(to), n])
+        )),
+        m_row().prop_map(|mut vals| {
+            let k = vals[0].unwrap_or(0);
+            vals[0] = Some(k);
+            Statement::update("M", key(k), to_tuple(&vals))
+        }),
+        (small(), m_row()).prop_map(|(k, vals)| Statement::update("M", key(k), to_tuple(&vals))),
+    ]
+}
+
+/// Runs `stmt` through its single-statement verb.
+fn apply_single(db: &mut Database, stmt: &Statement) -> Result<(), DmlError> {
+    match stmt {
+        Statement::Insert { rel, tuple } => db.insert(rel, tuple.clone()).map(drop),
+        Statement::Delete { rel, key } => db.delete_by_key(rel, key).map(drop),
+        Statement::Update { rel, key, tuple } => {
+            db.update_by_key(rel, key, tuple.clone()).map(drop)
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Soundness + completeness of incremental enforcement: after every
-    /// statement the snapshot is consistent, and every rejected insert
+    /// Soundness + completeness of incremental enforcement, on the
+    /// deferred (`ideal`) and immediate (`sybase40`) schedules, through
+    /// the single-statement verbs and one-statement batches: after every
+    /// statement the snapshot is consistent, and every rejected statement
     /// would in fact have made the snapshot inconsistent (checked by
     /// replaying it into a copy of the state).
     #[test]
     fn engine_agrees_with_declarative_checker(stmts in proptest::collection::vec(stmt_strategy(), 1..60)) {
         let schema = merged_shape_schema();
-        let mut db = Database::new(schema.clone(), DbmsProfile::ideal()).expect("db");
-        for stmt in stmts {
-            let before = db.snapshot().expect("snapshot");
-            let outcome: Result<(), DmlError> = match &stmt {
-                Stmt::InsertDept(k) => db.insert("DEPT", Tuple::new([Value::Int(*k)])).map(|_| ()),
-                Stmt::InsertM(vals) => db.insert("M", to_tuple(vals)).map(|_| ()),
-                Stmt::DeleteDept(k) => db
-                    .delete_by_key("DEPT", &Tuple::new([Value::Int(*k)]))
-                    .map(|_| ()),
-                Stmt::DeleteM(k) => db
-                    .delete_by_key("M", &Tuple::new([Value::Int(*k)]))
-                    .map(|_| ()),
-            };
-            let after = db.snapshot().expect("snapshot");
-            // Invariant: the live state is always consistent.
-            prop_assert!(
-                after.is_consistent(&schema).expect("check"),
-                "inconsistent after {stmt:?}"
-            );
-            if outcome.is_err() {
-                // The state must be unchanged…
-                prop_assert_eq!(&before, &after, "rejected {:?} mutated state", &stmt);
-                // …and force-applying the statement must violate something
-                // (completeness of the rejection).
-                let forced = force_apply(&before, &stmt);
-                if let Some(forced) = forced {
+        for profile in [DbmsProfile::ideal(), DbmsProfile::sybase40()] {
+            for batched in [false, true] {
+                let path = format!("{} {}", profile.name, if batched { "batch" } else { "verb" });
+                let mut db = Database::new(schema.clone(), profile.clone()).expect("db");
+                for stmt in &stmts {
+                    let before = db.snapshot().expect("snapshot");
+                    let outcome = if batched {
+                        db.apply_batch(std::slice::from_ref(stmt)).map(drop)
+                    } else {
+                        apply_single(&mut db, stmt)
+                    };
+                    let after = db.snapshot().expect("snapshot");
+                    // Invariant: the live state is always consistent.
                     prop_assert!(
-                        !forced.is_consistent(&schema).expect("check"),
-                        "{stmt:?} was rejected but would be consistent"
+                        after.is_consistent(&schema).expect("check"),
+                        "{path}: inconsistent after {stmt}"
                     );
+                    if let Err(e) = outcome {
+                        // The state must be unchanged…
+                        prop_assert_eq!(&before, &after, "{}: rejected {} mutated state", &path, stmt);
+                        // …and force-applying the statement must violate
+                        // something (completeness of the rejection).
+                        if let Some(forced) = force_apply(&before, stmt) {
+                            prop_assert!(
+                                !forced.is_consistent(&schema).expect("check"),
+                                "{path}: {stmt} was rejected ({e}) but would be consistent"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -255,31 +296,23 @@ proptest! {
 }
 
 /// Applies a statement to a state copy without any checking. Returns
-/// `None` for deletes of absent keys (nothing to force).
-fn force_apply(state: &DatabaseState, stmt: &Stmt) -> Option<DatabaseState> {
+/// `None` for deletes and updates of absent keys (nothing to force).
+fn force_apply(state: &DatabaseState, stmt: &Statement) -> Option<DatabaseState> {
     let mut s = state.clone();
+    let rel = s.relation_mut(stmt.rel()).expect("relation");
+    let victim = |key: &Tuple| rel.iter().find(|t| t.get(0) == key.get(0)).cloned();
     match stmt {
-        Stmt::InsertDept(k) => {
-            s.relation_mut("DEPT")
-                .expect("dept")
-                .insert(Tuple::new([Value::Int(*k)]))
-                .ok()?;
+        Statement::Insert { tuple, .. } => {
+            rel.insert(tuple.clone()).ok()?;
         }
-        Stmt::InsertM(vals) => {
-            s.relation_mut("M")
-                .expect("m")
-                .insert(to_tuple(vals))
-                .ok()?;
+        Statement::Delete { key, .. } => {
+            let old = victim(key)?;
+            rel.remove(&old);
         }
-        Stmt::DeleteDept(k) => {
-            let rel = s.relation_mut("DEPT").expect("dept");
-            let victim = rel.iter().find(|t| t.get(0) == &Value::Int(*k)).cloned()?;
-            rel.remove(&victim);
-        }
-        Stmt::DeleteM(k) => {
-            let rel = s.relation_mut("M").expect("m");
-            let victim = rel.iter().find(|t| t.get(0) == &Value::Int(*k)).cloned()?;
-            rel.remove(&victim);
+        Statement::Update { key, tuple, .. } => {
+            let old = victim(key)?;
+            rel.remove(&old);
+            rel.insert(tuple.clone()).ok()?;
         }
     }
     Some(s)

@@ -92,12 +92,12 @@ fn dml_soak_unmerged_and_merged() {
                     )
                     .is_err());
             }
-            // Updates through transactions on the merged database.
+            // Updates on the merged database.
             _ => {
                 let key = Tuple::new([Value::Int(course)]);
                 if let Some(existing) = merged.get_by_key("COURSE_M", &key).unwrap() {
                     let updated = existing.with(1, dept.clone());
-                    let _ = merged.transaction(|tx| tx.update_by_key("COURSE_M", &key, updated));
+                    let _ = merged.update_by_key("COURSE_M", &key, updated);
                 }
             }
         }

@@ -139,7 +139,7 @@ fn every_site_arrival_and_mode_recovers() {
 }
 
 /// A valid parent-first batch that moves a child with an update, which
-/// immediate checking applies as a delete and then an insert.
+/// removes the old row and then lands the new one.
 fn immediate_batch() -> Vec<Statement> {
     vec![
         Statement::insert("PARENT", row(&[10])),
@@ -150,23 +150,18 @@ fn immediate_batch() -> Vec<Statement> {
 }
 
 /// Under immediate checking, a fault at any arrival of any batch site, in
-/// either mode — an update's insert half included — fails a batch, a
-/// single-statement update and a one-update transaction typed (the
-/// transaction rolls back, then resumes the panic), with a clean audit
-/// and the pre-operation state.
+/// either mode — an update's insert half and each statement's group
+/// validation included — fails a batch and a single-statement update
+/// typed, with a clean audit and the pre-operation state.
 #[test]
 fn immediate_mode_updates_recover_at_every_site_arrival_and_mode() {
     type Op = fn(&mut Database) -> Result<(), DmlError>;
-    let ops: [(&str, Op); 3] = [
+    let ops: [(&str, Op); 2] = [
         ("apply_batch", |db| {
             db.apply_batch(&immediate_batch()).map(drop)
         }),
         ("update_by_key", |db| {
             db.update_by_key("CHILD", &row(&[500]), row(&[500, 2]))
-                .map(drop)
-        }),
-        ("transaction", |db| {
-            db.transaction(|tx| tx.update_by_key("CHILD", &row(&[500]), row(&[500, 2])))
                 .map(drop)
         }),
     ];
@@ -178,8 +173,8 @@ fn immediate_mode_updates_recover_at_every_site_arrival_and_mode() {
         }
         let probe = dry.set_fault_plan(probe);
         op(&mut dry).unwrap();
-        // Sites the operation never reaches (group validation, under
-        // immediate checking) have no cells.
+        // Sites the operation never reaches (statement entry and the
+        // commit tail, for a single statement) have no cells.
         for &s in site::BATCH {
             for nth in 0..probe.hits(s) {
                 for mode in [FaultMode::Error, FaultMode::Panic] {
@@ -187,27 +182,19 @@ fn immediate_mode_updates_recover_at_every_site_arrival_and_mode() {
                     let mut db = baseline_db_on(DbmsProfile::db2());
                     let pre = db.snapshot().unwrap();
                     let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&mut db)));
+                    let err = op(&mut db).expect_err("the armed fault must fail the operation");
                     assert_eq!(plan.fired(s), 1, "{cell}");
-                    match outcome {
-                        Ok(Err(e)) => assert!(
-                            matches!(
-                                (mode, e.root_cause()),
-                                (FaultMode::Error, DmlError::Schema(Error::Injected { .. }))
-                                    | (
-                                        FaultMode::Panic,
-                                        DmlError::Schema(Error::ExecutionPanic { .. })
-                                    )
-                            ),
-                            "{cell}: {e}"
+                    assert!(
+                        matches!(
+                            (mode, err.root_cause()),
+                            (FaultMode::Error, DmlError::Schema(Error::Injected { .. }))
+                                | (
+                                    FaultMode::Panic,
+                                    DmlError::Schema(Error::ExecutionPanic { .. })
+                                )
                         ),
-                        Ok(Ok(())) => panic!("{cell}: the armed fault must fail the operation"),
-                        Err(_) => assert!(
-                            name == "transaction" && mode == FaultMode::Panic,
-                            "{cell}: the panic escaped"
-                        ),
-                    }
+                        "{cell}: {err}"
+                    );
                     db.clear_fault_plan();
                     let report = db.verify_integrity();
                     assert!(report.is_clean(), "{cell}: {report}");
