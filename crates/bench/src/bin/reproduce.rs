@@ -7,7 +7,7 @@
 //! The experiments are the names in [`EXPERIMENTS`]; no name means `all`.
 //! Each prints its report and writes it to `BENCH_<name>.json`: at the
 //! repository root, or under `target/smoke/` with `--smoke`, which shrinks
-//! B2, B3, B5 and B8–B15 to a CI-sized scale. `--trace` adds the
+//! B2, B3, B5, B8 and B10–B15 to a CI-sized scale. `--trace` adds the
 //! [`Database::execute_traced`] operator tree of one representative query
 //! per query-running experiment. Any other argument exits with status 2.
 
@@ -127,10 +127,6 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "b8",
         run: b8,
-    },
-    Experiment {
-        name: "b9",
-        run: b9,
     },
     Experiment {
         name: "b10",
@@ -620,12 +616,6 @@ fn b8(scale: Scale) -> Result<Report> {
     Ok(r)
 }
 
-/// B9: the fault-torture matrix.
-fn b9(scale: Scale) -> Result<Report> {
-    let (courses, batch_size) = scale.pick((300, 12), (2_000, 24));
-    quietly(|| experiments::fault_torture(courses, batch_size, 11))
-}
-
 /// B10: the versioned build-side cache. The warm run must beat the cold
 /// run, and at full scale by at least 2×.
 fn b10(scale: Scale) -> Result<Report> {
@@ -656,11 +646,22 @@ fn b10(scale: Scale) -> Result<Report> {
     Ok(r)
 }
 
-/// B11: durability — WAL overhead, crash truncation, fault sites and the
-/// recovery curve.
+/// B11: durability — WAL append overhead and the recovery curve. At full
+/// scale the log's replay must dominate recovery: the full log recovers
+/// in at least twice the time of the seed snapshot alone.
 fn b11(scale: Scale) -> Result<Report> {
-    let (courses, n_batches, batch_size) = scale.pick((200, 12, 8), (1_000, 48, 16));
-    quietly(|| experiments::wal_torture(courses, n_batches, batch_size, 11))
+    let (courses, n_batches, batch_size) = scale.pick((200, 12, 8), (1_000, 128, 16));
+    let r = experiments::durability(courses, n_batches, batch_size, 11)?;
+    if !scale.smoke {
+        let curve = r.table("recovery");
+        let ns = |row: &Row| row.num("replay_ns");
+        assert!(
+            ns(&curve[curve.len() - 1]) >= 2.0 * ns(&curve[0]),
+            "recovering the full log must take at least twice the seed \
+             snapshot's time at full scale: {curve:?}"
+        );
+    }
+    Ok(r)
 }
 
 /// B12: concurrent sessions over one shared `Store`.
@@ -673,7 +674,7 @@ fn b12(scale: Scale) -> Result<Report> {
 /// run the post-merge median latency must drop too.
 fn b13(scale: Scale) -> Result<Report> {
     let (courses, n_ops) = scale.pick((500, 600), (10_000, 20_000));
-    let mut r = quietly(|| experiments::online_merge(courses, n_ops, 13))?;
+    let mut r = experiments::online_merge(courses, n_ops, 13)?;
     if !scale.smoke && cfg!(not(debug_assertions)) {
         let f = &r.fields;
         assert!(
@@ -748,16 +749,4 @@ fn b15(scale: Scale) -> Result<Report> {
         )?;
     }
     Ok(r)
-}
-
-/// Runs `f` with the default panic hook silenced: the fault matrices'
-/// panic-mode cells panic inside the engine on purpose, and although each
-/// panic is caught and typed, the hook would still print a backtrace line
-/// per cell.
-fn quietly(f: impl FnOnce() -> Result<Report>) -> Result<Report> {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(default_hook);
-    out
 }

@@ -8,12 +8,10 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use relmerge_core::{Merge, Merged};
-use relmerge_engine::{
-    Database, DbmsProfile, DmlError, JoinStep, Predicate, QueryPlan, Statement, Store,
-};
+use relmerge_engine::{Database, DbmsProfile, JoinStep, Predicate, QueryPlan, Statement, Store};
 use relmerge_obs as obs;
-use relmerge_relational::{DatabaseState, Error, Result, Tuple, Value};
-use relmerge_workload::{generate_university, University, UniversitySpec};
+use relmerge_relational::{Error, Result, Tuple, Value};
+use relmerge_workload::{generate_university, University, UniversityOp, UniversitySpec};
 
 use crate::report::{Cell, Report, Row};
 
@@ -96,6 +94,18 @@ pub fn unmerged_scan_query() -> QueryPlan {
 #[must_use]
 pub fn merged_scan_query() -> QueryPlan {
     QueryPlan::scan("COURSE_M")
+}
+
+/// The query a university read op lowers to against the merged or the
+/// unmerged schema (`None` for a write op).
+fn read_plan(merged: bool, op: &UniversityOp) -> Option<QueryPlan> {
+    match (merged, op) {
+        (false, UniversityOp::CourseDetail { nr }) => Some(unmerged_point_query(*nr)),
+        (false, UniversityOp::ByFaculty { ssn }) => Some(unmerged_by_faculty_query(*ssn)),
+        (true, UniversityOp::CourseDetail { nr }) => Some(merged_point_query(*nr)),
+        (true, UniversityOp::ByFaculty { ssn }) => Some(merged_by_faculty_query(*ssn)),
+        (_, UniversityOp::AddCourse { .. } | UniversityOp::DropCourse { .. }) => None,
+    }
 }
 
 /// B1: merged-vs-unmerged retrieval cost across instance scales.
@@ -388,7 +398,7 @@ pub fn merge_scaling(satellites: &[usize], root_rows: &[usize]) -> Result<Report
 /// unmerged and merged databases at each scale — the whole-workload view
 /// of the §1 trade-off (reads get cheaper, writes bundle up).
 pub fn mixed_workload(scales: &[usize], n_ops: usize) -> Result<Report> {
-    use relmerge_workload::{university_ops, MixSpec, UniversityOp};
+    use relmerge_workload::{merged_statements, university_ops, unmerged_statements, MixSpec};
 
     let mut rows = Vec::new();
     for &courses in scales {
@@ -416,80 +426,33 @@ pub fn mixed_workload(scales: &[usize], n_ops: usize) -> Result<Report> {
                 .cell("ns_per_op", Cell::Num(total_ns as f64 / n_ops as f64, 0))
         };
 
-        // Unmerged execution.
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-        db.load_state(&u.state)?;
-        let t = obs::timer("bench.b6.run").field("scenario", "unmerged");
-        for op in &ops {
-            match op {
-                UniversityOp::CourseDetail { nr } => {
-                    let _ = db.execute(&unmerged_point_query(*nr))?;
-                }
-                UniversityOp::ByFaculty { ssn } => {
-                    let _ = db.execute(&unmerged_by_faculty_query(*ssn))?;
-                }
-                UniversityOp::AddCourse { nr, dept, teacher } => {
-                    db.insert("COURSE", Tuple::new([Value::Int(*nr)]))
-                        .expect("fresh course");
-                    db.insert(
-                        "OFFER",
-                        Tuple::new([Value::Int(*nr), Value::text(format!("dept{dept}"))]),
-                    )
-                    .expect("valid offer");
-                    if let Some(t) = teacher {
-                        db.insert("TEACH", Tuple::new([Value::Int(*nr), Value::Int(*t)]))
-                            .expect("valid teach");
-                    }
-                }
-                UniversityOp::DropCourse { nr } => {
-                    let key = Tuple::new([Value::Int(*nr)]);
-                    let _ = db.delete_by_key("TEACH", &key).expect("restrict-free");
-                    let _ = db.delete_by_key("ASSIST", &key).expect("restrict-free");
-                    let _ = db.delete_by_key("OFFER", &key).expect("restrict-free");
-                    let _ = db.delete_by_key("COURSE", &key).expect("restrict-free");
+        // Each scenario runs the stream one operation at a time: a read as
+        // its query, a write as its statements, each applied on its own.
+        let (unmerged, merged) = university_databases(&u, &m)?;
+        let mut ns = Vec::new();
+        for (is_merged, mut db) in [(false, unmerged), (true, merged)] {
+            let scenario = if is_merged { "merged" } else { "unmerged" };
+            let lower = if is_merged {
+                merged_statements
+            } else {
+                unmerged_statements
+            };
+            let t = obs::timer("bench.b6.run").field("scenario", scenario);
+            for op in &ops {
+                match read_plan(is_merged, op) {
+                    Some(plan) => drop(db.execute(&plan)?),
+                    None => lower(op)
+                        .iter()
+                        .try_for_each(|s| apply_single(&mut db, s))?,
                 }
             }
+            ns.push(t.stop());
         }
-        let unmerged_ns = t.stop();
-        rows.push(row("unmerged (4 relations)", unmerged_ns));
-
-        // Merged execution.
-        let merged_state = m.apply(&u.state)?;
-        let mut db = Database::new(m.schema().clone(), DbmsProfile::ideal())?;
-        db.load_state(&merged_state)?;
-        let t = obs::timer("bench.b6.run").field("scenario", "merged");
-        for op in &ops {
-            match op {
-                UniversityOp::CourseDetail { nr } => {
-                    let _ = db.execute(&merged_point_query(*nr))?;
-                }
-                UniversityOp::ByFaculty { ssn } => {
-                    let _ = db.execute(&merged_by_faculty_query(*ssn))?;
-                }
-                UniversityOp::AddCourse { nr, dept, teacher } => {
-                    db.insert(
-                        "COURSE_M",
-                        Tuple::new([
-                            Value::Int(*nr),
-                            Value::text(format!("dept{dept}")),
-                            teacher.map_or(Value::Null, Value::Int),
-                            Value::Null,
-                        ]),
-                    )
-                    .expect("valid merged insert");
-                }
-                UniversityOp::DropCourse { nr } => {
-                    let _ = db
-                        .delete_by_key("COURSE_M", &Tuple::new([Value::Int(*nr)]))
-                        .expect("restrict-free");
-                }
-            }
-        }
-        let merged_ns = t.stop();
-        rows.push(row("merged (COURSE_M)", merged_ns).cell(
-            "merged_speedup",
-            Cell::Num(unmerged_ns as f64 / merged_ns as f64, 2),
-        ));
+        rows.push(row("unmerged (4 relations)", ns[0]));
+        rows.push(
+            row("merged (COURSE_M)", ns[1])
+                .cell("merged_speedup", Cell::Num(ns[0] as f64 / ns[1] as f64, 2)),
+        );
     }
     let mut report =
         Report::new("B6: mixed workload (80% point reads, 10% reverse reads, 10% DML)");
@@ -498,8 +461,8 @@ pub fn mixed_workload(scales: &[usize], n_ops: usize) -> Result<Report> {
     Ok(report)
 }
 
-/// Applies one statement through the immediate per-statement API — the
-/// baseline the batch path is measured against.
+/// Applies one statement through the immediate per-statement API: B6's
+/// writes, and the baseline B7 measures the batch path against.
 fn apply_single(db: &mut Database, stmt: &Statement) -> Result<()> {
     match stmt {
         Statement::Insert { rel, tuple } => {
@@ -1209,10 +1172,8 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
 /// exactly — and the mix's wall time (ns).
 fn profile_run(
     courses: usize,
-    ops: &[relmerge_workload::UniversityOp],
+    ops: &[UniversityOp],
 ) -> Result<(Database, relmerge_engine::QueryStats, u64)> {
-    use relmerge_workload::UniversityOp;
-
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
         &UniversitySpec {
@@ -1226,12 +1187,8 @@ fn profile_run(
     let mut manual = relmerge_engine::QueryStats::default();
     let t0 = Instant::now();
     for op in ops {
-        let (_, stats) = match op {
-            UniversityOp::CourseDetail { nr } => db.execute(&unmerged_point_query(*nr))?,
-            UniversityOp::ByFaculty { ssn } => db.execute(&unmerged_by_faculty_query(*ssn))?,
-            other => panic!("write op in B14 read stream: {other:?}"),
-        };
-        manual += stats;
+        let plan = read_plan(false, op).expect("B14 streams reads only");
+        manual += db.execute(&plan)?.1;
     }
     let elapsed_ns = obs::elapsed_ns(t0);
     Ok((db, manual, elapsed_ns))
@@ -1252,7 +1209,7 @@ fn profile_run(
 ///   excluded from the report by construction), ranked by cumulative
 ///   cost.
 pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Report> {
-    use relmerge_workload::{skewed_reads, SkewSpec, UniversityOp};
+    use relmerge_workload::{skewed_reads, SkewSpec};
 
     let _span = obs::span("bench.b14.workload_profile").field("courses", courses);
     // Defaults: 200 faculty (persons 500 × 2/5).
@@ -1358,317 +1315,6 @@ pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Re
     Ok(report)
 }
 
-/// One row of a fault-torture matrix (B9, B11, B13): all cells for one
-/// `(injection site, fault mode)` pair, aggregated.
-#[derive(Debug, Clone)]
-struct TortureRow {
-    /// Injection site name (see `relmerge_engine::fault::site`).
-    site: &'static str,
-    /// Fault mode.
-    mode: relmerge_engine::FaultMode,
-    /// Matrix cells run for this pair (one per arrival index).
-    cells: u64,
-    /// Cells whose fault actually fired.
-    injections: u64,
-    /// Fired cells that surfaced a typed injected/panic error (never a
-    /// process abort). For the contained `engine.snapshot.write` site this
-    /// instead counts fired cells whose containment was verified — the
-    /// site's acceptance criterion is containment, not a surfaced error.
-    typed_errors: u64,
-    /// Fired cells whose post-abort [`Database::verify_integrity`] report
-    /// was clean.
-    clean_reports: u64,
-    /// Fired cells whose post-abort state byte-equalled the pre-fault
-    /// snapshot.
-    snapshot_matches: u64,
-    /// Cells whose arm never fired (the operation must then succeed).
-    no_fire: u64,
-}
-
-impl TortureRow {
-    fn new(site: &'static str, mode: relmerge_engine::FaultMode) -> TortureRow {
-        TortureRow {
-            site,
-            mode,
-            cells: 0,
-            injections: 0,
-            typed_errors: 0,
-            clean_reports: 0,
-            snapshot_matches: 0,
-            no_fire: 0,
-        }
-    }
-
-    /// Every cell fired, surfaced typed (or was contained), verified
-    /// clean and rolled back byte-identically.
-    fn recovered(&self) -> bool {
-        self.no_fire == 0
-            && self.injections == self.cells
-            && self.typed_errors == self.injections
-            && self.clean_reports == self.injections
-            && self.snapshot_matches == self.injections
-    }
-
-    fn row(&self) -> Row {
-        Row::new()
-            .cell("site", self.site)
-            .cell("mode", self.mode.label())
-            .cell("cells", self.cells)
-            .cell("injections", self.injections)
-            .cell("typed_errors", self.typed_errors)
-            .cell("clean_reports", self.clean_reports)
-            .cell("snapshot_matches", self.snapshot_matches)
-            .cell("no_fire", self.no_fire)
-    }
-}
-
-/// A fault matrix as a report table, asserting that every row recovered.
-fn torture_table(rows: &[TortureRow]) -> Vec<Row> {
-    for r in rows {
-        assert!(r.recovered(), "every torture cell must recover: {r:?}");
-    }
-    rows.iter().map(TortureRow::row).collect()
-}
-
-/// B9: the fault-torture matrix. One merged-schema write batch is applied
-/// repeatedly; each run arms exactly one injection site at one arrival
-/// index, in error mode and in panic mode. Every fired cell must (a)
-/// surface a typed error to the caller, (b) leave
-/// [`Database::verify_integrity`] clean, and (c) roll the state back to
-/// the pre-batch snapshot, byte-identical. A second leg tortures the
-/// query path the same way — the transient hash build, the build-cache
-/// insert and filter placement (`engine.query.pushdown`) — additionally
-/// requiring that a failed query never leaves an entry in the cache.
-///
-/// Callers that arm panic-mode cells outside the test harness should
-/// install a quiet panic hook around the call — the injected panics are
-/// caught and converted, but the default hook still prints each one.
-pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Report> {
-    use relmerge_engine::fault::site;
-    use relmerge_engine::{FaultMode, FaultPlan};
-    use relmerge_workload::{university_ops, write_batches, MixSpec};
-
-    let _span = obs::span("bench.b9.fault_torture")
-        .field("courses", courses)
-        .field("batch_size", batch_size);
-    let (u, m) = university_merge(courses, seed)?;
-    let merged_state = m.apply(&u.state)?;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    // A write-only stream so every statement slot in the batch is a
-    // mutation; take the first full batch as the torture subject.
-    let ops = university_ops(
-        &MixSpec::write_only(),
-        batch_size * 3,
-        courses,
-        20,
-        200,
-        &mut rng,
-    );
-    let batches = write_batches(&ops, true, batch_size);
-    let batch = batches.first().cloned().unwrap_or_default();
-
-    let build = || -> Result<Database> {
-        let mut db = Database::new(m.schema().clone(), DbmsProfile::ideal())?;
-        db.load_state(&merged_state)?;
-        Ok(db)
-    };
-
-    // Dry run with never-firing arms to count per-site arrivals; the
-    // arrival count is the matrix width for that site.
-    let mut dry = build()?;
-    let mut probe = FaultPlan::new();
-    for &s in site::BATCH {
-        probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
-    }
-    let probe = dry.set_fault_plan(probe);
-    dry.apply_batch(&batch)?;
-    let arrivals: Vec<(&'static str, u64)> =
-        site::BATCH.iter().map(|&s| (s, probe.hits(s))).collect();
-
-    let mut rows = Vec::new();
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        for &(s, hits) in &arrivals {
-            let mut row = TortureRow::new(s, mode);
-            for nth in 0..hits {
-                row.cells += 1;
-                let mut db = build()?;
-                let pre = db.snapshot()?;
-                let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
-                let outcome = db.apply_batch(&batch);
-                if plan.total_fired() == 0 {
-                    row.no_fire += 1;
-                    outcome?;
-                    continue;
-                }
-                row.injections += 1;
-                if let Err(e) = outcome {
-                    if matches!(
-                        e.root_cause(),
-                        DmlError::Schema(Error::Injected { .. })
-                            | DmlError::Schema(Error::ExecutionPanic { .. })
-                    ) {
-                        row.typed_errors += 1;
-                    }
-                }
-                db.clear_fault_plan();
-                if db.verify_integrity().is_clean() {
-                    row.clean_reports += 1;
-                }
-                if db.snapshot()? == pre {
-                    row.snapshot_matches += 1;
-                }
-            }
-            rows.push(row);
-        }
-    }
-
-    // The query-path leg: the composite join's transient hash build, its
-    // cache insert and filter placement, against the unmerged schema. The
-    // filter is root-only, so the build is the join's unfiltered one. A
-    // query never mutates state, so the snapshot comparison is about *not*
-    // corrupting anything; the sharper invariants are the typed error, the
-    // clean integrity report, and the build cache staying empty — a failed
-    // query must never leave a poisoned entry behind.
-    let qplan = composite_no_index_query().filter(Predicate::not_null("A.S.SSN"));
-    let qbuild = || -> Result<Database> {
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-        db.load_state(&u.state)?;
-        Ok(db)
-    };
-    let build_sites = [site::HASH_BUILD, site::BUILD_CACHE_INSERT];
-    let mut dry = qbuild()?;
-    let mut probe = FaultPlan::new();
-    for &s in build_sites.iter().chain(&[site::PUSHDOWN]) {
-        probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
-    }
-    let probe = dry.set_fault_plan(probe);
-    let _ = dry.execute(&qplan)?;
-
-    // Both modes of the build sites, then both of filter placement.
-    for sites in [&build_sites[..], &[site::PUSHDOWN]] {
-        for mode in [FaultMode::Error, FaultMode::Panic] {
-            for &s in sites {
-                let mut row = TortureRow::new(s, mode);
-                for nth in 0..probe.hits(s) {
-                    row.cells += 1;
-                    let mut db = qbuild()?;
-                    let pre = db.snapshot()?;
-                    let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
-                    let outcome = db.execute(&qplan);
-                    if plan.total_fired() == 0 {
-                        row.no_fire += 1;
-                        outcome?;
-                        continue;
-                    }
-                    row.injections += 1;
-                    if let Err(Error::Injected { .. } | Error::ExecutionPanic { .. }) = outcome {
-                        row.typed_errors += 1;
-                    }
-                    assert_eq!(
-                        db.build_cache_len(),
-                        0,
-                        "a failed query must never cache a build ({s}, {mode:?}, nth {nth})"
-                    );
-                    db.clear_fault_plan();
-                    if db.verify_integrity().is_clean() {
-                        row.clean_reports += 1;
-                    }
-                    if db.snapshot()? == pre {
-                        row.snapshot_matches += 1;
-                    }
-                }
-                rows.push(row);
-            }
-        }
-    }
-
-    // The multi-session leg: `engine.session.snapshot` must be contained
-    // to the failing pin attempt, and `engine.writer.commit` must fail
-    // the commit typed while the master — and every concurrently-pinned
-    // reader — stays byte-identical. Either way the store remains fully
-    // serviceable afterwards.
-    let sbuild = || -> Result<Store> {
-        let mut db = Database::new(m.schema().clone(), DbmsProfile::ideal())?;
-        db.load_state(&merged_state)?;
-        Ok(Store::new(db))
-    };
-    let st = sbuild()?;
-    let mut probe = FaultPlan::new();
-    for &s in site::SESSION {
-        probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
-    }
-    let probe = st.set_fault_plan(probe);
-    let dry_session = st.session();
-    let _ = dry_session.pin()?;
-    dry_session.apply_batch(&batch)?;
-    let s_arrivals: Vec<(&'static str, u64)> =
-        site::SESSION.iter().map(|&s| (s, probe.hits(s))).collect();
-
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        for &(s, hits) in &s_arrivals {
-            let mut row = TortureRow::new(s, mode);
-            for nth in 0..hits {
-                row.cells += 1;
-                let store = sbuild()?;
-                let session = store.session();
-                let pre = store.snapshot()?;
-                // Pinned *before* the fault arms: the reader the failed
-                // commit must not poison.
-                let pinned = session.pin()?;
-                let plan = store.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
-                let typed = match s {
-                    site::SESSION_SNAPSHOT => match session.pin() {
-                        Ok(_) => None,
-                        Err(e) => Some(matches!(
-                            e,
-                            Error::Injected { .. } | Error::ExecutionPanic { .. }
-                        )),
-                    },
-                    _ => match session.apply_batch(&batch) {
-                        Ok(_) => None,
-                        Err(e) => Some(matches!(
-                            e.root_cause(),
-                            DmlError::Schema(Error::Injected { .. })
-                                | DmlError::Schema(Error::ExecutionPanic { .. })
-                        )),
-                    },
-                };
-                if plan.total_fired() == 0 {
-                    row.no_fire += 1;
-                    assert!(typed.is_none(), "unfired arm must not abort ({s})");
-                    continue;
-                }
-                row.injections += 1;
-                if typed == Some(true) {
-                    row.typed_errors += 1;
-                }
-                store.clear_fault_plan();
-                if store.verify_integrity().is_clean() {
-                    row.clean_reports += 1;
-                }
-                if store.snapshot()? == pre {
-                    row.snapshot_matches += 1;
-                }
-                // The concurrently-pinned reader is unpoisoned: it still
-                // serves its frozen pre-fault view.
-                assert_eq!(
-                    pinned.snapshot()?,
-                    pre,
-                    "a failed {s} must not disturb pinned readers ({mode:?}, nth {nth})"
-                );
-                // And the store stays fully serviceable.
-                let _ = session.pin()?;
-                session.apply_batch(&batch)?;
-            }
-            rows.push(row);
-        }
-    }
-    let mut report = Report::new("B9: fault-torture matrix (typed abort + integrity + rollback)");
-    report.scale = format!("{courses} courses, batch of {batch_size} statements");
-    report.tables.push(("torture", torture_table(&rows)));
-    Ok(report)
-}
-
 /// B13: the online merge advisor end to end — run a Zipf-skewed read mix
 /// against the live unmerged university database, let the profiler's
 /// hot-join evidence drive [`relmerge_core::Advisor::propose_from_profile`],
@@ -1681,15 +1327,14 @@ pub fn fault_torture(courses: usize, batch_size: usize, seed: u64) -> Result<Rep
 ///   chain, with nonzero observed cost;
 /// * Proposition 4.1 holds on the pre-state and `check_both` (4.1 + 4.2)
 ///   holds across the migration;
-/// * the replayed workload's index probes strictly drop;
-/// * every arrival of both `engine.migrate.*` fault sites, in error and
-///   panic mode, aborts with a typed error, verifies clean, and rolls the
-///   state back byte-identical to the pre-migration snapshot.
+/// * the replayed workload's index probes strictly drop.
+///
+/// The migration fault sites are tortured by
+/// `migrate::tests::faults_at_both_migration_sites_roll_back_byte_identical`
+/// and `tests/online_merge.rs`.
 pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     use relmerge_core::{check_both, check_proposition_4_1, Advisor, AdvisorConfig};
-    use relmerge_engine::fault::site;
-    use relmerge_engine::{FaultMode, FaultPlan};
-    use relmerge_workload::{skewed_reads, SkewSpec, UniversityOp};
+    use relmerge_workload::{skewed_reads, SkewSpec};
 
     let _span = obs::span("bench.b13.online_merge").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -1703,15 +1348,7 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     // Defaults: 200 faculty (persons 500 × 2/5), as in B14.
     let mut ops_rng = StdRng::seed_from_u64(seed ^ 0xB13);
     let ops = skewed_reads(&SkewSpec::default(), n_ops, courses, 200, &mut ops_rng);
-    let plan_for = |merged: bool, op: &UniversityOp| -> QueryPlan {
-        match (merged, op) {
-            (false, UniversityOp::CourseDetail { nr }) => unmerged_point_query(*nr),
-            (false, UniversityOp::ByFaculty { ssn }) => unmerged_by_faculty_query(*ssn),
-            (true, UniversityOp::CourseDetail { nr }) => merged_point_query(*nr),
-            (true, UniversityOp::ByFaculty { ssn }) => merged_by_faculty_query(*ssn),
-            (_, other) => panic!("write op in B13 read stream: {other:?}"),
-        }
-    };
+    let plan_for = |merged: bool, op| read_plan(merged, op).expect("B13 streams reads only");
 
     let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
     db.load_state(&u.state)?;
@@ -1792,59 +1429,6 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
         post_stats.index_probes
     );
 
-    // The migration fault matrix: every arrival of both migration sites,
-    // in both modes, against a fresh unmerged twin. Same protocol as B9:
-    // a dry run with never-firing arms counts arrivals per site, then one
-    // cell per (site, mode, arrival index).
-    let fresh = || -> Result<Database> {
-        let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-        db.load_state(&u.state)?;
-        Ok(db)
-    };
-    let mut dry = fresh()?;
-    let mut probe = FaultPlan::new();
-    for &s in site::MIGRATION {
-        probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
-    }
-    let probe = dry.set_fault_plan(probe);
-    dry.migrate(&plan)?;
-    let arrivals: Vec<(&'static str, u64)> = site::MIGRATION
-        .iter()
-        .map(|&s| (s, probe.hits(s)))
-        .collect();
-
-    let mut torture = Vec::new();
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        for &(s, hits) in &arrivals {
-            assert!(hits > 0, "site {s} must arrive during a real migration");
-            let mut row = TortureRow::new(s, mode);
-            for nth in 0..hits {
-                row.cells += 1;
-                let mut db = fresh()?;
-                let pre = db.snapshot()?;
-                let fp = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
-                let outcome = db.migrate(&plan);
-                if fp.total_fired() == 0 {
-                    row.no_fire += 1;
-                    outcome?;
-                    continue;
-                }
-                row.injections += 1;
-                if let Err(Error::Injected { .. } | Error::ExecutionPanic { .. }) = outcome {
-                    row.typed_errors += 1;
-                }
-                db.clear_fault_plan();
-                if db.verify_integrity().is_clean() {
-                    row.clean_reports += 1;
-                }
-                if db.snapshot()? == pre {
-                    row.snapshot_matches += 1;
-                }
-            }
-            torture.push(row);
-        }
-    }
-
     let mut out =
         Report::new("B13: online merge (profiler -> advisor -> live migration -> replay)");
     out.scale = format!("{courses} courses, {n_ops} skewed reads");
@@ -1866,47 +1450,29 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
         .cell("post_median_us", Cell::Num(quantile(&mut post_lat, 0.5), 3))
         .cell("capacity_4_1", capacity_4_1)
         .cell("capacity_both", capacity_both);
-    out.tables.push(("torture", torture_table(&torture)));
     Ok(out)
 }
 
-/// B11: durability torture. Commits a write workload through the
-/// write-ahead log (timing the append overhead against an in-memory
-/// twin), then attacks the result three ways: literal truncation of the
-/// log at every durably-acked boundary plus random mid-record offsets
-/// (every cut must recover verify-clean, byte-identical to the last
-/// acked prefix); the three durability fault sites in error and panic
-/// mode ([`site::WAL_APPEND`] must abort the batch on disk and in
-/// memory, [`site::SNAPSHOT_WRITE`] must be contained, and
-/// [`site::RECOVERY_REPLAY`] must fail the recovery typed while leaving
-/// the directory retry-clean); and a recovery-time-vs-log-length sweep
-/// over literal log prefixes. Every crash point must recover and every
-/// torture cell must pass (asserted).
+/// B11: durability. Commits a write workload through the write-ahead
+/// log, timing the append overhead against an in-memory twin, then
+/// measures recovery time against log length over literal log prefixes.
+/// The seed state is a durable `load_state`, so it commits as snapshot
+/// generation 1 and the log holds the workload's batches only.
 ///
-/// For `engine.wal.append` a cell passes `snapshot_matches` only if the
-/// rollback holds in memory, at the log position, AND through a fresh
-/// recovery; for the contained `engine.snapshot.write` site
-/// `typed_errors` counts verified containment (batch committed,
-/// generation unchanged), as with B9's pushdown site; for
-/// `engine.recovery.replay` the row verifies fail-typed-then-retry.
-///
-/// Callers that arm panic-mode cells should install a quiet panic hook
-/// around the call, as with [`fault_torture`].
-///
-/// [`site::WAL_APPEND`]: relmerge_engine::fault::site::WAL_APPEND
-/// [`site::SNAPSHOT_WRITE`]: relmerge_engine::fault::site::SNAPSHOT_WRITE
-/// [`site::RECOVERY_REPLAY`]: relmerge_engine::fault::site::RECOVERY_REPLAY
-pub fn wal_torture(
+/// The crash and fault-site matrices live in the tests:
+/// `tests/wal_recovery.rs` cuts the log at every acked boundary and at
+/// random offsets, and `relmerge_engine::wal`'s `*_fault_*` tests arm
+/// the three durability fault sites.
+pub fn durability(
     courses: usize,
     n_batches: usize,
     batch_size: usize,
     seed: u64,
 ) -> Result<Report> {
-    use relmerge_engine::fault::site;
-    use relmerge_engine::{DurabilityConfig, EngineConfig, FaultMode, FaultPlan, FsyncPolicy};
+    use relmerge_engine::{DurabilityConfig, EngineConfig, FsyncPolicy};
     use relmerge_workload::{university_ops, write_batches, MixSpec};
 
-    let _span = obs::span("bench.b11.wal_torture")
+    let _span = obs::span("bench.b11.durability")
         .field("courses", courses)
         .field("batches", n_batches);
     let io = |context: &str, e: std::io::Error| Error::Durability {
@@ -1914,17 +1480,13 @@ pub fn wal_torture(
     };
     let dir = std::env::temp_dir().join(format!("relmerge-b11-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durable = |snapshot_every: u64| {
-        EngineConfig::default().durability(Some(
-            DurabilityConfig::new(&dir)
-                .snapshot_every(snapshot_every)
-                // The measured overhead is serialization plus page-cache
-                // write; the crash torture cuts the *file*, which fsync
-                // cannot widen or narrow.
-                .fsync(FsyncPolicy::Never),
-        ))
-    };
-    let cfg = durable(0); // one generation: the whole history stays replayable
+    // No snapshot cadence, so the whole workload stays in one replayable
+    // log. The measured overhead is serialization plus page-cache write.
+    let cfg = EngineConfig::default().durability(Some(
+        DurabilityConfig::new(&dir)
+            .snapshot_every(0)
+            .fsync(FsyncPolicy::Never),
+    ));
 
     let mut rng = StdRng::seed_from_u64(seed);
     let u = generate_university(
@@ -1934,23 +1496,13 @@ pub fn wal_torture(
         },
         &mut rng,
     )?;
-
-    // Seed through the logged DML path, so the seed is the log's first
-    // record (`load_state` would commit it as a snapshot instead). One
-    // deferred-validation batch is order-free and costs a single record.
     let mut db = Database::new_with_config(u.schema.clone(), DbmsProfile::ideal(), cfg.clone())?;
+    db.load_state(&u.state)?;
     let mut memory = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
     memory.load_state(&u.state)?;
-    let seed_batch: Vec<Statement> = u
-        .state
-        .iter()
-        .flat_map(|(name, rel)| rel.iter().map(move |t| Statement::insert(name, t.clone())))
-        .collect();
-    db.apply_batch(&seed_batch)?;
 
-    // Leg 1 — append overhead: the same workload against the durable
-    // database and its in-memory twin, recording every durably-acked
-    // `(offset, state)` prefix point for the crash legs.
+    // Append overhead: the same workload against the durable database and
+    // its in-memory twin, recording the log length after every commit.
     let mut ops_rng = StdRng::seed_from_u64(seed ^ 0xB11);
     let ops = university_ops(
         &MixSpec::write_only(),
@@ -1961,11 +1513,10 @@ pub fn wal_torture(
         &mut ops_rng,
     );
     let batches = write_batches(&ops, false, batch_size);
-    let (_, seed_off) = db.wal_position().expect("durable database");
-    let mut prefixes: Vec<(u64, DatabaseState, usize)> = vec![(seed_off, db.snapshot()?, 0)];
+    let (generation, seed_end) = db.wal_position().expect("durable database");
+    let mut acked = vec![seed_end];
     let mut durable_ns = 0u64;
     let mut memory_ns = 0u64;
-    let mut committed = 0usize;
     for batch in &batches {
         let t0 = Instant::now();
         let r = db.apply_batch(batch);
@@ -1979,11 +1530,10 @@ pub fn wal_torture(
             });
         }
         if r.is_ok() {
-            committed += 1;
-            let (_, off) = db.wal_position().expect("durable database");
-            prefixes.push((off, db.snapshot()?, committed));
+            acked.push(db.wal_position().expect("durable database").1);
         }
     }
+    let committed = acked.len() - 1;
     let per_batch = batches.len().max(1) as f64;
     let durable_batch_us = durable_ns as f64 / 1e3 / per_batch;
     let memory_batch_us = memory_ns as f64 / 1e3 / per_batch;
@@ -1992,51 +1542,23 @@ pub fn wal_torture(
     } else {
         0.0
     };
-    let (generation, end) = db.wal_position().expect("durable database");
-    let expected_final = db.snapshot()?;
     drop(db);
 
-    // Leg 2 — literal crash torture: cut the log at every durably-acked
-    // boundary and at random mid-record offsets; every cut must recover
-    // verify-clean and byte-identical to the last acked prefix.
+    // Recovery time against log length, over literal prefixes at evenly
+    // spaced committed-batch checkpoints. One untimed recovery first, so
+    // the curve's first point pays no cost the later ones skip; each point
+    // is the median of five recoveries of its prefix.
     let log = dir.join(format!("wal-{generation}.log"));
     let pristine = std::fs::read(&log).map_err(|e| io("read log", e))?;
-    let base = prefixes[0].0;
-    let mut kills: Vec<u64> = prefixes.iter().map(|(off, _, _)| *off).collect();
-    for _ in 0..8 {
-        kills.push(rng.gen_range(base..=end));
-    }
-    let mut truncation_cells = 0usize;
-    let mut truncation_clean = 0usize;
-    for kill in kills {
-        std::fs::write(&log, &pristine[..kill as usize]).map_err(|e| io("cut log", e))?;
-        truncation_cells += 1;
-        let (rec, _) = Database::recover(cfg.clone())?;
-        let expected = prefixes
-            .iter()
-            .rev()
-            .find(|(off, _, _)| *off <= kill)
-            .map_or(&prefixes[0].1, |(_, s, _)| s);
-        if rec.verify_integrity().is_clean() && rec.snapshot()? == *expected {
-            truncation_clean += 1;
-        }
-        std::fs::write(&log, &pristine).map_err(|e| io("restore log", e))?;
-    }
-
-    // Leg 3 — recovery time against log length, over literal prefixes at
-    // evenly spaced committed-batch checkpoints. One untimed recovery
-    // first, so the curve's first point pays no cost the later ones skip;
-    // each point is the median of five recoveries of its prefix.
     let _ = Database::recover(cfg.clone())?;
     let mut recovery = Vec::new();
-    let steps: Vec<usize> = if prefixes.len() <= 5 {
-        (0..prefixes.len()).collect()
+    let steps: Vec<usize> = if acked.len() <= 5 {
+        (0..acked.len()).collect()
     } else {
-        (0..5).map(|i| i * (prefixes.len() - 1) / 4).collect()
+        (0..5).map(|i| i * committed / 4).collect()
     };
-    for &i in &steps {
-        let (off, _, at) = &prefixes[i];
-        std::fs::write(&log, &pristine[..*off as usize]).map_err(|e| io("cut log", e))?;
+    for at in steps {
+        std::fs::write(&log, &pristine[..acked[at] as usize]).map_err(|e| io("cut log", e))?;
         let reports = (0..5)
             .map(|_| Database::recover(cfg.clone()).map(|(_, report)| report))
             .collect::<Result<Vec<_>>>()?;
@@ -2044,172 +1566,16 @@ pub fn wal_torture(
         let report = &reports[0];
         recovery.push(
             Row::new()
-                .cell("batches", *at)
+                .cell("batches", at)
                 .cell("records", report.records_replayed())
                 .cell("wal_bytes", report.wal_bytes_replayed)
                 .cell("replay_ns", quantile(&mut replay_ns, 0.5) as u64),
         );
     }
-    std::fs::write(&log, &pristine).map_err(|e| io("restore log", e))?;
-
-    // Leg 4 — the durability fault matrix. Recovery-replay first, while
-    // the pristine log still holds the full history: a fault during
-    // replay fails the whole recovery typed, the disk is left untouched,
-    // and the retry succeeds.
-    let mut torture: Vec<TortureRow> = Vec::new();
-    let (probe_db, probe_report) = Database::recover(cfg.clone())?;
-    drop(probe_db);
-    let replayable = probe_report.records_replayed();
-    let nths: Vec<u64> = if replayable <= 6 {
-        (0..replayable).collect()
-    } else {
-        (0..6).map(|i| i * (replayable - 1) / 5).collect()
-    };
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        let mut row = TortureRow::new(site::RECOVERY_REPLAY, mode);
-        for &nth in &nths {
-            row.cells += 1;
-            let plan =
-                std::sync::Arc::new(FaultPlan::new().fail_at(site::RECOVERY_REPLAY, nth, mode));
-            let outcome = Database::recover_with_faults(cfg.clone(), Some(plan.clone()));
-            if plan.fired(site::RECOVERY_REPLAY) == 0 {
-                row.no_fire += 1;
-                let _ = outcome?;
-                continue;
-            }
-            row.injections += 1;
-            if let Err(Error::Injected { .. } | Error::ExecutionPanic { .. }) = outcome {
-                row.typed_errors += 1;
-            }
-            let (rec, _) = Database::recover(cfg.clone())?;
-            if rec.verify_integrity().is_clean() {
-                row.clean_reports += 1;
-            }
-            if rec.snapshot()? == expected_final {
-                row.snapshot_matches += 1;
-            }
-        }
-        torture.push(row);
-    }
-
-    // A pool of pre-tested batches for the write-side legs: each cell
-    // needs a batch known to commit, so the armed fault is the only
-    // failure cause. An in-memory fork (`Database::fork`) is the tester.
-    let mut spare_rng = StdRng::seed_from_u64(seed ^ 0xA11D);
-    let spare_ops = university_ops(
-        &MixSpec::write_only(),
-        64 * batch_size.max(1),
-        courses,
-        20,
-        200,
-        &mut spare_rng,
-    );
-    let mut pool = write_batches(&spare_ops, false, batch_size);
-    let next_committing =
-        |db: &Database, pool: &mut Vec<Vec<Statement>>| -> Result<Vec<Statement>> {
-            while let Some(b) = pool.pop() {
-                let mut fork = db.fork();
-                if fork.apply_batch(&b).is_ok() {
-                    return Ok(b);
-                }
-            }
-            Err(Error::Durability {
-                detail: "ran out of committing batches".to_owned(),
-            })
-        };
-
-    // WAL-append leg: the failed append aborts the batch — in memory
-    // (rollback), at the log position, and on disk (a fresh recovery
-    // still sees the pre-batch state).
-    let (mut db, _) = Database::recover(cfg.clone())?;
-    let probe_batch = next_committing(&db, &mut pool)?;
-    let probe =
-        db.set_fault_plan(FaultPlan::new().fail_at(site::WAL_APPEND, u64::MAX, FaultMode::Error));
-    db.apply_batch(&probe_batch)?;
-    let hits = probe.hits(site::WAL_APPEND);
-    db.clear_fault_plan();
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        let mut row = TortureRow::new(site::WAL_APPEND, mode);
-        for nth in 0..hits {
-            row.cells += 1;
-            let batch = next_committing(&db, &mut pool)?;
-            let pre = db.snapshot()?;
-            let pre_pos = db.wal_position();
-            let plan = db.set_fault_plan(FaultPlan::new().fail_at(site::WAL_APPEND, nth, mode));
-            let outcome = db.apply_batch(&batch);
-            if plan.total_fired() == 0 {
-                row.no_fire += 1;
-                db.clear_fault_plan();
-                outcome?;
-                continue;
-            }
-            row.injections += 1;
-            if let Err(e) = outcome {
-                if matches!(
-                    e.root_cause(),
-                    DmlError::Schema(Error::Injected { .. })
-                        | DmlError::Schema(Error::ExecutionPanic { .. })
-                ) {
-                    row.typed_errors += 1;
-                }
-            }
-            db.clear_fault_plan();
-            if db.verify_integrity().is_clean() {
-                row.clean_reports += 1;
-            }
-            let (rec, _) = Database::recover(cfg.clone())?;
-            if db.snapshot()? == pre && db.wal_position() == pre_pos && rec.snapshot()? == pre {
-                row.snapshot_matches += 1;
-            }
-        }
-        torture.push(row);
-    }
-    drop(db);
-
-    // Snapshot leg: a failed snapshot is *contained* — the batch that
-    // triggered the cadence stays committed (it is already in the log),
-    // the generation does not advance, and recovery replays the gap.
-    let (mut db, _) = Database::recover(durable(1))?;
-    for mode in [FaultMode::Error, FaultMode::Panic] {
-        let mut row = TortureRow {
-            cells: 1,
-            ..TortureRow::new(site::SNAPSHOT_WRITE, mode)
-        };
-        let batch = next_committing(&db, &mut pool)?;
-        let gen_before = db.wal_position().map(|(g, _)| g);
-        let plan = db.set_fault_plan(FaultPlan::new().fail_at(site::SNAPSHOT_WRITE, 0, mode));
-        let outcome = db.apply_batch(&batch);
-        if plan.fired(site::SNAPSHOT_WRITE) == 0 {
-            row.no_fire += 1;
-            db.clear_fault_plan();
-            outcome?;
-            torture.push(row);
-            continue;
-        }
-        row.injections += 1;
-        db.clear_fault_plan();
-        // Containment is this site's acceptance criterion (cf. B9's
-        // pushdown site): the batch committed and no snapshot landed.
-        if outcome.is_ok() && db.wal_position().map(|(g, _)| g) == gen_before {
-            row.typed_errors += 1;
-        }
-        if db.verify_integrity().is_clean() {
-            row.clean_reports += 1;
-        }
-        let (rec, _) = Database::recover(durable(0))?;
-        if rec.snapshot()? == db.snapshot()? {
-            row.snapshot_matches += 1;
-        }
-        torture.push(row);
-    }
-    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 
-    assert_eq!(
-        truncation_clean, truncation_cells,
-        "every crash point must recover"
-    );
-    let mut report = Report::new("B11: durability (write-ahead log + snapshots + crash recovery)");
+    let mut report =
+        Report::new("B11: durability (write-ahead log append overhead + recovery curve)");
     report.scale = format!("{courses} courses, {n_batches} batches of {batch_size} statements");
     report.fields = Row::new()
         .cell("courses", courses)
@@ -2217,19 +1583,16 @@ pub fn wal_torture(
         .cell("batch_size", batch_size)
         .cell("durable_batch_us", Cell::Num(durable_batch_us, 3))
         .cell("memory_batch_us", Cell::Num(memory_batch_us, 3))
-        .cell("append_overhead", Cell::Num(append_overhead, 4))
-        .cell("truncation_cells", truncation_cells)
-        .cell("truncation_clean", truncation_clean);
+        .cell("append_overhead", Cell::Num(append_overhead, 4));
     report.tables.push(("recovery", recovery));
-    report.tables.push(("torture", torture_table(&torture)));
     Ok(report)
 }
 
 /// Thread `t`'s deterministic operation stream: the default read-mostly
 /// mix with its new course numbers shifted into a per-thread range, so
 /// concurrent writers never collide on a key and every write commits.
-fn b12_thread_ops(t: usize, n: usize, courses: usize) -> Vec<relmerge_workload::UniversityOp> {
-    use relmerge_workload::{university_ops, MixSpec, UniversityOp};
+fn b12_thread_ops(t: usize, n: usize, courses: usize) -> Vec<UniversityOp> {
+    use relmerge_workload::{university_ops, MixSpec};
     let mut rng = StdRng::seed_from_u64(0xB12 + t as u64);
     let mut ops = university_ops(&MixSpec::default(), n, courses, 20, 200, &mut rng);
     let offset = (t as i64 + 1) * 10_000_000;
@@ -2241,17 +1604,6 @@ fn b12_thread_ops(t: usize, n: usize, courses: usize) -> Vec<relmerge_workload::
         }
     }
     ops
-}
-
-/// The query a read op lowers to against the unmerged schema (`None`
-/// for write ops).
-fn b12_read_plan(op: &relmerge_workload::UniversityOp) -> Option<QueryPlan> {
-    use relmerge_workload::UniversityOp;
-    match op {
-        UniversityOp::CourseDetail { nr } => Some(unmerged_point_query(*nr)),
-        UniversityOp::ByFaculty { ssn } => Some(unmerged_by_faculty_query(*ssn)),
-        UniversityOp::AddCourse { .. } | UniversityOp::DropCourse { .. } => None,
-    }
 }
 
 /// B12: N client threads of the mixed university workload over one
@@ -2301,7 +1653,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Repo
         let ops = b12_thread_ops(0, ops_per_thread, courses);
         let t0 = std::time::Instant::now();
         for (i, op) in ops.iter().enumerate() {
-            match b12_read_plan(op) {
+            match read_plan(false, op) {
                 Some(plan) => {
                     let _ = solo.execute(&plan)?;
                 }
@@ -2365,7 +1717,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Repo
                         let (mut reads, mut writes) = (0usize, 0usize);
                         let mut frozen = Vec::new();
                         for (i, op) in ops.iter().enumerate() {
-                            match b12_read_plan(op) {
+                            match read_plan(false, op) {
                                 Some(plan) => {
                                     let t0 = std::time::Instant::now();
                                     let pin = session.pin().expect("pin");
@@ -2479,18 +1831,6 @@ mod tests {
     fn keys(row: &Row) -> Vec<&str> {
         row.0.iter().map(|(n, _)| *n).collect()
     }
-
-    /// The torture-matrix columns of B9, B11 and B13.
-    const TORTURE_KEYS: [&str; 8] = [
-        "site",
-        "mode",
-        "cells",
-        "injections",
-        "typed_errors",
-        "clean_reports",
-        "snapshot_matches",
-        "no_fire",
-    ];
 
     #[test]
     fn query_speedup_shape() {
@@ -2921,23 +2261,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_torture_every_cell_recovers() {
-        // `fault_torture` itself asserts every row recovered.
-        let report = fault_torture(60, 8, 11).unwrap();
-        let rows = report.table("torture");
-        // 4 batch sites × 2 modes, plus 3 query sites × 2 modes, plus 2
-        // session sites × 2 modes.
-        assert_eq!(rows.len(), 18);
-        let total_cells: u64 = rows.iter().map(|r| r.int("cells")).sum();
-        assert!(total_cells > 8, "matrix is wider than one cell per pair");
-        for r in rows {
-            assert_eq!(keys(r), TORTURE_KEYS);
-            assert!(r.int("cells") > 0, "{r:?}");
-            assert_eq!(r.int("snapshot_matches"), r.int("cells"), "{r:?}");
-        }
-    }
-
-    #[test]
     fn online_merge_shape() {
         let report = online_merge(60, 40, 7).unwrap();
         let f = &report.fields;
@@ -2948,15 +2271,13 @@ mod tests {
             Some(&Cell::list(["COURSE", "OFFER", "TEACH", "ASSIST"]))
         );
         assert!(f.int("observed_cost") > 0, "{f:?}");
-        // Capacity oracles and the probe payoff (the strict-drop and
-        // torture invariants are asserted inside online_merge; re-state
-        // the headline ones on the summary).
+        // Capacity oracles and the probe payoff (the strict drop is
+        // asserted inside online_merge; re-state the headline ones on the
+        // summary).
         assert_eq!(f.get("capacity_4_1"), Some(&Cell::Bool(true)));
         assert_eq!(f.get("capacity_both"), Some(&Cell::Bool(true)));
         assert!(f.int("post_probes") < f.int("pre_probes"), "{f:?}");
         assert!(f.int("rows_migrated") > 0 && f.int("chunks_applied") > 0);
-        // 2 migration sites × 2 modes.
-        assert_eq!(report.table("torture").len(), 4);
     }
 
     #[test]
@@ -2990,7 +2311,6 @@ mod tests {
             text.contains("\"members\":[\"COURSE\",\"OFFER\",\"TEACH\",\"ASSIST\"]"),
             "{text}"
         );
-        assert_eq!(text.matches("\"site\":").count(), 4);
         assert!(text.contains("\"capacity_both\":true"));
     }
 
@@ -3004,37 +2324,26 @@ mod tests {
         assert!(r.int("constraints_after") < r.int("constraints_before"));
     }
 
-    /// Runs B11 with the default panic hook silenced: panic-mode cells
-    /// deliberately panic inside the engine.
-    fn quiet_wal_torture(courses: usize, batches: usize, size: usize, seed: u64) -> Report {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = wal_torture(courses, batches, size, seed);
-        std::panic::set_hook(default_hook);
-        report.unwrap()
-    }
-
     #[test]
-    fn wal_torture_matrix_is_green_at_smoke_scale() {
-        // `wal_torture` itself asserts every crash point and torture cell
-        // recovered.
-        let report = quiet_wal_torture(60, 6, 6, 7);
+    fn durability_curve_spans_the_log() {
+        let report = durability(60, 6, 6, 7).unwrap();
         let batches = report.fields.int("batches");
         assert!(batches > 0);
-        // 3 sites × 2 modes.
-        assert_eq!(report.table("torture").len(), 6);
-        // The recovery curve covers the empty prefix through the full log.
+        // The curve runs from the seed snapshot alone through the full log,
+        // which holds one record per committed batch.
         let curve = report.table("recovery");
         assert!(curve.len() >= 2);
-        assert_eq!(curve[0].int("batches"), 0);
+        assert_eq!((curve[0].int("batches"), curve[0].int("records")), (0, 0));
         let last = curve.last().unwrap();
-        assert_eq!(last.int("batches"), batches);
-        assert!(last.int("records") > curve[0].int("records"));
+        assert_eq!(
+            (last.int("batches"), last.int("records")),
+            (batches, batches)
+        );
     }
 
     #[test]
     fn wal_json_is_well_formed() {
-        let report = quiet_wal_torture(60, 4, 4, 11);
+        let report = durability(60, 4, 4, 11).unwrap();
         assert_eq!(
             keys(&report.fields),
             [
@@ -3043,9 +2352,7 @@ mod tests {
                 "batch_size",
                 "durable_batch_us",
                 "memory_batch_us",
-                "append_overhead",
-                "truncation_cells",
-                "truncation_clean"
+                "append_overhead"
             ]
         );
         let curve = report.table("recovery");
@@ -3053,9 +2360,6 @@ mod tests {
             keys(&curve[0]),
             ["batches", "records", "wal_bytes", "replay_ns"]
         );
-        for r in report.table("torture") {
-            assert_eq!(keys(r), TORTURE_KEYS);
-        }
         let text = report.to_json("b11", false);
         assert!(text.starts_with("{\"experiment\":\"B11\","), "{text}");
         assert_eq!(text.matches("\"replay_ns\":").count(), curve.len());

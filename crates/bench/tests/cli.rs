@@ -31,6 +31,7 @@ fn assert_rejected(args: &[&str], bad: &str) {
 #[test]
 fn unknown_experiment_exits_2_listing_the_names() {
     assert_rejected(&["b99"], "b99");
+    assert_rejected(&["b9"], "b9");
     assert_rejected(&["b4", "fig7"], "fig7");
 }
 

@@ -1281,18 +1281,15 @@ impl Database {
         Ok(false)
     }
 
-    /// The primary-key attribute names of `rel`.
-    pub(crate) fn primary_key_attrs(
-        &self,
-        rel: &str,
-    ) -> std::result::Result<Vec<String>, DmlError> {
-        Ok(self
-            .schema
-            .scheme_required(rel)?
-            .primary_key()
-            .iter()
-            .map(|k| (*k).to_owned())
-            .collect())
+    /// The live row of `rel` with primary key `key`, as its slot and row:
+    /// one probe of the primary unique index, which `compile_catalog`
+    /// adds first.
+    fn primary_row(&self, rel: &str, key: &Tuple) -> Result<Option<(usize, &Tuple)>> {
+        let table = self
+            .tables
+            .get(rel)
+            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
+        Ok(table.unique[0].find(&table.rows, key.values()).next())
     }
 
     /// The slot of the row with primary key `key` (one index probe).
@@ -1301,19 +1298,9 @@ impl Database {
         rel: &str,
         key: &Tuple,
     ) -> std::result::Result<Option<usize>, DmlError> {
-        let pk = self.primary_key_attrs(rel)?;
-        let table = self
-            .tables
-            .get(rel)
-            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
+        let row = self.primary_row(rel, key)?;
         self.metrics.index_probes.inc();
-        let Some(ix) = table.index(&pk) else {
-            return Err(DmlError::Schema(Error::MissingPrimaryKey(rel.to_owned())));
-        };
-        Ok(ix
-            .find(&table.rows, key.values())
-            .next()
-            .map(|(slot, _)| slot))
+        Ok(row.map(|(slot, _)| slot))
     }
 
     /// Fetches the row with primary key `key`, if present.
@@ -1322,12 +1309,7 @@ impl Database {
         rel: &str,
         key: &Tuple,
     ) -> std::result::Result<Option<Tuple>, DmlError> {
-        let pk = self.primary_key_attrs(rel)?;
-        let table = &self.tables[rel];
-        Ok(table
-            .index(&pk)
-            .and_then(|ix| ix.find(&table.rows, key.values()).next())
-            .map(|(_, t)| t.clone()))
+        Ok(self.primary_row(rel, key)?.map(|(_, t)| t.clone()))
     }
 
     /// Takes the live row at `slot` out of `rel` with **no** constraint

@@ -2082,6 +2082,7 @@ mod tests {
                     }
                 }
                 assert_eq!(db.build_cache_len(), 0, "{site_name}: no poisoned entry");
+                assert!(db.verify_integrity().is_clean(), "{site_name}");
                 db.clear_fault_plan();
                 let (recovered, _) = db.execute(&plan).unwrap();
                 assert_eq!(recovered, baseline, "{site_name}: clean recovery");

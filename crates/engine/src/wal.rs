@@ -1609,6 +1609,7 @@ mod tests {
                 Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
             db.insert("P", tup(&[1])).unwrap();
             let pre = db.snapshot().unwrap();
+            let pre_pos = db.wal_position();
             let plan = db.set_fault_plan(FaultPlan::new().fail_at(site::WAL_APPEND, 0, mode));
             let err = db
                 .apply_batch(&[Statement::insert("P", tup(&[2]))])
@@ -1629,6 +1630,11 @@ mod tests {
                 pre,
                 "un-logged commit became visible"
             );
+            assert_eq!(
+                db.wal_position(),
+                pre_pos,
+                "the failed append moved the log"
+            );
             assert!(db.verify_integrity().is_clean());
             db.clear_fault_plan();
             drop(db);
@@ -1648,10 +1654,13 @@ mod tests {
                 .durability(Some(DurabilityConfig::new(&dir).snapshot_every(1)));
             let mut db =
                 Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+            let generation = db.wal_position().map(|(g, _)| g);
             let plan = db.set_fault_plan(FaultPlan::new().fail_at(site::SNAPSHOT_WRITE, 0, mode));
             // The batch still commits: snapshot failure costs replay, not data.
             db.insert("P", tup(&[1])).unwrap();
             assert_eq!(plan.fired(site::SNAPSHOT_WRITE), 1);
+            assert_eq!(db.wal_position().map(|(g, _)| g), generation);
+            assert!(db.verify_integrity().is_clean());
             db.clear_fault_plan();
             db.insert("P", tup(&[2])).unwrap(); // this one snapshots fine
             let expect = db.snapshot().unwrap();
@@ -1665,34 +1674,38 @@ mod tests {
 
     #[test]
     fn recovery_fault_leaves_retry_clean_error_and_panic() {
-        for mode in [FaultMode::Error, FaultMode::Panic] {
-            let dir = tempdir(&format!("recfault-{}", mode.label()));
-            let cfg = EngineConfig::default()
-                .parallelism(1)
-                .durability(Some(DurabilityConfig::new(&dir).snapshot_every(0)));
-            let mut db =
-                Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
-            db.insert("P", tup(&[1])).unwrap();
-            db.insert("P", tup(&[2])).unwrap();
-            let expect = db.snapshot().unwrap();
-            drop(db);
-            let plan = Arc::new(FaultPlan::new().fail_at(site::RECOVERY_REPLAY, 1, mode));
-            let err = Database::recover_with_faults(cfg.clone(), Some(Arc::clone(&plan)))
-                .err()
-                .expect("recovery must fail while the fault is armed");
-            match mode {
-                FaultMode::Error => assert!(matches!(err, Error::Injected { .. }), "{err}"),
-                FaultMode::Panic => {
-                    assert!(matches!(err, Error::ExecutionPanic { .. }), "{err}");
+        // The first, a middle and the last of three records.
+        for nth in 0..3 {
+            for mode in [FaultMode::Error, FaultMode::Panic] {
+                let dir = tempdir(&format!("recfault-{nth}-{}", mode.label()));
+                let cfg = EngineConfig::default()
+                    .parallelism(1)
+                    .durability(Some(DurabilityConfig::new(&dir).snapshot_every(0)));
+                let mut db =
+                    Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+                for k in 1..=3 {
+                    db.insert("P", tup(&[k])).unwrap();
                 }
+                let expect = db.snapshot().unwrap();
+                drop(db);
+                let plan = Arc::new(FaultPlan::new().fail_at(site::RECOVERY_REPLAY, nth, mode));
+                let err = Database::recover_with_faults(cfg.clone(), Some(Arc::clone(&plan)))
+                    .err()
+                    .expect("recovery must fail while the fault is armed");
+                match mode {
+                    FaultMode::Error => assert!(matches!(err, Error::Injected { .. }), "{err}"),
+                    FaultMode::Panic => {
+                        assert!(matches!(err, Error::ExecutionPanic { .. }), "{err}");
+                    }
+                }
+                assert_eq!(plan.total_fired(), 1);
+                // The failed attempt modified nothing on disk: retry succeeds.
+                let (recovered, report) = Database::recover(cfg).unwrap();
+                assert_eq!(recovered.snapshot().unwrap(), expect);
+                assert!(recovered.verify_integrity().is_clean());
+                assert_eq!(report.batches_replayed, 3);
+                let _ = fs::remove_dir_all(&dir);
             }
-            assert_eq!(plan.total_fired(), 1);
-            // The failed attempt modified nothing on disk: retry succeeds.
-            let (recovered, report) = Database::recover(cfg).unwrap();
-            assert_eq!(recovered.snapshot().unwrap(), expect);
-            assert!(recovered.verify_integrity().is_clean());
-            assert_eq!(report.batches_replayed, 2);
-            let _ = fs::remove_dir_all(&dir);
         }
     }
 

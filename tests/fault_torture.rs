@@ -1,7 +1,8 @@
 //! Fault-injection integration coverage: every batch injection site ×
 //! arrival index × mode aborts with a typed error, leaves the deep
 //! integrity checker clean, and rolls the state back byte-identical —
-//! under deferred and under immediate checking, updates included; a
+//! on a small schema and on the merged university, under deferred and
+//! under immediate checking, updates included; both session sites; a
 //! panicking query morsel fails only its own query; query budgets trip
 //! with typed errors; and seeded corruption is actually detected.
 
@@ -11,6 +12,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
+use relmerge::core::Merge;
 use relmerge::engine::fault::site;
 use relmerge::engine::{
     Database, DbmsProfile, DmlError, FaultMode, FaultPlan, IntegrityKind, QueryBudget, QueryPlan,
@@ -19,6 +21,9 @@ use relmerge::engine::{
 use relmerge::relational::{
     Attribute, DatabaseState, Domain, Error, InclusionDep, NullConstraint, RelationScheme,
     RelationalSchema, Tuple, Value,
+};
+use relmerge::workload::{
+    generate_university, university_ops, write_batches, MixSpec, UniversitySpec,
 };
 
 /// PARENT(P.K) ← CHILD(C.K, C.FK) with CHILD[C.FK] ⊆ PARENT[P.K].
@@ -80,59 +85,79 @@ fn torture_batch() -> Vec<Statement> {
     ]
 }
 
+/// A 300-course university merged into `COURSE_M` by the paper's chain
+/// merge, every removable key removed, with the first 12-statement batch
+/// of a write-only stream against it.
+fn university_subject() -> (Database, Vec<Statement>) {
+    let spec = UniversitySpec {
+        courses: 300,
+        ..UniversitySpec::default()
+    };
+    let u = generate_university(&spec, &mut StdRng::seed_from_u64(11)).unwrap();
+    let mut m = Merge::plan(
+        &u.schema,
+        &["COURSE", "OFFER", "TEACH", "ASSIST"],
+        "COURSE_M",
+    )
+    .unwrap();
+    m.remove_all_removable().unwrap();
+    let mut db = Database::new(m.schema().clone(), DbmsProfile::ideal()).unwrap();
+    db.load_state(&m.apply(&u.state).unwrap()).unwrap();
+    let mut rng = StdRng::seed_from_u64(11 ^ 0x9e37_79b9_7f4a_7c15);
+    let ops = university_ops(&MixSpec::write_only(), 36, 300, 20, 200, &mut rng);
+    (db, write_batches(&ops, true, 12).swap_remove(0))
+}
+
 #[test]
 fn every_site_arrival_and_mode_recovers() {
-    let batch = torture_batch();
+    for (base, batch) in [(baseline_db(), torture_batch()), university_subject()] {
+        let pre = base.snapshot().unwrap();
+        // Dry run with never-firing arms to learn each site's arrival count.
+        let mut dry = base.fork();
+        let mut probe = FaultPlan::new();
+        for &s in site::BATCH {
+            probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
+        }
+        let probe = dry.set_fault_plan(probe);
+        dry.apply_batch(&batch).unwrap();
 
-    // Dry run with never-firing arms to learn each site's arrival count.
-    let mut dry = baseline_db();
-    let mut probe = FaultPlan::new();
-    for &s in site::BATCH {
-        probe = probe.fail_at(s, u64::MAX, FaultMode::Error);
-    }
-    let probe = dry.set_fault_plan(probe);
-    dry.apply_batch(&batch).unwrap();
-
-    for &s in site::BATCH {
-        let hits = probe.hits(s);
-        assert!(hits > 0, "site {s} never reached by the batch");
-        for nth in 0..hits {
-            for mode in [FaultMode::Error, FaultMode::Panic] {
-                let mut db = baseline_db();
-                let pre = db.snapshot().unwrap();
-                let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
-                let err = db
-                    .apply_batch(&batch)
-                    .expect_err("armed fault must abort the batch");
-                assert_eq!(plan.fired(s), 1, "{s}#{nth} ({})", mode.label());
-                // The abort is a typed error, never a process abort.
-                match mode {
-                    FaultMode::Error => assert!(
-                        matches!(
-                            err.root_cause(),
-                            relmerge::engine::DmlError::Schema(Error::Injected { .. })
+        for &s in site::BATCH {
+            let hits = probe.hits(s);
+            assert!(hits > 0, "site {s} never reached by the batch");
+            for nth in 0..hits {
+                for mode in [FaultMode::Error, FaultMode::Panic] {
+                    let mut db = base.fork();
+                    let plan = db.set_fault_plan(FaultPlan::new().fail_at(s, nth, mode));
+                    let err = db
+                        .apply_batch(&batch)
+                        .expect_err("armed fault must abort the batch");
+                    assert_eq!(plan.fired(s), 1, "{s}#{nth} ({})", mode.label());
+                    // The abort is a typed error, never a process abort.
+                    match mode {
+                        FaultMode::Error => assert!(
+                            matches!(err.root_cause(), DmlError::Schema(Error::Injected { .. })),
+                            "{s}#{nth}: {err}"
                         ),
-                        "{s}#{nth}: {err}"
-                    ),
-                    FaultMode::Panic => assert!(
-                        matches!(
-                            err.root_cause(),
-                            relmerge::engine::DmlError::Schema(Error::ExecutionPanic { .. })
+                        FaultMode::Panic => assert!(
+                            matches!(
+                                err.root_cause(),
+                                DmlError::Schema(Error::ExecutionPanic { .. })
+                            ),
+                            "{s}#{nth}: {err}"
                         ),
-                        "{s}#{nth}: {err}"
-                    ),
+                    }
+                    db.clear_fault_plan();
+                    let report = db.verify_integrity();
+                    assert!(report.is_clean(), "{s}#{nth} ({}): {report}", mode.label());
+                    assert_eq!(
+                        db.snapshot().unwrap(),
+                        pre,
+                        "{s}#{nth} ({}): rollback must be byte-identical",
+                        mode.label()
+                    );
+                    // The database stays fully usable after the abort.
+                    db.apply_batch(&batch).unwrap();
                 }
-                db.clear_fault_plan();
-                let report = db.verify_integrity();
-                assert!(report.is_clean(), "{s}#{nth} ({}): {report}", mode.label());
-                assert_eq!(
-                    db.snapshot().unwrap(),
-                    pre,
-                    "{s}#{nth} ({}): rollback must be byte-identical",
-                    mode.label()
-                );
-                // The database stays fully usable after the abort.
-                db.apply_batch(&batch).unwrap();
             }
         }
     }

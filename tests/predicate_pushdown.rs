@@ -255,6 +255,7 @@ proptest! {
             );
             prop_assert_eq!(db.build_cache_len(), 0, "a failed query cached a build ({:?})", mode);
             prop_assert!(db.snapshot().expect("snapshot") == pre, "state moved ({:?})", mode);
+            prop_assert!(db.verify_integrity().is_clean(), "unclean audit ({:?})", mode);
             // The armed shot is spent: the next execution succeeds.
             let (again, _) = db.execute(&plan).expect("clean re-execution");
             let (want, _, _) = filter_at_top(&db, &plan);
