@@ -42,9 +42,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use relmerge_core::{Advisor, MergeReport};
-use relmerge_ddl::{advisor_config_for, backward_migration, forward_migration, generate, Dialect};
+use relmerge_ddl::{backward_migration, forward_migration, generate, Dialect};
 use relmerge_eer::{figures, model::EerSchema, translate};
-use relmerge_engine::{Database, DbmsProfile, DurabilityConfig, EngineConfig, JoinStep, QueryPlan};
+use relmerge_engine::{Database, DurabilityConfig, EngineConfig, JoinStep, QueryPlan};
 use relmerge_obs as obs;
 use relmerge_relational::{DatabaseState, RelationalSchema, Tuple};
 use relmerge_workload::{consistent_state, random_eer, EerSpec, StateSpec};
@@ -153,16 +153,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The engine capability profile that matches a DDL dialect.
-fn profile_for(dialect: Dialect) -> DbmsProfile {
-    match dialect {
-        Dialect::Db2 => DbmsProfile::db2(),
-        Dialect::Sybase40 => DbmsProfile::sybase40(),
-        Dialect::Ingres63 => DbmsProfile::ingres63(),
-        Dialect::Sql92 => DbmsProfile::ideal(),
-    }
-}
-
 /// Deploys `schema` on the in-memory engine and inserts `state` tuple by
 /// tuple, retrying rejected tuples until a fixed point (intra-relation
 /// references can need a later pass). Returns the database so its metrics
@@ -174,7 +164,7 @@ fn engine_probe(
     label: &str,
 ) -> Option<Database> {
     let mut span = obs::span("sdt.probe").field("schema", label);
-    let mut db = Database::new(schema.clone(), profile_for(dialect)).ok()?;
+    let mut db = Database::new(schema.clone(), dialect.profile()).ok()?;
     let mut pending: Vec<(String, Tuple)> = Vec::new();
     for (name, relation) in state.iter() {
         for t in relation.iter() {
@@ -292,8 +282,7 @@ fn main() {
     };
 
     let (schema, pipeline) = if args.merge {
-        let config = advisor_config_for(args.dialect);
-        match Advisor::new(config).greedy_pipeline(&base) {
+        match Advisor::new(&args.dialect.profile()).greedy_pipeline(&base) {
             Ok((s, p)) => (s, Some(p)),
             Err(e) => {
                 eprintln!("sdt: merging failed: {e}");
@@ -379,7 +368,7 @@ fn main() {
             );
             std::process::exit(1);
         } else {
-            match Database::new_with_config(base.clone(), profile_for(args.dialect), durable) {
+            match Database::new_with_config(base.clone(), args.dialect.profile(), durable) {
                 Ok(mut db) => {
                     let mut rng = StdRng::seed_from_u64(42);
                     let spec = StateSpec {
@@ -459,7 +448,7 @@ fn main() {
             Ok(state) => match engine_probe(&base, &state, args.dialect, "live") {
                 Some(mut db) => {
                     query_probe(&db, &base, &state);
-                    let advisor = Advisor::new(advisor_config_for(args.dialect));
+                    let advisor = Advisor::new(db.profile());
                     match advisor.propose_from_profile(&db.profile_snapshot(), &base) {
                         Ok(proposals) => {
                             println!(
@@ -482,7 +471,7 @@ fn main() {
                         Err(e) => eprintln!("sdt: advisor failed: {e}"),
                     }
                     if args.migrate {
-                        match db.advise_and_migrate(&advisor) {
+                        match db.advise_and_migrate() {
                             Ok(applied) if applied.is_empty() => println!(
                                 "-- live migration: nothing to do (no admissible \
                                  workload-backed merge)"

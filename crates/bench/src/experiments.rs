@@ -294,9 +294,9 @@ pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
 ///
 /// Each star of `satellites` satellites has one non-key attribute per
 /// satellite, referencing one of two external schemes. With one such
-/// attribute, [`relmerge_core::AdvisorConfig::declarative_only`] admits
-/// the merge; with two, general null constraints remain (Proposition
-/// 5.2) and the advisor applies nothing. Timed per star: `Merge::plan`
+/// attribute, an advisor on DB2's profile admits the merge; with two,
+/// general null constraints remain (Proposition 5.2) and the advisor
+/// applies nothing. Timed per star: `Merge::plan`
 /// of the whole star, `remove_all_removable` of a fresh plan (planned
 /// untimed), the advisor's `propose_static` and `greedy`, and the query
 /// planner on a query spanning the root and the last satellite. Timed
@@ -306,12 +306,12 @@ pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
 /// Asserted: every merged scheme is BCNF (Proposition 4.1), `greedy`
 /// applies at least one merge, and η′(η(r)) = r at every size.
 pub fn merge_scaling(satellites: &[usize], root_rows: &[usize]) -> Result<Report> {
-    use relmerge_core::{Advisor, AdvisorConfig};
+    use relmerge_core::Advisor;
     use relmerge_engine::LogicalQuery;
     use relmerge_workload::{consistent_state, star_merge_set, star_schema, StarSpec, StateSpec};
 
     let _span = obs::span("bench.b3.merge_scaling");
-    let advisor = Advisor::new(AdvisorConfig::declarative_only());
+    let advisor = Advisor::new(&DbmsProfile::db2());
     let mut procedures = Vec::new();
     for &n in satellites {
         let spec = StarSpec {
@@ -1333,7 +1333,7 @@ pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Re
 /// `migrate::tests::faults_at_both_migration_sites_roll_back_byte_identical`
 /// and `tests/online_merge.rs`.
 pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
-    use relmerge_core::{check_both, check_proposition_4_1, Advisor, AdvisorConfig};
+    use relmerge_core::{check_both, check_proposition_4_1, Advisor};
     use relmerge_workload::{skewed_reads, SkewSpec};
 
     let _span = obs::span("bench.b13.online_merge").field("courses", courses);
@@ -1367,7 +1367,7 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
 
     // The advisor, fed the live profile, ranks the COURSE chain first —
     // the only candidate the observed workload pays for.
-    let advisor = Advisor::new(AdvisorConfig::permissive());
+    let advisor = Advisor::new(db.profile());
     let profile = db.profile_snapshot();
     let proposals = advisor.propose_from_profile(&profile, db.schema())?;
     let propose_us = median_us(|| advisor.propose_from_profile(&profile, db.schema()))?;

@@ -1,5 +1,6 @@
 //! The `reproduce` command line: every argument resolves against the
 //! experiment table, and anything else exits 2 listing the valid names.
+//! The `sdt` command line runs every dialect end to end.
 
 use std::process::{Command, Output};
 
@@ -54,4 +55,26 @@ fn smoke_run_writes_its_artifact_under_target() {
     let json = std::fs::read_to_string(wrote).expect("artifact exists");
     assert!(json.starts_with("{\"experiment\":\"FIG3\","), "{json}");
     assert!(json.contains("\"smoke\":true,\"bcnf\":true"), "{json}");
+}
+
+/// Every dialect merges fig7 under its own profile's advisor and prints
+/// its migration SQL, and SQL-92 migrates the live database on its own
+/// profile. No run fails or prints an `sdt:` line.
+#[test]
+fn sdt_runs_every_dialect() {
+    let merges = ["db2", "sybase40", "ingres63", "sql92"]
+        .map(|d| vec!["--demo", "fig7", "--dialect", d, "--merge", "--migration"]);
+    let live = vec!["--demo", "fig7", "--dialect", "sql92", "--migrate"];
+    for args in merges.into_iter().chain([live]) {
+        let out = Command::new(env!("CARGO_BIN_EXE_sdt"))
+            .args(&args)
+            .output()
+            .expect("run sdt");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(
+            !stderr.lines().any(|l| l.starts_with("sdt:")),
+            "{args:?}: {stderr}"
+        );
+    }
 }

@@ -12,53 +12,11 @@ use std::collections::BTreeSet;
 use relmerge_obs as obs;
 use relmerge_relational::{RelationalSchema, Result};
 
+use crate::capability::{DbmsProfile, Mechanism};
 use crate::conditions::{
     maximal_merge_sets, prop51_inds_key_based, prop51_keys_non_null, prop52_nna_only,
 };
 use crate::merge::{Merge, Merged};
-
-/// What the target DBMS can maintain — drives which merges the advisor is
-/// willing to propose (paper §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdvisorConfig {
-    /// The DBMS supports only key-based inclusion dependencies (no
-    /// triggers/rules for general ones) — require Proposition 5.1(i).
-    pub require_key_based_inds: bool,
-    /// The DBMS cannot maintain nullable keys (all nulls identical) —
-    /// require Proposition 5.1(ii).
-    pub require_non_null_keys: bool,
-    /// The DBMS supports only declarative nulls-not-allowed constraints —
-    /// require Proposition 5.2.
-    pub require_nna_only: bool,
-    /// Upper bound on merge-set size (0 = unlimited).
-    pub max_set_size: usize,
-}
-
-impl AdvisorConfig {
-    /// No restrictions: any merge the procedure allows (a DBMS with full
-    /// trigger/rule support, e.g. SYBASE 4.0 or INGRES 6.3).
-    #[must_use]
-    pub fn permissive() -> Self {
-        AdvisorConfig {
-            require_key_based_inds: false,
-            require_non_null_keys: false,
-            require_nna_only: false,
-            max_set_size: 0,
-        }
-    }
-
-    /// Fully declarative targets (the DB2-without-procedures regime):
-    /// all three proposition predicates required.
-    #[must_use]
-    pub fn declarative_only() -> Self {
-        AdvisorConfig {
-            require_key_based_inds: true,
-            require_non_null_keys: true,
-            require_nna_only: true,
-            max_set_size: 0,
-        }
-    }
-}
 
 /// A candidate merge the advisor evaluated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +36,7 @@ pub struct MergeProposal {
     pub keys_non_null: bool,
     /// Proposition 5.2: output null constraints all NNA after removal.
     pub nna_only: bool,
-    /// Whether the proposal passes `config`'s requirements.
+    /// Whether the proposal passes the gates the advisor's profile sets.
     pub admissible: bool,
 }
 
@@ -99,24 +57,32 @@ pub struct AppliedMerge {
 /// evidence ranking the proposals by the access cost they would
 /// eliminate.
 pub struct Advisor {
-    config: AdvisorConfig,
+    /// Proposition 5.1(i): output inclusion dependencies must be
+    /// key-based.
+    require_key_based_inds: bool,
+    /// Proposition 5.1(ii): output key attributes must be non-null.
+    require_non_null_keys: bool,
+    /// Proposition 5.2: output null constraints must all be NNA.
+    require_nna_only: bool,
 }
 
 impl Advisor {
-    /// An advisor constrained by `config`.
+    /// An advisor proposing only the merges `profile` can maintain
+    /// (paper §5.1): a target that cannot maintain non key-based
+    /// inclusion dependencies requires Proposition 5.1(i), one that
+    /// cannot maintain nullable keys requires 5.1(ii), and one that
+    /// cannot maintain general null constraints requires 5.2.
     #[must_use]
-    pub fn new(config: AdvisorConfig) -> Self {
-        Advisor { config }
-    }
-
-    /// The capability constraints this advisor proposes under.
-    #[must_use]
-    pub fn advisor_config(&self) -> &AdvisorConfig {
-        &self.config
+    pub fn new(profile: &DbmsProfile) -> Self {
+        Advisor {
+            require_key_based_inds: profile.non_key_inds == Mechanism::Unsupported,
+            require_non_null_keys: !profile.nullable_keys,
+            require_nna_only: profile.general_null_constraints == Mechanism::Unsupported,
+        }
     }
 
     /// Evaluates every maximal merge set in `schema` against the
-    /// configured constraints, without applying anything. Sorted by
+    /// profile's gates, without applying anything. Sorted by
     /// joins eliminated, descending (`observed_cost` stays 0: no
     /// workload evidence was consulted).
     pub fn propose_static(&self, schema: &RelationalSchema) -> Result<Vec<MergeProposal>> {
@@ -143,18 +109,9 @@ impl Advisor {
         schema: &RelationalSchema,
         evidence: Option<&obs::JoinEvidence>,
     ) -> Result<Vec<MergeProposal>> {
-        let config = &self.config;
         let mut span = obs::span("core.advisor.propose");
         let mut proposals = Vec::new();
         for set in maximal_merge_sets(schema) {
-            let set = if config.max_set_size > 0 && set.len() > config.max_set_size {
-                set.into_iter().take(config.max_set_size).collect()
-            } else {
-                set
-            };
-            if set.len() < 2 {
-                continue;
-            }
             let refs: Vec<&str> = set.iter().map(String::as_str).collect();
             // The simplifying NNA assumption must hold for the set to be
             // mergeable at all.
@@ -171,9 +128,9 @@ impl Advisor {
             let inds_key_based = prop51_inds_key_based(schema, &refs)?;
             let keys_non_null = prop51_keys_non_null(schema, &refs)?;
             let nna_only = prop52_nna_only(schema, &refs)?.is_empty();
-            let admissible = (!config.require_key_based_inds || inds_key_based)
-                && (!config.require_non_null_keys || keys_non_null)
-                && (!config.require_nna_only || nna_only);
+            let admissible = (!self.require_key_based_inds || inds_key_based)
+                && (!self.require_non_null_keys || keys_non_null)
+                && (!self.require_nna_only || nna_only);
             let observed_cost = evidence.map_or(0, |ev| {
                 let mut cost = 0;
                 for (i, a) in refs.iter().enumerate() {
@@ -331,7 +288,7 @@ mod tests {
     #[test]
     fn proposals_ranked_by_joins_eliminated() {
         let rs = two_stars();
-        let proposals = Advisor::new(AdvisorConfig::permissive())
+        let proposals = Advisor::new(&DbmsProfile::ideal())
             .propose_static(&rs)
             .unwrap();
         assert_eq!(proposals.len(), 2);
@@ -347,9 +304,7 @@ mod tests {
     #[test]
     fn greedy_application_merges_both_stars() {
         let rs = two_stars();
-        let (final_schema, applied) = Advisor::new(AdvisorConfig::declarative_only())
-            .greedy(&rs)
-            .unwrap();
+        let (final_schema, applied) = Advisor::new(&DbmsProfile::db2()).greedy(&rs).unwrap();
         assert_eq!(applied.len(), 2);
         assert_eq!(final_schema.schemes().len(), 2);
         assert!(final_schema.scheme("X_M").is_some());
@@ -366,10 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn declarative_config_rejects_chain_merges() {
+    fn db2_profile_rejects_chain_merges() {
         // The Figure 3 chain: OFFER is referenced by TEACH/ASSIST, so
-        // prop 5.2 fails for the full merge set; with declarative-only
-        // config the big merge is inadmissible.
+        // prop 5.2 fails for the full merge set; on DB2's profile the big
+        // merge is inadmissible.
         let mut rs = RelationalSchema::new();
         rs.add_scheme(scheme("COURSE", &["C.NR"], &["C.NR"]))
             .unwrap();
@@ -387,7 +342,7 @@ mod tests {
             &["O.C.NR"],
         ))
         .unwrap();
-        let advisor = Advisor::new(AdvisorConfig::declarative_only());
+        let advisor = Advisor::new(&DbmsProfile::db2());
         let proposals = advisor.propose_static(&rs).unwrap();
         let big = proposals
             .iter()
@@ -411,11 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn permissive_config_accepts_everything() {
+    fn ideal_profile_accepts_everything() {
         let rs = two_stars();
-        let (final_schema, applied) = Advisor::new(AdvisorConfig::permissive())
-            .greedy(&rs)
-            .unwrap();
+        let (final_schema, applied) = Advisor::new(&DbmsProfile::ideal()).greedy(&rs).unwrap();
         assert_eq!(applied.len(), 2);
         assert!(final_schema.is_bcnf());
     }
@@ -446,8 +399,8 @@ mod tests {
             rows_scanned: 250,
             ..obs::EdgeCost::default()
         };
-        profiler.record(&shape, &cost, &[edge]);
-        let advisor = Advisor::new(AdvisorConfig::permissive());
+        profiler.record(shape.fingerprint, || shape, &cost, &[edge]);
+        let advisor = Advisor::new(&DbmsProfile::ideal());
         let snapshot = profiler.snapshot();
         let proposals = advisor.propose_from_profile(&snapshot, &rs).unwrap();
         assert_eq!(proposals.len(), 2);

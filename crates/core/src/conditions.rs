@@ -14,6 +14,8 @@
 //!   `N″` will consist only of declaratively-supported nulls-not-allowed
 //!   constraints.
 
+use std::collections::BTreeSet;
+
 use relmerge_relational::ind::refkey_star;
 use relmerge_relational::{RelationScheme, RelationalSchema, Result};
 
@@ -178,8 +180,10 @@ pub fn prop52_nna_only(schema: &RelationalSchema, members: &[&str]) -> Result<Ve
 #[must_use]
 pub fn maximal_merge_sets(schema: &RelationalSchema) -> Vec<Vec<String>> {
     let all: Vec<&RelationScheme> = schema.schemes().iter().collect();
+    // Only a scheme some dependency targets can reach anything.
+    let targets: BTreeSet<&str> = schema.inds().iter().map(|i| i.rhs_rel.as_str()).collect();
     let mut out = Vec::new();
-    for root in &all {
+    for root in all.iter().filter(|r| targets.contains(r.name())) {
         let star = refkey_star(root, &all, schema.inds());
         if star.is_empty() {
             continue;

@@ -12,10 +12,13 @@
 //!   redundant attributes with the state mappings μ / μ′ ([`remove`]);
 //! * **information-capacity** checking — Definition 2.1, machine-checking
 //!   Propositions 4.1 and 4.2 on concrete states ([`capacity`]);
+//! * **DBMS capability profiles** — §5.1's table of which constraint
+//!   classes each target maintains, and by which mechanism
+//!   ([`capability`]);
 //! * **DBMS applicability conditions** — Propositions 5.1 and 5.2
 //!   ([`conditions`]);
 //! * a **merge advisor** — the SDT tool's automated merging option,
-//!   constrained by DBMS capability profiles ([`advisor`]).
+//!   gated by a capability profile ([`advisor`]).
 //!
 //! The typical pipeline:
 //!
@@ -30,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
+pub mod capability;
 pub mod capacity;
 pub mod conditions;
 pub mod keyrel;
@@ -38,7 +42,8 @@ pub mod pipeline;
 pub mod remove;
 pub mod report;
 
-pub use advisor::{Advisor, AdvisorConfig, AppliedMerge, MergeProposal};
+pub use advisor::{Advisor, AppliedMerge, MergeProposal};
+pub use capability::{DbmsProfile, Mechanism};
 pub use capacity::{
     check_both, check_forward, check_forward_image, check_proposition_4_1, CapacityReport,
 };

@@ -401,8 +401,7 @@ impl Merge {
                     continue;
                 }
                 let rj = schema.scheme_required(&ind.lhs_rel)?;
-                let lhs_names: Vec<&str> = ind.lhs_attrs.iter().map(String::as_str).collect();
-                if !rj.is_primary_key(&lhs_names) {
+                if !rj.is_primary_key(&ind.lhs_attrs) {
                     continue;
                 }
                 if total_groups.contains(&ind.rhs_rel) {

@@ -119,7 +119,8 @@ impl MergePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::advisor::{Advisor, AdvisorConfig};
+    use crate::advisor::Advisor;
+    use crate::capability::DbmsProfile;
     use crate::merge::Merge;
     use relmerge_relational::{
         Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, Tuple, Value,
@@ -220,7 +221,7 @@ mod tests {
     #[test]
     fn advisor_produces_a_valid_pipeline() {
         let rs = two_stars();
-        let (final_schema, pipeline) = Advisor::new(AdvisorConfig::declarative_only())
+        let (final_schema, pipeline) = Advisor::new(&DbmsProfile::db2())
             .greedy_pipeline(&rs)
             .unwrap();
         assert_eq!(pipeline.steps().len(), 2);

@@ -2,18 +2,19 @@
 
 use std::fmt;
 
+use relmerge_core::DbmsProfile;
+
 /// A DDL dialect the generator can target.
 ///
-/// Each dialect maps the schema's constraint classes onto the mechanisms
-/// the corresponding system offers (paper §5.1):
-///
-/// | constraint class        | DB2          | SYBASE 4.0 | INGRES 6.3 | SQL-92      |
-/// |-------------------------|--------------|------------|------------|-------------|
-/// | `NOT NULL`              | declarative  | declarative| declarative| declarative |
-/// | primary / candidate key | declarative  | index      | index      | declarative |
-/// | referential integrity   | declarative  | trigger    | rule       | declarative |
-/// | non key-based IND       | unsupported  | trigger    | rule       | comment     |
-/// | general null constraint | unsupported  | trigger    | rule       | `CHECK`     |
+/// What a dialect can maintain, and by which mechanism, is its
+/// [`profile`](Dialect::profile): the one capability table of paper §5.1
+/// ([`DbmsProfile`]). The dialect itself keeps only syntax — its names,
+/// whether a procedural constraint is a trigger or a rule, and whether a
+/// key is a `PRIMARY KEY`/`UNIQUE` clause or a unique index. The
+/// generator writes a declarative inclusion dependency as a `FOREIGN
+/// KEY`, a declarative general null constraint as a `CHECK`, a
+/// procedural one as the dialect's trigger or rule, and an unsupported
+/// one as a warning comment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dialect {
     /// IBM DB2 (reference \[5\]): declarative referential integrity, no
@@ -37,15 +38,21 @@ impl Dialect {
         Dialect::Sql92,
     ];
 
-    /// Display name.
+    /// The capability profile of the system this dialect targets.
+    #[must_use]
+    pub fn profile(self) -> DbmsProfile {
+        match self {
+            Dialect::Db2 => DbmsProfile::db2(),
+            Dialect::Sybase40 => DbmsProfile::sybase40(),
+            Dialect::Ingres63 => DbmsProfile::ingres63(),
+            Dialect::Sql92 => DbmsProfile::sql92(),
+        }
+    }
+
+    /// Display name: the name of its [`profile`](Dialect::profile).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Dialect::Db2 => "DB2",
-            Dialect::Sybase40 => "SYBASE 4.0",
-            Dialect::Ingres63 => "INGRES 6.3",
-            Dialect::Sql92 => "SQL-92",
-        }
+        self.profile().name
     }
 
     /// A short lowercase identifier for metric names (`ddl.<slug>.…`).
@@ -59,19 +66,7 @@ impl Dialect {
         }
     }
 
-    /// Whether referential integrity is declared in `CREATE TABLE`.
-    #[must_use]
-    pub fn declarative_foreign_keys(self) -> bool {
-        matches!(self, Dialect::Db2 | Dialect::Sql92)
-    }
-
-    /// Whether single-tuple null constraints can be expressed as `CHECK`s.
-    #[must_use]
-    pub fn supports_check(self) -> bool {
-        matches!(self, Dialect::Sql92)
-    }
-
-    /// Whether the dialect has a procedural mechanism (trigger/rule).
+    /// The dialect's procedural mechanism (trigger/rule), if it has one.
     #[must_use]
     pub fn procedural_mechanism(self) -> Option<&'static str> {
         match self {
@@ -189,13 +184,21 @@ mod tests {
 
     #[test]
     fn dialect_capabilities() {
-        assert!(Dialect::Db2.declarative_foreign_keys());
-        assert!(!Dialect::Sybase40.declarative_foreign_keys());
+        use relmerge_core::Mechanism;
         assert_eq!(Dialect::Sybase40.procedural_mechanism(), Some("trigger"));
         assert_eq!(Dialect::Ingres63.procedural_mechanism(), Some("rule"));
         assert_eq!(Dialect::Db2.procedural_mechanism(), None);
-        assert!(Dialect::Sql92.supports_check());
-        assert!(!Dialect::Db2.supports_check());
+        assert_eq!(
+            Dialect::Sql92.profile().general_null_constraints,
+            Mechanism::Declarative
+        );
+        assert_eq!(
+            Dialect::Db2.profile().general_null_constraints,
+            Mechanism::Unsupported
+        );
+        for d in Dialect::ALL {
+            assert_eq!(d.name(), d.profile().name);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! DDL generation: the code-emitting half of the SDT tool \[12\].
 
+use relmerge_core::Mechanism;
 use relmerge_obs as obs;
-use relmerge_relational::{NullConstraint, RelationScheme, RelationalSchema, Result};
+use relmerge_relational::{InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Result};
 
 use crate::dialect::{DdlScript, DdlStatement, Dialect};
 
@@ -32,19 +33,18 @@ pub fn generate(schema: &RelationalSchema, dialect: Dialect) -> Result<DdlScript
             }
         }
     }
-    // Referential integrity / inclusion dependencies beyond what CREATE
-    // TABLE declared.
+    // Every constraint goes where the dialect's capability profile puts
+    // it: declarative ones inline or as `CHECK`s, procedural ones as the
+    // dialect's trigger (SYBASE) or rule (INGRES), unsupported ones as
+    // warning comments.
+    let profile = dialect.profile();
+    let rules = dialect.procedural_mechanism() == Some("rule");
     for (i, ind) in schema.inds().iter().enumerate() {
-        let key_based = schema
-            .scheme(&ind.rhs_rel)
-            .is_some_and(|rhs| ind.is_key_based(rhs));
-        if key_based && dialect.declarative_foreign_keys() {
-            continue; // declared inline in CREATE TABLE
-        }
-        match dialect.procedural_mechanism() {
-            Some("trigger") => script.statements.push(trigger_for_ind(ind, i)),
-            Some("rule") => script.statements.push(rule_for_ind(ind, i)),
-            _ => script.statements.push(DdlStatement::Unsupported {
+        match profile.ind_mechanism(schema, ind) {
+            Mechanism::Declarative => {} // a FOREIGN KEY in CREATE TABLE
+            Mechanism::Procedural if rules => script.statements.push(rule_for_ind(ind, i)),
+            Mechanism::Procedural => script.statements.push(trigger_for_ind(ind, i)),
+            Mechanism::Unsupported => script.statements.push(DdlStatement::Unsupported {
                 constraint: ind.to_string(),
                 sql: format!(
                     "-- UNSUPPORTED on {}: inclusion dependency {} must be \
@@ -53,16 +53,15 @@ pub fn generate(schema: &RelationalSchema, dialect: Dialect) -> Result<DdlScript
                     ind
                 ),
             }),
-            // `Some(other)` cannot occur: mechanisms are "trigger"/"rule".
         }
     }
-    // Null constraints beyond NOT NULL.
+    // Null constraints beyond NOT NULL (declared inline).
     for (i, c) in schema.null_constraints().iter().enumerate() {
         if c.is_nna() {
-            continue; // NOT NULL columns, declared inline
+            continue;
         }
-        if dialect.supports_check() {
-            script.statements.push(DdlStatement::CreateTable {
+        match profile.null_constraint_mechanism(c) {
+            Mechanism::Declarative => script.statements.push(DdlStatement::CreateTable {
                 table: c.rel().to_owned(),
                 sql: format!(
                     "ALTER TABLE {} ADD CONSTRAINT nc{} CHECK ({});",
@@ -70,13 +69,10 @@ pub fn generate(schema: &RelationalSchema, dialect: Dialect) -> Result<DdlScript
                     i,
                     check_expr(c)
                 ),
-            });
-            continue;
-        }
-        match dialect.procedural_mechanism() {
-            Some("trigger") => script.statements.push(trigger_for_null(c, i)),
-            Some("rule") => script.statements.push(rule_for_null(c, i)),
-            _ => script.statements.push(DdlStatement::Unsupported {
+            }),
+            Mechanism::Procedural if rules => script.statements.push(rule_for_null(c, i)),
+            Mechanism::Procedural => script.statements.push(trigger_for_null(c, i)),
+            Mechanism::Unsupported => script.statements.push(DdlStatement::Unsupported {
                 constraint: c.to_string(),
                 sql: format!(
                     "-- UNSUPPORTED on {}: null constraint {} (no trigger/rule \
@@ -202,27 +198,23 @@ fn create_table(schema: &RelationalSchema, s: &RelationScheme, dialect: Dialect)
                 alt.iter().map(|k| ident(k)).collect::<Vec<_>>().join(", ")
             ));
         }
-        if dialect.declarative_foreign_keys() {
-            for ind in schema.inds().iter().filter(|i| i.lhs_rel == s.name()) {
-                let key_based = schema
-                    .scheme(&ind.rhs_rel)
-                    .is_some_and(|rhs| ind.is_key_based(rhs));
-                if key_based {
-                    lines.push(format!(
-                        "  FOREIGN KEY ({}) REFERENCES {} ({})",
-                        ind.lhs_attrs
-                            .iter()
-                            .map(|x| ident(x))
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                        ident(&ind.rhs_rel),
-                        ind.rhs_attrs
-                            .iter()
-                            .map(|x| ident(x))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ));
-                }
+        let profile = dialect.profile();
+        for ind in schema.inds().iter().filter(|i| i.lhs_rel == s.name()) {
+            if profile.ind_mechanism(schema, ind) == Mechanism::Declarative {
+                lines.push(format!(
+                    "  FOREIGN KEY ({}) REFERENCES {} ({})",
+                    ind.lhs_attrs
+                        .iter()
+                        .map(|x| ident(x))
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                    ident(&ind.rhs_rel),
+                    ind.rhs_attrs
+                        .iter()
+                        .map(|x| ident(x))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ));
             }
         }
     }
@@ -317,7 +309,7 @@ fn rule_for_null(c: &NullConstraint, i: usize) -> DdlStatement {
     }
 }
 
-fn trigger_for_ind(ind: &relmerge_relational::InclusionDep, i: usize) -> DdlStatement {
+fn trigger_for_ind(ind: &InclusionDep, i: usize) -> DdlStatement {
     let lhs = ident(&ind.lhs_rel);
     let rhs = ident(&ind.rhs_rel);
     let join_cond = ind
@@ -346,7 +338,7 @@ fn trigger_for_ind(ind: &relmerge_relational::InclusionDep, i: usize) -> DdlStat
     }
 }
 
-fn rule_for_ind(ind: &relmerge_relational::InclusionDep, i: usize) -> DdlStatement {
+fn rule_for_ind(ind: &InclusionDep, i: usize) -> DdlStatement {
     let lhs = ident(&ind.lhs_rel);
     let rhs = ident(&ind.rhs_rel);
     let params = ind

@@ -3,7 +3,8 @@
 //! tool \[12\].
 //!
 //! * [`dialect`] — the four target dialects (DB2, SYBASE 4.0, INGRES 6.3,
-//!   SQL-92) and their constraint-maintenance mechanisms (§5.1);
+//!   SQL-92): each reads its constraint-maintenance mechanisms (§5.1)
+//!   from its capability profile and keeps only its syntax;
 //! * [`mod@generate`] — `CREATE TABLE` emission with declarative keys,
 //!   `NOT NULL`, foreign keys, plus triggers (SYBASE), rules (INGRES) or
 //!   `CHECK`s (SQL-92) for the general null constraints and non key-based
@@ -22,4 +23,4 @@ pub mod sdt;
 pub use dialect::{DdlScript, DdlStatement, Dialect};
 pub use generate::{check_expr, generate};
 pub use migration::{backward_migration, forward_migration};
-pub use sdt::{advisor_config_for, run as run_sdt, SdtOption, SdtOutput};
+pub use sdt::{run as run_sdt, SdtOption, SdtOutput};

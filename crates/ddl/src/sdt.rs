@@ -9,7 +9,7 @@
 //! merging for reducing the number of relation-schemes in the relational
 //! schema."* (paper §6)
 
-use relmerge_core::{Advisor, AdvisorConfig};
+use relmerge_core::Advisor;
 use relmerge_eer::model::EerSchema;
 use relmerge_eer::translate;
 use relmerge_relational::{RelationalSchema, Result};
@@ -23,7 +23,8 @@ pub enum SdtOption {
     /// Option (i): one relation-scheme per EER object-set.
     OneToOne,
     /// Option (ii): merge relation-schemes to reduce their number,
-    /// constrained to merges the target dialect can maintain.
+    /// constrained to merges the target dialect's
+    /// [`profile`](Dialect::profile) can maintain.
     Merged,
 }
 
@@ -41,35 +42,6 @@ pub struct SdtOutput {
     pub merges_applied: usize,
 }
 
-/// The advisor configuration matching a dialect's maintenance abilities:
-/// dialects without a procedural mechanism only admit merges whose output
-/// is fully declarative (Propositions 5.1 / 5.2 as gates).
-#[must_use]
-pub fn advisor_config_for(dialect: Dialect) -> AdvisorConfig {
-    if dialect.procedural_mechanism().is_some() {
-        // Triggers/rules can maintain general constraints and non-key
-        // dependencies, but nullable candidate keys remain unmaintainable
-        // (all nulls identical on SYBASE and INGRES).
-        AdvisorConfig {
-            require_key_based_inds: false,
-            require_non_null_keys: true,
-            require_nna_only: false,
-            max_set_size: 0,
-        }
-    } else if dialect.supports_check() {
-        // SQL-92: CHECKs cover general null constraints, but non key-based
-        // inclusion dependencies have no declarative home.
-        AdvisorConfig {
-            require_key_based_inds: true,
-            require_non_null_keys: false,
-            require_nna_only: false,
-            max_set_size: 0,
-        }
-    } else {
-        AdvisorConfig::declarative_only()
-    }
-}
-
 /// Runs SDT: translate the EER schema, optionally merge, and emit DDL for
 /// `dialect`.
 pub fn run(eer: &EerSchema, option: SdtOption, dialect: Dialect) -> Result<SdtOutput> {
@@ -78,8 +50,7 @@ pub fn run(eer: &EerSchema, option: SdtOption, dialect: Dialect) -> Result<SdtOu
     let (schema, merges_applied) = match option {
         SdtOption::OneToOne => (base, 0),
         SdtOption::Merged => {
-            let config = advisor_config_for(dialect);
-            let (merged, applied) = Advisor::new(config).greedy(&base)?;
+            let (merged, applied) = Advisor::new(&dialect.profile()).greedy(&base)?;
             (merged, applied.len())
         }
     };
@@ -135,15 +106,5 @@ mod tests {
         // triggers).
         assert!(sybase.script.unsupported().is_empty());
         assert!(db2.script.unsupported().is_empty());
-    }
-
-    #[test]
-    fn advisor_configs_match_dialects() {
-        assert!(advisor_config_for(Dialect::Db2).require_nna_only);
-        assert!(!advisor_config_for(Dialect::Sybase40).require_nna_only);
-        assert!(advisor_config_for(Dialect::Sybase40).require_non_null_keys);
-        let sql92 = advisor_config_for(Dialect::Sql92);
-        assert!(sql92.require_key_based_inds);
-        assert!(!sql92.require_nna_only);
     }
 }

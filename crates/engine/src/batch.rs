@@ -899,7 +899,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::DbmsProfile;
+    use crate::DbmsProfile;
     use relmerge_relational::{
         Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Value,
     };

@@ -30,7 +30,8 @@ pub(crate) struct OwnedBuild {
     /// Row slots scanned to build (the whole slot array, tombstones
     /// included).
     rows_scanned: u64,
-    /// Approximate resident size, for the cache cap and the query budget.
+    /// Approximate resident size, for the cache cap and the query's
+    /// intermediate-byte counters.
     bytes: u64,
     /// Rows a pushed predicate excluded from the build (rows that were
     /// live and key-total but failed the filter).

@@ -33,8 +33,8 @@ use relmerge_relational::{
     RelationalSchema, Result, Tuple, Value,
 };
 
-use crate::capability::{DbmsProfile, Mechanism};
-use crate::fault::{FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation, QueryBudget};
+use crate::fault::{FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation};
+use crate::{DbmsProfile, Mechanism};
 
 /// Why a DML statement was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +227,6 @@ pub(crate) struct DbMetrics {
     pub(crate) batch_rollbacks: Arc<Counter>,
     pub(crate) injected_aborts: Arc<Counter>,
     pub(crate) panic_aborts: Arc<Counter>,
-    pub(crate) budget_aborts: Arc<Counter>,
     pub(crate) build_cache_hits: Arc<Counter>,
     pub(crate) build_cache_misses: Arc<Counter>,
     pub(crate) build_cache_evictions: Arc<Counter>,
@@ -318,7 +317,6 @@ impl DbMetrics {
             batch_rollbacks: registry.counter("engine.batch.rollbacks"),
             injected_aborts: registry.counter("engine.fault.aborts.injected"),
             panic_aborts: registry.counter("engine.fault.aborts.panic"),
-            budget_aborts: registry.counter("engine.query.aborts.budget"),
             build_cache_hits: registry.counter("engine.query.build_cache.hits"),
             build_cache_misses: registry.counter("engine.query.build_cache.misses"),
             build_cache_evictions: registry.counter("engine.query.build_cache.evictions"),
@@ -714,19 +712,12 @@ pub(crate) fn compile_catalog(
     let mut outgoing: BTreeMap<String, Vec<CompiledInd>> = BTreeMap::new();
     let mut incoming: BTreeMap<String, Vec<CompiledInd>> = BTreeMap::new();
     for ind in schema.inds() {
-        let key_based = schema
-            .scheme(&ind.rhs_rel)
-            .is_some_and(|rhs| ind.is_key_based(rhs));
         let compiled = CompiledInd {
             lhs_rel: ind.lhs_rel.clone(),
             lhs_attrs: ind.lhs_attrs.clone(),
             rhs_rel: ind.rhs_rel.clone(),
             rhs_attrs: ind.rhs_attrs.clone(),
-            mechanism: if key_based {
-                profile.referential_integrity
-            } else {
-                profile.non_key_inds
-            },
+            mechanism: profile.ind_mechanism(schema, ind),
         };
         outgoing
             .entry(ind.lhs_rel.clone())
@@ -747,7 +738,7 @@ pub(crate) fn compile_catalog(
 
 /// One `EngineConfig` consolidates every `Database` tuning knob: the
 /// worker-thread budget of deferred batch validation, build-cache
-/// capacity, the query budget, and durability. A `Database` stores one, and its knobs change
+/// capacity, and durability. A `Database` stores one, and its knobs change
 /// only through a new one. Build one with the fluent setters and hand it to
 /// [`Database::new_with_config`] or [`Database::configure`]; read the live
 /// values back with [`Database::config`], so a sweep can tweak a single
@@ -760,7 +751,6 @@ pub(crate) fn compile_catalog(
 pub struct EngineConfig {
     parallelism: usize,
     build_cache_capacity: u64,
-    query_budget: QueryBudget,
     /// Durability knobs (`None` = purely in-memory). Unlike the other
     /// knobs this one only takes effect at construction
     /// ([`Database::new_with_config`]) or recovery ([`Database::recover`]);
@@ -771,14 +761,13 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// The defaults `Database::new` ships with: available-parallelism
-    /// workers, a 64 MiB build cache, and an unlimited query budget.
+    /// workers, a 64 MiB build cache, and no durability.
     fn default() -> Self {
         EngineConfig {
             parallelism: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             build_cache_capacity: DEFAULT_BUILD_CACHE_BYTES,
-            query_budget: QueryBudget::unlimited(),
             durability: None,
         }
     }
@@ -808,13 +797,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the per-query resource limits.
-    #[must_use]
-    pub fn query_budget(mut self, budget: QueryBudget) -> Self {
-        self.query_budget = budget;
-        self
-    }
-
     /// The configured worker-thread budget.
     #[must_use]
     pub fn get_parallelism(&self) -> usize {
@@ -825,12 +807,6 @@ impl EngineConfig {
     #[must_use]
     pub fn get_build_cache_capacity(&self) -> u64 {
         self.build_cache_capacity
-    }
-
-    /// The configured query budget.
-    #[must_use]
-    pub fn get_query_budget(&self) -> QueryBudget {
-        self.query_budget
     }
 
     /// Sets (or clears) the durability knobs: data directory, snapshot
@@ -1049,15 +1025,6 @@ impl Database {
     #[must_use]
     pub fn profile_snapshot(&self) -> obs::ProfileSnapshot {
         self.profiler.snapshot()
-    }
-
-    /// The resource limits queries execute under (default unlimited).
-    /// Limits are checked cooperatively every 1,024 root rows; a tripped
-    /// limit surfaces as [`Error::BudgetExceeded`] with the partial
-    /// progress in its detail.
-    #[must_use]
-    pub fn query_budget(&self) -> QueryBudget {
-        self.config.query_budget
     }
 
     /// Installs `plan` as the active fault plan, replacing any previous

@@ -1,4 +1,4 @@
-//! Deterministic fault injection, query budgets, and integrity reports.
+//! Deterministic fault injection and integrity reports.
 //!
 //! The paper's preservation claims (Propositions 4.1/4.2/5.1/5.2) are
 //! claims about *states*: whatever the maintenance machinery does, every
@@ -10,9 +10,6 @@
 //!   commit, and the morsel executor — each site can fire a typed
 //!   [`Error::Injected`] or a panic, deterministically on its n-th
 //!   arrival;
-//! * a [`QueryBudget`] caps a query's intermediate rows and wall time,
-//!   checked cooperatively every 1,024 root rows (one morsel) and
-//!   surfaced as [`Error::BudgetExceeded`];
 //! * an [`IntegrityReport`] is the structured output of
 //!   [`Database::verify_integrity`](crate::Database::verify_integrity),
 //!   the deep checker the torture harness runs after every induced abort;
@@ -25,7 +22,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use relmerge_obs as obs;
 use relmerge_relational::{Error, Result};
@@ -382,189 +378,6 @@ pub(crate) fn fan_out<I: Sync, T: Send>(
     claimed.into_iter().map(|(_, out)| out).collect()
 }
 
-/// Resource limits for one query execution, checked cooperatively at
-/// morsel boundaries (so enforcement granularity is 1,024 root rows). The
-/// default is unlimited; a tripped limit surfaces as [`Error::BudgetExceeded`]
-/// carrying the partial progress (rows produced, morsels completed) in
-/// its detail.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryBudget {
-    max_rows: Option<u64>,
-    max_wall: Option<Duration>,
-    max_build_bytes: Option<u64>,
-    max_intermediate_bytes: Option<u64>,
-}
-
-impl QueryBudget {
-    /// No limits — the default for every new database.
-    #[must_use]
-    pub fn unlimited() -> Self {
-        QueryBudget::default()
-    }
-
-    /// Caps the rows a query may produce (root rows plus rows
-    /// materialized per morsel) before it is cancelled.
-    #[must_use]
-    pub fn with_max_rows(mut self, rows: u64) -> Self {
-        self.max_rows = Some(rows);
-        self
-    }
-
-    /// Caps the query's wall time; the deadline starts when execution
-    /// does and is checked before each morsel starts.
-    #[must_use]
-    pub fn with_max_wall(mut self, limit: Duration) -> Self {
-        self.max_wall = Some(limit);
-        self
-    }
-
-    /// Caps the approximate bytes of transient hash-build state a query
-    /// may materialize (charged when a build finishes, including builds
-    /// answered from the build-side cache — a cached build still occupies
-    /// memory on the query's behalf).
-    #[must_use]
-    pub fn with_max_build_bytes(mut self, bytes: u64) -> Self {
-        self.max_build_bytes = Some(bytes);
-        self
-    }
-
-    /// Caps the approximate bytes of *all* intermediate state a query may
-    /// materialize: slot rows flowing between joins, rows materialized
-    /// out of morsels, and transient hash builds. A superset of
-    /// [`with_max_build_bytes`](QueryBudget::with_max_build_bytes) —
-    /// the full memory budget over intermediate rows. Charged when each
-    /// build finishes and as each morsel completes.
-    #[must_use]
-    pub fn with_max_intermediate_bytes(mut self, bytes: u64) -> Self {
-        self.max_intermediate_bytes = Some(bytes);
-        self
-    }
-
-    /// Whether all limits are absent.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_rows.is_none()
-            && self.max_wall.is_none()
-            && self.max_build_bytes.is_none()
-            && self.max_intermediate_bytes.is_none()
-    }
-
-    /// The row cap, if any.
-    #[must_use]
-    pub fn max_rows(&self) -> Option<u64> {
-        self.max_rows
-    }
-
-    /// The wall-time cap, if any.
-    #[must_use]
-    pub fn max_wall(&self) -> Option<Duration> {
-        self.max_wall
-    }
-
-    /// The approximate hash-build memory cap, if any.
-    #[must_use]
-    pub fn max_build_bytes(&self) -> Option<u64> {
-        self.max_build_bytes
-    }
-
-    /// The approximate total-intermediate-memory cap, if any.
-    #[must_use]
-    pub fn max_intermediate_bytes(&self) -> Option<u64> {
-        self.max_intermediate_bytes
-    }
-
-    /// Starts tracking one execution against this budget.
-    pub(crate) fn start(&self) -> BudgetTracker {
-        BudgetTracker {
-            max_rows: self.max_rows,
-            deadline: self.max_wall.map(|d| Instant::now() + d),
-            max_build_bytes: self.max_build_bytes,
-            max_intermediate_bytes: self.max_intermediate_bytes,
-            rows: AtomicU64::new(0),
-            morsels: AtomicU64::new(0),
-            build_bytes: AtomicU64::new(0),
-            intermediate_bytes: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Per-execution budget state: the executor polls
-/// [`checkpoint`](BudgetTracker::checkpoint) as each morsel starts and
-/// charges rows as it completes. A trip fails the query at that morsel.
-pub(crate) struct BudgetTracker {
-    max_rows: Option<u64>,
-    deadline: Option<Instant>,
-    max_build_bytes: Option<u64>,
-    max_intermediate_bytes: Option<u64>,
-    rows: AtomicU64,
-    morsels: AtomicU64,
-    build_bytes: AtomicU64,
-    intermediate_bytes: AtomicU64,
-}
-
-impl BudgetTracker {
-    fn exceeded(&self, why: String) -> Error {
-        Error::BudgetExceeded {
-            detail: format!(
-                "{why} ({} rows produced across {} completed morsels)",
-                self.rows.load(Ordering::Relaxed),
-                self.morsels.load(Ordering::Relaxed)
-            ),
-        }
-    }
-
-    /// Cheap poll: fails once the deadline passed.
-    pub(crate) fn checkpoint(&self) -> Result<()> {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(self.exceeded("wall-time deadline passed".to_owned()));
-            }
-        }
-        Ok(())
-    }
-
-    /// Charges `rows` produced outside any morsel (the root access).
-    pub(crate) fn charge_rows(&self, rows: u64) -> Result<()> {
-        let total = self.rows.fetch_add(rows, Ordering::Relaxed) + rows;
-        match self.max_rows {
-            Some(cap) if total > cap => Err(self.exceeded(format!("row cap {cap} exceeded"))),
-            _ => Ok(()),
-        }
-    }
-
-    /// Charges one completed morsel that materialized `rows` rows.
-    pub(crate) fn charge_morsel(&self, rows: u64) -> Result<()> {
-        self.morsels.fetch_add(1, Ordering::Relaxed);
-        self.charge_rows(rows)
-    }
-
-    /// Charges `bytes` of approximate transient hash-build memory. Build
-    /// bytes are intermediate bytes too, so both caps see the charge.
-    pub(crate) fn charge_build_bytes(&self, bytes: u64) -> Result<()> {
-        let total = self.build_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if let Some(cap) = self.max_build_bytes {
-            if total > cap {
-                return Err(self.exceeded(format!(
-                    "build-memory cap {cap} exceeded ({total} approximate bytes built)"
-                )));
-            }
-        }
-        self.charge_intermediate_bytes(bytes)
-    }
-
-    /// Charges `bytes` of approximate intermediate-row memory (slot rows,
-    /// materialized rows, hash builds).
-    pub(crate) fn charge_intermediate_bytes(&self, bytes: u64) -> Result<()> {
-        let total = self.intermediate_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        match self.max_intermediate_bytes {
-            Some(cap) if total > cap => Err(self.exceeded(format!(
-                "intermediate-memory cap {cap} exceeded ({total} approximate bytes materialized)"
-            ))),
-            _ => Ok(()),
-        }
-    }
-}
-
 /// Which invariant class an [`IntegrityViolation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntegrityKind {
@@ -748,70 +561,6 @@ mod tests {
         // Degenerate inputs stay total.
         let plan = FaultPlan::seeded(7, &[], 0);
         assert_eq!(plan.arms()[0].1, 0);
-    }
-
-    #[test]
-    fn budget_tracker_trips_row_cap() {
-        let budget = QueryBudget::unlimited().with_max_rows(10);
-        assert!(!budget.is_unlimited());
-        assert_eq!(budget.max_rows(), Some(10));
-        let tracker = budget.start();
-        assert!(tracker.checkpoint().is_ok());
-        assert!(tracker.charge_morsel(6).is_ok());
-        let err = tracker.charge_morsel(5).unwrap_err();
-        assert!(matches!(err, Error::BudgetExceeded { ref detail } if detail.contains("row cap")));
-    }
-
-    #[test]
-    fn budget_tracker_trips_build_byte_cap() {
-        let budget = QueryBudget::unlimited().with_max_build_bytes(1_000);
-        assert!(!budget.is_unlimited());
-        assert_eq!(budget.max_build_bytes(), Some(1_000));
-        let tracker = budget.start();
-        assert!(tracker.charge_build_bytes(900).is_ok());
-        let err = tracker.charge_build_bytes(200).unwrap_err();
-        assert!(
-            matches!(err, Error::BudgetExceeded { ref detail } if detail.contains("build-memory")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn budget_tracker_trips_intermediate_byte_cap() {
-        let budget = QueryBudget::unlimited().with_max_intermediate_bytes(1_000);
-        assert!(!budget.is_unlimited());
-        assert_eq!(budget.max_intermediate_bytes(), Some(1_000));
-        let tracker = budget.start();
-        assert!(tracker.charge_intermediate_bytes(600).is_ok());
-        // Build bytes count toward the intermediate cap as well.
-        let err = tracker.charge_build_bytes(500).unwrap_err();
-        assert!(
-            matches!(err, Error::BudgetExceeded { ref detail } if detail.contains("intermediate-memory")),
-            "{err}"
-        );
-        // The build cap alone does not charge the intermediate pool past
-        // its own limit check order: a pure intermediate charge can trip
-        // while the build cap stays untouched.
-        let tracker = QueryBudget::unlimited()
-            .with_max_intermediate_bytes(100)
-            .start();
-        assert!(tracker.charge_intermediate_bytes(101).is_err());
-    }
-
-    #[test]
-    fn budget_tracker_enforces_deadline() {
-        let tracker = QueryBudget::unlimited()
-            .with_max_wall(Duration::ZERO)
-            .start();
-        let err = tracker.checkpoint().unwrap_err();
-        assert!(
-            matches!(err, Error::BudgetExceeded { ref detail } if detail.contains("deadline")),
-            "{err}"
-        );
-        // Unlimited budgets never trip.
-        let free = QueryBudget::unlimited().start();
-        assert!(free.charge_morsel(u64::MAX / 2).is_ok());
-        assert!(free.checkpoint().is_ok());
     }
 
     #[test]

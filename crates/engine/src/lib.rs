@@ -4,9 +4,11 @@
 //! This crate stands in for the proprietary systems the paper targets
 //! (DB2, SYBASE 4.0, INGRES 6.3): each is modelled as a [`DbmsProfile`]
 //! describing which constraint classes it maintains and through which
-//! mechanism ([`capability`]); [`Database`] enforces a schema's
-//! dependencies and null constraints on DML through the corresponding tier,
-//! counting the work ([`database`]); [`query`] executes point lookups
+//! mechanism (one table, defined in `relmerge_core` beside the
+//! Proposition 5.1/5.2 checkers and re-exported here); [`Database`]
+//! enforces a schema's dependencies and null constraints on DML through
+//! the corresponding tier, counting the work ([`database`]); [`query`]
+//! executes point lookups
 //! and joins with cost counters, one query on one thread, quantifying
 //! the paper's §1 claim that merging reduces joins and improves access
 //! performance — every
@@ -16,9 +18,8 @@
 //! advisor consumes; and [`batch`]
 //! provides the unified [`Statement`] DML path with all-or-nothing batches
 //! and deferred, group-validated constraint checking. The [`fault`] module
-//! makes failure itself testable: deterministic fault injection, query
-//! budgets, and the deep integrity checker behind
-//! [`Database::verify_integrity`]. The [`predopt`] module is the boolean
+//! makes failure itself testable: deterministic fault injection and the
+//! deep integrity checker behind [`Database::verify_integrity`]. The [`predopt`] module is the boolean
 //! predicate optimizer whose canonical conjunct partition drives
 //! cross-operator pushdown in the executor. The [`wal`] module adds
 //! durability: a checksummed write-ahead log plus periodic snapshots
@@ -30,7 +31,6 @@
 
 pub mod batch;
 mod build;
-pub mod capability;
 pub mod database;
 pub mod fault;
 pub mod migrate;
@@ -41,11 +41,8 @@ pub mod session;
 pub mod wal;
 
 pub use batch::{BatchOutcome, Statement, StatementOutcome};
-pub use capability::{DbmsProfile, Mechanism};
 pub use database::{Database, DmlError, EngineConfig, MaintenanceStats, DEFAULT_BUILD_CACHE_BYTES};
-pub use fault::{
-    FaultMode, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation, QueryBudget,
-};
+pub use fault::{FaultMode, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation};
 pub use migrate::{AdvisedMigration, MigrationReport};
 pub use planner::{choose_join_strategy, fingerprint, plan, JoinStrategy, LogicalQuery};
 pub use predopt::{canonical_shape, conjoin, conjuncts, optimize, Optimized};
@@ -53,5 +50,6 @@ pub use query::{
     Access, CompiledPredicate, JoinStep, OpKind, OpStats, OpTrace, Predicate, QueryPlan,
     QueryStats, QueryTrace,
 };
+pub use relmerge_core::{DbmsProfile, Mechanism};
 pub use session::{Session, Snapshot, Store};
 pub use wal::{DurabilityConfig, FsyncPolicy, RecoveryReport, DEFAULT_SNAPSHOT_EVERY};

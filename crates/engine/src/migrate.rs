@@ -35,8 +35,8 @@
 //! pre-merge relation names linger in future profile snapshots.
 //!
 //! [`Database::advise_and_migrate`] composes this with the workload-aware
-//! advisor: profile evidence in, ranked proposals, hot merges executed
-//! online.
+//! advisor, gated by the database's own capability profile: profile
+//! evidence in, ranked proposals, hot merges executed online.
 
 use relmerge_core::{check_forward_image, Advisor, CapacityReport, MergeProposal, Merged};
 use relmerge_obs as obs;
@@ -202,8 +202,9 @@ impl Database {
     }
 
     /// The full observation → decision → migration loop: snapshots the
-    /// live workload profile, asks `advisor` for proposals ranked by the
-    /// access cost they would eliminate, selects the admissible,
+    /// live workload profile, asks an [`Advisor`] gated by this database's
+    /// [`profile`](Database::profile) for proposals ranked by the access
+    /// cost they would eliminate, selects the admissible,
     /// pairwise-disjoint ones with **observed** cost through
     /// [`Advisor::apply_proposals`] (static-only proposals are skipped —
     /// this entry point only merges what the workload demonstrably pays
@@ -215,7 +216,8 @@ impl Database {
     /// planning error surfaces before any migration runs; the selection
     /// fires `core.advisor.applied` and the `core.advisor.apply_greedy`
     /// span.
-    pub fn advise_and_migrate(&mut self, advisor: &Advisor) -> Result<Vec<AdvisedMigration>> {
+    pub fn advise_and_migrate(&mut self) -> Result<Vec<AdvisedMigration>> {
+        let advisor = Advisor::new(self.profile());
         let snapshot = self.profile_snapshot();
         let observed: Vec<MergeProposal> = advisor
             .propose_from_profile(&snapshot, self.schema())?
@@ -238,10 +240,10 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::DbmsProfile;
     use crate::fault::{FaultMode, FaultPlan};
     use crate::query::{JoinStep, QueryPlan};
-    use relmerge_core::{AdvisorConfig, Merge};
+    use crate::DbmsProfile;
+    use relmerge_core::Merge;
     use relmerge_relational::{
         Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Tuple,
         Value,
@@ -389,15 +391,14 @@ mod tests {
         for _ in 0..4 {
             db.execute(&join).unwrap();
         }
-        let advisor = Advisor::new(AdvisorConfig::permissive());
-        let applied = db.advise_and_migrate(&advisor).unwrap();
+        let applied = db.advise_and_migrate().unwrap();
         assert_eq!(applied.len(), 1);
         assert_eq!(applied[0].report.merged_name, "P_M");
         assert!(applied[0].proposal.observed_cost > 0);
         assert!(db.schema().scheme("P_M").is_some());
         // A cold database has no evidence — the advisor migrates nothing.
         let mut cold = loaded_db();
-        assert!(cold.advise_and_migrate(&advisor).unwrap().is_empty());
+        assert!(cold.advise_and_migrate().unwrap().is_empty());
         assert!(cold.schema().scheme("P").is_some());
     }
 }

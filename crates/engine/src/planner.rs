@@ -459,8 +459,8 @@ impl crate::database::Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::DbmsProfile;
     use crate::database::Database;
+    use crate::DbmsProfile;
     use relmerge_relational::{
         Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, Value,
     };

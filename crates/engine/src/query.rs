@@ -24,8 +24,8 @@
 //! step writes its intermediate rows into one flat buffer of borrowed
 //! slots, each surviving row is materialized exactly once, and each morsel
 //! folds its counters into its operators as it finishes. A morsel is the
-//! unit of [`QueryBudget`](crate::QueryBudget) checks and of the
-//! `engine.query.morsel_worker` fault site.
+//! unit of the `engine.query.morsel_worker` fault site, and it bounds the
+//! flat join buffers.
 //!
 //! [`Database::execute_traced`] additionally returns a [`QueryTrace`]: an
 //! EXPLAIN-ANALYZE-style operator breakdown (rows in/out, index probes,
@@ -43,11 +43,12 @@ use relmerge_relational::{Attribute, Error, Relation, Result, Tuple, Value};
 
 use crate::build::{build_owned, BuildKey, OwnedBuild};
 use crate::database::{Database, KeyIndex};
-use crate::fault::{contain, site, BudgetTracker};
+use crate::fault::{contain, site};
 use crate::planner::{choose_join_strategy, JoinStrategy};
 
-/// Root rows per morsel: a query's budget is polled as each morsel starts
-/// and charged as it completes.
+/// Root rows per morsel: the `engine.query.morsel_worker` fault site
+/// fires as each morsel starts, and a morsel's rows bound the flat join
+/// buffers.
 const MORSEL_ROWS: usize = 1024;
 
 /// A selection predicate over the attributes visible at its evaluation
@@ -214,9 +215,9 @@ pub struct QueryStats {
     /// and the materialized output rows. Identical whether a build ran
     /// cold or came from the cache.
     pub intermediate_bytes: u64,
-    /// The largest single-operator contribution to `intermediate_bytes` —
-    /// the high-water mark a memory budget should reason about. Maxed,
-    /// not summed, when stats are merged.
+    /// The largest single-operator contribution to `intermediate_bytes`:
+    /// the query's memory high-water mark. Maxed, not summed, when stats
+    /// are merged.
     pub peak_intermediate_bytes: u64,
 }
 
@@ -615,10 +616,7 @@ struct PipelineOut {
 
 /// Runs the compiled join → materialize → filter pipeline over one morsel
 /// of root rows, appending its surviving rows to `out` and folding its
-/// counters in. Returns the rows it materialized and the intermediate bytes
-/// it produced (slot rows emitted by its join steps plus its materialized
-/// rows) — what the budget charges at the morsel boundary. Infallible:
-/// every name was resolved at compile time.
+/// counters in. Infallible: every name was resolved at compile time.
 ///
 /// A step's intermediate rows live in one flat buffer: row `i` of a
 /// stream that has joined `stride` sources is
@@ -632,14 +630,13 @@ fn run_morsel<'a>(
     filter: Option<&CompiledPredicate>,
     widths: &[usize],
     out: &mut PipelineOut,
-) -> (u64, u64) {
+) {
     let mut cur: Vec<Option<&'a Tuple>> = morsel.iter().map(|&t| Some(t)).collect();
     let mut next: Vec<Option<&'a Tuple>> = Vec::new();
     let mut key_vals: Vec<Value> = Vec::new();
     let mut matches: Vec<&'a Tuple> = Vec::new();
     let mut saved_allocs: u64 = 0;
     let mut pruned: u64 = 0;
-    let mut bytes: u64 = 0;
     for (ji, join) in joins.iter().enumerate() {
         let t0 = Instant::now();
         let stride = ji + 1;
@@ -733,7 +730,6 @@ fn run_morsel<'a>(
         op.intermediate_bytes =
             op.rows_out * ((ji + 2) * std::mem::size_of::<Option<&Tuple>>()) as u64;
         op.wall_ns = obs::elapsed_ns(t0);
-        bytes += op.intermediate_bytes;
         out.per_join[ji].absorb(&op);
         std::mem::swap(&mut cur, &mut next);
     }
@@ -773,7 +769,6 @@ fn run_morsel<'a>(
     out.filter.absorb(&fop);
     out.saved_allocs += saved_allocs;
     out.pruned += pruned;
-    (rows_out, bytes + fop.intermediate_bytes)
 }
 
 /// The evolving layout of the flattened join output: the combined
@@ -807,7 +802,6 @@ fn compile_join<'a>(
     layout: &mut FlatLayout,
     left_empty: bool,
     pushed: Option<&Predicate>,
-    budget: &BudgetTracker,
 ) -> Result<CompiledJoin<'a>> {
     let left_locs: Vec<(usize, usize)> = step
         .left_attrs
@@ -898,8 +892,7 @@ fn compile_join<'a>(
                 }
             };
             // Hits charge the same scan count and bytes the cold build
-            // did, keeping stats and budgets independent of cache state.
-            budget.charge_build_bytes(owned.bytes())?;
+            // did, keeping stats independent of cache state.
             build.rows_scanned = owned.rows_scanned();
             build.intermediate_bytes = owned.bytes();
             RightAccess::HashOwned {
@@ -1106,8 +1099,8 @@ fn plan_pushdown(
 
 /// Thin classification wrapper over [`execute_core`]: a failed execution
 /// bumps the matching abort counter before the error propagates, so
-/// injected faults, contained panics, and budget trips are visible in the
-/// metrics snapshot.
+/// injected faults and contained panics are visible in the metrics
+/// snapshot.
 fn execute_impl(
     db: &Database,
     plan: &QueryPlan,
@@ -1118,7 +1111,6 @@ fn execute_impl(
         match e {
             Error::Injected { .. } => db.metrics.injected_aborts.inc(),
             Error::ExecutionPanic { .. } => db.metrics.panic_aborts.inc(),
-            Error::BudgetExceeded { .. } => db.metrics.budget_aborts.inc(),
             _ => {}
         }
     }
@@ -1135,7 +1127,6 @@ fn execute_core(
     span.add_field("root", &plan.root);
     span.add_field("joins", plan.joins.len());
     let mut stats = QueryStats::default();
-    let budget = db.query_budget().start();
 
     let root_header = db.header(&plan.root)?;
 
@@ -1229,7 +1220,6 @@ fn execute_core(
             ..OpStats::default()
         });
     }
-    budget.charge_rows(root_rows.len() as u64)?;
 
     // Compile the join pipeline. Emptiness of each step's left side (see
     // `CompiledJoin::output_empty`) and every hash build are settled here,
@@ -1243,7 +1233,7 @@ fn execute_core(
     let mut joins: Vec<CompiledJoin<'_>> = Vec::with_capacity(plan.joins.len());
     for (step, pushed) in plan.joins.iter().zip(&pd.per_join) {
         stats.joins += 1;
-        let compiled = compile_join(db, step, &mut layout, left_empty, pushed.as_ref(), &budget)?;
+        let compiled = compile_join(db, step, &mut layout, left_empty, pushed.as_ref())?;
         left_empty = compiled.output_empty;
         joins.push(compiled);
     }
@@ -1254,11 +1244,9 @@ fn execute_core(
         .map(|p| CompiledPredicate::compile(p, &layout.header))
         .transpose()?;
 
-    // Run the pipeline a morsel at a time. Each morsel boundary is a
-    // cancellation point: the budget is polled as a morsel starts and
-    // charged as it completes, and a panic (injected or genuine) is
-    // contained — it fails only this query, as a typed error, leaving the
-    // database untouched (the executor never mutates; it holds only
+    // Run the pipeline a morsel at a time. A panic (injected or genuine)
+    // is contained — it fails only this query, as a typed error, leaving
+    // the database untouched (the executor never mutates; it holds only
     // borrowed rows).
     let morsels = root_rows.chunks(MORSEL_ROWS);
     stats.morsels = morsels.len() as u64;
@@ -1272,12 +1260,8 @@ fn execute_core(
     };
     contain(|| {
         for morsel in morsels {
-            budget.checkpoint()?;
             db.fault_check(site::MORSEL_WORKER)?;
-            let (rows, bytes) =
-                run_morsel(morsel, &joins, filter.as_ref(), &layout.widths, &mut out);
-            budget.charge_morsel(rows)?;
-            budget.charge_intermediate_bytes(bytes)?;
+            run_morsel(morsel, &joins, filter.as_ref(), &layout.widths, &mut out);
         }
         Ok::<_, Error>(())
     })?;
@@ -1379,36 +1363,11 @@ fn execute_core(
     });
     span.add_field("rows_out", stats.rows_output);
 
-    // Fold this execution into the shared workload profiler: the shape,
-    // the per-query cost, and per-edge attribution from the aggregated
-    // join operators — so per-fingerprint totals sum exactly to the
-    // `QueryStats` each execution reported.
-    let edges: Vec<obs::JoinEdge> = plan
-        .joins
-        .iter()
-        .zip(&joins)
-        .map(|(step, cj)| obs::JoinEdge {
-            // The probe side's relation: the source the first left
-            // attribute resolves to (source 0 is the root; source k is
-            // join step k-1's relation).
-            left: match cj.left_locs.first().map(|&(src, _)| src) {
-                Some(0) | None => plan.root.clone(),
-                Some(s) => plan.joins[s - 1].rel.clone(),
-            },
-            right: step.rel.clone(),
-            probe_attrs: step.right_attrs.clone(),
-        })
-        .collect();
-    let access_word = match &plan.access {
-        Access::FullScan => "scan",
-        Access::Lookup { .. } => "lookup",
-    };
-    let shape = obs::QueryShape {
-        fingerprint: crate::planner::fingerprint(plan),
-        label: format!("{access_word} {} + {} joins", plan.root, plan.joins.len()),
-        root: plan.root.clone(),
-        edges,
-    };
+    // Fold this execution into the shared workload profiler: the per-query
+    // cost and per-edge attribution from the aggregated join operators, so
+    // per-fingerprint totals sum exactly to the `QueryStats` each
+    // execution reported. The shape's strings are built only for a
+    // fingerprint's first execution.
     let cost = obs::QueryCost {
         rows_scanned: stats.rows_scanned,
         index_probes: stats.index_probes,
@@ -1432,14 +1391,44 @@ fn execute_core(
             intermediate_bytes: op.intermediate_bytes,
         })
         .collect();
-    db.profiler().record(&shape, &cost, &edge_costs);
+    let fingerprint = crate::planner::fingerprint(plan);
+    let shape = || obs::QueryShape {
+        fingerprint,
+        label: format!(
+            "{} {} + {} joins",
+            match &plan.access {
+                Access::FullScan => "scan",
+                Access::Lookup { .. } => "lookup",
+            },
+            plan.root,
+            plan.joins.len()
+        ),
+        root: plan.root.clone(),
+        edges: plan
+            .joins
+            .iter()
+            .zip(&joins)
+            .map(|(step, cj)| obs::JoinEdge {
+                // The probe side's relation: the source the first left
+                // attribute resolves to (source 0 is the root; source k is
+                // join step k-1's relation).
+                left: match cj.left_locs.first().map(|&(src, _)| src) {
+                    Some(0) | None => plan.root.clone(),
+                    Some(s) => plan.joins[s - 1].rel.clone(),
+                },
+                right: step.rel.clone(),
+                probe_attrs: step.right_attrs.clone(),
+            })
+            .collect(),
+    };
+    db.profiler().record(fingerprint, shape, &cost, &edge_costs);
     Ok((result, stats, trace))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::DbmsProfile;
+    use crate::DbmsProfile;
     use relmerge_relational::{
         Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Value,
     };
@@ -1722,7 +1711,7 @@ mod tests {
         // fingerprint.
         let fork = db.fork();
         fork.execute(&QueryPlan::scan("OFFER")).unwrap();
-        assert_eq!(db.profiler().len(), 2);
+        assert_eq!(db.profile_snapshot().queries.len(), 2);
         // The hot-join report attributes this workload's probe cost to
         // the COURSE->OFFER edge.
         let ranking = obs::report(&db.profile_snapshot());
@@ -1730,29 +1719,6 @@ mod tests {
         assert_eq!(ranking[0].edge.label(), "COURSE->OFFER[O.K]");
         assert_eq!(ranking[0].executions, 2);
         assert!(ranking[0].cumulative_cost > 0);
-    }
-
-    #[test]
-    fn intermediate_byte_budget_trips() {
-        let mut db = db();
-        db.configure(
-            db.config().query_budget(
-                crate::fault::QueryBudget::unlimited().with_max_intermediate_bytes(1),
-            ),
-        );
-        let plan = QueryPlan::scan("COURSE").join(JoinStep::outer("OFFER", &["C.K"], &["O.K"]));
-        let err = db.execute(&plan).unwrap_err();
-        assert!(
-            matches!(err, Error::BudgetExceeded { .. }),
-            "unexpected error: {err}"
-        );
-        assert!(err.to_string().contains("intermediate-memory cap"), "{err}");
-        // Unlimited budget executes fine.
-        db.configure(
-            db.config()
-                .query_budget(crate::fault::QueryBudget::unlimited()),
-        );
-        db.execute(&plan).unwrap();
     }
 
     #[test]
@@ -2028,32 +1994,6 @@ mod tests {
         assert_eq!(counters(&db), (1, 3));
         assert_eq!(db.build_cache_len(), 0);
         assert_eq!(off, after);
-    }
-
-    #[test]
-    fn build_byte_budget_trips_with_typed_error() {
-        use crate::fault::QueryBudget;
-        let mut db = lr_db(12);
-        let plan = lr_plan();
-        db.configure(
-            db.config()
-                .query_budget(QueryBudget::unlimited().with_max_build_bytes(1)),
-        );
-        let err = db.execute(&plan).unwrap_err();
-        assert!(matches!(err, Error::BudgetExceeded { .. }), "{err}");
-        assert_eq!(
-            db.metrics_registry().snapshot().counters["engine.query.aborts.budget"],
-            1
-        );
-        // A roomy cap passes, and the cached build charges the same bytes
-        // on the warm run.
-        db.configure(
-            db.config()
-                .query_budget(QueryBudget::unlimited().with_max_build_bytes(1 << 20)),
-        );
-        let (cold, _) = db.execute(&plan).unwrap();
-        let (warm, _) = db.execute(&plan).unwrap();
-        assert_eq!(warm, cold);
     }
 
     #[test]

@@ -385,8 +385,8 @@ impl std::ops::Deref for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::DbmsProfile;
     use crate::fault::FaultMode;
+    use crate::DbmsProfile;
     use relmerge_relational::{
         Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Tuple,
         Value,

@@ -59,9 +59,9 @@ use relmerge_relational::{
 };
 
 use crate::batch::Statement;
-use crate::capability::{DbmsProfile, Mechanism};
 use crate::database::{Database, EngineConfig};
 use crate::fault::{contain, site, FaultPlan};
+use crate::{DbmsProfile, Mechanism};
 
 /// Magic prefix of every WAL file.
 const WAL_MAGIC: &[u8; 8] = b"RMWAL001";
@@ -661,16 +661,13 @@ impl<'a> Dec<'a> {
     fn profile(&mut self) -> Result<DbmsProfile> {
         let name = self.str()?;
         // Profile names are `&'static str`; map the persisted name back to
-        // the builtin it came from, falling back to a generic label for
+        // the built-in it came from, falling back to a generic label for
         // hand-rolled profiles (their capabilities are what matter, and
         // those round-trip field by field below).
-        let static_name: &'static str = match name.as_str() {
-            "DB2" => "DB2",
-            "SYBASE 4.0" => "SYBASE 4.0",
-            "INGRES 6.3" => "INGRES 6.3",
-            "ideal" => "ideal",
-            _ => "custom",
-        };
+        let static_name = DbmsProfile::BUILT_IN
+            .iter()
+            .find(|p| p.name == name)
+            .map_or("custom", |p| p.name);
         Ok(DbmsProfile {
             name: static_name,
             referential_integrity: self.mechanism()?,
@@ -1452,17 +1449,23 @@ mod tests {
         let back = d.schema().unwrap();
         d.done().unwrap();
         assert_eq!(back, rs);
-        for profile in [
-            DbmsProfile::db2(),
-            DbmsProfile::sybase40(),
-            DbmsProfile::ingres63(),
-            DbmsProfile::ideal(),
-        ] {
+        for profile in DbmsProfile::BUILT_IN {
             let mut e = Enc::new();
             e.profile(&profile);
             let mut d = Dec::new(&e.buf);
             assert_eq!(d.profile().unwrap(), profile);
         }
+        // A hand-rolled profile keeps its capabilities under a generic name.
+        let mut e = Enc::new();
+        e.profile(&DbmsProfile {
+            name: "mine",
+            ..DbmsProfile::db2()
+        });
+        let custom = DbmsProfile {
+            name: "custom",
+            ..DbmsProfile::db2()
+        };
+        assert_eq!(Dec::new(&e.buf).profile().unwrap(), custom);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! [`span`] opens a nestable timed span; fields attach as `key=value`; the
 //! guard records on drop. Tracing is globally off by default and the
 //! disabled path allocates nothing. Closed spans go to a bounded event log
-//! ([`take_events`]) and a pluggable [`Sink`]; [`render_tree`] pretty-prints
-//! a collected trace and [`chrome_trace`] exports it for `chrome://tracing`.
+//! ([`take_events`]); [`render_tree`] pretty-prints a collected trace and
+//! [`chrome_trace`] exports it for `chrome://tracing`.
 //!
 //! # Workload profiling
 //!
@@ -54,6 +54,6 @@ pub use profile::{
     QueryShape,
 };
 pub use trace::{
-    clear_events, dropped_spans, enabled, render_tree, set_enabled, set_sink, span, take_events,
-    timer, NullSink, Sink, Span, SpanEvent, Timer, EVENT_LOG_CAPACITY, OVERFLOW_SAMPLE_EVERY,
+    clear_events, dropped_spans, enabled, render_tree, set_enabled, span, take_events, timer, Span,
+    SpanEvent, Timer, EVENT_LOG_CAPACITY, OVERFLOW_SAMPLE_EVERY,
 };

@@ -396,15 +396,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
 }
 
 struct GlobalState {

@@ -5,8 +5,8 @@
 //! [`QueryCost`] (and per-edge [`EdgeCost`] attribution) to a [`Profiler`].
 //! The profiler folds every execution of the same fingerprint into one
 //! [`FingerprintProfile`]: per-operator totals, peak intermediate bytes,
-//! and a log2 wall-time histogram, all with the same snapshot/diff/merge
-//! semantics as the metric [`Registry`](crate::Registry).
+//! and a log2 wall-time histogram, with the same snapshot/merge semantics
+//! as the metric [`Registry`](crate::Registry).
 //!
 //! [`report`] then flattens a [`ProfileSnapshot`] into the hot-join
 //! ranking the merge advisor consumes: one record per distinct
@@ -203,26 +203,25 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Whether any fingerprint has been seen. Cheap pre-check for
-    /// callers that build `shape` lazily.
-    pub fn is_empty(&self) -> bool {
-        self.profiles.lock().unwrap().is_empty()
-    }
-
-    /// Distinct fingerprints seen.
-    pub fn len(&self) -> usize {
-        self.profiles.lock().unwrap().len()
-    }
-
-    /// Folds one execution into `shape`'s profile. `edges` attributes
-    /// cost per join edge and must be parallel to `shape.edges`.
-    pub fn record(&self, shape: &QueryShape, cost: &QueryCost, edges: &[EdgeCost]) {
-        debug_assert_eq!(shape.edges.len(), edges.len(), "edge attribution shape");
+    /// Folds one execution into the profile of `fingerprint`. `shape`
+    /// runs only for the fingerprint's first execution, and must return
+    /// a shape with that fingerprint. `edges` attributes cost per join
+    /// edge and must be parallel to the shape's edges.
+    pub fn record(
+        &self,
+        fingerprint: u64,
+        shape: impl FnOnce() -> QueryShape,
+        cost: &QueryCost,
+        edges: &[EdgeCost],
+    ) {
         let mut profiles = self.profiles.lock().unwrap();
-        profiles
-            .entry(shape.fingerprint)
-            .or_insert_with(|| FingerprintProfile::new(shape.clone()))
-            .fold_execution(cost, edges);
+        let profile = profiles.entry(fingerprint).or_insert_with(|| {
+            let shape = shape();
+            debug_assert_eq!(shape.fingerprint, fingerprint, "shape fingerprint");
+            FingerprintProfile::new(shape)
+        });
+        debug_assert_eq!(profile.edge_costs.len(), edges.len(), "edge attribution");
+        profile.fold_execution(cost, edges);
     }
 
     /// A point-in-time copy of every fingerprint's profile, ordered by
@@ -264,65 +263,10 @@ impl ProfileSnapshot {
         }
     }
 
-    /// The activity recorded since `baseline` (saturating; fingerprints
-    /// absent from the baseline pass through whole).
-    #[must_use]
-    pub fn diff(&self, baseline: &ProfileSnapshot) -> ProfileSnapshot {
-        let mut queries = BTreeMap::new();
-        for (fp, profile) in &self.queries {
-            let Some(base) = baseline.queries.get(fp) else {
-                queries.insert(*fp, profile.clone());
-                continue;
-            };
-            let executions = profile.executions.saturating_sub(base.executions);
-            if executions == 0 {
-                continue;
-            }
-            let mut diffed = profile.clone();
-            diffed.executions = executions;
-            diffed.totals = diff_cost(&profile.totals, &base.totals);
-            diffed.latency = profile.latency.diff(&base.latency);
-            diffed.edge_costs = profile
-                .edge_costs
-                .iter()
-                .zip(&base.edge_costs)
-                .map(|(a, b)| EdgeCost {
-                    index_probes: a.index_probes.saturating_sub(b.index_probes),
-                    rows_scanned: a.rows_scanned.saturating_sub(b.rows_scanned),
-                    hash_builds: a.hash_builds.saturating_sub(b.hash_builds),
-                    rows_out: a.rows_out.saturating_sub(b.rows_out),
-                    intermediate_bytes: a.intermediate_bytes.saturating_sub(b.intermediate_bytes),
-                })
-                .collect();
-            queries.insert(*fp, diffed);
-        }
-        ProfileSnapshot { queries }
-    }
-
     /// Total executions across every fingerprint.
     #[must_use]
     pub fn executions(&self) -> u64 {
         self.queries.values().map(|p| p.executions).sum()
-    }
-}
-
-fn diff_cost(a: &QueryCost, b: &QueryCost) -> QueryCost {
-    QueryCost {
-        rows_scanned: a.rows_scanned.saturating_sub(b.rows_scanned),
-        index_probes: a.index_probes.saturating_sub(b.index_probes),
-        hash_builds: a.hash_builds.saturating_sub(b.hash_builds),
-        rows_out: a.rows_out.saturating_sub(b.rows_out),
-        morsels: a.morsels.saturating_sub(b.morsels),
-        intermediate_bytes: a.intermediate_bytes.saturating_sub(b.intermediate_bytes),
-        // A high-water mark has no meaningful difference; keep the
-        // current peak.
-        peak_intermediate_bytes: a.peak_intermediate_bytes,
-        build_cache_hits: a.build_cache_hits.saturating_sub(b.build_cache_hits),
-        build_cache_misses: a.build_cache_misses.saturating_sub(b.build_cache_misses),
-        build_cache_evicted_bytes: a
-            .build_cache_evicted_bytes
-            .saturating_sub(b.build_cache_evicted_bytes),
-        wall_ns: a.wall_ns.saturating_sub(b.wall_ns),
     }
 }
 
@@ -678,11 +622,15 @@ mod tests {
     #[test]
     fn profiler_folds_totals_and_peaks() {
         let p = Profiler::new();
-        assert!(p.is_empty());
-        p.record(&shape(7), &cost(4, 100, 1_000, 500), &edges(4, 100));
-        p.record(&shape(7), &cost(6, 50, 400, 1_500), &edges(6, 50));
-        assert_eq!(p.len(), 1);
+        p.record(7, || shape(7), &cost(4, 100, 1_000, 500), &edges(4, 100));
+        p.record(
+            7,
+            || unreachable!("built once"),
+            &cost(6, 50, 400, 1_500),
+            &edges(6, 50),
+        );
         let snap = p.snapshot();
+        assert_eq!(snap.queries.len(), 1);
         let prof = &snap.queries[&7];
         assert_eq!(prof.executions, 2);
         assert_eq!(prof.totals.index_probes, 10);
@@ -698,33 +646,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_and_diff_round_trip() {
-        let p = Profiler::new();
-        p.record(&shape(1), &cost(4, 0, 100, 10), &edges(4, 0));
-        let base = p.snapshot();
-        p.record(&shape(1), &cost(2, 8, 50, 20), &edges(2, 8));
-        p.record(&shape(9), &cost(1, 1, 1, 1), &edges(1, 1));
-        let now = p.snapshot();
-
-        let delta = now.diff(&base);
-        assert_eq!(delta.queries[&1].executions, 1);
-        assert_eq!(delta.queries[&1].totals.index_probes, 2);
-        assert_eq!(delta.queries[&9].executions, 1);
-
-        let mut merged = base.clone();
-        merged.merge(&delta);
-        assert_eq!(merged.executions(), now.executions());
-        assert_eq!(
-            merged.queries[&1].totals.index_probes,
-            now.queries[&1].totals.index_probes
-        );
-        assert_eq!(
-            merged.queries[&1].latency.count,
-            now.queries[&1].latency.count
-        );
-        // Unchanged fingerprints fall out of the diff entirely.
-        let empty = now.diff(&now);
-        assert!(empty.queries.is_empty());
+    fn snapshot_merge_folds_matching_fingerprints() {
+        // Two profilers that split a workload merge into the profile of
+        // one profiler that saw all of it.
+        let (a, b, whole) = (Profiler::new(), Profiler::new(), Profiler::new());
+        for (p, runs) in [(&a, &[(1, 4, 0)][..]), (&b, &[(1, 2, 8), (9, 1, 1)][..])] {
+            for &(fp, probes, scanned) in runs {
+                let c = cost(probes, scanned, 50, 10);
+                p.record(fp, || shape(fp), &c, &edges(probes, scanned));
+                whole.record(fp, || shape(fp), &c, &edges(probes, scanned));
+            }
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, whole.snapshot());
+        assert_eq!(merged.queries[&1].executions, 2);
+        assert_eq!(merged.queries[&1].totals.index_probes, 6);
+        assert_eq!(merged.queries[&1].latency.count, 2);
+        assert_eq!(merged.executions(), 3);
     }
 
     #[test]
@@ -732,8 +671,8 @@ mod tests {
         let p = Profiler::new();
         // Two shapes sharing the COURSE->OFFER edge; TEACH edge is
         // scan-heavy and must rank first.
-        p.record(&shape(1), &cost(4, 100, 100, 10), &edges(4, 100));
-        p.record(&shape(2), &cost(4, 100, 100, 10), &edges(4, 100));
+        p.record(1, || shape(1), &cost(4, 100, 100, 10), &edges(4, 100));
+        p.record(2, || shape(2), &cost(4, 100, 100, 10), &edges(4, 100));
         let ranking = report(&p.snapshot());
         assert_eq!(ranking.len(), 2);
         assert_eq!(ranking[0].edge.right, "TEACH");
@@ -750,7 +689,7 @@ mod tests {
     #[test]
     fn exports_are_stable_and_carry_the_contract_fields() {
         let p = Profiler::new();
-        p.record(&shape(3), &cost(4, 100, 1_000, 10), &edges(4, 100));
+        p.record(3, || shape(3), &cost(4, 100, 1_000, 10), &edges(4, 100));
         let snap = p.snapshot();
         let ranking = report(&snap);
 
@@ -775,7 +714,7 @@ mod tests {
 
         // Determinism: identical workloads render identically.
         let q = Profiler::new();
-        q.record(&shape(3), &cost(4, 100, 1_000, 10), &edges(4, 100));
+        q.record(3, || shape(3), &cost(4, 100, 1_000, 10), &edges(4, 100));
         assert_eq!(report_to_json(&report(&q.snapshot())), json);
     }
 }

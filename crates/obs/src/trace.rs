@@ -3,8 +3,8 @@
 //! Tracing is off by default. When off, [`span`] returns an inert guard —
 //! no clock read, no allocation, one relaxed atomic load — so instrumented
 //! hot paths cost effectively nothing. When on, each span records its wall
-//! time on drop and emits a [`SpanEvent`] to a bounded in-memory event log
-//! and to the installed [`Sink`].
+//! time on drop and emits a [`SpanEvent`] to a bounded in-memory event
+//! log.
 //!
 //! Spans close child-before-parent, so the event log is in *close* order.
 //! [`render_tree`] re-derives the call tree from each event's `(open_seq,
@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::fmt::Display;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One closed span.
@@ -37,19 +37,6 @@ pub struct SpanEvent {
     pub duration_ns: u64,
 }
 
-/// A consumer of closed spans.
-pub trait Sink: Send + Sync {
-    /// Called once per span, at close.
-    fn record(&self, event: &SpanEvent);
-}
-
-/// Discards every event.
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _event: &SpanEvent) {}
-}
-
 /// Maximum events retained in the in-memory log. Once the log is full,
 /// overflowing spans are *tail-sampled* (see [`OVERFLOW_SAMPLE_EVERY`])
 /// instead of silently evicting the oldest event on every close.
@@ -64,7 +51,6 @@ pub const EVENT_LOG_CAPACITY: usize = 8192;
 pub const OVERFLOW_SAMPLE_EVERY: u64 = 64;
 
 struct TracerState {
-    sink: Mutex<Arc<dyn Sink>>,
     events: Mutex<VecDeque<SpanEvent>>,
     open_seq: AtomicU64,
     /// Overflow arrivals since the log last drained (drives sampling).
@@ -78,7 +64,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 fn state() -> &'static TracerState {
     static STATE: OnceLock<TracerState> = OnceLock::new();
     STATE.get_or_init(|| TracerState {
-        sink: Mutex::new(Arc::new(NullSink)),
         events: Mutex::new(VecDeque::new()),
         open_seq: AtomicU64::new(0),
         overflow_seen: AtomicU64::new(0),
@@ -106,11 +91,6 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Installs the sink closed spans are forwarded to.
-pub fn set_sink(sink: Arc<dyn Sink>) {
-    *state().sink.lock().unwrap() = sink;
 }
 
 /// Drains and returns the buffered event log, resetting the overflow
@@ -213,8 +193,6 @@ impl Drop for Span {
             start_ns: active.start_ns,
             duration_ns,
         };
-        let sink = Arc::clone(&state().sink.lock().unwrap());
-        sink.record(&event);
         let st = state();
         let mut events = st.events.lock().unwrap();
         if events.len() == EVENT_LOG_CAPACITY {

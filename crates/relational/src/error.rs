@@ -80,16 +80,6 @@ pub enum Error {
         /// The injection site that fired (see `engine::fault::site`).
         site: String,
     },
-    /// A query exceeded its `QueryBudget` (row cap or wall-time
-    /// deadline) and was cancelled cooperatively at a morsel boundary.
-    ///
-    /// `QueryBudget` lives in the engine crate; the variant lives here so
-    /// budget aborts fold into the workspace-wide `Result`.
-    BudgetExceeded {
-        /// Which limit tripped and the partial progress made
-        /// (rows produced / morsels completed) at cancellation.
-        detail: String,
-    },
     /// A panic was caught (`catch_unwind`) inside the executor or the
     /// batch machinery and converted into a typed error after the undo
     /// log was fully unwound. The process survives; only the offending
@@ -105,7 +95,7 @@ pub enum Error {
     ///
     /// The durability layer lives in the engine crate; the variant lives
     /// here so storage failures fold into the workspace-wide `Result`
-    /// (the same arrangement as `Injected` and `BudgetExceeded`).
+    /// (the same arrangement as `Injected`).
     Durability {
         /// What failed, including the file or record involved.
         detail: String,
@@ -144,7 +134,6 @@ impl fmt::Display for Error {
             Error::StateMismatch { detail } => write!(f, "database state mismatch: {detail}"),
             Error::ConstraintViolation(detail) => write!(f, "constraint violation: {detail}"),
             Error::Injected { site } => write!(f, "injected fault at site `{site}`"),
-            Error::BudgetExceeded { detail } => write!(f, "query budget exceeded: {detail}"),
             Error::ExecutionPanic { context } => write!(f, "execution panicked: {context}"),
             Error::Durability { detail } => write!(f, "durability failure: {detail}"),
         }

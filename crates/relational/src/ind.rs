@@ -1,9 +1,9 @@
 //! Inclusion dependencies and the `Refkey` recursion of Proposition 3.1.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::error::{Error, Result};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::relation::Relation;
 use crate::scheme::RelationScheme;
 
@@ -45,8 +45,7 @@ impl InclusionDep {
     #[must_use]
     pub fn is_key_based(&self, rhs: &RelationScheme) -> bool {
         debug_assert_eq!(rhs.name(), self.rhs_rel);
-        let z: Vec<&str> = self.rhs_attrs.iter().map(String::as_str).collect();
-        rhs.is_primary_key(&z)
+        rhs.is_primary_key(&self.rhs_attrs)
     }
 
     /// Whether the dependency is satisfied by concrete relations:
@@ -122,35 +121,50 @@ pub fn refkey<'a>(
             inds.iter().any(|ind| {
                 ind.lhs_rel == ri.name()
                     && ind.rhs_rel == r0.name()
-                    && is_key_list(ri, &ind.lhs_attrs)
-                    && is_key_list(r0, &ind.rhs_attrs)
+                    && ri.is_primary_key(&ind.lhs_attrs)
+                    && r0.is_primary_key(&ind.rhs_attrs)
             })
         })
         .collect()
-}
-
-fn is_key_list(scheme: &RelationScheme, attrs: &[String]) -> bool {
-    let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
-    scheme.is_primary_key(&names)
 }
 
 /// `Refkey*(R₀, R̄)`: the transitive closure of [`refkey`] — every scheme of
 /// `R̄` reachable from `R₀` through chains of key-to-key inclusion
 /// dependencies. Proposition 3.1: `R₀` is a key-relation of `R̄` iff
 /// `R̄ = {R₀} ∪ Refkey*(R₀, R̄)`.
+///
+/// The key-to-key edges into each scheme are built once per call, in
+/// candidate order, so the closure costs time linear in `|R̄| + |I|`
+/// rather than one [`refkey`] scan of every candidate against every
+/// dependency per scheme reached. It returns the schemes that repeated
+/// [`refkey`] calls reach, in the same order.
 #[must_use]
 pub fn refkey_star<'a>(
     r0: &RelationScheme,
     candidates: &[&'a RelationScheme],
     inds: &[InclusionDep],
 ) -> Vec<&'a RelationScheme> {
-    let mut reached: BTreeSet<String> = BTreeSet::new();
+    let mut by_lhs: FxHashMap<&str, Vec<&InclusionDep>> = FxHashMap::default();
+    for ind in inds {
+        by_lhs.entry(&ind.lhs_rel).or_default().push(ind);
+    }
+    // Per target scheme: the candidates whose primary key some dependency
+    // includes in it, with that dependency, in candidate order. Whether
+    // the right side is the target's primary key is checked on arrival.
+    let mut into: FxHashMap<&str, Vec<(&'a RelationScheme, &InclusionDep)>> = FxHashMap::default();
+    for &ri in candidates {
+        for &ind in by_lhs.get(ri.name()).into_iter().flatten() {
+            if ri.is_primary_key(&ind.lhs_attrs) {
+                into.entry(&ind.rhs_rel).or_default().push((ri, ind));
+            }
+        }
+    }
+    let mut reached: FxHashSet<&str> = FxHashSet::from_iter([r0.name()]);
     let mut frontier: Vec<&RelationScheme> = vec![r0];
     let mut out: Vec<&'a RelationScheme> = Vec::new();
-    reached.insert(r0.name().to_owned());
     while let Some(current) = frontier.pop() {
-        for ri in refkey(current, candidates, inds) {
-            if reached.insert(ri.name().to_owned()) {
+        for &(ri, ind) in into.get(current.name()).into_iter().flatten() {
+            if current.is_primary_key(&ind.rhs_attrs) && reached.insert(ri.name()) {
                 out.push(ri);
                 frontier.push(ri);
             }
@@ -276,6 +290,68 @@ mod tests {
         let sub: Vec<&RelationScheme> = schemes[1..].iter().collect();
         let star2 = refkey_star(&schemes[1], &sub, &inds);
         assert_eq!(star2.len() + 1, sub.len());
+    }
+
+    /// The closure repeated [`refkey`] calls reach, in their order: the
+    /// reference [`refkey_star`] is checked against.
+    fn refkey_star_by_refkey<'a>(
+        r0: &RelationScheme,
+        candidates: &[&'a RelationScheme],
+        inds: &[InclusionDep],
+    ) -> Vec<&'a str> {
+        let mut reached = std::collections::BTreeSet::from([r0.name()]);
+        let mut frontier = vec![r0];
+        let mut out = Vec::new();
+        while let Some(current) = frontier.pop() {
+            for ri in refkey(current, candidates, inds) {
+                if reached.insert(ri.name()) {
+                    out.push(ri.name());
+                    frontier.push(ri);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn refkey_star_matches_repeated_refkey() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..10);
+            let attr = |i: usize, key: bool| format!("R{i}.{}", if key { "K" } else { "V" });
+            let schemes: Vec<RelationScheme> = (0..n)
+                .map(|i| {
+                    scheme(
+                        &format!("R{i}"),
+                        &[&attr(i, true), &attr(i, false)],
+                        &[&attr(i, true)],
+                    )
+                })
+                .collect();
+            // Mostly key-to-key dependencies, cycles and self-references
+            // included, over a random subset of candidates.
+            let inds: Vec<InclusionDep> = (0..rng.gen_range(0..2 * n))
+                .map(|_| {
+                    let (l, r) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    let (lk, rk) = (rng.gen_bool(0.8), rng.gen_bool(0.8));
+                    InclusionDep::new(
+                        format!("R{l}"),
+                        &[&attr(l, lk)],
+                        format!("R{r}"),
+                        &[&attr(r, rk)],
+                    )
+                })
+                .collect();
+            let refs: Vec<&RelationScheme> = schemes.iter().filter(|_| rng.gen_bool(0.8)).collect();
+            for r0 in &schemes {
+                let star: Vec<&str> = refkey_star(r0, &refs, &inds)
+                    .iter()
+                    .map(|s| s.name())
+                    .collect();
+                assert_eq!(star, refkey_star_by_refkey(r0, &refs, &inds), "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -135,9 +135,9 @@ impl RelationScheme {
 
     /// Whether `names` is exactly the primary key (order-insensitive).
     #[must_use]
-    pub fn is_primary_key(&self, names: &[&str]) -> bool {
+    pub fn is_primary_key<S: AsRef<str>>(&self, names: &[S]) -> bool {
         let pk = &self.candidate_keys[0];
-        names.len() == pk.len() && names.iter().all(|n| pk.iter().any(|k| k == n))
+        names.len() == pk.len() && names.iter().all(|n| pk.iter().any(|k| k == n.as_ref()))
     }
 
     /// The non-key attributes `Xi − Ki` (declaration order).

@@ -1,16 +1,16 @@
 //! The merge advisor: given a schema and a target DBMS, find and apply
 //! every merge the system can maintain — the paper's SDT option (ii)
-//! automated, with Propositions 5.1/5.2 as admissibility gates.
+//! automated, with Propositions 5.1/5.2 as admissibility gates that the
+//! target's capability profile sets.
 //!
 //! Run with `cargo run --example merge_advisor`.
 
-use relmerge::core::{Advisor, AdvisorConfig};
-use relmerge::ddl::{advisor_config_for, Dialect};
+use relmerge::core::{Advisor, DbmsProfile};
 use relmerge::eer::{figures, translate};
 use relmerge::workload::{star_schema, StarSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Scenario 1: the university schema under three regimes.
+    // Scenario 1: the university schema on every built-in profile.
     let schema = translate(&figures::fig7_eer())?;
     println!(
         "University schema: {} relation-schemes, {} inclusion dependencies\n",
@@ -18,22 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         schema.inds().len()
     );
 
-    for (label, config) in [
-        (
-            "permissive (triggers available)",
-            AdvisorConfig::permissive(),
-        ),
-        (
-            "declarative-only (plain DB2)",
-            AdvisorConfig::declarative_only(),
-        ),
-        (
-            "SQL-92 (CHECKs, no triggers)",
-            advisor_config_for(Dialect::Sql92),
-        ),
-    ] {
-        println!("== {label} ==");
-        let proposals = Advisor::new(config).propose_static(&schema)?;
+    for profile in DbmsProfile::BUILT_IN {
+        println!("== {} ==", profile.name);
+        let advisor = Advisor::new(&profile);
+        let proposals = advisor.propose_static(&schema)?;
         for p in &proposals {
             println!(
                 "  candidate {:?}: eliminates {} join(s); key-based INDs: {}; \
@@ -46,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 p.admissible
             );
         }
-        let (final_schema, applied) = Advisor::new(config).greedy(&schema)?;
+        let (final_schema, applied) = advisor.greedy(&schema)?;
         println!(
             "  applied {} merge(s): {} -> {} relation-schemes\n",
             applied.len(),
@@ -63,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let star = star_schema(&spec);
     println!("Synthetic star: {} schemes -> ", star.schemes().len());
-    let (collapsed, applied) = Advisor::new(AdvisorConfig::declarative_only()).greedy(&star)?;
+    let (collapsed, applied) = Advisor::new(&DbmsProfile::db2()).greedy(&star)?;
     println!(
         "{} schemes after {} merge(s); final schema:\n{collapsed}",
         collapsed.schemes().len(),

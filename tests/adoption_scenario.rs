@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use relmerge::core::{Advisor, MergeReport};
-use relmerge::ddl::{advisor_config_for, backward_migration, forward_migration, generate, Dialect};
+use relmerge::ddl::{backward_migration, forward_migration, generate, Dialect};
 use relmerge::engine::{Database, DbmsProfile, LogicalQuery, Statement};
 use relmerge::relational::{Tuple, Value};
 use relmerge::workload::{generate_university, UniversitySpec};
@@ -30,8 +30,8 @@ fn university_adoption_end_to_end() {
     assert!(u.state.is_consistent(&u.schema).unwrap());
 
     // 2. The advisor proposes merges the SYBASE target can maintain.
-    let config = advisor_config_for(Dialect::Sybase40);
-    let (merged_schema, pipeline) = Advisor::new(config).greedy_pipeline(&u.schema).unwrap();
+    let advisor = Advisor::new(&Dialect::Sybase40.profile());
+    let (merged_schema, pipeline) = advisor.greedy_pipeline(&u.schema).unwrap();
     assert!(!pipeline.is_empty());
     assert!(pipeline.joins_eliminated() >= 3, "the COURSE chain merges");
     for step in pipeline.steps() {

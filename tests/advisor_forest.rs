@@ -1,13 +1,14 @@
 //! Whole-system property test: the advisor applied to random forest
-//! schemas (arbitrary key-reference DAGs with non-key foreign keys)
-//! produces pipelines whose composed mappings preserve information
-//! capacity, whatever got merged.
+//! schemas (arbitrary key-reference DAGs with non-key foreign keys), on
+//! any built-in capability profile, produces pipelines whose composed
+//! mappings preserve information capacity, whatever got merged, and a
+//! schema the profile can still host.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge::core::{Advisor, AdvisorConfig};
+use relmerge::core::{Advisor, DbmsProfile};
 use relmerge::workload::{consistent_state, forest_schema, ForestSpec, StateSpec};
 
 proptest! {
@@ -21,7 +22,7 @@ proptest! {
         fk_prob in 0.0f64..=1.0,
         rows in 1usize..40,
         coverage in 0.0f64..=1.0,
-        permissive in any::<bool>(),
+        profile in 0usize..DbmsProfile::BUILT_IN.len(),
         seed in any::<u64>(),
     ) {
         let spec = ForestSpec { schemes, key_ref_prob, max_non_key, fk_prob };
@@ -29,18 +30,20 @@ proptest! {
         let schema = forest_schema(&spec, &mut rng);
         schema.validate().expect("generator output is valid");
 
-        let config = if permissive {
-            AdvisorConfig::permissive()
-        } else {
-            AdvisorConfig::declarative_only()
-        };
+        let profile = &DbmsProfile::BUILT_IN[profile];
         let (final_schema, pipeline) =
-            Advisor::new(config).greedy_pipeline(&schema).expect("advisor");
+            Advisor::new(profile).greedy_pipeline(&schema).expect("advisor");
         prop_assert!(final_schema.schemes().len() <= schema.schemes().len());
         prop_assert!(final_schema.is_bcnf());
-        if !permissive {
-            prop_assert!(final_schema.nna_only(), "declarative config must stay NNA-only");
-            prop_assert!(final_schema.key_based_inds_only());
+        // The advisor's gates are the profile's table: a profile that
+        // hosts the input hosts every merge it admits.
+        if profile.can_host(&schema) {
+            prop_assert!(
+                profile.can_host(&final_schema),
+                "{}: {:?}",
+                profile.name,
+                profile.hosting_report(&final_schema)
+            );
         }
 
         // Carry a random consistent state through the whole pipeline and

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge::core::{Advisor, AdvisorConfig};
+use relmerge::core::Advisor;
 use relmerge::ddl::{generate, run_sdt, Dialect, SdtOption};
 use relmerge::eer::{figures, translate};
 use relmerge::engine::{Database, DbmsProfile, JoinStep, QueryPlan};
@@ -36,24 +36,14 @@ fn sdt_matrix_university() {
     }
 }
 
-/// The advisor's output for a dialect is hostable by the engine profile
-/// modelling the same system.
+/// The advisor's output for a dialect is hostable by the engine under the
+/// same dialect's profile.
 #[test]
 fn advisor_output_hostable() {
     let schema = translate(&figures::fig7_eer()).unwrap();
-    let cases: [(AdvisorConfig, DbmsProfile); 3] = [
-        (AdvisorConfig::declarative_only(), DbmsProfile::db2()),
-        (
-            relmerge::ddl::advisor_config_for(Dialect::Sybase40),
-            DbmsProfile::sybase40(),
-        ),
-        (
-            relmerge::ddl::advisor_config_for(Dialect::Ingres63),
-            DbmsProfile::ingres63(),
-        ),
-    ];
-    for (config, profile) in cases {
-        let (merged_schema, applied) = Advisor::new(config).greedy(&schema).unwrap();
+    for dialect in Dialect::ALL {
+        let profile = dialect.profile();
+        let (merged_schema, applied) = Advisor::new(&profile).greedy(&schema).unwrap();
         let db = Database::new(merged_schema.clone(), profile.clone());
         assert!(
             db.is_ok(),

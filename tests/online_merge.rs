@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use relmerge::core::{check_both, check_proposition_4_1, Advisor, AdvisorConfig, Merge, Merged};
+use relmerge::core::{check_both, check_proposition_4_1, Advisor, Merge, Merged};
 use relmerge::engine::fault::site;
 use relmerge::engine::{
     Database, DbmsProfile, FaultMode, FaultPlan, JoinStep, QueryPlan, Statement,
@@ -136,9 +136,7 @@ fn advisor_merges_the_chain_a_scan_workload_pays_for() {
     assert!(hot.iter().all(|h| h.cumulative_cost > 0), "{hot:?}");
     assert_eq!(hot.iter().map(|h| h.index_probes).sum::<u64>(), probes);
 
-    let applied = db
-        .advise_and_migrate(&Advisor::new(AdvisorConfig::permissive()))
-        .unwrap();
+    let applied = db.advise_and_migrate().unwrap();
     assert_eq!(applied.len(), 1, "{applied:?}");
     let mut members = applied[0].proposal.members.clone();
     members.sort();
@@ -185,7 +183,7 @@ fn advise_and_migrate_merges_only_the_hot_star() {
     for _ in 0..4 {
         db.execute(&hot).unwrap();
     }
-    let advisor = Advisor::new(AdvisorConfig::permissive());
+    let advisor = Advisor::new(db.profile());
     let proposals = advisor
         .propose_from_profile(&db.profile_snapshot(), db.schema())
         .unwrap();
@@ -200,7 +198,7 @@ fn advise_and_migrate_merges_only_the_hot_star() {
         .collect();
     let (schema, selected) = advisor.apply_proposals(db.schema(), &observed).unwrap();
 
-    let migrated = db.advise_and_migrate(&advisor).unwrap();
+    let migrated = db.advise_and_migrate().unwrap();
     assert_eq!(migrated.len(), 1, "{migrated:?}");
     assert_eq!(migrated[0].proposal.members, ["A", "A1"]);
     assert_eq!(migrated.len(), selected.len());
