@@ -7,12 +7,14 @@
 //! The experiments are the names in [`EXPERIMENTS`]; no name means `all`.
 //! Each prints its report and writes it to `BENCH_<name>.json`: at the
 //! repository root, or under `target/smoke/` with `--smoke`, which shrinks
-//! B2, B3, B5, B8 and B10–B15 to a CI-sized scale. `--trace` adds the
+//! B1–B3, B5, B6, B8 and B10–B15 to a CI-sized scale and runs B7's one
+//! round at its recorded size. `--trace` adds the
 //! [`Database::execute_traced`] operator tree of one representative query
 //! per query-running experiment. Any other argument exits with status 2.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -181,7 +183,7 @@ fn main() -> ExitCode {
         .iter()
         .filter(|e| picked.is_empty() || picked.contains(&e.name))
     {
-        let t = obs::timer("reproduce.experiment").field("name", exp.name);
+        let t0 = Instant::now();
         match run(exp, scale) {
             Ok(path) => println!("wrote {}", path.display()),
             Err(e) => {
@@ -189,7 +191,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        let ms = t.stop() as f64 / 1e6;
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
         timings.push(
             Row::new()
                 .cell("experiment", exp.name)
@@ -534,7 +536,9 @@ fn props(_: Scale) -> Result<Report> {
 
 /// B1: merged-vs-unmerged query cost.
 fn b1(scale: Scale) -> Result<Report> {
-    let mut r = experiments::query_speedup(&[100, 1_000, 10_000], 2_000)?;
+    let (scales, queries, rounds): (&[usize], _, _) =
+        scale.pick((&[100, 1_000], 200, 3), (&[100, 1_000, 10_000], 2_000, 7));
+    let mut r = experiments::query_speedup(scales, queries, rounds)?;
     if scale.trace {
         let (u, _, unmerged, merged) = trace_fixture()?;
         let nr = u.offered_courses[0];
@@ -573,7 +577,9 @@ fn b5(scale: Scale) -> Result<Report> {
 
 /// B6: mixed read-mostly workload, merged vs unmerged.
 fn b6(scale: Scale) -> Result<Report> {
-    let mut r = experiments::mixed_workload(&[1_000, 10_000], 20_000)?;
+    let (scales, n_ops, rounds): (&[usize], _, _) =
+        scale.pick((&[1_000], 2_000, 3), (&[1_000, 10_000], 20_000, 7));
+    let mut r = experiments::mixed_workload(scales, n_ops, rounds)?;
     if scale.trace {
         let (_, _, unmerged, _) = trace_fixture()?;
         let plan = experiments::unmerged_by_faculty_query(10_000);
@@ -587,9 +593,10 @@ fn b6(scale: Scale) -> Result<Report> {
     Ok(r)
 }
 
-/// B7: batched DML with deferred checking vs per-statement application.
-fn b7(_: Scale) -> Result<Report> {
-    experiments::batch_dml(&[1_000, 10_000], 4_000, 64)
+/// B7: batched DML with deferred checking vs per-statement application,
+/// at the recorded size either way: a smoke run takes one round.
+fn b7(scale: Scale) -> Result<Report> {
+    experiments::batch_dml(&[1_000, 10_000], 4_000, 64, scale.pick(1, 7))
 }
 
 /// B8: the executor on a chain scan and a composite join.
@@ -666,8 +673,8 @@ fn b11(scale: Scale) -> Result<Report> {
 
 /// B12: concurrent sessions over one shared `Store`.
 fn b12(scale: Scale) -> Result<Report> {
-    let (courses, ops) = scale.pick((150, 64), (800, 320));
-    experiments::concurrent_sessions(courses, ops)
+    let (courses, ops, rounds) = scale.pick((150, 64, 3), (800, 320, 7));
+    experiments::concurrent_sessions(courses, ops, rounds)
 }
 
 /// B13: the online merge advisor end to end. In the full-scale release

@@ -1,6 +1,13 @@
 //! The measured experiments B1–B15. Each returns a [`Report`] whose cell
 //! names are the keys of its `BENCH_<name>.json` artifact.
+//!
+//! Every comparison is timed one way, in rotated rounds: each round takes
+//! one sample of every subject, the next round starting at the next
+//! subject. A time is a subject's median over the rounds, and a speedup
+//! the median of the per-round ratios. Counts are diffs of the engine's
+//! counters, which only go up.
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -10,7 +17,7 @@ use rand::rngs::StdRng;
 use relmerge_core::{Merge, Merged};
 use relmerge_engine::{Database, DbmsProfile, JoinStep, Predicate, QueryPlan, Statement, Store};
 use relmerge_obs as obs;
-use relmerge_relational::{Error, Result, Tuple, Value};
+use relmerge_relational::{DatabaseState, Error, RelationalSchema, Result, Tuple, Value};
 use relmerge_workload::{generate_university, University, UniversityOp, UniversitySpec};
 
 use crate::report::{Cell, Report, Row};
@@ -38,12 +45,21 @@ pub fn university_merge(courses: usize, seed: u64) -> Result<(University, Merged
 /// Builds the two engine databases of the comparison: the unmerged Figure 3
 /// schema and the merged/removed one, loaded with equivalent states.
 pub fn university_databases(u: &University, m: &Merged) -> Result<(Database, Database)> {
-    let mut unmerged = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    unmerged.load_state(&u.state)?;
-    let merged_state = m.apply(&u.state)?;
-    let mut merged = Database::new(m.schema().clone(), DbmsProfile::ideal())?;
-    merged.load_state(&merged_state)?;
-    Ok((unmerged, merged))
+    Ok((
+        loaded(&u.schema, DbmsProfile::ideal(), &u.state)?,
+        loaded(m.schema(), DbmsProfile::ideal(), &m.apply(&u.state)?)?,
+    ))
+}
+
+/// A database of `schema` on `profile`, loaded with `state`.
+fn loaded(
+    schema: &RelationalSchema,
+    profile: DbmsProfile,
+    state: &DatabaseState,
+) -> Result<Database> {
+    let mut db = Database::new(schema.clone(), profile)?;
+    db.load_state(state)?;
+    Ok(db)
 }
 
 /// The unmerged "course detail" point query: course → offer → teach →
@@ -109,90 +125,82 @@ fn read_plan(merged: bool, op: &UniversityOp) -> Option<QueryPlan> {
 }
 
 /// B1: merged-vs-unmerged retrieval cost across instance scales.
-pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Report> {
+///
+/// Three comparisons per scale: point queries and reverse lookups over
+/// `queries` random keys each (a sample is one pass, per query), and the
+/// full scan (a sample is one scan). Each runs `rounds` rotated rounds
+/// of an unmerged and a merged sample.
+pub fn query_speedup(scales: &[usize], queries: usize, rounds: usize) -> Result<Report> {
     let mut rows = Vec::new();
     for &courses in scales {
         let _scale_span = obs::span("bench.b1.scale").field("courses", courses);
         let (u, m) = university_merge(courses, 42)?;
         let (unmerged, merged) = university_databases(&u, &m)?;
         let mut rng = StdRng::seed_from_u64(7);
-        let keys: Vec<i64> = (0..queries_per_scale)
+        let keys: Vec<i64> = (0..queries)
             .map(|_| *u.offered_courses.choose(&mut rng).expect("offers exist"))
             .collect();
+        // Reverse lookups ("courses taught by faculty F"): a walk up the
+        // chain against one probe of the merged relation's secondary index.
+        let ssns: Vec<i64> = (0..queries)
+            .map(|_| 10_000 + rng.gen_range(0..200))
+            .collect();
 
-        // Warm-up + correctness cross-check on one key.
-        let probe_key = keys[0];
-        let (r1, s1) = unmerged.execute(&unmerged_point_query(probe_key))?;
-        let (r2, s2) = merged.execute(&merged_point_query(probe_key))?;
+        // Warm-up + correctness cross-checks.
+        let (r1, s1) = unmerged.execute(&unmerged_point_query(keys[0]))?;
+        let (r2, s2) = merged.execute(&merged_point_query(keys[0]))?;
         assert_eq!(r1.len(), r2.len(), "result cardinality must agree");
-
-        let t = obs::timer("bench.b1.point.unmerged").field("queries", keys.len());
-        for &k in &keys {
-            let _ = unmerged.execute(&unmerged_point_query(k))?;
-        }
-        let unmerged_ns = t.stop() as f64 / keys.len() as f64;
-        let t = obs::timer("bench.b1.point.merged").field("queries", keys.len());
-        for &k in &keys {
-            let _ = merged.execute(&merged_point_query(k))?;
-        }
-        let merged_ns = t.stop() as f64 / keys.len() as f64;
-
-        // Scans: warm up once, then average several iterations (a single
-        // cold measurement is dominated by first-touch page faults).
         let (scan1, _) = unmerged.execute(&unmerged_scan_query())?;
         let (scan2, _) = merged.execute(&merged_scan_query())?;
         assert_eq!(scan1.len(), scan2.len(), "scan cardinality must agree");
-        const SCAN_ITERS: u32 = 5;
-        let t = obs::timer("bench.b1.scan.unmerged");
-        for _ in 0..SCAN_ITERS {
-            let _ = unmerged.execute(&unmerged_scan_query())?;
-        }
-        let scan_unmerged_ns = t.stop() as f64 / f64::from(SCAN_ITERS);
-        let t = obs::timer("bench.b1.scan.merged");
-        for _ in 0..SCAN_ITERS {
-            let _ = merged.execute(&merged_scan_query())?;
-        }
-        let scan_merged_ns = t.stop() as f64 / f64::from(SCAN_ITERS);
-
-        // Reverse lookups ("courses taught by faculty F"): a walk up the
-        // chain against one probe of the merged relation's secondary index.
-        let ssns: Vec<i64> = (0..queries_per_scale)
-            .map(|_| 10_000 + rng.gen_range(0..200))
-            .collect();
         let (r1, _) = unmerged.execute(&unmerged_by_faculty_query(ssns[0]))?;
         let (r2, _) = merged.execute(&merged_by_faculty_query(ssns[0]))?;
         assert!(r1.set_eq_unordered(&r2), "reverse lookups must agree");
-        let t = obs::timer("bench.b1.reverse.unmerged").field("queries", ssns.len());
-        for &ssn in &ssns {
-            let _ = unmerged.execute(&unmerged_by_faculty_query(ssn))?;
-        }
-        let reverse_unmerged_ns = t.stop() as f64 / ssns.len() as f64;
-        let t = obs::timer("bench.b1.reverse.merged").field("queries", ssns.len());
-        for &ssn in &ssns {
-            let _ = merged.execute(&merged_by_faculty_query(ssn))?;
-        }
-        let reverse_merged_ns = t.stop() as f64 / ssns.len() as f64;
+
+        // The point, scan and reverse comparisons: a sample is one pass of
+        // a side's plan over the comparison's keys, in ns per query.
+        let dbs = [&unmerged, &merged];
+        type Plans = [fn(i64) -> QueryPlan; 2];
+        let comparisons: [(&[i64], Plans); 3] = [
+            (&keys, [unmerged_point_query, merged_point_query]),
+            (&[0], [|_| unmerged_scan_query(), |_| merged_scan_query()]),
+            (&ssns, [unmerged_by_faculty_query, merged_by_faculty_query]),
+        ];
+        let [point, scan, reverse] = comparisons.map(|(args, plan)| {
+            rotated(2, rounds, |s| {
+                let t0 = Instant::now();
+                for &a in args {
+                    drop(dbs[s].execute(&plan[s](a))?);
+                }
+                Ok(obs::elapsed_ns(t0) as f64 / args.len() as f64)
+            })
+        });
+        let (point, scan, reverse) = (point?, scan?, reverse?);
 
         rows.push(
             Row::new()
                 .cell("courses", courses)
                 .cell("unmerged_probes", s1.index_probes)
                 .cell("merged_probes", s2.index_probes)
-                .cell("unmerged_ns", Cell::Num(unmerged_ns, 0))
-                .cell("merged_ns", Cell::Num(merged_ns, 0))
-                .cell("point_speedup", Cell::Num(unmerged_ns / merged_ns, 2))
-                .cell("scan_unmerged_ns", Cell::Num(scan_unmerged_ns, 0))
-                .cell("scan_merged_ns", Cell::Num(scan_merged_ns, 0))
+                .cell("unmerged_ns", Cell::Num(median(&point[0]), 0))
+                .cell("merged_ns", Cell::Num(median(&point[1]), 0))
+                .cell(
+                    "point_speedup",
+                    Cell::Num(median_ratio(&point[0], &point[1]), 2),
+                )
+                .cell("scan_unmerged_ns", Cell::Num(median(&scan[0]), 0))
+                .cell("scan_merged_ns", Cell::Num(median(&scan[1]), 0))
                 .cell(
                     "scan_speedup",
-                    Cell::Num(scan_unmerged_ns / scan_merged_ns, 2),
+                    Cell::Num(median_ratio(&scan[0], &scan[1]), 2),
                 )
-                .cell("reverse_unmerged_ns", Cell::Num(reverse_unmerged_ns, 0))
-                .cell("reverse_merged_ns", Cell::Num(reverse_merged_ns, 0)),
+                .cell("reverse_unmerged_ns", Cell::Num(median(&reverse[0]), 0))
+                .cell("reverse_merged_ns", Cell::Num(median(&reverse[1]), 0)),
         );
     }
     let mut report = Report::new("B1: query speedup (merged vs unmerged), university workload");
-    report.scale = format!("{scales:?} courses, {queries_per_scale} point queries");
+    report.scale =
+        format!("{scales:?} courses, {queries} point queries, median of {rounds} rounds");
     report.tables.push(("rows", rows));
     Ok(report)
 }
@@ -203,10 +211,10 @@ pub fn query_speedup(scales: &[usize], queries_per_scale: usize) -> Result<Repor
 /// ideal profile, natively: the same one-statement insert with no trigger
 /// tier.
 ///
-/// Each of `rounds` rounds loads a fresh database per scenario (untimed)
-/// and times its `entities` bundle inserts, rotating which scenario runs
-/// first; each row reports its scenario's median `ns_per_entity`. Every
-/// round must count the same statements and checks (asserted).
+/// A sample loads a fresh database (untimed) and times its `entities`
+/// bundle inserts; each of `rounds` rotated rounds takes one per
+/// scenario, and each row reports its scenario's median `ns_per_entity`.
+/// Every round must bump the same counters (asserted).
 pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
     let (u, m) = university_merge(10, 1)?;
     let merged_state = m.apply(&u.state)?;
@@ -225,62 +233,50 @@ pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
     let dept = Value::text("dept0");
     let faculty = Value::Int(10_000);
     let student = Value::Int(10_400);
-    let mut counts: Vec<Option<relmerge_engine::MaintenanceStats>> = vec![None; scenarios.len()];
-    let mut ns: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); scenarios.len()];
-    for round in 0..rounds {
-        for i in 0..scenarios.len() {
-            let s = (round + i) % scenarios.len();
-            let (scenario, profile, merged) = &scenarios[s];
-            let (schema, state) = if *merged {
-                (m.schema(), &merged_state)
+    let samples = rotated(scenarios.len(), rounds, |s| {
+        let (_, profile, merged) = &scenarios[s];
+        let mut db = if *merged {
+            loaded(m.schema(), profile.clone(), &merged_state)?
+        } else {
+            loaded(&u.schema, profile.clone(), &u.state)?
+        };
+        let before = db.metrics_registry().snapshot();
+        let t0 = Instant::now();
+        for e in 0..entities {
+            let nr = Value::Int(1_000_000 + e as i64);
+            if *merged {
+                db.insert(
+                    "COURSE_M",
+                    Tuple::new([nr, dept.clone(), faculty.clone(), student.clone()]),
+                )
+                .expect("merged insert");
             } else {
-                (&u.schema, &u.state)
-            };
-            let mut db = Database::new(schema.clone(), profile.clone())?;
-            db.load_state(state)?;
-            let _ = db.take_stats(); // discard the load phase
-            let t = obs::timer("bench.b2.insert").field("scenario", *scenario);
-            for e in 0..entities {
-                let nr = Value::Int(1_000_000 + e as i64);
-                if *merged {
-                    db.insert(
-                        "COURSE_M",
-                        Tuple::new([nr, dept.clone(), faculty.clone(), student.clone()]),
-                    )
-                    .expect("merged insert");
-                } else {
-                    db.insert("COURSE", Tuple::new([nr.clone()]))
-                        .expect("course insert");
-                    db.insert("OFFER", Tuple::new([nr.clone(), dept.clone()]))
-                        .expect("offer insert");
-                    db.insert("TEACH", Tuple::new([nr.clone(), faculty.clone()]))
-                        .expect("teach insert");
-                    db.insert("ASSIST", Tuple::new([nr, student.clone()]))
-                        .expect("assist insert");
-                }
+                db.insert("COURSE", Tuple::new([nr.clone()]))
+                    .expect("course insert");
+                db.insert("OFFER", Tuple::new([nr.clone(), dept.clone()]))
+                    .expect("offer insert");
+                db.insert("TEACH", Tuple::new([nr.clone(), faculty.clone()]))
+                    .expect("teach insert");
+                db.insert("ASSIST", Tuple::new([nr, student.clone()]))
+                    .expect("assist insert");
             }
-            ns[s].push(t.stop() as f64 / entities as f64);
-            let stats = db.take_stats();
-            let first = *counts[s].get_or_insert(stats);
-            assert_eq!(
-                stats, first,
-                "{scenario}: round {round} counted differently"
-            );
         }
-    }
+        let ns = obs::elapsed_ns(t0) as f64 / entities as f64;
+        Ok((ns, counters_since(&db, &before)))
+    })?;
     let rows = scenarios
         .iter()
-        .zip(counts)
-        .zip(&mut ns)
-        .map(|(((scenario, _, _), stats), ns)| {
-            let stats = stats.expect("at least one round");
+        .zip(samples)
+        .map(|((scenario, _, _), samples)| {
+            let counts = same_counts(scenario, &samples);
+            let ns = times(&samples);
             Row::new()
                 .cell("scenario", *scenario)
                 .cell("entities", entities)
-                .cell("statements", stats.inserts)
-                .cell("declarative", stats.declarative_checks)
-                .cell("procedural", stats.procedural_checks)
-                .cell("ns_per_entity", Cell::Num(quantile(ns, 0.5), 0))
+                .cell("statements", count(counts, "engine.dml.inserts"))
+                .cell("declarative", count(counts, "engine.check.declarative"))
+                .cell("procedural", count(counts, "engine.check.procedural"))
+                .cell("ns_per_entity", Cell::Num(median(&ns), 0))
         })
         .collect();
     let mut report = Report::new("B2: maintenance cost per inserted course bundle");
@@ -397,12 +393,18 @@ pub fn merge_scaling(satellites: &[usize], root_rows: &[usize]) -> Result<Report
 /// B6: the same read-mostly operation stream executed against the
 /// unmerged and merged databases at each scale — the whole-workload view
 /// of the §1 trade-off (reads get cheaper, writes bundle up).
-pub fn mixed_workload(scales: &[usize], n_ops: usize) -> Result<Report> {
+///
+/// A sample loads a fresh database (untimed) and runs the whole stream
+/// on it; each of `rounds` rotated rounds takes one per schema.
+/// `total_ns` is a schema's median and `merged_speedup` the median of the
+/// per-round ratios.
+pub fn mixed_workload(scales: &[usize], n_ops: usize, rounds: usize) -> Result<Report> {
     use relmerge_workload::{merged_statements, university_ops, unmerged_statements, MixSpec};
 
     let mut rows = Vec::new();
     for &courses in scales {
         let (u, m) = university_merge(courses, 21)?;
+        let merged_state = m.apply(&u.state)?;
         let mut rng = StdRng::seed_from_u64(77);
         // Defaults: 20 departments, 200 faculty (persons 500 × 2/5).
         let ops = university_ops(&MixSpec::default(), n_ops, courses, 20, 200, &mut rng);
@@ -415,48 +417,51 @@ pub fn mixed_workload(scales: &[usize], n_ops: usize) -> Result<Report> {
                 )
             })
             .count();
-        let row = |scenario: &str, total_ns: u64| {
+        let row = |scenario: &str, total_ns: f64| {
             Row::new()
                 .cell("courses", courses)
                 .cell("scenario", scenario)
                 .cell("ops", n_ops)
                 .cell("reads", reads)
                 .cell("writes", n_ops - reads)
-                .cell("total_ns", total_ns)
-                .cell("ns_per_op", Cell::Num(total_ns as f64 / n_ops as f64, 0))
+                .cell("total_ns", total_ns as u64)
+                .cell("ns_per_op", Cell::Num(total_ns / n_ops as f64, 0))
         };
 
-        // Each scenario runs the stream one operation at a time: a read as
-        // its query, a write as its statements, each applied on its own.
-        let (unmerged, merged) = university_databases(&u, &m)?;
-        let mut ns = Vec::new();
-        for (is_merged, mut db) in [(false, unmerged), (true, merged)] {
-            let scenario = if is_merged { "merged" } else { "unmerged" };
-            let lower = if is_merged {
+        // A sample runs the stream one operation at a time: a read as its
+        // query, a write as its statements, each applied on its own.
+        let ns = rotated(2, rounds, |s| {
+            let merged = s == 1;
+            let mut db = if merged {
+                loaded(m.schema(), DbmsProfile::ideal(), &merged_state)?
+            } else {
+                loaded(&u.schema, DbmsProfile::ideal(), &u.state)?
+            };
+            let lower = if merged {
                 merged_statements
             } else {
                 unmerged_statements
             };
-            let t = obs::timer("bench.b6.run").field("scenario", scenario);
+            let t0 = Instant::now();
             for op in &ops {
-                match read_plan(is_merged, op) {
+                match read_plan(merged, op) {
                     Some(plan) => drop(db.execute(&plan)?),
                     None => lower(op)
                         .iter()
                         .try_for_each(|s| apply_single(&mut db, s))?,
                 }
             }
-            ns.push(t.stop());
-        }
-        rows.push(row("unmerged (4 relations)", ns[0]));
+            Ok(obs::elapsed_ns(t0) as f64)
+        })?;
+        rows.push(row("unmerged (4 relations)", median(&ns[0])));
         rows.push(
-            row("merged (COURSE_M)", ns[1])
-                .cell("merged_speedup", Cell::Num(ns[0] as f64 / ns[1] as f64, 2)),
+            row("merged (COURSE_M)", median(&ns[1]))
+                .cell("merged_speedup", Cell::Num(median_ratio(&ns[0], &ns[1]), 2)),
         );
     }
     let mut report =
         Report::new("B6: mixed workload (80% point reads, 10% reverse reads, 10% DML)");
-    report.scale = format!("{scales:?} courses, {n_ops} operations");
+    report.scale = format!("{scales:?} courses, {n_ops} operations, median of {rounds} rounds");
     report.tables.push(("rows", rows));
     Ok(report)
 }
@@ -479,12 +484,22 @@ fn apply_single(db: &mut Database, stmt: &Statement) -> Result<()> {
 }
 
 /// B7: batched DML with deferred group validation versus per-statement
-/// application of the identical write stream, at each scale. Both runs
+/// application of the identical write stream, at each scale. Every run
 /// must end in the same [`relmerge_relational::DatabaseState`]; the
 /// batched run performs strictly fewer constraint checks and index probes
 /// because commit-time validation checks each constraint once over the
 /// touched rows of a relation instead of once per statement.
-pub fn batch_dml(scales: &[usize], n_ops: usize, batch_size: usize) -> Result<Report> {
+///
+/// A sample loads a fresh database (untimed) and applies the stream on
+/// it; each of `rounds` rotated rounds takes one per side. A time is
+/// its side's median and `speedup` the median of the per-round ratios;
+/// every round of a side must bump the same counters (asserted).
+pub fn batch_dml(
+    scales: &[usize],
+    n_ops: usize,
+    batch_size: usize,
+    rounds: usize,
+) -> Result<Report> {
     use relmerge_workload::{university_ops, write_batches, MixSpec};
 
     let _span = obs::span("bench.b7.batch_dml")
@@ -506,63 +521,68 @@ pub fn batch_dml(scales: &[usize], n_ops: usize, batch_size: usize) -> Result<Re
 
         for (scenario, merged) in [("unmerged (Figure 3)", false), ("merged (COURSE_M)", true)] {
             let batches = write_batches(&ops, merged, batch_size);
-            let build = || -> Result<Database> {
-                let mut db = if merged {
-                    Database::new(m.schema().clone(), DbmsProfile::ideal())?
-                } else {
-                    Database::new(u.schema.clone(), DbmsProfile::ideal())?
-                };
-                db.load_state(if merged { &merged_state } else { &u.state })?;
-                Ok(db)
+            let (schema, state) = if merged {
+                (m.schema(), &merged_state)
+            } else {
+                (&u.schema, &u.state)
             };
-
-            // Per-statement baseline: every statement validated on its own.
-            let mut eager_db = build()?;
-            let _ = eager_db.take_stats(); // discard the load phase
-            let t = obs::timer("bench.b7.eager").field("scenario", scenario);
-            for stmt in batches.iter().flatten() {
-                apply_single(&mut eager_db, stmt)?;
-            }
-            let eager_ns = t.stop();
-            let eager = eager_db.take_stats();
-
-            // Batched: all-or-nothing batches with deferred group validation.
-            let mut batched_db = build()?;
-            let _ = batched_db.take_stats();
-            let mut deferred_checks = 0u64;
-            let t = obs::timer("bench.b7.batched").field("scenario", scenario);
-            for batch in &batches {
-                deferred_checks += batched_db.apply_batch(batch)?.deferred_checks;
-            }
-            let batched_ns = t.stop();
-            let batched = batched_db.take_stats();
-
-            // The two application orders must be indistinguishable afterwards.
-            assert_eq!(
-                eager_db.snapshot()?,
-                batched_db.snapshot()?,
-                "batched and per-statement runs must converge on one state"
-            );
-
+            // Side 0 validates every statement on its own; side 1 commits
+            // all-or-nothing batches with deferred group validation.
+            let mut end_state = None;
+            let samples = rotated(2, rounds, |s| {
+                let mut db = loaded(schema, DbmsProfile::ideal(), state)?;
+                let before = db.metrics_registry().snapshot();
+                let t0 = Instant::now();
+                if s == 0 {
+                    for stmt in batches.iter().flatten() {
+                        apply_single(&mut db, stmt)?;
+                    }
+                } else {
+                    for batch in &batches {
+                        db.apply_batch(batch)?;
+                    }
+                }
+                let ns = obs::elapsed_ns(t0) as f64;
+                let counts = counters_since(&db, &before);
+                let state = db.snapshot()?;
+                assert_eq!(
+                    *end_state.get_or_insert_with(|| state.clone()),
+                    state,
+                    "batched and per-statement runs must converge on one state"
+                );
+                Ok((ns, counts))
+            })?;
+            let [eager, batched] = [0, 1].map(|s| same_counts(scenario, &samples[s]));
+            let checks =
+                |c| count(c, "engine.check.declarative") + count(c, "engine.check.procedural");
+            let [eager_ns, batched_ns] = [0, 1].map(|s| times(&samples[s]));
             rows.push(
                 Row::new()
                     .cell("courses", courses)
                     .cell("scenario", scenario)
                     .cell("statements", batches.iter().map(Vec::len).sum::<usize>())
                     .cell("batches", batches.len())
-                    .cell("eager_checks", eager.total_checks())
-                    .cell("batched_checks", batched.total_checks())
-                    .cell("eager_probes", eager.index_probes)
-                    .cell("batched_probes", batched.index_probes)
-                    .cell("deferred_checks", deferred_checks)
-                    .cell("eager_ns", eager_ns)
-                    .cell("batched_ns", batched_ns)
-                    .cell("speedup", Cell::Num(eager_ns as f64 / batched_ns as f64, 2)),
+                    .cell("eager_checks", checks(eager))
+                    .cell("batched_checks", checks(batched))
+                    .cell("eager_probes", count(eager, "engine.check.index_probes"))
+                    .cell(
+                        "batched_probes",
+                        count(batched, "engine.check.index_probes"),
+                    )
+                    .cell("deferred_checks", count(batched, "engine.check.deferred"))
+                    .cell("eager_ns", median(&eager_ns) as u64)
+                    .cell("batched_ns", median(&batched_ns) as u64)
+                    .cell(
+                        "speedup",
+                        Cell::Num(median_ratio(&eager_ns, &batched_ns), 2),
+                    ),
             );
         }
     }
     let mut report = Report::new("B7: batched DML (deferred group validation) vs per-statement");
-    report.scale = format!("{scales:?} courses, {n_ops} writes in batches of {batch_size}");
+    report.scale = format!(
+        "{scales:?} courses, {n_ops} writes in batches of {batch_size}, median of {rounds} rounds"
+    );
     report.tables.push(("rows", rows));
     Ok(report)
 }
@@ -819,8 +839,7 @@ pub fn join_execution(courses: usize, iters: u32) -> Result<Report> {
         },
         &mut rng,
     )?;
-    let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    db.load_state(&u.state)?;
+    let mut db = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
     db.configure(db.config().build_cache_capacity(0));
 
     // (label, plan, transient builds): every chain join probes its
@@ -845,10 +864,12 @@ pub fn join_execution(courses: usize, iters: u32) -> Result<Report> {
             (builds, builds == 0),
             "{label}: {stats:?}"
         );
-        let mut runs = (0..iters)
-            .map(|_| timed(|| db.execute(&plan)))
-            .collect::<Result<Vec<f64>>>()?;
-        let ns = quantile(&mut runs, 0.5);
+        let runs = rotated(1, iters as usize, |_| {
+            let t0 = Instant::now();
+            drop(db.execute(&plan)?);
+            Ok(obs::elapsed_ns(t0) as f64)
+        })?;
+        let ns = median(&runs[0]);
         rows.push(
             Row::new()
                 .cell("query", label)
@@ -868,11 +889,80 @@ pub fn join_execution(courses: usize, iters: u32) -> Result<Report> {
     Ok(report)
 }
 
-/// Wall time (ns) of one call of `run`, dropping its result included.
-fn timed<T>(run: impl FnOnce() -> Result<T>) -> Result<f64> {
-    let t0 = Instant::now();
-    let _ = run()?;
-    Ok(obs::elapsed_ns(t0) as f64)
+/// Runs subjects `0..n` once per round for `rounds` rounds and returns
+/// each subject's samples in round order: the one way `reproduce` times a
+/// comparison. Round `r` starts at subject `r % n`, so host drift touches
+/// every subject alike and none always runs first. A subject times itself,
+/// which keeps the set-up it needs (a fresh database, a cleared cache) off
+/// its clock.
+fn rotated<T>(
+    n: usize,
+    rounds: usize,
+    mut sample: impl FnMut(usize) -> Result<T>,
+) -> Result<Vec<Vec<T>>> {
+    let mut samples: Vec<Vec<T>> = (0..n).map(|_| Vec::with_capacity(rounds)).collect();
+    for round in 0..rounds {
+        for i in 0..n {
+            let s = (round + i) % n;
+            samples[s].push(sample(s)?);
+        }
+    }
+    Ok(samples)
+}
+
+/// The median of `xs`.
+fn median(xs: &[f64]) -> f64 {
+    quantile(&mut xs.to_vec(), 0.5)
+}
+
+/// The median over rounds of `num[r] / den[r]`: each ratio pairs two
+/// samples of one round, which cancels the drift between rounds.
+fn median_ratio(num: &[f64], den: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
+    quantile(&mut ratios, 0.5)
+}
+
+/// The row of medians over `runs`, rows with the same cells: each cell of
+/// `runs[0]` holds its median over `runs`, a count staying a count.
+fn median_row(runs: &[Row]) -> Row {
+    let cells = runs[0].0.iter().map(|(name, cell)| {
+        let m = median(&runs.iter().map(|r| r.num(name)).collect::<Vec<f64>>());
+        let cell = match cell {
+            Cell::Num(_, decimals) => Cell::Num(m, *decimals),
+            _ => Cell::Int(m as u64),
+        };
+        (*name, cell)
+    });
+    Row(cells.collect())
+}
+
+/// Counter values by name.
+type Counts = BTreeMap<String, u64>;
+
+/// The counters `db` bumped since `before` was taken. Counters only go
+/// up, so a diff of two snapshots is the count of the events between them.
+fn counters_since(db: &Database, before: &obs::Snapshot) -> Counts {
+    db.metrics_registry().snapshot().diff(before).counters
+}
+
+/// Counter `name` of `counts` (a counter that did not move reads 0).
+fn count(counts: &Counts, name: &str) -> u64 {
+    counts.get(name).copied().unwrap_or(0)
+}
+
+/// The wall times of `samples`.
+fn times(samples: &[(f64, Counts)]) -> Vec<f64> {
+    samples.iter().map(|(ns, _)| *ns).collect()
+}
+
+/// The counts every sample of `scenario` bumped, asserting they agree.
+fn same_counts<'a>(scenario: &str, samples: &'a [(f64, Counts)]) -> &'a Counts {
+    let first = &samples[0].1;
+    assert!(
+        samples.iter().all(|(_, c)| c == first),
+        "{scenario}: the rounds counted differently"
+    );
+    first
 }
 
 /// The `q`-quantile of `xs`, interpolating between the closest ranks
@@ -959,11 +1049,9 @@ fn filter_at_top(
 /// index point lookup, so `rows_scanned` drops to zero.
 ///
 /// Both sides are asserted byte-identical per query. Latency is measured
-/// in `iters` off/on pairs, alternating which side runs first, and
-/// `speedup` is the median of the per-pair `off / on` ratios: pairing
-/// cancels host-speed drift, and alternating cancels any cost of running
-/// second. The build cache is disabled so every execution pays its own
-/// access work.
+/// in `iters` rotated off/on rounds, and `speedup` is the median of
+/// the per-round `off / on` ratios. The build cache is disabled so every
+/// execution pays its own access work.
 pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
     let _span = obs::span("bench.b15.predicate_pushdown").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
@@ -974,8 +1062,7 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
         },
         &mut rng,
     )?;
-    let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    db.load_state(&u.state)?;
+    let mut db = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
     db.configure(db.config().build_cache_capacity(0));
 
     // The first faculty SSN: teaches ~1/200th of the offered courses.
@@ -1003,12 +1090,11 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
         let (off_rel, off_stats, off_trace) = filter_at_top(&db, plan)?;
         let before = db.metrics_registry().snapshot();
         let (on_rel, on_stats, on_trace) = db.execute_traced(plan)?;
-        let after = db.metrics_registry().snapshot();
+        let counts = counters_since(&db, &before);
         assert_eq!(
             on_rel, off_rel,
             "pushdown must return the filter at the top's answer ({label})"
         );
-        let counter = |name: &str| after.counters[name] - before.counters[name];
         if is_chain {
             let assist_rows_in = |trace: &relmerge_engine::QueryTrace| {
                 trace
@@ -1038,22 +1124,16 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
             );
         }
 
-        let off = || timed(|| filter_at_top(&db, plan));
-        let on = || timed(|| db.execute(plan));
-        let mut offs = Vec::with_capacity(iters as usize);
-        let mut ons = Vec::with_capacity(iters as usize);
-        let mut ratios = Vec::with_capacity(iters as usize);
-        for i in 0..iters {
-            let (off_ns, on_ns) = if i % 2 == 0 {
-                (off()?, on()?)
+        // Side 0 is "off", side 1 "on".
+        let ns = rotated(2, iters as usize, |s| {
+            let t0 = Instant::now();
+            if s == 0 {
+                drop(filter_at_top(&db, plan)?);
             } else {
-                let on_ns = on()?;
-                (off()?, on_ns)
-            };
-            offs.push(off_ns);
-            ons.push(on_ns);
-            ratios.push(off_ns / on_ns);
-        }
+                drop(db.execute(plan)?);
+            }
+            Ok(obs::elapsed_ns(t0) as f64)
+        })?;
         rows.push(
             Row::new()
                 .cell("query", label)
@@ -1070,11 +1150,17 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
                         2,
                     ),
                 )
-                .cell("off_ns", Cell::Num(quantile(&mut offs, 0.5), 0))
-                .cell("on_ns", Cell::Num(quantile(&mut ons, 0.5), 0))
-                .cell("speedup", Cell::Num(quantile(&mut ratios, 0.5), 4))
-                .cell("pushed_conjuncts", counter("engine.query.pushed_conjuncts"))
-                .cell("pruned_rows", counter("engine.query.pushdown_pruned_rows")),
+                .cell("off_ns", Cell::Num(median(&ns[0]), 0))
+                .cell("on_ns", Cell::Num(median(&ns[1]), 0))
+                .cell("speedup", Cell::Num(median_ratio(&ns[0], &ns[1]), 4))
+                .cell(
+                    "pushed_conjuncts",
+                    count(&counts, "engine.query.pushed_conjuncts"),
+                )
+                .cell(
+                    "pruned_rows",
+                    count(&counts, "engine.query.pushdown_pruned_rows"),
+                ),
         );
     }
     report.scale = format!("{courses} courses, {iters} timed pairs");
@@ -1084,13 +1170,14 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
 
 /// B10: the versioned build-side cache on the build-heavy composite join.
 ///
-/// The query runs `iters` times cold (cache cleared before the run, so it
-/// rebuilds TEACH's transient hash table) alternating with `iters` times
-/// warm (right after a cold run populated the cache, so it hits); each run
-/// is timed alone, `cold_ns`/`warm_ns` are the medians, and `speedup` is
-/// cold over warm, the end-to-end win of the cache. Like B8's composite
-/// row, the query's result is legitimately empty (faculty and student
-/// SSNs are disjoint), keeping it a pure measure of build-side work.
+/// The query runs in `iters` rotated rounds of one cold run (cache
+/// cleared, untimed, before the run, so it rebuilds TEACH's transient hash
+/// table) and one warm run (the cache holds the last cold run's build, so
+/// it hits); `cold_ns`/`warm_ns` are the medians, and `speedup`, the
+/// end-to-end win of the cache, is the median of the per-round ratios.
+/// Like B8's composite row, the query's result is legitimately empty
+/// (faculty and student SSNs are disjoint), keeping it a pure measure of
+/// build-side work.
 ///
 /// Every run, cold or warm, is asserted byte-identical, with identical
 /// [`relmerge_engine::QueryStats`], to a cache-off reference.
@@ -1104,8 +1191,7 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
         },
         &mut rng,
     )?;
-    let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    db.load_state(&u.state)?;
+    let mut db = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
     let plan = composite_no_index_query();
 
     // Cache-off reference: every cached run must be byte-identical to it,
@@ -1117,11 +1203,6 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
             .build_cache_capacity(relmerge_engine::DEFAULT_BUILD_CACHE_BYTES),
     );
 
-    let registry = std::sync::Arc::clone(db.metrics_registry());
-    let hits = registry.counter("engine.query.build_cache.hits");
-    let misses = registry.counter("engine.query.build_cache.misses");
-    let saved = registry.counter("engine.query.probe_key.saved_allocs");
-
     // A cold run rebuilds and populates the cache; a warm run reuses it.
     db.clear_build_cache();
     let (cold_rel, cold_stats) = db.execute(&plan)?;
@@ -1132,30 +1213,32 @@ pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
     assert_eq!(warm_rel, reference, "warm result must be byte-identical");
     assert_eq!(warm_stats, ref_stats, "warm stats must be identical");
 
-    // Timed: cold and warm runs alternate, so host drift touches both
-    // sides alike, and each side reports its median.
-    let mut cold = Vec::with_capacity(iters as usize);
-    let mut warm = Vec::with_capacity(iters as usize);
-    let (mut cache_misses, mut cache_hits, mut saved_allocs) = (0, 0, 0);
-    for _ in 0..iters {
-        db.clear_build_cache();
-        let m0 = misses.get();
-        cold.push(timed(|| db.execute(&plan))?);
-        cache_misses += misses.get() - m0;
-        let (h0, s0) = (hits.get(), saved.get());
-        warm.push(timed(|| db.execute(&plan))?);
-        cache_hits += hits.get() - h0;
-        saved_allocs += saved.get() - s0;
-    }
+    // Side 0 runs cold, side 1 warm; a sample is the run's wall time and
+    // the counters it bumped.
+    let samples = rotated(2, iters as usize, |s| {
+        if s == 0 {
+            db.clear_build_cache();
+        }
+        let before = db.metrics_registry().snapshot();
+        let t0 = Instant::now();
+        drop(db.execute(&plan)?);
+        let ns = obs::elapsed_ns(t0) as f64;
+        Ok((ns, counters_since(&db, &before)))
+    })?;
+    let [cold, warm] = [0, 1].map(|s| times(&samples[s]));
+    let total = |s: usize, name| samples[s].iter().map(|(_, c)| count(c, name)).sum::<u64>();
+    let cache_hits = total(1, "engine.query.build_cache.hits");
+    let cache_misses = total(0, "engine.query.build_cache.misses");
+    let saved_allocs = total(1, "engine.query.probe_key.saved_allocs");
     assert!(cache_hits >= 1, "the warm runs must hit the cache");
-    let (cold_ns, warm_ns) = (quantile(&mut cold, 0.5), quantile(&mut warm, 0.5));
+    let (cold_ns, warm_ns) = (median(&cold), median(&warm));
 
     let row = Row::new()
         .cell("courses", courses)
         .cell("rows_out", reference.len())
         .cell("cold_ns", Cell::Num(cold_ns, 0))
         .cell("warm_ns", Cell::Num(warm_ns, 0))
-        .cell("speedup", Cell::Num(cold_ns / warm_ns, 4))
+        .cell("speedup", Cell::Num(median_ratio(&cold, &warm), 4))
         .cell("cache_hits", cache_hits)
         .cell("cache_misses", cache_misses)
         .cell("build_bytes", build_bytes)
@@ -1182,8 +1265,7 @@ fn profile_run(
         },
         &mut rng,
     )?;
-    let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    db.load_state(&u.state)?;
+    let db = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
     let mut manual = relmerge_engine::QueryStats::default();
     let t0 = Instant::now();
     for op in ops {
@@ -1350,8 +1432,7 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     let ops = skewed_reads(&SkewSpec::default(), n_ops, courses, 200, &mut ops_rng);
     let plan_for = |merged: bool, op| read_plan(merged, op).expect("B13 streams reads only");
 
-    let mut db = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    db.load_state(&u.state)?;
+    let mut db = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
 
     // Phase A: the hot read mix against the unmerged schema. Every
     // execution folds into the live profiler — the evidence stream the
@@ -1498,8 +1579,7 @@ pub fn durability(
     )?;
     let mut db = Database::new_with_config(u.schema.clone(), DbmsProfile::ideal(), cfg.clone())?;
     db.load_state(&u.state)?;
-    let mut memory = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    memory.load_state(&u.state)?;
+    let mut memory = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
 
     // Append overhead: the same workload against the durable database and
     // its in-memory twin, recording the log length after every commit.
@@ -1618,7 +1698,11 @@ fn b12_thread_ops(t: usize, n: usize, courses: usize) -> Vec<UniversityOp> {
 /// transient TEACH build flows through the shared versioned cache, so
 /// concurrent sessions at the same relation version reuse one build.
 ///
-/// Three correctness proofs ride along with the timing:
+/// The sweep runs `rounds` rotated rounds, one storm per thread count
+/// each, every storm on a fresh store over a fresh fork; each row holds
+/// its count's medians over the rounds.
+///
+/// Three correctness proofs ride along with the timing, in every storm:
 /// - **frozen pins** — each thread retains its first read pins across
 ///   the whole storm and the harness re-executes them afterwards,
 ///   asserting byte-identical rows (a reader never observes later
@@ -1631,7 +1715,7 @@ fn b12_thread_ops(t: usize, n: usize, courses: usize) -> Vec<UniversityOp> {
 ///   generous factor of it (the session layer adds one pin per read, not
 ///   a new execution path). The factor is wide because shared single-core
 ///   CI hosts drift; the printed table carries the honest numbers.
-pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Report> {
+pub fn concurrent_sessions(courses: usize, ops_per_thread: usize, rounds: usize) -> Result<Report> {
     use relmerge_workload::unmerged_statements;
 
     let _span = obs::span("bench.b12.concurrency").field("courses", courses);
@@ -1643,8 +1727,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Repo
         },
         &mut rng,
     )?;
-    let mut base = Database::new(u.schema.clone(), DbmsProfile::ideal())?;
-    base.load_state(&u.state)?;
+    let base = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
     let cores = base.parallelism();
 
     // Single-`Database` baseline: thread 0's exact stream, no store.
@@ -1689,11 +1772,7 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Repo
         drop(second);
         drop(first);
         let diff = store.metrics_registry().snapshot().diff(&before);
-        let hits = diff
-            .counters
-            .get("engine.query.build_cache.hits")
-            .copied()
-            .unwrap_or(0);
+        let hits = count(&diff.counters, "engine.query.build_cache.hits");
         assert!(
             hits > 0,
             "the second session's identical join must reuse the shared build"
@@ -1701,8 +1780,9 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Repo
         hits
     };
 
-    let mut rows = Vec::new();
-    for &threads in &worker_sweep(cores) {
+    // A sample is one storm of `threads` clients on a fresh store over a
+    // fresh fork of `base`.
+    let storm = |threads: usize| -> Result<Row> {
         let store = Store::new(base.fork());
         let before = store.metrics_registry().snapshot();
         let t0 = std::time::Instant::now();
@@ -1775,10 +1855,9 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Repo
         }
         // Pins (and their session metric shards) are dropped; the store
         // registry now holds every counter this run charged.
-        let diff = store.metrics_registry().snapshot().diff(&before);
-        let pick = |name: &str| diff.counters.get(name).copied().unwrap_or(0);
-        let cache_hits = pick("engine.query.build_cache.hits");
-        let cache_misses = pick("engine.query.build_cache.misses");
+        let diff = store.metrics_registry().snapshot().diff(&before).counters;
+        let cache_hits = count(&diff, "engine.query.build_cache.hits");
+        let cache_misses = count(&diff, "engine.query.build_cache.misses");
         if threads >= 2 {
             assert!(
                 cache_hits > 0,
@@ -1794,26 +1873,31 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize) -> Result<Repo
                  Database: {n1_ns_per_op:.0} ns/op vs baseline {baseline_ns_per_op:.0} ns/op"
             );
         }
-        rows.push(
-            Row::new()
-                .cell("threads", threads)
-                .cell("ops", ops)
-                .cell("reads", reads)
-                .cell("writes", writes)
-                .cell("total_ns", Cell::Num(total_ns, 0))
-                .cell("ops_per_sec", Cell::Num(ops as f64 / (total_ns / 1e9), 1))
-                .cell("read_p50_ns", Cell::Num(quantile(&mut lat, 0.50), 0))
-                .cell("read_p95_ns", Cell::Num(quantile(&mut lat, 0.95), 0))
-                .cell("cache_hits", cache_hits)
-                .cell("cache_misses", cache_misses)
-                .cell("frozen_reads", frozen_reads),
-        );
-    }
+        Ok(Row::new()
+            .cell("threads", threads)
+            .cell("ops", ops)
+            .cell("reads", reads)
+            .cell("writes", writes)
+            .cell("total_ns", Cell::Num(total_ns, 0))
+            .cell("ops_per_sec", Cell::Num(ops as f64 / (total_ns / 1e9), 1))
+            .cell("read_p50_ns", Cell::Num(quantile(&mut lat, 0.50), 0))
+            .cell("read_p95_ns", Cell::Num(quantile(&mut lat, 0.95), 0))
+            .cell("cache_hits", cache_hits)
+            .cell("cache_misses", cache_misses)
+            .cell("frozen_reads", frozen_reads))
+    };
+    let sweep = worker_sweep(cores);
+    let rows = rotated(sweep.len(), rounds, |i| storm(sweep[i]))?
+        .iter()
+        .map(|runs| median_row(runs))
+        .collect();
 
     let mut report = Report::new(
         "B12: concurrent sessions (snapshot readers / serialized writers / shared cache)",
     );
-    report.scale = format!("{courses} courses, {ops_per_thread} ops per client thread");
+    report.scale = format!(
+        "{courses} courses, {ops_per_thread} ops per client thread, median of {rounds} rounds"
+    );
     report.fields = Row::new()
         .cell("courses", courses)
         .cell("ops_per_thread", ops_per_thread)
@@ -1834,7 +1918,7 @@ mod tests {
 
     #[test]
     fn query_speedup_shape() {
-        let report = query_speedup(&[200], 50).unwrap();
+        let report = query_speedup(&[200], 50, 3).unwrap();
         let rows = report.table("rows");
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
@@ -1959,7 +2043,7 @@ mod tests {
 
     #[test]
     fn mixed_workload_runs_and_agrees() {
-        let report = mixed_workload(&[200], 2_000).unwrap();
+        let report = mixed_workload(&[200], 2_000, 3).unwrap();
         let rows = report.table("rows");
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].int("ops"), 2_000);
@@ -1975,7 +2059,7 @@ mod tests {
     #[test]
     fn batch_dml_defers_and_saves_checks() {
         // `batch_dml` itself asserts the final states are identical.
-        let report = batch_dml(&[200], 400, 32).unwrap();
+        let report = batch_dml(&[200], 400, 32, 2).unwrap();
         let rows = report.table("rows");
         assert_eq!(rows.len(), 2);
         for r in rows {
@@ -1994,7 +2078,7 @@ mod tests {
         // `concurrent_sessions` itself asserts frozen pins replay
         // byte-identical, cross-session cache reuse, and the N=1 regime
         // bound; here we check the ledger's shape and its artifact keys.
-        let report = concurrent_sessions(120, 48).unwrap();
+        let report = concurrent_sessions(120, 48, 2).unwrap();
         assert_eq!(
             keys(&report.fields),
             [

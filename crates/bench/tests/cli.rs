@@ -1,7 +1,9 @@
 //! The `reproduce` command line: every argument resolves against the
-//! experiment table, and anything else exits 2 listing the valid names.
-//! The `sdt` command line runs every dialect end to end.
+//! experiment table, and anything else exits 2 listing the valid names;
+//! the closing summary counts every engine event of a run. The `sdt`
+//! command line runs every dialect end to end.
 
+use std::collections::BTreeMap;
 use std::process::{Command, Output};
 
 fn reproduce(args: &[&str]) -> Output {
@@ -55,6 +57,74 @@ fn smoke_run_writes_its_artifact_under_target() {
     let json = std::fs::read_to_string(wrote).expect("artifact exists");
     assert!(json.starts_with("{\"experiment\":\"FIG3\","), "{json}");
     assert!(json.contains("\"smoke\":true,\"bcnf\":true"), "{json}");
+}
+
+/// Runs `reproduce <exp> --smoke`: its artifact, its rounds (from the
+/// artifact's scale, `… median of <n> rounds`) and the closing summary's
+/// counter totals.
+fn smoke_run(exp: &str) -> (String, u64, BTreeMap<String, u64>) {
+    let out = reproduce(&[exp, "--smoke"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let wrote = stdout.lines().find_map(|l| l.strip_prefix("wrote "));
+    let json = std::fs::read_to_string(wrote.expect("the run names its artifact")).unwrap();
+    let before_rounds = json.split(" rounds\"").next().unwrap();
+    let rounds = before_rounds
+        .rsplit(' ')
+        .next()
+        .unwrap()
+        .parse()
+        .expect("rounds");
+    let summary = stdout
+        .split("\ncounters:\n")
+        .nth(1)
+        .expect("a counter summary");
+    let counters = summary
+        .lines()
+        .skip(2)
+        .filter_map(|l| {
+            let mut f = l.split_whitespace();
+            Some((f.next()?.to_owned(), f.next()?.parse().ok()?))
+        })
+        .collect();
+    (json, rounds, counters)
+}
+
+/// The sum of every `"key":<count>` in `json`: one column of a table.
+fn column_sum(json: &str, key: &str) -> u64 {
+    let cell = format!("\"{key}\":");
+    json.split(&cell)
+        .skip(1)
+        .map(|c| c.split(|ch: char| !ch.is_ascii_digit()).next().unwrap())
+        .map(|n| n.parse::<u64>().unwrap())
+        .sum()
+}
+
+/// Counters only go up, so the summary holds every event of the run,
+/// also those of the databases an experiment has dropped: each round of
+/// B2 inserts and checks its table's counts, and B7 commits its batches.
+#[test]
+fn summary_counts_every_engine_event() {
+    let (json, rounds, counters) = smoke_run("b2");
+    for (counter, column) in [
+        ("engine.dml.inserts", "statements"),
+        ("engine.check.declarative", "declarative"),
+        ("engine.check.procedural", "procedural"),
+    ] {
+        let want = rounds * column_sum(&json, column);
+        assert_eq!(
+            counters.get(counter),
+            Some(&want),
+            "{counter}: {counters:?}"
+        );
+    }
+    let (json, rounds, counters) = smoke_run("b7");
+    let want = rounds * column_sum(&json, "batches");
+    assert_eq!(
+        counters.get("engine.batch.commits"),
+        Some(&want),
+        "{counters:?}"
+    );
 }
 
 /// Every dialect merges fig7 under its own profile's advisor and prints

@@ -72,12 +72,6 @@ impl MergePipeline {
         self.steps.is_empty()
     }
 
-    /// The input schema (of the first step), if any.
-    #[must_use]
-    pub fn input_schema(&self) -> Option<&RelationalSchema> {
-        self.steps.first().map(Merged::original_schema)
-    }
-
     /// The output schema (of the last step), if any.
     #[must_use]
     pub fn output_schema(&self) -> Option<&RelationalSchema> {

@@ -932,6 +932,11 @@ mod tests {
         Database::new(pc_schema(), DbmsProfile::ideal()).unwrap()
     }
 
+    /// `d`'s counter `name` so far.
+    fn count(d: &Database, name: &str) -> u64 {
+        d.metrics_registry().counter(name).get()
+    }
+
     #[test]
     fn batch_commits_child_before_parent() {
         let mut d = db();
@@ -1005,16 +1010,13 @@ mod tests {
         }
         let outcome = batched.apply_batch(&stmts).unwrap();
         assert!(outcome.deferred_checks > 0);
-        let e = eager.take_stats();
-        let b = batched.take_stats();
         assert_eq!(eager.snapshot().unwrap(), batched.snapshot().unwrap());
-        assert_eq!(e.deferred_checks, 0);
-        assert!(
-            b.total_checks() < e.total_checks(),
-            "batched {} vs eager {}",
-            b.total_checks(),
-            e.total_checks()
-        );
+        assert_eq!(count(&eager, "engine.check.deferred"), 0);
+        let checks = |d: &Database| {
+            count(d, "engine.check.declarative") + count(d, "engine.check.procedural")
+        };
+        let (e, b) = (checks(&eager), checks(&batched));
+        assert!(b < e, "batched {b} vs eager {e}");
     }
 
     #[test]
@@ -1023,7 +1025,6 @@ mod tests {
         let mut batched = db();
         for d in [&mut eager, &mut batched] {
             d.insert("P", tup(&[1])).unwrap();
-            let _ = d.take_stats();
         }
         // 30 children referencing the same parent: the batch probes the
         // parent index once, the eager path 30 times.
@@ -1034,15 +1035,10 @@ mod tests {
             eager.apply_one(s).unwrap();
         }
         batched.apply_batch(&stmts).unwrap();
-        let e = eager.take_stats();
-        let b = batched.take_stats();
         assert_eq!(eager.snapshot().unwrap(), batched.snapshot().unwrap());
-        assert!(
-            b.index_probes < e.index_probes,
-            "batched {} vs eager {}",
-            b.index_probes,
-            e.index_probes
-        );
+        let probes = |d: &Database| count(d, "engine.check.index_probes");
+        let (e, b) = (probes(&eager), probes(&batched));
+        assert!(b < e, "batched {b} vs eager {e}");
     }
 
     #[test]
@@ -1134,7 +1130,7 @@ mod tests {
             .unwrap();
         assert!(!outcome.deferred);
         assert_eq!(outcome.deferred_checks, 0);
-        assert_eq!(d.stats().deferred_checks, 0);
+        assert_eq!(count(&d, "engine.check.deferred"), 0);
     }
 
     #[test]

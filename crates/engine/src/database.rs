@@ -12,17 +12,16 @@
 //! Every check is metered through a per-instance `relmerge-obs` registry
 //! shard: counts per constraint class (`null`, `key`, `ind`, `restrict`)
 //! split by [`Mechanism`], latency histograms per tier, and DML outcome
-//! counters. [`MaintenanceStats`] is a cheap snapshot view over those
-//! counters, letting the benches quantify §5.1's point that merged schemas
-//! shift maintenance work into the (more expensive) procedural tier on some
-//! systems. Each DML statement also opens an `engine.dml.*` trace span
-//! carrying the relation and outcome.
+//! counters. The counters only go up: a reader diffs two snapshots of
+//! [`Database::metrics_registry`], which is how the benches quantify
+//! §5.1's point that merged schemas shift maintenance work into the (more
+//! expensive) procedural tier on some systems. Each DML statement also
+//! opens an `engine.dml.*` trace span carrying the relation and outcome.
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Add, AddAssign};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -130,69 +129,6 @@ impl From<DmlError> for Error {
                 other => other,
             },
         }
-    }
-}
-
-/// Counters for constraint-maintenance work, split by mechanism tier.
-///
-/// This is a point-in-time *view* over the database's metrics shard
-/// (see [`Database::stats`]); the live counters are registry-backed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceStats {
-    /// Rows inserted by committed statements and batches (a rejected or
-    /// rolled-back statement's rows are not counted).
-    pub inserts: u64,
-    /// Rows deleted by committed statements and batches.
-    pub deletes: u64,
-    /// Committed updates that changed a row (each also counts its
-    /// physical delete + insert).
-    pub updates: u64,
-    /// Statements rejected by a constraint (one per statement, or per
-    /// batch when its commit-time validation fails).
-    pub rejected: u64,
-    /// Declarative-tier checks performed (PK, NNA, FK).
-    pub declarative_checks: u64,
-    /// Procedural-tier (trigger/rule) checks performed.
-    pub procedural_checks: u64,
-    /// Checks that ran as deferred group validations at batch commit
-    /// (also counted in their tier's total).
-    pub deferred_checks: u64,
-    /// Hash-index probes performed by checks.
-    pub index_probes: u64,
-}
-
-impl MaintenanceStats {
-    /// Total checks across both tiers.
-    #[must_use]
-    pub fn total_checks(&self) -> u64 {
-        self.declarative_checks + self.procedural_checks
-    }
-
-    /// Folds `other` into `self` field-wise.
-    pub fn merge(&mut self, other: &MaintenanceStats) {
-        *self += *other;
-    }
-}
-
-impl AddAssign for MaintenanceStats {
-    fn add_assign(&mut self, rhs: MaintenanceStats) {
-        self.inserts += rhs.inserts;
-        self.deletes += rhs.deletes;
-        self.updates += rhs.updates;
-        self.rejected += rhs.rejected;
-        self.declarative_checks += rhs.declarative_checks;
-        self.procedural_checks += rhs.procedural_checks;
-        self.deferred_checks += rhs.deferred_checks;
-        self.index_probes += rhs.index_probes;
-    }
-}
-
-impl Add for MaintenanceStats {
-    type Output = MaintenanceStats;
-
-    fn add(mut self, rhs: MaintenanceStats) -> MaintenanceStats {
-        self += rhs;
-        self
     }
 }
 
@@ -1040,12 +976,6 @@ impl Database {
         self.fault = None;
     }
 
-    /// The active fault plan, if one is installed.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.fault.as_ref()
-    }
-
     /// The write-ahead log, when this database is durable.
     pub(crate) fn wal(&self) -> Option<&crate::wal::Wal> {
         self.wal.as_ref()
@@ -1055,12 +985,6 @@ impl Database {
     /// reopened log in through here after replay has been verified.
     pub(crate) fn set_wal(&mut self, wal: Option<crate::wal::Wal>) {
         self.wal = wal;
-    }
-
-    /// Whether this database is durable (carries a write-ahead log).
-    #[must_use]
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// One branch when no plan is installed; otherwise counts this arrival
@@ -1148,37 +1072,9 @@ impl Database {
         &self.profile
     }
 
-    /// A snapshot of the maintenance counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> MaintenanceStats {
-        MaintenanceStats {
-            inserts: self.metrics.inserts.get(),
-            deletes: self.metrics.deletes.get(),
-            updates: self.metrics.updates.get(),
-            rejected: self.metrics.rejected.get(),
-            declarative_checks: self.metrics.declarative.get(),
-            procedural_checks: self.metrics.procedural.get(),
-            deferred_checks: self.metrics.deferred.get(),
-            index_probes: self.metrics.index_probes.get(),
-        }
-    }
-
-    /// Resets the maintenance counters (and the instance's whole metrics
-    /// shard, including per-class counters and latency histograms).
-    pub fn reset_stats(&mut self) {
-        self.metrics.registry.reset();
-    }
-
-    /// Returns the accumulated maintenance counters and resets them — the
-    /// one-call replacement for the `reset_stats()`-then-`stats()` dance.
-    pub fn take_stats(&mut self) -> MaintenanceStats {
-        let out = self.stats();
-        self.reset_stats();
-        out
-    }
-
-    /// The metrics shard backing this instance's counters, for callers
-    /// that want per-class counts or latency histograms directly.
+    /// The metrics shard backing this instance's counters and latency
+    /// histograms. Nothing lowers them: to count the events of one phase,
+    /// diff a snapshot taken after it against one taken before.
     #[must_use]
     pub fn metrics_registry(&self) -> &Arc<Registry> {
         &self.metrics.registry
@@ -1714,6 +1610,11 @@ mod tests {
         Tuple::new(vals.iter().map(|v| Value::Int(*v)).collect::<Vec<_>>())
     }
 
+    /// `db`'s counter `name` so far.
+    fn count(db: &Database, name: &str) -> u64 {
+        db.metrics_registry().counter(name).get()
+    }
+
     #[test]
     fn insert_enforces_everything() {
         let mut db = Database::new(emp_mgr_schema(), DbmsProfile::db2()).unwrap();
@@ -1735,11 +1636,10 @@ mod tests {
         assert!(matches!(err, DmlError::ConstraintViolation(_)));
         assert_eq!(db.len("EMP"), 1);
         assert_eq!(db.len("MGR"), 1);
-        let stats = db.stats();
-        assert_eq!(stats.inserts, 2);
-        assert_eq!(stats.rejected, 3);
-        assert!(stats.declarative_checks > 0);
-        assert_eq!(stats.procedural_checks, 0);
+        assert_eq!(count(&db, "engine.dml.inserts"), 2);
+        assert_eq!(count(&db, "engine.dml.rejected"), 3);
+        assert!(count(&db, "engine.check.declarative") > 0);
+        assert_eq!(count(&db, "engine.check.procedural"), 0);
     }
 
     #[test]
@@ -1776,7 +1676,7 @@ mod tests {
             .insert("M", Tuple::new([Value::Int(2), Value::Int(5), Value::Null]))
             .unwrap_err();
         assert!(matches!(err, DmlError::ConstraintViolation(_)));
-        assert!(db.stats().procedural_checks > 0);
+        assert!(count(&db, "engine.check.procedural") > 0);
         // DB2 cannot host this schema at all.
         assert!(Database::new(rs, DbmsProfile::db2()).is_err());
     }
@@ -1867,64 +1767,20 @@ mod tests {
     }
 
     #[test]
-    fn take_stats_reads_and_resets() {
-        let mut db = Database::new(emp_mgr_schema(), DbmsProfile::db2()).unwrap();
-        db.insert("EMP", tup(&[1, 10])).unwrap();
-        let taken = db.take_stats();
-        assert_eq!(taken.inserts, 1);
-        assert!(taken.declarative_checks > 0);
-        assert_eq!(db.stats(), MaintenanceStats::default());
-        // Counters keep working after the reset.
-        db.insert("EMP", tup(&[2, 20])).unwrap();
-        assert_eq!(db.stats().inserts, 1);
-    }
-
-    #[test]
-    fn stats_add_and_merge() {
-        let a = MaintenanceStats {
-            inserts: 1,
-            deletes: 2,
-            updates: 7,
-            rejected: 3,
-            declarative_checks: 4,
-            procedural_checks: 5,
-            deferred_checks: 8,
-            index_probes: 6,
-        };
-        let b = MaintenanceStats {
-            inserts: 10,
-            deletes: 20,
-            updates: 70,
-            rejected: 30,
-            declarative_checks: 40,
-            procedural_checks: 50,
-            deferred_checks: 80,
-            index_probes: 60,
-        };
-        let sum = a + b;
-        assert_eq!(sum.inserts, 11);
-        assert_eq!(sum.index_probes, 66);
-        let mut m = a;
-        m.merge(&b);
-        assert_eq!(m, sum);
-        let mut aa = a;
-        aa += b;
-        assert_eq!(aa, sum);
-    }
-
-    #[test]
     fn cloned_database_has_isolated_counters() {
         let mut db = Database::new(emp_mgr_schema(), DbmsProfile::db2()).unwrap();
         db.insert("EMP", tup(&[1, 10])).unwrap();
         let mut fork = db.fork();
-        assert_eq!(fork.stats(), MaintenanceStats::default(), "fresh shard");
+        let fresh = fork.metrics_registry().snapshot();
+        assert!(fresh.counters.values().all(|&c| c == 0), "fresh shard");
         assert_eq!(fork.len("EMP"), 1, "rows are copied, counts are not");
         fork.insert("EMP", tup(&[2, 20])).unwrap();
         db.insert("EMP", tup(&[3, 30])).unwrap();
-        assert_eq!(fork.stats().inserts, 1);
-        assert_eq!(db.stats().inserts, 2, "original unaffected by the fork");
+        let inserts = |d: &Database| count(d, "engine.dml.inserts");
+        assert_eq!(inserts(&fork), 1);
+        assert_eq!(inserts(&db), 2, "original unaffected by the fork");
         // Three inserts were made; the two shards count each exactly once.
-        assert_eq!(db.stats().inserts + fork.stats().inserts, 3);
+        assert_eq!(inserts(&db) + inserts(&fork), 3);
     }
 
     #[test]
@@ -2169,17 +2025,18 @@ mod tests {
         assert_eq!(snap.counters["engine.check.key.declarative"], 2);
         assert_eq!(snap.counters["engine.check.ind.declarative"], 1);
         assert_eq!(snap.counters["engine.check.restrict.declarative"], 1);
-        // Per-class counts sum to the tier totals the stats view reports.
+        // Per-class counts sum to the tier totals.
+        let declarative = snap.counters["engine.check.declarative"];
         let per_class: u64 = CLASS_NAMES
             .iter()
             .map(|c| snap.counters[&format!("engine.check.{c}.declarative")])
             .sum();
-        assert_eq!(per_class, db.stats().declarative_checks);
+        assert_eq!(per_class, declarative);
         // Latency histograms saw every declarative check.
         assert_eq!(
             snap.histograms["engine.check.declarative.ns"].count,
-            db.stats().declarative_checks
+            declarative
         );
-        assert_eq!(db.stats().procedural_checks, 0);
+        assert_eq!(snap.counters["engine.check.procedural"], 0);
     }
 }

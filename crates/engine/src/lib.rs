@@ -41,7 +41,7 @@ pub mod session;
 pub mod wal;
 
 pub use batch::{BatchOutcome, Statement, StatementOutcome};
-pub use database::{Database, DmlError, EngineConfig, MaintenanceStats, DEFAULT_BUILD_CACHE_BYTES};
+pub use database::{Database, DmlError, EngineConfig, DEFAULT_BUILD_CACHE_BYTES};
 pub use fault::{FaultMode, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation};
 pub use migrate::{AdvisedMigration, MigrationReport};
 pub use planner::{choose_join_strategy, fingerprint, plan, JoinStrategy, LogicalQuery};

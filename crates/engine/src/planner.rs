@@ -305,13 +305,16 @@ pub(crate) fn choose_root_lookup(
     Some((attr.clone(), value.clone()))
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: where a hash of no bytes starts.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64 over `bytes`, continuing from `hash`. Hand-rolled because
-/// `std`'s `DefaultHasher` is not stable across Rust releases and the
-/// fingerprint must be comparable across recorded profiles.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes`, continuing from `hash` ([`FNV_OFFSET`] to
+/// start): the write-ahead log's record checksum and the query-shape
+/// fingerprint. Hand-rolled because `std`'s `DefaultHasher` is not stable
+/// across Rust releases, and a log or a recorded profile must read the
+/// same in every build.
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for &b in bytes {
         h ^= u64::from(b);

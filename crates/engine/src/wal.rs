@@ -100,15 +100,10 @@ fn check_payload_size(kind: &str, payload: &[u8]) -> Result<()> {
 /// [`DurabilityConfig::snapshot_every`]).
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
 
-/// FNV-1a over `bytes` — the record checksum. Std-only, deterministic,
-/// and plenty for torn-write detection (crypto is not the threat model).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// The checksum of a log record or snapshot payload: FNV-1a, plenty for
+/// torn-write detection (crypto is not the threat model).
+fn checksum(payload: &[u8]) -> u64 {
+    crate::planner::fnv1a(crate::planner::FNV_OFFSET, payload)
 }
 
 /// When the WAL flushes its file to stable storage.
@@ -170,25 +165,6 @@ impl DurabilityConfig {
     pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
         self.fsync = policy;
         self
-    }
-
-    /// The data directory.
-    #[must_use]
-    pub fn get_dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured snapshot cadence (batches per snapshot; `0` =
-    /// never).
-    #[must_use]
-    pub fn get_snapshot_every(&self) -> u64 {
-        self.snapshot_every
-    }
-
-    /// The configured fsync policy.
-    #[must_use]
-    pub fn get_fsync(&self) -> FsyncPolicy {
-        self.fsync
     }
 }
 
@@ -913,7 +889,7 @@ impl Wal {
         check_payload_size("record", payload)?;
         let mut frame = Vec::with_capacity(FRAME_HEADER as usize + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        frame.extend_from_slice(&checksum(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         let path = wal_path(&self.cfg.dir, g.generation);
         let written = g
@@ -1003,7 +979,7 @@ fn write_snapshot_file(cfg: &DurabilityConfig, generation: u64, payload: &[u8]) 
     let mut body = Vec::with_capacity(SNAP_MAGIC.len() + FRAME_HEADER as usize + payload.len());
     body.extend_from_slice(SNAP_MAGIC);
     body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    body.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    body.extend_from_slice(&checksum(payload).to_le_bytes());
     body.extend_from_slice(payload);
     let written = (|| -> std::io::Result<()> {
         let mut f = File::create(&tmp_path)?;
@@ -1255,7 +1231,7 @@ fn recover_inner(
                 break;
             }
             let payload = &bytes[body_start..body_start + len as usize];
-            if fnv1a(payload) != sum {
+            if checksum(payload) != sum {
                 // A corrupted checksum ends the valid prefix exactly like
                 // a short tail does.
                 torn_tail = true;
@@ -1365,7 +1341,7 @@ fn read_snapshot(path: &Path) -> Result<SnapshotBody> {
         )));
     }
     let payload = &bytes[header..];
-    if fnv1a(payload) != sum {
+    if checksum(payload) != sum {
         return Err(corrupt(format!(
             "snapshot `{}` failed its checksum",
             path.display()
@@ -1435,6 +1411,24 @@ mod tests {
         let back: Vec<Statement> = (0..n).map(|_| d.statement().unwrap()).collect();
         d.done().unwrap();
         assert_eq!(back, stmts);
+    }
+
+    /// Record checksums and query fingerprints share one FNV-1a; both
+    /// values below were computed by the two copies it replaced, so logs
+    /// and recorded profiles written before still read the same.
+    #[test]
+    fn checksums_and_fingerprints_are_pinned() {
+        let payload = encode_batch_payload(&[
+            Statement::insert("C", tup(&[10, 1])),
+            Statement::delete("P", tup(&[2])),
+        ]);
+        assert_eq!(checksum(&payload), 0xd57f_1d01_ed4d_164b);
+        let plan = crate::QueryPlan::lookup("COURSE", &["C.NR"], tup(&[7]))
+            .join(crate::JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]))
+            .filter(
+                crate::Predicate::eq("O.D.NAME", "dept0").and(crate::Predicate::not_null("C.NR")),
+            );
+        assert_eq!(crate::fingerprint(&plan), 0x0e2e_bce9_3328_9990);
     }
 
     #[test]

@@ -54,6 +54,6 @@ pub use profile::{
     QueryShape,
 };
 pub use trace::{
-    clear_events, dropped_spans, enabled, render_tree, set_enabled, span, take_events, timer, Span,
-    SpanEvent, Timer, EVENT_LOG_CAPACITY, OVERFLOW_SAMPLE_EVERY,
+    clear_events, dropped_spans, enabled, render_tree, set_enabled, span, take_events, Span,
+    SpanEvent, EVENT_LOG_CAPACITY, OVERFLOW_SAMPLE_EVERY,
 };

@@ -35,18 +35,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Returns the current count and resets it to zero.
-    #[inline]
-    pub fn take(&self) -> u64 {
-        self.value.swap(0, Ordering::Relaxed)
-    }
-
-    /// Overwrites the count (used when cloning a shard's state).
-    #[inline]
-    pub fn set(&self, n: u64) {
-        self.value.store(n, Ordering::Relaxed);
-    }
 }
 
 /// A value that can go up and down.
@@ -160,14 +148,6 @@ impl Histogram {
             count: self.count(),
             sum: self.sum(),
             buckets,
-        }
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
         }
     }
 
@@ -331,19 +311,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-        }
-    }
-
-    /// Zeroes every metric, keeping handles valid.
-    pub fn reset(&self) {
-        for c in self.counters.read().unwrap().values() {
-            c.set(0);
-        }
-        for g in self.gauges.read().unwrap().values() {
-            g.set(0);
-        }
-        for h in self.histograms.read().unwrap().values() {
-            h.reset();
         }
     }
 }
@@ -518,8 +485,7 @@ mod tests {
         a.add(3);
         b.inc();
         assert_eq!(reg.counter("x").get(), 4);
-        assert_eq!(a.take(), 4);
-        assert_eq!(b.get(), 0);
+        assert_eq!(a.get(), 4);
     }
 
     #[test]

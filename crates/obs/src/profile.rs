@@ -361,12 +361,6 @@ impl JoinEvidence {
         self.edges.is_empty()
     }
 
-    /// The summed cumulative cost (probes + scanned rows) of every edge.
-    #[must_use]
-    pub fn total_cost(&self) -> u64 {
-        self.edges.iter().map(|h| h.cumulative_cost).sum()
-    }
-
     /// The cumulative cost the workload spent joining `a` with `b`, in
     /// either direction, summed across all probe-attribute variants of
     /// the edge.

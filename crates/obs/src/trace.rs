@@ -213,45 +213,6 @@ impl Drop for Span {
     }
 }
 
-/// Starts a [`Timer`]: a stopwatch paired with a span of the same name.
-pub fn timer(name: &'static str) -> Timer {
-    Timer {
-        start: Instant::now(),
-        span: span(name),
-    }
-}
-
-/// A wall-clock stopwatch paired with a span. Unlike a bare [`span`], the
-/// clock runs even when tracing is off, so callers can use the measured
-/// time in their own reports; the span itself still costs nothing when
-/// tracing is disabled.
-pub struct Timer {
-    start: Instant,
-    span: Span,
-}
-
-impl Timer {
-    /// Attaches a `key=value` field to the underlying span (builder form).
-    #[must_use]
-    pub fn field(mut self, key: &'static str, value: impl Display) -> Self {
-        self.span.add_field(key, value);
-        self
-    }
-
-    /// Attaches a `key=value` field in place.
-    pub fn add_field(&mut self, key: &'static str, value: impl Display) {
-        self.span.add_field(key, value);
-    }
-
-    /// Stops the clock, closes the span, and returns the elapsed
-    /// nanoseconds.
-    pub fn stop(self) -> u64 {
-        let ns = crate::metrics::elapsed_ns(self.start);
-        drop(self.span);
-        ns
-    }
-}
-
 fn format_duration(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
@@ -329,20 +290,6 @@ mod tests {
         assert!(lines[0].starts_with("outer k=1 extra=v ("));
         assert!(lines[1].starts_with("  inner ("));
         assert!(lines[2].starts_with("  inner2 rows=42 ("));
-
-        // Timers measure with tracing off (no event) and on (one event).
-        let t = timer("timed.off");
-        let _ = t.stop();
-        assert!(take_events().is_empty());
-        set_enabled(true);
-        let t = timer("timed.on").field("k", 7);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        assert!(t.stop() >= 1_000_000);
-        set_enabled(false);
-        let events = take_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "timed.on");
-        assert_eq!(events[0].fields, vec![("k", "7".to_owned())]);
 
         // Overflow tail-sampling: fill the log past capacity and check
         // that only every Nth overflowing span is admitted, the log never

@@ -120,12 +120,6 @@ impl DatabaseState {
         self.relations.values().map(Relation::len).sum()
     }
 
-    /// Total number of stored values (sum of arity × cardinality).
-    #[must_use]
-    pub fn total_values(&self) -> usize {
-        self.relations.values().map(Relation::value_count).sum()
-    }
-
     /// All violations of `schema`'s dependencies and constraints by this
     /// state. Empty means the state is **consistent** (paper §2).
     pub fn violations(&self, schema: &RelationalSchema) -> Result<Vec<Violation>> {

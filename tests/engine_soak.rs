@@ -125,7 +125,7 @@ fn dml_soak_unmerged_and_merged() {
     assert!(snap.is_consistent(&u.schema).unwrap());
     let msnap = merged.snapshot().unwrap();
     assert!(msnap.is_consistent(m.schema()).unwrap());
-    let stats = merged.stats();
-    assert!(stats.total_checks() > 0);
-    assert!(stats.rejected > 0);
+    let count = |name| merged.metrics_registry().counter(name).get();
+    assert!(count("engine.check.declarative") + count("engine.check.procedural") > 0);
+    assert!(count("engine.dml.rejected") > 0);
 }
