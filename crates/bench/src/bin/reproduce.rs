@@ -713,7 +713,7 @@ fn b14(scale: Scale) -> Result<Report> {
         trace(
             &mut r,
             &unmerged,
-            "b14 point query (the hot fingerprint)",
+            "b14 point query (the hottest edges)",
             &plan,
         )?;
     }

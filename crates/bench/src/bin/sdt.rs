@@ -14,9 +14,10 @@
 //!     [--report]           print merge reports instead of raw schemas
 //!     [--trace]            print the span tree of the run to stderr
 //!     [--metrics <text|json>]  print collected metrics after the run
-//!     [--profile <text|json|chrome>]  print the workload profile and
-//!                          hot-join ranking (chrome: a Chrome-trace JSON
-//!                          array of the run's spans for chrome://tracing)
+//!     [--profile <text|json|chrome>]  print the hot-join ranking of the
+//!                          workload's join ledger (chrome: a Chrome-trace
+//!                          JSON array of the run's spans for
+//!                          chrome://tracing)
 //!     [--data-dir <dir>]   durable engine mode: recover the database in
 //!                          <dir> if it holds a snapshot (printing a
 //!                          one-line recovery report), otherwise initialize
@@ -35,8 +36,8 @@
 //! check counts and latencies, plus the tracer's dropped-span count and
 //! overflow sampling rate. `--profile` additionally runs a *query probe*
 //! (scans, point lookups, and one join per inclusion dependency) and prints
-//! the per-fingerprint workload profile with the hot-join ranking the merge
-//! advisor consumes.
+//! the hot-join ranking the merge advisor consumes; the probe's per-query
+//! totals are the `engine.query.*` counters `--metrics` lists.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -582,19 +583,12 @@ fn main() {
         for db in &probes {
             snap.merge(&db.profile_snapshot());
         }
-        let ranking = obs::report(&snap);
         match format {
             ProfileFormat::Text => {
-                println!("-- profile:");
-                print!("{}", obs::profile_to_text(&snap));
                 println!("-- hot joins:");
-                print!("{}", obs::report_to_text(&ranking));
+                print!("{}", obs::report_to_text(&snap.hot_joins));
             }
-            ProfileFormat::Json => println!(
-                "{{\"profile\":{},\"report\":{}}}",
-                obs::profile_to_json(&snap),
-                obs::report_to_json(&ranking)
-            ),
+            ProfileFormat::Json => println!("{}", obs::report_to_json(&snap.hot_joins)),
             ProfileFormat::Chrome => println!("{}", obs::chrome_trace(&events)),
         }
     }

@@ -213,8 +213,10 @@ pub fn query_speedup(scales: &[usize], queries: usize, rounds: usize) -> Result<
 ///
 /// A sample loads a fresh database (untimed) and times its `entities`
 /// bundle inserts; each of `rounds` rotated rounds takes one per
-/// scenario, and each row reports its scenario's median `ns_per_entity`.
-/// Every round must bump the same counters (asserted).
+/// scenario, and each row reports its scenario's median `ns_per_entity`
+/// and `vs_native`, the median over rounds of its time over the native
+/// row's in the same round. Every round must bump the same counters
+/// (asserted).
 pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
     let (u, m) = university_merge(10, 1)?;
     let merged_state = m.apply(&u.state)?;
@@ -264,12 +266,13 @@ pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
         let ns = obs::elapsed_ns(t0) as f64 / entities as f64;
         Ok((ns, counters_since(&db, &before)))
     })?;
+    let native = times(&samples[2]);
     let rows = scenarios
         .iter()
-        .zip(samples)
+        .zip(&samples)
         .map(|((scenario, _, _), samples)| {
-            let counts = same_counts(scenario, &samples);
-            let ns = times(&samples);
+            let counts = same_counts(scenario, samples);
+            let ns = times(samples);
             Row::new()
                 .cell("scenario", *scenario)
                 .cell("entities", entities)
@@ -277,6 +280,7 @@ pub fn maintenance_cost(entities: usize, rounds: usize) -> Result<Report> {
                 .cell("declarative", count(counts, "engine.check.declarative"))
                 .cell("procedural", count(counts, "engine.check.procedural"))
                 .cell("ns_per_entity", Cell::Num(median(&ns), 0))
+                .cell("vs_native", Cell::Num(median_ratio(&ns, &native), 2))
         })
         .collect();
     let mut report = Report::new("B2: maintenance cost per inserted course bundle");
@@ -1277,15 +1281,15 @@ fn profile_run(
 }
 
 /// B14: the workload profiler on a Zipf-skewed read mix against the
-/// unmerged Figure 3 schema — the hot-join report this produces is the
-/// evidence stream the merge advisor would consume.
+/// unmerged Figure 3 schema — the hot-join ranking of its join ledger is
+/// the evidence the merge advisor reads.
 ///
 /// Two invariants are asserted, not just reported:
 ///
-/// * **Exactness** — the profiler's per-fingerprint totals, summed, equal
-///   the manual sum of every execution's [`relmerge_engine::QueryStats`]
-///   field for field (peak maxed), and the per-shape split matches the
-///   per-operation split.
+/// * **Exactness** — the `engine.query.*` counters equal the manual sum
+///   of every execution's [`relmerge_engine::QueryStats`] field for
+///   field, `engine.query.ns` counts every execution, and the ledger is
+///   charged once per executed join step.
 /// * **Determinism** — a second run over the same operation stream on a
 ///   fresh database yields a byte-identical hot-join report (wall time is
 ///   excluded from the report by construction), ranked by cumulative
@@ -1301,57 +1305,35 @@ pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Re
     let (db, manual, mix_ns) = profile_run(courses, &ops)?;
     let snap = db.profile_snapshot();
 
-    // Exactness: profiler totals == manual per-query sums, field for field.
-    let sum = |f: fn(&obs::QueryCost) -> u64| -> u64 {
-        snap.queries.values().map(|p| f(&p.totals)).sum()
-    };
+    // Exactness: the query counters == manual per-query sums, field for
+    // field, and every join step is charged to the ledger once.
+    let metrics = db.metrics_registry().snapshot();
+    let total = |field: &str| metrics.counters[format!("engine.query.{field}").as_str()];
+    let executions = metrics.histograms["engine.query.ns"].count;
+    assert_eq!(executions, ops.len() as u64, "every execution counted");
+    assert_eq!(total("rows_scanned"), manual.rows_scanned);
+    assert_eq!(total("index_probes"), manual.index_probes);
+    assert_eq!(total("hash_builds"), manual.hash_builds);
+    assert_eq!(total("rows_output"), manual.rows_output);
+    assert_eq!(total("morsels"), manual.morsels);
+    assert_eq!(total("intermediate_bytes"), manual.intermediate_bytes);
+    let ranking = &snap.hot_joins;
     assert_eq!(
-        snap.executions(),
-        ops.len() as u64,
-        "every execution folded"
+        ranking.iter().map(|h| h.executions).sum::<u64>(),
+        manual.joins,
+        "one ledger charge per join step"
     );
-    assert_eq!(sum(|t| t.rows_scanned), manual.rows_scanned);
-    assert_eq!(sum(|t| t.index_probes), manual.index_probes);
-    assert_eq!(sum(|t| t.hash_builds), manual.hash_builds);
-    assert_eq!(sum(|t| t.rows_out), manual.rows_output);
-    assert_eq!(sum(|t| t.morsels), manual.morsels);
-    assert_eq!(sum(|t| t.intermediate_bytes), manual.intermediate_bytes);
-    assert_eq!(
-        snap.queries
-            .values()
-            .map(|p| p.totals.peak_intermediate_bytes)
-            .max()
-            .unwrap_or(0),
-        manual.peak_intermediate_bytes,
-        "peak is maxed, not summed"
-    );
-    // The skewed mix has exactly two shapes — fingerprints hash the plan,
-    // not the key constants — and the per-shape execution split matches.
-    assert_eq!(snap.queries.len(), 2, "two query shapes, two fingerprints");
-    let point_ops = ops
-        .iter()
-        .filter(|o| matches!(o, UniversityOp::CourseDetail { .. }))
-        .count() as u64;
-    for p in snap.queries.values() {
-        let expected = if p.shape.root == "COURSE" {
-            point_ops
-        } else {
-            ops.len() as u64 - point_ops
-        };
-        assert_eq!(p.executions, expected, "shape {}", p.shape.label);
-    }
 
     // Determinism: a fresh database + the same stream reproduce the
     // report byte for byte.
-    let ranking = obs::report(&snap);
     let (db2, _, _) = profile_run(courses, &ops)?;
     assert_eq!(
-        obs::report_to_json(&ranking),
-        obs::report_to_json(&obs::report(&db2.profile_snapshot())),
+        obs::report_to_json(ranking),
+        obs::report_to_json(&db2.profile_snapshot().hot_joins),
         "hot-join report must be deterministic"
     );
     let snapshot_us = median_us(|| Ok(db.profile_snapshot()))?;
-    let report_us = median_us(|| Ok(obs::report(&snap)))?;
+    let report_us = median_us(|| Ok(obs::report_to_json(ranking)))?;
 
     let hot = &ranking[..ranking.len().min(top_k)];
     assert!(!hot.is_empty(), "the read mix exercises joins");
@@ -1384,11 +1366,10 @@ pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Re
     report.fields = Row::new()
         .cell("courses", courses)
         .cell("ops", n_ops)
-        .cell("fingerprints", snap.queries.len())
-        .cell("executions", snap.executions())
-        .cell("index_probes", sum(|t| t.index_probes))
-        .cell("rows_scanned", sum(|t| t.rows_scanned))
-        .cell("intermediate_bytes", sum(|t| t.intermediate_bytes))
+        .cell("executions", executions)
+        .cell("index_probes", total("index_probes"))
+        .cell("rows_scanned", total("rows_scanned"))
+        .cell("intermediate_bytes", total("intermediate_bytes"))
         .cell("peak_intermediate_bytes", manual.peak_intermediate_bytes)
         .cell("ns_per_op", Cell::Num(mix_ns as f64 / n_ops as f64, 0))
         .cell("snapshot_us", snapshot_us)
@@ -1488,7 +1469,7 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
         "Propositions 4.1/4.2 must hold post-migration"
     );
     assert!(
-        !report.pre_profile.queries.is_empty(),
+        !report.pre_profile.hot_joins.is_empty(),
         "the pre-merge profile must be archived with the report"
     );
 
@@ -1967,6 +1948,9 @@ mod tests {
             native.int("declarative"),
             merged.int("declarative") + merged.int("procedural")
         );
+        // Each row's per-round ratio to the native row; native's own is 1.
+        assert_eq!(native.num("vs_native"), 1.0);
+        assert!(unmerged.num("vs_native") > 0.0 && merged.num("vs_native") > 0.0);
     }
 
     #[test]
@@ -2274,13 +2258,12 @@ mod tests {
 
     #[test]
     fn workload_profile_shape() {
-        // `workload_profile` itself asserts the exactness (profiler totals
+        // `workload_profile` itself asserts the exactness (query counters
         // == manual per-query sums), determinism and ordering invariants;
         // the shape checks here cover the summary surface.
         let report = workload_profile(200, 300, 5).unwrap();
         let f = &report.fields;
         assert_eq!(f.int("ops"), 300);
-        assert_eq!(f.int("fingerprints"), 2);
         assert_eq!(f.int("executions"), 300);
         assert!(f.int("index_probes") > 0);
         assert!(
@@ -2312,7 +2295,6 @@ mod tests {
             [
                 "courses",
                 "ops",
-                "fingerprints",
                 "executions",
                 "index_probes",
                 "rows_scanned",

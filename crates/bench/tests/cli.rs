@@ -148,3 +148,44 @@ fn sdt_runs_every_dialect() {
         );
     }
 }
+
+/// `--profile` prints the hot-join ranking of the probe databases' join
+/// ledgers, and `--metrics` lists the per-query counters beside it; the
+/// JSON form is one hot-join document.
+#[test]
+fn sdt_profile_prints_the_ranking_and_the_query_counters() {
+    let sdt = |profile: &str| {
+        let args = [
+            "--demo",
+            "fig7",
+            "--merge",
+            "--profile",
+            profile,
+            "--metrics",
+            "text",
+        ];
+        let out = Command::new(env!("CARGO_BIN_EXE_sdt"))
+            .args(args)
+            .output()
+            .expect("run sdt");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(
+            !stderr.lines().any(|l| l.starts_with("sdt:")),
+            "{args:?}: {stderr}"
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let text = sdt("text");
+    let ranking = text.split("-- hot joins:\n").nth(1).expect("a ranking");
+    assert!(ranking.starts_with("#1 "), "{ranking}");
+    for name in ["engine.query.ns", "engine.query.index_probes"] {
+        assert!(text.lines().any(|l| l.starts_with(name)), "{name}: {text}");
+    }
+    let json = sdt("json");
+    assert_eq!(json.matches("{\"hot_joins\":[").count(), 1, "{json}");
+    assert!(
+        json.lines().any(|l| l.starts_with("{\"hot_joins\":[{")),
+        "{json}"
+    );
+}

@@ -92,22 +92,22 @@ impl Advisor {
     /// Like [`Advisor::propose_static`], but scores each proposal with
     /// the workload evidence in `snapshot`: a proposal's `observed_cost`
     /// is the cumulative probe + scan cost of every profiled join edge
-    /// whose two relations are both members, i.e. the measured access
-    /// work the merge would eliminate. Sorted by observed cost
-    /// descending, then joins eliminated, then members.
+    /// whose two relations are both members
+    /// ([`obs::ProfileSnapshot::cost_between`] summed over member pairs),
+    /// i.e. the measured access work the merge would eliminate. Sorted by
+    /// observed cost descending, then joins eliminated, then members.
     pub fn propose_from_profile(
         &self,
         snapshot: &obs::ProfileSnapshot,
         schema: &RelationalSchema,
     ) -> Result<Vec<MergeProposal>> {
-        let evidence = obs::JoinEvidence::from_snapshot(snapshot);
-        self.evaluate(schema, Some(&evidence))
+        self.evaluate(schema, Some(snapshot))
     }
 
     fn evaluate(
         &self,
         schema: &RelationalSchema,
-        evidence: Option<&obs::JoinEvidence>,
+        evidence: Option<&obs::ProfileSnapshot>,
     ) -> Result<Vec<MergeProposal>> {
         let mut span = obs::span("core.advisor.propose");
         let mut proposals = Vec::new();
@@ -379,27 +379,12 @@ mod tests {
     fn profile_evidence_reorders_proposals() {
         let rs = two_stars();
         let profiler = obs::Profiler::new();
-        let shape = obs::QueryShape {
-            fingerprint: 0xFEED,
-            label: "P + 1 join".to_owned(),
-            root: "P".to_owned(),
-            edges: vec![obs::JoinEdge {
-                left: "P".to_owned(),
-                right: "Q".to_owned(),
-                probe_attrs: vec!["Q.K".to_owned()],
-            }],
-        };
-        let cost = obs::QueryCost {
-            index_probes: 500,
-            rows_scanned: 250,
-            ..obs::QueryCost::default()
-        };
         let edge = obs::EdgeCost {
             index_probes: 500,
             rows_scanned: 250,
             ..obs::EdgeCost::default()
         };
-        profiler.record(shape.fingerprint, || shape, &cost, &[edge]);
+        profiler.record([("P", "Q", &["Q.K".to_owned()][..], edge)]);
         let advisor = Advisor::new(&DbmsProfile::ideal());
         let snapshot = profiler.snapshot();
         let proposals = advisor.propose_from_profile(&snapshot, &rs).unwrap();

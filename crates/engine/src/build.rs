@@ -107,10 +107,9 @@ pub(crate) fn build_owned(
 /// the build is keyed on, the relation's modification version at build
 /// time, and the exact predicate pushed into the build (if any). A
 /// mutation bumps the version, so stale entries can never be hit — they
-/// just age out of the LRU. The filter is part of the key *by value*, not
-/// by its literal-free fingerprint: a build filtered on `Eq(a, 1)` must
-/// never be served to a probe filtered on `Eq(a, 2)` or to an unfiltered
-/// one.
+/// just age out of the LRU. The filter is part of the key *by value*,
+/// literals included: a build filtered on `Eq(a, 1)` must never be served
+/// to a probe filtered on `Eq(a, 2)` or to an unfiltered one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct BuildKey {
     pub(crate) rel: String,

@@ -148,6 +148,18 @@ pub(crate) enum CheckClass {
 const CHECK_CLASSES: usize = 4;
 const CLASS_NAMES: [&str; CHECK_CLASSES] = ["null", "key", "ind", "restrict"];
 
+/// The [`QueryStats`](crate::QueryStats) fields every successful query
+/// adds to its `engine.query.<field>` counter, in the order
+/// [`DbMetrics::record_query`] lists their values.
+const QUERY_TOTALS: [&str; 6] = [
+    "rows_scanned",
+    "index_probes",
+    "hash_builds",
+    "rows_output",
+    "morsels",
+    "intermediate_bytes",
+];
+
 /// Cached handles into one database instance's metrics shard.
 pub(crate) struct DbMetrics {
     pub(crate) registry: Arc<Registry>,
@@ -177,6 +189,10 @@ pub(crate) struct DbMetrics {
     /// `engine.query.build_cache.*`).
     pub(crate) cache_insert: Arc<Counter>,
     pub(crate) cache_evicted_bytes: Arc<obs::Gauge>,
+    /// Per-query totals, one counter per [`QUERY_TOTALS`] field, and the
+    /// wall time of each successful execution (`engine.query.ns`).
+    query_totals: [Arc<Counter>; QUERY_TOTALS.len()],
+    query_ns: Arc<Histogram>,
     class_declarative: [Arc<Counter>; CHECK_CLASSES],
     class_procedural: [Arc<Counter>; CHECK_CLASSES],
     declarative_ns: Arc<Histogram>,
@@ -261,6 +277,8 @@ impl DbMetrics {
             pushdown_pruned_rows: registry.counter("engine.query.pushdown_pruned_rows"),
             cache_insert: registry.counter("engine.build_cache.insert"),
             cache_evicted_bytes: registry.gauge("engine.build_cache.evicted_bytes"),
+            query_totals: QUERY_TOTALS.map(|f| registry.counter(&format!("engine.query.{f}"))),
+            query_ns: registry.histogram("engine.query.ns"),
             class_declarative: per_class("declarative"),
             class_procedural: per_class("procedural"),
             declarative_ns: registry.histogram("engine.check.declarative.ns"),
@@ -298,6 +316,23 @@ impl DbMetrics {
             }
             Mechanism::Unsupported => {}
         }
+    }
+
+    /// Adds one successful query's stats to the per-query totals and its
+    /// wall time, since `start`, to `engine.query.ns`.
+    pub(crate) fn record_query(&self, stats: &crate::QueryStats, start: Instant) {
+        let values = [
+            stats.rows_scanned,
+            stats.index_probes,
+            stats.hash_builds,
+            stats.rows_output,
+            stats.morsels,
+            stats.intermediate_bytes,
+        ];
+        for (counter, v) in self.query_totals.iter().zip(values) {
+            counter.add(v);
+        }
+        self.query_ns.record(obs::elapsed_ns(start));
     }
 }
 
@@ -564,10 +599,10 @@ pub struct Database {
     /// [`Database::fork`] deliberately does NOT share it (a fork's
     /// versions diverge, so shared keys could collide).
     build_cache: Arc<std::sync::Mutex<crate::build::BuildCache>>,
-    /// The workload profiler every successful query execution folds into
-    /// (shape fingerprint → aggregated cost). Shared by forks — the
-    /// profile describes the workload, not one instance's storage.
-    profiler: Arc<obs::Profiler>,
+    /// The workload's join ledger: every successful query charges each of
+    /// its join steps to the step's edge. Shared by forks — the profile
+    /// describes the workload, not one instance's storage.
+    pub(crate) profiler: Arc<obs::Profiler>,
     /// Installed fault plan, if any (`None` in production configurations).
     /// Behind an `Arc` so sites can fire from `&self` contexts — validation
     /// worker threads included — and so callers keep a handle to inspect
@@ -945,19 +980,12 @@ impl Database {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The workload profiler this database folds every successful query
-    /// execution into: per-fingerprint operator totals, intermediate-byte
-    /// accounting, and latency histograms. Forks share it (via `Arc`),
-    /// so a workload spread over forks still aggregates into one profile;
-    /// use [`obs::Profiler::snapshot`] / [`obs::Profiler::take`] and
-    /// [`relmerge_obs::report`] to read it.
-    #[must_use]
-    pub fn profiler(&self) -> &obs::Profiler {
-        &self.profiler
-    }
-
-    /// A point-in-time [`obs::ProfileSnapshot`] of the workload profiler
-    /// — convenience for `self.profiler().snapshot()`.
+    /// A point-in-time [`obs::ProfileSnapshot`] of the workload's join
+    /// ledger: every join edge a successful query executed, with the
+    /// access cost spent on it, hottest first. Forks share the ledger, so
+    /// a workload spread over forks still aggregates into one profile.
+    /// Per-query totals are counters on the metrics shard
+    /// (`engine.query.*`, see [`Database::metrics_registry`]).
     #[must_use]
     pub fn profile_snapshot(&self) -> obs::ProfileSnapshot {
         self.profiler.snapshot()

@@ -12,10 +12,10 @@
 //! and joins with cost counters, one query on one thread, quantifying
 //! the paper's §1 claim that merging reduces joins and improves access
 //! performance — every
-//! successful execution also folds into the database's shared workload
-//! profiler, keyed by the canonical plan fingerprint
-//! ([`planner::fingerprint`]), feeding the hot-join report the merge
-//! advisor consumes; and [`batch`]
+//! successful execution also adds its totals to the `engine.query.*`
+//! counters and charges each join step to its edge in the workload's
+//! join ledger ([`Database::profile_snapshot`]), the evidence the merge
+//! advisor reads; and [`batch`]
 //! provides the unified [`Statement`] DML path with all-or-nothing batches
 //! and deferred, group-validated constraint checking. The [`fault`] module
 //! makes failure itself testable: deterministic fault injection and the
@@ -44,8 +44,8 @@ pub use batch::{BatchOutcome, Statement, StatementOutcome};
 pub use database::{Database, DmlError, EngineConfig, DEFAULT_BUILD_CACHE_BYTES};
 pub use fault::{FaultMode, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation};
 pub use migrate::{AdvisedMigration, MigrationReport};
-pub use planner::{choose_join_strategy, fingerprint, plan, JoinStrategy, LogicalQuery};
-pub use predopt::{canonical_shape, conjoin, conjuncts, optimize, Optimized};
+pub use planner::{choose_join_strategy, plan, JoinStrategy, LogicalQuery};
+pub use predopt::{conjoin, conjuncts, optimize, Optimized};
 pub use query::{
     Access, CompiledPredicate, JoinStep, OpKind, OpStats, OpTrace, Predicate, QueryPlan,
     QueryStats, QueryTrace,

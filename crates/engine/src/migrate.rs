@@ -170,7 +170,7 @@ impl Database {
                     .collect();
                 // Archive (and clear) the pre-migration profile: its edge
                 // keys name relations that no longer exist.
-                let pre_profile = self.profiler().take();
+                let pre_profile = self.profiler.take();
                 obs::global().counter("engine.migrate.applied").inc();
                 let rows_migrated = migrated.total_tuples();
                 span.add_field("rows", rows_migrated);
@@ -367,21 +367,18 @@ mod tests {
         // Exercise the join so the profiler holds pre-merge edge keys.
         let join = QueryPlan::scan("Q").join(JoinStep::inner("P", &["Q.K"], &["P.K"]));
         db.execute(&join).unwrap();
-        assert!(!db.profile_snapshot().queries.is_empty());
+        let before = db.profile_snapshot();
+        assert_eq!(before.hot_joins[0].edge.label(), "Q->P[P.K]");
         let plan = plan_star_merge(db.schema());
         let report = db.migrate(&plan).unwrap();
         // Pre-merge edges were archived into the report, not left live.
-        assert!(!report.pre_profile.queries.is_empty());
-        assert!(db.profile_snapshot().queries.is_empty());
-        // Fresh traffic profiles under the merged name only.
+        assert_eq!(report.pre_profile, before);
+        assert!(db.profile_snapshot().hot_joins.is_empty());
+        // The merged relation answers without a join, so fresh traffic
+        // charges no edge.
         let (rel, _) = db.execute(&QueryPlan::scan("P_M")).unwrap();
         assert_eq!(rel.len(), 20);
-        let snap = db.profile_snapshot();
-        assert!(snap.queries.values().all(|p| p.shape.root == "P_M"
-            && p.shape
-                .edges
-                .iter()
-                .all(|e| e.left == "P_M" && e.right == "P_M")));
+        assert!(db.profile_snapshot().hot_joins.is_empty());
     }
 
     #[test]

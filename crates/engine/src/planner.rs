@@ -305,127 +305,6 @@ pub(crate) fn choose_root_lookup(
     Some((attr.clone(), value.clone()))
 }
 
-/// The FNV-1a 64 offset basis: where a hash of no bytes starts.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `bytes`, continuing from `hash` ([`FNV_OFFSET`] to
-/// start): the write-ahead log's record checksum and the query-shape
-/// fingerprint. Hand-rolled because `std`'s `DefaultHasher` is not stable
-/// across Rust releases, and a log or a recorded profile must read the
-/// same in every build.
-pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Hashes a length-prefixed string, so concatenations stay unambiguous
-/// (`"ab" + "c"` never collides with `"a" + "bc"`).
-fn hash_str(hash: u64, s: &str) -> u64 {
-    fnv1a(fnv1a(hash, &(s.len() as u64).to_le_bytes()), s.as_bytes())
-}
-
-/// Collects the subtree hashes of a same-connective chain (`And` under
-/// `And`, `Or` under `Or`), so the connective hashes as one flat N-ary
-/// node regardless of how the user parenthesized it.
-fn flatten_connective(p: &crate::query::Predicate, is_and: bool, out: &mut Vec<u64>) {
-    use crate::query::Predicate as P;
-    match (p, is_and) {
-        (P::And(x, y), true) | (P::Or(x, y), false) => {
-            flatten_connective(x, is_and, out);
-            flatten_connective(y, is_and, out);
-        }
-        _ => out.push(predicate_shape_hash(p)),
-    }
-}
-
-/// The structural hash of a predicate: operators and attribute names,
-/// never literal values. `And`/`Or` chains hash their flattened child
-/// hashes in sorted order, so commuting or re-parenthesizing a
-/// conjunction does not change the fingerprint.
-fn predicate_shape_hash(p: &crate::query::Predicate) -> u64 {
-    use crate::query::Predicate as P;
-    match p {
-        P::Eq(a, _) => hash_str(hash_str(FNV_OFFSET, "eq"), a),
-        P::IsNull(a) => hash_str(hash_str(FNV_OFFSET, "isnull"), a),
-        P::NotNull(a) => hash_str(hash_str(FNV_OFFSET, "notnull"), a),
-        P::And(..) | P::Or(..) => {
-            let is_and = matches!(p, P::And(..));
-            let mut children = Vec::new();
-            flatten_connective(p, is_and, &mut children);
-            children.sort_unstable();
-            let mut h = hash_str(FNV_OFFSET, if is_and { "and" } else { "or" });
-            for c in children {
-                h = fnv1a(h, &c.to_le_bytes());
-            }
-            h
-        }
-        P::Not(x) => fnv1a(
-            hash_str(FNV_OFFSET, "not"),
-            &predicate_shape_hash(x).to_le_bytes(),
-        ),
-    }
-}
-
-/// The canonical fingerprint of a query *shape*: a stable FNV-1a 64 hash
-/// of the root, the access kind and its lookup attributes (not the key
-/// values), every join edge, the predicate's structure (attributes and
-/// operators, not literals — `And`/`Or` operands combine commutatively),
-/// and the projection.
-///
-/// Executions that differ only in constants therefore share a
-/// fingerprint — the granularity the workload profiler
-/// (`relmerge_obs::Profiler`) aggregates at — while any change to the
-/// plan's structure yields a new one. The hash is hand-rolled and
-/// versioned, so recorded profiles stay comparable across Rust releases.
-/// It canonicalizes the filter through the predicate optimizer
-/// ([`crate::predopt::canonical_shape`]) first, so *equivalent* predicate
-/// forms — double negations, De Morgan variants, redundant conjuncts —
-/// also share a fingerprint, not just permutations of one form. Join
-/// strategies are not hashed: they depend on the data (a key that matches
-/// no row empties the left side and skips a build), so hashing them
-/// would let a literal split one shape.
-#[must_use]
-pub fn fingerprint(plan: &QueryPlan) -> u64 {
-    let mut h = hash_str(FNV_OFFSET, "relmerge.query.v3");
-    h = hash_str(h, &plan.root);
-    match &plan.access {
-        Access::FullScan => h = hash_str(h, "scan"),
-        Access::Lookup { attrs, .. } => {
-            h = hash_str(h, "lookup");
-            for a in attrs {
-                h = hash_str(h, a);
-            }
-        }
-    }
-    for step in &plan.joins {
-        h = hash_str(h, if step.outer { "outer" } else { "inner" });
-        h = hash_str(h, &step.rel);
-        for a in &step.left_attrs {
-            h = hash_str(h, a);
-        }
-        for a in &step.right_attrs {
-            h = hash_str(h, a);
-        }
-    }
-    if let Some(p) = &plan.filter {
-        h = hash_str(h, "filter");
-        h = match crate::predopt::canonical_shape(p) {
-            crate::predopt::Optimized::Always(true) => hash_str(h, "always_true"),
-            crate::predopt::Optimized::Always(false) => hash_str(h, "always_false"),
-            crate::predopt::Optimized::Pred(q) => fnv1a(h, &predicate_shape_hash(&q).to_le_bytes()),
-        };
-    }
-    for a in &plan.project {
-        h = hash_str(h, a);
-    }
-    h
-}
-
 /// Process-global planner counters, resolved once.
 struct PlannerCounters {
     plans: std::sync::Arc<relmerge_obs::Counter>,
@@ -636,35 +515,6 @@ mod tests {
         // Unknown relations and attributes error.
         assert!(choose_join_strategy(&db, "NOPE", &unindexed, false).is_err());
         assert!(choose_join_strategy(&db, "OFFER", &["NOPE".to_owned()], false).is_err());
-    }
-
-    #[test]
-    fn fingerprint_ignores_literals_and_predicate_order() {
-        use crate::query::Predicate;
-        let base = QueryPlan::lookup("COURSE", &["C.NR"], Tuple::new([Value::Int(1)]))
-            .join(JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]));
-        // Different key constants: same shape, same fingerprint.
-        let other_key = QueryPlan::lookup("COURSE", &["C.NR"], Tuple::new([Value::Int(999)]))
-            .join(JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]));
-        assert_eq!(fingerprint(&base), fingerprint(&other_key));
-        // A different join shape changes it.
-        assert_ne!(fingerprint(&base), fingerprint(&QueryPlan::scan("COURSE")));
-        let inner = QueryPlan::lookup("COURSE", &["C.NR"], Tuple::new([Value::Int(1)]))
-            .join(JoinStep::inner("OFFER", &["C.NR"], &["O.C.NR"]));
-        assert_ne!(fingerprint(&base), fingerprint(&inner));
-        // Predicate literals don't matter; permuting and re-parenthesizing
-        // And/Or operands doesn't either; structure does.
-        let p = |pred: Predicate| QueryPlan::scan("OFFER").filter(pred);
-        let abc = Predicate::eq("O.D", 1i64)
-            .and(Predicate::not_null("O.C.NR"))
-            .and(Predicate::eq("O.C.NR", 2i64));
-        let cba = Predicate::eq("O.C.NR", 7i64)
-            .and(Predicate::eq("O.D", 5i64).and(Predicate::not_null("O.C.NR")));
-        assert_eq!(fingerprint(&p(abc.clone())), fingerprint(&p(cba)));
-        let or_form = Predicate::eq("O.D", 1i64)
-            .or(Predicate::not_null("O.C.NR"))
-            .or(Predicate::eq("O.C.NR", 2i64));
-        assert_ne!(fingerprint(&p(abc)), fingerprint(&p(or_form)));
     }
 
     #[test]

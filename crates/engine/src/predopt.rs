@@ -29,11 +29,6 @@
 //!   (`Eq(a,v) ∧ NotNull(a) → Eq(a,v)`; dually
 //!   `Eq(a,v) ∨ NotNull(a) → NotNull(a)`), and `x ∧ (x ∨ y) → x` /
 //!   `x ∨ (x ∧ y) → x` (absorption).
-//!
-//! [`canonical_shape`] runs the same engine with every `Eq` literal
-//! erased to a fixed sentinel, yielding the literal-blind canonical form
-//! [`crate::planner::fingerprint`] hashes — so fingerprints stay stable
-//! across equivalent predicate forms *and* across literal changes.
 
 use std::collections::BTreeSet;
 
@@ -60,17 +55,7 @@ pub enum Optimized {
 /// there is no third truth value to preserve).
 #[must_use]
 pub fn optimize(p: &Predicate) -> Optimized {
-    finish(simplify_fix(to_expr(p, false, false)))
-}
-
-/// The literal-blind canonical form used by plan fingerprinting: every
-/// `Eq` literal is erased to a fixed sentinel before the same rule engine
-/// runs, so two predicates differing only in constants — or only in an
-/// equivalence-preserving rewrite (double negation, De Morgan, operand
-/// order) — share a shape.
-#[must_use]
-pub fn canonical_shape(p: &Predicate) -> Optimized {
-    finish(simplify_fix(to_expr(p, false, true)))
+    finish(simplify_fix(to_expr(p, false)))
 }
 
 /// Splits `p` into its top-level conjuncts (the CNF-ish split: `And`
@@ -138,21 +123,11 @@ enum Expr {
     Or(Vec<Expr>),
 }
 
-/// NNF conversion: `neg` is the parity of enclosing `Not`s, `erase`
-/// replaces every `Eq` literal with a fixed sentinel (fingerprint mode).
-fn to_expr(p: &Predicate, neg: bool, erase: bool) -> Expr {
+/// NNF conversion: `neg` is the parity of enclosing `Not`s.
+fn to_expr(p: &Predicate, neg: bool) -> Expr {
     match p {
         Predicate::Eq(a, v) => {
-            if erase {
-                // Literal-blind: a fixed non-null sentinel so the
-                // null-guarded rules behave uniformly.
-                let s = Value::Int(0);
-                if neg {
-                    Expr::NotEq(a.clone(), s)
-                } else {
-                    Expr::Eq(a.clone(), s)
-                }
-            } else if v.is_null() {
+            if v.is_null() {
                 // Identical-nulls regime: `a = Null` holds exactly when
                 // `a` is null.
                 if neg {
@@ -182,7 +157,7 @@ fn to_expr(p: &Predicate, neg: bool, erase: bool) -> Expr {
         }
         // De Morgan under odd parity.
         Predicate::And(x, y) => {
-            let cs = vec![to_expr(x, neg, erase), to_expr(y, neg, erase)];
+            let cs = vec![to_expr(x, neg), to_expr(y, neg)];
             if neg {
                 Expr::Or(cs)
             } else {
@@ -190,14 +165,14 @@ fn to_expr(p: &Predicate, neg: bool, erase: bool) -> Expr {
             }
         }
         Predicate::Or(x, y) => {
-            let cs = vec![to_expr(x, neg, erase), to_expr(y, neg, erase)];
+            let cs = vec![to_expr(x, neg), to_expr(y, neg)];
             if neg {
                 Expr::And(cs)
             } else {
                 Expr::Or(cs)
             }
         }
-        Predicate::Not(x) => to_expr(x, !neg, erase),
+        Predicate::Not(x) => to_expr(x, !neg),
     }
 }
 
@@ -439,23 +414,6 @@ mod tests {
         assert_eq!(cs[0], eq("A", 1));
         assert_eq!(conjoin(&cs).unwrap(), p);
         assert_eq!(conjoin(&[]), None);
-    }
-
-    #[test]
-    fn canonical_shape_is_literal_blind_but_structure_sensitive() {
-        let p1 = eq("A", 1).and(eq("B", 2));
-        let p2 = eq("A", 99).and(eq("B", -7));
-        assert_eq!(canonical_shape(&p1), canonical_shape(&p2));
-        // Equivalent forms share a shape…
-        let dn = eq("A", 1).negate().negate().and(eq("B", 2));
-        assert_eq!(canonical_shape(&p1), canonical_shape(&dn));
-        // …structurally different predicates do not.
-        let or_form = eq("A", 1).or(eq("B", 2));
-        assert_ne!(canonical_shape(&p1), canonical_shape(&or_form));
-        assert_ne!(
-            canonical_shape(&Predicate::is_null("A")),
-            canonical_shape(&Predicate::not_null("A"))
-        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! totals.
 
 use std::fmt;
-use std::ops::{Add, AddAssign};
+use std::ops::AddAssign;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -217,18 +217,12 @@ pub struct QueryStats {
     pub intermediate_bytes: u64,
     /// The largest single-operator contribution to `intermediate_bytes`:
     /// the query's memory high-water mark. Maxed, not summed, when stats
-    /// are merged.
+    /// are folded with `+=`.
     pub peak_intermediate_bytes: u64,
 }
 
-impl QueryStats {
-    /// Folds `other` into `self` field-wise (`rows_output` adds too, which
-    /// is the useful reading when aggregating a batch of queries).
-    pub fn merge(&mut self, other: &QueryStats) {
-        *self += *other;
-    }
-}
-
+/// Folds a query's stats into a running total field-wise (`rows_output`
+/// adds too, which is the useful reading for a batch of queries).
 impl AddAssign for QueryStats {
     fn add_assign(&mut self, rhs: QueryStats) {
         self.rows_scanned += rhs.rows_scanned;
@@ -241,15 +235,6 @@ impl AddAssign for QueryStats {
         self.peak_intermediate_bytes = self
             .peak_intermediate_bytes
             .max(rhs.peak_intermediate_bytes);
-    }
-}
-
-impl Add for QueryStats {
-    type Output = QueryStats;
-
-    fn add(mut self, rhs: QueryStats) -> QueryStats {
-        self += rhs;
-        self
     }
 }
 
@@ -577,12 +562,9 @@ struct CompiledJoin<'a> {
     /// Build-side costs (hash builds, build scans, build wall time),
     /// attributed to this join's operator in the trace.
     build: OpStats,
-    label: String,
-    /// Build-cache interactions of this step (0/1 hit, 0/1 miss, bytes
-    /// evicted by its insert), folded into the query's profile record.
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evicted_bytes: u64,
+    /// Whether the transient build came from the build cache (the trace
+    /// labels it `[build: cached]`, a cold build `[build: serial]`).
+    cached: bool,
     /// A conjunct pushed to this step's *probe side*: applied to every
     /// matched right row before it joins. `None` when the pushed conjunct
     /// was instead folded into the build (`HashOwned` filters while
@@ -837,8 +819,7 @@ fn compile_join<'a>(
                 .is_some_and(|c| !table.rows.iter().flatten().any(|t| c.matches(t.values()))));
     let t0 = Instant::now();
     let mut build = OpStats::default();
-    let mut build_note: Option<String> = None;
-    let (mut cache_hits, mut cache_misses, mut cache_evicted_bytes) = (0u64, 0u64, 0u64);
+    let mut cached = false;
     let access = match strategy {
         JoinStrategy::IndexNestedLoop => match table.index(&step.right_attrs) {
             Some(index) => RightAccess::Index {
@@ -859,18 +840,15 @@ fn compile_join<'a>(
                 version: table.version,
                 filter: pushed.cloned(),
             };
-            let cached = db.build_cache_lock().get(&key);
-            let owned = match cached {
+            let hit = db.build_cache_lock().get(&key);
+            let owned = match hit {
                 Some(owned) => {
                     db.metrics.build_cache_hits.inc();
-                    cache_hits = 1;
-                    build_note = Some("build: cached".to_owned());
+                    cached = true;
                     owned
                 }
                 None => {
                     db.metrics.build_cache_misses.inc();
-                    cache_misses = 1;
-                    build_note = Some("build: serial".to_owned());
                     let owned = contain(|| -> Result<_> {
                         let owned = build_owned(&table.rows, &pos, cp.as_ref(), || {
                             db.fault_check(site::HASH_BUILD)
@@ -887,7 +865,6 @@ fn compile_join<'a>(
                     db.metrics.build_cache_evictions.add(evicted);
                     db.metrics.cache_insert.inc();
                     db.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
-                    cache_evicted_bytes = evicted_bytes;
                     owned
                 }
             };
@@ -902,30 +879,6 @@ fn compile_join<'a>(
         }
     };
     build.wall_ns = obs::elapsed_ns(t0);
-    let verb = match (step.outer, strategy) {
-        (false, JoinStrategy::IndexNestedLoop) => "Join",
-        (true, JoinStrategy::IndexNestedLoop) => "OuterJoin",
-        (false, JoinStrategy::Hash) => "HashJoin",
-        (true, JoinStrategy::Hash) => "OuterHashJoin",
-    };
-    let mut label = format!(
-        "{verb} {} ON {}={}",
-        step.rel,
-        step.left_attrs.join(","),
-        step.right_attrs.join(",")
-    );
-    if let Some(ind) = &step.via_ind {
-        label.push_str(" via ");
-        label.push_str(ind);
-    }
-    if let Some(note) = build_note {
-        label.push_str(" [");
-        label.push_str(&note);
-        label.push(']');
-    }
-    if pushed.is_some() {
-        label.push_str(" [pushed]");
-    }
     let source = layout.widths.len();
     for (i, a) in table.header.iter().enumerate() {
         layout.header.push(a.clone());
@@ -944,14 +897,45 @@ fn compile_join<'a>(
         left_locs,
         outer: step.outer,
         build,
-        label,
-        cache_hits,
-        cache_misses,
-        cache_evicted_bytes,
+        cached,
         pushed: pushed_probe,
         output_empty,
         build_pruned,
     })
+}
+
+/// The trace label of a compiled join step, e.g. `OuterHashJoin R ON
+/// L.V=R.V [build: cached] [pushed]`: built only when the query is
+/// traced. `pushed` says a conjunct was pushed to the step.
+fn join_label(step: &JoinStep, join: &CompiledJoin<'_>, pushed: bool) -> String {
+    let hashed = matches!(join.access, RightAccess::HashOwned { .. });
+    let verb = match (step.outer, hashed) {
+        (false, false) => "Join",
+        (true, false) => "OuterJoin",
+        (false, true) => "HashJoin",
+        (true, true) => "OuterHashJoin",
+    };
+    let mut label = format!(
+        "{verb} {} ON {}={}",
+        step.rel,
+        step.left_attrs.join(","),
+        step.right_attrs.join(",")
+    );
+    if let Some(ind) = &step.via_ind {
+        label.push_str(" via ");
+        label.push_str(ind);
+    }
+    if hashed {
+        label.push_str(if join.cached {
+            " [build: cached]"
+        } else {
+            " [build: serial]"
+        });
+    }
+    if pushed {
+        label.push_str(" [pushed]");
+    }
+    label
 }
 
 /// Where each conjunct of the query filter will run, decided once per
@@ -1322,10 +1306,15 @@ fn execute_core(
                 stats: op,
             });
         }
-        for (cj, op) in joins.iter().zip(&per_join) {
+        for ((step, cj), (op, pushed)) in plan
+            .joins
+            .iter()
+            .zip(&joins)
+            .zip(per_join.iter().zip(&pd.per_join))
+        {
             tr.ops.push(OpTrace {
                 kind: OpKind::Join,
-                label: cj.label.clone(),
+                label: join_label(step, cj, pushed.is_some()),
                 stats: *op,
             });
         }
@@ -1363,65 +1352,29 @@ fn execute_core(
     });
     span.add_field("rows_out", stats.rows_output);
 
-    // Fold this execution into the shared workload profiler: the per-query
-    // cost and per-edge attribution from the aggregated join operators, so
-    // per-fingerprint totals sum exactly to the `QueryStats` each
-    // execution reported. The shape's strings are built only for a
-    // fingerprint's first execution.
-    let cost = obs::QueryCost {
-        rows_scanned: stats.rows_scanned,
-        index_probes: stats.index_probes,
-        hash_builds: stats.hash_builds,
-        rows_out: stats.rows_output,
-        morsels: stats.morsels,
-        intermediate_bytes: stats.intermediate_bytes,
-        peak_intermediate_bytes: stats.peak_intermediate_bytes,
-        build_cache_hits: joins.iter().map(|j| j.cache_hits).sum(),
-        build_cache_misses: joins.iter().map(|j| j.cache_misses).sum(),
-        build_cache_evicted_bytes: joins.iter().map(|j| j.cache_evicted_bytes).sum(),
-        wall_ns: obs::elapsed_ns(t_exec),
-    };
-    let edge_costs: Vec<obs::EdgeCost> = per_join
-        .iter()
-        .map(|op| obs::EdgeCost {
-            index_probes: op.index_probes,
-            rows_scanned: op.rows_scanned,
-            hash_builds: op.hash_builds,
-            rows_out: op.rows_out,
-            intermediate_bytes: op.intermediate_bytes,
-        })
-        .collect();
-    let fingerprint = crate::planner::fingerprint(plan);
-    let shape = || obs::QueryShape {
-        fingerprint,
-        label: format!(
-            "{} {} + {} joins",
-            match &plan.access {
-                Access::FullScan => "scan",
-                Access::Lookup { .. } => "lookup",
-            },
-            plan.root,
-            plan.joins.len()
-        ),
-        root: plan.root.clone(),
-        edges: plan
-            .joins
-            .iter()
-            .zip(&joins)
-            .map(|(step, cj)| obs::JoinEdge {
-                // The probe side's relation: the source the first left
-                // attribute resolves to (source 0 is the root; source k is
-                // join step k-1's relation).
-                left: match cj.left_locs.first().map(|&(src, _)| src) {
-                    Some(0) | None => plan.root.clone(),
-                    Some(s) => plan.joins[s - 1].rel.clone(),
-                },
-                right: step.rel.clone(),
-                probe_attrs: step.right_attrs.clone(),
-            })
-            .collect(),
-    };
-    db.profiler().record(fingerprint, shape, &cost, &edge_costs);
+    // The always-on totals, on this database's (or session's) metrics
+    // shard; then each join step's cost, charged to its edge in the
+    // workload's join ledger. A step's probe side is the relation its
+    // first left attribute resolves to (source 0 is the root; source k is
+    // join step k-1's relation).
+    db.metrics.record_query(&stats, t_exec);
+    if !joins.is_empty() {
+        let steps = plan.joins.iter().zip(&joins).zip(&per_join);
+        db.profiler.record(steps.map(|((step, cj), op)| {
+            let left = match cj.left_locs.first() {
+                Some(&(0, _)) | None => plan.root.as_str(),
+                Some(&(src, _)) => plan.joins[src - 1].rel.as_str(),
+            };
+            let cost = obs::EdgeCost {
+                index_probes: op.index_probes,
+                rows_scanned: op.rows_scanned,
+                hash_builds: op.hash_builds,
+                rows_out: op.rows_out,
+                intermediate_bytes: op.intermediate_bytes,
+            };
+            (left, step.rel.as_str(), step.right_attrs.as_slice(), cost)
+        }));
+    }
     Ok((result, stats, trace))
 }
 
@@ -1627,7 +1580,7 @@ mod tests {
     }
 
     #[test]
-    fn query_stats_add_and_merge() {
+    fn query_stats_fold_field_wise() {
         let a = QueryStats {
             rows_scanned: 1,
             index_probes: 2,
@@ -1648,7 +1601,8 @@ mod tests {
             intermediate_bytes: 70,
             peak_intermediate_bytes: 3,
         };
-        let sum = a + b;
+        let mut sum = a;
+        sum += b;
         assert_eq!(sum.rows_scanned, 11);
         assert_eq!(sum.rows_output, 44);
         assert_eq!(sum.hash_builds, 55);
@@ -1656,12 +1610,6 @@ mod tests {
         assert_eq!(sum.intermediate_bytes, 77);
         // Peak is a high-water mark: maxed, never summed.
         assert_eq!(sum.peak_intermediate_bytes, 8);
-        let mut m = a;
-        m.merge(&b);
-        assert_eq!(m, sum);
-        let mut aa = a;
-        aa += b;
-        assert_eq!(aa, sum);
     }
 
     #[test]
@@ -1676,7 +1624,7 @@ mod tests {
     }
 
     #[test]
-    fn executions_fold_into_the_shared_profiler() {
+    fn executions_charge_the_join_ledger_and_the_query_counters() {
         let db = db();
         let lookup = |k: i64| {
             QueryPlan::lookup("COURSE", &["C.K"], tup(&[k])).join(JoinStep::inner(
@@ -1685,40 +1633,57 @@ mod tests {
                 &["O.K"],
             ))
         };
-        let (_, s1) = db.execute(&lookup(2)).unwrap();
-        let (_, s2) = db.execute(&lookup(4)).unwrap();
-        // Different constants, same shape: one fingerprint, two executions.
+        let mut total = QueryStats::default();
+        let mut join_probes = 0;
+        for k in [2, 4] {
+            let (_, stats, trace) = db.execute_traced(&lookup(k)).unwrap();
+            total += stats;
+            join_probes += trace.ops[1].stats.index_probes;
+        }
+        // Both executions charge the one COURSE->OFFER edge.
         let snap = db.profile_snapshot();
-        assert_eq!(snap.queries.len(), 1);
-        let prof = snap.queries.values().next().unwrap();
-        assert_eq!(prof.executions, 2);
-        assert_eq!(prof.shape.root, "COURSE");
-        assert_eq!(prof.shape.edges.len(), 1);
-        assert_eq!(prof.shape.edges[0].left, "COURSE");
-        assert_eq!(prof.shape.edges[0].right, "OFFER");
-        // Profiler totals are exactly the sum of the per-query stats.
-        let total = s1 + s2;
-        assert_eq!(prof.totals.index_probes, total.index_probes);
-        assert_eq!(prof.totals.rows_scanned, total.rows_scanned);
-        assert_eq!(prof.totals.rows_out, total.rows_output);
-        assert_eq!(prof.totals.intermediate_bytes, total.intermediate_bytes);
+        assert_eq!(snap.hot_joins.len(), 1);
+        let edge = &snap.hot_joins[0];
+        assert_eq!(edge.edge.label(), "COURSE->OFFER[O.K]");
+        assert_eq!(edge.executions, 2);
+        assert_eq!(edge.index_probes, join_probes);
+        assert_eq!(edge.cumulative_cost, join_probes);
+        // The query counters are exactly the sum of the per-query stats.
+        let metrics = db.metrics_registry().snapshot();
         assert_eq!(
-            prof.totals.peak_intermediate_bytes,
-            total.peak_intermediate_bytes
+            metrics.counters["engine.query.index_probes"],
+            total.index_probes
         );
-        assert_eq!(prof.latency.count, 2);
-        // A fork shares the profiler; a different shape adds a
-        // fingerprint.
+        assert_eq!(
+            metrics.counters["engine.query.rows_output"],
+            total.rows_output
+        );
+        assert_eq!(
+            metrics.counters["engine.query.intermediate_bytes"],
+            total.intermediate_bytes
+        );
+        assert_eq!(metrics.histograms["engine.query.ns"].count, 2);
+        // A fork shares the ledger but counts on its own shard.
         let fork = db.fork();
-        fork.execute(&QueryPlan::scan("OFFER")).unwrap();
-        assert_eq!(db.profile_snapshot().queries.len(), 2);
-        // The hot-join report attributes this workload's probe cost to
-        // the COURSE->OFFER edge.
-        let ranking = obs::report(&db.profile_snapshot());
-        assert_eq!(ranking.len(), 1);
-        assert_eq!(ranking[0].edge.label(), "COURSE->OFFER[O.K]");
-        assert_eq!(ranking[0].executions, 2);
-        assert!(ranking[0].cumulative_cost > 0);
+        fork.execute(&lookup(6)).unwrap();
+        assert_eq!(db.profile_snapshot().hot_joins[0].executions, 3);
+        assert_eq!(
+            db.metrics_registry().snapshot().histograms["engine.query.ns"].count,
+            2
+        );
+    }
+
+    #[test]
+    fn a_query_without_joins_leaves_the_ledger_empty() {
+        let db = db();
+        db.execute(&QueryPlan::scan("COURSE")).unwrap();
+        db.execute(&QueryPlan::lookup("COURSE", &["C.K"], tup(&[4])))
+            .unwrap();
+        assert!(db.profile_snapshot().hot_joins.is_empty());
+        // The query counters still count both.
+        let metrics = db.metrics_registry().snapshot();
+        assert_eq!(metrics.histograms["engine.query.ns"].count, 2);
+        assert_eq!(metrics.counters["engine.query.rows_scanned"], 10);
     }
 
     #[test]
@@ -1819,10 +1784,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_left_side_builds_nothing_and_keeps_the_fingerprint() {
+    fn empty_left_side_builds_nothing() {
         // A present key feeds the uncovered join a row, so it builds once;
         // an absent key empties the left side, so it neither scans nor
-        // builds. The literal still belongs to one query shape.
+        // builds. Both charge the one L->R edge.
         let db = lr_db(12);
         for (k, builds) in [(3i64, 1u64), (999, 0)] {
             let plan = lr_plan().filter(Predicate::eq("L.K", k));
@@ -1837,9 +1802,10 @@ mod tests {
                 trace.ops[1].label
             );
         }
-        let snap = db.profile_snapshot();
-        assert_eq!(snap.queries.len(), 1);
-        assert_eq!(snap.queries.values().next().unwrap().executions, 2);
+        let edge = &db.profile_snapshot().hot_joins[0];
+        assert_eq!(edge.edge.label(), "L->R[R.V]");
+        assert_eq!((edge.executions, edge.hash_builds), (2, 1));
+        assert_eq!(edge.rows_scanned, 12);
     }
 
     /// L(L.K, L.V) / R(R.K, R.V): no index covers the V columns, so a

@@ -25,7 +25,7 @@
 //!   A failed commit rolls back without disturbing concurrently-pinned
 //!   readers (their tables are frozen by copy-on-write).
 //! * **One build cache, shared by everyone.** The build-side LRU keyed
-//!   `(relation, probe attrs, pushed-predicate fingerprint, version)`
+//!   `(relation, probe attrs, pushed predicate, version)`
 //!   lives behind an `Arc` in the master and is shared by every session
 //!   and every pinned snapshot, byte cap included. Relation versions are
 //!   strictly monotonic over the store's lifetime, so a key names

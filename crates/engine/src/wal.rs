@@ -100,10 +100,17 @@ fn check_payload_size(kind: &str, payload: &[u8]) -> Result<()> {
 /// [`DurabilityConfig::snapshot_every`]).
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
 
-/// The checksum of a log record or snapshot payload: FNV-1a, plenty for
-/// torn-write detection (crypto is not the threat model).
+/// The checksum of a log record or snapshot payload: FNV-1a 64, plenty
+/// for torn-write detection (crypto is not the threat model).
+/// Hand-rolled because `std`'s `DefaultHasher` is not stable across Rust
+/// releases, and a log must read the same in every build.
 fn checksum(payload: &[u8]) -> u64 {
-    crate::planner::fnv1a(crate::planner::FNV_OFFSET, payload)
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in payload {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// When the WAL flushes its file to stable storage.
@@ -1413,22 +1420,15 @@ mod tests {
         assert_eq!(back, stmts);
     }
 
-    /// Record checksums and query fingerprints share one FNV-1a; both
-    /// values below were computed by the two copies it replaced, so logs
-    /// and recorded profiles written before still read the same.
+    /// The record checksum is pinned, so logs written by earlier builds
+    /// still read the same.
     #[test]
-    fn checksums_and_fingerprints_are_pinned() {
+    fn checksums_are_pinned() {
         let payload = encode_batch_payload(&[
             Statement::insert("C", tup(&[10, 1])),
             Statement::delete("P", tup(&[2])),
         ]);
         assert_eq!(checksum(&payload), 0xd57f_1d01_ed4d_164b);
-        let plan = crate::QueryPlan::lookup("COURSE", &["C.NR"], tup(&[7]))
-            .join(crate::JoinStep::outer("OFFER", &["C.NR"], &["O.C.NR"]))
-            .filter(
-                crate::Predicate::eq("O.D.NAME", "dept0").and(crate::Predicate::not_null("C.NR")),
-            );
-        assert_eq!(crate::fingerprint(&plan), 0x0e2e_bce9_3328_9990);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!
 //! # Workload profiling
 //!
-//! [`Profiler`] aggregates executed queries by shape fingerprint into
-//! per-operator totals, intermediate-byte accounting, and log2 latency
-//! histograms; [`report`] flattens a [`ProfileSnapshot`] into the
-//! hot-join ranking (`(relation pair, probe attrs, cumulative cost)`)
-//! that drives relation-merging decisions. See [`profile`].
+//! [`Profiler`] is a ledger of join edges: every executed join step is
+//! charged to its `(relation pair, probe attrs)` edge. A
+//! [`ProfileSnapshot`] is that ledger ranked by cumulative cost, the
+//! hot-join ranking that drives relation-merging decisions. Per-query
+//! totals are not the profiler's: the engine counts them in its metrics
+//! shard. See [`profile`].
 //!
 //! ```
 //! use relmerge_obs as obs;
@@ -49,9 +50,7 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use profile::{
-    profile_to_json, profile_to_text, report, report_to_json, report_to_text, EdgeCost,
-    FingerprintProfile, HotJoin, JoinEdge, JoinEvidence, ProfileSnapshot, Profiler, QueryCost,
-    QueryShape,
+    report_to_json, report_to_text, EdgeCost, HotJoin, JoinEdge, ProfileSnapshot, Profiler,
 };
 pub use trace::{
     clear_events, dropped_spans, enabled, render_tree, set_enabled, span, take_events, Span,

@@ -188,19 +188,6 @@ impl HistogramSnapshot {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Records one sample directly into the snapshot (the owned-value
-    /// counterpart of [`Histogram::record`], for aggregators that keep
-    /// per-key snapshots instead of live atomics).
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += value;
-        let idx = bucket_index(value);
-        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
-            Ok(pos) => self.buckets[pos].1 += 1,
-            Err(pos) => self.buckets.insert(pos, (idx, 1)),
-        }
-    }
-
     /// Folds `other`'s samples into this snapshot.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         self.count += other.count;

@@ -86,7 +86,7 @@ const QUERY_COUNT: u32 = 4;
 
 /// The read mix. Query 0 joins on the un-indexed `P.V` (transient hash
 /// build through the shared cache); query 1 adds a pushed predicate, so
-/// its cached build carries a different predicate fingerprint than
+/// its cached build is keyed by a different pushed predicate than
 /// query 0's over the same `(relation, attrs, version)` — a
 /// predicate-mismatched hit would change its bytes.
 fn query(idx: u32) -> QueryPlan {

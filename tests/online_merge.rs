@@ -131,7 +131,7 @@ fn advisor_merges_the_chain_a_scan_workload_pays_for() {
         assert_eq!(stats.hash_builds, 0, "every chain join is covered");
         probes += stats.index_probes;
     }
-    let hot = relmerge::obs::report(&db.profile_snapshot());
+    let hot = db.profile_snapshot().hot_joins;
     assert_eq!(hot.len(), 3, "{hot:?}");
     assert!(hot.iter().all(|h| h.cumulative_cost > 0), "{hot:?}");
     assert_eq!(hot.iter().map(|h| h.index_probes).sum::<u64>(), probes);
