@@ -721,16 +721,18 @@ fn b14(scale: Scale) -> Result<Report> {
 }
 
 /// B15: predicate pushdown. At full scale the selective chain's
-/// structural win must also show on the clock.
+/// structural win must also show on the clock: the reduced root skips
+/// the course scan and all but a few dozen TEACH probes, so the bound
+/// sits well below the speedups EXPERIMENTS.md records.
 fn b15(scale: Scale) -> Result<Report> {
     let (courses, iters) = scale.pick((1_500, 3), (8_000, 21));
     let mut r = experiments::predicate_pushdown(courses, iters)?;
     if !scale.smoke {
         let chain = &r.table("b15")[0];
         assert!(
-            chain.num("speedup") > 1.0,
-            "pushdown must beat the top-of-plan filter on the selective \
-             chain at full scale: {chain:?}"
+            chain.num("speedup") > 1.5,
+            "pushdown must beat the top-of-plan filter by 1.5x on the \
+             selective chain at full scale: {chain:?}"
         );
     }
     if scale.trace {

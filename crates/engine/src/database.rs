@@ -601,7 +601,9 @@ pub struct Database {
     build_cache: Arc<std::sync::Mutex<crate::build::BuildCache>>,
     /// The workload's join ledger: every successful query charges each of
     /// its join steps to the step's edge. Shared by forks — the profile
-    /// describes the workload, not one instance's storage.
+    /// describes the workload, not one instance's storage — until one of
+    /// them migrates: [`Database::migrate`] archives the ledger and gives
+    /// the migrated database a fresh one.
     pub(crate) profiler: Arc<obs::Profiler>,
     /// Installed fault plan, if any (`None` in production configurations).
     /// Behind an `Arc` so sites can fire from `&self` contexts — validation

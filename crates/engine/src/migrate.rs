@@ -30,9 +30,11 @@
 //!    pre-migration snapshot; the failure surfaces as a typed error. On
 //!    disk the previous generation stays authoritative.
 //!
-//! On success the pre-migration workload profile is *taken* out of the
-//! shared profiler and archived in the [`MigrationReport`], so no stale
-//! pre-merge relation names linger in future profile snapshots.
+//! On success the pre-migration join ledger is archived in the
+//! [`MigrationReport`] and the migrated database starts a fresh one, so no
+//! stale pre-merge relation names linger in its future profile snapshots.
+//! Forks and snapshots pinned before the migration keep the old ledger:
+//! they still host the pre-merge relations their queries charge.
 //!
 //! [`Database::advise_and_migrate`] composes this with the workload-aware
 //! advisor, gated by the database's own capability profile: profile
@@ -63,9 +65,10 @@ pub struct MigrationReport {
     /// The forward information-capacity report ([`check_forward_image`])
     /// that gated the migration — `holds()` is true by construction.
     pub capacity: CapacityReport,
-    /// The pre-migration workload profile, taken out of the live
-    /// profiler at commit so stale pre-merge relation names cannot leak
-    /// into post-migration snapshots.
+    /// The pre-migration join ledger, archived at commit. The migrated
+    /// database starts a fresh ledger, so stale pre-merge relation names
+    /// cannot leak into its post-migration snapshots, whatever forks or
+    /// earlier pins still charge to the old one.
     pub pre_profile: obs::ProfileSnapshot,
 }
 
@@ -168,9 +171,13 @@ impl Database {
                     .filter(|n| self.schema().scheme(n).is_none())
                     .map(str::to_owned)
                     .collect();
-                // Archive (and clear) the pre-migration profile: its edge
-                // keys name relations that no longer exist.
-                let pre_profile = self.profiler.take();
+                // Archive the pre-migration ledger and start a fresh one
+                // here only: its edge keys name relations this database no
+                // longer hosts, while a fork or a snapshot pinned before
+                // the migration still hosts them and keeps charging the
+                // ledger it shares.
+                let pre_profile = self.profiler.snapshot();
+                self.profiler = std::sync::Arc::new(obs::Profiler::new());
                 obs::global().counter("engine.migrate.applied").inc();
                 let rows_migrated = migrated.total_tuples();
                 span.add_field("rows", rows_migrated);
@@ -379,6 +386,46 @@ mod tests {
         let (rel, _) = db.execute(&QueryPlan::scan("P_M")).unwrap();
         assert_eq!(rel.len(), 20);
         assert!(db.profile_snapshot().hot_joins.is_empty());
+    }
+
+    /// The `Q ⋈ P` join whose edge the tests' ledgers hold.
+    fn q_join_p() -> QueryPlan {
+        QueryPlan::scan("Q").join(JoinStep::inner("P", &["Q.K"], &["P.K"]))
+    }
+
+    #[test]
+    fn migrating_a_fork_leaves_the_original_ledger_whole() {
+        let mut db = loaded_db();
+        db.execute(&q_join_p()).unwrap();
+        let before = db.profile_snapshot();
+        assert_eq!(before.hot_joins.len(), 1);
+        let mut fork = db.fork();
+        let report = fork.migrate(&plan_star_merge(fork.schema())).unwrap();
+        assert_eq!(report.pre_profile, before);
+        assert!(fork.profile_snapshot().hot_joins.is_empty());
+        // The original still hosts P and Q, so it keeps their evidence,
+        // and its advisor still merges them.
+        assert_eq!(db.profile_snapshot(), before);
+        assert_eq!(db.advise_and_migrate().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_pin_taken_before_a_migration_charges_only_the_old_ledger() {
+        let store = crate::session::Store::new(loaded_db());
+        let session = store.session();
+        let old = session.pin().unwrap();
+        session.migrate(&plan_star_merge(old.schema())).unwrap();
+        // The old pin still hosts P and Q: its join charges the ledger it
+        // was pinned with, never the migrated store's.
+        old.execute(&q_join_p()).unwrap();
+        assert_eq!(
+            old.profile_snapshot().hot_joins[0].edge.label(),
+            "Q->P[P.K]"
+        );
+        let fresh = session.pin().unwrap();
+        assert!(fresh.schema().scheme("P").is_none());
+        let ledger = fresh.profile_snapshot().hot_joins;
+        assert!(ledger.is_empty(), "a pre-merge edge leaked: {ledger:?}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use relmerge_relational::{Error, RelationalSchema, Result, Tuple, Value};
+use relmerge_relational::{Attribute, Error, RelationalSchema, Result, Tuple, Value};
 
 use crate::database::Database;
 use crate::query::{Access, JoinStep, QueryPlan};
@@ -276,13 +276,35 @@ pub fn choose_join_strategy(
     Ok(strategy)
 }
 
-/// Decides whether a pushed root conjunct can upgrade a full-scan root
-/// access to an index point-lookup. Eligible when the conjunct is a
-/// positive `Eq` on a single attribute of `rel` comparing against a
-/// non-null literal, some index (unique or lookup) covers that attribute,
-/// and the relation is non-empty — the emptiness guard keeps the
-/// scan+probe total monotone: the lookup replaces a scan of `live` rows
-/// with one probe, a strict win only when there was something to scan.
+/// An index-driven access that replaces a full-scan root, chosen before
+/// any row is read (`plan_pushdown` in `crate::query`).
+pub(crate) enum RootProbe {
+    /// A pushed root `Eq` upgraded to one point lookup of `(attribute,
+    /// value)`.
+    Eq(String, Value),
+    /// A semi-join reduction through inner join step `step`: probe the
+    /// step relation's index on `attr` with `value`, keep the rows the
+    /// step's whole pushed conjunct keeps, and probe the root index on the
+    /// step's left attributes once per distinct join key of those rows.
+    SemiJoin {
+        /// The reducing step's position in `QueryPlan::joins`.
+        step: usize,
+        /// The step relation's indexed attribute the `Eq` names.
+        attr: String,
+        /// The `Eq`'s literal.
+        value: Value,
+    },
+}
+
+/// Decides whether a pushed conjunct can drive an index point lookup on
+/// `rel`: the root's own (the root `Eq` upgrade) or an inner join step's
+/// (the semi-join reduction, [`choose_semi_join`]). Eligible when the
+/// conjunct is a positive `Eq` on a single attribute of `rel` comparing
+/// against a non-null literal, some index (unique or lookup) covers that
+/// attribute, and the relation is non-empty — the emptiness guard keeps
+/// the scan+probe total monotone: the lookup replaces a scan of `live`
+/// rows with one probe, a strict win only when there was something to
+/// scan.
 ///
 /// Returns the `(attribute, key value)` pair the executor feeds to its
 /// point-lookup path, or `None` when the conjunct must stay a filter.
@@ -303,6 +325,36 @@ pub(crate) fn choose_root_lookup(
         return None;
     }
     Some((attr.clone(), value.clone()))
+}
+
+/// Decides whether a full-scan root with no root `Eq` upgrade can be
+/// reduced through an inner join step. The step is the first inner one
+/// whose left attributes all lie on the root (`root_header`), which a
+/// root index covers in that order, and one of whose pushed conjuncts
+/// (`pushed`, parallel to `plan.joins`) [`choose_root_lookup`] accepts on
+/// the step's relation. Such a step drops every root row whose key
+/// matches no right row its conjunct keeps, so the root may start from
+/// the rows those keys reach.
+pub(crate) fn choose_semi_join(
+    db: &Database,
+    plan: &QueryPlan,
+    root_header: &[Attribute],
+    pushed: &[Vec<crate::query::Predicate>],
+) -> Option<RootProbe> {
+    let mut joins = plan.joins.iter().zip(pushed).enumerate();
+    joins.find_map(|(step, (join, conjuncts))| {
+        let on_root = join
+            .left_attrs
+            .iter()
+            .all(|n| root_header.iter().any(|a| a.name() == n.as_str()));
+        if join.outer || !on_root || !db.index_covers(&plan.root, &join.left_attrs).ok()? {
+            return None;
+        }
+        let (attr, value) = conjuncts
+            .iter()
+            .find_map(|c| choose_root_lookup(db, &join.rel, c))?;
+        Some(RootProbe::SemiJoin { step, attr, value })
+    })
 }
 
 /// Process-global planner counters, resolved once.

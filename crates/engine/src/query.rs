@@ -13,7 +13,10 @@
 //!
 //! The root access produces *borrowed* row slots (no tuple is cloned on
 //! the scan path). A predicate over root attributes alone is pushed down:
-//! it drops root rows in place before the join pipeline. The join pipeline
+//! it drops root rows in place before the join pipeline. An inner step's
+//! indexed `Eq` may instead drive a full-scan root through the step's join
+//! key (a semi-join reduction): the root access then reads only the root
+//! rows that step can keep, in scan order. The join pipeline
 //! is then compiled once: each step picks its access via
 //! [`crate::planner::choose_join_strategy`] — index-nested-loop probes
 //! through a covering index, or else a hash join over a transient table
@@ -44,7 +47,9 @@ use relmerge_relational::{Attribute, Error, Relation, Result, Tuple, Value};
 use crate::build::{build_owned, BuildKey, OwnedBuild};
 use crate::database::{Database, KeyIndex};
 use crate::fault::{contain, site};
-use crate::planner::{choose_join_strategy, JoinStrategy};
+use crate::planner::{
+    choose_join_strategy, choose_root_lookup, choose_semi_join, JoinStrategy, RootProbe,
+};
 
 /// Root rows per morsel: the `engine.query.morsel_worker` fault site
 /// fires as each morsel starts, and a morsel's rows bound the flat join
@@ -770,7 +775,9 @@ struct FlatLayout {
 /// costs, so `QueryStats` are identical cold and warm; a miss builds and
 /// inserts. Extends `layout` with the right relation's attributes.
 /// `left_empty` says the left side is provably empty, which spares an
-/// uncovered join its build.
+/// uncovered join its build. `reduced` says the root was reduced through
+/// this step (a semi-join), so its output is empty exactly when its left
+/// side is, and no stored row need be read to tell.
 ///
 /// `pushed` is the conjunction of filter conjuncts the pushdown planner
 /// assigned to this step's right relation. A transient hash build folds
@@ -784,6 +791,7 @@ fn compile_join<'a>(
     layout: &mut FlatLayout,
     left_empty: bool,
     pushed: Option<&Predicate>,
+    reduced: bool,
 ) -> Result<CompiledJoin<'a>> {
     let left_locs: Vec<(usize, usize)> = step
         .left_attrs
@@ -811,9 +819,11 @@ fn compile_join<'a>(
         .transpose()?;
     // An inner step whose pushed conjunct keeps no stored row empties the
     // stream for every later step. The check reads stored rows only and
-    // stops at the first kept row.
+    // stops at the first kept row; a reducing step needs no check, since
+    // a conjunct that keeps no row left the root empty.
     let output_empty = left_empty
         || (!step.outer
+            && !reduced
             && cp
                 .as_ref()
                 .is_some_and(|c| !table.rows.iter().flatten().any(|t| c.matches(t.values()))));
@@ -945,9 +955,10 @@ struct PushdownPlan {
     /// Conjunction of the root-only conjuncts, compiled against the root
     /// header; drops root rows right after root access.
     root: Option<CompiledPredicate>,
-    /// A root `Eq` conjunct upgraded to an index point-lookup: root
-    /// access becomes one counted probe instead of a full scan.
-    root_lookup: Option<(String, Value)>,
+    /// The index-driven access that replaces a full-scan root: a root
+    /// `Eq` upgraded to one point lookup, or else a semi-join reduction
+    /// through an inner step's indexed `Eq`.
+    root_probe: Option<RootProbe>,
     /// Per join step (parallel to `plan.joins`), the conjunction pushed
     /// to that step's right relation.
     per_join: Vec<Option<Predicate>>,
@@ -968,7 +979,7 @@ impl PushdownPlan {
     fn empty(joins: usize) -> PushdownPlan {
         PushdownPlan {
             root: None,
-            root_lookup: None,
+            root_probe: None,
             per_join: vec![None; joins],
             residual: None,
             verdict: None,
@@ -993,6 +1004,10 @@ impl PushdownPlan {
 ///   residual: a left row whose matches were all pruned resurfaces
 ///   null-padded, and only the residual copy can reject that pad;
 /// - multi-relation conjunct → residual.
+///
+/// A full-scan root with no `Eq` upgrade is then reduced through the
+/// first inner step that [`choose_semi_join`] accepts: the step keeps its
+/// pushed conjunct, and the root starts from the rows its kept keys reach.
 fn plan_pushdown(
     db: &Database,
     plan: &QueryPlan,
@@ -1047,9 +1062,9 @@ fn plan_pushdown(
         if src == 0 {
             // Root-only. One `Eq` on an indexed root attribute upgrades a
             // full scan to a point lookup; everything else prefilters.
-            if out.root_lookup.is_none() && matches!(plan.access, Access::FullScan) {
-                if let Some(hit) = crate::planner::choose_root_lookup(db, &plan.root, &c) {
-                    out.root_lookup = Some(hit);
+            if out.root_probe.is_none() && matches!(plan.access, Access::FullScan) {
+                if let Some((attr, value)) = choose_root_lookup(db, &plan.root, &c) {
+                    out.root_probe = Some(RootProbe::Eq(attr, value));
                     out.pushed += 1;
                     continue;
                 }
@@ -1071,6 +1086,11 @@ fn plan_pushdown(
             }
         }
     }
+    // No root `Eq` upgrade: an inner step's indexed `Eq` may still drive
+    // the root through the step's join key.
+    if out.root_probe.is_none() && matches!(plan.access, Access::FullScan) {
+        out.root_probe = choose_semi_join(db, plan, root_header, &per_join);
+    }
     out.root = crate::predopt::conjoin(&root_conjuncts)
         .map(|p| CompiledPredicate::compile(&p, root_header))
         .transpose()?;
@@ -1079,6 +1099,63 @@ fn plan_pushdown(
     }
     out.residual = crate::predopt::conjoin(&residual);
     Ok(out)
+}
+
+/// The root rows of a semi-join reduction through join step `step` (see
+/// [`RootProbe::SemiJoin`]), in slot order — the scan's order — with the
+/// number of rows the step's pushed conjunct rejected; or `None` when the
+/// step keeps no fewer distinct keys than the root has live rows, where
+/// the scan is no more work. Probes the step relation's index on `attr`
+/// once with `value`, keeps the rows `pushed` (the step's whole pushed
+/// conjunct) keeps, and probes the root index on the step's left
+/// attributes once per distinct total key of those rows, charging those
+/// `1 + keys` probes to `stats`. Keys and rows stay borrowed.
+fn semi_join_roots<'a>(
+    db: &'a Database,
+    plan: &QueryPlan,
+    step: usize,
+    attr: &[String],
+    value: &Value,
+    pushed: &Predicate,
+    stats: &mut QueryStats,
+) -> Result<Option<(Vec<&'a Tuple>, u64)>> {
+    let join = &plan.joins[step];
+    let table = |rel: &str| {
+        db.tables
+            .get(rel)
+            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))
+    };
+    let (right, root) = (table(&join.rel)?, table(&plan.root)?);
+    let (Some(by_value), Some(by_key)) = (right.index(attr), root.index(&join.left_attrs)) else {
+        return Ok(None);
+    };
+    let cp = CompiledPredicate::compile(pushed, &right.header)?;
+    let key_pos = right.positions(&join.right_attrs)?;
+    let key_of = |t: &'a Tuple| key_pos.iter().map(move |&i| t.get(i));
+    let mut kept: Vec<&Tuple> = Vec::new();
+    let mut rejected = 0;
+    for (_, t) in by_value.find(&right.rows, std::iter::once(value)) {
+        if cp.matches(t.values()) {
+            kept.push(t);
+        } else {
+            rejected += 1;
+        }
+    }
+    // An inner join never matches a null key component, so only total
+    // keys reach root rows; one row stands for each distinct key.
+    kept.retain(|&t| key_of(t).all(|v| !v.is_null()));
+    kept.sort_unstable_by(|&a, &b| key_of(a).cmp(key_of(b)));
+    kept.dedup_by(|a, b| key_of(a).eq(key_of(b)));
+    if kept.len() >= root.live {
+        return Ok(None);
+    }
+    let mut hits: Vec<(usize, &Tuple)> = Vec::new();
+    for &t in &kept {
+        hits.extend(by_key.find(&root.rows, key_of(t)));
+    }
+    hits.sort_unstable_by_key(|&(slot, _)| slot);
+    stats.index_probes += 1 + kept.len() as u64;
+    Ok(Some((hits.into_iter().map(|(_, t)| t).collect(), rejected)))
 }
 
 /// Thin classification wrapper over [`execute_core`]: a failed execution
@@ -1127,11 +1204,17 @@ fn execute_core(
 
     // Root access (serial, borrowed slots — nothing is cloned). A pushed
     // root `Eq` on an indexed attribute turns the full scan into one
-    // counted probe.
+    // counted probe, and a semi-join reduction into `1 + keys` probes
+    // unless its step keeps no fewer keys than the root has rows.
     let t_root = Instant::now();
     let mut root_rows: Vec<&Tuple> = Vec::new();
-    match (&plan.access, &pd.root_lookup) {
-        (Access::FullScan, Some((attr, value))) => {
+    let mut pruned_rows: u64 = 0;
+    let mut reduced_by: Option<usize> = None;
+    match (&plan.access, &pd.root_probe) {
+        (Access::Lookup { attrs, key }, _) => {
+            db.probe_slots(&plan.root, attrs, key, &mut stats, &mut root_rows)?;
+        }
+        (Access::FullScan, Some(RootProbe::Eq(attr, value))) => {
             db.probe_slots(
                 &plan.root,
                 std::slice::from_ref(attr),
@@ -1140,26 +1223,49 @@ fn execute_core(
                 &mut root_rows,
             )?;
         }
-        (Access::FullScan, None) => {
-            let (_, scanned) = db.scan(&plan.root)?;
-            stats.rows_scanned += scanned.len() as u64;
-            root_rows = scanned;
-        }
-        (Access::Lookup { attrs, key }, _) => {
-            db.probe_slots(&plan.root, attrs, key, &mut stats, &mut root_rows)?;
+        (Access::FullScan, probe) => {
+            if let Some(RootProbe::SemiJoin { step, attr, value }) = probe {
+                let pushed = pd.per_join[*step]
+                    .as_ref()
+                    .expect("the reducing step carries its pushed `Eq`");
+                let attr = std::slice::from_ref(attr);
+                if let Some((rows, rejected)) =
+                    semi_join_roots(db, plan, *step, attr, value, pushed, &mut stats)?
+                {
+                    root_rows = rows;
+                    pruned_rows += rejected;
+                    reduced_by = Some(*step);
+                }
+            }
+            if reduced_by.is_none() {
+                let (_, scanned) = db.scan(&plan.root)?;
+                stats.rows_scanned += scanned.len() as u64;
+                root_rows = scanned;
+            }
         }
     }
     let root_op = traced.then(|| {
-        let (kind, label) = match (&plan.access, &pd.root_lookup) {
-            (Access::FullScan, Some((attr, _))) => (
-                OpKind::Lookup,
-                format!("Lookup {} [{}] (pushed Eq)", plan.root, attr),
-            ),
-            (Access::FullScan, None) => (OpKind::Scan, format!("Scan {}", plan.root)),
-            (Access::Lookup { attrs, .. }, _) => (
+        let (kind, label) = match (&plan.access, &pd.root_probe, reduced_by) {
+            (Access::Lookup { attrs, .. }, _, _) => (
                 OpKind::Lookup,
                 format!("Lookup {} [{}]", plan.root, attrs.join(",")),
             ),
+            (Access::FullScan, Some(RootProbe::Eq(attr, _)), _) => (
+                OpKind::Lookup,
+                format!("Lookup {} [{}] (pushed Eq)", plan.root, attr),
+            ),
+            (Access::FullScan, Some(RootProbe::SemiJoin { attr, .. }), Some(step)) => {
+                let join = &plan.joins[step];
+                let label = format!(
+                    "Lookup {} [{}] (semi-join {} [{}])",
+                    plan.root,
+                    join.left_attrs.join(","),
+                    join.rel,
+                    attr
+                );
+                (OpKind::Lookup, label)
+            }
+            (Access::FullScan, _, _) => (OpKind::Scan, format!("Scan {}", plan.root)),
         };
         OpTrace {
             kind,
@@ -1177,7 +1283,6 @@ fn execute_core(
     });
 
     // Root-side filtering, as the placement decided.
-    let mut pruned_rows: u64 = 0;
     let mut pushed_op: Option<OpStats> = None;
     if pd.verdict == Some(false) {
         // The optimizer proved the filter constant-false: nothing can
@@ -1215,9 +1320,10 @@ fn execute_core(
     };
     let mut left_empty = root_rows.is_empty();
     let mut joins: Vec<CompiledJoin<'_>> = Vec::with_capacity(plan.joins.len());
-    for (step, pushed) in plan.joins.iter().zip(&pd.per_join) {
+    for (k, (step, pushed)) in plan.joins.iter().zip(&pd.per_join).enumerate() {
         stats.joins += 1;
-        let compiled = compile_join(db, step, &mut layout, left_empty, pushed.as_ref())?;
+        let reduced = reduced_by == Some(k);
+        let compiled = compile_join(db, step, &mut layout, left_empty, pushed.as_ref(), reduced)?;
         left_empty = compiled.output_empty;
         joins.push(compiled);
     }
@@ -2022,5 +2128,107 @@ mod tests {
         );
         assert_eq!(trace.ops[1].stats.hash_builds, 1);
         assert!(trace.to_string().contains("hash_builds=1"));
+    }
+
+    /// D(D.K) ← L(L.K, L.V), R(R.K, R.V, R.W, R.U), every `V` and `W`
+    /// referencing D: the root's `L.V` and the step's `R.V` and `R.W`
+    /// carry non-unique lookup indexes, and `R.U`, a copy of `R.V`, none.
+    fn semi_join_db(l_rows: i64) -> Database {
+        let mut rs = RelationalSchema::new();
+        rs.add_scheme(RelationScheme::new("D", vec![a("D.K")], &["D.K"]).unwrap())
+            .unwrap();
+        rs.add_scheme(RelationScheme::new("L", vec![a("L.K"), a("L.V")], &["L.K"]).unwrap())
+            .unwrap();
+        let r_attrs = vec![a("R.K"), a("R.V"), a("R.W"), a("R.U")];
+        let r = RelationScheme::new("R", r_attrs, &["R.K"]).unwrap();
+        rs.add_scheme(r).unwrap();
+        for (rel, attr) in [("L", "L.V"), ("R", "R.V"), ("R", "R.W")] {
+            rs.add_ind(InclusionDep::new(rel, &[attr], "D", &["D.K"]))
+                .unwrap();
+        }
+        let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
+        for k in 0..5 {
+            db.insert("D", tup(&[k])).unwrap();
+        }
+        for k in 0..l_rows {
+            db.insert("L", tup(&[k, k % 5])).unwrap();
+        }
+        // R.W = 1 keeps R rows 1, 4 and 7: the join keys R.V = 1, 4, 2.
+        for k in 0..10 {
+            db.insert("R", tup(&[k, k % 5, k % 3, k % 5])).unwrap();
+        }
+        db
+    }
+
+    /// The plan run unfiltered, with `plan`'s filter applied to its answer
+    /// row by row: the reference a placed filter must reproduce, in order.
+    fn filtered_at_top(db: &Database, plan: &QueryPlan) -> (Vec<Tuple>, QueryStats) {
+        let unfiltered = QueryPlan {
+            filter: None,
+            ..plan.clone()
+        };
+        let (all, stats) = db.execute(&unfiltered).unwrap();
+        let cp = plan.filter.as_ref().unwrap().compile(all.header()).unwrap();
+        let rows = all.iter().filter(|t| cp.matches(t.values())).cloned();
+        (rows.collect(), stats)
+    }
+
+    #[test]
+    fn semi_join_reduction_keeps_scan_order_and_falls_back_to_the_scan() {
+        let plan = QueryPlan::scan("L")
+            .join(JoinStep::inner("R", &["L.V"], &["R.V"]))
+            .filter(Predicate::eq("R.W", 1i64));
+        // Tombstone three root rows with L.V = 1 and append two more, so a
+        // key's root rows sit on both sides of other keys' rows: only a
+        // slot sort restores the scan's order.
+        let mut db = semi_join_db(40);
+        for k in [1, 6, 11] {
+            assert!(db.delete_by_key("L", &tup(&[k])).unwrap());
+        }
+        db.insert("L", tup(&[100, 1])).unwrap();
+        db.insert("L", tup(&[101, 4])).unwrap();
+        let (want, top) = filtered_at_top(&db, &plan);
+        let (got, stats, trace) = db.execute_traced(&plan).unwrap();
+        assert_eq!(got.rows(), want.as_slice(), "rows or their order moved");
+        assert_eq!(
+            got.len(),
+            23,
+            "8 rows per kept key, three deleted, two added"
+        );
+        assert_eq!(trace.totals(), stats);
+        // The root is reached through L.V's non-unique index: one probe of
+        // R.W's index plus one per distinct key, and no root row scanned.
+        let root = &trace.ops[0];
+        assert_eq!(root.label, "Lookup L [L.V] (semi-join R [R.W])");
+        assert_eq!((root.kind, root.stats.index_probes), (OpKind::Lookup, 4));
+        assert_eq!((root.stats.rows_scanned, root.stats.rows_out), (0, 23));
+        assert_eq!(stats.rows_scanned, 0);
+        assert!(stats.index_probes < top.rows_scanned + top.index_probes);
+        // A step no index covers builds its filtered hash side, and the
+        // root is reduced all the same.
+        let hashed = QueryPlan::scan("L")
+            .join(JoinStep::inner("R", &["L.V"], &["R.U"]))
+            .filter(Predicate::eq("R.W", 1i64));
+        let (want, _) = filtered_at_top(&db, &hashed);
+        let (got, _, trace) = db.execute_traced(&hashed).unwrap();
+        assert_eq!(got.rows(), want.as_slice());
+        assert_eq!(got.len(), 23);
+        assert_eq!(trace.ops[0].label, "Lookup L [L.V] (semi-join R [R.W])");
+        assert!(
+            trace.ops[1].label.starts_with("HashJoin R"),
+            "{}",
+            trace.ops[1].label
+        );
+        // Two root rows against three kept keys: the scan is no more work,
+        // so the root is scanned and charged as the scan alone.
+        let db = semi_join_db(2);
+        let (want, top) = filtered_at_top(&db, &plan);
+        let (got, stats, trace) = db.execute_traced(&plan).unwrap();
+        assert_eq!(got.rows(), want.as_slice());
+        assert_eq!(got.len(), 1);
+        assert_eq!(trace.ops[0].label, "Scan L");
+        assert_eq!(trace.ops[0].stats.index_probes, 0);
+        assert_eq!(stats.rows_scanned, 2);
+        assert!(stats.rows_scanned + stats.index_probes <= top.rows_scanned + top.index_probes);
     }
 }

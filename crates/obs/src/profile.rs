@@ -96,7 +96,8 @@ impl HotJoin {
 
 /// The per-workload join ledger: one [`HotJoin`] per distinct edge. One
 /// lives on each `engine::Database` (shared by its forks and snapshot
-/// handles). Recording takes one lock per query, and an edge already in
+/// handles until a migration archives it and gives the migrated database
+/// a fresh one). Recording takes one lock per query, and an edge already in
 /// the ledger is found by its borrowed names, so it allocates nothing.
 #[derive(Debug, Default)]
 pub struct Profiler {
@@ -139,11 +140,6 @@ impl Profiler {
     /// A point-in-time copy of the ledger, ranked.
     pub fn snapshot(&self) -> ProfileSnapshot {
         ProfileSnapshot::ranked(self.ledger().clone())
-    }
-
-    /// Drains the ledger, returning its final snapshot.
-    pub fn take(&self) -> ProfileSnapshot {
-        ProfileSnapshot::ranked(std::mem::take(&mut *self.ledger()))
     }
 
     /// The ledger, locked. Poisoning is ignored deliberately: a charge
@@ -376,9 +372,6 @@ mod tests {
         merged.merge(&b.snapshot());
         assert_eq!(merged, whole.snapshot());
         assert_eq!(merged.hot_joins[0].executions, 3);
-        let before = a.snapshot();
-        assert_eq!(a.take(), before);
-        assert!(a.snapshot().hot_joins.is_empty(), "take drains the ledger");
     }
 
     #[test]

@@ -176,6 +176,102 @@ proptest! {
         }
     }
 
+    /// An inner step's indexed `Eq` may drive the root (the semi-join
+    /// reduction): every answer must still be the filter at the top's, row
+    /// for row in the scan's order (`Relation`'s `==` is set equality, so
+    /// the rows are compared as slices too), and never scan, nor scan and
+    /// probe, more. With externals every `S{i}.V{j}` references one, so it
+    /// carries a lookup index; the filters draw `Eq`s on those attributes
+    /// and on `S{i}.K` from the stored values (and some misses), some
+    /// beside a random predicate, under random inner/outer join mixes.
+    /// Root rows appended after the load carry keys below every loaded one
+    /// and copy stored satellite values, so a reduced root's key order is
+    /// not its slot order.
+    #[test]
+    fn semi_join_reduction_keeps_answers_and_their_order(
+        satellites in 1usize..4,
+        rows in 1usize..32,
+        coverage in 0.0f64..=1.0,
+        appended in 0i64..4,
+        seed in any::<u64>(),
+    ) {
+        let spec = StarSpec { satellites, non_key_attrs: 2, externals: 2 };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = star_schema(&spec);
+        let state = consistent_state(
+            &schema,
+            &StateSpec { root_rows: rows, coverage },
+            &mut rng,
+        ).expect("state");
+        let mut db = Database::new(schema, DbmsProfile::ideal()).expect("db");
+        db.load_state(&state).expect("load");
+        let stored = |db: &Database, rel: &str| {
+            db.execute(&QueryPlan::scan(rel)).expect("scan").0.rows().to_vec()
+        };
+        for n in 1..=appended {
+            let key = Value::Int(-n);
+            db.insert("ROOT", Tuple::new(vec![key.clone()])).expect("root row");
+            for s in 0..satellites {
+                let rel = format!("S{s}");
+                let rows = stored(&db, &rel);
+                if let Some(row) = rows.get(rng.gen_range(0..rows.len().max(1))) {
+                    let mut values = row.values().to_vec();
+                    values[0] = key.clone();
+                    db.insert(&rel, Tuple::new(values)).expect("satellite row");
+                }
+            }
+        }
+        let attrs = star_attrs(satellites, 2);
+
+        for _ in 0..6 {
+            let mut plan = QueryPlan::scan("ROOT");
+            for s in 0..satellites {
+                let rel = format!("S{s}");
+                let key = format!("{rel}.K");
+                plan = plan.join(if rng.gen_bool(0.3) {
+                    JoinStep::outer(&rel, &["ROOT.K"], &[key.as_str()])
+                } else {
+                    JoinStep::inner(&rel, &["ROOT.K"], &[key.as_str()])
+                });
+            }
+            // Mostly one `Eq`, on a satellite's key or an indexed value,
+            // its literal a stored value of that attribute or a miss.
+            let mut conjuncts = Vec::new();
+            for _ in 0..if rng.gen_bool(0.15) { 2 } else { 1 } {
+                let rel = format!("S{}", rng.gen_range(0..satellites));
+                let col = rng.gen_range(0..3);
+                let attr = if col == 0 { format!("{rel}.K") } else { format!("{rel}.V{}", col - 1) };
+                let rows = stored(&db, &rel);
+                let literal = match rows.get(rng.gen_range(0..rows.len().max(1))) {
+                    Some(row) if rng.gen_bool(0.85) => row.get(col).clone(),
+                    _ => Value::Int(-1000),
+                };
+                conjuncts.push(Predicate::eq(attr, literal));
+            }
+            if rng.gen_bool(0.3) {
+                conjuncts.push(random_pred(&mut rng, &attrs, 2));
+            }
+            let filter = conjuncts.into_iter().reduce(Predicate::and).expect("a conjunct");
+            let plan = plan.filter(filter);
+
+            let (want, top_stats, _) = filter_at_top(&db, &plan);
+            let (on_rel, on_stats, trace) = db.execute_traced(&plan).expect("execution");
+            prop_assert_eq!(on_rel.rows(), want.rows(), "rows or their order moved");
+            prop_assert_eq!(&on_rel, &want, "the reduction changed the answer");
+            prop_assert_eq!(trace.totals(), on_stats);
+            prop_assert!(
+                on_stats.rows_scanned <= top_stats.rows_scanned,
+                "the reduction increased scans: {} > {}",
+                on_stats.rows_scanned, top_stats.rows_scanned
+            );
+            prop_assert!(
+                on_stats.rows_scanned + on_stats.index_probes
+                    <= top_stats.rows_scanned + top_stats.index_probes,
+                "the reduction increased scan+probe work"
+            );
+        }
+    }
+
     /// An injected error or panic at `engine.query.pushdown` fails the
     /// query typed before any row is read: the state and the build cache
     /// stay untouched (S1 joins on its unindexed `S1.V0`, so a run that
