@@ -184,6 +184,9 @@ pub(crate) struct DbMetrics {
     /// (root prefilter, probe filters, filtered hash builds).
     pub(crate) pushed_conjuncts: Arc<Counter>,
     pub(crate) pushdown_pruned_rows: Arc<Counter>,
+    /// Stored rows read to prove, before the first morsel, that an inner
+    /// step's pushed conjunct keeps no row (kept out of `QueryStats`).
+    pub(crate) empty_check_rows: Arc<Counter>,
     /// Build-cache inserts and the bytes evicted by inserts and capacity
     /// changes (hits, misses and evicted entries count under
     /// `engine.query.build_cache.*`).
@@ -275,6 +278,7 @@ impl DbMetrics {
             probe_saved_allocs: registry.counter("engine.query.probe_key.saved_allocs"),
             pushed_conjuncts: registry.counter("engine.query.pushed_conjuncts"),
             pushdown_pruned_rows: registry.counter("engine.query.pushdown_pruned_rows"),
+            empty_check_rows: registry.counter("engine.query.empty_check_rows"),
             cache_insert: registry.counter("engine.build_cache.insert"),
             cache_evicted_bytes: registry.gauge("engine.build_cache.evicted_bytes"),
             query_totals: QUERY_TOTALS.map(|f| registry.counter(&format!("engine.query.{f}"))),
@@ -543,8 +547,13 @@ impl Table {
         }
     }
 
+    /// The live rows as a relation. A table is a set (its primary key is
+    /// unique) on every database whose load was accepted, so its rows go
+    /// in unhashed; see [`Database::load_state`] for a refused one.
     fn to_relation(&self) -> Result<Relation> {
-        Relation::with_rows(self.header.clone(), self.rows.iter().flatten().cloned())
+        let mut rows = Vec::with_capacity(self.live);
+        rows.extend(self.rows.iter().flatten().cloned());
+        Relation::from_distinct_rows(self.header.clone(), rows)
     }
 }
 
@@ -1236,7 +1245,11 @@ impl Database {
     /// constraint or index invariant. On a durable database a clean load
     /// then commits by installing the whole state as the next snapshot
     /// generation. After a failed audit or install the database keeps the
-    /// loaded rows, for diagnosis, and must be discarded; on disk the
+    /// loaded rows, for diagnosis, and must be discarded: only
+    /// [`Database::verify_integrity`] is safe on it. A refused state need
+    /// not be a set, and [`Database::snapshot`] and `execute` take every
+    /// table for one, so they may panic in debug builds and return a
+    /// relation with a repeated row in release builds. On disk the
     /// previous generation stays authoritative, so recovery returns the
     /// state before the load. Every touched relation's version is also
     /// bumped strictly past any cached build of it, so seeded or recovered
@@ -1449,8 +1462,14 @@ impl Database {
                 }
             }
             // Null constraints, re-evaluated over the whole stored relation.
+            // The audit trusts no table to be a set, so its rows are
+            // deduplicated.
             if let Some(checks) = self.nulls.get(name).filter(|c| !c.is_empty()) {
-                match table.to_relation() {
+                let relation = Relation::with_rows(
+                    table.header.clone(),
+                    live_rows.iter().map(|&(_, t)| t.clone()),
+                );
+                match relation {
                     Ok(relation) => {
                         for c in checks {
                             report.constraints_checked += 1;
@@ -2039,6 +2058,28 @@ mod tests {
             v.iter().all(|v| v.kind == IntegrityKind::UniqueIndex),
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn a_state_loaded_over_its_own_rows_is_refused_not_trusted() {
+        // Loading rows the tables already hold leaves two equal live rows
+        // in each. The key audit flags them, and the null-constraint check
+        // deduplicates rather than take the table for a set, so the audit
+        // of a refused database still runs to the end.
+        let mut db = Database::new(emp_mgr_schema(), DbmsProfile::ideal()).unwrap();
+        db.insert("EMP", tup(&[1, 10])).unwrap();
+        let state = db.snapshot().unwrap();
+        let err = db.load_state(&state).unwrap_err();
+        assert!(matches!(err, Error::StateMismatch { .. }), "{err}");
+        let report = db.verify_integrity();
+        assert!(
+            report
+                .violations
+                .iter()
+                .all(|v| v.relation == "EMP" && v.kind == IntegrityKind::UniqueIndex),
+            "{report}"
+        );
+        assert!(report.to_string().contains("duplicate key"), "{report}");
     }
 
     #[test]

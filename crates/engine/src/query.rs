@@ -25,10 +25,16 @@
 //! counters are identical cache on or off. The root rows then run through
 //! the pipeline in morsels of 1,024 rows, in order, in one loop: each join
 //! step writes its intermediate rows into one flat buffer of borrowed
-//! slots, each surviving row is materialized exactly once, and each morsel
-//! folds its counters into its operators as it finishes. A morsel is the
-//! unit of the `engine.query.morsel_worker` fault site, and it bounds the
-//! flat join buffers.
+//! slots, each surviving row is materialized exactly once, into the one
+//! vector that becomes the answer, and each morsel folds its counters into
+//! its operators as it finishes. A morsel is the unit of the
+//! `engine.query.morsel_worker` fault site, and it bounds the flat join
+//! buffers. A stream proved empty at compile time runs no morsel.
+//!
+//! The answer is assembled once: a key join over stored sets emits no row
+//! twice, so the joined rows become the answer through
+//! [`Relation::from_distinct_rows`], unhashed, and only a projection, which
+//! can merge rows, deduplicates (DESIGN §6, "Assemble once").
 //!
 //! [`Database::execute_traced`] additionally returns a [`QueryTrace`]: an
 //! EXPLAIN-ANALYZE-style operator breakdown (rows in/out, index probes,
@@ -213,7 +219,8 @@ pub struct QueryStats {
     /// Transient hash tables built as join build sides (a cached build
     /// counts as the build it replays).
     pub hash_builds: u64,
-    /// Morsels the root rows were partitioned into (1,024 rows each).
+    /// Morsels the root rows were partitioned into (1,024 rows each); 0
+    /// when the stream was proved empty before the first morsel.
     pub morsels: u64,
     /// Approximate bytes of intermediate state this query materialized:
     /// borrowed slot rows emitted by join steps, transient hash builds,
@@ -584,11 +591,11 @@ struct CompiledJoin<'a> {
     build_pruned: u64,
 }
 
-/// What the morsels produced so far: each morsel's materialized (and
-/// filtered) rows, in morsel order, plus the per-operator counters each
-/// morsel folds in as it finishes.
+/// What the morsels produced so far: the materialized (and filtered)
+/// rows, in pipeline order, in the one vector that becomes the answer,
+/// plus the per-operator counters each morsel folds in as it finishes.
 struct PipelineOut {
-    morsel_rows: Vec<Vec<Tuple>>,
+    rows: Vec<Tuple>,
     /// Per join step: its build costs ([`CompiledJoin::build`]) plus the
     /// probe-side counters of every finished morsel.
     per_join: Vec<OpStats>,
@@ -721,11 +728,13 @@ fn run_morsel<'a>(
         std::mem::swap(&mut cur, &mut next);
     }
     // Materialize each surviving row exactly once, applying the filter on
-    // the freshly built values.
+    // the freshly built values, straight into the answer's vector.
     let t0 = Instant::now();
     let rows_in = cur.len() / widths.len();
     let total_width: usize = widths.iter().sum();
-    let mut rows = Vec::with_capacity(rows_in);
+    let rows = &mut out.rows;
+    let before = rows.len();
+    rows.reserve(rows_in);
     for parts in cur.chunks_exact(widths.len()) {
         let mut vals: Vec<Value> = Vec::with_capacity(total_width);
         for (si, w) in widths.iter().enumerate() {
@@ -741,8 +750,7 @@ fn run_morsel<'a>(
         }
         rows.push(Tuple::new(vals));
     }
-    let rows_out = rows.len() as u64;
-    out.morsel_rows.push(rows);
+    let rows_out = (rows.len() - before) as u64;
     // Materialized-output footprint: each surviving row owns a `Tuple`
     // holding `total_width` values.
     let fop = OpStats {
@@ -818,15 +826,20 @@ fn compile_join<'a>(
         .map(|p| CompiledPredicate::compile(p, &table.header))
         .transpose()?;
     // An inner step whose pushed conjunct keeps no stored row empties the
-    // stream for every later step. The check reads stored rows only and
-    // stops at the first kept row; a reducing step needs no check, since
-    // a conjunct that keeps no row left the root empty.
-    let output_empty = left_empty
-        || (!step.outer
-            && !reduced
-            && cp
-                .as_ref()
-                .is_some_and(|c| !table.rows.iter().flatten().any(|t| c.matches(t.values()))));
+    // stream for every later step. The check reads stored rows only, stops
+    // at the first kept row and counts the rows it read on
+    // `engine.query.empty_check_rows`; a reducing step needs no check,
+    // since a conjunct that keeps no row left the root empty.
+    let checked = !left_empty && !step.outer && !reduced;
+    let mut output_empty = left_empty;
+    if let Some(c) = cp.as_ref().filter(|_| checked) {
+        let mut read = 0;
+        output_empty = !table.rows.iter().flatten().any(|t| {
+            read += 1;
+            c.matches(t.values())
+        });
+        db.metrics.empty_check_rows.add(read);
+    }
     let t0 = Instant::now();
     let mut build = OpStats::default();
     let mut cached = false;
@@ -1334,15 +1347,16 @@ fn execute_core(
         .map(|p| CompiledPredicate::compile(p, &layout.header))
         .transpose()?;
 
-    // Run the pipeline a morsel at a time. A panic (injected or genuine)
-    // is contained — it fails only this query, as a typed error, leaving
-    // the database untouched (the executor never mutates; it holds only
-    // borrowed rows).
-    let morsels = root_rows.chunks(MORSEL_ROWS);
+    // Run the pipeline a morsel at a time; a stream proved empty above
+    // runs no morsel. A panic (injected or genuine) is contained — it
+    // fails only this query, as a typed error, leaving the database
+    // untouched (the executor never mutates; it holds only borrowed rows).
+    let live = if left_empty { &[][..] } else { &root_rows[..] };
+    let morsels = live.chunks(MORSEL_ROWS);
     stats.morsels = morsels.len() as u64;
     span.add_field("morsels", stats.morsels);
     let mut out = PipelineOut {
-        morsel_rows: Vec::with_capacity(stats.morsels as usize),
+        rows: Vec::new(),
         per_join: joins.iter().map(|j| j.build).collect(),
         filter: OpStats::default(),
         saved_allocs: 0,
@@ -1356,19 +1370,13 @@ fn execute_core(
         Ok::<_, Error>(())
     })?;
     let PipelineOut {
-        morsel_rows,
+        rows,
         per_join,
         filter: filter_op,
         saved_allocs,
         pruned,
     } = out;
     pruned_rows += pruned;
-    // One exact allocation for the result: a vector grown morsel by morsel
-    // would reallocate a ten-morsel result four times.
-    let mut rows = Vec::with_capacity(morsel_rows.iter().map(Vec::len).sum());
-    for part in morsel_rows {
-        rows.extend(part);
-    }
     for op in &per_join {
         stats.rows_scanned += op.rows_scanned;
         stats.index_probes += op.index_probes;
@@ -1387,15 +1395,17 @@ fn execute_core(
     db.metrics.pushed_conjuncts.add(pd.pushed);
     db.metrics.pushdown_pruned_rows.add(pruned_rows);
 
-    // Projection (central, so set semantics dedup once).
+    // Assemble once. The joined rows are pairwise distinct by
+    // construction (DESIGN §6, "Assemble once"), so they become the answer
+    // unhashed; only a projection, which can merge rows, deduplicates.
     let t_proj = Instant::now();
     let rows_in_proj = rows.len() as u64;
+    let joined = Relation::from_distinct_rows(layout.header, rows)?;
     let result = if plan.project.is_empty() {
-        Relation::with_rows(layout.header, rows)?
+        joined
     } else {
         let wanted: Vec<&str> = plan.project.iter().map(String::as_str).collect();
-        let full = Relation::with_rows(layout.header, rows)?;
-        relmerge_relational::algebra::project(&full, &wanted)?
+        relmerge_relational::algebra::project(&joined, &wanted)?
     };
     stats.rows_output = result.len() as u64;
 

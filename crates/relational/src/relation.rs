@@ -4,11 +4,15 @@ use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 use crate::attribute::{self, Attribute};
 use crate::error::{Error, Result};
 use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, Slots};
 use crate::value::Tuple;
+
+/// Row hash → positions in `rows` of the rows with that hash.
+type RowIndex = FxHashMap<u64, Slots>;
 
 /// A relation: an ordered attribute header and a *set* of tuples.
 ///
@@ -16,17 +20,66 @@ use crate::value::Tuple;
 /// tuple is stored once, in insertion order, which fixes display and
 /// iteration order. An index from each row's hash to the positions of the
 /// rows with that hash makes duplicate elimination and membership tests
-/// O(1) without a second copy of any row.
+/// O(1) without a second copy of any row. The index is built on the first
+/// membership question (`contains`, `insert`, `remove`, `==`): at once by
+/// [`Relation::with_rows`], which deduplicates as it inserts, and only
+/// when asked for a relation made by [`Relation::from_distinct_rows`],
+/// whose rows are distinct already.
 #[derive(Debug, Clone)]
 pub struct Relation {
     header: Vec<Attribute>,
     rows: Vec<Tuple>,
-    /// Row hash → positions in `rows` of the rows with that hash.
-    index: FxHashMap<u64, Slots>,
+    index: OnceLock<RowIndex>,
 }
 
 fn row_hash(t: &Tuple) -> u64 {
     FxBuildHasher::default().hash_one(t)
+}
+
+/// The index of `rows`, which are pairwise distinct.
+fn index_rows(rows: &[Tuple]) -> RowIndex {
+    let mut index = RowIndex::with_capacity_and_hasher(rows.len(), FxBuildHasher::default());
+    for (pos, t) in rows.iter().enumerate() {
+        match index.entry(row_hash(t)) {
+            Entry::Vacant(e) => {
+                e.insert(Slots::One(pos));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(pos),
+        }
+    }
+    index
+}
+
+/// `index`, built from `rows` first if it is not yet.
+fn built<'a>(index: &'a mut OnceLock<RowIndex>, rows: &[Tuple]) -> &'a mut RowIndex {
+    index.get_or_init(|| index_rows(rows));
+    index.get_mut().expect("initialized above")
+}
+
+/// Fails unless `t` has `header`'s arity and each value fits its
+/// attribute's domain.
+fn check_fits(header: &[Attribute], t: &Tuple) -> Result<()> {
+    if t.arity() != header.len() {
+        return Err(Error::TupleMismatch {
+            detail: format!(
+                "arity {} does not match header arity {}",
+                t.arity(),
+                header.len()
+            ),
+        });
+    }
+    for (v, a) in t.values().iter().zip(header) {
+        if !v.fits(a.domain()) {
+            return Err(Error::TupleMismatch {
+                detail: format!(
+                    "value {v} does not fit domain {} of attribute `{}`",
+                    a.domain(),
+                    a.name()
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 impl Relation {
@@ -43,7 +96,7 @@ impl Relation {
         Ok(Relation {
             header,
             rows: Vec::new(),
-            index: FxHashMap::default(),
+            index: OnceLock::new(),
         })
     }
 
@@ -56,10 +109,40 @@ impl Relation {
         let rows = rows.into_iter();
         let (expected, _) = rows.size_hint();
         r.rows.reserve(expected);
-        r.index.reserve(expected);
+        built(&mut r.index, &r.rows).reserve(expected);
         for t in rows {
             r.insert(t)?;
         }
+        Ok(r)
+    }
+
+    /// Creates a relation over `header` holding `rows` in their order,
+    /// without hashing them: the caller guarantees that every row fits the
+    /// header and that no two rows are equal (a key join over stored sets,
+    /// a table's live rows). The header is checked as [`Relation::new`]
+    /// checks it. The index is left unbuilt until a membership question
+    /// needs it, and the relation then answers every question as
+    /// [`Relation::with_rows`] over the same rows would.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when a row does not fit the header or two rows are
+    /// equal. The check builds a throwaway set and leaves the index
+    /// unbuilt; release builds trust the caller.
+    pub fn from_distinct_rows(header: Vec<Attribute>, rows: Vec<Tuple>) -> Result<Self> {
+        let mut r = Relation::new(header)?;
+        #[cfg(debug_assertions)]
+        {
+            let mut seen =
+                FxHashSet::with_capacity_and_hasher(rows.len(), FxBuildHasher::default());
+            for t in &rows {
+                if let Err(e) = check_fits(&r.header, t) {
+                    panic!("from_distinct_rows: {e}");
+                }
+                assert!(seen.insert(t), "from_distinct_rows: row {t} occurs twice");
+            }
+        }
+        r.rows = rows;
         Ok(r)
     }
 
@@ -113,6 +196,7 @@ impl Relation {
     /// Position in `rows` of the row equal to `t`, whose hash is `hash`.
     fn find(&self, hash: u64, t: &Tuple) -> Option<usize> {
         self.index
+            .get_or_init(|| index_rows(&self.rows))
             .get(&hash)?
             .as_slice()
             .iter()
@@ -135,28 +219,9 @@ impl Relation {
     /// relation already contained it (set semantics), or an error when the
     /// tuple's arity or value domains do not match the header.
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
-        if t.arity() != self.header.len() {
-            return Err(Error::TupleMismatch {
-                detail: format!(
-                    "arity {} does not match header arity {}",
-                    t.arity(),
-                    self.header.len()
-                ),
-            });
-        }
-        for (v, a) in t.values().iter().zip(&self.header) {
-            if !v.fits(a.domain()) {
-                return Err(Error::TupleMismatch {
-                    detail: format!(
-                        "value {v} does not fit domain {} of attribute `{}`",
-                        a.domain(),
-                        a.name()
-                    ),
-                });
-            }
-        }
+        check_fits(&self.header, &t)?;
         let pos = self.rows.len();
-        match self.index.entry(row_hash(&t)) {
+        match built(&mut self.index, &self.rows).entry(row_hash(&t)) {
             Entry::Vacant(e) => {
                 e.insert(Slots::One(pos));
             }
@@ -178,13 +243,14 @@ impl Relation {
         let Some(pos) = self.find(hash, t) else {
             return false;
         };
-        if let Entry::Occupied(mut e) = self.index.entry(hash) {
+        let index = built(&mut self.index, &self.rows);
+        if let Entry::Occupied(mut e) = index.entry(hash) {
             if e.get_mut().remove(pos) {
                 e.remove();
             }
         }
         self.rows.remove(pos);
-        for p in self.index.values_mut().flat_map(Slots::as_mut_slice) {
+        for p in index.values_mut().flat_map(Slots::as_mut_slice) {
             if *p > pos {
                 *p -= 1;
             }
@@ -289,7 +355,11 @@ mod tests {
             Attribute::new("A", Domain::Text),
         ];
         assert!(matches!(
-            Relation::new(h),
+            Relation::new(h.clone()),
+            Err(Error::DuplicateAttribute(_))
+        ));
+        assert!(matches!(
+            Relation::from_distinct_rows(h, Vec::new()),
             Err(Error::DuplicateAttribute(_))
         ));
     }
@@ -329,20 +399,30 @@ mod tests {
         assert!(r.contains(&t2));
     }
 
-    #[test]
-    fn rows_sharing_a_hash_are_kept_found_and_removed_apart() {
+    fn int_pair(a: i64, b: i64) -> Tuple {
+        Tuple::new([Value::Int(a), Value::Int(b)])
+    }
+
+    fn int_header() -> Vec<Attribute> {
+        vec![
+            Attribute::new("A", Domain::Int),
+            Attribute::new("B", Domain::Int),
+        ]
+    }
+
+    /// Two distinct `(A, B)` rows with one row hash.
+    fn colliding_pair() -> (Tuple, Tuple) {
         use crate::fxhash::{K, ROTATE};
         // A pair (a, b) hashes as rotate((P(a) + b) * K), where P(a) is the
         // state after every word but b. K is odd, so its inverse undoes the
         // multiply; then b2 = b1 + P(a1) - P(a2) makes (a2, b2) collide
         // with (a1, b1).
-        let pair = |a: i64, b: u64| Tuple::new([Value::Int(a), Value::Int(b as i64)]);
         let k_inv = (0..6).fold(K, |x, _| {
             x.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(x)))
         });
         assert_eq!(K.wrapping_mul(k_inv), 1);
         let state_before_b = |a: i64| {
-            row_hash(&pair(a, 0))
+            row_hash(&int_pair(a, 0))
                 .rotate_right(ROTATE)
                 .wrapping_mul(k_inv)
         };
@@ -350,23 +430,24 @@ mod tests {
         let b2 = b1
             .wrapping_add(state_before_b(1))
             .wrapping_sub(state_before_b(2));
-        let (t1, t2) = (pair(1, b1), pair(2, b2));
+        let (t1, t2) = (int_pair(1, b1 as i64), int_pair(2, b2 as i64));
         assert_ne!(t1, t2);
         assert_eq!(row_hash(&t1), row_hash(&t2), "the pair must collide");
+        (t1, t2)
+    }
 
-        let mut r = Relation::new(vec![
-            Attribute::new("A", Domain::Int),
-            Attribute::new("B", Domain::Int),
-        ])
-        .unwrap();
-        let t0 = pair(0, 0);
+    #[test]
+    fn rows_sharing_a_hash_are_kept_found_and_removed_apart() {
+        let (t1, t2) = colliding_pair();
+        let mut r = Relation::new(int_header()).unwrap();
+        let t0 = int_pair(0, 0);
         assert!(r.insert(t0.clone()).unwrap());
         assert!(r.insert(t1.clone()).unwrap());
         assert!(r.insert(t2.clone()).unwrap(), "a colliding row is kept");
         assert!(!r.insert(t2.clone()).unwrap(), "and deduplicated");
         assert_eq!(r.len(), 3);
         assert!(r.contains(&t1) && r.contains(&t2));
-        assert!(!r.contains(&pair(2, b1)));
+        assert!(!r.contains(&int_pair(2, 5)));
         // Removing one colliding row leaves the other findable, and the
         // row before them keeps its place.
         assert!(r.remove(&t1));
@@ -379,6 +460,77 @@ mod tests {
         assert!(r.is_empty());
         assert!(r.insert(t1.clone()).unwrap());
         assert!(r.contains(&t1) && !r.contains(&t2));
+    }
+
+    /// Asks `r` and `want` the same questions, in the same order, and
+    /// asserts the same answers and rows.
+    fn assert_answers_alike(mut r: Relation, mut want: Relation, ts: &[Tuple]) {
+        assert_eq!(r.rows(), want.rows());
+        for t in ts {
+            assert_eq!(r.contains(t), want.contains(t), "{t}");
+        }
+        // Both orders: `==` builds its right-hand operand's index.
+        assert_eq!(want, r);
+        assert_eq!(r, want);
+        for t in ts {
+            assert_eq!(
+                r.insert(t.clone()).unwrap(),
+                want.insert(t.clone()).unwrap()
+            );
+            assert_eq!(r.rows(), want.rows());
+        }
+        for t in ts.iter().chain(ts) {
+            assert_eq!(r.remove(t), want.remove(t), "{t}");
+            assert_eq!(r.rows(), want.rows());
+        }
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn distinct_rows_answer_as_deduplicated_rows() {
+        // A colliding pair makes the lazily built index share a bucket.
+        let (t1, t2) = colliding_pair();
+        let ts = [int_pair(0, 0), t1, t2, int_pair(3, 3)];
+        let given = ts[..3].to_vec();
+        let reference = Relation::with_rows(int_header(), given.clone()).unwrap();
+        // Each membership question may be the one that builds the index.
+        type Question = fn(&mut Relation, &[Tuple]) -> bool;
+        let first_questions: [Question; 5] = [
+            |r, ts| r.contains(&ts[1]),
+            |r, ts| Relation::with_rows(int_header(), ts[..3].to_vec()).unwrap() == *r,
+            |r, ts| r.insert(ts[2].clone()).unwrap(),
+            |r, ts| r.insert(ts[3].clone()).unwrap(),
+            |r, ts| r.remove(&ts[1]),
+        ];
+        for ask in first_questions {
+            let mut r = Relation::from_distinct_rows(int_header(), given.clone()).unwrap();
+            let mut want = reference.clone();
+            let before = r.clone();
+            assert_eq!(ask(&mut r, &ts), ask(&mut want, &ts));
+            let after = r.clone();
+            // A clone taken before the question answers as the rows given;
+            // the relation and a clone taken after it, as `want`.
+            assert_eq!(before.rows(), given.as_slice());
+            assert_answers_alike(before, reference.clone(), &ts);
+            assert_answers_alike(after, want.clone(), &ts);
+            assert_answers_alike(r, want, &ts);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "occurs twice")]
+    fn distinct_rows_with_a_duplicate_panic_in_debug_builds() {
+        let t = Tuple::new([Value::Int(1), Value::text("x")]);
+        let _ = Relation::from_distinct_rows(header(), vec![t.clone(), t]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn distinct_rows_that_do_not_fit_panic_in_debug_builds() {
+        let t = Tuple::new([Value::text("no"), Value::text("x")]);
+        let _ = Relation::from_distinct_rows(header(), vec![t]);
     }
 
     #[test]

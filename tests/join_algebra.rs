@@ -8,12 +8,17 @@
 //! nulls, must return the algebra's answer too, as must one such plan over
 //! a root of three morsels, and a root lookup keyed on any of those
 //! columns, with a key that may be null, must return the algebra's
-//! selection.
+//! selection. Every unprojected answer holds each row once, and a plan
+//! projected on a random attribute subset, which can merge rows, answers
+//! the algebra's projection of the unprojected answer, row for row and in
+//! order.
 
 use proptest::prelude::*;
 
-use relmerge::engine::{Database, DbmsProfile, JoinStep, Predicate, QueryPlan, Statement};
-use relmerge::relational::algebra::{difference, equi_join, outer_equi_join, select_eq};
+use relmerge::engine::{
+    Database, DbmsProfile, JoinStep, Predicate, QueryPlan, QueryStats, Statement,
+};
+use relmerge::relational::algebra::{difference, equi_join, outer_equi_join, project, select_eq};
 use relmerge::relational::{
     Attribute, DatabaseState, Domain, InclusionDep, Relation, RelationScheme, RelationalSchema,
     Tuple, Value,
@@ -134,6 +139,44 @@ fn chain_attr(rel: usize, key: bool) -> String {
     format!("T{rel}.{}", if key { "K" } else { "V" })
 }
 
+/// Asserts that `answer` holds no row twice: it has as many rows as the
+/// relation `with_rows` makes of them, which deduplicates.
+fn assert_distinct(answer: &Relation) {
+    let deduplicated =
+        Relation::with_rows(answer.header().to_vec(), answer.rows().to_vec()).expect("rows");
+    assert_eq!(
+        deduplicated.len(),
+        answer.len(),
+        "a row repeats in {answer}"
+    );
+}
+
+/// Asserts that `plan` projected on `names` answers the algebra's
+/// projection of `full`, `plan`'s own answer, row for row and in order,
+/// with `plan`'s `stats` but for `rows_output`.
+fn assert_projection(
+    db: &Database,
+    plan: &QueryPlan,
+    full: &Relation,
+    stats: QueryStats,
+    names: &[&str],
+) {
+    let (got, got_stats) = db
+        .execute(&plan.clone().select(names))
+        .expect("projected query");
+    let want = project(full, names).expect("projection");
+    assert_eq!(got.header(), want.header());
+    assert_eq!(got.rows(), want.rows(), "projected on {names:?}");
+    let rows_output = want.len() as u64;
+    assert_eq!(
+        got_stats,
+        QueryStats {
+            rows_output,
+            ..stats
+        }
+    );
+}
+
 /// One filter atom: `attr IS NULL`, `attr IS NOT NULL`, `attr = value`
 /// (the null literal included), possibly negated.
 #[derive(Debug, Clone)]
@@ -232,6 +275,11 @@ fn three_morsel_plan_matches_the_algebra() {
     assert_eq!(trace.totals(), stats);
     let want = algebra_chain(&db.snapshot().expect("snapshot"), &steps, &atoms);
     assert!(got.set_eq(&want), "engine {got} vs algebra {want}");
+    // Rows from different morsels stay distinct, and a projection merges
+    // them across morsel boundaries.
+    assert_distinct(&got);
+    assert_projection(&db, &plan, &got, stats, &["T1.V", "T2.K"]);
+    assert!(project(&got, &["T1.V", "T2.K"]).expect("projection").len() < got.len());
 }
 
 proptest! {
@@ -273,13 +321,16 @@ proptest! {
         }
         let want = algebra_join(&db, attr, outer);
         prop_assert!(got.set_eq_unordered(&want), "engine {} vs algebra {}", got, want);
+        assert_distinct(&got);
     }
 
     /// Plans of two to four steps over three to five relations, mixing
     /// inner and left outer steps, key (unique-index), lookup-index and
     /// unindexed right columns and null join keys, filtered by a
     /// conjunction of `IsNull` / `NotNull` / `Eq` atoms, some negated: the
-    /// algebra's answer, with a trace whose operators add up to the stats.
+    /// algebra's answer, with a trace whose operators add up to the stats,
+    /// and no row twice. Projected on one to three of the joined
+    /// attributes, the plan answers the projection of that answer.
     #[test]
     fn multi_join_plans_match_the_algebra(
         vals in prop::collection::vec(
@@ -295,6 +346,7 @@ proptest! {
             (0u8..4, 0usize..5, any::<bool>(), 0i64..4, any::<bool>()),
             0..4,
         ),
+        select in prop::collection::vec((0usize..5, any::<bool>()), 1..4),
     ) {
         let db = chain_database(&vals, &indexed);
         let state = db.snapshot().expect("snapshot");
@@ -347,6 +399,16 @@ proptest! {
         prop_assert_eq!(stats.rows_output, got.len() as u64);
         prop_assert_eq!(trace.totals(), stats);
         prop_assert!(got.set_eq(&want), "engine {} vs algebra {}", got, want);
+        assert_distinct(&got);
+        let mut names: Vec<String> = Vec::new();
+        for &(rel, key) in &select {
+            let attr = chain_attr(rel % sources, key);
+            if !names.contains(&attr) {
+                names.push(attr);
+            }
+        }
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert_projection(&db, &plan, &got, stats, &names);
     }
 
     /// A root lookup of R on its key, on the referencing `R.V` (lookup
@@ -376,5 +438,6 @@ proptest! {
         let r = state.relation("R").expect("relation");
         let want = select_eq(r, &[attr], &key).expect("select");
         prop_assert!(got.set_eq_unordered(&want), "engine {} vs algebra {}", got, want);
+        assert_distinct(&got);
     }
 }

@@ -19,7 +19,9 @@ use relmerge::relational::{
     Attribute, Domain, Error, InclusionDep, NullConstraint, Relation, RelationScheme,
     RelationalSchema, Tuple, Value,
 };
-use relmerge::workload::{consistent_state, star_schema, StarSpec, StateSpec};
+use relmerge::workload::{
+    consistent_state, generate_university, star_schema, StarSpec, StateSpec, UniversitySpec,
+};
 
 /// The reference a pushed-down filter must match: `plan` run without its
 /// filter, keeping the answer rows the filter matches, in order, with the
@@ -319,9 +321,9 @@ proptest! {
 
 /// An inner step whose pushed conjunct keeps no right row proves the
 /// stream empty, so the next step — a join no index covers — skips its
-/// build. The unfiltered plan builds, and the pushed run returns the
-/// filter at the top's answer. A conjunct that keeps some rows keeps the
-/// build.
+/// build, and no morsel runs. The unfiltered plan builds, and the pushed
+/// run returns the filter at the top's answer. A conjunct that keeps some
+/// rows keeps the build and probes C1 once per C0 row.
 #[test]
 fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
     let a = |n: &str| Attribute::new(n, Domain::Int);
@@ -358,7 +360,8 @@ fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
     };
     // B.V = 3 keeps 10 C1 rows; B.V = 99 keeps none. C1 is joined on its
     // key and C2 on the uncovered D.V.
-    for (value, rows, on_builds) in [(3i64, 10, 1), (99, 0, 0)] {
+    for (value, rows, on_builds, on_probes, on_morsels) in [(3i64, 10, 1, 100, 1), (99, 0, 0, 0, 0)]
+    {
         let plan = QueryPlan::scan("C0")
             .join(JoinStep::inner("C1", &["A.K"], &["B.K"]))
             .join(JoinStep::inner("C2", &["B.K"], &["D.V"]))
@@ -376,7 +379,9 @@ fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
             "B.V = {value}: the unfiltered plan builds"
         );
         assert_eq!(on_stats.hash_builds, on_builds, "B.V = {value}");
-        assert_eq!(on_stats.index_probes, 100, "C1 is probed once per C0 row");
+        assert_eq!(on_stats.index_probes, on_probes, "B.V = {value}");
+        assert_eq!(on_stats.morsels, on_morsels, "B.V = {value}");
+        assert_eq!(on_trace.totals(), on_stats, "B.V = {value}");
         assert_eq!(on_stats.rows_scanned, 100 + 100 * on_builds);
         let c2 = label_of(&on_trace, "C2");
         let verb = if on_builds == 0 {
@@ -401,6 +406,43 @@ fn pushed_conjunct_keeping_no_row_skips_the_next_build() {
     let (rel, stats) = db.execute(&plan).unwrap();
     assert!(rel.is_empty());
     assert_eq!(stats.hash_builds, 1);
+}
+
+/// `COURSE ⋈ TEACH` filtered on `T.F.SSN IS NULL` over the 10,000-course
+/// university: `T.F.SSN` is NNA, so the pushed conjunct keeps no TEACH row
+/// and the stream is proved empty before the first morsel. No morsel runs
+/// and TEACH is never probed (10 morsels and 10,000 probes when every
+/// course ran through the join); the root scan stays, and the proof's
+/// read of every TEACH row counts on `engine.query.empty_check_rows`, not
+/// in the stats.
+#[test]
+fn a_stream_proved_empty_runs_no_morsel() {
+    let spec = UniversitySpec {
+        courses: 10_000,
+        ..UniversitySpec::default()
+    };
+    let u = generate_university(&spec, &mut StdRng::seed_from_u64(7)).expect("university");
+    let mut db = Database::new(u.schema, DbmsProfile::ideal()).expect("database");
+    db.load_state(&u.state).expect("load");
+    let plan = QueryPlan::scan("COURSE")
+        .join(JoinStep::inner("TEACH", &["C.NR"], &["T.C.NR"]))
+        .filter(Predicate::is_null("T.F.SSN"));
+    let empty_check_rows = || {
+        db.metrics_registry()
+            .counter("engine.query.empty_check_rows")
+            .get()
+    };
+    let before = empty_check_rows();
+    let (rel, stats, trace) = db.execute_traced(&plan).expect("query");
+    assert_eq!(empty_check_rows() - before, db.len("TEACH") as u64);
+    assert!(rel.is_empty());
+    assert_eq!(stats.rows_scanned, 10_000, "the root scan stays");
+    assert_eq!(stats.index_probes, 0, "TEACH is never probed");
+    assert_eq!(stats.morsels, 0);
+    assert_eq!(trace.totals(), stats);
+    let (top_rel, top_stats, _) = filter_at_top(&db, &plan);
+    assert_eq!(rel, top_rel);
+    assert_eq!(top_stats.index_probes, 10_000);
 }
 
 /// A pushed root `Eq` on an indexed attribute upgrades the full scan to an
