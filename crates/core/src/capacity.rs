@@ -64,8 +64,11 @@ pub fn check_forward_image(
 ) -> Result<CapacityReport> {
     let mut span = obs::span("core.capacity.check_forward").field("merged", merged.merged_name());
     let forward_consistent = image.is_consistent(merged.schema())?;
-    let back = merged.invert(image)?;
-    let forward_round_trip = back == *state;
+    // `state` on the left: set equality asks the right side's set index,
+    // which the reconstruction built as it deduplicated, so no index is
+    // built on the caller's state. The reconstruction is gone before the
+    // value check.
+    let forward_round_trip = *state == merged.invert(image)?;
     let forward_values_preserved = image.values_included_in(state);
     span.add_field(
         "holds",

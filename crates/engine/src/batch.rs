@@ -42,7 +42,7 @@ use std::fmt;
 use std::time::Instant;
 
 use relmerge_obs::{self as obs};
-use relmerge_relational::{Error, Relation, Tuple};
+use relmerge_relational::{Error, Tuple};
 
 use crate::database::{key_hash, CheckClass, Database, DmlError};
 use crate::fault::{contain, fan_out, site};
@@ -173,19 +173,21 @@ impl BatchOutcome {
 
 /// One undoable change — the rollback unit of statements and batches. It
 /// names the slot it changed, so rollback restores every table slot for
-/// slot, with no probe and no way to fail.
-pub(crate) enum Undo {
+/// slot, with no probe and no way to fail. The relation name is borrowed
+/// from the statement that made the change, so an entry allocates nothing
+/// of its own.
+pub(crate) enum Undo<'s> {
     /// Take out the row that landed at `slot`.
     Insert {
         /// Relation the row went into.
-        rel: String,
+        rel: &'s str,
         /// Where it landed.
         slot: usize,
     },
     /// Put the removed `tuple` back at its `slot`.
     Delete {
         /// Relation the row came from.
-        rel: String,
+        rel: &'s str,
         /// Where it was.
         slot: usize,
         /// The removed row.
@@ -193,16 +195,17 @@ pub(crate) enum Undo {
     },
 }
 
-impl Undo {
+impl Undo<'_> {
     /// Approximate heap footprint of this entry — the batch path's
     /// analogue of the executor's intermediate-byte accounting, so the
-    /// staging cost of a batch is observable before it commits.
+    /// staging cost of a batch is observable before it commits: the entry
+    /// itself, plus the values of the row a removal holds.
     fn approx_bytes(&self) -> u64 {
-        let (rel, removed) = match self {
-            Undo::Insert { rel, .. } => (rel, 0),
-            Undo::Delete { rel, tuple, .. } => (rel, std::mem::size_of_val(tuple.values())),
+        let removed = match self {
+            Undo::Insert { .. } => 0,
+            Undo::Delete { tuple, .. } => std::mem::size_of_val(tuple.values()),
         };
-        (std::mem::size_of::<Undo>() + rel.len() + removed) as u64
+        (std::mem::size_of::<Undo>() + removed) as u64
     }
 
     /// The row a removal took out (validation reads removed rows here).
@@ -215,13 +218,13 @@ impl Undo {
 }
 
 /// Reverses every recorded change, newest first.
-fn rollback(db: &mut Database, undo: Vec<Undo>) {
+fn rollback(db: &mut Database, undo: Vec<Undo<'_>>) {
     for entry in undo.into_iter().rev() {
         match entry {
             Undo::Insert { rel, slot } => {
-                db.take_slot(&rel, slot);
+                db.take_slot(rel, slot);
             }
-            Undo::Delete { rel, slot, tuple } => db.restore_slot(&rel, slot, tuple),
+            Undo::Delete { rel, slot, tuple } => db.restore_slot(rel, slot, tuple),
         }
     }
 }
@@ -276,20 +279,14 @@ impl TouchedRel {
     }
 }
 
-/// Per-relation touch sets of one deferred batch.
+/// Per-relation touch sets of one deferred batch, keyed by the relation
+/// names the statements carry.
 #[derive(Default)]
-struct Touched {
-    rels: BTreeMap<String, TouchedRel>,
+struct Touched<'s> {
+    rels: BTreeMap<&'s str, TouchedRel>,
 }
 
-impl Touched {
-    fn rel_mut(&mut self, rel: &str) -> &mut TouchedRel {
-        if !self.rels.contains_key(rel) {
-            self.rels.insert(rel.to_owned(), TouchedRel::default());
-        }
-        self.rels.get_mut(rel).expect("inserted above")
-    }
-
+impl Touched<'_> {
     fn total_rows(&self) -> usize {
         self.rels
             .values()
@@ -444,19 +441,22 @@ impl Database {
         // or genuine) rolls back every change that landed. A statement
         // stopped before it changed a row, or a Noop, leaves `undo` empty
         // and appends nothing.
-        let mut undo: Vec<Undo> = Vec::new();
-        let result = contain(|| -> Result<StatementOutcome, DmlError> {
+        let mut undo: Vec<Undo<'_>> = Vec::new();
+        let result = contain(|| -> Result<(StatementOutcome, bool), DmlError> {
             let outcome = self.apply_immediate(stmt, 0, &mut undo)?;
-            if !undo.is_empty() {
-                self.wal_append_batch(std::slice::from_ref(stmt))?;
-            }
-            Ok(outcome)
+            let snapshot_due =
+                !undo.is_empty() && self.wal_append_batch(std::slice::from_ref(stmt))?;
+            Ok((outcome, snapshot_due))
         });
         let result = match result {
-            Ok(outcome) => {
+            Ok((outcome, snapshot_due)) => {
                 let updates =
                     u64::from(matches!(stmt, Statement::Update { .. }) && !undo.is_empty());
                 self.count_committed(&undo, updates);
+                drop(undo);
+                if snapshot_due {
+                    self.cadence_snapshot();
+                }
                 Ok(outcome)
             }
             Err(e) => {
@@ -485,13 +485,17 @@ impl Database {
     /// On failure the returned [`DmlError::AtStatement`] names the
     /// statement that caused the rejection and the whole batch is rolled
     /// back: rows and indexes are exactly as before the call.
+    ///
+    /// On a durable database a commit that makes the snapshot cadence due
+    /// takes the snapshot last, after the batch has released its undo log
+    /// and touch sets; `engine.batch.ns` covers it.
     pub fn apply_batch(&mut self, stmts: &[Statement]) -> Result<BatchOutcome, DmlError> {
         let start = Instant::now();
         let deferred = self.profile().deferred_checking;
         let mut span = obs::span("engine.batch.apply");
         span.add_field("statements", stmts.len());
         span.add_field("mode", if deferred { "deferred" } else { "immediate" });
-        let mut undo: Vec<Undo> = Vec::new();
+        let mut undo: Vec<Undo<'_>> = Vec::with_capacity(stmts.len());
         let mut outcomes = Vec::with_capacity(stmts.len());
         let mut updates = 0u64;
         // The whole forward path — statement apply, group validation, the
@@ -501,7 +505,7 @@ impl Database {
         // (injected or genuine) leaves `undo` complete: the caught panic
         // becomes a typed error and takes the same rollback path a
         // constraint violation does.
-        let result = contain(|| -> Result<u64, DmlError> {
+        let result = contain(|| -> Result<(u64, bool), DmlError> {
             let mut touched = Touched::default();
             for (i, stmt) in stmts.iter().enumerate() {
                 self.fault_check(site::STATEMENT_APPLY)
@@ -510,7 +514,7 @@ impl Database {
                 let applied = if deferred {
                     self.apply_statement(stmt, &mut undo)
                         .map(|(outcome, touch)| {
-                            touched.rel_mut(stmt.rel()).record(touch, i);
+                            touched.rels.entry(stmt.rel()).or_default().record(touch, i);
                             outcome
                         })
                 } else {
@@ -537,17 +541,18 @@ impl Database {
             } else {
                 0
             };
+            // Validation was the touch sets' last reader.
+            drop(touched);
             self.fault_check(site::COMMIT)?;
             // Write-ahead: on a durable database the batch's log record
             // must be on disk before the commit becomes visible. A failed
             // append — IO error, injected error, or injected panic at
             // `engine.wal.append` — takes the same rollback path a
             // constraint violation does, so nothing un-logged survives.
-            self.wal_append_batch(stmts).map_err(DmlError::from)?;
-            Ok(checks)
+            let snapshot_due = self.wal_append_batch(stmts).map_err(DmlError::from)?;
+            Ok((checks, snapshot_due))
         });
         self.metrics.batch_size.record(stmts.len() as u64);
-        self.metrics.batch_ns.record(obs::elapsed_ns(start));
         // Undo-log footprint at its high-water mark (the log is complete
         // here whether the batch commits or rolls back).
         let undo_bytes: u64 = undo.iter().map(Undo::approx_bytes).sum();
@@ -555,8 +560,13 @@ impl Database {
         self.metrics.undo_bytes.record(undo_bytes);
         span.add_field("undo_entries", undo.len());
         match result {
-            Ok(deferred_checks) => {
+            Ok((deferred_checks, snapshot_due)) => {
                 self.count_committed(&undo, updates);
+                drop(undo);
+                if snapshot_due {
+                    self.cadence_snapshot();
+                }
+                self.metrics.batch_ns.record(obs::elapsed_ns(start));
                 self.metrics.batch_commits.inc();
                 span.add_field("result", "committed");
                 span.add_field("deferred_checks", deferred_checks);
@@ -567,6 +577,7 @@ impl Database {
                 })
             }
             Err(e) => {
+                self.metrics.batch_ns.record(obs::elapsed_ns(start));
                 match e.root_cause() {
                     DmlError::Schema(Error::Injected { .. }) => self.metrics.injected_aborts.inc(),
                     DmlError::Schema(Error::ExecutionPanic { .. }) => {
@@ -585,7 +596,7 @@ impl Database {
     /// Counts the rows of a statement or batch that committed: one insert
     /// or delete per undo entry (a changing update lands as one of each),
     /// plus the `updates` that changed a row.
-    fn count_committed(&self, undo: &[Undo], updates: u64) {
+    fn count_committed(&self, undo: &[Undo<'_>], updates: u64) {
         let inserts = undo
             .iter()
             .filter(|u| matches!(u, Undo::Insert { .. }))
@@ -598,11 +609,11 @@ impl Database {
     /// One statement on the immediate schedule: it lands, then
     /// [`Database::validate_relation`] checks its own touch set at once.
     /// The caller rolls back what `undo` gained when this fails.
-    fn apply_immediate(
+    fn apply_immediate<'s>(
         &mut self,
-        stmt: &Statement,
+        stmt: &'s Statement,
         index: usize,
-        undo: &mut Vec<Undo>,
+        undo: &mut Vec<Undo<'s>>,
     ) -> Result<StatementOutcome, DmlError> {
         let (outcome, touch) = self.apply_statement(stmt, undo)?;
         let inserted = touch.landed.map(|slot| (slot, index));
@@ -622,10 +633,10 @@ impl Database {
     /// recording its undo entry. Returns what the statement did and the
     /// rows it touched; every other check is
     /// [`Database::validate_relation`]'s, over those rows.
-    fn apply_statement(
+    fn apply_statement<'s>(
         &mut self,
-        stmt: &Statement,
-        undo: &mut Vec<Undo>,
+        stmt: &'s Statement,
+        undo: &mut Vec<Undo<'s>>,
     ) -> Result<(StatementOutcome, Touch), DmlError> {
         let mut touch = Touch::default();
         match stmt {
@@ -638,10 +649,7 @@ impl Database {
                 let slot = self
                     .raw_insert(rel, tuple.clone())
                     .map_err(DmlError::Schema)?;
-                undo.push(Undo::Insert {
-                    rel: rel.clone(),
-                    slot,
-                });
+                undo.push(Undo::Insert { rel, slot });
                 touch.landed = Some(slot);
                 Ok((StatementOutcome::Inserted, touch))
             }
@@ -652,7 +660,7 @@ impl Database {
                 self.fault_check(site::INDEX_MAINTENANCE)?;
                 let victim = self.take_slot(rel, slot);
                 undo.push(Undo::Delete {
-                    rel: rel.clone(),
+                    rel,
                     slot,
                     tuple: victim,
                 });
@@ -670,7 +678,7 @@ impl Database {
                 self.fault_check(site::INDEX_MAINTENANCE)?;
                 let old = self.take_slot(rel, slot);
                 undo.push(Undo::Delete {
-                    rel: rel.clone(),
+                    rel,
                     slot,
                     tuple: old,
                 });
@@ -680,10 +688,7 @@ impl Database {
                     let slot = self
                         .raw_insert(rel, tuple.clone())
                         .map_err(DmlError::Schema)?;
-                    undo.push(Undo::Insert {
-                        rel: rel.clone(),
-                        slot,
-                    });
+                    undo.push(Undo::Insert { rel, slot });
                     touch.landed = Some(slot);
                 }
                 Ok((StatementOutcome::Updated, touch))
@@ -696,8 +701,8 @@ impl Database {
     /// Large batches validate relations on up to
     /// [`Database::parallelism`] threads. Returns the number of group
     /// checks performed.
-    fn validate_deferred(&self, touched: &Touched, undo: &[Undo]) -> Result<u64, DmlError> {
-        let rels: Vec<(&String, &TouchedRel)> = touched.rels.iter().collect();
+    fn validate_deferred(&self, touched: &Touched<'_>, undo: &[Undo<'_>]) -> Result<u64, DmlError> {
+        let rels: Vec<(&&str, &TouchedRel)> = touched.rels.iter().collect();
         let workers = if touched.total_rows() >= PARALLEL_ROW_THRESHOLD {
             self.parallelism()
         } else {
@@ -751,7 +756,7 @@ impl Database {
         &self,
         rel: &str,
         (inserted_rows, deleted_rows): (&[TouchedRow], &[TouchedRow]),
-        undo: &[Undo],
+        undo: &[Undo<'_>],
         deferred: bool,
     ) -> Result<u64, Violation> {
         let structural = |e: DmlError| Violation {
@@ -786,34 +791,30 @@ impl Database {
             })
         };
         let mut keys = Keys::default();
-        // Null constraints: one group check per constraint over a relation
-        // holding exactly the inserted rows.
-        if !nulls.is_empty() {
-            let group =
-                Relation::with_rows(table.header.clone(), inserted().map(|(t, _)| t.clone()))
-                    .map_err(|e| structural(e.into()))?;
-            for c in nulls {
-                let t0 = Instant::now();
-                let ok = c
-                    .constraint
-                    .satisfied_by(&group)
-                    .map_err(|e| structural(e.into()))?;
-                counted(CheckClass::Null, c.mechanism, t0);
-                if !ok {
-                    // Pinpoint the offending statement (failure path only;
-                    // not metered).
-                    let offender = inserted()
-                        .find(|(t, _)| {
-                            Relation::with_rows(table.header.clone(), [(*t).clone()])
-                                .and_then(|single| c.constraint.satisfied_by(&single))
-                                .is_ok_and(|ok| !ok)
-                        })
-                        .map_or_else(|| first_index(inserted_rows, deleted_rows), |(_, i)| i);
-                    return Err(Violation {
-                        index: offender,
-                        error: DmlError::ConstraintViolation(c.constraint.to_string()),
-                    });
-                }
+        // Null constraints: one group check per constraint over the
+        // inserted rows, read where they are stored (each kind is a
+        // predicate on one row, and every row passed its shape check).
+        for c in nulls {
+            let t0 = Instant::now();
+            let ok = c
+                .constraint
+                .satisfied_by_rows(&table.header, inserted().map(|(t, _)| t))
+                .map_err(|e| structural(e.into()))?;
+            counted(CheckClass::Null, c.mechanism, t0);
+            if !ok {
+                // Pinpoint the offending statement (failure path only; not
+                // metered).
+                let offender = inserted()
+                    .find(|&(t, _)| {
+                        c.constraint
+                            .satisfied_by_rows(&table.header, [t])
+                            .is_ok_and(|ok| !ok)
+                    })
+                    .map_or_else(|| first_index(inserted_rows, deleted_rows), |(_, i)| i);
+                return Err(Violation {
+                    index: offender,
+                    error: DmlError::ConstraintViolation(c.constraint.to_string()),
+                });
             }
         }
         // Outgoing inclusion dependencies: one group check per dependency,
@@ -996,6 +997,52 @@ mod tests {
         assert!(d.insert("C", tup(&[13, 7])).is_err());
         assert!(d.insert("P", tup(&[2])).unwrap());
         assert!(d.insert("P", tup(&[3])).unwrap());
+    }
+
+    #[test]
+    fn a_deferred_null_violation_names_its_statement() {
+        let mut d = db();
+        let stmts = [
+            Statement::insert("P", tup(&[1])),
+            Statement::insert("C", tup(&[10, 1])),
+            Statement::insert("C", tup(&[11, 1])),
+            Statement::insert("C", Tuple::new([Value::Null, Value::Int(1)])),
+            Statement::insert("C", tup(&[12, 1])),
+        ];
+        let err = d.apply_batch(&stmts).unwrap_err();
+        assert_eq!(err.statement_index(), Some(3), "{err}");
+        assert!(
+            matches!(err.root_cause(), DmlError::ConstraintViolation(c) if c == "C: 0 E-> C.K"),
+            "{err}"
+        );
+        assert_eq!((d.len("P"), d.len("C")), (0, 0), "rolled back");
+    }
+
+    #[test]
+    fn undo_bytes_record_each_entry_and_the_row_it_removed() {
+        let mut d = db();
+        let bytes = |d: &Database| {
+            d.metrics_registry()
+                .histogram("engine.batch.undo.bytes")
+                .sum()
+        };
+        let row = tup(&[1]);
+        d.apply_batch(&[Statement::insert("P", row.clone())])
+            .unwrap();
+        let inserted = Undo::Insert { rel: "P", slot: 0 }.approx_bytes();
+        assert_eq!(inserted, std::mem::size_of::<Undo>() as u64);
+        assert_eq!(bytes(&d), inserted);
+        d.apply_batch(&[Statement::delete("P", row.clone())])
+            .unwrap();
+        let removed = std::mem::size_of::<Value>() as u64;
+        let deleted = Undo::Delete {
+            rel: "P",
+            slot: 0,
+            tuple: row,
+        }
+        .approx_bytes();
+        assert_eq!(deleted, inserted + removed);
+        assert_eq!(bytes(&d), inserted + deleted);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use relmerge_obs::{self as obs, Counter, Histogram, Registry};
 use relmerge_relational::fxhash::{FxHasher, Slots};
+use relmerge_relational::relation::check_fits;
 use relmerge_relational::{
     Attribute, DatabaseState, Error, FxHashMap, FxHashSet, NullConstraint, Relation,
     RelationalSchema, Result, Tuple, Value,
@@ -555,6 +556,17 @@ impl Table {
         rows.extend(self.rows.iter().flatten().cloned());
         Relation::from_distinct_rows(self.header.clone(), rows)
     }
+}
+
+/// `state`'s relations as [`Database::load_rows`] takes them, each one's
+/// rows moved out of it.
+pub(crate) fn owned_relations(
+    state: DatabaseState,
+) -> impl Iterator<Item = (String, Vec<Attribute>, Vec<Tuple>)> {
+    state.into_relations().map(|(name, relation)| {
+        let (header, rows) = relation.into_parts();
+        (name, header, rows)
+    })
 }
 
 /// A compiled null-constraint check: single-tuple evaluation plus its tier.
@@ -1254,8 +1266,30 @@ impl Database {
     /// state before the load. Every touched relation's version is also
     /// bumped strictly past any cached build of it, so seeded or recovered
     /// data can never alias a stale build-cache entry.
+    ///
+    /// Each row is copied once, into its table; `state` itself is never
+    /// cloned.
     pub fn load_state(&mut self, state: &DatabaseState) -> Result<()> {
-        self.load_state_unverified(state)?;
+        self.load_audited(
+            state
+                .iter()
+                .map(|(name, relation)| (name, relation.header(), relation.iter().cloned())),
+        )
+    }
+
+    /// [`Database::load_state`] over relations given as `(name, header,
+    /// rows)`: [`Database::load_rows`], then the audit and the durable
+    /// commit. A migration hands it η(r)'s own rows.
+    pub(crate) fn load_audited<N, H, R>(
+        &mut self,
+        relations: impl IntoIterator<Item = (N, H, R)>,
+    ) -> Result<()>
+    where
+        N: AsRef<str>,
+        H: AsRef<[Attribute]>,
+        R: IntoIterator<Item = Tuple>,
+    {
+        self.load_rows(relations)?;
         let report = self.verify_integrity();
         if !report.is_clean() {
             return Err(Error::StateMismatch {
@@ -1265,18 +1299,31 @@ impl Database {
         self.wal_snapshot()
     }
 
-    /// [`Database::load_state`] minus the closing audit and the durable
-    /// commit: the header check, the bulk load and the build-cache version
-    /// bumps, O(rows loaded). Crash recovery loads its snapshot through
-    /// this path and runs [`Database::verify_integrity`] once, after the
-    /// whole log suffix has replayed.
-    pub(crate) fn load_state_unverified(&mut self, state: &DatabaseState) -> Result<()> {
-        for (name, relation) in state.iter() {
+    /// The one bulk loader, behind [`Database::load_state`], a migration
+    /// and crash recovery: checks every relation's header against its
+    /// table before any row lands, then moves each relation's rows into
+    /// its table and bumps its version past any cached build, O(rows
+    /// loaded). Rows arrive by value, so a caller that owns them (η(r), a
+    /// decoded snapshot) hands them over without a copy. No audit: crash
+    /// recovery runs [`Database::verify_integrity`] once, after the whole
+    /// log suffix has replayed.
+    pub(crate) fn load_rows<N, H, R>(
+        &mut self,
+        relations: impl IntoIterator<Item = (N, H, R)>,
+    ) -> Result<()>
+    where
+        N: AsRef<str>,
+        H: AsRef<[Attribute]>,
+        R: IntoIterator<Item = Tuple>,
+    {
+        let relations: Vec<(N, H, R)> = relations.into_iter().collect();
+        for (name, header, _) in &relations {
+            let (name, header) = (name.as_ref(), header.as_ref());
             let table = self
                 .tables
                 .get(name)
                 .ok_or_else(|| Error::UnknownScheme(name.to_owned()))?;
-            if relation.header() != table.header.as_slice() {
+            if header != table.header.as_slice() {
                 let show = |header: &[Attribute]| {
                     let attrs: Vec<String> = header
                         .iter()
@@ -1287,22 +1334,23 @@ impl Database {
                 return Err(Error::StateMismatch {
                     detail: format!(
                         "relation `{name}` has header ({}), its table ({})",
-                        show(relation.header()),
+                        show(header),
                         show(&table.header)
                     ),
                 });
             }
         }
-        for (name, relation) in state.iter() {
+        for (name, _, rows) in relations {
+            let name = name.as_ref();
             let table = self.table_mut(name)?;
-            for t in relation.iter() {
+            let rows = rows.into_iter();
+            table.rows.reserve(rows.size_hint().0);
+            for t in rows {
                 let slot = table.rows.len();
-                table.index_insert(t, slot);
-                table.rows.push(Some(t.clone()));
+                table.index_insert(&t, slot);
+                table.rows.push(Some(t));
                 table.live += 1;
             }
-        }
-        for name in state.names() {
             let cached = self.build_cache_lock().max_version(name);
             if let Some(cached) = cached {
                 self.raise_relation_version(name, cached + 1);
@@ -1461,38 +1509,44 @@ impl Database {
                     }
                 }
             }
-            // Null constraints, re-evaluated over the whole stored relation.
-            // The audit trusts no table to be a set, so its rows are
-            // deduplicated.
+            // Null constraints, re-evaluated over the stored rows where they
+            // lie. Each kind is a predicate on one row, so no set of the
+            // rows is built; a row that does not fit the header (arity,
+            // domains) is reported and left out, and duplicate keys are
+            // the unique-index pass's to report.
             if let Some(checks) = self.nulls.get(name).filter(|c| !c.is_empty()) {
-                let relation = Relation::with_rows(
-                    table.header.clone(),
-                    live_rows.iter().map(|&(_, t)| t.clone()),
-                );
-                match relation {
-                    Ok(relation) => {
-                        for c in checks {
-                            report.constraints_checked += 1;
-                            match c.constraint.satisfied_by(&relation) {
-                                Ok(true) => {}
-                                Ok(false) => flag(
-                                    name,
-                                    IntegrityKind::NullConstraint,
-                                    c.constraint.to_string(),
-                                ),
-                                Err(e) => flag(
-                                    name,
-                                    IntegrityKind::NullConstraint,
-                                    format!("check failed to evaluate: {e}"),
-                                ),
-                            }
-                        }
+                let mut misfits = 0;
+                for &(slot, t) in &live_rows {
+                    if let Err(e) = check_fits(&table.header, t) {
+                        misfits += 1;
+                        flag(
+                            name,
+                            IntegrityKind::NullConstraint,
+                            format!("stored rows no longer form a relation: slot {slot}: {e}"),
+                        );
                     }
-                    Err(e) => flag(
-                        name,
-                        IntegrityKind::NullConstraint,
-                        format!("stored rows no longer form a relation: {e}"),
-                    ),
+                }
+                let fitting = || {
+                    live_rows
+                        .iter()
+                        .map(|&(_, t)| t)
+                        .filter(|t| misfits == 0 || check_fits(&table.header, t).is_ok())
+                };
+                for c in checks {
+                    report.constraints_checked += 1;
+                    match c.constraint.satisfied_by_rows(&table.header, fitting()) {
+                        Ok(true) => {}
+                        Ok(false) => flag(
+                            name,
+                            IntegrityKind::NullConstraint,
+                            c.constraint.to_string(),
+                        ),
+                        Err(e) => flag(
+                            name,
+                            IntegrityKind::NullConstraint,
+                            format!("check failed to evaluate: {e}"),
+                        ),
+                    }
                 }
             }
             // Outgoing inclusion dependencies, base rows against base rows.
@@ -1597,7 +1651,9 @@ impl Database {
             .tables
             .get(rel)
             .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
-        Ok((&table.header, table.rows.iter().flatten().collect()))
+        let mut rows = Vec::with_capacity(table.live);
+        rows.extend(table.rows.iter().flatten());
+        Ok((&table.header, rows))
     }
 
     /// Appends a tuple with **no** constraint checking and returns its
@@ -2061,11 +2117,62 @@ mod tests {
     }
 
     #[test]
+    fn the_audit_reports_each_row_that_does_not_fit_and_runs_to_the_end() {
+        let mut db = Database::new(emp_mgr_schema(), DbmsProfile::ideal()).unwrap();
+        for k in [1, 2] {
+            db.insert("EMP", tup(&[k, 10 * k])).unwrap();
+        }
+        db.insert("MGR", tup(&[1, 5])).unwrap();
+        assert!(db.verify_integrity().is_clean());
+        // Rows that land behind every check, indexed as a load would.
+        let push = |t: &mut Table, row: Tuple| {
+            let slot = t.rows.len();
+            t.index_insert(&row, slot);
+            t.rows.push(Some(row));
+            t.live += 1;
+        };
+        let mut copy = db.fork();
+        let emp = copy.table_mut("EMP").unwrap();
+        // One value too many (slot 2), a text where an int belongs (slot
+        // 3), and a fitting row that breaks EMP's nulls-not-allowed.
+        push(emp, tup(&[3, 30, 0]));
+        push(emp, Tuple::new([Value::Int(4), Value::text("x")]));
+        push(emp, Tuple::new([Value::Int(5), Value::Null]));
+        // MGR, audited after EMP, breaks its own.
+        push(
+            copy.table_mut("MGR").unwrap(),
+            Tuple::new([Value::Int(2), Value::Null]),
+        );
+        let report = copy.verify_integrity();
+        let details: Vec<(&str, &str)> = report
+            .violations
+            .iter()
+            .inspect(|v| assert_eq!(v.kind, IntegrityKind::NullConstraint, "{report}"))
+            .map(|v| (v.relation.as_str(), v.detail.as_str()))
+            .collect();
+        let misfit = "stored rows no longer form a relation";
+        assert_eq!(details.len(), 4, "{report}");
+        assert_eq!(details[0].0, "EMP");
+        assert!(details[0].1.starts_with(&format!("{misfit}: slot 2: ")));
+        assert!(details[0].1.contains("arity 3"), "{report}");
+        assert_eq!(details[1].0, "EMP");
+        assert!(details[1].1.starts_with(&format!("{misfit}: slot 3: ")));
+        assert!(details[1].1.contains("does not fit"), "{report}");
+        // The rows that fit are still checked, and so is every relation.
+        assert_eq!(details[2], ("EMP", "EMP: 0 E-> E.SSN,E.G"));
+        assert_eq!(details[3], ("MGR", "MGR: 0 E-> M.SSN,M.NR"));
+        assert_eq!(report.relations_checked, 2);
+        // EMP's and MGR's nulls-not-allowed, and the inclusion dependency.
+        assert_eq!(report.constraints_checked, 3);
+    }
+
+    #[test]
     fn a_state_loaded_over_its_own_rows_is_refused_not_trusted() {
         // Loading rows the tables already hold leaves two equal live rows
         // in each. The key audit flags them, and the null-constraint check
-        // deduplicates rather than take the table for a set, so the audit
-        // of a refused database still runs to the end.
+        // reads each stored row where it lies, so it never takes the table
+        // for a set, and the audit of a refused database still runs to the
+        // end.
         let mut db = Database::new(emp_mgr_schema(), DbmsProfile::ideal()).unwrap();
         db.insert("EMP", tup(&[1, 10])).unwrap();
         let state = db.snapshot().unwrap();

@@ -10,7 +10,8 @@
 //!    forward information-capacity check (Proposition 4.1's state half,
 //!    [`check_forward_image`]) must hold on η of the current snapshot,
 //!    computed once; a migration that would lose tuples or values is
-//!    refused before anything mutates.
+//!    refused before anything mutates. The snapshot is dropped right
+//!    after the check, its last reader.
 //! 2. **Catalog rewrite** (fault site `engine.migrate.rewrite`) — the
 //!    build cache is dropped, and the physical catalog (tables, indexes,
 //!    compiled null/IND constraints, including the merge's generated
@@ -18,10 +19,11 @@
 //!    and swapped in; relation versions carry over so every name stays
 //!    strictly monotonic.
 //! 3. **Data load** (fault site `engine.migrate.apply`, once, just before
-//!    the load) — one [`Database::load_state`] of that same η(r): a bulk
-//!    load into the new tables plus the deep
-//!    [`Database::verify_integrity`] audit of every constraint and index
-//!    of the new schema. On a durable database the load then commits by
+//!    the load) — one audited load of that same η(r), as
+//!    [`Database::load_state`] loads a state, except that η(r)'s rows move
+//!    into the new tables instead of being copied: a bulk load plus the
+//!    deep [`Database::verify_integrity`] audit of every constraint and
+//!    index of the new schema. On a durable database the load then commits by
 //!    installing the migrated state as the next snapshot generation
 //!    (fault site `engine.snapshot.write`); the log carries no migration
 //!    record.
@@ -44,7 +46,7 @@ use relmerge_core::{check_forward_image, Advisor, CapacityReport, MergeProposal,
 use relmerge_obs as obs;
 use relmerge_relational::{Error, RelationalSchema, Result};
 
-use crate::database::{compile_catalog, Catalog, Database};
+use crate::database::{compile_catalog, owned_relations, Catalog, Database};
 use crate::fault::{contain, site};
 
 /// What an online migration did, returned by [`Database::migrate`].
@@ -60,7 +62,7 @@ pub struct MigrationReport {
     /// Tuples loaded into the new tables, across all relations.
     pub rows_migrated: usize,
     /// Loads the migrated state took: always 1, since η(r) is loaded in
-    /// one [`Database::load_state`].
+    /// one audited bulk load.
     pub chunks_applied: usize,
     /// The forward information-capacity report ([`check_forward_image`])
     /// that gated the migration — `holds()` is true by construction.
@@ -113,12 +115,22 @@ impl Database {
         // would lose information on the *current* data.
         let migrated = plan.apply(&pre)?;
         let capacity = check_forward_image(plan, &pre, &migrated)?;
+        // The gate is the snapshot's last reader: it goes before the load,
+        // so the store, η(r) and the new tables are all that is live then.
+        let dropped: Vec<String> = pre
+            .names()
+            .into_iter()
+            .filter(|n| plan.schema().scheme(n).is_none())
+            .map(str::to_owned)
+            .collect();
+        drop(pre);
         if !capacity.holds() {
             return Err(Error::PreconditionViolated {
                 procedure: "Database::migrate",
                 detail: format!("migration would not preserve information capacity: {capacity:?}"),
             });
         }
+        let rows_migrated = migrated.total_tuples();
         let new_schema = plan.schema().clone();
         let pre_versions: Vec<(String, u64)> = new_schema
             .schemes()
@@ -158,19 +170,14 @@ impl Database {
                 self.raise_relation_version(name, *floor);
             }
             self.fault_check(site::MIGRATION_APPLY)?;
-            // The audit checks every constraint of the new schema over the
-            // migrated rows; on a durable database the snapshot install
-            // inside is the migration's commit point.
-            self.load_state(&migrated)
+            // η(r)'s rows move into the new tables; the audit checks every
+            // constraint of the new schema over them, and on a durable
+            // database the snapshot install inside is the migration's
+            // commit point.
+            self.load_audited(owned_relations(migrated))
         });
         match result {
             Ok(()) => {
-                let dropped: Vec<String> = pre
-                    .names()
-                    .into_iter()
-                    .filter(|n| self.schema().scheme(n).is_none())
-                    .map(str::to_owned)
-                    .collect();
                 // Archive the pre-migration ledger and start a fresh one
                 // here only: its edge keys name relations this database no
                 // longer hosts, while a fork or a snapshot pinned before
@@ -179,7 +186,6 @@ impl Database {
                 let pre_profile = self.profiler.snapshot();
                 self.profiler = std::sync::Arc::new(obs::Profiler::new());
                 obs::global().counter("engine.migrate.applied").inc();
-                let rows_migrated = migrated.total_tuples();
                 span.add_field("rows", rows_migrated);
                 Ok(MigrationReport {
                     merged_name: plan.merged_name().to_owned(),

@@ -608,6 +608,21 @@ struct PipelineOut {
     pruned: u64,
 }
 
+/// The working buffers of [`run_morsel`], allocated once per query and
+/// kept across its morsels: each morsel clears them and reuses what they
+/// grew to.
+#[derive(Default)]
+struct MorselBuffers<'a> {
+    /// The current step's input rows, flattened (see [`run_morsel`]).
+    cur: Vec<Option<&'a Tuple>>,
+    /// The current step's output rows, one slot wider.
+    next: Vec<Option<&'a Tuple>>,
+    /// A transient build's probe key.
+    key_vals: Vec<Value>,
+    /// One probe's matching right rows.
+    matches: Vec<&'a Tuple>,
+}
+
 /// Runs the compiled join → materialize → filter pipeline over one morsel
 /// of root rows, appending its surviving rows to `out` and folding its
 /// counters in. Infallible: every name was resolved at compile time.
@@ -623,12 +638,19 @@ fn run_morsel<'a>(
     joins: &[CompiledJoin<'a>],
     filter: Option<&CompiledPredicate>,
     widths: &[usize],
+    bufs: &mut MorselBuffers<'a>,
     out: &mut PipelineOut,
 ) {
-    let mut cur: Vec<Option<&'a Tuple>> = morsel.iter().map(|&t| Some(t)).collect();
-    let mut next: Vec<Option<&'a Tuple>> = Vec::new();
-    let mut key_vals: Vec<Value> = Vec::new();
-    let mut matches: Vec<&'a Tuple> = Vec::new();
+    let MorselBuffers {
+        cur,
+        next,
+        key_vals,
+        matches,
+    } = bufs;
+    cur.clear();
+    // Exact, as a fresh buffer would be: a one-row morsel takes one slot.
+    cur.reserve_exact(morsel.len());
+    cur.extend(morsel.iter().map(|&t| Some(t)));
     let mut saved_allocs: u64 = 0;
     let mut pruned: u64 = 0;
     for (ji, join) in joins.iter().enumerate() {
@@ -690,7 +712,7 @@ fn run_morsel<'a>(
                 }
                 RightAccess::Empty => {}
                 RightAccess::HashOwned { build, rows } => {
-                    if let Some(slots) = build.probe(&key_vals) {
+                    if let Some(slots) = build.probe(key_vals) {
                         matches.extend(slots.iter().filter_map(|&s| rows[s].as_ref()));
                     }
                 }
@@ -711,7 +733,7 @@ fn run_morsel<'a>(
                     next.push(None);
                 }
             } else {
-                for &m in &matches {
+                for &m in matches.iter() {
                     next.extend_from_slice(row);
                     next.push(Some(m));
                 }
@@ -725,7 +747,7 @@ fn run_morsel<'a>(
             op.rows_out * ((ji + 2) * std::mem::size_of::<Option<&Tuple>>()) as u64;
         op.wall_ns = obs::elapsed_ns(t0);
         out.per_join[ji].absorb(&op);
-        std::mem::swap(&mut cur, &mut next);
+        std::mem::swap(cur, next);
     }
     // Materialize each surviving row exactly once, applying the filter on
     // the freshly built values, straight into the answer's vector.
@@ -1362,10 +1384,18 @@ fn execute_core(
         saved_allocs: 0,
         pruned: 0,
     };
+    let mut bufs = MorselBuffers::default();
     contain(|| {
         for morsel in morsels {
             db.fault_check(site::MORSEL_WORKER)?;
-            run_morsel(morsel, &joins, filter.as_ref(), &layout.widths, &mut out);
+            run_morsel(
+                morsel,
+                &joins,
+                filter.as_ref(),
+                &layout.widths,
+                &mut bufs,
+                &mut out,
+            );
         }
         Ok::<_, Error>(())
     })?;

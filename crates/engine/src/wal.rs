@@ -59,7 +59,7 @@ use relmerge_relational::{
 };
 
 use crate::batch::Statement;
-use crate::database::{Database, EngineConfig};
+use crate::database::{owned_relations, Database, EngineConfig};
 use crate::fault::{contain, site, FaultPlan};
 use crate::{DbmsProfile, Mechanism};
 
@@ -79,17 +79,16 @@ const REC_BATCH: u8 = 1;
 /// durable only for recovery to discard it.
 const MAX_RECORD_BYTES: u32 = 1 << 30;
 
-/// Rejects a payload recovery would refuse to replay. The u32 length
-/// field wraps at 4 GiB and recovery treats anything over
-/// [`MAX_RECORD_BYTES`] as a torn tail — both must fail loudly at write
-/// time instead of silently losing the record (and everything after it)
-/// on the next recovery.
-fn check_payload_size(kind: &str, payload: &[u8]) -> Result<()> {
-    if payload.len() as u64 > u64::from(MAX_RECORD_BYTES) {
+/// Rejects a payload of `len` bytes that recovery would refuse to
+/// replay. The u32 length field wraps at 4 GiB and recovery treats
+/// anything over [`MAX_RECORD_BYTES`] as a torn tail — both must fail
+/// loudly at write time instead of silently losing the record (and
+/// everything after it) on the next recovery.
+fn check_payload_size(kind: &str, len: usize) -> Result<()> {
+    if len as u64 > u64::from(MAX_RECORD_BYTES) {
         return Err(Error::Durability {
             detail: format!(
-                "{kind} payload of {} bytes exceeds the {MAX_RECORD_BYTES}-byte record limit",
-                payload.len()
+                "{kind} payload of {len} bytes exceeds the {MAX_RECORD_BYTES}-byte record limit"
             ),
         });
     }
@@ -273,14 +272,44 @@ fn list_generations(dir: &Path) -> Result<Vec<u64>> {
 // Codec
 // ---------------------------------------------------------------------------
 
-/// Append-only byte encoder for WAL payloads and snapshot bodies.
+/// Append-only byte encoder of one frame: a WAL record, or a whole
+/// snapshot file. The frame header (after a snapshot file's magic) is
+/// reserved up front and filled in by [`Enc::seal`], so a frame is
+/// encoded into, and written from, one buffer: its payload is never
+/// copied.
 struct Enc {
     buf: Vec<u8>,
+    /// Where the payload starts: just past the reserved frame header.
+    payload_at: usize,
 }
 
 impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
+    /// An empty frame of a file that starts with `magic` (empty for a log
+    /// record, which follows the log's own magic).
+    fn frame(magic: &[u8]) -> Self {
+        let payload_at = magic.len() + FRAME_HEADER as usize;
+        let mut buf = Vec::with_capacity(payload_at);
+        buf.extend_from_slice(magic);
+        buf.resize(payload_at, 0);
+        Enc { buf, payload_at }
+    }
+
+    /// The payload encoded so far.
+    fn payload(&self) -> &[u8] {
+        &self.buf[self.payload_at..]
+    }
+
+    /// Fills in the frame header — the payload's length and checksum — and
+    /// returns the bytes to write. Fails, before the checksum is taken, on
+    /// a payload recovery would refuse to read.
+    fn seal(mut self, kind: &str) -> Result<Vec<u8>> {
+        let len = self.buf.len() - self.payload_at;
+        check_payload_size(kind, len)?;
+        let sum = checksum(self.payload());
+        let header = &mut self.buf[self.payload_at - FRAME_HEADER as usize..self.payload_at];
+        header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        header[4..].copy_from_slice(&sum.to_le_bytes());
+        Ok(self.buf)
     }
 
     fn u8(&mut self, v: u8) {
@@ -463,22 +492,6 @@ impl Enc {
         }
     }
 
-    fn state(&mut self, state: &DatabaseState) {
-        let names = state.names();
-        self.u32(names.len() as u32);
-        for name in names {
-            let r = state
-                .relation(name)
-                .expect("name came from the state itself");
-            self.str(name);
-            self.attrs(r.header());
-            self.u32(r.len() as u32);
-            for t in r.iter() {
-                self.tuple(t);
-            }
-        }
-    }
-
     fn versions(&mut self, versions: &[(String, u64)]) {
         self.u32(versions.len() as u32);
         for (name, v) in versions {
@@ -564,11 +577,15 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
-    fn str(&mut self) -> Result<String> {
+    /// A string field, borrowed from the payload.
+    fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(n)?)
             .map_err(|_| corrupt("string field is not valid UTF-8".to_owned()))
+    }
+
+    fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_owned)
     }
 
     fn str_list(&mut self) -> Result<Vec<String>> {
@@ -580,17 +597,21 @@ impl<'a> Dec<'a> {
         match self.u8()? {
             0 => Ok(Value::Null),
             1 => Ok(Value::Int(self.i64()?)),
-            2 => Ok(Value::text(self.str()?)),
+            2 => Ok(Value::text(self.str_ref()?)),
             3 => Ok(Value::Bool(self.bool()?)),
             4 => Ok(Value::Date(self.i64()?)),
             other => Err(corrupt(format!("invalid value tag {other}"))),
         }
     }
 
+    /// A tuple, its values allocated once at their exact count.
     fn tuple(&mut self) -> Result<Tuple> {
         let n = self.count()?;
-        let values: Result<Vec<Value>> = (0..n).map(|_| self.value()).collect();
-        Ok(Tuple::new(values?))
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            values.push(self.value()?);
+        }
+        Ok(Tuple::new(values))
     }
 
     fn statement(&mut self) -> Result<Statement> {
@@ -755,14 +776,14 @@ impl<'a> Dec<'a> {
 // Record payloads
 // ---------------------------------------------------------------------------
 
-fn encode_batch_payload(stmts: &[Statement]) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_batch(stmts: &[Statement]) -> Enc {
+    let mut e = Enc::frame(&[]);
     e.u8(REC_BATCH);
     e.u32(stmts.len() as u32);
     for s in stmts {
         e.statement(s);
     }
-    e.buf
+    e
 }
 
 /// Everything a snapshot persists: the logical catalog plus the data.
@@ -773,13 +794,25 @@ struct SnapshotBody {
     versions: Vec<(String, u64)>,
 }
 
-fn encode_snapshot(db: &Database) -> Result<Vec<u8>> {
-    let mut e = Enc::new();
+/// The snapshot file of `db`. Its state is written straight from the
+/// tables, with no [`DatabaseState`] built first: each relation's name,
+/// header, live count and live rows in slot order, relations in name
+/// order — the bytes [`Database::snapshot`]'s state would encode to.
+fn encode_snapshot(db: &Database) -> Enc {
+    let mut e = Enc::frame(SNAP_MAGIC);
     e.profile(db.profile());
     e.schema(db.schema());
-    e.state(&db.snapshot()?);
+    e.u32(db.tables.len() as u32);
+    for (name, table) in &db.tables {
+        e.str(name);
+        e.attrs(&table.header);
+        e.u32(table.live as u32);
+        for t in table.rows.iter().flatten() {
+            e.tuple(t);
+        }
+    }
     e.versions(&db.relation_versions());
-    Ok(e.buf)
+    e
 }
 
 fn decode_snapshot(payload: &[u8]) -> Result<SnapshotBody> {
@@ -844,8 +877,7 @@ impl Wal {
                 ),
             });
         }
-        let payload = encode_snapshot(db)?;
-        write_snapshot_file(&cfg, 0, &payload)?;
+        write_snapshot_file(&cfg, 0, encode_snapshot(db))?;
         let file = create_log_file(&cfg, 0)?;
         Ok(Wal {
             cfg,
@@ -881,11 +913,11 @@ impl Wal {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Appends one framed record. Returns whether the snapshot cadence is
-    /// due. On a write error the partial frame is scrubbed back off the
+    /// Seals and appends one record. Returns whether the snapshot cadence
+    /// is due. On a write error the partial frame is scrubbed back off the
     /// file (or the log is poisoned if even that fails), so the log never
     /// carries junk *between* valid records — only at the tail.
-    fn append_payload(&self, payload: &[u8]) -> Result<bool> {
+    fn append(&self, record: Enc) -> Result<bool> {
         let t0 = Instant::now();
         let mut g = self.lock();
         if g.poisoned {
@@ -893,11 +925,7 @@ impl Wal {
                 detail: "write-ahead log poisoned by an earlier failed append".to_owned(),
             });
         }
-        check_payload_size("record", payload)?;
-        let mut frame = Vec::with_capacity(FRAME_HEADER as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = record.seal("record")?;
         let path = wal_path(&self.cfg.dir, g.generation);
         let written = g
             .file
@@ -937,10 +965,10 @@ impl Wal {
 
     /// Appends a committed statement batch.
     pub(crate) fn append_batch(&self, stmts: &[Statement]) -> Result<bool> {
-        self.append_payload(&encode_batch_payload(stmts))
+        self.append(encode_batch(stmts))
     }
 
-    /// Installs `payload` as the next snapshot generation and switches the
+    /// Installs `snapshot` as the next snapshot generation and switches the
     /// log over to a fresh, empty file. The new log is created *before*
     /// the snapshot rename makes generation `N+1` authoritative: if either
     /// step fails, generation `N` (snapshot + log) is still the newest
@@ -952,11 +980,11 @@ impl Wal {
     /// previous generation is deleted only after the new one is fully
     /// durable; a crash mid-install leaves the old generation (plus at
     /// most a `.tmp` or unmatched-log leftover) to recover from.
-    pub(crate) fn install_snapshot(&self, payload: &[u8]) -> Result<()> {
+    fn install_snapshot(&self, snapshot: Enc) -> Result<()> {
         let mut g = self.lock();
         let next = g.generation + 1;
         let file = create_log_file(&self.cfg, next)?;
-        if let Err(e) = write_snapshot_file(&self.cfg, next, payload) {
+        if let Err(e) = write_snapshot_file(&self.cfg, next, snapshot) {
             // Generation `next` never became authoritative — recovery keys
             // off snapshots — so the orphan log is cleanup, best effort.
             drop(file);
@@ -977,17 +1005,12 @@ impl Wal {
     }
 }
 
-/// Writes `snapshot-<gen>.snap` atomically: `.tmp` → fsync → rename →
-/// fsync the directory.
-fn write_snapshot_file(cfg: &DurabilityConfig, generation: u64, payload: &[u8]) -> Result<()> {
-    check_payload_size("snapshot", payload)?;
+/// Seals `snapshot` and writes it as `snapshot-<gen>.snap` atomically:
+/// `.tmp` → fsync → rename → fsync the directory.
+fn write_snapshot_file(cfg: &DurabilityConfig, generation: u64, snapshot: Enc) -> Result<()> {
+    let body = snapshot.seal("snapshot")?;
     let final_path = snap_path(&cfg.dir, generation);
     let tmp_path = final_path.with_extension("snap.tmp");
-    let mut body = Vec::with_capacity(SNAP_MAGIC.len() + FRAME_HEADER as usize + payload.len());
-    body.extend_from_slice(SNAP_MAGIC);
-    body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    body.extend_from_slice(&checksum(payload).to_le_bytes());
-    body.extend_from_slice(payload);
     let written = (|| -> std::io::Result<()> {
         let mut f = File::create(&tmp_path)?;
         f.write_all(&body)?;
@@ -1046,24 +1069,29 @@ impl Database {
     }
 
     /// Logs a committed statement batch to the WAL, if this database is
-    /// durable. Called from inside the batch machinery's contained
-    /// forward path *after* every check has passed — an error or injected
-    /// panic here (site [`site::WAL_APPEND`]) takes the same rollback path
-    /// a constraint violation does, so nothing un-logged ever becomes
-    /// visible. Also drives the snapshot cadence, whose failure is
-    /// counted (`engine.wal.snapshot_failures`) and swallowed: the batch
-    /// that triggered it is already durable in the log, and the previous
-    /// generation stays intact, so a failed cadence snapshot costs replay
-    /// time, never correctness.
-    pub(crate) fn wal_append_batch(&mut self, stmts: &[Statement]) -> Result<()> {
+    /// durable, and says whether the snapshot cadence is due. Called from
+    /// inside the batch machinery's contained forward path *after* every
+    /// check has passed — an error or injected panic here (site
+    /// [`site::WAL_APPEND`]) takes the same rollback path a constraint
+    /// violation does, so nothing un-logged ever becomes visible.
+    pub(crate) fn wal_append_batch(&self, stmts: &[Statement]) -> Result<bool> {
         let Some(wal) = self.wal() else {
-            return Ok(());
+            return Ok(false);
         };
         self.fault_check(site::WAL_APPEND)?;
-        if wal.append_batch(stmts)? && self.wal_snapshot().is_err() {
+        wal.append_batch(stmts)
+    }
+
+    /// Takes the snapshot [`Database::wal_append_batch`] said is due, once
+    /// the batch has committed and released its undo log and touch sets.
+    /// A failure is counted (`engine.wal.snapshot_failures`) and
+    /// swallowed: the batch is already durable in the log, and the
+    /// previous generation stays intact, so a failed cadence snapshot
+    /// costs replay time, never correctness.
+    pub(crate) fn cadence_snapshot(&self) {
+        if self.wal_snapshot().is_err() {
             obs::global().counter("engine.wal.snapshot_failures").inc();
         }
-        Ok(())
     }
 
     /// Installs a snapshot of the current state as the next generation,
@@ -1079,7 +1107,7 @@ impl Database {
         let t0 = Instant::now();
         contain(|| -> Result<()> {
             self.fault_check(site::SNAPSHOT_WRITE)?;
-            wal.install_snapshot(&encode_snapshot(self)?)
+            wal.install_snapshot(encode_snapshot(self))
         })?;
         let registry = obs::global();
         registry.counter("engine.wal.snapshots").inc();
@@ -1190,9 +1218,10 @@ fn recover_inner(
 
     let mem_config = config.clone().durability(None);
     let mut db = Database::new_with_config(body.schema, body.profile, mem_config)?;
-    // Unverified: recovery runs `verify_integrity` exactly once, after
-    // the whole log suffix has replayed, instead of per load.
-    db.load_state_unverified(&body.state)?;
+    // The decoded rows move into the tables. No audit yet: recovery runs
+    // `verify_integrity` exactly once, after the whole log suffix has
+    // replayed, instead of per load.
+    db.load_rows(owned_relations(body.state))?;
     for (name, floor) in &body.versions {
         db.raise_relation_version(name, *floor);
     }
@@ -1395,6 +1424,13 @@ mod tests {
             .durability(Some(DurabilityConfig::new(dir).snapshot_every(4)))
     }
 
+    /// A log record framing `payload`.
+    fn record(payload: &[u8]) -> Enc {
+        let mut e = Enc::frame(&[]);
+        e.buf.extend_from_slice(payload);
+        e
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("relmerge-wal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -1411,8 +1447,8 @@ mod tests {
             Statement::delete("S", Tuple::new([Value::Bool(true), Value::Date(11_111)])),
             Statement::update("T", tup(&[1]), tup(&[1, 2])),
         ];
-        let payload = encode_batch_payload(&stmts);
-        let mut d = Dec::new(&payload);
+        let record = encode_batch(&stmts);
+        let mut d = Dec::new(record.payload());
         assert_eq!(d.u8().unwrap(), REC_BATCH);
         let n = d.count().unwrap();
         let back: Vec<Statement> = (0..n).map(|_| d.statement().unwrap()).collect();
@@ -1424,11 +1460,11 @@ mod tests {
     /// still read the same.
     #[test]
     fn checksums_are_pinned() {
-        let payload = encode_batch_payload(&[
+        let record = encode_batch(&[
             Statement::insert("C", tup(&[10, 1])),
             Statement::delete("P", tup(&[2])),
         ]);
-        assert_eq!(checksum(&payload), 0xd57f_1d01_ed4d_164b);
+        assert_eq!(checksum(record.payload()), 0xd57f_1d01_ed4d_164b);
     }
 
     #[test]
@@ -1437,20 +1473,20 @@ mod tests {
         rs.add_null_constraint(NullConstraint::ns("C", &["C.K", "C.FK"]))
             .unwrap();
         rs.add_fd(Fd::new("C", &["C.K"], &["C.FK"])).unwrap();
-        let mut e = Enc::new();
+        let mut e = Enc::frame(&[]);
         e.schema(&rs);
-        let mut d = Dec::new(&e.buf);
+        let mut d = Dec::new(e.payload());
         let back = d.schema().unwrap();
         d.done().unwrap();
         assert_eq!(back, rs);
         for profile in DbmsProfile::BUILT_IN {
-            let mut e = Enc::new();
+            let mut e = Enc::frame(&[]);
             e.profile(&profile);
-            let mut d = Dec::new(&e.buf);
+            let mut d = Dec::new(e.payload());
             assert_eq!(d.profile().unwrap(), profile);
         }
         // A hand-rolled profile keeps its capabilities under a generic name.
-        let mut e = Enc::new();
+        let mut e = Enc::frame(&[]);
         e.profile(&DbmsProfile {
             name: "mine",
             ..DbmsProfile::db2()
@@ -1459,7 +1495,7 @@ mod tests {
             name: "custom",
             ..DbmsProfile::db2()
         };
-        assert_eq!(Dec::new(&e.buf).profile().unwrap(), custom);
+        assert_eq!(Dec::new(e.payload()).profile().unwrap(), custom);
     }
 
     #[test]
@@ -1467,7 +1503,7 @@ mod tests {
         // Truncations and bit flips of a valid payload must all fail
         // gracefully.
         let stmts = vec![Statement::insert("R", tup(&[1, 2, 3]))];
-        let payload = encode_batch_payload(&stmts);
+        let payload = encode_batch(&stmts).payload().to_vec();
         for cut in 0..payload.len() {
             let mut d = Dec::new(&payload[..cut]);
             let r = (|| -> Result<()> {
@@ -1530,7 +1566,7 @@ mod tests {
         let cfg = durable_config(&dir);
         let db = Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
         // Tag 2 framed an older build's migration record.
-        db.wal().unwrap().append_payload(&[2, 0, 0, 0, 0]).unwrap();
+        db.wal().unwrap().append(record(&[2, 0, 0, 0, 0])).unwrap();
         drop(db);
         let err = Database::recover(cfg)
             .err()
@@ -1644,6 +1680,7 @@ mod tests {
 
     #[test]
     fn snapshot_fault_is_contained_error_and_panic() {
+        let failures = || obs::global().counter("engine.wal.snapshot_failures").get();
         for mode in [FaultMode::Error, FaultMode::Panic] {
             let dir = tempdir(&format!("snapfault-{}", mode.label()));
             let cfg = EngineConfig::default()
@@ -1652,21 +1689,91 @@ mod tests {
             let mut db =
                 Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
             let generation = db.wal_position().map(|(g, _)| g);
-            let plan = db.set_fault_plan(FaultPlan::new().fail_at(site::SNAPSHOT_WRITE, 0, mode));
-            // The batch still commits: snapshot failure costs replay, not data.
+            let failed_before = failures();
+            let plan = db.set_fault_plan(
+                FaultPlan::new()
+                    .fail_at(site::SNAPSHOT_WRITE, 0, mode)
+                    .fail_at(site::SNAPSHOT_WRITE, 0, mode),
+            );
+            // The statement still commits: snapshot failure costs replay,
+            // not data.
             db.insert("P", tup(&[1])).unwrap();
             assert_eq!(plan.fired(site::SNAPSHOT_WRITE), 1);
+            // So does a multi-statement batch, whose snapshot is taken
+            // after it has committed.
+            db.apply_batch(&[
+                Statement::insert("C", tup(&[20, 2])),
+                Statement::insert("P", tup(&[2])),
+            ])
+            .unwrap();
+            assert_eq!(plan.fired(site::SNAPSHOT_WRITE), 2);
+            assert!(failures() >= failed_before + 2, "both failures counted");
             assert_eq!(db.wal_position().map(|(g, _)| g), generation);
             assert!(db.verify_integrity().is_clean());
             db.clear_fault_plan();
-            db.insert("P", tup(&[2])).unwrap(); // this one snapshots fine
-            let expect = db.snapshot().unwrap();
+            let logged = db.snapshot().unwrap();
             drop(db);
-            let (recovered, _) = Database::recover(cfg).unwrap();
+            // Both commits come back from the log.
+            let (mut recovered, report) = Database::recover(cfg.clone()).unwrap();
+            assert_eq!(report.batches_replayed, 2, "{report}");
+            assert_eq!(recovered.snapshot().unwrap(), logged);
+            recovered.insert("P", tup(&[3])).unwrap(); // this one snapshots fine
+            let expect = recovered.snapshot().unwrap();
+            drop(recovered);
+            let (recovered, report) = Database::recover(cfg).unwrap();
+            assert_eq!(report.batches_replayed, 0, "{report}");
             assert_eq!(recovered.snapshot().unwrap(), expect);
             assert!(recovered.verify_integrity().is_clean());
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_cadence_snapshot_holds_the_state_and_its_versions() {
+        let dir = tempdir("cadencebody");
+        let cfg = EngineConfig::default()
+            .parallelism(1)
+            .durability(Some(DurabilityConfig::new(&dir).snapshot_every(3)));
+        let mut db =
+            Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+        for k in 1..=4 {
+            db.insert("P", tup(&[k])).unwrap();
+        }
+        db.insert("C", tup(&[10, 1])).unwrap();
+        // The third commit of generation 1: a delete leaves a dead slot,
+        // and an update moves a row, before the cadence snapshot.
+        db.apply_batch(&[
+            Statement::delete("P", tup(&[3])),
+            Statement::update("C", tup(&[10]), tup(&[10, 4])),
+            Statement::insert("C", tup(&[11, 2])),
+        ])
+        .unwrap();
+        let (generation, _) = db.wal_position().unwrap();
+        assert_eq!(generation, 2);
+        let path = snap_path(&dir, generation);
+        let body = read_snapshot(&path).unwrap();
+        assert_eq!(body.state, db.snapshot().unwrap());
+        assert_eq!(body.versions, db.relation_versions());
+        assert_eq!(body.schema, schema());
+        assert_eq!(body.profile, DbmsProfile::ideal());
+        // Byte for byte the file a snapshot of the state encodes to: each
+        // relation's name, header, tuple count and tuples, in name order.
+        let mut e = Enc::frame(SNAP_MAGIC);
+        e.profile(db.profile());
+        e.schema(db.schema());
+        let state = db.snapshot().unwrap();
+        e.u32(state.names().len() as u32);
+        for (name, relation) in state.iter() {
+            e.str(name);
+            e.attrs(relation.header());
+            e.u32(relation.len() as u32);
+            for t in relation.iter() {
+                e.tuple(t);
+            }
+        }
+        e.versions(&db.relation_versions());
+        assert_eq!(fs::read(&path).unwrap(), e.seal("snapshot").unwrap());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1743,14 +1850,20 @@ mod tests {
         let db = Database::new(schema(), DbmsProfile::ideal()).unwrap();
         let wal = Wal::initialize(cfg.clone(), &db).unwrap();
         // Zero-filled, so the allocation is cheap; the guard fires before
-        // any checksum or frame is built.
-        let huge = vec![0u8; MAX_RECORD_BYTES as usize + 1];
-        let err = wal.append_payload(&huge).unwrap_err();
+        // the checksum reads a byte of it.
+        let huge = |magic: &[u8]| {
+            let payload_at = magic.len() + FRAME_HEADER as usize;
+            Enc {
+                buf: vec![0u8; payload_at + MAX_RECORD_BYTES as usize + 1],
+                payload_at,
+            }
+        };
+        let err = wal.append(huge(&[])).unwrap_err();
         assert!(matches!(err, Error::Durability { .. }), "{err}");
         // The rejection is clean — nothing was written, the log is not
         // poisoned, and normal-sized appends still work.
-        assert!(wal.append_payload(b"ok").is_ok());
-        let err = write_snapshot_file(&cfg, 1, &huge).unwrap_err();
+        assert!(wal.append(record(b"ok")).is_ok());
+        let err = write_snapshot_file(&cfg, 1, huge(SNAP_MAGIC)).unwrap_err();
         assert!(matches!(err, Error::Durability { .. }), "{err}");
         assert!(!snap_path(&dir, 1).exists());
         let _ = fs::remove_dir_all(&dir);

@@ -5,9 +5,11 @@
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
+use crate::attribute::{self, Attribute};
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::scheme::RelationScheme;
+use crate::value::Tuple;
 
 /// A single-tuple restriction on where and how nulls may appear in a
 /// relation (paper §3).
@@ -149,31 +151,44 @@ impl NullConstraint {
         }
     }
 
-    /// Whether `r` satisfies the constraint.
+    /// Whether `r` satisfies the constraint: [`NullConstraint::satisfied_by_rows`]
+    /// over its header and rows.
     pub fn satisfied_by(&self, r: &Relation) -> Result<bool> {
+        self.satisfied_by_rows(r.header(), r.iter())
+    }
+
+    /// Whether every one of `rows`, read over `header`, satisfies the
+    /// constraint. Every kind is a predicate on one tuple at a time, so
+    /// the rows need not form a set: a repeated row answers as it does
+    /// once, and a caller can check rows where they are stored. Each row
+    /// must have `header`'s arity.
+    pub fn satisfied_by_rows<'t>(
+        &self,
+        header: &[Attribute],
+        rows: impl IntoIterator<Item = &'t Tuple>,
+    ) -> Result<bool> {
+        let mut rows = rows.into_iter();
         match self {
             NullConstraint::NullExistence { lhs, rhs, .. } => {
-                let lpos = positions(r, lhs)?;
-                let rpos = positions(r, rhs)?;
-                Ok(r.iter()
-                    .all(|t| !t.is_total_at(&lpos) || t.is_total_at(&rpos)))
+                let lpos = positions(header, lhs)?;
+                let rpos = positions(header, rhs)?;
+                Ok(rows.all(|t| !t.is_total_at(&lpos) || t.is_total_at(&rpos)))
             }
             NullConstraint::NullSync { attrs, .. } => {
-                let pos = positions(r, attrs)?;
-                Ok(r.iter()
-                    .all(|t| t.is_total_at(&pos) || t.is_all_null_at(&pos)))
+                let pos = positions(header, attrs)?;
+                Ok(rows.all(|t| t.is_total_at(&pos) || t.is_all_null_at(&pos)))
             }
             NullConstraint::PartNull { groups, .. } => {
                 let group_pos: Vec<Vec<usize>> = groups
                     .iter()
-                    .map(|g| positions(r, g))
+                    .map(|g| positions(header, g))
                     .collect::<Result<_>>()?;
-                Ok(r.iter().all(|t| group_pos.iter().any(|g| t.is_total_at(g))))
+                Ok(rows.all(|t| group_pos.iter().any(|g| t.is_total_at(g))))
             }
             NullConstraint::TotalEquality { lhs, rhs, .. } => {
-                let lpos = positions(r, lhs)?;
-                let rpos = positions(r, rhs)?;
-                Ok(r.iter().all(|t| {
+                let lpos = positions(header, lhs)?;
+                let rpos = positions(header, rhs)?;
+                Ok(rows.all(|t| {
                     !(t.is_total_at(&lpos) && t.is_total_at(&rpos)) || t.eq_at(&lpos, &rpos)
                 }))
             }
@@ -275,9 +290,9 @@ impl NullConstraint {
     }
 }
 
-fn positions(r: &Relation, names: &[String]) -> Result<Vec<usize>> {
+fn positions(header: &[Attribute], names: &[String]) -> Result<Vec<usize>> {
     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    r.positions(&refs)
+    attribute::positions(header, &refs, "relation")
 }
 
 impl fmt::Display for NullConstraint {

@@ -57,8 +57,8 @@ fn built<'a>(index: &'a mut OnceLock<RowIndex>, rows: &[Tuple]) -> &'a mut RowIn
 }
 
 /// Fails unless `t` has `header`'s arity and each value fits its
-/// attribute's domain.
-fn check_fits(header: &[Attribute], t: &Tuple) -> Result<()> {
+/// attribute's domain: the check every row of a relation has passed.
+pub fn check_fits(header: &[Attribute], t: &Tuple) -> Result<()> {
     if t.arity() != header.len() {
         return Err(Error::TupleMismatch {
             detail: format!(
@@ -185,6 +185,13 @@ impl Relation {
     #[must_use]
     pub fn rows(&self) -> &[Tuple] {
         &self.rows
+    }
+
+    /// The header and the tuples, in insertion order, moved out without a
+    /// copy; the set index, if built, is dropped.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<Attribute>, Vec<Tuple>) {
+        (self.header, self.rows)
     }
 
     /// Whether `t` is a member of the relation.

@@ -78,8 +78,57 @@ fn te_strategy() -> impl Strategy<Value = NullConstraint> {
         .prop_map(|(a, b)| NullConstraint::te("R", &[a], &[b]))
 }
 
+/// Random rows over (A,B,C,D) with small values and nulls, repeats kept.
+fn rows_strategy() -> impl Strategy<Value = Vec<Tuple>> {
+    proptest::collection::vec(
+        proptest::array::uniform4(proptest::option::of(0i64..3)),
+        0..12,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .map(|r| {
+                Tuple::new(
+                    r.into_iter()
+                        .map(|v| v.map_or(Value::Null, Value::Int))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect()
+    })
+}
+
+/// A random constraint of each of the four kinds (nulls-not-allowed is a
+/// null-existence constraint with an empty left side).
+fn null_constraint_strategy() -> impl Strategy<Value = NullConstraint> {
+    let attrs = |size| proptest::sample::subsequence(ATTRS.to_vec(), size);
+    prop_oneof![
+        ne_strategy(),
+        attrs(1..4).prop_map(|a| NullConstraint::ns("R", &a)),
+        (attrs(1..3), attrs(1..3)).prop_map(|(g, h)| NullConstraint::pn("R", &[&g, &h])),
+        te_strategy(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A null constraint holds on a relation exactly when it holds on the
+    /// rows read where they lie, repeats included, and exactly when it
+    /// holds on each row alone: every kind is a predicate on one tuple.
+    #[test]
+    fn null_constraint_forms_agree(
+        c in null_constraint_strategy(),
+        rows in rows_strategy(),
+    ) {
+        let relation = Relation::with_rows(header(), rows.clone()).expect("fits");
+        let on_relation = c.satisfied_by(&relation).expect("known attributes");
+        let on_rows = c.satisfied_by_rows(&header(), &rows).expect("known attributes");
+        let each = rows
+            .iter()
+            .all(|t| c.satisfied_by_rows(&header(), [t]).expect("known attributes"));
+        prop_assert_eq!(on_relation, on_rows);
+        prop_assert_eq!(on_relation, each);
+    }
 
     /// A relation stores each row once yet keeps set semantics: random
     /// insert / remove / contains / set-equality sequences over nullable
