@@ -161,7 +161,9 @@ const QUERY_TOTALS: [&str; 6] = [
     "intermediate_bytes",
 ];
 
-/// Cached handles into one database instance's metrics shard.
+/// Cached handles into one database instance's metrics shard. A store's
+/// master, its published bases and every pin share one `DbMetrics`, so
+/// the store registry shows each session's reads as they happen.
 pub(crate) struct DbMetrics {
     pub(crate) registry: Arc<Registry>,
     pub(crate) inserts: Arc<Counter>,
@@ -192,7 +194,7 @@ pub(crate) struct DbMetrics {
     /// changes (hits, misses and evicted entries count under
     /// `engine.query.build_cache.*`).
     pub(crate) cache_insert: Arc<Counter>,
-    pub(crate) cache_evicted_bytes: Arc<obs::Gauge>,
+    pub(crate) cache_evicted_bytes: Arc<Counter>,
     /// Per-query totals, one counter per [`QUERY_TOTALS`] field, and the
     /// wall time of each successful execution (`engine.query.ns`).
     query_totals: [Arc<Counter>; QUERY_TOTALS.len()],
@@ -217,42 +219,21 @@ pub(crate) struct DbMetrics {
     cow_copied_rows: Arc<Counter>,
     /// Wall time of each [`crate::session::Session::pin`].
     pub(crate) pin_ns: Arc<Histogram>,
-    /// Where this shard folds on drop: a session shard folds into its
-    /// store's registry; every other shard folds into the process-global
-    /// registry (`None`). Exactly-once because the fold runs in
-    /// [`Drop::drop`] of the `DbMetrics` itself, which fires when the
-    /// *last* `Arc<DbMetrics>` handle (database, session, or pinned
-    /// snapshot) goes away, and because a [`Database::fork`] starts a
-    /// fresh shard rather than copying this one's counts.
-    flush_into: Option<Arc<Registry>>,
 }
 
 impl Drop for DbMetrics {
-    /// Flushes this shard so its counts survive the weak shard reference:
-    /// into the owning store's registry for session shards (no lost or
-    /// double-counted constraint/latency counters when sessions come and
-    /// go), into the process-global registry otherwise.
+    /// Flushes this shard into the process-global registry so its counts
+    /// survive the weak shard reference. Exactly once: it runs when the
+    /// *last* `Arc<DbMetrics>` handle (a database, a store's published
+    /// base or a pin) goes away, and a [`Database::fork`] starts a fresh
+    /// shard rather than copying this one's counts.
     fn drop(&mut self) {
-        match &self.flush_into {
-            Some(target) => obs::flush_shard_into(&self.registry, target),
-            None => obs::flush_shard(&self.registry),
-        }
+        obs::flush_shard(&self.registry);
     }
 }
 
 impl DbMetrics {
     fn new() -> DbMetrics {
-        DbMetrics::with_flush_target(None)
-    }
-
-    /// A fresh shard that folds into `target` instead of the global
-    /// registry when dropped — the per-session shard constructor
-    /// (see [`crate::session::Session`]).
-    pub(crate) fn session_shard(target: Arc<Registry>) -> DbMetrics {
-        DbMetrics::with_flush_target(Some(target))
-    }
-
-    fn with_flush_target(flush_into: Option<Arc<Registry>>) -> DbMetrics {
         let registry = Arc::new(Registry::new());
         obs::register_shard(&registry);
         let per_class = |tier: &str| {
@@ -281,7 +262,7 @@ impl DbMetrics {
             pushdown_pruned_rows: registry.counter("engine.query.pushdown_pruned_rows"),
             empty_check_rows: registry.counter("engine.query.empty_check_rows"),
             cache_insert: registry.counter("engine.build_cache.insert"),
-            cache_evicted_bytes: registry.gauge("engine.build_cache.evicted_bytes"),
+            cache_evicted_bytes: registry.counter("engine.build_cache.evicted_bytes"),
             query_totals: QUERY_TOTALS.map(|f| registry.counter(&format!("engine.query.{f}"))),
             query_ns: registry.histogram("engine.query.ns"),
             class_declarative: per_class("declarative"),
@@ -299,7 +280,6 @@ impl DbMetrics {
             cow_copied_rows: registry.counter("engine.cow.copied_rows"),
             pin_ns: registry.histogram("engine.session.pin.ns"),
             registry,
-            flush_into,
         }
     }
 
@@ -883,19 +863,20 @@ impl Database {
     #[must_use]
     pub fn fork(&self) -> Database {
         Database {
+            metrics: Arc::new(DbMetrics::new()),
             build_cache: Arc::new(std::sync::Mutex::new(self.build_cache_lock().clone())),
-            ..self.snapshot_handle(Arc::new(DbMetrics::new()))
+            ..self.snapshot_handle()
         }
     }
 
     /// A read-only snapshot handle over this database's *current* state:
     /// shares every table `Arc` (so later writer mutations copy-on-write
-    /// and never disturb it), the build cache, the profiler, and the fault
-    /// plan, but charges its metrics to `metrics` — the per-session shard.
-    /// Carries no WAL. The handle is a plain [`Database`] value, so the
-    /// whole `&self` read surface (execute, snapshot, verify, versions)
-    /// works against it unchanged.
-    pub(crate) fn snapshot_handle(&self, metrics: Arc<DbMetrics>) -> Database {
+    /// and never disturb it), the metrics shard, the build cache, the
+    /// profiler, and the fault plan. Carries no WAL. The handle is a plain
+    /// [`Database`] value, so the whole `&self` read surface (execute,
+    /// snapshot, verify, versions) works against it unchanged; a store
+    /// builds one per commit and every pin at that commit shares it.
+    pub(crate) fn snapshot_handle(&self) -> Database {
         Database {
             schema: Arc::clone(&self.schema),
             profile: self.profile.clone(),
@@ -903,18 +884,13 @@ impl Database {
             nulls: Arc::clone(&self.nulls),
             outgoing: Arc::clone(&self.outgoing),
             incoming: Arc::clone(&self.incoming),
-            metrics,
+            metrics: Arc::clone(&self.metrics),
             config: self.config.clone(),
             build_cache: Arc::clone(&self.build_cache),
             profiler: Arc::clone(&self.profiler),
             fault: self.fault.clone(),
             wal: None,
         }
-    }
-
-    /// The metrics shard handle, for snapshot-handle construction.
-    pub(crate) fn metrics_arc(&self) -> Arc<DbMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// The current values of every tuning knob, as an [`EngineConfig`]:
@@ -943,7 +919,7 @@ impl Database {
             .build_cache_lock()
             .set_capacity(config.build_cache_capacity);
         self.metrics.build_cache_evictions.add(evicted);
-        self.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
+        self.metrics.cache_evicted_bytes.add(evicted_bytes);
         self.config = EngineConfig {
             durability: None,
             ..config
@@ -1124,8 +1100,9 @@ impl Database {
     }
 
     /// The metrics shard backing this instance's counters and latency
-    /// histograms. Nothing lowers them: to count the events of one phase,
-    /// diff a snapshot taken after it against one taken before.
+    /// histograms; a pinned snapshot's is its store's registry. Nothing
+    /// lowers them: to count the events of one phase, diff a snapshot
+    /// taken after it against one taken before.
     #[must_use]
     pub fn metrics_registry(&self) -> &Arc<Registry> {
         &self.metrics.registry
@@ -1919,6 +1896,33 @@ mod tests {
         assert_eq!(db.build_cache_capacity(), 0);
         db.clear_build_cache();
         assert_eq!(db.build_cache_len(), 0);
+    }
+
+    #[test]
+    fn evicted_bytes_count_each_eviction_once() {
+        use crate::query::{JoinStep, QueryPlan};
+        // No index covers `E.G`, so the join builds EMP through the cache.
+        let mut db = Database::new(emp_mgr_schema(), DbmsProfile::db2()).unwrap();
+        db.insert("EMP", tup(&[1, 10])).unwrap();
+        db.insert("MGR", tup(&[1, 10])).unwrap();
+        let plan = QueryPlan::scan("MGR").join(JoinStep::inner("EMP", &["M.NR"], &["E.G"]));
+        let build_then_evict = |db: &mut Database| {
+            db.execute(&plan).unwrap();
+            let bytes = db.build_cache_bytes();
+            assert!(bytes > 0, "the join cached its build");
+            db.configure(db.config().build_cache_capacity(0));
+            db.configure(db.config().build_cache_capacity(DEFAULT_BUILD_CACHE_BYTES));
+            bytes
+        };
+        build_then_evict(&mut db);
+        let before = db.metrics_registry().snapshot();
+        let second = build_then_evict(&mut db);
+        let diff = db.metrics_registry().snapshot().diff(&before);
+        assert_eq!(
+            diff.counters.get("engine.build_cache.evicted_bytes"),
+            Some(&second),
+            "a diff over one phase counts that phase's evictions only"
+        );
     }
 
     #[test]

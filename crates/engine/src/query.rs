@@ -909,7 +909,7 @@ fn compile_join<'a>(
                         db.build_cache_lock().insert(key, Arc::clone(&owned));
                     db.metrics.build_cache_evictions.add(evicted);
                     db.metrics.cache_insert.inc();
-                    db.metrics.cache_evicted_bytes.add(evicted_bytes as i64);
+                    db.metrics.cache_evicted_bytes.add(evicted_bytes);
                     owned
                 }
             };
@@ -1498,8 +1498,8 @@ fn execute_core(
     });
     span.add_field("rows_out", stats.rows_output);
 
-    // The always-on totals, on this database's (or session's) metrics
-    // shard; then each join step's cost, charged to its edge in the
+    // The always-on totals, on this database's metrics shard (a pin's is
+    // its store's); then each join step's cost, charged to its edge in the
     // workload's join ledger. A step's probe side is the relation its
     // first left attribute resolves to (source 0 is the root; source k is
     // join step k-1's relation).

@@ -6,14 +6,15 @@
 //!
 //! * **Readers never block writers** (and vice versa). [`Session::pin`]
 //!   returns a [`Snapshot`] — a consistent, immutable view of the store
-//!   at a commit boundary. Pinning is O(number of relations): tables are
-//!   individually `Arc`-wrapped, so a snapshot shares the writer's
-//!   storage, and a writer copies each table it touches while a pin
-//!   shares it ([`std::sync::Arc::make_mut`]). The store's published
-//!   base keeps sharing every table after the snapshots drop, so every
-//!   commit that follows a pin copies each table it touches
-//!   (`engine.cow.table_copies`, `engine.cow.copied_rows`; pins are
-//!   timed in `engine.session.pin.ns`). A pinned snapshot is a
+//!   at a commit boundary. A pin *is* the store's published base: the
+//!   first pin after a commit copies the master's table map once
+//!   (O(number of relations): tables are individually `Arc`-wrapped, so
+//!   the base shares the writer's storage), and every pin at that commit
+//!   shares that one base. A writer copies each table it touches while
+//!   the base shares it ([`std::sync::Arc::make_mut`]); the base outlives
+//!   the snapshots, so every commit that follows a pin copies each table
+//!   it touches (`engine.cow.table_copies`, `engine.cow.copied_rows`;
+//!   pins are timed in `engine.session.pin.ns`). A pinned snapshot is a
 //!   plain [`Database`] value behind a `Deref`, so the whole `&self`
 //!   read surface (execute, snapshot, verify, versions) works unchanged
 //!   — and every query against it is byte-identical to running it alone
@@ -33,10 +34,11 @@
 //!   session — or from an old pinned snapshot — is proof of freshness,
 //!   and version bumps invalidate for free.
 //!
-//! Observability: each session charges its reads to a private metrics
-//! shard; when the session drops, the shard folds into the store's
-//! registry exactly once (no lost or double-counted counters, however
-//! many sessions come and go).
+//! Observability: one metrics shard per store. The master, its published
+//! bases and every pin share the master's shard, which is the store
+//! registry ([`Store::metrics_registry`]), so a session's reads show
+//! there as they happen, and the shard folds into the process-global
+//! registry once, when the last of them drops.
 //!
 //! Fault injection: [`crate::fault::site::SESSION_SNAPSHOT`] fires at
 //! every pin (contained to that pin attempt) and
@@ -50,13 +52,12 @@ use std::time::Instant;
 
 use relmerge_core::Merged;
 use relmerge_obs::Registry;
-use relmerge_relational::{DatabaseState, Error, Relation, Result};
+use relmerge_relational::{DatabaseState, Error, Result};
 
 use crate::batch::{BatchOutcome, Statement};
-use crate::database::{Database, DbMetrics, DmlError, EngineConfig};
+use crate::database::{Database, DmlError};
 use crate::fault::{contain, site, FaultPlan, IntegrityReport};
 use crate::migrate::MigrationReport;
-use crate::query::{QueryPlan, QueryStats};
 
 /// The shared half of a multi-session engine: one master [`Database`]
 /// plus the published-snapshot machinery. `Store` is a cheap handle
@@ -81,17 +82,17 @@ struct StoreInner {
     /// commit boundary. Lock order: `master` before `published`.
     master: Mutex<Database>,
     /// Bumped once per *successful* commit (batch, single statement,
-    /// migration, config change). Readers compare it against the
+    /// migration, fault-plan change). Readers compare it against the
     /// published snapshot's sequence to decide whether a refresh is due
     /// — the lock-free fast path of [`Session::pin`].
     commit_seq: AtomicU64,
     /// The most recently published snapshot base and the commit sequence
     /// it was taken at. Lazily refreshed: the first pin after a commit
     /// pays the O(number of relations) copy; every other pin at that
-    /// sequence is two pointer reads under a short lock.
+    /// sequence is an `Arc` clone under a short lock.
     published: Mutex<Option<(u64, Arc<Database>)>>,
-    /// The store-wide metric registry (the master database's shard).
-    /// Session shards fold into it when they drop.
+    /// The store-wide metric registry: the master database's shard, which
+    /// every published base and pin shares.
     registry: Arc<Registry>,
 }
 
@@ -111,14 +112,11 @@ impl Store {
     }
 
     /// Mints a new session: a cheap handle that pins snapshots for reads
-    /// and routes writes through the serialized writer path. Each
-    /// session charges its reads to a private metrics shard that folds
-    /// into the store registry when the session drops.
+    /// and routes writes through the serialized writer path.
     #[must_use]
     pub fn session(&self) -> Session {
         Session {
             store: self.clone(),
-            metrics: Arc::new(DbMetrics::session_shard(Arc::clone(&self.inner.registry))),
         }
     }
 
@@ -128,28 +126,11 @@ impl Store {
         self.inner.commit_seq.load(Ordering::Acquire)
     }
 
-    /// The store-wide metric registry: the master's counters plus every
-    /// dropped session's folded shard.
+    /// The store-wide metric registry: every count of the master, its
+    /// published bases and its sessions' pins, live.
     #[must_use]
     pub fn metrics_registry(&self) -> Arc<Registry> {
         Arc::clone(&self.inner.registry)
-    }
-
-    /// The current values of every tuning knob (see
-    /// [`Database::config`]).
-    #[must_use]
-    pub fn config(&self) -> EngineConfig {
-        self.lock_master().config()
-    }
-
-    /// Applies `config` to the master (see [`Database::configure`]).
-    /// Counts as a commit: sessions pin fresh snapshots afterwards, so a
-    /// knob change never applies retroactively to an already-pinned
-    /// snapshot.
-    pub fn configure(&self, config: EngineConfig) {
-        let mut master = self.lock_master();
-        master.configure(config);
-        self.publish_commit();
     }
 
     /// Installs a fault plan on the master (see
@@ -180,19 +161,6 @@ impl Store {
     #[must_use]
     pub fn verify_integrity(&self) -> IntegrityReport {
         self.lock_master().verify_integrity()
-    }
-
-    /// Tears the store down and returns the master database, provided
-    /// this is the last handle (no other `Store` clone and no live
-    /// `Session`). Otherwise returns `self` unchanged inside `Err`.
-    pub fn try_into_database(self) -> std::result::Result<Database, Store> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => Ok(inner
-                .master
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)),
-            Err(inner) => Err(Store { inner }),
-        }
     }
 
     fn lock_master(&self) -> MutexGuard<'_, Database> {
@@ -238,7 +206,7 @@ impl Store {
         // master lock so the published pair is exact, not approximate.
         let master = self.lock_master();
         let seq = self.inner.commit_seq.load(Ordering::Acquire);
-        let base = Arc::new(master.snapshot_handle(master.metrics_arc()));
+        let base = Arc::new(master.snapshot_handle());
         drop(master);
         let mut published = self.lock_published();
         // A concurrent refresher may have published a newer base while we
@@ -275,34 +243,24 @@ impl Store {
 /// create and drop; `Send`, so each client thread owns one.
 pub struct Session {
     store: Store,
-    /// This session's private metrics shard. Pinned snapshots charge
-    /// their reads here; the shard folds into the store registry when
-    /// the last handle (session or outstanding snapshot) drops.
-    metrics: Arc<DbMetrics>,
 }
 
 impl Session {
     /// Pins the store's current state and returns the frozen
-    /// [`Snapshot`]. Never blocks on writers beyond the brief base
-    /// refresh after a commit; the returned snapshot is immutable — the
-    /// same query against it returns byte-identical results no matter
-    /// what writers do afterwards.
+    /// [`Snapshot`]: the store's published base for the current commit,
+    /// shared with every other pin at that commit. Never blocks on
+    /// writers beyond the brief base refresh after a commit; the returned
+    /// snapshot is immutable — the same query against it returns
+    /// byte-identical results no matter what writers do afterwards.
     ///
     /// Fault site [`site::SESSION_SNAPSHOT`] fires here; a fire (error
     /// or panic) is contained to this pin attempt.
     pub fn pin(&self) -> Result<Snapshot> {
         let t0 = Instant::now();
-        let base = self.store.pinned_base();
-        contain(|| base.fault_check(site::SESSION_SNAPSHOT))?;
-        let db = base.snapshot_handle(Arc::clone(&self.metrics));
-        self.metrics.pin_ns.record(relmerge_obs::elapsed_ns(t0));
+        let db = self.store.pinned_base();
+        contain(|| db.fault_check(site::SESSION_SNAPSHOT))?;
+        db.metrics.pin_ns.record(relmerge_obs::elapsed_ns(t0));
         Ok(Snapshot { db })
-    }
-
-    /// Pins a snapshot and executes `plan` against it — the one-shot
-    /// read verb. Equivalent to `self.pin()?.execute(plan)`.
-    pub fn execute(&self, plan: &QueryPlan) -> Result<(Relation, QueryStats)> {
-        self.pin()?.execute(plan)
     }
 
     /// Applies an all-or-nothing statement batch through the serialized
@@ -338,20 +296,17 @@ impl Session {
     pub fn migrate(&self, plan: &Merged) -> Result<MigrationReport> {
         self.store.with_writer(|db| db.migrate(plan))
     }
-
-    /// The store this session belongs to.
-    #[must_use]
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
 }
 
 /// A frozen, consistent view of a [`Store`] at one commit boundary,
-/// pinned by [`Session::pin`]. Dereferences to [`Database`], so the
-/// whole `&self` read API works against it; the writer's later commits
-/// never change what it sees (copy-on-write), and it never blocks them.
+/// pinned by [`Session::pin`]: the store's published base for that
+/// commit, shared by every pin taken there. Dereferences to
+/// [`Database`], so the whole `&self` read API works against it; the
+/// writer's later commits never change what it sees (copy-on-write), and
+/// it never blocks them. Only a shared reference to the base ever leaves
+/// the newtype, so no holder can mutate it.
 pub struct Snapshot {
-    db: Database,
+    db: Arc<Database>,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -386,6 +341,7 @@ impl std::ops::Deref for Snapshot {
 mod tests {
     use super::*;
     use crate::fault::FaultMode;
+    use crate::query::{JoinStep, QueryPlan};
     use crate::DbmsProfile;
     use relmerge_relational::{
         Attribute, Domain, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Tuple,
@@ -462,6 +418,10 @@ mod tests {
         let a = s1.pin().unwrap();
         let b = s2.pin().unwrap();
         assert_eq!(st.commit_seq(), seq, "pins are not commits");
+        assert!(
+            std::ptr::eq(&*a, &*b),
+            "one published base, not a handle per pin"
+        );
         assert_eq!(a.version_vector(), b.version_vector());
         assert_eq!(a.snapshot().unwrap(), b.snapshot().unwrap());
     }
@@ -534,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn session_drop_folds_metrics_into_the_store_registry() {
+    fn a_session_read_counts_on_the_store_registry_at_once() {
         // P carries a non-indexed attribute so the hash join goes through
         // the transient build-cache path (unique/lookup-indexed right
         // sides bypass the cache).
@@ -568,26 +528,21 @@ mod tests {
         s.insert("P", tup(&[1, 1])).unwrap();
         s.insert("C", tup(&[10, 1])).unwrap();
         let snap = s.pin().unwrap();
-        // The transient hash build charges the cache-miss/insert counters
-        // to the session's private shard.
-        let plan =
-            QueryPlan::scan("C").join(crate::query::JoinStep::inner("P", &["C.FK"], &["P.V"]));
+        // The transient hash build charges the cache-miss counter to the
+        // store's one shard while the session and its pin are alive.
+        let plan = QueryPlan::scan("C").join(JoinStep::inner("P", &["C.FK"], &["P.V"]));
+        let before = st.metrics_registry().snapshot();
         let (rows, stats) = snap.execute(&plan).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(stats.hash_builds, 1);
-        let before = st.metrics_registry().snapshot();
+        let read = st.metrics_registry().snapshot();
+        let counted = read.diff(&before).counters;
+        assert_eq!(counted.get("engine.query.build_cache.misses"), Some(&1));
+        assert_eq!(counted.get("engine.query.rows_output"), Some(&1));
+        // Nothing is folded when the pin and the session drop.
         drop(snap);
         drop(s);
-        let after = st.metrics_registry().snapshot().diff(&before);
-        assert!(
-            after
-                .counters
-                .get("engine.query.build_cache.misses")
-                .copied()
-                .unwrap_or(0)
-                > 0,
-            "session read counters must fold into the store registry on drop"
-        );
+        assert_eq!(st.metrics_registry().snapshot(), read);
     }
 
     #[test]
@@ -644,18 +599,7 @@ mod tests {
         // No pin in between: the master owns P alone.
         s.insert("P", tup(&[4])).unwrap();
         assert_eq!(copies(), (2, 3));
-        drop(s);
         let pins = &st.metrics_registry().snapshot().histograms["engine.session.pin.ns"];
         assert_eq!(pins.count, 2, "each pin is timed");
-    }
-
-    #[test]
-    fn try_into_database_returns_the_master_when_unshared() {
-        let st = store();
-        let s = st.session();
-        s.insert("P", tup(&[7])).unwrap();
-        drop(s);
-        let db = st.try_into_database().expect("last handle");
-        assert_eq!(db.len("P"), 1);
     }
 }

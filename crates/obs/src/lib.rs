@@ -5,9 +5,11 @@
 //!
 //! [`Registry`] hands out lock-free [`Counter`], [`Gauge`], and log2-bucketed
 //! [`Histogram`] handles by name. Components that need isolated counts (e.g.
-//! one `Database` instance) own a shard registry and register it with
-//! [`register_shard`]; [`snapshot_all`] merges the global registry with every
-//! live shard. A [`Snapshot`] supports [`diff`](Snapshot::diff) /
+//! one `Database` instance, with every session and pin of its store) own a
+//! shard registry and register it with [`register_shard`]; [`snapshot_all`]
+//! merges the global registry with every live shard, and [`flush_shard`]
+//! folds a shard into the global registry once, when its owner drops. A
+//! [`Snapshot`] supports [`diff`](Snapshot::diff) /
 //! [`merge`](Snapshot::merge) and renders via [`to_text`] or [`to_json`].
 //!
 //! # Tracing
@@ -45,9 +47,8 @@ pub mod trace;
 
 pub use export::{chrome_trace, json_escape, to_json, to_text};
 pub use metrics::{
-    bucket_bounds, bucket_index, elapsed_ns, flush_shard, flush_shard_into, global, register_shard,
-    snapshot_all, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot,
-    HISTOGRAM_BUCKETS,
+    bucket_bounds, bucket_index, elapsed_ns, flush_shard, global, register_shard, snapshot_all,
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HISTOGRAM_BUCKETS,
 };
 pub use profile::{
     report_to_json, report_to_text, EdgeCost, HotJoin, JoinEdge, ProfileSnapshot, Profiler,

@@ -385,15 +385,7 @@ pub fn register_shard(shard: &Arc<Registry>) {
 /// reference. Flushing a *live* shard double-counts it in `snapshot_all`
 /// (once merged, once live) — only flush at end of life.
 pub fn flush_shard(shard: &Registry) {
-    flush_shard_into(shard, global());
-}
-
-/// [`flush_shard`] with an explicit destination: folds every metric of
-/// `shard` into `target` instead of the process-global registry. A store
-/// folding its sessions' metric shards into its own registry uses this so
-/// per-session counts survive session drop exactly once — in the store —
-/// rather than escaping to the global registry.
-pub fn flush_shard_into(shard: &Registry, target: &Registry) {
+    let target = global();
     let snap = shard.snapshot();
     for (name, v) in &snap.counters {
         if *v > 0 {

@@ -2,10 +2,11 @@
 //! and writer batches over one shared [`Store`] — every read must be
 //! byte-identical to a serial replay at its pinned version vector, with
 //! the shared build cache on or off; pinned
-//! snapshots stay frozen while writers commit; and the shared cache
+//! snapshots stay frozen while writers commit; the shared cache
 //! serves cross-session hits without ever serving a stale or
 //! predicate-mismatched build (stale service would break the replay
-//! byte-identity).
+//! byte-identity); and every session's reads count once, live, on the
+//! store registry.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -339,15 +340,11 @@ fn shared_cache_serves_cross_session_hits() {
     let s2 = store.session();
     let q = query(0);
     let (r1, _) = s1.pin().unwrap().execute(&q).unwrap();
-    let snap2 = s2.pin().unwrap();
-    let (r2, _) = snap2.execute(&q).unwrap();
-    assert_eq!(r1, r2);
-    // Fold s2's metrics shard into the store registry and read the hit
-    // counter there — charged on s2's read, proving the reuse crossed
+    // The hit counter moves on s2's read alone, proving the reuse crossed
     // sessions.
     let before = store.metrics_registry().snapshot();
-    drop(snap2);
-    drop(s2);
+    let (r2, _) = s2.pin().unwrap().execute(&q).unwrap();
+    assert_eq!(r1, r2);
     let diff = store.metrics_registry().snapshot().diff(&before);
     assert!(
         diff.counters
@@ -356,6 +353,57 @@ fn shared_cache_serves_cross_session_hits() {
             .unwrap_or(0)
             > 0,
         "the second session's identical join must hit the shared cache"
+    );
+}
+
+/// One metrics shard per store: reads from concurrent sessions count on
+/// the store registry while every session and pin is alive, and dropping
+/// them folds nothing, so no read is counted twice.
+#[test]
+fn every_session_counts_its_reads_on_the_store_registry_once() {
+    let store = Store::new(seed_db(&engine_config(true)));
+    let before = store.metrics_registry().snapshot();
+    let counted = || {
+        let diff = store.metrics_registry().snapshot().diff(&before).counters;
+        let get = |name: &str| diff.get(name).copied().unwrap_or(0);
+        (
+            get("engine.query.rows_output"),
+            get("engine.query.index_probes"),
+        )
+    };
+    // Each client hands back its session and pins, alive, with the sums
+    // of its reads' stats.
+    let clients: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3u32)
+            .map(|t| {
+                let store = store.clone();
+                scope.spawn(move || {
+                    let session = store.session();
+                    let (mut rows, mut probes) = (0, 0);
+                    let mut pins = Vec::new();
+                    for i in 0..8u32 {
+                        let pin = session.pin().unwrap();
+                        let (_, stats) = pin.execute(&query((i + t) % QUERY_COUNT)).unwrap();
+                        rows += stats.rows_output;
+                        probes += stats.index_probes;
+                        pins.push(pin);
+                    }
+                    (session, pins, (rows, probes))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let summed = clients.iter().fold((0, 0), |acc, (_, _, (rows, probes))| {
+        (acc.0 + rows, acc.1 + probes)
+    });
+    assert!(summed.0 > 0 && summed.1 > 0, "{summed:?}");
+    assert_eq!(counted(), summed, "live sessions' reads show at once");
+    drop(clients);
+    assert_eq!(
+        counted(),
+        summed,
+        "dropping the handles counts nothing again"
     );
 }
 

@@ -7,10 +7,12 @@
 //! batch whose record survives intact. The commits
 //! that install a snapshot instead of appending a record — a durable
 //! `load_state` and so an online migration — must survive a restart too,
-//! and a failed one must leave the previous state to recover.
+//! and a failed one must leave the previous state to recover. A durable
+//! database shared by concurrent sessions keeps the same contract: a cut
+//! log recovers a prefix of every writer's own batches.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,7 +22,7 @@ use relmerge::core::{Merge, Merged};
 use relmerge::engine::fault::site;
 use relmerge::engine::{
     Database, DbmsProfile, DurabilityConfig, EngineConfig, FaultMode, FaultPlan, FsyncPolicy,
-    Statement,
+    Statement, Store,
 };
 use relmerge::relational::{
     Attribute, DatabaseState, Domain, Error, InclusionDep, NullConstraint, RelationScheme,
@@ -30,6 +32,8 @@ use relmerge::workload::{consistent_state, star_merge_set, star_schema, StarSpec
 
 /// Bytes of the `RMWAL001` magic every log file starts with.
 const WAL_HEADER: u64 = 8;
+/// Bytes of a record's frame header: `u32` payload length + `u64` checksum.
+const FRAME_HEADER: u64 = 12;
 
 fn attr(name: &str) -> Attribute {
     Attribute::new(name, Domain::Int)
@@ -350,5 +354,170 @@ fn a_durable_load_state_survives_recovery() {
     drop(recovered);
     let (again, _) = Database::recover(cfg).unwrap();
     assert_eq!(again.snapshot().unwrap(), state);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Writer `w`'s keys are `w * 1000 + b` for its batch `b`.
+fn writer_key(w: i64, b: i64) -> i64 {
+    w * 1000 + b
+}
+
+/// Writer `w`'s batch `b`: a parent and a child of it, and the previous
+/// batch's child moved over to the new parent — so every prefix of the
+/// writer's batches leaves different rows.
+fn writer_batch(w: i64, b: i64) -> Vec<Statement> {
+    let k = writer_key(w, b);
+    let mut stmts = vec![
+        Statement::insert("PARENT", tup(&[k])),
+        Statement::insert("CHILD", tup(&[k, k])),
+    ];
+    if b > 0 {
+        let prev = writer_key(w, b - 1);
+        stmts.push(Statement::update("CHILD", tup(&[prev]), tup(&[prev, k])));
+    }
+    stmts
+}
+
+/// Writer `w`'s rows of `state`, sorted: `(parents, children)`.
+fn writer_rows(state: &DatabaseState, w: i64) -> (Vec<Tuple>, Vec<Tuple>) {
+    let rows = |rel: &str| {
+        let mut rows: Vec<Tuple> = state
+            .relation(rel)
+            .unwrap()
+            .iter()
+            .filter(|t| matches!(t.get(0), Value::Int(k) if k / 1000 == w))
+            .cloned()
+            .collect();
+        rows.sort();
+        rows
+    };
+    (rows("PARENT"), rows("CHILD"))
+}
+
+/// How many of writer `w`'s batches `state` holds the effect of, or
+/// `None` when its rows are not the effect of any prefix of them.
+fn writer_prefix(state: &DatabaseState, w: i64, batches: i64) -> Option<i64> {
+    let (parents, children) = writer_rows(state, w);
+    let n = parents.len() as i64;
+    let expected_parents: Vec<Tuple> = (0..n).map(|b| tup(&[writer_key(w, b)])).collect();
+    let expected_children: Vec<Tuple> = (0..n)
+        .map(|b| tup(&[writer_key(w, b), writer_key(w, (b + 1).min(n - 1))]))
+        .collect();
+    (n <= batches && parents == expected_parents && children == expected_children).then_some(n)
+}
+
+/// The offsets where each whole record of the log `bytes` ends, found by
+/// walking the frame headers; the first entry is the end of the magic.
+fn frame_boundaries(bytes: &[u8]) -> Vec<u64> {
+    let mut ends = vec![WAL_HEADER];
+    let mut pos = WAL_HEADER as usize;
+    while pos + FRAME_HEADER as usize <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += FRAME_HEADER as usize + len;
+        assert!(pos <= bytes.len(), "the uncut log ends on a frame boundary");
+        ends.push(pos as u64);
+    }
+    assert_eq!(pos, bytes.len(), "the uncut log ends on a frame boundary");
+    ends
+}
+
+/// Durable sessions: three writers, each with its own session, commit to
+/// their own key ranges while a reader pins and reads. Every pin sees a
+/// prefix of each writer's batches, and a copy of the log cut at any
+/// offset recovers a clean state holding a prefix of each writer's
+/// batches whose lengths add up to the whole records before the cut.
+#[test]
+fn durable_sessions_recover_a_prefix_of_every_writer() {
+    const WRITERS: i64 = 3;
+    const BATCHES: i64 = 20;
+    let dir = fresh_dir("sessions");
+    let db = Database::new_with_config(schema(), DbmsProfile::ideal(), config(&dir, 0)).unwrap();
+    // No snapshot cadence: the log stays in its first generation.
+    let (generation, _) = db.wal_position().unwrap();
+    let store = Store::new(db);
+
+    let writers_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let session = store.session();
+                scope.spawn(move || {
+                    for b in 0..BATCHES {
+                        session
+                            .apply_batch(&writer_batch(w, b))
+                            .expect("a writer's own key range never collides");
+                    }
+                })
+            })
+            .collect();
+        let reader = {
+            let session = store.session();
+            let writers_done = &writers_done;
+            scope.spawn(move || {
+                let mut reads = 0;
+                while reads < 5 || !writers_done.load(Ordering::Acquire) {
+                    let state = session.pin().unwrap().snapshot().unwrap();
+                    for w in 0..WRITERS {
+                        assert!(
+                            writer_prefix(&state, w, BATCHES).is_some(),
+                            "a pin sees a prefix of writer {w}'s batches"
+                        );
+                    }
+                    reads += 1;
+                }
+            })
+        };
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        writers_done.store(true, Ordering::Release);
+        reader.join().unwrap();
+    });
+    assert!(store.verify_integrity().is_clean());
+
+    let log = std::fs::read(wal_file(&dir, generation)).unwrap();
+    let ends = frame_boundaries(&log);
+    assert_eq!(
+        ends.len() as i64,
+        1 + WRITERS * BATCHES,
+        "one record per batch"
+    );
+    let mut rng = StdRng::seed_from_u64(0x5e55);
+    let mut cuts = ends.clone();
+    cuts.extend((0..12).map(|_| rng.gen_range(0..=log.len() as u64)));
+    for cut in cuts {
+        let copy = fresh_dir("sessions-cut");
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+        }
+        std::fs::write(wal_file(&copy, generation), &log[..cut as usize]).unwrap();
+        let (recovered, report) = Database::recover(config(&copy, 0)).unwrap();
+        assert!(recovered.verify_integrity().is_clean(), "cut at {cut}");
+        let state = recovered.snapshot().unwrap();
+        let prefixes: Vec<i64> = (0..WRITERS)
+            .map(|w| {
+                writer_prefix(&state, w, BATCHES)
+                    .unwrap_or_else(|| panic!("cut at {cut}: writer {w} is not a prefix"))
+            })
+            .collect();
+        let whole = ends[1..].iter().filter(|end| **end <= cut).count() as i64;
+        assert_eq!(
+            prefixes.iter().sum::<i64>(),
+            whole,
+            "cut at {cut} of {}: {prefixes:?} ({report})",
+            log.len()
+        );
+        if cut == log.len() as u64 {
+            assert_eq!(
+                prefixes,
+                vec![BATCHES; WRITERS as usize],
+                "every acked commit"
+            );
+        }
+        std::fs::remove_dir_all(&copy).unwrap();
+    }
+    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
