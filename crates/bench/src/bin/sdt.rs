@@ -12,12 +12,9 @@
 //!     [--migrate]          like --advise, then execute the admissible
 //!                          proposals online against the live database
 //!     [--report]           print merge reports instead of raw schemas
-//!     [--trace]            print the span tree of the run to stderr
 //!     [--metrics <text|json>]  print collected metrics after the run
-//!     [--profile <text|json|chrome>]  print the hot-join ranking of the
-//!                          workload's join ledger (chrome: a Chrome-trace
-//!                          JSON array of the run's spans for
-//!                          chrome://tracing)
+//!     [--profile <text|json>]  print the hot-join ranking of the
+//!                          workload's join ledger
 //!     [--data-dir <dir>]   durable engine mode: recover the database in
 //!                          <dir> if it holds a snapshot (printing a
 //!                          one-line recovery report), otherwise initialize
@@ -33,11 +30,12 @@
 //! schema is deployed to the in-memory engine under the dialect's capability
 //! profile and a synthetic state is inserted tuple-by-tuple, so the metric
 //! output includes per-mechanism (declarative vs. procedural) constraint
-//! check counts and latencies, plus the tracer's dropped-span count and
-//! overflow sampling rate. `--profile` additionally runs a *query probe*
-//! (scans, point lookups, and one join per inclusion dependency) and prints
-//! the hot-join ranking the merge advisor consumes; the probe's per-query
-//! totals are the `engine.query.*` counters `--metrics` lists.
+//! check counts and latencies; with `--migrate`, the live database's
+//! `engine.migrate.ns` histogram times the migration. `--profile`
+//! additionally runs a *query probe* (scans, point lookups, and one join
+//! per inclusion dependency) and prints the hot-join ranking the merge
+//! advisor consumes; the probe's per-query totals are the
+//! `engine.query.*` counters `--metrics` lists.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,7 +58,6 @@ enum MetricsFormat {
 enum ProfileFormat {
     Text,
     Json,
-    Chrome,
 }
 
 struct Args {
@@ -71,7 +68,6 @@ struct Args {
     advise: bool,
     migrate: bool,
     report: bool,
-    trace: bool,
     metrics: Option<MetricsFormat>,
     profile: Option<ProfileFormat>,
     data_dir: Option<std::path::PathBuf>,
@@ -87,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         advise: false,
         migrate: false,
         report: false,
-        trace: false,
         metrics: None,
         profile: None,
         data_dir: None,
@@ -114,7 +109,6 @@ fn parse_args() -> Result<Args, String> {
             "--advise" => args.advise = true,
             "--migrate" => args.migrate = true,
             "--report" => args.report = true,
-            "--trace" => args.trace = true,
             "--metrics" => {
                 let v = it.next().ok_or("--metrics needs a value")?;
                 args.metrics = Some(match v.as_str() {
@@ -128,7 +122,6 @@ fn parse_args() -> Result<Args, String> {
                 args.profile = Some(match v.as_str() {
                     "text" => ProfileFormat::Text,
                     "json" => ProfileFormat::Json,
-                    "chrome" => ProfileFormat::Chrome,
                     other => return Err(format!("unknown profile format `{other}`")),
                 });
             }
@@ -142,8 +135,8 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "sdt [--demo <fig1|fig7|fig8i|fig8ii|fig8iii|fig8iv|random[:SEED]>] \
                      [--dialect <db2|sybase40|ingres63|sql92>] [--merge] [--migration] \
-                     [--advise] [--migrate] [--report] [--trace] \
-                     [--metrics <text|json>] [--profile <text|json|chrome>] \
+                     [--advise] [--migrate] [--report] \
+                     [--metrics <text|json>] [--profile <text|json>] \
                      [--data-dir <dir>] [--recover]"
                 );
                 std::process::exit(0);
@@ -162,9 +155,7 @@ fn engine_probe(
     schema: &RelationalSchema,
     state: &DatabaseState,
     dialect: Dialect,
-    label: &str,
 ) -> Option<Database> {
-    let mut span = obs::span("sdt.probe").field("schema", label);
     let mut db = Database::new(schema.clone(), dialect.profile()).ok()?;
     let mut pending: Vec<(String, Tuple)> = Vec::new();
     for (name, relation) in state.iter() {
@@ -172,7 +163,6 @@ fn engine_probe(
             pending.push((name.to_owned(), t.clone()));
         }
     }
-    let total = pending.len();
     loop {
         let before = pending.len();
         pending.retain(|(rel, t)| !matches!(db.insert(rel, t.clone()), Ok(true)));
@@ -180,8 +170,6 @@ fn engine_probe(
             break;
         }
     }
-    span.add_field("inserted", total - pending.len());
-    span.add_field("unplaceable", pending.len());
     // Delete probe: try removing the first row of every relation. Rows
     // still referenced by others exercise the RESTRICT check path and
     // stay put; the rest exercise the delete path.
@@ -261,9 +249,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.trace || args.profile == Some(ProfileFormat::Chrome) {
-        obs::set_enabled(true);
-    }
     let eer = match demo_schema(&args.demo) {
         Ok(e) => e,
         Err(e) => {
@@ -446,7 +431,7 @@ fn main() {
             coverage: 0.5,
         };
         match consistent_state(&base, &spec, &mut rng) {
-            Ok(state) => match engine_probe(&base, &state, args.dialect, "live") {
+            Ok(state) => match engine_probe(&base, &state, args.dialect) {
                 Some(mut db) => {
                     query_probe(&db, &base, &state);
                     let advisor = Advisor::new(db.profile());
@@ -523,7 +508,7 @@ fn main() {
         };
         match consistent_state(&base, &spec, &mut rng) {
             Ok(base_state) => {
-                if let Some(db) = engine_probe(&base, &base_state, args.dialect, "base") {
+                if let Some(db) = engine_probe(&base, &base_state, args.dialect) {
                     if args.profile.is_some() {
                         query_probe(&db, &base, &base_state);
                     }
@@ -532,9 +517,7 @@ fn main() {
                 if let Some(pipeline) = &pipeline {
                     match pipeline.apply(&base_state) {
                         Ok(merged_state) => {
-                            if let Some(db) =
-                                engine_probe(&schema, &merged_state, args.dialect, "merged")
-                            {
+                            if let Some(db) = engine_probe(&schema, &merged_state, args.dialect) {
                                 if args.profile.is_some() {
                                     query_probe(&db, &schema, &merged_state);
                                 }
@@ -549,24 +532,7 @@ fn main() {
         }
     }
 
-    // A single take drains the event log for both consumers; taking twice
-    // would hand the second one an empty trace.
-    let events = if args.trace || args.profile == Some(ProfileFormat::Chrome) {
-        obs::take_events()
-    } else {
-        Vec::new()
-    };
-    if args.trace {
-        eprintln!("-- trace:");
-        eprint!("{}", obs::render_tree(&events));
-    }
     if let Some(format) = args.metrics {
-        obs::global()
-            .gauge("obs.trace.dropped_spans_pending")
-            .set(obs::dropped_spans() as i64);
-        obs::global()
-            .gauge("obs.trace.overflow_sample_every")
-            .set(obs::OVERFLOW_SAMPLE_EVERY as i64);
         let snap = obs::snapshot_all();
         match format {
             MetricsFormat::Text => {
@@ -589,7 +555,6 @@ fn main() {
                 print!("{}", obs::report_to_text(&snap.hot_joins));
             }
             ProfileFormat::Json => println!("{}", obs::report_to_json(&snap.hot_joins)),
-            ProfileFormat::Chrome => println!("{}", obs::chrome_trace(&events)),
         }
     }
     drop(probes);

@@ -133,7 +133,6 @@ fn read_plan(merged: bool, op: &UniversityOp) -> Option<QueryPlan> {
 pub fn query_speedup(scales: &[usize], queries: usize, rounds: usize) -> Result<Report> {
     let mut rows = Vec::new();
     for &courses in scales {
-        let _scale_span = obs::span("bench.b1.scale").field("courses", courses);
         let (u, m) = university_merge(courses, 42)?;
         let (unmerged, merged) = university_databases(&u, &m)?;
         let mut rng = StdRng::seed_from_u64(7);
@@ -310,7 +309,6 @@ pub fn merge_scaling(satellites: &[usize], root_rows: &[usize]) -> Result<Report
     use relmerge_engine::LogicalQuery;
     use relmerge_workload::{consistent_state, star_merge_set, star_schema, StarSpec, StateSpec};
 
-    let _span = obs::span("bench.b3.merge_scaling");
     let advisor = Advisor::new(&DbmsProfile::db2());
     let mut procedures = Vec::new();
     for &n in satellites {
@@ -506,9 +504,6 @@ pub fn batch_dml(
 ) -> Result<Report> {
     use relmerge_workload::{university_ops, write_batches, MixSpec};
 
-    let _span = obs::span("bench.b7.batch_dml")
-        .field("ops", n_ops)
-        .field("batch_size", batch_size);
     let mut rows = Vec::new();
     for &courses in scales {
         let (u, m) = university_merge(courses, 21)?;
@@ -669,7 +664,6 @@ pub fn substrate(sizes: &[usize]) -> Result<Report> {
         algebra, Attribute, Domain, Fd, FdSet, NullConstraint, Relation, RelationScheme,
     };
 
-    let _span = obs::span("bench.b5.substrate");
     let header = |prefix: &str, width: usize| -> Vec<Attribute> {
         (0..width)
             .map(|c| Attribute::new(format!("{prefix}.A{c}"), Domain::Int))
@@ -834,7 +828,6 @@ pub fn worker_sweep(cores: usize) -> Vec<usize> {
 /// Asserted: the chain builds nothing and probes, and the composite join
 /// builds once.
 pub fn join_execution(courses: usize, iters: u32) -> Result<Report> {
-    let _span = obs::span("bench.b8.join_execution").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
         &UniversitySpec {
@@ -1060,7 +1053,6 @@ fn filter_at_top(
 /// the per-round `off / on` ratios. The build cache is disabled so every
 /// execution pays its own access work.
 pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
-    let _span = obs::span("bench.b15.predicate_pushdown").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
         &UniversitySpec {
@@ -1189,7 +1181,6 @@ pub fn predicate_pushdown(courses: usize, iters: u32) -> Result<Report> {
 /// Every run, cold or warm, is asserted byte-identical, with identical
 /// [`relmerge_engine::QueryStats`], to a cache-off reference.
 pub fn build_cache_speedup(courses: usize, iters: u32) -> Result<Report> {
-    let _span = obs::span("bench.b10.build_cache").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(42);
     let u = generate_university(
         &UniversitySpec {
@@ -1300,7 +1291,6 @@ fn profile_run(
 pub fn workload_profile(courses: usize, n_ops: usize, top_k: usize) -> Result<Report> {
     use relmerge_workload::{skewed_reads, SkewSpec};
 
-    let _span = obs::span("bench.b14.workload_profile").field("courses", courses);
     // Defaults: 200 faculty (persons 500 × 2/5).
     let mut rng = StdRng::seed_from_u64(14);
     let ops = skewed_reads(&SkewSpec::default(), n_ops, courses, 200, &mut rng);
@@ -1402,7 +1392,6 @@ pub fn online_merge(courses: usize, n_ops: usize, seed: u64) -> Result<Report> {
     use relmerge_core::{check_both, check_proposition_4_1, Advisor};
     use relmerge_workload::{skewed_reads, SkewSpec};
 
-    let _span = obs::span("bench.b13.online_merge").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(seed);
     let u = generate_university(
         &UniversitySpec {
@@ -1537,9 +1526,6 @@ pub fn durability(
     use relmerge_engine::{DurabilityConfig, EngineConfig, FsyncPolicy};
     use relmerge_workload::{university_ops, write_batches, MixSpec};
 
-    let _span = obs::span("bench.b11.durability")
-        .field("courses", courses)
-        .field("batches", n_batches);
     let io = |context: &str, e: std::io::Error| Error::Durability {
         detail: format!("{context}: {e}"),
     };
@@ -1683,8 +1669,8 @@ fn b12_thread_ops(t: usize, n: usize, courses: usize) -> Vec<UniversityOp> {
 /// concurrent sessions at the same relation version reuse one build.
 ///
 /// The sweep runs `rounds` rotated rounds, one storm per thread count
-/// each, every storm on a fresh store over a fresh fork; each row holds
-/// its count's medians over the rounds.
+/// and one baseline run each, every run on a fresh fork (a storm's under
+/// a fresh store); each row holds its count's medians over the rounds.
 ///
 /// Three correctness proofs ride along with the timing, in every storm:
 /// - **frozen pins** — each thread retains its first read pins across
@@ -1695,14 +1681,14 @@ fn b12_thread_ops(t: usize, n: usize, courses: usize) -> Vec<UniversityOp> {
 ///   fresh store asserts the second session's identical join hits the
 ///   build the first inserted (`cross_session_hits > 0`);
 /// - **baseline sanity** — thread 0's stream is also run against a plain
-///   [`Database`], and the single-thread store row must land within a
-///   generous factor of it (the session layer adds one pin per read, not
-///   a new execution path). The factor is wide because shared single-core
-///   CI hosts drift; the printed table carries the honest numbers.
+///   [`Database`], one more subject of the rotated rounds, and the median
+///   single-thread store row must land within a generous factor of the
+///   median baseline (the session layer adds one pin per read, not a new
+///   execution path). The factor is wide because shared single-core CI
+///   hosts drift; the printed table carries the honest numbers.
 pub fn concurrent_sessions(courses: usize, ops_per_thread: usize, rounds: usize) -> Result<Report> {
     use relmerge_workload::unmerged_statements;
 
-    let _span = obs::span("bench.b12.concurrency").field("courses", courses);
     let mut rng = StdRng::seed_from_u64(12);
     let u = generate_university(
         &UniversitySpec {
@@ -1714,8 +1700,9 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize, rounds: usize)
     let base = loaded(&u.schema, DbmsProfile::ideal(), &u.state)?;
     let cores = base.parallelism();
 
-    // Single-`Database` baseline: thread 0's exact stream, no store.
-    let baseline_ns_per_op = {
+    // Single-`Database` baseline: thread 0's exact stream on a fresh
+    // fork, no store.
+    let baseline = || -> Result<Row> {
         let mut solo = base.fork();
         let ops = b12_thread_ops(0, ops_per_thread, courses);
         let t0 = std::time::Instant::now();
@@ -1733,7 +1720,8 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize, rounds: usize)
                 let _ = solo.execute(&composite_no_index_query())?;
             }
         }
-        t0.elapsed().as_nanos() as f64 / ops.len() as f64
+        let ns_per_op = t0.elapsed().as_nanos() as f64 / ops.len() as f64;
+        Ok(Row::new().cell("ns_per_op", Cell::Num(ns_per_op, 1)))
     };
 
     // Deterministic cross-session reuse proof: a fresh store, two
@@ -1845,14 +1833,6 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize, rounds: usize)
             );
         }
         let ops = reads + writes;
-        if threads == 1 {
-            let n1_ns_per_op = total_ns / ops as f64;
-            assert!(
-                n1_ns_per_op < baseline_ns_per_op * 10.0,
-                "one session over a store must stay in the same regime as a plain \
-                 Database: {n1_ns_per_op:.0} ns/op vs baseline {baseline_ns_per_op:.0} ns/op"
-            );
-        }
         Ok(Row::new()
             .cell("threads", threads)
             .cell("ops", ops)
@@ -1866,11 +1846,22 @@ pub fn concurrent_sessions(courses: usize, ops_per_thread: usize, rounds: usize)
             .cell("cache_misses", cache_misses)
             .cell("frozen_reads", frozen_reads))
     };
+    // Subject 0 is the baseline; subject i is a storm of `sweep[i - 1]`
+    // threads.
     let sweep = worker_sweep(cores);
-    let rows = rotated(sweep.len(), rounds, |i| storm(sweep[i]))?
-        .iter()
-        .map(|runs| median_row(runs))
-        .collect();
+    let runs = rotated(sweep.len() + 1, rounds, |i| match i {
+        0 => baseline(),
+        i => storm(sweep[i - 1]),
+    })?;
+    let baseline_ns_per_op = median_row(&runs[0]).num("ns_per_op");
+    let rows: Vec<Row> = runs[1..].iter().map(|runs| median_row(runs)).collect();
+    // The sweep starts at one thread.
+    let n1_ns_per_op = rows[0].num("total_ns") / rows[0].num("ops");
+    assert!(
+        n1_ns_per_op < baseline_ns_per_op * 10.0,
+        "one session over a store must stay in the same regime as a plain \
+         Database: {n1_ns_per_op:.0} ns/op vs baseline {baseline_ns_per_op:.0} ns/op"
+    );
 
     let mut report = Report::new(
         "B12: concurrent sessions (snapshot readers / serialized writers / shared cache)",

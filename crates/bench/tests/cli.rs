@@ -1,10 +1,18 @@
 //! The `reproduce` command line: every argument resolves against the
 //! experiment table, and anything else exits 2 listing the valid names;
 //! the closing summary counts every engine event of a run. The `sdt`
-//! command line runs every dialect end to end.
+//! command line runs every dialect end to end, times a live migration on
+//! the registry, and refuses the options it does not have.
 
 use std::collections::BTreeMap;
 use std::process::{Command, Output};
+
+fn sdt(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sdt"))
+        .args(args)
+        .output()
+        .expect("run sdt")
+}
 
 fn reproduce(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -136,10 +144,7 @@ fn sdt_runs_every_dialect() {
         .map(|d| vec!["--demo", "fig7", "--dialect", d, "--merge", "--migration"]);
     let live = vec!["--demo", "fig7", "--dialect", "sql92", "--migrate"];
     for args in merges.into_iter().chain([live]) {
-        let out = Command::new(env!("CARGO_BIN_EXE_sdt"))
-            .args(&args)
-            .output()
-            .expect("run sdt");
+        let out = sdt(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{args:?}: {stderr}");
         assert!(
@@ -154,7 +159,7 @@ fn sdt_runs_every_dialect() {
 /// JSON form is one hot-join document.
 #[test]
 fn sdt_profile_prints_the_ranking_and_the_query_counters() {
-    let sdt = |profile: &str| {
+    let run = |profile: &str| {
         let args = [
             "--demo",
             "fig7",
@@ -164,10 +169,7 @@ fn sdt_profile_prints_the_ranking_and_the_query_counters() {
             "--metrics",
             "text",
         ];
-        let out = Command::new(env!("CARGO_BIN_EXE_sdt"))
-            .args(args)
-            .output()
-            .expect("run sdt");
+        let out = sdt(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{args:?}: {stderr}");
         assert!(
@@ -176,16 +178,64 @@ fn sdt_profile_prints_the_ranking_and_the_query_counters() {
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let text = sdt("text");
+    let text = run("text");
     let ranking = text.split("-- hot joins:\n").nth(1).expect("a ranking");
     assert!(ranking.starts_with("#1 "), "{ranking}");
     for name in ["engine.query.ns", "engine.query.index_probes"] {
         assert!(text.lines().any(|l| l.starts_with(name)), "{name}: {text}");
     }
-    let json = sdt("json");
+    let json = run("json");
     assert_eq!(json.matches("{\"hot_joins\":[").count(), 1, "{json}");
     assert!(
         json.lines().any(|l| l.starts_with("{\"hot_joins\":[{")),
         "{json}"
+    );
+}
+
+/// A live migration's wall time is on the registry: `--migrate --metrics`
+/// lists one `engine.migrate.ns` sample per migration applied.
+#[test]
+fn sdt_metrics_time_the_live_migration() {
+    let out = sdt(&["--demo", "fig7", "--migrate", "--metrics", "text"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let migrations = stdout
+        .lines()
+        .filter(|l| l.starts_with("-- live migration: ") && l.contains(" <- "))
+        .count();
+    assert!(migrations > 0, "{stdout}");
+    let timed = stdout
+        .lines()
+        .find(|l| l.starts_with("engine.migrate.ns "))
+        .expect("a migration histogram");
+    assert!(timed.contains(&format!(" count={migrations} ")), "{timed}");
+}
+
+/// There is no span tracer: `--trace` and the `chrome` profile format are
+/// unknown options, refused before anything runs, and `--help` lists
+/// neither.
+#[test]
+fn sdt_refuses_the_deleted_options() {
+    for (args, error) in [
+        (&["--trace"][..], "sdt: unknown flag `--trace`"),
+        (
+            &["--profile", "chrome"][..],
+            "sdt: unknown profile format `chrome`",
+        ),
+    ] {
+        let out = sdt(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.lines().any(|l| l == error), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs: {args:?}");
+    }
+    let help = sdt(&["--help"]);
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    assert!(usage.contains("--profile <text|json>"), "{usage}");
+    assert!(
+        !usage.contains("--trace") && !usage.contains("chrome"),
+        "{usage}"
     );
 }

@@ -109,7 +109,6 @@ impl Advisor {
         schema: &RelationalSchema,
         evidence: Option<&obs::ProfileSnapshot>,
     ) -> Result<Vec<MergeProposal>> {
-        let mut span = obs::span("core.advisor.propose");
         let mut proposals = Vec::new();
         for set in maximal_merge_sets(schema) {
             let refs: Vec<&str> = set.iter().map(String::as_str).collect();
@@ -156,11 +155,6 @@ impl Advisor {
                 .then_with(|| b.joins_eliminated.cmp(&a.joins_eliminated))
                 .then_with(|| a.members.cmp(&b.members))
         });
-        span.add_field("proposals", proposals.len());
-        span.add_field(
-            "admissible",
-            proposals.iter().filter(|p| p.admissible).count(),
-        );
         obs::global()
             .counter("core.advisor.proposals")
             .add(proposals.len() as u64);
@@ -178,7 +172,6 @@ impl Advisor {
         schema: &RelationalSchema,
         proposals: &[MergeProposal],
     ) -> Result<(RelationalSchema, Vec<AppliedMerge>)> {
-        let mut span = obs::span("core.advisor.apply_greedy");
         let mut current = schema.clone();
         let mut consumed: BTreeSet<String> = BTreeSet::new();
         let mut applied = Vec::new();
@@ -201,7 +194,6 @@ impl Advisor {
                 merged,
             });
         }
-        span.add_field("applied", applied.len());
         obs::global()
             .counter("core.advisor.applied")
             .add(applied.len() as u64);

@@ -62,7 +62,6 @@ pub fn check_forward_image(
     state: &DatabaseState,
     image: &DatabaseState,
 ) -> Result<CapacityReport> {
-    let mut span = obs::span("core.capacity.check_forward").field("merged", merged.merged_name());
     let forward_consistent = image.is_consistent(merged.schema())?;
     // `state` on the left: set equality asks the right side's set index,
     // which the reconstruction built as it deduplicated, so no index is
@@ -70,10 +69,6 @@ pub fn check_forward_image(
     // value check.
     let forward_round_trip = *state == merged.invert(image)?;
     let forward_values_preserved = image.values_included_in(state);
-    span.add_field(
-        "holds",
-        forward_consistent && forward_round_trip && forward_values_preserved,
-    );
     obs::global().counter("core.capacity.checks").inc();
     Ok(CapacityReport {
         forward_consistent,

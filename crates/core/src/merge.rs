@@ -169,17 +169,11 @@ impl Merge {
         synthetic_key_names: Option<&[&str]>,
         strengthen_total_participation: bool,
     ) -> Result<Merged> {
-        let mut span = obs::span("core.merge.plan")
-            .field("merged", merged_name)
-            .field("members", members.len());
         merge_counters().plans.inc();
         let member_schemes = Self::validate_members(schema, members, merged_name)?;
 
         // --- Key-relation (Definition 4.1 case split). ---
-        let keyrel_span = obs::span("core.merge.keyrel");
-        let found = keyrel::find_key_relation(schema, &member_schemes);
-        drop(keyrel_span);
-        let key_relation = match found {
+        let key_relation = match keyrel::find_key_relation(schema, &member_schemes) {
             Some(r0) => {
                 if synthetic_key_names.is_some() {
                     return Err(Error::PreconditionViolated {
@@ -203,13 +197,6 @@ impl Merge {
             },
         };
         let km: Vec<String> = key_relation.key_names(schema)?;
-        span.add_field(
-            "keyrel",
-            match &key_relation {
-                KeyRelationSpec::Member(n) => n.clone(),
-                KeyRelationSpec::Synthetic { .. } => "<synthetic>".to_owned(),
-            },
-        );
 
         // --- Step 1: Xm := Xk ∪ ⋃ Xi, Km := Kk; groups in fold order. ---
         let mut xm: Vec<Attribute> = Vec::new();
@@ -277,7 +264,6 @@ impl Merge {
         }
 
         // --- Step 4 (I′). ---
-        let constraints_span = obs::span("core.merge.constraints");
         let member_keys: Vec<(&str, Vec<&str>)> = ordered
             .iter()
             .map(|s| (s.name(), s.primary_key()))
@@ -439,8 +425,6 @@ impl Merge {
         }
 
         let generated_nulls = nulls.iter().filter(|c| c.rel() == merged_name).count();
-        drop(constraints_span);
-        span.add_field("null_constraints", generated_nulls);
         merge_counters()
             .null_constraints
             .add(generated_nulls as u64);

@@ -7,7 +7,6 @@
 //! and back in one call — with the same information-capacity guarantees,
 //! compositionally.
 
-use relmerge_obs as obs;
 use relmerge_relational::{DatabaseState, Error, RelationalSchema, Result};
 
 use crate::merge::Merged;
@@ -80,10 +79,8 @@ impl MergePipeline {
 
     /// The composed forward mapping: η of every step, in order.
     pub fn apply(&self, state: &DatabaseState) -> Result<DatabaseState> {
-        let _span = obs::span("core.pipeline.apply").field("steps", self.steps.len());
         let mut current = state.clone();
         for step in &self.steps {
-            let _step_span = obs::span("core.pipeline.step").field("merged", step.merged_name());
             current = step.apply(&current)?;
         }
         Ok(current)
@@ -91,10 +88,8 @@ impl MergePipeline {
 
     /// The composed backward mapping: η′ of every step, in reverse order.
     pub fn invert(&self, state: &DatabaseState) -> Result<DatabaseState> {
-        let _span = obs::span("core.pipeline.invert").field("steps", self.steps.len());
         let mut current = state.clone();
         for step in self.steps.iter().rev() {
-            let _step_span = obs::span("core.pipeline.step").field("merged", step.merged_name());
             current = step.invert(&current)?;
         }
         Ok(current)

@@ -3,7 +3,6 @@
 
 use std::collections::HashSet;
 
-use relmerge_obs as obs;
 use relmerge_relational::{
     Error, InclusionDep, NullConstraint, RelationScheme, RelationalSchema, Result,
 };
@@ -154,9 +153,6 @@ impl Merged {
     /// transforming `RS′` into `RS″` in place. Fails if the key is not
     /// removable.
     pub fn remove(&mut self, group: &str) -> Result<()> {
-        let _span = obs::span("core.remove")
-            .field("merged", self.merged_name())
-            .field("group", group);
         self.removable(group)
             .map_err(|e| Error::PreconditionViolated {
                 procedure: "Remove",

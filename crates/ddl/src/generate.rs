@@ -11,7 +11,6 @@ use crate::dialect::{DdlScript, DdlStatement, Dialect};
 /// Constraint classes the dialect cannot maintain are emitted as
 /// `-- UNSUPPORTED` warning comments rather than silently dropped.
 pub fn generate(schema: &RelationalSchema, dialect: Dialect) -> Result<DdlScript> {
-    let mut span = obs::span("ddl.generate").field("dialect", dialect.name());
     schema.validate()?;
     let mut script = DdlScript::default();
     for name in creation_order(schema) {
@@ -83,15 +82,14 @@ pub fn generate(schema: &RelationalSchema, dialect: Dialect) -> Result<DdlScript
             }),
         }
     }
-    record_statement_counts(&script, dialect, &mut span);
+    record_statement_counts(&script, dialect);
     Ok(script)
 }
 
-/// Bumps the per-dialect statement counters (`ddl.<dialect>.<kind>`) and
-/// annotates the generation span with the emitted counts. Declarative
-/// `CHECK` constraints ride on the `CreateTable` variant as `ALTER TABLE`
-/// statements, so they are told apart by their SQL prefix.
-fn record_statement_counts(script: &DdlScript, dialect: Dialect, span: &mut obs::Span) {
+/// Bumps the per-dialect statement counters (`ddl.<dialect>.<kind>`).
+/// Declarative `CHECK` constraints ride on the `CreateTable` variant as
+/// `ALTER TABLE` statements, so they are told apart by their SQL prefix.
+fn record_statement_counts(script: &DdlScript, dialect: Dialect) {
     let mut tables = 0u64;
     let mut checks = 0u64;
     let mut indexes = 0u64;
@@ -126,13 +124,6 @@ fn record_statement_counts(script: &DdlScript, dialect: Dialect, span: &mut obs:
         if n > 0 {
             registry.counter(&format!("ddl.{slug}.{kind}")).add(n);
         }
-    }
-    span.add_field("statements", script.statements.len());
-    if triggers + rules > 0 {
-        span.add_field("procedural", triggers + rules);
-    }
-    if unsupported > 0 {
-        span.add_field("unsupported", unsupported);
     }
 }
 

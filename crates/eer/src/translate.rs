@@ -58,9 +58,6 @@ use crate::model::{Card, EerSchema, EntitySet, RelationshipSet};
 /// assert!(schema.is_bcnf() && schema.key_based_inds_only());
 /// ```
 pub fn translate(eer: &EerSchema) -> Result<RelationalSchema> {
-    let mut span = obs::span("eer.translate")
-        .field("entities", eer.entities.len())
-        .field("relationships", eer.relationships.len());
     obs::global().counter("eer.translate.count").inc();
     eer.validate()?;
     let mut schema = RelationalSchema::new();
@@ -108,8 +105,6 @@ pub fn translate(eer: &EerSchema) -> Result<RelationalSchema> {
         }
     }
     schema.validate()?;
-    span.add_field("schemes", schema.schemes().len());
-    span.add_field("inds", schema.inds().len());
     Ok(schema)
 }
 

@@ -35,7 +35,9 @@
 //! that fails any check, fails its write-ahead append, or panics is rolled
 //! back completely, leaving rows *and indexes* exactly as they were. Row
 //! counters (`engine.dml.*`) count a statement's rows when its statement or
-//! batch commits.
+//! batch commits; the always-on `engine.dml.{insert,delete,update}.ns` and
+//! `engine.batch.ns` histograms time every statement and batch, committed
+//! or rolled back.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -375,18 +377,6 @@ fn constraints_on<'a, T>(
     map.get(rel).map_or(&[], Vec::as_slice)
 }
 
-/// The span/metrics label for a unified-path DML result.
-fn outcome_label(result: &Result<StatementOutcome, DmlError>) -> &'static str {
-    match result {
-        Ok(StatementOutcome::Inserted) => "inserted",
-        Ok(StatementOutcome::Deleted) => "deleted",
-        Ok(StatementOutcome::Updated) => "updated",
-        Ok(StatementOutcome::Noop) => "noop",
-        Err(DmlError::ConstraintViolation(_) | DmlError::AtStatement { .. }) => "rejected",
-        Err(DmlError::Schema(_)) => "error",
-    }
-}
-
 impl Database {
     /// Inserts a tuple, enforcing every constraint. On success returns
     /// whether the tuple was new (duplicate inserts of an identical tuple
@@ -423,18 +413,12 @@ impl Database {
         Ok(matches!(self.apply_one(&stmt)?, StatementOutcome::Updated))
     }
 
-    /// Runs one statement on the immediate schedule with span and latency
-    /// instrumentation — the single-statement public API, whatever the
-    /// profile's checking capability.
+    /// Runs one statement on the immediate schedule and records its
+    /// latency on `engine.dml.{insert,delete,update}.ns` — the
+    /// single-statement public API, whatever the profile's checking
+    /// capability.
     fn apply_one(&mut self, stmt: &Statement) -> Result<StatementOutcome, DmlError> {
         let start = Instant::now();
-        let span_name = match stmt {
-            Statement::Insert { .. } => "engine.dml.insert",
-            Statement::Delete { .. } => "engine.dml.delete",
-            Statement::Update { .. } => "engine.dml.update",
-        };
-        let mut span = obs::span(span_name);
-        span.add_field("rel", stmt.rel());
         // The statement, its validation and its write-ahead append run
         // under `contain`, with the undo log outside, as in `apply_batch`:
         // a rejection, a failed append or a panic mid-statement (injected
@@ -470,7 +454,6 @@ impl Database {
             Statement::Delete { .. } => self.metrics.delete_ns.record(ns),
             Statement::Update { .. } => self.metrics.update_ns.record(ns),
         }
-        span.add_field("result", outcome_label(&result));
         result
     }
 
@@ -492,9 +475,6 @@ impl Database {
     pub fn apply_batch(&mut self, stmts: &[Statement]) -> Result<BatchOutcome, DmlError> {
         let start = Instant::now();
         let deferred = self.profile().deferred_checking;
-        let mut span = obs::span("engine.batch.apply");
-        span.add_field("statements", stmts.len());
-        span.add_field("mode", if deferred { "deferred" } else { "immediate" });
         let mut undo: Vec<Undo<'_>> = Vec::with_capacity(stmts.len());
         let mut outcomes = Vec::with_capacity(stmts.len());
         let mut updates = 0u64;
@@ -558,7 +538,6 @@ impl Database {
         let undo_bytes: u64 = undo.iter().map(Undo::approx_bytes).sum();
         self.metrics.undo_entries.record(undo.len() as u64);
         self.metrics.undo_bytes.record(undo_bytes);
-        span.add_field("undo_entries", undo.len());
         match result {
             Ok((deferred_checks, snapshot_due)) => {
                 self.count_committed(&undo, updates);
@@ -568,8 +547,6 @@ impl Database {
                 }
                 self.metrics.batch_ns.record(obs::elapsed_ns(start));
                 self.metrics.batch_commits.inc();
-                span.add_field("result", "committed");
-                span.add_field("deferred_checks", deferred_checks);
                 Ok(BatchOutcome {
                     outcomes,
                     deferred,
@@ -587,7 +564,6 @@ impl Database {
                 }
                 rollback(self, undo);
                 self.metrics.batch_rollbacks.inc();
-                span.add_field("result", "rolled_back");
                 Err(e)
             }
         }

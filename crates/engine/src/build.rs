@@ -1,8 +1,7 @@
 //! Transient hash builds and the versioned build-side cache.
 //!
-//! When no index covers a join's probe attributes,
-//! [`crate::planner::choose_join_strategy`] picks a hash join and the
-//! executor scans the build side once into an [`OwnedBuild`]: a key →
+//! When no index covers a join's probe attributes, the executor scans
+//! the build side once into an [`OwnedBuild`]: a key →
 //! row-slot multimap whose slot lists come out in ascending slot order, so
 //! probe results — and therefore query results — are byte-identical cold
 //! or cached.

@@ -16,7 +16,8 @@
 //! [`Database::metrics_registry`], which is how the benches quantify
 //! §5.1's point that merged schemas shift maintenance work into the (more
 //! expensive) procedural tier on some systems. Each DML statement also
-//! opens an `engine.dml.*` trace span carrying the relation and outcome.
+//! records its wall time on an `engine.dml.{insert,delete,update}.ns`
+//! histogram, whatever its outcome.
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;

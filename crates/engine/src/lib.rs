@@ -44,7 +44,7 @@ pub use batch::{BatchOutcome, Statement, StatementOutcome};
 pub use database::{Database, DmlError, EngineConfig, DEFAULT_BUILD_CACHE_BYTES};
 pub use fault::{FaultMode, FaultPlan, IntegrityKind, IntegrityReport, IntegrityViolation};
 pub use migrate::{AdvisedMigration, MigrationReport};
-pub use planner::{choose_join_strategy, plan, JoinStrategy, LogicalQuery};
+pub use planner::{plan, LogicalQuery};
 pub use predopt::{conjoin, conjuncts, optimize, Optimized};
 pub use query::{
     Access, CompiledPredicate, JoinStep, OpKind, OpStats, OpTrace, Predicate, QueryPlan,

@@ -32,6 +32,10 @@
 //!    pre-migration snapshot; the failure surfaces as a typed error. On
 //!    disk the previous generation stays authoritative.
 //!
+//! Every migration that passes its guard, committed or rolled back, counts
+//! on the global `engine.migrate.{applied,aborted}` counters and records
+//! its wall time on the database's `engine.migrate.ns` histogram.
+//!
 //! On success the pre-migration join ledger is archived in the
 //! [`MigrationReport`] and the migrated database starts a fresh one, so no
 //! stale pre-merge relation names linger in its future profile snapshots.
@@ -41,6 +45,8 @@
 //! [`Database::advise_and_migrate`] composes this with the workload-aware
 //! advisor, gated by the database's own capability profile: profile
 //! evidence in, ranked proposals, hot merges executed online.
+
+use std::time::Instant;
 
 use relmerge_core::{check_forward_image, Advisor, CapacityReport, MergeProposal, Merged};
 use relmerge_obs as obs;
@@ -96,8 +102,7 @@ impl Database {
     /// See the [module docs](crate::migrate) for the protocol and its
     /// invariants.
     pub fn migrate(&mut self, plan: &Merged) -> Result<MigrationReport> {
-        let mut span = obs::span("engine.migrate");
-        span.add_field("merged", plan.merged_name());
+        let start = Instant::now();
         if *plan.original_schema() != *self.schema() {
             return Err(Error::PreconditionViolated {
                 procedure: "Database::migrate",
@@ -176,6 +181,10 @@ impl Database {
             // commit point.
             self.load_audited(owned_relations(migrated))
         });
+        self.metrics
+            .registry
+            .histogram("engine.migrate.ns")
+            .record(obs::elapsed_ns(start));
         match result {
             Ok(()) => {
                 // Archive the pre-migration ledger and start a fresh one
@@ -186,7 +195,6 @@ impl Database {
                 let pre_profile = self.profiler.snapshot();
                 self.profiler = std::sync::Arc::new(obs::Profiler::new());
                 obs::global().counter("engine.migrate.applied").inc();
-                span.add_field("rows", rows_migrated);
                 Ok(MigrationReport {
                     merged_name: plan.merged_name().to_owned(),
                     members: plan
@@ -227,8 +235,7 @@ impl Database {
     ///
     /// Every selected merge is planned before the first migration, so a
     /// planning error surfaces before any migration runs; the selection
-    /// fires `core.advisor.applied` and the `core.advisor.apply_greedy`
-    /// span.
+    /// counts on `core.advisor.applied`.
     pub fn advise_and_migrate(&mut self) -> Result<Vec<AdvisedMigration>> {
         let advisor = Advisor::new(self.profile());
         let snapshot = self.profile_snapshot();
@@ -316,6 +323,16 @@ mod tests {
         // Dropped members are gone from the catalog.
         assert!(db.relation_version("P").is_err());
         assert!(db.relation_version("Q").is_err());
+        // The migration's wall time is one sample on the database's shard.
+        assert_eq!(migrate_samples(&db), 1);
+    }
+
+    /// The samples on the database's `engine.migrate.ns` histogram.
+    fn migrate_samples(db: &Database) -> u64 {
+        let snap = db.metrics_registry().snapshot();
+        snap.histograms
+            .get("engine.migrate.ns")
+            .map_or(0, |h| h.count)
     }
 
     #[test]
@@ -345,6 +362,8 @@ mod tests {
         plan.remove_all_removable().unwrap();
         let err = db.migrate(&plan).unwrap_err();
         assert!(matches!(err, Error::PreconditionViolated { .. }), "{err}");
+        // Refused at the guard: nothing was migrated, so nothing is timed.
+        assert_eq!(migrate_samples(&db), 0);
     }
 
     #[test]
@@ -368,6 +387,7 @@ mod tests {
                 db.clear_fault_plan();
                 assert_eq!(db.snapshot().unwrap(), pre, "{site_name} {mode:?}");
                 assert!(db.verify_integrity().is_clean(), "{site_name} {mode:?}");
+                assert_eq!(migrate_samples(&db), 1, "a rolled-back migration is timed");
                 // The rolled-back database still works.
                 db.insert("P", Tuple::new([Value::Int(999)])).unwrap();
             }

@@ -72,7 +72,6 @@ fn predicate_attrs(p: &crate::query::Predicate, out: &mut Vec<String>) {
 /// dependencies. Fails when an attribute resolves to no scheme or the
 /// needed schemes are not connected by inclusion dependencies.
 pub fn plan(schema: &RelationalSchema, query: &LogicalQuery) -> Result<QueryPlan> {
-    let mut span = relmerge_obs::span("engine.plan");
     planner_counters().plans.inc();
     // Resolve every mentioned attribute to its scheme.
     let mut needed: BTreeSet<String> = BTreeSet::new();
@@ -118,7 +117,6 @@ pub fn plan(schema: &RelationalSchema, query: &LogicalQuery) -> Result<QueryPlan
         .next()
         .cloned()
         .unwrap_or_else(|| resolve(&query.wanted[0]).expect("validated above"));
-    span.add_field("root", &root);
 
     // Join graph: for each IND, an edge both ways carrying the join
     // attribute pairs oriented as (attrs-on-from-side, attrs-on-to-side)
@@ -226,54 +224,10 @@ pub fn plan(schema: &RelationalSchema, query: &LogicalQuery) -> Result<QueryPlan
         // relation encodes.
         plan = plan.join(JoinStep::outer(scheme, &left, &right).via(via.clone()));
     }
-    span.add_field("joins", plan.joins.len());
     planner_counters()
         .joins_derived
         .add(plan.joins.len() as u64);
     Ok(plan)
-}
-
-/// Physical strategy for one join step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Probe the right relation once per left row through a covering
-    /// unique or lookup index, each probe counted. A join no index covers
-    /// gets it only after a provably empty left side, and then probes
-    /// and builds nothing.
-    IndexNestedLoop,
-    /// Scan the right relation once into a transient hash table (through
-    /// the versioned build cache) and probe it per left row: the access
-    /// of a join no index covers.
-    Hash,
-}
-
-/// Strategy choice for one join step against `rel` over `right_attrs`.
-/// Index coverage alone decides it:
-/// 1. A covering unique or lookup index ⇒ index-nested-loop, whatever
-///    the left side holds.
-/// 2. No covering index and a provably empty left side (`left_empty`) ⇒
-///    index-nested-loop over nothing: no scan, no build.
-/// 3. Otherwise ⇒ hash, one build scan of the right relation.
-///
-/// The executor decides `left_empty` before the first morsel runs, from
-/// the root rows and the pushed conjuncts of earlier inner steps, so one
-/// choice holds for the whole query.
-pub fn choose_join_strategy(
-    db: &Database,
-    rel: &str,
-    right_attrs: &[String],
-    left_empty: bool,
-) -> Result<JoinStrategy> {
-    let strategy = if db.index_covers(rel, right_attrs)? || left_empty {
-        JoinStrategy::IndexNestedLoop
-    } else {
-        JoinStrategy::Hash
-    };
-    match strategy {
-        JoinStrategy::IndexNestedLoop => planner_counters().strategy_inl.inc(),
-        JoinStrategy::Hash => planner_counters().strategy_hash.inc(),
-    }
-    Ok(strategy)
 }
 
 /// An index-driven access that replaces a full-scan root, chosen before
@@ -361,8 +315,6 @@ pub(crate) fn choose_semi_join(
 struct PlannerCounters {
     plans: std::sync::Arc<relmerge_obs::Counter>,
     joins_derived: std::sync::Arc<relmerge_obs::Counter>,
-    strategy_inl: std::sync::Arc<relmerge_obs::Counter>,
-    strategy_hash: std::sync::Arc<relmerge_obs::Counter>,
 }
 
 fn planner_counters() -> &'static PlannerCounters {
@@ -372,8 +324,6 @@ fn planner_counters() -> &'static PlannerCounters {
         PlannerCounters {
             plans: reg.counter("engine.plan.count"),
             joins_derived: reg.counter("engine.plan.joins_derived"),
-            strategy_inl: reg.counter("engine.plan.strategy.inl"),
-            strategy_hash: reg.counter("engine.plan.strategy.hash"),
         }
     })
 }
@@ -540,33 +490,6 @@ mod tests {
         let (result, _) = db.query(&q).unwrap();
         assert_eq!(result.len(), 3); // nr in {1, 4, 7}
         assert_eq!(result.attr_names(), ["C.NR"]);
-    }
-
-    #[test]
-    fn join_strategy_follows_index_coverage() {
-        let db = Database::new(chain(), DbmsProfile::ideal()).unwrap();
-        let keyed = vec!["O.C.NR".to_owned()];
-        let unindexed = vec!["O.D".to_owned()];
-        // A covering index is probed whatever the left side holds.
-        for left_empty in [false, true] {
-            assert_eq!(
-                choose_join_strategy(&db, "OFFER", &keyed, left_empty).unwrap(),
-                JoinStrategy::IndexNestedLoop
-            );
-        }
-        // No covering index: one hash build, unless the left side is
-        // provably empty.
-        assert_eq!(
-            choose_join_strategy(&db, "OFFER", &unindexed, false).unwrap(),
-            JoinStrategy::Hash
-        );
-        assert_eq!(
-            choose_join_strategy(&db, "OFFER", &unindexed, true).unwrap(),
-            JoinStrategy::IndexNestedLoop
-        );
-        // Unknown relations and attributes error.
-        assert!(choose_join_strategy(&db, "NOPE", &unindexed, false).is_err());
-        assert!(choose_join_strategy(&db, "OFFER", &["NOPE".to_owned()], false).is_err());
     }
 
     #[test]

@@ -16,18 +16,17 @@
 //! it drops root rows in place before the join pipeline. An inner step's
 //! indexed `Eq` may instead drive a full-scan root through the step's join
 //! key (a semi-join reduction): the root access then reads only the root
-//! rows that step can keep, in scan order. The join pipeline
-//! is then compiled once: each step picks its access via
-//! [`crate::planner::choose_join_strategy`] — index-nested-loop probes
-//! through a covering index, or else a hash join over a transient table
-//! built by one scan of the right relation (the crate-private `build`
-//! module, reused through the versioned build-side cache) — so cost
-//! counters are identical cache on or off. The root rows then run through
-//! the pipeline in morsels of 1,024 rows, in order, in one loop: each join
-//! step writes its intermediate rows into one flat buffer of borrowed
-//! slots, each surviving row is materialized exactly once, into the one
-//! vector that becomes the answer, and each morsel folds its counters into
-//! its operators as it finishes. A morsel is the unit of the
+//! rows that step can keep, in scan order. The join pipeline is then
+//! compiled once: index coverage alone picks each step's access —
+//! index-nested-loop probes through a covering index, or else a hash join
+//! over a transient table built by one scan of the right relation (the
+//! crate-private `build` module, reused through the versioned build-side
+//! cache) — so cost counters are identical cache on or off. The root rows
+//! then run through the pipeline in morsels of 1,024 rows, in order, in
+//! one loop: each join step writes its intermediate rows into one flat
+//! buffer of borrowed slots, each surviving row is materialized exactly
+//! once, into the one vector that becomes the answer, and each morsel
+//! folds its counters into its operators as it finishes. A morsel is the unit of the
 //! `engine.query.morsel_worker` fault site, and it bounds the flat join
 //! buffers. A stream proved empty at compile time runs no morsel.
 //!
@@ -53,9 +52,7 @@ use relmerge_relational::{Attribute, Error, Relation, Result, Tuple, Value};
 use crate::build::{build_owned, BuildKey, OwnedBuild};
 use crate::database::{Database, KeyIndex};
 use crate::fault::{contain, site};
-use crate::planner::{
-    choose_join_strategy, choose_root_lookup, choose_semi_join, JoinStrategy, RootProbe,
-};
+use crate::planner::{choose_root_lookup, choose_semi_join, RootProbe};
 
 /// Root rows per morsel: the `engine.query.morsel_worker` fault site
 /// fires as each morsel starts, and a morsel's rows bound the flat join
@@ -563,7 +560,7 @@ enum RightAccess<'a> {
     },
 }
 
-/// One join step compiled against the database: strategy chosen, build
+/// One join step compiled against the database: access chosen, build
 /// side ready, left attribute positions resolved to (source, column)
 /// slots. Compilation happens once, before the first morsel runs.
 struct CompiledJoin<'a> {
@@ -799,7 +796,7 @@ struct FlatLayout {
 }
 
 /// Compiles one join step: resolves the left attributes against the
-/// evolving header, picks the strategy, and borrows the covering index or
+/// evolving header, picks the access, and borrows the covering index or
 /// prepares the transient build side. A transient build goes through the
 /// versioned cache — a hit reuses the stored build and charges its stored
 /// costs, so `QueryStats` are identical cold and warm; a miss builds and
@@ -843,7 +840,6 @@ fn compile_join<'a>(
         .get(&step.rel)
         .ok_or_else(|| Error::UnknownScheme(step.rel.clone()))?;
     let pos = table.positions(&step.right_attrs)?;
-    let strategy = choose_join_strategy(db, &step.rel, &step.right_attrs, left_empty)?;
     let cp = pushed
         .map(|p| CompiledPredicate::compile(p, &table.header))
         .transpose()?;
@@ -865,15 +861,15 @@ fn compile_join<'a>(
     let t0 = Instant::now();
     let mut build = OpStats::default();
     let mut cached = false;
-    let access = match strategy {
-        JoinStrategy::IndexNestedLoop => match table.index(&step.right_attrs) {
-            Some(index) => RightAccess::Index {
-                index,
-                rows: &table.rows,
-            },
-            None => RightAccess::Empty,
+    // Index coverage alone picks the access; a provably empty left side
+    // spares only a join no index covers its build.
+    let access = match table.index(&step.right_attrs) {
+        Some(index) => RightAccess::Index {
+            index,
+            rows: &table.rows,
         },
-        JoinStrategy::Hash => {
+        None if left_empty => RightAccess::Empty,
+        None => {
             build.hash_builds = 1;
             // Transient build, through the versioned cache: a version
             // match proves the cached build still describes the stored
@@ -1219,9 +1215,6 @@ fn execute_core(
     traced: bool,
 ) -> Result<(Relation, QueryStats, Option<QueryTrace>)> {
     let t_exec = Instant::now();
-    let mut span = obs::span("engine.query.execute");
-    span.add_field("root", &plan.root);
-    span.add_field("joins", plan.joins.len());
     let mut stats = QueryStats::default();
 
     let root_header = db.header(&plan.root)?;
@@ -1376,7 +1369,6 @@ fn execute_core(
     let live = if left_empty { &[][..] } else { &root_rows[..] };
     let morsels = live.chunks(MORSEL_ROWS);
     stats.morsels = morsels.len() as u64;
-    span.add_field("morsels", stats.morsels);
     let mut out = PipelineOut {
         rows: Vec::new(),
         per_join: joins.iter().map(|j| j.build).collect(),
@@ -1496,7 +1488,6 @@ fn execute_core(
         });
         tr
     });
-    span.add_field("rows_out", stats.rows_output);
 
     // The always-on totals, on this database's metrics shard (a pin's is
     // its store's); then each join step's cost, charged to its edge in the
@@ -1835,8 +1826,15 @@ mod tests {
     #[test]
     fn unknown_join_attr_errors() {
         let db = db();
-        let plan = QueryPlan::scan("COURSE").join(JoinStep::inner("OFFER", &["NOPE"], &["O.K"]));
-        assert!(db.execute(&plan).is_err());
+        // An unknown left attribute, right relation or right attribute.
+        for step in [
+            JoinStep::inner("OFFER", &["NOPE"], &["O.K"]),
+            JoinStep::inner("NOPE", &["C.K"], &["O.K"]),
+            JoinStep::inner("OFFER", &["C.K"], &["NOPE"]),
+        ] {
+            let plan = QueryPlan::scan("COURSE").join(step);
+            assert!(db.execute(&plan).is_err(), "{plan:?}");
+        }
     }
 
     #[test]
@@ -1868,7 +1866,9 @@ mod tests {
     fn covered_join_probes_its_index_whatever_the_left_size() {
         use relmerge_relational::algebra::{equi_join, outer_equi_join};
         // 200 courses: however large the left side, every left row is one
-        // counted probe of OFFER's unique index, and nothing is built.
+        // counted probe of OFFER's unique index, and nothing is built. A
+        // provably empty left side (a root lookup of an absent key) probes
+        // nothing and builds nothing either.
         let mut db = db();
         for k in 10..200 {
             db.insert("COURSE", tup(&[k])).unwrap();
@@ -1878,34 +1878,41 @@ mod tests {
             state.relation("COURSE").unwrap(),
             state.relation("OFFER").unwrap(),
         );
-        for outer in [false, true] {
-            let step = if outer {
-                JoinStep::outer("OFFER", &["C.K"], &["O.K"])
-            } else {
-                JoinStep::inner("OFFER", &["C.K"], &["O.K"])
-            };
-            let (got, stats, trace) = db
-                .execute_traced(&QueryPlan::scan("COURSE").join(step))
-                .unwrap();
-            assert_eq!(stats.index_probes, 200);
-            assert_eq!(stats.hash_builds, 0);
-            assert_eq!(stats.rows_scanned, 200, "the root scan only");
-            let verb = if outer {
-                "OuterJoin OFFER"
-            } else {
-                "Join OFFER"
-            };
-            assert!(
-                trace.ops[1].label.starts_with(verb),
-                "{}",
-                trace.ops[1].label
-            );
-            let want = if outer {
-                outer_equi_join(course, offer, &[("C.K", "O.K")]).unwrap()
-            } else {
-                equi_join(course, offer, &[("C.K", "O.K")]).unwrap()
-            };
-            assert!(got.set_eq_unordered(&want), "outer={outer}");
+        let absent = QueryPlan::lookup("COURSE", &["C.K"], tup(&[-1]));
+        for (root, empty) in [(QueryPlan::scan("COURSE"), false), (absent, true)] {
+            for outer in [false, true] {
+                let step = if outer {
+                    JoinStep::outer("OFFER", &["C.K"], &["O.K"])
+                } else {
+                    JoinStep::inner("OFFER", &["C.K"], &["O.K"])
+                };
+                let (got, stats, trace) = db.execute_traced(&root.clone().join(step)).unwrap();
+                assert_eq!(stats.hash_builds, 0);
+                let verb = if outer {
+                    "OuterJoin OFFER"
+                } else {
+                    "Join OFFER"
+                };
+                assert!(
+                    trace.ops[1].label.starts_with(verb),
+                    "{}",
+                    trace.ops[1].label
+                );
+                if empty {
+                    assert_eq!(stats.index_probes, 1, "the root lookup only");
+                    assert_eq!(stats.rows_scanned, 0);
+                    assert!(got.is_empty());
+                    continue;
+                }
+                assert_eq!(stats.index_probes, 200);
+                assert_eq!(stats.rows_scanned, 200, "the root scan only");
+                let want = if outer {
+                    outer_equi_join(course, offer, &[("C.K", "O.K")]).unwrap()
+                } else {
+                    equi_join(course, offer, &[("C.K", "O.K")]).unwrap()
+                };
+                assert!(got.set_eq_unordered(&want), "outer={outer}");
+            }
         }
     }
 

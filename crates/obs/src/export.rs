@@ -106,36 +106,6 @@ pub fn to_text(snap: &Snapshot) -> String {
     out
 }
 
-/// Renders collected span events as a Chrome-trace (`chrome://tracing` /
-/// Perfetto) JSON array of complete (`"ph":"X"`) events. Timestamps are
-/// microseconds from the tracer's process epoch; nesting depth is mapped
-/// to the thread lane so parent/child spans stack visually; span fields
-/// become `args`.
-pub fn chrome_trace(events: &[crate::trace::SpanEvent]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"open_seq\":\"{}\"",
-            json_escape(e.name),
-            e.start_ns / 1_000,
-            e.duration_ns / 1_000,
-            e.depth + 1,
-            e.open_seq,
-        );
-        for (k, v) in &e.fields {
-            let _ = write!(out, ",\"{}\":\"{}\"", json_escape(k), json_escape(v));
-        }
-        out.push_str("}}");
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,38 +139,6 @@ mod tests {
     fn json_of_empty_snapshot() {
         let json = to_json(&Snapshot::default());
         assert_eq!(json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-    }
-
-    #[test]
-    fn chrome_trace_is_a_complete_event_array() {
-        let events = vec![
-            crate::trace::SpanEvent {
-                name: "outer",
-                fields: vec![("rel", "COURSE \"M\"".to_owned())],
-                depth: 0,
-                open_seq: 0,
-                start_ns: 1_000,
-                duration_ns: 9_000,
-            },
-            crate::trace::SpanEvent {
-                name: "inner",
-                fields: Vec::new(),
-                depth: 1,
-                open_seq: 1,
-                start_ns: 2_000,
-                duration_ns: 3_000,
-            },
-        ];
-        let json = chrome_trace(&events);
-        assert_eq!(
-            json,
-            "[{\"name\":\"outer\",\"ph\":\"X\",\"ts\":1,\"dur\":9,\
-             \"pid\":1,\"tid\":1,\"args\":{\"open_seq\":\"0\",\
-             \"rel\":\"COURSE \\\"M\\\"\"}},\
-             {\"name\":\"inner\",\"ph\":\"X\",\"ts\":2,\"dur\":3,\
-             \"pid\":1,\"tid\":2,\"args\":{\"open_seq\":\"1\"}}]"
-        );
-        assert_eq!(chrome_trace(&[]), "[]");
     }
 
     #[test]

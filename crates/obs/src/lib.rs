@@ -1,5 +1,5 @@
 //! Observability for the relmerge workspace: a metrics registry and a
-//! span-based tracer, std-only by design.
+//! join ledger, std-only by design.
 //!
 //! # Metrics
 //!
@@ -11,14 +11,8 @@
 //! folds a shard into the global registry once, when its owner drops. A
 //! [`Snapshot`] supports [`diff`](Snapshot::diff) /
 //! [`merge`](Snapshot::merge) and renders via [`to_text`] or [`to_json`].
-//!
-//! # Tracing
-//!
-//! [`span`] opens a nestable timed span; fields attach as `key=value`; the
-//! guard records on drop. Tracing is globally off by default and the
-//! disabled path allocates nothing. Closed spans go to a bounded event log
-//! ([`take_events`]); [`render_tree`] pretty-prints a collected trace and
-//! [`chrome_trace`] exports it for `chrome://tracing`.
+//! The registry is always on and only goes up: a reader measures a phase
+//! by diffing two snapshots, with nothing to switch on first.
 //!
 //! # Workload profiling
 //!
@@ -43,17 +37,12 @@
 pub mod export;
 pub mod metrics;
 pub mod profile;
-pub mod trace;
 
-pub use export::{chrome_trace, json_escape, to_json, to_text};
+pub use export::{json_escape, to_json, to_text};
 pub use metrics::{
     bucket_bounds, bucket_index, elapsed_ns, flush_shard, global, register_shard, snapshot_all,
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HISTOGRAM_BUCKETS,
 };
 pub use profile::{
     report_to_json, report_to_text, EdgeCost, HotJoin, JoinEdge, ProfileSnapshot, Profiler,
-};
-pub use trace::{
-    clear_events, dropped_spans, enabled, render_tree, set_enabled, span, take_events, Span,
-    SpanEvent, EVENT_LOG_CAPACITY, OVERFLOW_SAMPLE_EVERY,
 };

@@ -131,7 +131,6 @@ pub fn skewed_reads(
     faculty: usize,
     rng: &mut StdRng,
 ) -> Vec<UniversityOp> {
-    let _span = obs::span("workload.skewed_reads").field("n", n);
     obs::global()
         .counter("workload.ops_generated")
         .add(n as u64);
@@ -164,7 +163,6 @@ pub fn university_ops(
     faculty: usize,
     rng: &mut StdRng,
 ) -> Vec<UniversityOp> {
-    let _span = obs::span("workload.university_ops").field("n", n);
     obs::global()
         .counter("workload.ops_generated")
         .add(n as u64);
@@ -276,8 +274,6 @@ pub fn merged_statements(op: &UniversityOp) -> Vec<Statement> {
 /// preserved, keeping the stream equivalent to per-statement execution.
 #[must_use]
 pub fn write_batches(ops: &[UniversityOp], merged: bool, batch_size: usize) -> Vec<Vec<Statement>> {
-    let mut span = obs::span("workload.write_batches");
-    span.add_field("ops", ops.len());
     let cap = batch_size.max(1);
     let mut batches: Vec<Vec<Statement>> = Vec::new();
     let mut current: Vec<Statement> = Vec::new();
@@ -298,7 +294,6 @@ pub fn write_batches(ops: &[UniversityOp], merged: bool, batch_size: usize) -> V
     if !current.is_empty() {
         batches.push(current);
     }
-    span.add_field("batches", batches.len());
     obs::global()
         .counter("workload.batches_generated")
         .add(batches.len() as u64);

@@ -5,7 +5,6 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use relmerge_eer::figures;
-use relmerge_obs as obs;
 use relmerge_relational::{DatabaseState, RelationalSchema, Result, Tuple, Value};
 
 /// Scale parameters for the university workload.
@@ -52,9 +51,6 @@ pub struct University {
 
 /// Generates the university instance.
 pub fn generate(spec: &UniversitySpec, rng: &mut StdRng) -> Result<University> {
-    let _span = obs::span("workload.university.generate")
-        .field("courses", spec.courses)
-        .field("persons", spec.persons);
     let schema = relmerge_eer::translate(&figures::fig7_eer())?;
     let mut state = DatabaseState::empty_for(&schema)?;
 

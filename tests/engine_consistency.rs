@@ -8,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use relmerge::engine::{Database, DbmsProfile, DmlError, Statement};
-use relmerge::obs;
 use relmerge::relational::{
     Attribute, DatabaseState, Domain, InclusionDep, NullConstraint, RelationScheme,
     RelationalSchema, Tuple, Value,
@@ -166,31 +165,36 @@ proptest! {
     }
 }
 
-/// The relations the traced-DML property below operates on. The tracer's
-/// event log is process-global and the other property in this binary may
-/// run concurrently (on `DEPT`/`M`), so events are filtered by relation.
-const TRACED_RELS: [&str; 4] = ["COURSE", "OFFER", "TEACH", "ASSIST"];
-
-fn rel_field(e: &obs::SpanEvent) -> Option<&str> {
-    e.fields
-        .iter()
-        .find(|(k, _)| *k == "rel")
-        .map(|(_, v)| v.as_str())
+/// What a stream's single-statement calls of one verb returned, tallied
+/// by the caller: the reference the database's registry must equal.
+#[derive(Default)]
+struct Returned {
+    /// Calls made.
+    calls: u64,
+    /// Calls that returned `Ok(true)`: a row inserted or deleted.
+    changed: u64,
+    /// Calls that returned a constraint violation.
+    rejected: u64,
 }
 
-fn result_field(e: &obs::SpanEvent, want: &str) -> bool {
-    e.fields.iter().any(|(k, v)| *k == "result" && v == want)
+impl Returned {
+    fn tally(&mut self, result: Result<bool, DmlError>) {
+        self.calls += 1;
+        self.changed += u64::from(matches!(result, Ok(true)));
+        self.rejected += u64::from(matches!(result, Err(DmlError::ConstraintViolation(_))));
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The metrics registry and the tracer observe the same reality: for a
-    /// random DML stream, each shard counter equals the number of span
-    /// events with the matching outcome, and each DML latency histogram
-    /// holds exactly one sample per call.
+    /// The metrics registry counts what the calls returned: for a random
+    /// DML stream, each row counter equals the calls that returned
+    /// `Ok(true)`, the rejection counter the calls that returned a
+    /// constraint violation, and each DML latency histogram holds exactly
+    /// one sample per call.
     #[test]
-    fn registry_counters_match_trace_events(seed in 0u64..10_000) {
+    fn registry_counts_what_the_calls_returned(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let u = generate_university(
             &UniversitySpec {
@@ -219,24 +223,25 @@ proptest! {
         );
 
         let before = db.metrics_registry().snapshot();
-        obs::set_enabled(true);
+        let (mut inserts, mut deletes) = (Returned::default(), Returned::default());
         for op in &ops {
             match op {
                 UniversityOp::AddCourse { nr, dept, teacher } => {
-                    let _ = db.insert("COURSE", Tuple::new([Value::Int(*nr)]));
-                    let _ = db.insert(
+                    inserts.tally(db.insert("COURSE", Tuple::new([Value::Int(*nr)])));
+                    inserts.tally(db.insert(
                         "OFFER",
                         Tuple::new([Value::Int(*nr), Value::text(format!("dept{dept}"))]),
-                    );
+                    ));
                     if let Some(t) = teacher {
-                        let _ =
-                            db.insert("TEACH", Tuple::new([Value::Int(*nr), Value::Int(*t)]));
+                        inserts.tally(
+                            db.insert("TEACH", Tuple::new([Value::Int(*nr), Value::Int(*t)])),
+                        );
                     }
                 }
                 UniversityOp::DropCourse { nr } => {
                     let key = Tuple::new([Value::Int(*nr)]);
                     for rel in ["TEACH", "ASSIST", "OFFER", "COURSE"] {
-                        let _ = db.delete_by_key(rel, &key);
+                        deletes.tally(db.delete_by_key(rel, &key));
                     }
                 }
                 // Repurpose the read ops as failure probes so the stream
@@ -244,45 +249,28 @@ proptest! {
                 // that does not exist (IND violation) and a delete of a
                 // possibly-still-offered base course (RESTRICT violation).
                 UniversityOp::CourseDetail { nr } => {
-                    let _ = db.insert(
+                    inserts.tally(db.insert(
                         "OFFER",
                         Tuple::new([Value::Int(-nr - 1), Value::text("dept0")]),
-                    );
+                    ));
                 }
                 UniversityOp::ByFaculty { ssn } => {
-                    let _ = db.delete_by_key("COURSE", &Tuple::new([Value::Int(ssn - 10_000)]));
+                    deletes.tally(
+                        db.delete_by_key("COURSE", &Tuple::new([Value::Int(ssn - 10_000)])),
+                    );
                 }
             }
         }
-        obs::set_enabled(false);
-        let events = obs::take_events();
         let diff = db.metrics_registry().snapshot().diff(&before);
-
-        let mine = |e: &&obs::SpanEvent| {
-            rel_field(e).is_some_and(|r| TRACED_RELS.contains(&r))
-        };
-        let count = |name: &str, result: &str| -> u64 {
-            events
-                .iter()
-                .filter(mine)
-                .filter(|e| e.name == name && result_field(e, result))
-                .count() as u64
-        };
-        let calls = |name: &str| -> u64 {
-            events.iter().filter(mine).filter(|e| e.name == name).count() as u64
-        };
         let counter = |name: &str| diff.counters.get(name).copied().unwrap_or(0);
         let hist_count =
             |name: &str| diff.histograms.get(name).map_or(0, |h| h.count);
 
-        prop_assert_eq!(counter("engine.dml.inserts"), count("engine.dml.insert", "inserted"));
-        prop_assert_eq!(counter("engine.dml.deletes"), count("engine.dml.delete", "deleted"));
-        prop_assert_eq!(
-            counter("engine.dml.rejected"),
-            count("engine.dml.insert", "rejected") + count("engine.dml.delete", "rejected")
-        );
-        prop_assert_eq!(hist_count("engine.dml.insert.ns"), calls("engine.dml.insert"));
-        prop_assert_eq!(hist_count("engine.dml.delete.ns"), calls("engine.dml.delete"));
+        prop_assert_eq!(counter("engine.dml.inserts"), inserts.changed);
+        prop_assert_eq!(counter("engine.dml.deletes"), deletes.changed);
+        prop_assert_eq!(counter("engine.dml.rejected"), inserts.rejected + deletes.rejected);
+        prop_assert_eq!(hist_count("engine.dml.insert.ns"), inserts.calls);
+        prop_assert_eq!(hist_count("engine.dml.delete.ns"), deletes.calls);
         // The per-mechanism totals agree with their per-class splits.
         prop_assert_eq!(
             counter("engine.check.declarative"),
