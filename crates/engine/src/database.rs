@@ -361,15 +361,7 @@ impl KeyIndex {
     fn insert(&mut self, t: &Tuple, slot: usize) {
         self.map
             .entry(key_hash(self.key_of(t)))
-            .and_modify(|slots| {
-                slots.push(slot);
-                // A rollback puts a row back at its old slot, which may sit
-                // below the bucket's last one: keep the bucket ascending.
-                let slots = slots.as_mut_slice();
-                if slots[slots.len() - 2] > slot {
-                    slots.sort_unstable();
-                }
-            })
+            .and_modify(|slots| slots.insert(slot))
             .or_insert(Slots::One(slot));
     }
 
@@ -485,6 +477,42 @@ impl Table {
                     .zip(attrs)
                     .all(|(&p, n)| self.header[p].name() == n)
         })
+    }
+
+    /// Appends to `out` the *borrowed* live rows whose values over `attrs`
+    /// equal `key`, null equal to null as in the algebra's selection: one
+    /// probe of an index that holds every such row, or else a scan. The
+    /// attribute positions are resolved only for the scan: an index matches
+    /// `attrs` by name already.
+    pub(crate) fn probe_into<'a>(
+        &'a self,
+        attrs: &[String],
+        key: &[Value],
+        stats: &mut crate::query::QueryStats,
+        out: &mut Vec<&'a Tuple>,
+    ) -> Result<()> {
+        let total = key.iter().all(|v| !v.is_null());
+        if let Some(ix) = self.index_holding(attrs, total) {
+            stats.index_probes += 1;
+            out.extend(ix.find(&self.rows, key).map(|(_, t)| t));
+            return Ok(());
+        }
+        let pos = self.positions(attrs)?;
+        stats.rows_scanned += self.rows.len() as u64;
+        out.extend(
+            self.rows
+                .iter()
+                .flatten()
+                .filter(|t| pos.iter().map(|&i| t.get(i)).eq(key)),
+        );
+        Ok(())
+    }
+
+    /// The live rows, borrowed, in slot order.
+    pub(crate) fn scan(&self) -> Vec<&Tuple> {
+        let mut rows = Vec::with_capacity(self.live);
+        rows.extend(self.rows.iter().flatten());
+        rows
     }
 
     fn add_unique(&mut self, names: &[String]) -> Result<()> {
@@ -1590,50 +1618,6 @@ impl Database {
         report
     }
 
-    /// Appends to `out` the *borrowed* rows of `rel` whose values over
-    /// `attrs` equal `key`, null equal to null as in the algebra's
-    /// selection: one probe of an index that holds every such row, or
-    /// else a scan. Tuples materialize once, at concat/projection time in
-    /// the executor, not per probe. Exposed for the query executor.
-    pub(crate) fn probe_slots<'a>(
-        &'a self,
-        rel: &str,
-        attrs: &[String],
-        key: &Tuple,
-        stats: &mut crate::query::QueryStats,
-        out: &mut Vec<&'a Tuple>,
-    ) -> Result<()> {
-        let table = self
-            .tables
-            .get(rel)
-            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
-        let pos = table.positions(attrs)?;
-        if let Some(ix) = table.index_holding(attrs, key.is_total()) {
-            stats.index_probes += 1;
-            out.extend(ix.find(&table.rows, key.values()).map(|(_, t)| t));
-            return Ok(());
-        }
-        stats.rows_scanned += table.rows.len() as u64;
-        out.extend(
-            table
-                .rows
-                .iter()
-                .flatten()
-                .filter(|t| pos.iter().map(|&i| t.get(i)).eq(key.values())),
-        );
-        Ok(())
-    }
-
-    pub(crate) fn scan(&self, rel: &str) -> Result<(&[Attribute], Vec<&Tuple>)> {
-        let table = self
-            .tables
-            .get(rel)
-            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
-        let mut rows = Vec::with_capacity(table.live);
-        rows.extend(table.rows.iter().flatten());
-        Ok((&table.header, rows))
-    }
-
     /// Appends a tuple with **no** constraint checking and returns its
     /// slot: a statement's landing step (its checks are the caller's).
     pub(crate) fn raw_insert(&mut self, rel: &str, t: Tuple) -> Result<usize> {
@@ -1643,25 +1627,6 @@ impl Database {
         table.rows.push(Some(t));
         table.live += 1;
         Ok(slot)
-    }
-
-    /// Whether an index of `rel` covers exactly `attrs`: the one question
-    /// that picks a join step's access.
-    pub(crate) fn index_covers(&self, rel: &str, attrs: &[String]) -> Result<bool> {
-        let table = self
-            .tables
-            .get(rel)
-            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?;
-        table.positions(attrs)?;
-        Ok(table.index(attrs).is_some())
-    }
-
-    pub(crate) fn header(&self, rel: &str) -> Result<&[Attribute]> {
-        Ok(&self
-            .tables
-            .get(rel)
-            .ok_or_else(|| Error::UnknownScheme(rel.to_owned()))?
-            .header)
     }
 }
 

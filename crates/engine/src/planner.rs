@@ -11,9 +11,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use relmerge_relational::{Attribute, Error, RelationalSchema, Result, Tuple, Value};
+use relmerge_relational::{Error, RelationalSchema, Result, Tuple, Value};
 
-use crate::database::Database;
+use crate::database::Table;
 use crate::query::{Access, JoinStep, QueryPlan};
 
 /// A schema-independent query: attributes wanted, optional key filter,
@@ -251,62 +251,59 @@ pub(crate) enum RootProbe {
 }
 
 /// Decides whether a pushed conjunct can drive an index point lookup on
-/// `rel`: the root's own (the root `Eq` upgrade) or an inner join step's
-/// (the semi-join reduction, [`choose_semi_join`]). Eligible when the
-/// conjunct is a positive `Eq` on a single attribute of `rel` comparing
-/// against a non-null literal, some index (unique or lookup) covers that
-/// attribute, and the relation is non-empty — the emptiness guard keeps
-/// the scan+probe total monotone: the lookup replaces a scan of `live`
-/// rows with one probe, a strict win only when there was something to
-/// scan.
+/// `table`: the root's own (the root `Eq` upgrade) or an inner join
+/// step's (the semi-join reduction, [`choose_semi_join`]). Eligible when
+/// the conjunct is a positive `Eq` on a single attribute of the table
+/// comparing against a non-null literal, some index (unique or lookup)
+/// covers that attribute, and the table is non-empty — the emptiness
+/// guard keeps the scan+probe total monotone: the lookup replaces a scan
+/// of `live` rows with one probe, a strict win only when there was
+/// something to scan.
 ///
 /// Returns the `(attribute, key value)` pair the executor feeds to its
 /// point-lookup path, or `None` when the conjunct must stay a filter.
 pub(crate) fn choose_root_lookup(
-    db: &Database,
-    rel: &str,
+    table: &Table,
     conjunct: &crate::query::Predicate,
 ) -> Option<(String, Value)> {
     let crate::query::Predicate::Eq(attr, value) = conjunct else {
         return None;
     };
-    if value.is_null() {
+    if value.is_null() || table.live == 0 {
         return None;
     }
-    let covered = db.index_covers(rel, std::slice::from_ref(attr)).ok()?;
-    let live = db.tables.get(rel).map(|t| t.live)?;
-    if !covered || live == 0 {
-        return None;
-    }
+    table.index(std::slice::from_ref(attr))?;
     Some((attr.clone(), value.clone()))
 }
 
 /// Decides whether a full-scan root with no root `Eq` upgrade can be
-/// reduced through an inner join step. The step is the first inner one
-/// whose left attributes all lie on the root (`root_header`), which a
-/// root index covers in that order, and one of whose pushed conjuncts
+/// reduced through an inner join step. `sources` holds the plan's stored
+/// relations, root first, then one per join step. The step is the first
+/// inner one whose left attributes all lie on the root, which a root
+/// index covers in that order, and one of whose pushed conjuncts
 /// (`pushed`, parallel to `plan.joins`) [`choose_root_lookup`] accepts on
 /// the step's relation. Such a step drops every root row whose key
 /// matches no right row its conjunct keeps, so the root may start from
 /// the rows those keys reach.
 pub(crate) fn choose_semi_join(
-    db: &Database,
     plan: &QueryPlan,
-    root_header: &[Attribute],
+    sources: &[&Table],
     pushed: &[Vec<crate::query::Predicate>],
 ) -> Option<RootProbe> {
+    let root = sources[0];
     let mut joins = plan.joins.iter().zip(pushed).enumerate();
     joins.find_map(|(step, (join, conjuncts))| {
         let on_root = join
             .left_attrs
             .iter()
-            .all(|n| root_header.iter().any(|a| a.name() == n.as_str()));
-        if join.outer || !on_root || !db.index_covers(&plan.root, &join.left_attrs).ok()? {
+            .all(|n| root.header.iter().any(|a| a.name() == n.as_str()));
+        if join.outer || !on_root {
             return None;
         }
+        root.index(&join.left_attrs)?;
         let (attr, value) = conjuncts
             .iter()
-            .find_map(|c| choose_root_lookup(db, &join.rel, c))?;
+            .find_map(|c| choose_root_lookup(sources[step + 1], c))?;
         Some(RootProbe::SemiJoin { step, attr, value })
     })
 }

@@ -79,10 +79,10 @@ impl Hasher for FxHasher {
     }
 }
 
-/// The slots (row positions) whose keys share one 64-bit hash, in the
-/// order they were pushed: almost always one; several when a key has many
-/// rows or distinct keys collide on all 64 bits. The bucket of every map
-/// keyed by row hash ([`crate::Relation`] and the engine's table indexes).
+/// The slots (row positions) whose keys share one 64-bit hash, in
+/// ascending order: almost always one; several when a key has many rows or
+/// distinct keys collide on all 64 bits. The bucket of every map keyed by
+/// row hash ([`crate::Relation`] and the engine's table indexes).
 #[derive(Debug, Clone)]
 pub enum Slots {
     /// A single slot: no allocation.
@@ -92,7 +92,7 @@ pub enum Slots {
 }
 
 impl Slots {
-    /// The slots, in push order.
+    /// The slots, ascending.
     #[inline]
     #[must_use]
     pub fn as_slice(&self) -> &[usize] {
@@ -110,21 +110,25 @@ impl Slots {
         }
     }
 
-    /// Appends `pos`.
-    pub fn push(&mut self, pos: usize) {
+    /// Adds `pos`, which no slot of the bucket equals, where a binary
+    /// search puts it: at the end for a new row, wherever its old slot
+    /// sits for a row a rollback puts back. The bucket stays ascending.
+    pub fn insert(&mut self, pos: usize) {
         match self {
-            Slots::One(p) => *self = Slots::Many(vec![*p, pos]),
-            Slots::Many(ps) => ps.push(pos),
+            Slots::One(p) => *self = Slots::Many(vec![(*p).min(pos), (*p).max(pos)]),
+            Slots::Many(ps) => ps.insert(ps.partition_point(|&p| p < pos), pos),
         }
     }
 
-    /// Removes every occurrence of `pos`, keeping the order of the rest;
-    /// returns whether the bucket is now empty (its map entry should go).
+    /// Removes `pos` by binary search, keeping the rest ascending; returns
+    /// whether the bucket is now empty (its map entry should go).
     pub fn remove(&mut self, pos: usize) -> bool {
         match self {
             Slots::One(p) => *p == pos,
             Slots::Many(ps) => {
-                ps.retain(|&p| p != pos);
+                if let Ok(at) = ps.binary_search(&pos) {
+                    ps.remove(at);
+                }
                 if let [p] = ps[..] {
                     *self = Slots::One(p);
                 }

@@ -313,3 +313,103 @@ fn single_statement_updates_validate_and_roll_back() {
         assert!(d.snapshot().unwrap().is_consistent(d.schema()).unwrap());
     }
 }
+
+/// The DML row counters of `d`: inserts, deletes, updates, rejected.
+fn dml_counts(d: &Database) -> [u64; 4] {
+    [
+        "engine.dml.inserts",
+        "engine.dml.deletes",
+        "engine.dml.updates",
+        "engine.dml.rejected",
+    ]
+    .map(|name| d.metrics_registry().counter(name).get())
+}
+
+/// A deferred batch of 20,000 updates to one relation: 10,000 children
+/// move from parent 1 to parent 2 in key order, then each moves on to
+/// parent 3 in a scattered order, so every second-pass update removes a
+/// row the batch itself inserted (a net no-op for validation) from the
+/// middle of the batch's touch set. It commits once; the same batch with
+/// its last statement pointing at no parent is rejected at commit and
+/// leaves no trace. Each removal finds its row in the touch set without
+/// scanning it, so the batch costs linear, not quadratic, time.
+#[test]
+fn a_twenty_thousand_update_deferred_batch_commits_or_rolls_back_whole() {
+    const CHILDREN: i64 = 10_000;
+    let mut d = Database::new(parent_child_schema(), DbmsProfile::ideal()).unwrap();
+    let mut seed: Vec<Statement> = (1..=3)
+        .map(|p| Statement::insert("PARENT", row(&[p])))
+        .collect();
+    seed.extend((0..CHILDREN).map(|k| Statement::insert("CHILD", row(&[k, 1]))));
+    d.apply_batch(&seed).unwrap();
+    let seeded = dml_counts(&d);
+    assert_eq!(seeded, [3 + CHILDREN as u64, 0, 0, 0]);
+    let batch = |last_parent: i64| -> Vec<Statement> {
+        let first = (0..CHILDREN).map(|k| Statement::update("CHILD", row(&[k]), row(&[k, 2])));
+        // 7,919 is prime, so this visits every key once.
+        let second = (0..CHILDREN).map(|i| {
+            let k = i * 7_919 % CHILDREN;
+            let parent = if i == CHILDREN - 1 { last_parent } else { 3 };
+            Statement::update("CHILD", row(&[k]), row(&[k, parent]))
+        });
+        first.chain(second).collect()
+    };
+    let before = d.snapshot().unwrap();
+
+    let err = d.apply_batch(&batch(99)).unwrap_err();
+    assert_eq!(
+        err.statement_index(),
+        Some(2 * CHILDREN as usize - 1),
+        "{err}"
+    );
+    assert_eq!(d.snapshot().unwrap(), before);
+    assert_eq!(dml_counts(&d), [seeded[0], 0, 0, 1]);
+
+    let out = d.apply_batch(&batch(3)).unwrap();
+    assert!(out.deferred);
+    assert_eq!(out.applied(), 2 * CHILDREN as usize);
+    let n = 2 * CHILDREN as u64;
+    assert_eq!(dml_counts(&d), [seeded[0] + n, n, n, 1]);
+    let children = d.snapshot().unwrap();
+    let children = children.relation("CHILD").unwrap();
+    assert_eq!(children.len(), CHILDREN as usize);
+    assert!(children.iter().all(|t| t.get(1) == &Value::Int(3)));
+    assert!(d.verify_integrity().is_clean());
+}
+
+/// 20,000 children share one parent, so one bucket of the lookup index on
+/// `C.FK` holds all their slots. A batch deletes them in a scattered order
+/// and is rejected at its last statement: the rollback puts every row back
+/// at its old slot, the pre-batch snapshot returns, and a lookup on the
+/// parent key reads the children from that one bucket in slot order,
+/// exactly as before the batch. Each removal and each re-insert finds its
+/// place in the bucket by binary search, without rescanning or re-sorting
+/// it.
+#[test]
+fn a_rolled_back_twenty_thousand_child_delete_restores_the_index_in_slot_order() {
+    use relmerge::engine::QueryPlan;
+    const CHILDREN: i64 = 20_000;
+    let mut d = Database::new(parent_child_schema(), DbmsProfile::ideal()).unwrap();
+    let mut seed = vec![Statement::insert("PARENT", row(&[1]))];
+    seed.extend((0..CHILDREN).map(|k| Statement::insert("CHILD", row(&[k, 1]))));
+    d.apply_batch(&seed).unwrap();
+    let before = d.snapshot().unwrap();
+    let lookup = QueryPlan::lookup("CHILD", &["C.FK"], row(&[1]));
+    let (children, stats) = d.execute(&lookup).unwrap();
+    assert_eq!(children.rows(), before.relation("CHILD").unwrap().rows());
+    assert_eq!((stats.index_probes, stats.rows_scanned), (1, 0));
+
+    // 7,919 is prime, so this deletes every child once.
+    let mut batch: Vec<Statement> = (0..CHILDREN)
+        .map(|i| Statement::delete("CHILD", row(&[i * 7_919 % CHILDREN])))
+        .collect();
+    batch.push(Statement::insert("CHILD", row(&[CHILDREN, 99])));
+    let err = d.apply_batch(&batch).unwrap_err();
+    assert_eq!(err.statement_index(), Some(CHILDREN as usize), "{err}");
+
+    assert_eq!(d.snapshot().unwrap(), before);
+    let (again, stats) = d.execute(&lookup).unwrap();
+    assert_eq!(again.rows(), children.rows(), "slot order");
+    assert_eq!((stats.index_probes, stats.rows_scanned), (1, 0));
+    assert!(d.verify_integrity().is_clean());
+}

@@ -157,3 +157,114 @@ fn eer_display() {
     };
     assert!(weak.contains("weak(owner=EMPLOYEE)"));
 }
+
+/// COURSE(C.K) ← OFFER(O.K, O.D) with OFFER[O.K] ⊆ COURSE[C.K], holding
+/// courses 0..4 and an offer of course 2.
+fn course_offer_db() -> relmerge::engine::Database {
+    use relmerge::engine::{Database, DbmsProfile};
+    let int = |n: &str| Attribute::new(n, Domain::Int);
+    let mut rs = RelationalSchema::new();
+    rs.add_scheme(RelationScheme::new("COURSE", vec![int("C.K")], &["C.K"]).unwrap())
+        .unwrap();
+    rs.add_scheme(RelationScheme::new("OFFER", vec![int("O.K"), int("O.D")], &["O.K"]).unwrap())
+        .unwrap();
+    rs.add_ind(InclusionDep::new("OFFER", &["O.K"], "COURSE", &["C.K"]))
+        .unwrap();
+    let mut db = Database::new(rs, DbmsProfile::ideal()).unwrap();
+    for k in 0..4 {
+        db.insert("COURSE", Tuple::new([Value::Int(k)])).unwrap();
+    }
+    db.insert("OFFER", Tuple::new([Value::Int(2), Value::Int(7)]))
+        .unwrap();
+    db
+}
+
+/// A plan with several faults fails with the one the query meets first,
+/// traced or not: the root relation, then (for a filtered plan) every join
+/// relation and the filter's attributes, then the root access's attributes,
+/// then each join step's left attributes, relation and right attributes in
+/// step order — whether or not any row reaches the step.
+#[test]
+fn query_errors_name_what_the_plan_meets_first() {
+    use relmerge::engine::{JoinStep, Predicate, QueryPlan};
+    let db = course_offer_db();
+    let key = |k: i64| Tuple::new([Value::Int(k)]);
+    let step = |rel: &str, l: &str, r: &str| JoinStep::inner(rel, &[l], &[r]);
+    let cases: Vec<(QueryPlan, &str)> = vec![
+        (
+            QueryPlan::scan("NOPE").join(step("GONE", "C.K", "O.K")),
+            "unknown relation-scheme `NOPE`",
+        ),
+        (
+            QueryPlan::lookup("COURSE", &["X"], key(1)).join(step("GONE", "C.K", "O.K")),
+            "unknown attribute `X` in `table`",
+        ),
+        (
+            QueryPlan::scan("COURSE").join(step("GONE", "Y", "O.K")),
+            "unknown attribute `Y` in `join input of `GONE``",
+        ),
+        (
+            QueryPlan::scan("COURSE").join(step("GONE", "C.K", "O.K")),
+            "unknown relation-scheme `GONE`",
+        ),
+        (
+            QueryPlan::scan("COURSE")
+                .join(step("OFFER", "C.K", "Z"))
+                .join(step("GONE", "C.K", "O.K")),
+            "unknown attribute `Z` in `table`",
+        ),
+        (
+            // No row reaches the step, and its right attribute still fails.
+            QueryPlan::lookup("COURSE", &["C.K"], key(9)).join(step("OFFER", "C.K", "Z")),
+            "unknown attribute `Z` in `table`",
+        ),
+        (
+            QueryPlan::scan("COURSE")
+                .join(step("OFFER", "Y", "O.K"))
+                .join(step("GONE", "C.K", "O.K"))
+                .filter(Predicate::eq("C.K", 1i64)),
+            "unknown relation-scheme `GONE`",
+        ),
+        (
+            QueryPlan::lookup("COURSE", &["X"], key(1)).filter(Predicate::eq("W", 1i64)),
+            "unknown attribute `W` in `predicate`",
+        ),
+        (
+            QueryPlan::scan("COURSE")
+                .join(step("OFFER", "C.K", "O.K"))
+                .filter(Predicate::eq("O.D", 7i64).and(Predicate::eq("C.K", 2i64)))
+                .select(&["O.D", "Q"]),
+            "unknown attribute `Q` in `relation`",
+        ),
+    ];
+    for (plan, want) in cases {
+        let plain = db.execute(&plan).unwrap_err().to_string();
+        let traced = db.execute_traced(&plan).unwrap_err().to_string();
+        assert_eq!(plain, want, "{plan:?}");
+        assert_eq!(traced, want, "{plan:?}");
+    }
+}
+
+/// A self-join repeats every attribute name of its relation, so its answer
+/// has no valid header: it fails with `DuplicateAttribute`, traced or not,
+/// projected or not, and whether or not any row joins.
+#[test]
+fn self_joins_fail_with_duplicate_attribute() {
+    use relmerge::engine::{JoinStep, QueryPlan};
+    let db = course_offer_db();
+    let self_join = JoinStep::inner("COURSE", &["C.K"], &["C.K"]);
+    let roots = [
+        QueryPlan::scan("COURSE"),
+        QueryPlan::lookup("COURSE", &["C.K"], Tuple::new([Value::Int(9)])),
+    ];
+    for root in roots {
+        let plan = root.join(self_join.clone());
+        for plan in [plan.clone(), plan.select(&["C.K"])] {
+            let is_dup = |e: &Error| matches!(e, Error::DuplicateAttribute(n) if n == "C.K");
+            let plain = db.execute(&plan).unwrap_err();
+            assert!(is_dup(&plain), "{plan:?}: {plain}");
+            let traced = db.execute_traced(&plan).unwrap_err();
+            assert!(is_dup(&traced), "{plan:?}: {traced}");
+        }
+    }
+}
