@@ -220,6 +220,9 @@ pub(crate) struct DbMetrics {
     cow_copied_rows: Arc<Counter>,
     /// Wall time of each [`crate::session::Session::pin`].
     pub(crate) pin_ns: Arc<Histogram>,
+    /// Wall time of each store publication: retiring the published base
+    /// and freeing what it held.
+    pub(crate) publish_ns: Arc<Histogram>,
 }
 
 impl Drop for DbMetrics {
@@ -280,6 +283,7 @@ impl DbMetrics {
             cow_table_copies: registry.counter("engine.cow.table_copies"),
             cow_copied_rows: registry.counter("engine.cow.copied_rows"),
             pin_ns: registry.histogram("engine.session.pin.ns"),
+            publish_ns: registry.histogram("engine.session.publish.ns"),
             registry,
         }
     }

@@ -108,9 +108,8 @@ pub mod site {
     /// Entry of the serialized writer section (fires once per write
     /// attempt routed through a [`Store`], while the writer lock is held
     /// but before the mutation closure runs). A fire fails that commit
-    /// with a typed error; the master state is untouched, the commit
-    /// sequence does not advance, and concurrently-pinned readers are
-    /// unaffected.
+    /// with a typed error; the master state and the published base are
+    /// untouched, and concurrently-pinned readers are unaffected.
     ///
     /// [`Store`]: crate::session::Store
     pub const WRITER_COMMIT: &str = "engine.writer.commit";

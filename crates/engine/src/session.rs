@@ -12,19 +12,22 @@
 //!   the base shares the writer's storage), and every pin at that commit
 //!   shares that one base. A writer copies each table it touches while
 //!   the base shares it ([`std::sync::Arc::make_mut`]); the base outlives
-//!   the snapshots, so every commit that follows a pin copies each table
-//!   it touches (`engine.cow.table_copies`, `engine.cow.copied_rows`;
-//!   pins are timed in `engine.session.pin.ns`). A pinned snapshot is a
-//!   plain [`Database`] value behind a `Deref`, so the whole `&self`
-//!   read surface (execute, snapshot, verify, versions) works unchanged
-//!   — and every query against it is byte-identical to running it alone
-//!   against that frozen state.
+//!   the snapshots until the next commit retires it, so every commit that
+//!   follows a pin copies each table it touches (`engine.cow.table_copies`,
+//!   `engine.cow.copied_rows`; pins are timed in `engine.session.pin.ns`).
+//!   A pinned snapshot is a plain [`Database`] value behind a `Deref`, so
+//!   the whole `&self` read surface (execute, snapshot, verify, versions)
+//!   works unchanged — and every query against it is byte-identical to
+//!   running it alone against that frozen state.
 //! * **Writers are serialized.** Every mutation — [`Statement`] batches,
 //!   the single-statement verbs, [`Session::migrate`] — funnels through
-//!   one writer mutex, bumps the store's commit sequence on success, and
+//!   one writer mutex, retires the published base on success, and
 //!   appends to the WAL exactly as a single-owner [`Database`] would.
-//!   A failed commit rolls back without disturbing concurrently-pinned
-//!   readers (their tables are frozen by copy-on-write).
+//!   The writer drops the retired base after it unlocks, so it frees the
+//!   tables its commit copied (`engine.session.publish.ns`), not the next
+//!   pin. A failed commit rolls back and keeps the base, without
+//!   disturbing concurrently-pinned readers (their tables are frozen by
+//!   copy-on-write).
 //! * **One build cache, shared by everyone.** The build-side LRU keyed
 //!   `(relation, probe attrs, pushed predicate, version)`
 //!   lives behind an `Arc` in the master and is shared by every session
@@ -44,9 +47,8 @@
 //! every pin (contained to that pin attempt) and
 //! [`crate::fault::site::WRITER_COMMIT`] at entry of the serialized
 //! writer section (fails that commit typed; the master state and the
-//! commit sequence are untouched, and pinned readers stay healthy).
+//! published base are untouched, and pinned readers stay healthy).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -55,12 +57,12 @@ use relmerge_obs::Registry;
 use relmerge_relational::{DatabaseState, Error, Result};
 
 use crate::batch::{BatchOutcome, Statement};
-use crate::database::{Database, DmlError};
+use crate::database::{Database, DbMetrics, DmlError};
 use crate::fault::{contain, site, FaultPlan, IntegrityReport};
 use crate::migrate::MigrationReport;
 
 /// The shared half of a multi-session engine: one master [`Database`]
-/// plus the published-snapshot machinery. `Store` is a cheap handle
+/// plus its published snapshot base. `Store` is a cheap handle
 /// (`Arc` inside) — clone it freely, or mint [`Session`]s with
 /// [`Store::session`].
 #[derive(Clone)]
@@ -70,43 +72,34 @@ pub struct Store {
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Store")
-            .field("commit_seq", &self.commit_seq())
-            .finish_non_exhaustive()
+        f.debug_struct("Store").finish_non_exhaustive()
     }
 }
 
 struct StoreInner {
-    /// The single mutable instance. Every write path locks it; the
-    /// snapshot refresh path locks it briefly to copy the table map at a
-    /// commit boundary. Lock order: `master` before `published`.
+    /// The single mutable instance. Every write path locks it; a pin
+    /// locks it to build the base after a commit. Lock order: `master`
+    /// before `published`.
     master: Mutex<Database>,
-    /// Bumped once per *successful* commit (batch, single statement,
-    /// migration, fault-plan change). Readers compare it against the
-    /// published snapshot's sequence to decide whether a refresh is due
-    /// — the lock-free fast path of [`Session::pin`].
-    commit_seq: AtomicU64,
-    /// The most recently published snapshot base and the commit sequence
-    /// it was taken at. Lazily refreshed: the first pin after a commit
-    /// pays the O(number of relations) copy; every other pin at that
-    /// sequence is an `Arc` clone under a short lock.
-    published: Mutex<Option<(u64, Arc<Database>)>>,
-    /// The store-wide metric registry: the master database's shard, which
-    /// every published base and pin shares.
-    registry: Arc<Registry>,
+    /// The snapshot base of the current commit: built by the first pin
+    /// after a commit, cloned by every other pin, and taken by the next
+    /// successful commit while it still holds the master lock.
+    published: Mutex<Option<Arc<Database>>>,
+    /// The master database's metrics shard, which every published base
+    /// and pin shares: the store-wide registry.
+    metrics: Arc<DbMetrics>,
 }
 
 impl Store {
     /// Wraps `db` — WAL and all — as the master of a shared store.
     #[must_use]
     pub fn new(db: Database) -> Store {
-        let registry = Arc::clone(db.metrics_registry());
+        let metrics = Arc::clone(&db.metrics);
         Store {
             inner: Arc::new(StoreInner {
                 master: Mutex::new(db),
-                commit_seq: AtomicU64::new(0),
                 published: Mutex::new(None),
-                registry,
+                metrics,
             }),
         }
     }
@@ -120,17 +113,11 @@ impl Store {
         }
     }
 
-    /// The number of successful commits so far (monotonic).
-    #[must_use]
-    pub fn commit_seq(&self) -> u64 {
-        self.inner.commit_seq.load(Ordering::Acquire)
-    }
-
     /// The store-wide metric registry: every count of the master, its
     /// published bases and its sessions' pins, live.
     #[must_use]
     pub fn metrics_registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.inner.registry)
+        Arc::clone(&self.inner.metrics.registry)
     }
 
     /// Installs a fault plan on the master (see
@@ -139,7 +126,7 @@ impl Store {
     pub fn set_fault_plan(&self, plan: FaultPlan) -> Arc<FaultPlan> {
         let mut master = self.lock_master();
         let plan = master.set_fault_plan(plan);
-        self.publish_commit();
+        self.publish(master);
         plan
     }
 
@@ -147,7 +134,7 @@ impl Store {
     pub fn clear_fault_plan(&self) {
         let mut master = self.lock_master();
         master.clear_fault_plan();
-        self.publish_commit();
+        self.publish(master);
     }
 
     /// Materializes the master's current contents (a consistent commit
@@ -174,67 +161,56 @@ impl Store {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_published(&self) -> MutexGuard<'_, Option<(u64, Arc<Database>)>> {
+    fn lock_published(&self) -> MutexGuard<'_, Option<Arc<Database>>> {
         self.inner
             .published
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Marks a successful commit: bumps the sequence so the next pin
-    /// refreshes its base. Must be called while holding the master lock
-    /// (callers do), so refreshing pins serialize behind the completed
-    /// commit.
-    fn publish_commit(&self) {
-        self.inner.commit_seq.fetch_add(1, Ordering::Release);
+    /// Publishes a successful commit: takes the published base while
+    /// `master` is still locked, so no pin gets it after the commit, then
+    /// unlocks and drops it. The writer, not the next pin, frees the
+    /// tables its commit copied; `engine.session.publish.ns` times all
+    /// three steps.
+    fn publish(&self, master: MutexGuard<'_, Database>) {
+        let t0 = Instant::now();
+        let retired = self.lock_published().take();
+        drop(master);
+        drop(retired);
+        self.inner
+            .metrics
+            .publish_ns
+            .record(relmerge_obs::elapsed_ns(t0));
     }
 
-    /// The snapshot base for the current commit sequence, publishing a
-    /// fresh one if a commit landed since the last pin.
+    /// The snapshot base of the current commit. After a commit retired
+    /// it, the first pin builds it from the master while holding both
+    /// locks, so every pin until the next commit gets that one base.
     fn pinned_base(&self) -> Arc<Database> {
-        let seq = self.inner.commit_seq.load(Ordering::Acquire);
-        {
-            let published = self.lock_published();
-            if let Some((at, base)) = published.as_ref() {
-                if *at == seq {
-                    return Arc::clone(base);
-                }
-            }
+        if let Some(base) = self.lock_published().clone() {
+            return base;
         }
-        // Refresh: copy the table map at a commit boundary. Lock order is
-        // master before published; the sequence is re-read under the
-        // master lock so the published pair is exact, not approximate.
         let master = self.lock_master();
-        let seq = self.inner.commit_seq.load(Ordering::Acquire);
-        let base = Arc::new(master.snapshot_handle());
-        drop(master);
         let mut published = self.lock_published();
-        // A concurrent refresher may have published a newer base while we
-        // were copying; never move `published` backwards.
-        let stale = published.as_ref().is_some_and(|(at, _)| *at > seq);
-        if !stale {
-            *published = Some((seq, Arc::clone(&base)));
-        }
-        base
+        Arc::clone(published.get_or_insert_with(|| Arc::new(master.snapshot_handle())))
     }
 
     /// The serialized writer section: locks the master, fires the
     /// `engine.writer.commit` fault gate (contained — an injected panic
     /// becomes a typed error without poisoning anything), runs `f`, and
-    /// bumps the commit sequence only if `f` succeeded. A failed `f` has
-    /// rolled itself back (every `Database` write path does), so the
-    /// sequence — and every pinned reader — is untouched.
+    /// publishes only if `f` succeeded. A failed `f` has rolled itself
+    /// back (every `Database` write path does), so the published base —
+    /// and every pinned reader — is untouched.
     fn with_writer<T, E: From<Error>>(
         &self,
         f: impl FnOnce(&mut Database) -> std::result::Result<T, E>,
     ) -> std::result::Result<T, E> {
         let mut master = self.lock_master();
         contain(|| master.fault_check(site::WRITER_COMMIT))?;
-        let out = f(&mut master);
-        if out.is_ok() {
-            self.publish_commit();
-        }
-        out
+        let out = f(&mut master)?;
+        self.publish(master);
+        Ok(out)
     }
 }
 
@@ -248,10 +224,11 @@ pub struct Session {
 impl Session {
     /// Pins the store's current state and returns the frozen
     /// [`Snapshot`]: the store's published base for the current commit,
-    /// shared with every other pin at that commit. Never blocks on
-    /// writers beyond the brief base refresh after a commit; the returned
-    /// snapshot is immutable — the same query against it returns
-    /// byte-identical results no matter what writers do afterwards.
+    /// shared with every other pin at that commit. Only the first pin
+    /// after a commit locks the master, to build the base, and so waits
+    /// for a commit in flight; the returned snapshot is immutable — the
+    /// same query against it returns byte-identical results no matter
+    /// what writers do afterwards.
     ///
     /// Fault site [`site::SESSION_SNAPSHOT`] fires here; a fire (error
     /// or panic) is contained to this pin attempt.
@@ -409,38 +386,22 @@ mod tests {
     }
 
     #[test]
-    fn pins_at_the_same_sequence_share_one_base() {
+    fn pins_at_one_commit_share_one_base() {
         let st = store();
         let s1 = st.session();
         let s2 = st.session();
         s1.insert("P", tup(&[1])).unwrap();
-        let seq = st.commit_seq();
         let a = s1.pin().unwrap();
         let b = s2.pin().unwrap();
-        assert_eq!(st.commit_seq(), seq, "pins are not commits");
         assert!(
             std::ptr::eq(&*a, &*b),
             "one published base, not a handle per pin"
         );
         assert_eq!(a.version_vector(), b.version_vector());
         assert_eq!(a.snapshot().unwrap(), b.snapshot().unwrap());
-    }
-
-    #[test]
-    fn failed_writes_do_not_advance_the_commit_seq() {
-        let st = store();
-        let s = st.session();
-        s.insert("P", tup(&[1])).unwrap();
-        let seq = st.commit_seq();
-        let snap = s.pin().unwrap();
-        // Dangling FK: the batch fails and rolls back.
-        assert!(s.insert("C", tup(&[10, 99])).is_err());
-        assert_eq!(st.commit_seq(), seq);
-        assert_eq!(snap.len("C"), 0);
-        assert!(st.verify_integrity().is_clean());
-        // The store remains fully serviceable.
-        s.insert("P", tup(&[2])).unwrap();
-        assert_eq!(st.commit_seq(), seq + 1);
+        // A commit retires the base: the next pin gets a new one.
+        s2.insert("P", tup(&[2])).unwrap();
+        assert!(!std::ptr::eq(&*a, &*s1.pin().unwrap()));
     }
 
     #[test]
@@ -554,7 +515,6 @@ mod tests {
             Statement::insert("C", tup(&[10, 1])),
         ])
         .unwrap();
-        let seq = st.commit_seq();
         let snap = s.pin().unwrap();
         assert_eq!(snap.len("C"), 1);
         // A rejected batch or statement rolls back and does not commit.
@@ -565,7 +525,7 @@ mod tests {
             ])
             .is_err());
         assert!(s.insert("C", tup(&[12, 99])).is_err());
-        assert_eq!(st.commit_seq(), seq);
+        assert!(std::ptr::eq(&*snap, &*s.pin().unwrap()));
         assert_eq!(s.pin().unwrap().len("P"), 1);
     }
 
@@ -601,5 +561,109 @@ mod tests {
         assert_eq!(copies(), (2, 3));
         let pins = &st.metrics_registry().snapshot().histograms["engine.session.pin.ns"];
         assert_eq!(pins.count, 2, "each pin is timed");
+    }
+
+    fn copies(st: &Store) -> u64 {
+        st.metrics_registry().snapshot().counters["engine.cow.table_copies"]
+    }
+
+    #[test]
+    fn a_commit_frees_the_tables_it_copied_before_it_returns() {
+        let st = store();
+        let s = st.session();
+        s.insert("P", tup(&[1])).unwrap();
+        drop(s.pin().unwrap());
+        // No snapshot is held; the published base alone shares P.
+        let old_p = Arc::downgrade(&st.lock_published().as_ref().unwrap().tables["P"]);
+        assert!(old_p.upgrade().is_some());
+        s.insert("P", tup(&[2])).unwrap();
+        assert_eq!(copies(&st), 1);
+        assert!(old_p.upgrade().is_none(), "the writer freed the old P");
+    }
+
+    #[test]
+    fn a_second_commit_without_a_pin_copies_no_table() {
+        let st = store();
+        let s = st.session();
+        s.insert("P", tup(&[1])).unwrap();
+        drop(s.pin().unwrap());
+        s.insert("P", tup(&[2])).unwrap();
+        assert_eq!(copies(&st), 1);
+        // The first commit retired the base, so C is the master's alone.
+        s.insert("C", tup(&[10, 1])).unwrap();
+        assert_eq!(copies(&st), 1);
+    }
+
+    #[test]
+    fn pins_racing_right_after_a_commit_get_one_base() {
+        const READERS: usize = 4;
+        const COMMITS: i64 = 1_000;
+        // Two thousand more relations make a base slow enough to build
+        // that the released pins overlap its building, also on a host
+        // whose idle cores wake slowly.
+        let mut rs = schema();
+        for i in 0..2_000 {
+            let key = format!("W{i}.K");
+            let attrs = vec![Attribute::new(key.as_str(), Domain::Int)];
+            rs.add_scheme(RelationScheme::new(format!("W{i}"), attrs, &[key.as_str()]).unwrap())
+                .unwrap();
+        }
+        let st = Store::new(Database::new(rs, DbmsProfile::ideal()).unwrap());
+        let go = Arc::new(std::sync::Barrier::new(READERS + 1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (s, go, tx) = (st.session(), Arc::clone(&go), tx.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..COMMITS {
+                        go.wait();
+                        tx.send(s.pin().unwrap()).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let writer = st.session();
+        for k in 0..COMMITS {
+            writer.insert("P", tup(&[k])).unwrap();
+            go.wait();
+            let pins: Vec<Snapshot> = (0..READERS).map(|_| rx.recv().unwrap()).collect();
+            for pin in &pins {
+                assert!(std::ptr::eq(&*pins[0], &**pin), "commit {k}: two bases");
+                assert_eq!(pin.len("P"), k as usize + 1);
+            }
+        }
+        for r in readers {
+            r.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn only_a_successful_commit_publishes() {
+        let st = store();
+        let s = st.session();
+        let publications =
+            || st.metrics_registry().snapshot().histograms["engine.session.publish.ns"].count;
+        s.insert("P", tup(&[1])).unwrap();
+        assert_eq!(publications(), 1);
+        let snap = s.pin().unwrap();
+        // Dangling FK: the statement fails, rolls back and keeps the base.
+        assert!(s.insert("C", tup(&[10, 99])).is_err());
+        assert!(std::ptr::eq(&*snap, &*s.pin().unwrap()));
+        assert_eq!(snap.len("C"), 0);
+        assert!(st.verify_integrity().is_clean());
+        assert_eq!(publications(), 1);
+        for mode in [FaultMode::Error, FaultMode::Panic] {
+            st.set_fault_plan(FaultPlan::new().fail_at(site::WRITER_COMMIT, 0, mode));
+            let base = s.pin().unwrap();
+            assert!(s.insert("P", tup(&[2])).is_err());
+            assert!(std::ptr::eq(&*base, &*s.pin().unwrap()), "{mode:?}");
+            st.clear_fault_plan();
+        }
+        // Two plan changes per mode, and no faulted commit.
+        assert_eq!(publications(), 5);
+        // The store remains fully serviceable.
+        s.insert("P", tup(&[2])).unwrap();
+        assert_eq!(publications(), 6);
+        assert_eq!(s.pin().unwrap().len("P"), 2);
     }
 }

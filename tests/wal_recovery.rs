@@ -9,8 +9,11 @@
 //! `load_state` and so an online migration — must survive a restart too,
 //! and a failed one must leave the previous state to recover. A durable
 //! database shared by concurrent sessions keeps the same contract: a cut
-//! log recovers a prefix of every writer's own batches.
+//! log recovers a prefix of every writer's own batches. A flipped byte in
+//! a log recovers the batches before its frame, and a flipped or cut
+//! snapshot fails recovery typed without touching a file.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -223,6 +226,117 @@ proptest! {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Byte masks the frame-mutation tests XOR into each byte of a file.
+const FLIP_MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
+
+fn snap_file(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("snapshot-{generation}.snap"))
+}
+
+/// Every file in `dir`, with its bytes.
+fn dir_files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect()
+}
+
+/// Recovery of `dir` must fail with a durability error and leave every
+/// file in it byte-identical.
+fn assert_recovery_refused(cfg: &EngineConfig, dir: &Path, case: &str) {
+    let before = dir_files(dir);
+    match Database::recover(cfg.clone()) {
+        Err(Error::Durability { .. }) => {}
+        Err(e) => panic!("{case}: not a durability error: {e}"),
+        Ok((_, report)) => panic!("{case}: recovered ({report})"),
+    }
+    assert_eq!(dir_files(dir), before, "{case}: recovery changed a file");
+}
+
+/// A data dir holds one snapshot, so a snapshot with any byte flipped (at
+/// every mask) or cut anywhere leaves recovery nothing that passes its
+/// checksum: it fails typed, never panics, and writes nothing.
+#[test]
+fn every_snapshot_flip_and_cut_fails_recovery_typed() {
+    let dir = fresh_dir("snapflip");
+    let cfg = config(&dir, 0);
+    let mut state = DatabaseState::empty_for(&schema()).unwrap();
+    for k in 0..3 {
+        state.insert("PARENT", tup(&[k])).unwrap();
+    }
+    for c in 0..4 {
+        state.insert("CHILD", tup(&[c, c % 3])).unwrap();
+    }
+    let mut db = Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+    db.load_state(&state).unwrap();
+    let (generation, _) = db.wal_position().unwrap();
+    drop(db);
+    let snap = snap_file(&dir, generation);
+    let pristine = std::fs::read(&snap).unwrap();
+    for at in 0..pristine.len() {
+        for mask in FLIP_MASKS {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&snap, &bytes).unwrap();
+            assert_recovery_refused(&cfg, &dir, &format!("flip {mask:#04x} at {at}"));
+        }
+        std::fs::write(&snap, &pristine[..at]).unwrap();
+        assert_recovery_refused(&cfg, &dir, &format!("cut at {at}"));
+    }
+    std::fs::write(&snap, &pristine).unwrap();
+    assert_eq!(Database::recover(cfg).unwrap().0.snapshot().unwrap(), state);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A flip in the log damages one frame, so recovery replays exactly the
+/// batches before it and drops the rest as a torn tail; a flip in the
+/// log's magic fails recovery typed and writes nothing.
+#[test]
+fn every_log_flip_recovers_the_batches_before_it() {
+    let dir = fresh_dir("logflip");
+    let cfg = config(&dir, 0);
+    let mut db = Database::new_with_config(schema(), DbmsProfile::ideal(), cfg.clone()).unwrap();
+    let mut prefixes = vec![(WAL_HEADER, db.snapshot().unwrap())];
+    for k in 0..5 {
+        db.apply_batch(&[Statement::insert("PARENT", tup(&[k]))])
+            .unwrap();
+        prefixes.push((db.wal_position().unwrap().1, db.snapshot().unwrap()));
+    }
+    let (generation, _) = db.wal_position().unwrap();
+    drop(db);
+    let log = wal_file(&dir, generation);
+    let pristine = std::fs::read(&log).unwrap();
+    for at in 0..pristine.len() as u64 {
+        for mask in FLIP_MASKS {
+            let mut bytes = pristine.clone();
+            bytes[at as usize] ^= mask;
+            std::fs::write(&log, &bytes).unwrap();
+            let case = format!("flip {mask:#04x} at {at}");
+            if at < WAL_HEADER {
+                assert_recovery_refused(&cfg, &dir, &case);
+            } else {
+                // Batch `damaged` is the first whose frame ends past the flip.
+                let damaged = prefixes.iter().position(|(end, _)| *end > at).unwrap();
+                let (recovered, report) = Database::recover(cfg.clone()).unwrap();
+                assert!(recovered.verify_integrity().is_clean(), "{case}");
+                assert!(report.torn_tail, "{case}: {report}");
+                assert_eq!(
+                    recovered.snapshot().unwrap(),
+                    prefixes[damaged - 1].1,
+                    "{case}: {report}"
+                );
+            }
+            // A recovery drops the torn tail: restore the log.
+            std::fs::write(&log, &pristine).unwrap();
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A durable database over a two-satellite star, seeded by one logged
